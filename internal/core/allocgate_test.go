@@ -102,20 +102,41 @@ func TestPrepareAllSteadyStateAllocFree(t *testing.T) {
 func TestSelectAllocFree(t *testing.T) {
 	cons := constellation.MustNew(16)
 	hs := frameChannels(404, 6, 4, 8)
-	fc := New(cons, Options{NPE: 32})
-	defer fc.Close()
-	if err := fc.PrepareAll(hs, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		k = (k + 1) % len(hs)
-		if err := fc.Select(k); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Select: %.1f allocs/op, want 0", allocs)
+	y := []complex128{0.3, -0.2i, 0.1 + 0.4i, -0.5, 0.25i, 0.6 - 0.1i}
+	for _, bb := range benchBackends {
+		t.Run(bb.name, func(t *testing.T) {
+			fc := New(cons, Options{NPE: 32, Backend: bb.backend})
+			defer fc.Close()
+			if err := fc.PrepareAll(hs, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				k = (k + 1) % len(hs)
+				if err := fc.Select(k); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Select: %.1f allocs/op, want 0", allocs)
+			}
+			// Select + Detect: on the SoA backend the first Detect after a
+			// Select converts the channel planes and walks the slot's
+			// ready-made plan; once the scratch has seen the largest
+			// plan of the frame neither step allocates.
+			for k := range hs {
+				fc.Select(k)
+				fc.Detect(y)
+			}
+			allocs = testing.AllocsPerRun(50, func() {
+				k = (k + 1) % len(hs)
+				fc.Select(k)
+				fc.Detect(y)
+			})
+			if allocs != 0 {
+				t.Errorf("Select+Detect: %.1f allocs/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -163,35 +184,41 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 	const nr, nt, nSC = 6, 4, 8
 	fa := frameChannels(407, nr, nt, nSC)
 	fb := frameChannels(408, nr, nt, nSC)
-	fc := New(cons, Options{NPE: 32, PathReuse: true, ReuseThreshold: 0})
-	defer fc.Close()
-	var st ReuseState
-	fc.SetReuseState(&st)
-	for _, hs := range [][]*cmatrix.Matrix{fa, fa, fb, fb} { // warm both hit and re-base paths
-		if err := fc.PrepareAll(hs, 0.05); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := fc.PrepareAll(fb, 0.05); err != nil { // all-hit frame
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("PrepareAll with all external hits: %.1f allocs/op, want 0", allocs)
-	}
-	i := 0
-	allocs = testing.AllocsPerRun(20, func() {
-		i++
-		hs := fa
-		if i%2 == 0 {
-			hs = fb
-		}
-		if err := fc.PrepareAll(hs, 0.05); err != nil { // all-miss frame: re-base
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("PrepareAll with external re-base: %.1f allocs/op, want 0", allocs)
+	for _, bb := range benchBackends {
+		t.Run(bb.name, func(t *testing.T) {
+			fc := New(cons, Options{NPE: 32, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend})
+			defer fc.Close()
+			var st ReuseState
+			fc.SetReuseState(&st)
+			for _, hs := range [][]*cmatrix.Matrix{fa, fa, fb, fb} { // warm both hit and re-base paths
+				if err := fc.PrepareAll(hs, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// All-hit frame: every slot copies its base's paths — and, on
+			// the SoA backend, the base's descent plan — into its arenas.
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := fc.PrepareAll(fb, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("PrepareAll with all external hits: %.1f allocs/op, want 0", allocs)
+			}
+			i := 0
+			allocs = testing.AllocsPerRun(20, func() {
+				i++
+				hs := fa
+				if i%2 == 0 {
+					hs = fb
+				}
+				if err := fc.PrepareAll(hs, 0.05); err != nil { // all-miss frame: re-base
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("PrepareAll with external re-base: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }

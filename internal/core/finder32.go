@@ -37,6 +37,9 @@ type pathFinder32 struct {
 	lp      []float32 // per-emitted-path log-probability (float32, no double rounding)
 	li      []int16   // per-emitted-path lastInc (duplicate-suppression bound)
 	n, cap  int
+
+	comp    kernel32.Compiler // descent-plan build arenas (see link)
+	nodeBuf []int32           // per emitted path: its plan node at every level, ≥ cap × n
 }
 
 // ensure grows the finder's arenas for an n-level, nPE-path search.
@@ -83,12 +86,39 @@ func (f *pathFinder32) pushNext(parent int32, t int32, bound int16, res []int, m
 	return seq
 }
 
+// link adds emitted path q to the descent plan under construction — the
+// prefix trie kernel32.Descend walks, one node per distinct rank suffix.
+// q was derived from path parent by incrementing level w, so above w it
+// shares its parent's nodes, and at w and below it is new: every level
+// under w still has rank 1, and any path sharing such a suffix is a
+// descendant of q in the generation order, so none was emitted before
+// it. (The root passes w = n−1 and shares nothing.) Leaves are added one
+// per path in emission order, which makes the plan's lanes the paths.
+//
+//flexcore:noalloc
+func (f *pathFinder32) link(q, parent int, w int16, res []int) {
+	n := f.n
+	nodes := f.nodeBuf[q*n : (q+1)*n]
+	up := int32(0) // the plan's root
+	if int(w) < n-1 {
+		copy(nodes[w+1:], f.nodeBuf[parent*n+int(w)+1:(parent+1)*n])
+		up = nodes[w+1]
+	}
+	for j := int(w); j >= 0; j-- {
+		up = f.comp.Add(j, up, res[j])
+		nodes[j] = up
+	}
+}
+
 // find runs the pre-processing tree search into the finder's pooled
 // storage; see FindPaths for the algorithm contract (this is the
 // float32 lazy-expansion twin — same expansion rule, same emitted set).
+// With a non-nil pl it also builds the paths' descent plan into pl as it
+// emits them: a plan depends on the rank vectors alone, so it is built
+// once per search and then stored, copied and aliased with the paths.
 //
 //flexcore:noalloc
-func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
+func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64, pl *kernel32.Plan) ([]Path, PreprocessStats) {
 	var stats PreprocessStats
 	n := m.Levels()
 	if nPE < 1 {
@@ -137,6 +167,13 @@ func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64) ([]Path, P
 	f.paths = append(f.paths, Path{Ranks: res, LogP: float64(root)}) //lint:ignore noalloc amortised: ensure reserves cap nPE
 	f.lp = append(f.lp, root)                                        //lint:ignore noalloc amortised: see above
 	f.li = append(f.li, int16(n-1))                                  //lint:ignore noalloc amortised: see above
+	if pl != nil {
+		if cap(f.nodeBuf) < nPE*n {
+			f.nodeBuf = make([]int32, nPE*n) //lint:ignore noalloc amortised: regrows only when the search shape grows
+		}
+		f.comp.Begin(n, nPE) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the search shape grows
+		f.link(0, 0, int16(n-1), res)
+	}
 	cumulative := float64(kernel32.Exp32(root))
 	stats.Expanded++
 	seq := uint32(0)
@@ -158,6 +195,9 @@ func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64) ([]Path, P
 		f.paths = append(f.paths, Path{Ranks: res, LogP: float64(logP)}) //lint:ignore noalloc amortised: ensure reserves cap nPE and the loop emits at most nPE paths
 		f.lp = append(f.lp, logP)                                        //lint:ignore noalloc amortised: see above
 		f.li = append(f.li, w)                                           //lint:ignore noalloc amortised: see above
+		if pl != nil {
+			f.link(q, int(node.parent), w, res)
+		}
 		cumulative += float64(kernel32.Exp32(logP))
 		stats.Expanded++
 		if stopThreshold > 0 && cumulative >= stopThreshold {
@@ -172,6 +212,9 @@ func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64) ([]Path, P
 		stats.RealMuls += int64(seq - before)
 	}
 	stats.CumulativeProb = cumulative
+	if pl != nil {
+		f.comp.Finish(pl)
+	}
 	return f.paths, stats
 }
 
@@ -181,5 +224,5 @@ func (f *pathFinder32) find(m *Model, nPE int, stopThreshold float64) ([]Path, P
 // Options.Backend == BackendSoA32 reuse a persistent pool instead.
 func FindPaths32(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
 	var f pathFinder32
-	return f.find(m, nPE, stopThreshold)
+	return f.find(m, nPE, stopThreshold, nil)
 }

@@ -25,7 +25,10 @@ type Options struct {
 	// better; OrderSQRD is the default here.
 	Ordering cmatrix.Ordering
 	// Workers > 1 evaluates paths on a goroutine pool, demonstrating the
-	// embarrassingly parallel structure; 0 or 1 is sequential.
+	// embarrassingly parallel structure; 0 or 1 is sequential. The pool
+	// also fans DetectBatch bursts and PrepareAll frames out. On
+	// BackendSoA32 a single Detect always runs on the caller: its paths
+	// are one shared trie, not independent walks (DESIGN.md §11.2).
 	Workers int
 	// StrictDeactivation reproduces the paper's §3.2 wording literally: a
 	// candidate outside the constellation kills the whole path. The
@@ -61,9 +64,9 @@ type Options struct {
 	ReuseThreshold float64
 	// Backend selects the hot-path arithmetic (DESIGN.md §11). The
 	// default BackendComplex128 is the reference scalar arithmetic;
-	// BackendSoA32 runs detection on float32 structure-of-arrays planes
-	// batched across the paths and the pre-processing search on a
-	// packed-key float32 heap. Decisions match the default backend on
+	// BackendSoA32 runs detection as one float32 descent of the paths'
+	// prefix trie (every shared tree node decided once) and the
+	// pre-processing search on a packed-key float32 heap. Decisions match the default backend on
 	// the conformance corpus; distances carry a documented ULP-scaled
 	// tolerance. ExactSlicer always detects with the scalar arithmetic
 	// regardless of Backend.
@@ -190,6 +193,7 @@ func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
 		d.countSimilarity(r.Cols)
 		if d.reuse.match(r, sigma2, d.opts.ReuseThreshold) {
 			d.paths = d.reuse.paths
+			d.soa.prep.Plan = &d.reuse.plan
 			d.ppOps.CacheHits++
 			d.ppOps.CumulativeProb = d.reuse.cum
 			return
@@ -198,7 +202,10 @@ func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
 	var paths []Path
 	var stats PreprocessStats
 	if d.useSoA() {
-		paths, stats = d.finder32.find(d.model, d.opts.NPE, d.opts.Threshold)
+		// The plan of the last fresh scalar search lives in the cache's
+		// plan slot whether or not PathReuse ever consults the cache.
+		paths, stats = d.finder32.find(d.model, d.opts.NPE, d.opts.Threshold, &d.reuse.plan)
+		d.soa.prep.Plan = &d.reuse.plan
 	} else {
 		paths, stats = d.finder.find(d.model, d.opts.NPE, d.opts.Threshold)
 	}
@@ -311,6 +318,10 @@ func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []com
 
 // countDetections accumulates the operation counters for detecting
 // `vectors` received vectors of length ylen under the current Prepare.
+// The per-path term is the paper's per-processing-element cost — what
+// N_PE independent elements execute, the hardware model behind Table 1
+// and Fig. 10 — on every backend, including the SoA trie descent that
+// shares tree nodes between paths and so executes fewer (DESIGN §11.2).
 //
 //flexcore:noalloc
 func (d *FlexCore) countDetections(vectors, ylen int) {

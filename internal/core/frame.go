@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flexcore/internal/cmatrix"
+	"flexcore/internal/kernel32"
 )
 
 // This file implements the channel-rate fast path across channels: the
@@ -27,7 +28,8 @@ type reuseCache struct {
 	sigma2 float64
 	cum    float64
 	paths  []Path
-	ranks  []int // backing for the cached Ranks
+	ranks  []int         // backing for the cached Ranks
+	plan   kernel32.Plan // the paths' descent plan (SoA backend)
 }
 
 // similarR reports whether r is within thr of base in normalized
@@ -68,7 +70,7 @@ func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
 }
 
 // store copies (r, sigma2, paths) into the cache-owned arenas and makes
-// them the new reuse base.
+// them the new reuse base. The plan is the caller's to fill.
 func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum float64) {
 	if c.r == nil || c.r.Rows != r.Rows || c.r.Cols != r.Cols {
 		c.r = cmatrix.New(r.Rows, r.Cols)
@@ -93,7 +95,9 @@ func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum 
 // A ReuseState must be installed on at most one detector at a time,
 // and hand-offs between detectors must be externally synchronized
 // (the serving layer's per-user FIFO sequencing provides exactly
-// that). The zero value is ready to use; all storage is state-owned
+// that). Its bases carry the storing detector's backend state (the
+// SoA descent plan), so it moves only between detectors of one
+// Options.Backend. The zero value is ready to use; all storage is state-owned
 // and regrows only past its high-water mark.
 type ReuseState struct {
 	slots []reuseCache
@@ -133,6 +137,9 @@ func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
 			continue
 		}
 		st.slots[k].store(s.qr.R, sigma2, s.paths, s.cum)
+		if s.plan != nil {
+			st.slots[k].plan.CopyFrom(s.plan)
+		}
 	}
 }
 
@@ -170,6 +177,11 @@ type prepSlot struct {
 
 	hdr   []Path // owned path-header arena (fresh slots)
 	ranks []int  // owned rank arena (fresh slots)
+
+	// SoA backend: the paths' descent plan — owned wherever the paths
+	// are owned, aliased wherever they are aliased.
+	plan    *kernel32.Plan
+	planOwn kernel32.Plan
 
 	stats PreprocessStats // fresh-search stats; zero for reuse hits
 	hit   bool
@@ -321,8 +333,8 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 
 	// Resolve hit aliases and fold the counters in subcarrier order, so
 	// the cumulative stats are identical for every worker count.
-	// External hits copy the base's position vectors into slot-owned
-	// arenas (a rank copy, negligible next to the skipped search):
+	// External hits copy the base's position vectors and descent plan
+	// into slot-owned arenas (negligible next to the skipped search):
 	// the ReuseState may be re-based by a later frame — possibly on a
 	// different detector — while this frame's slots are still selected.
 	for k := range frame {
@@ -333,9 +345,14 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 				s.hdr, s.ranks = copyPaths(e.paths, s.hdr, s.ranks)
 				s.paths = s.hdr
 				s.cum = e.cum
+				if d.useSoA() {
+					s.planOwn.CopyFrom(&e.plan)
+					s.plan = &s.planOwn
+				}
 			} else {
 				b := &frame[s.base]
 				s.paths = b.paths
+				s.plan = b.plan
 				s.cum = b.cum
 			}
 			d.ppOps.CacheHits++
@@ -396,6 +413,7 @@ func (d *FlexCore) Select(k int) error {
 	d.qr = &s.qr
 	d.model = &s.model
 	d.paths = s.paths
+	d.soa.prep.Plan = s.plan
 	d.ppOps.CumulativeProb = s.cum
 	d.soa.dirty = true
 	return nil

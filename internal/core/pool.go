@@ -13,7 +13,8 @@ type jobKind int
 
 const (
 	// jobPaths fans the selected paths of a single received vector
-	// across the workers (Fig. 2's per-processing-element pipeline).
+	// across the workers (Fig. 2's per-processing-element pipeline;
+	// complex128 backend only — the SoA trie descends on the caller).
 	jobPaths jobKind = iota
 	// jobBatch fans whole received vectors of a DetectBatch burst across
 	// the workers; each worker evaluates every path of its vectors.
@@ -70,8 +71,6 @@ type poolWorker struct {
 
 	ped    float64 // jobPaths: local minimum PED
 	ok     bool    // jobPaths: local minimum exists
-	lane   int     // jobPaths (SoA): block-best lane, -1 when none survives
-	ped32  float32 // jobPaths (SoA): block-best distance
 	fallbk int64   // jobBatch: fallback detections in the last job
 }
 
@@ -147,18 +146,6 @@ func (w *poolWorker) ensure(d *FlexCore) {
 //flexcore:noalloc
 func (p *pool) runPaths(w *poolWorker) {
 	d := p.d
-	if d.useSoA() {
-		// SoA route: a contiguous lane block of the shared scratch (all
-		// per-lane state is disjoint, so blocks never interfere and the
-		// partition cannot change the result).
-		lo, hi := laneBlock(w.id, len(p.workers), d.soa.prep.P)
-		if lo >= hi {
-			w.lane = -1
-			return
-		}
-		w.lane, w.ped32 = kernel32.Descend(&d.soa.prep, d.soa.slicer, &d.soa.scratch, lo, hi, d.opts.StrictDeactivation)
-		return
-	}
 	w.ped = math.Inf(1)
 	w.ok = false
 	stride := len(p.workers)

@@ -49,9 +49,15 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 		frames[f] = ys
 	}
 
-	for _, workers := range []int{1, 3} {
-		ref := New(cons, Options{NPE: 24, Workers: workers})
-		fc := New(cons, Options{NPE: 24, Workers: workers, PathReuse: true, ReuseThreshold: 0})
+	// Both backends: on soa32 every hit also copies the base's descent
+	// plan, which the decisions below then walk.
+	for _, cfg := range []struct {
+		workers int
+		backend Backend
+	}{{1, BackendComplex128}, {3, BackendComplex128}, {1, BackendSoA32}, {3, BackendSoA32}} {
+		workers := cfg.workers
+		ref := New(cons, Options{NPE: 24, Workers: workers, Backend: cfg.backend})
+		fc := New(cons, Options{NPE: 24, Workers: workers, PathReuse: true, ReuseThreshold: 0, Backend: cfg.backend})
 		var st ReuseState
 		fc.SetReuseState(&st)
 		if st.Valid() {
@@ -212,28 +218,30 @@ func TestReuseStateHandoff(t *testing.T) {
 	for k := range ys {
 		ys[k] = transmit(rng, hs[k], cons, randSymbols(rng, cons, nt), sigma2)
 	}
-	ref := New(cons, Options{NPE: 24})
-	defer ref.Close()
-	want := detectFrame(t, ref, hs, ys, sigma2)
+	for _, bb := range benchBackends {
+		ref := New(cons, Options{NPE: 24, Backend: bb.backend})
+		defer ref.Close()
+		want := detectFrame(t, ref, hs, ys, sigma2)
 
-	opts := Options{NPE: 24, PathReuse: true, ReuseThreshold: 0}
-	a, b := New(cons, opts), New(cons, opts)
-	defer a.Close()
-	defer b.Close()
-	var st ReuseState
+		opts := Options{NPE: 24, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend}
+		a, b := New(cons, opts), New(cons, opts)
+		defer a.Close()
+		defer b.Close()
+		var st ReuseState
 
-	for i, fc := range []*FlexCore{a, b, a, b} {
-		fc.SetReuseState(&st)
-		got := detectFrame(t, fc, hs, ys, sigma2)
-		fc.SetReuseState(nil)
-		for k := range want {
-			if !equalInts(got[k], want[k]) {
-				t.Fatalf("handoff step %d subcarrier %d: decisions diverged", i, k)
+		for i, fc := range []*FlexCore{a, b, a, b} {
+			fc.SetReuseState(&st)
+			got := detectFrame(t, fc, hs, ys, sigma2)
+			fc.SetReuseState(nil)
+			for k := range want {
+				if !equalInts(got[k], want[k]) {
+					t.Fatalf("%s handoff step %d subcarrier %d: decisions diverged", bb.name, i, k)
+				}
 			}
 		}
-	}
-	// Steps 2..4 each hit all nSC subcarriers, split across detectors.
-	if ha, hb := a.PreprocessStats().CacheHits, b.PreprocessStats().CacheHits; ha+hb != 3*nSC {
-		t.Fatalf("handoff hits = %d+%d, want %d total", ha, hb, 3*nSC)
+		// Steps 2..4 each hit all nSC subcarriers, split across detectors.
+		if ha, hb := a.PreprocessStats().CacheHits, b.PreprocessStats().CacheHits; ha+hb != 3*nSC {
+			t.Fatalf("%s handoff hits = %d+%d, want %d total", bb.name, ha, hb, 3*nSC)
+		}
 	}
 }

@@ -6,23 +6,24 @@ import (
 
 // This file wires the reduced-precision SoA backend (internal/kernel32,
 // DESIGN.md §11) into the detector: Options.Backend == BackendSoA32
-// routes the detect hot path through the lane-batched float32 kernel and
-// the pre-processing search through the packed-key float32 finder. The
-// conversion happens at two narrow boundaries — Prepare/Select mark the
-// planes stale and the first detection rebuilds them; detection results
-// convert back to the public []int form — so the API, the OpCount
-// accounting and the PreprocessStats contract are identical across
-// backends.
+// routes the detect hot path through the float32 trie kernel and the
+// pre-processing search through the packed-key float32 finder. The
+// conversion happens at narrow boundaries — a fresh path search compiles
+// its paths into a descent plan that then travels with them; Prepare and
+// Select mark the channel planes stale and the first detection rebuilds
+// them; detection results convert back to the public []int form — so
+// the API, the OpCount accounting and the PreprocessStats contract are
+// identical across backends.
 //
 // ExactSlicer detections always run the scalar complex128 arithmetic
 // regardless of Backend: the exact sort-based slicer is a verification
 // mode, not a hot path, and its ML-equivalence proofs are stated for the
 // reference arithmetic.
 
-// soaState is the detector's SoA-backend state: the per-channel planes,
-// the shared immutable slicer, the sequential-route scratch and the
-// staleness flag that defers plane conversion to the first detection
-// (Prepare/Select stay backend-agnostic pointer work).
+// soaState is the detector's SoA-backend state: the per-channel planes
+// with the active descent plan, the shared immutable slicer, the
+// sequential-route scratch, and the staleness flag that defers the
+// channel-plane conversion to the first detection.
 type soaState struct {
 	prep    kernel32.Prep
 	slicer  *kernel32.Slicer32
@@ -37,10 +38,10 @@ func (d *FlexCore) useSoA() bool {
 	return d.opts.Backend == BackendSoA32 && !d.opts.ExactSlicer
 }
 
-// soaRefresh rebuilds the float32 planes after Prepare or Select marked
-// them stale: the channel planes from the active R factor, the rank
-// plane from the selected paths, and the scratch shape. Steady state
-// (same stream and path counts) performs no allocation.
+// soaRefresh rebuilds the float32 channel planes from the active R
+// factor after Prepare or Select marked them stale. The descent plan is
+// already in place — Prepare and Select install it by pointer — so this
+// is all the per-channel work the backend has.
 //
 //flexcore:noalloc
 func (d *FlexCore) soaRefresh() {
@@ -51,15 +52,6 @@ func (d *FlexCore) soaRefresh() {
 		d.soa.slicer = kernel32.NewSlicer32(d.cons)
 	}
 	d.soa.prep.SetChannel(d.qr.R, 1/d.cons.Scale())
-	P := len(d.paths)
-	ranks := d.soa.prep.EnsureRanks(P) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the path count grows
-	for p := range d.paths {
-		pr := d.paths[p].Ranks
-		for i := 0; i < len(pr); i++ {
-			ranks[i*P+p] = int16(pr[i])
-		}
-	}
-	d.soa.scratch.Ensure(d.n, P)
 	d.soa.dirty = false
 }
 
@@ -73,7 +65,7 @@ func (d *FlexCore) soaRefresh() {
 //flexcore:noalloc
 func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []complex128, idx []int, sym []complex128, best, out []int) bool {
 	yb := d.qr.YbarInto(y, ybar)
-	P := d.soa.prep.P
+	P := len(d.paths)
 	if P == 0 || d.soa.prep.Degenerate {
 		// A non-positive diagonal deactivates every path at that level in
 		// the scalar backend too: straight to the fallback.
@@ -81,7 +73,7 @@ func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []comp
 		d.qr.UnpermuteIntsInto(idx, out)
 		return true
 	}
-	s.Ensure(d.n, P)
+	s.Ensure(d.n, P) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the stream count grows
 	s.SetYbar(yb)
 	lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, s, 0, P, d.opts.StrictDeactivation)
 	if lane < 0 {
@@ -94,69 +86,27 @@ func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []comp
 	return false
 }
 
-// detectSoA is the Detect body of the SoA backend: the whole lane batch
-// descends in one Descend call (sequential route), or in per-worker
-// lane blocks over the shared scratch (Workers > 1) — all per-lane
-// state is disjoint, so the block partition cannot change the result.
+// detectSoA is the Detect body of the SoA backend: the whole path set
+// descends in one Descend call on the caller. A trie cannot be cut into
+// per-worker lane blocks the way independent lanes could, so
+// Options.Workers fans out whole vectors (DetectBatch) only.
 //
 //flexcore:noalloc
 func (d *FlexCore) detectSoA(y []complex128) []int {
 	d.soaRefresh()
-	if d.opts.Workers > 1 && len(d.paths) > 1 && !d.soa.prep.Degenerate {
-		yb := d.qr.YbarInto(y, d.ybar)
-		d.soa.scratch.SetYbar(yb)
-		p := d.ensurePool()
-		p.kind = jobPaths
-		p.ybar = yb
-		p.dispatch()
-		// Merge the per-block minima in worker (= ascending lane) order
-		// with a strict comparison: identical to the sequential argmin,
-		// ties resolved to the lowest lane.
-		lane := -1
-		var bestPed float32
-		for _, w := range p.workers {
-			if w.lane >= 0 && (lane < 0 || w.ped32 < bestPed) {
-				bestPed, lane = w.ped32, w.lane
-			}
-		}
-		if lane < 0 {
-			d.fallbk++
-			d.clampedSICInto(yb, d.idx, d.sym)
-			return d.qr.UnpermuteIntsInto(d.idx, d.out)
-		}
-		d.soa.scratch.GatherIdx(lane, d.best)
-		return d.qr.UnpermuteIntsInto(d.best, d.out)
-	}
 	if d.soaDetectOne(y, &d.soa.scratch, d.ybar, d.idx, d.sym, d.best, d.out) {
 		d.fallbk++
 	}
 	return d.out
 }
 
-// laneBlock returns worker id's contiguous lane block [lo, hi) of P
-// lanes split across nw workers (first P%nw blocks one lane larger).
-//
-//flexcore:noalloc
-func laneBlock(id, nw, P int) (lo, hi int) {
-	q, r := P/nw, P%nw
-	lo = id * q
-	if id < r {
-		lo += id
-	} else {
-		lo += r
-	}
-	hi = lo + q
-	if id < r {
-		hi++
-	}
-	return lo, hi
-}
-
 // findSlotPaths32 is the SoA-backend twin of findSlotPaths: the float32
-// packed-key search into the slot's arenas.
+// packed-key search into the slot's arenas, building the slot's descent
+// plan as it goes.
 //
 //flexcore:noalloc
 func (d *FlexCore) findSlotPaths32(s *prepSlot, f *pathFinder32) {
-	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold)
+	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold, &s.planOwn)
 	s.storePaths(paths, stats)
+	s.plan = &s.planOwn
 }

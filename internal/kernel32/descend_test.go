@@ -1,0 +1,337 @@
+package kernel32
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"flexcore/internal/cmatrix"
+	"flexcore/internal/constellation"
+)
+
+// refLanes is the reference the trie descent is pinned to: every lane
+// walks the whole tree on its own, one scalar level at a time, slicing
+// through Slicer32.Kth / KthClamped. It cancels the decided symbols in
+// the order Descend's push form does (top level first), so on a target
+// without fused multiply-add its distances are bit-identical to the
+// kernel's, not merely close — which is what lets the properties below
+// and FuzzDescend demand exact equality.
+func refLanes(pr *Prep, sl *Slicer32, P int, ranks []int16, yb []c32, strict bool) (peds []float32, idx [][]int32) {
+	n := pr.N
+	peds = make([]float32, P)
+	idx = make([][]int32, P)
+	for p := 0; p < P; p++ {
+		idx[p] = make([]int32, n)
+		symre := make([]float32, n)
+		symim := make([]float32, n)
+		var ped float32
+		for i := n - 1; i >= 0; i-- {
+			br, bi := yb[i].re, yb[i].im
+			for j := n - 1; j > i; j-- {
+				rr, ri := pr.Rre[i*n+j], pr.Rim[i*n+j]
+				br -= rr*symre[j] - ri*symim[j]
+				bi -= rr*symim[j] + ri*symre[j]
+			}
+			zx, zy := br*pr.W[i], bi*pr.W[i]
+			k := int32(ranks[i*P+p])
+			var q int32
+			if strict {
+				var ok bool
+				if q, ok = sl.Kth(zx, zy, k); !ok {
+					ped = inf32
+					idx[p][i], symre[i], symim[i] = 0, 0, 0
+					continue
+				}
+			} else {
+				q = sl.KthClamped(zx, zy, k)
+			}
+			qr, qi := sl.Point(q)
+			dr, di := br-pr.Rii[i]*qr, bi-pr.Rii[i]*qi
+			ped += dr*dr + di*di
+			idx[p][i], symre[i], symim[i] = q, qr, qi
+		}
+		peds[p] = ped
+	}
+	return peds, idx
+}
+
+// refArgmin is the first-strict-improvement scan over lanes [lo, hi).
+func refArgmin(peds []float32, lo, hi int) (int, float32) {
+	lane, best := -1, inf32
+	for p := lo; p < hi; p++ {
+		if peds[p] < best {
+			best, lane = peds[p], p
+		}
+	}
+	return lane, best
+}
+
+// randomChannel draws an n×n upper-triangular R with a positive
+// diagonal and installs it in pr.
+func randomChannel(rng *rand.Rand, pr *Prep, n int, cons *constellation.Constellation) {
+	r := cmatrix.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			r.Set(i, j, complex(rng.NormFloat64()*0.5, rng.NormFloat64()*0.5))
+		}
+		r.Set(i, i, complex(0.3+rng.Float64(), 0))
+	}
+	pr.SetChannel(r, 1/cons.Scale())
+}
+
+// checkAgainstReference descends the staged plane and compares every
+// lane — distance bits, decided indices — and the returned argmin of
+// each given range with the per-lane reference.
+func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P int, ranks []int16, strict bool, ranges [][2]int) {
+	t.Helper()
+	n := pr.N
+	want, wantIdx := refLanes(pr, sl, P, ranks, s.yb, strict)
+	got := make([]int, n)
+	for _, rg := range ranges {
+		lane, ped := Descend(pr, sl, s, rg[0], rg[1], strict)
+		wl, wp := refArgmin(want, rg[0], rg[1])
+		if lane != wl || math.Float32bits(ped) != math.Float32bits(wp) {
+			t.Fatalf("n=%d P=%d strict=%v range %v: got lane %d ped %v, reference lane %d ped %v", n, P, strict, rg, lane, ped, wl, wp)
+		}
+		for p := rg[0]; p < rg[1]; p++ {
+			if gp := s.Ped[int(pr.Plan.start[n])+p]; math.Float32bits(gp) != math.Float32bits(want[p]) {
+				t.Fatalf("n=%d P=%d strict=%v lane %d: distance %v, reference %v", n, P, strict, p, gp, want[p])
+			}
+			s.GatherIdx(p, got)
+			for i := range got {
+				if int32(got[i]) != wantIdx[p][i] {
+					t.Fatalf("n=%d P=%d strict=%v lane %d level %d: index %d, reference %d", n, P, strict, p, i, got[i], wantIdx[p][i])
+				}
+			}
+		}
+	}
+}
+
+// TestDescendMatchesReference: arbitrary rank planes — not down-sets,
+// with duplicate lanes, a lone lane, a single level — descend to the
+// reference's decisions and distances, clamped and strict, over the
+// whole lane range and over sub-ranges.
+func TestDescendMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1401))
+	for _, m := range []int{4, 16, 64} {
+		cons := constellation.MustNew(m)
+		sl := NewSlicer32(cons)
+		for _, shape := range [][2]int{{1, 1}, {1, 9}, {2, 1}, {3, 7}, {4, 64}, {8, 33}, {12, 128}} {
+			n, P := shape[0], shape[1]
+			for trial := 0; trial < 12; trial++ {
+				var pr Prep
+				var s Scratch
+				randomChannel(rng, &pr, n, cons)
+				// Small rank ranges force shared suffixes, large ones
+				// force out-of-constellation candidates.
+				maxRank := 1 + rng.Intn(m)
+				ranks := pr.EnsureRanks(P)
+				for i := range ranks {
+					ranks[i] = int16(1 + rng.Intn(maxRank))
+				}
+				for p := 1; p < P; p += 3 { // duplicate lanes
+					src := rng.Intn(p)
+					for i := 0; i < n; i++ {
+						ranks[i*P+p] = ranks[i*P+src]
+					}
+				}
+				s.Ensure(n, P)
+				for i := range s.yb {
+					s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+				}
+				ranges := [][2]int{{0, P}, {0, (P + 1) / 2}, {P / 2, P}, {P / 3, P/3 + 1}, {P, P}}
+				for _, strict := range []bool{false, true} {
+					checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, ranges)
+				}
+			}
+		}
+	}
+}
+
+// TestDescendTieBreakLowestLane: identical lanes tie exactly, and the
+// argmin must name the lowest lane of the range it was given.
+func TestDescendTieBreakLowestLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(1402))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	const n, P = 4, 6
+	var pr Prep
+	var s Scratch
+	randomChannel(rng, &pr, n, cons)
+	ranks := pr.EnsureRanks(P)
+	for i := range ranks {
+		ranks[i] = 1 // six copies of the SIC path
+	}
+	s.Ensure(n, P)
+	for i := range s.yb {
+		s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+	}
+	for lo := 0; lo < P; lo++ {
+		if lane, _ := Descend(&pr, sl, &s, lo, P, false); lane != lo {
+			t.Errorf("range [%d,%d): best lane %d, want the lowest tied lane %d", lo, P, lane, lo)
+		}
+	}
+}
+
+// TestDescendAllLanesDead: a received point far outside the
+// constellation deactivates every top-level node under strict
+// deactivation; every lane inherits +Inf and the descent reports −1.
+func TestDescendAllLanesDead(t *testing.T) {
+	rng := rand.New(rand.NewSource(1403))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	const n, P = 3, 10
+	var pr Prep
+	var s Scratch
+	randomChannel(rng, &pr, n, cons)
+	ranks := pr.EnsureRanks(P)
+	for i := range ranks {
+		ranks[i] = int16(2 + rng.Intn(8))
+	}
+	s.Ensure(n, P)
+	for i := range s.yb {
+		s.yb[i] = c32{1e4, -1e4}
+	}
+	lane, ped := Descend(&pr, sl, &s, 0, P, true)
+	if lane != -1 || !math.IsInf(float64(ped), 1) {
+		t.Fatalf("all lanes dead: got lane %d ped %v, want -1 +Inf", lane, ped)
+	}
+	if lane, _ := Descend(&pr, sl, &s, 0, P, false); lane < 0 {
+		t.Fatalf("clamped descent of the same input deactivated")
+	}
+}
+
+// TestNodeStepMatchesSlicer pins Descend's branch-free node step to the
+// readable Slicer32.Kth / KthClamped on a dense grid: a one-level,
+// one-lane tree over a unit channel makes the effective point exactly
+// the received one. The grid covers both zeros, the exact half-integers
+// where round32's half-away-from-zero rule decides, the square
+// diagonals and points far outside; non-finite inputs must neither
+// panic nor produce an index outside the constellation.
+func TestNodeStepMatchesSlicer(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, m := range []int{4, 16, 64} {
+		cons := constellation.MustNew(m)
+		sl := NewSlicer32(cons)
+		var pr Prep
+		var s Scratch
+		one := cmatrix.New(1, 1)
+		one.Set(0, 0, 1)
+		pr.SetChannel(one, 1)
+		s.Ensure(1, 1)
+
+		side := float32(sl.Side())
+		step := float32(0.125)
+		if m == 64 {
+			step = 0.25
+		}
+		axis := []float32{0, negZero, 1e-30, -1e-30, 1e9, -1e9}
+		for v := -side - 3; v <= side+3; v += step {
+			axis = append(axis, v)
+		}
+		hostile := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38}
+
+		for k := int32(1); k <= int32(m); k++ {
+			pr.EnsureRanks(1)[0] = int16(k)
+			for _, zx := range axis {
+				for _, zy := range axis {
+					s.yb[0] = c32{zx, zy}
+					want, ok := sl.Kth(zx, zy, k)
+					lane, _ := Descend(&pr, sl, &s, 0, 1, true)
+					if ok != (lane == 0) || (ok && s.Idx[1] != want) {
+						t.Fatalf("%d-QAM strict z=(%v,%v) k=%d: lane %d idx %d, Kth gives %d ok=%v", m, zx, zy, k, lane, s.Idx[1], want, ok)
+					}
+					Descend(&pr, sl, &s, 0, 1, false)
+					if got, want := s.Idx[1], sl.KthClamped(zx, zy, k); got != want {
+						t.Fatalf("%d-QAM clamped z=(%v,%v) k=%d: idx %d, KthClamped gives %d", m, zx, zy, k, got, want)
+					}
+				}
+			}
+			for _, h := range hostile {
+				for _, z := range [][2]float32{{h, 0.5}, {-1.5, h}, {h, h}} {
+					s.yb[0] = c32{z[0], z[1]}
+					for _, strict := range []bool{false, true} {
+						Descend(&pr, sl, &s, 0, 1, strict)
+						if idx := s.Idx[1]; idx < 0 || idx >= int32(m) {
+							t.Fatalf("%d-QAM z=%v k=%d strict=%v: index %d outside the constellation", m, z, k, strict, idx)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompileCountsDistinctSuffixes: the compiled trie has exactly one
+// node per distinct rank suffix above the leaves plus one leaf per
+// lane, and a copy of it descends like the original.
+func TestCompileCountsDistinctSuffixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1404))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	for _, shape := range [][2]int{{1, 5}, {4, 1}, {5, 40}, {7, 200}} {
+		n, P := shape[0], shape[1]
+		var c Compiler
+		ranks := c.Ranks(n, P)
+		for i := range ranks {
+			ranks[i] = int16(1 + rng.Intn(3))
+		}
+		var pl Plan
+		c.Compile(&pl)
+		want := P
+		for j := 1; j < n; j++ {
+			seen := map[string]bool{}
+			for p := 0; p < P; p++ {
+				key := make([]byte, 0, n)
+				for i := j; i < n; i++ {
+					key = append(key, byte(ranks[i*P+p]))
+				}
+				seen[string(key)] = true
+			}
+			want += len(seen)
+		}
+		if pl.Nodes() != want {
+			t.Errorf("n=%d P=%d: %d nodes, want %d distinct suffixes", n, P, pl.Nodes(), want)
+		}
+
+		var cp Plan
+		cp.CopyFrom(&pl)
+		var pr Prep
+		var s Scratch
+		randomChannel(rng, &pr, n, cons)
+		pr.Plan = &cp
+		s.Ensure(n, P)
+		for i := range s.yb {
+			s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+		}
+		checkAgainstReference(t, &pr, sl, &s, P, ranks, false, [][2]int{{0, P}})
+	}
+}
+
+// TestDescendSteadyStateAllocFree: once the scratch has seen the plan's
+// shape, descending — and recompiling a same-shape plane — allocates
+// nothing.
+func TestDescendSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1405))
+	cons := constellation.MustNew(64)
+	sl := NewSlicer32(cons)
+	const n, P = 8, 64
+	var pr Prep
+	var s Scratch
+	randomChannel(rng, &pr, n, cons)
+	s.Ensure(n, P)
+	fill := func() {
+		ranks := pr.EnsureRanks(P)
+		for i := range ranks {
+			ranks[i] = int16(1 + (i*7)%5)
+		}
+	}
+	fill()
+	Descend(&pr, sl, &s, 0, P, false)
+	if allocs := testing.AllocsPerRun(50, func() {
+		fill()
+		Descend(&pr, sl, &s, 0, P, false)
+	}); allocs != 0 {
+		t.Errorf("compile + descend: %.1f allocs/op in steady state, want 0", allocs)
+	}
+}

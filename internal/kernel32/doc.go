@@ -1,27 +1,25 @@
-// Package kernel32 holds the float32 structure-of-arrays (SoA) kernels
-// of the reduced-precision detection backend (DESIGN.md §11).
+// Package kernel32 holds the float32 kernels of the reduced-precision
+// detection backend (DESIGN.md §11).
 //
-// The complex128 hot path processes one sphere-decoder path at a time
-// over array-of-structs complex values — a layout whose interleaved
-// re/im words and per-level complex divisions the compiler cannot turn
-// into tight register loops. This package stores everything as separate
-// re/im float32 planes, batched across the N_PE paths ("lanes"):
+// The complex128 hot path evaluates one sphere-decoder path at a time:
+// N_PE independent walks down the tree, as the paper's processing
+// elements do in parallel. Run one after another on a CPU, those walks
+// recompute every tree node that several selected paths share — and a
+// best-first path set shares most of them. This package descends the
+// prefix trie of the selected rank vectors instead:
 //
-//	R planes   Rre/Rim[i*n+j]      one scalar pair per level pair,
-//	                               broadcast over the lane loop
-//	sym planes SymRe/SymIm[j*P+p]  level-major: the lane loop of a
-//	                               level reads/writes contiguous runs
-//	rank plane Ranks[i*P+p]        the per-level slicer ranks of every
-//	                               selected path, transposed once at
-//	                               conversion time
+//	Prep     per channel: R as float32 planes, the diagonal, and the
+//	         per-level reciprocal W that replaces the complex division
+//	Plan     per path set: the trie — one node per distinct rank suffix,
+//	         one leaf per path (a "lane") — built once per path search
+//	         by a Compiler and shared read-only from then on
+//	Scratch  per descent: ȳ, the per-node distances and decisions, and
+//	         the cancellation planes of two adjacent levels
 //
-// One Descend call advances every lane of a block through the whole
-// tree: the inner loops are contiguous float32 slices with hoisted
-// bounds (`x = x[:len(b)]` re-slicing), so the compiler keeps the lane
-// state in registers and eliminates the per-element bounds checks — and
-// the per-level work replaces the complex128 division and the float64
-// LUT lookup of the scalar path with one reciprocal multiply and an
-// inlined integer slicer.
+// One Descend call decides every distinct node once, top level first:
+// a branch-free integer slicer step per node, then the decided symbol
+// is cancelled out of every lower row in push form so the children
+// read their observation directly.
 //
 // Numerics: float32 arithmetic makes distances (not decisions) the
 // approximate quantity. The conformance contract (internal/conformance)

@@ -1,0 +1,68 @@
+package kernel32
+
+import (
+	"math"
+	"testing"
+
+	"flexcore/internal/cmatrix"
+	"flexcore/internal/constellation"
+)
+
+// fuzzBytes deals a fuzz input out byte by byte, zeros once it runs dry.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// FuzzDescend decodes bytes into a whole descent — constellation, tree
+// shape, deactivation mode, an arbitrary rank plane, an upper-triangular
+// R with a positive diagonal and a received vector, all on coarse dyadic
+// grids so no distance can overflow — and demands what the properties in
+// descend_test.go demand of seeded draws: every lane's decisions and
+// distance equal the per-lane reference's, the argmin is the reference's,
+// and every distance is finite or +Inf.
+func FuzzDescend(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		m := []int{4, 16, 64}[in.next()%3]
+		n := 1 + int(in.next()%6)
+		P := 1 + int(in.next()%24)
+		strict := in.next()&1 == 1
+		maxRank := 1 + int(in.next())%m
+
+		cons := constellation.MustNew(m)
+		sl := NewSlicer32(cons)
+		var pr Prep
+		var s Scratch
+		r := cmatrix.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				r.Set(i, j, complex(float64(int8(in.next()))/64, float64(int8(in.next()))/64))
+			}
+			r.Set(i, i, complex(0.25+float64(in.next())/128, 0))
+		}
+		pr.SetChannel(r, 1/cons.Scale())
+		ranks := pr.EnsureRanks(P)
+		for i := range ranks {
+			ranks[i] = int16(1 + int(in.next())%maxRank)
+		}
+		s.Ensure(n, P)
+		for i := range s.yb {
+			s.yb[i] = c32{float32(int8(in.next())) / 16, float32(int8(in.next())) / 16}
+		}
+
+		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}})
+		for p, d := range s.Ped[pr.Plan.start[n]:] {
+			if math.IsNaN(float64(d)) || math.IsInf(float64(d), -1) || (!strict && math.IsInf(float64(d), 1)) {
+				t.Fatalf("lane %d: distance %v (strict=%v)", p, d, strict)
+			}
+		}
+	})
+}

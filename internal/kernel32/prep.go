@@ -6,26 +6,32 @@ import (
 	"flexcore/internal/cmatrix"
 )
 
-// Prep is the per-channel state of the SoA backend, built once per
-// Prepare/Select and read-only during detection: the upper-triangular R
-// factor as float32 planes, the per-level reciprocals that replace the
-// complex128 division of the scalar path, and the selected paths' rank
-// vectors transposed into a level-major plane so the detect kernel
-// reads one contiguous run per level.
+// Prep is what one descent reads besides the received vector: the
+// per-channel planes — the upper-triangular R factor as float32 planes
+// and the per-level reciprocals that replace the complex128 division of
+// the scalar path — and the compiled Plan of the selected path set. Both
+// are read-only during detection.
 type Prep struct {
 	N int // tree levels (streams)
-	P int // lanes (selected paths)
 
 	Rre, Rim []float32 // N×N row-major; entries below the diagonal unused
 	Rii      []float32 // real diagonal of R, value units
 	W        []float32 // per-level (1/Rii)·(1/scale): b·W is z in half-distance units
 
-	Ranks []int16 // level-major N×P rank plane: Ranks[i*P+p] = path p's rank at level i
+	// Plan is the path set Descend walks. An owner of path sets
+	// (internal/core) points it at a plan it built when it searched the
+	// paths, so activating a channel costs no rank work at all.
+	// EnsureRanks clears it; the next Descend then compiles the staged
+	// rank plane into the Prep's own plan and installs that.
+	Plan *Plan
 
 	// Degenerate is set when some diagonal entry is ≤ 0: every path
 	// deactivates at that level (exactly as in the scalar backend), so
 	// detection goes straight to the clamped-SIC fallback.
 	Degenerate bool
+
+	comp Compiler // EnsureRanks route: staging plane and compile scratch
+	own  Plan     // EnsureRanks route: the plan compiled from it
 }
 
 // SetChannel converts the upper triangle of r into the float32 planes,
@@ -64,90 +70,113 @@ func (pr *Prep) SetChannel(r *cmatrix.Matrix, invScale float64) {
 	}
 }
 
-// EnsureRanks sizes the rank plane for p lanes of the current level
-// count and returns it for the caller (internal/core owns the Path
-// structs) to fill level-major. It only allocates when n×p grows.
+// EnsureRanks sizes a rank plane for p lanes of the current level count
+// and returns it for the caller to fill level-major (plane[i*p+lane] =
+// the lane's 1-based rank at level i). The active plan is cleared: the
+// next Descend compiles the plane. It only allocates when n×p grows.
 //
 //flexcore:noalloc
 func (pr *Prep) EnsureRanks(p int) []int16 {
-	n := pr.N
-	if cap(pr.Ranks) < n*p {
-		pr.Ranks = make([]int16, n*p) //lint:ignore noalloc amortised: the rank plane regrows only when paths×levels grows
+	pr.Plan = nil
+	return pr.comp.Ranks(pr.N, p) //lint:ignore noalloc amortised: the inlined arena helper allocates only when paths×levels grows
+}
+
+// plan returns the active plan, first compiling the rank plane staged by
+// EnsureRanks when that is newer.
+//
+//flexcore:noalloc
+func (pr *Prep) plan() *Plan {
+	if pr.Plan == nil {
+		pr.comp.Compile(&pr.own)
+		pr.Plan = &pr.own
 	}
-	pr.Ranks = pr.Ranks[:n*p]
-	pr.P = p
-	return pr.Ranks
+	return pr.Plan
 }
 
-// Scratch is the per-worker mutable lane state of one batched descent:
-// the interference-cancelled observation, accumulated distances, and
-// the level-major symbol/index planes the descent writes as it decides
-// each level. One Scratch serves any number of sequential detections;
-// concurrent workers each own one (lanes of a single shared Scratch may
-// also be split across workers — all per-lane state is disjoint).
+// c32 is one complex float32 value. The descent keeps re and im side by
+// side: one slice, one bounds check and one cache line per complex
+// access.
+type c32 struct{ re, im float32 }
+
+// Scratch is the mutable state of one descent: the rotated received
+// vector, the per-node distances and decisions, and the cancellation
+// planes of the level being decided and the one above it. One Scratch
+// serves any number of sequential detections; concurrent descents each
+// own one.
 type Scratch struct {
-	N, P int
+	yb []c32 // N: rotated received vector ȳ — the root's cancellation plane
 
-	Bre, Bim []float32 // P: per-lane cancelled observation at the current level
-	Ped      []float32 // P: accumulated partial Euclidean distance
+	Ped []float32 // per plan node: accumulated partial Euclidean distance
+	Idx []int32   // per plan node: decided symbol index
 
-	SymRe, SymIm []float32 // N×P level-major decided symbol planes
-	Idx          []int32   // N×P level-major decided symbol indices
+	// Cancellation planes, ping-ponged between a level and its parents:
+	// row l < j of a level-j plane holds, per node, ȳ(l) less the
+	// interference of the symbols decided at levels j..N−1 along the
+	// node's suffix.
+	u   [2][]c32
+	sym []c32 // the current level's decided symbol values
 
-	Ybre, Ybim []float32 // N: rotated received vector ȳ
+	plan *Plan // plan of the last descent, for GatherIdx
 }
 
-// Ensure grows the scratch planes to n levels × p lanes; it only
-// allocates when the shape grows.
+// Ensure sizes the ȳ plane for n levels; the node planes are sized by
+// Descend from the plan it walks (p is the lane count callers already
+// know and is kept for the signature's sake). It only allocates when n
+// grows.
 //
 //flexcore:noalloc
 func (s *Scratch) Ensure(n, p int) {
-	if cap(s.Bre) < p {
-		s.Bre = make([]float32, p) //lint:ignore noalloc amortised: lane planes regrow only when the path count grows
-		s.Bim = make([]float32, p) //lint:ignore noalloc amortised: see above
-		s.Ped = make([]float32, p) //lint:ignore noalloc amortised: see above
+	if cap(s.yb) < n {
+		s.yb = make([]c32, n) //lint:ignore noalloc amortised: the ȳ plane regrows only when the stream count grows
 	}
-	if cap(s.SymRe) < n*p {
-		s.SymRe = make([]float32, n*p) //lint:ignore noalloc amortised: symbol planes regrow only when paths×levels grows
-		s.SymIm = make([]float32, n*p) //lint:ignore noalloc amortised: see above
-		s.Idx = make([]int32, n*p)     //lint:ignore noalloc amortised: see above
-	}
-	if cap(s.Ybre) < n {
-		s.Ybre = make([]float32, n) //lint:ignore noalloc amortised: ȳ planes regrow only when the stream count grows
-		s.Ybim = make([]float32, n) //lint:ignore noalloc amortised: see above
-	}
-	s.N, s.P = n, p
-	s.Bre = s.Bre[:p]
-	s.Bim = s.Bim[:p]
-	s.Ped = s.Ped[:p]
-	s.SymRe = s.SymRe[:n*p]
-	s.SymIm = s.SymIm[:n*p]
-	s.Idx = s.Idx[:n*p]
-	s.Ybre = s.Ybre[:n]
-	s.Ybim = s.Ybim[:n]
+	s.yb = s.yb[:n]
 }
 
-// SetYbar converts the rotated received vector into the ȳ planes. The
+// fit sizes the node planes for a descent of pl; it only allocates when
+// the plan outgrows every earlier one.
+//
+//flexcore:noalloc
+func (s *Scratch) fit(pl *Plan) {
+	nodes := len(pl.nodes)
+	if cap(s.Ped) < nodes {
+		s.Ped = make([]float32, nodes) //lint:ignore noalloc amortised: node planes regrow only when a plan outgrows every earlier one
+		s.Idx = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
+	}
+	s.Ped = s.Ped[:nodes]
+	s.Idx = s.Idx[:nodes]
+	if cap(s.sym) < pl.P {
+		s.sym = make([]c32, pl.P) //lint:ignore noalloc amortised: see above
+	}
+	if cap(s.u[0]) < pl.umax {
+		s.u[0] = make([]c32, pl.umax) //lint:ignore noalloc amortised: see above
+		s.u[1] = make([]c32, pl.umax) //lint:ignore noalloc amortised: see above
+	}
+	s.plan = pl
+}
+
+// SetYbar converts the rotated received vector into the ȳ plane. The
 // scratch must already be Ensured for len(yb) levels.
 //
 //flexcore:noalloc
 func (s *Scratch) SetYbar(yb []complex128) {
-	ybre := s.Ybre[:len(yb)]
-	ybim := s.Ybim[:len(yb)]
+	dst := s.yb[:len(yb)]
 	for i, v := range yb {
-		ybre[i] = float32(real(v))
-		ybim[i] = float32(imag(v))
+		dst[i] = c32{float32(real(v)), float32(imag(v))}
 	}
 }
 
-// GatherIdx copies lane p's decided symbol indices (factored stream
-// order) into dst, one per level.
+// GatherIdx copies lane p's decided symbol indices of the last descent
+// (factored stream order) into dst, one per level, walking the plan's
+// parent links up from the lane's leaf.
 //
 //flexcore:noalloc
 func (s *Scratch) GatherIdx(p int, dst []int) {
-	P := s.P
+	pl := s.plan
+	at := int32(p)
 	for i := range dst {
-		dst[i] = int(s.Idx[i*P+p])
+		g := pl.start[pl.N-i] + at
+		dst[i] = int(s.Idx[g])
+		at = pl.nodes[g].parent
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 
 // Slicer32 is the float32 rendition of the predefined k-th-closest
 // symbol ordering (constellation.KthClosest, paper §3.2/Fig. 6): the
-// canonical-triangle offset table flattened into int32 planes plus the
-// symbol alphabet as float32 re/im planes, so the detect kernel can
+// canonical-triangle offset table flattened into an int32 table plus the
+// symbol alphabet as float32 (re, im) pairs, so the detect kernel can
 // perform the whole lookup with integer arithmetic and two float32
 // multiplies — no division, no float64 rounding calls.
 //
@@ -20,8 +20,12 @@ type Slicer32 struct {
 	m     int32
 	fside float32 // float32(side)
 
-	offA, offB []int32   // canonical offsets, rank-indexed (k-1)
-	pre, pim   []float32 // symbol values (unit-energy units), index-major
+	// off holds the canonical offsets, four entries per rank: row
+	// 4(k−1)+2·swap is rank k's (x, y) offset pair, already exchanged
+	// when swap = 1 (the point lies above its square's diagonal), so
+	// Descend's branch-free step indexes it by (rank, swap).
+	off []int32
+	pts []c32 // symbol values (unit-energy units), index-major
 }
 
 // NewSlicer32 builds the float32 slicer planes for cons from its public
@@ -33,18 +37,15 @@ func NewSlicer32(cons *constellation.Constellation) *Slicer32 {
 		side:  int32(cons.Side()),
 		m:     int32(cons.Size()),
 		fside: float32(cons.Side()),
-		offA:  make([]int32, len(offs)),
-		offB:  make([]int32, len(offs)),
-		pre:   make([]float32, len(pts)),
-		pim:   make([]float32, len(pts)),
+		off:   make([]int32, 4*len(offs)),
+		pts:   make([]c32, len(pts)),
 	}
 	for k, o := range offs {
-		s.offA[k] = int32(o[0])
-		s.offB[k] = int32(o[1])
+		a, b := int32(o[0]), int32(o[1])
+		copy(s.off[4*k:], []int32{a, b, b, a})
 	}
 	for i, p := range pts {
-		s.pre[i] = float32(real(p))
-		s.pim[i] = float32(imag(p))
+		s.pts[i] = c32{float32(real(p)), float32(imag(p))}
 	}
 	return s
 }
@@ -55,7 +56,7 @@ func (s *Slicer32) Side() int { return int(s.side) }
 // Point returns the float32 symbol value planes for index idx.
 //
 //flexcore:noalloc
-func (s *Slicer32) Point(idx int32) (re, im float32) { return s.pre[idx], s.pim[idx] }
+func (s *Slicer32) Point(idx int32) (re, im float32) { return s.pts[idx].re, s.pts[idx].im }
 
 // round32 rounds half away from zero, matching math.Round on the float32
 // grid (int32 conversion truncates toward zero).
@@ -132,8 +133,8 @@ func (s *Slicer32) rawAxes(zx, zy float32, k int32) (nx, ny int32) {
 		sy = -1
 		dy = -dy
 	}
-	oa := s.offA[k-1]
-	ob := s.offB[k-1]
+	oa := s.off[4*(k-1)]
+	ob := s.off[4*(k-1)+1]
 	if dy > dx {
 		oa, ob = ob, oa
 	}
