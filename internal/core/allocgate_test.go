@@ -222,3 +222,31 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestFinderAlternatingGeometryAllocFree gates the finder's arena
+// policy: one finder and one store serving searches of two shapes in
+// turn — a shard worker with users of two geometries — must settle at
+// the high-water mark of each arena instead of reallocating whenever the
+// level count changes.
+func TestFinderAlternatingGeometryAllocFree(t *testing.T) {
+	small := testModel(t, 16, []float64{0.9, 1.2, 0.7, 1.5}, 12)
+	big := testModel(t, 64, []float64{0.5, 1.0, 1.5, 0.8, 1.2, 0.9, 1.1, 0.6}, 18)
+	for _, plan := range []bool{false, true} {
+		var f pathFinder
+		var dst pathStore
+		f.find(small, 96, 0, &dst, plan)
+		f.find(big, 40, 0, &dst, plan)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			i++
+			if i%2 == 0 {
+				f.find(small, 96, 0, &dst, plan)
+			} else {
+				f.find(big, 40, 0, &dst, plan)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("alternating 4- and 8-level searches (plan=%v): %.1f allocs/op after warm-up, want 0", plan, allocs)
+		}
+	}
+}

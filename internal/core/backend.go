@@ -1,9 +1,9 @@
 package core
 
-// Backend selects the arithmetic and memory layout of the detect and
-// pre-processing hot paths (DESIGN.md §11). The public API, decision
-// semantics, OpCount accounting and PreprocessStats are identical for
-// every backend; only the internal number format changes.
+// Backend selects the arithmetic and memory layout of the detect hot
+// path (DESIGN.md §11). The public API, decision semantics, OpCount
+// accounting and PreprocessStats are identical for every backend; only
+// the internal number format changes.
 type Backend int
 
 const (
@@ -13,9 +13,9 @@ const (
 	BackendComplex128 Backend = iota
 	// BackendSoA32 is the reduced-precision backend: float32
 	// structure-of-arrays planes batched across the N_PE paths
-	// (internal/kernel32), with the pre-processing search running on a
-	// packed-key float32 heap. Decisions match the scalar backend on
-	// the conformance corpus; distances carry the documented
+	// (internal/kernel32). The pre-processing search is shared, so both
+	// backends select the same paths. Decisions match the scalar backend
+	// on the conformance corpus; distances carry the documented
 	// ULP-scaled tolerance. ExactSlicer detections always use the
 	// scalar arithmetic regardless of backend (they are a verification
 	// mode, not a hot path).

@@ -65,9 +65,9 @@ type Options struct {
 	// Backend selects the hot-path arithmetic (DESIGN.md §11). The
 	// default BackendComplex128 is the reference scalar arithmetic;
 	// BackendSoA32 runs detection as one float32 descent of the paths'
-	// prefix trie (every shared tree node decided once) and the
-	// pre-processing search on a packed-key float32 heap. Decisions match the default backend on
-	// the conformance corpus; distances carry a documented ULP-scaled
+	// prefix trie (every shared tree node decided once). Both backends
+	// select the same paths; decisions match the default backend on the
+	// conformance corpus; distances carry a documented ULP-scaled
 	// tolerance. ExactSlicer always detects with the scalar arithmetic
 	// regardless of Backend.
 	Backend Backend
@@ -114,8 +114,7 @@ type FlexCore struct {
 	qrws     cmatrix.QRWorkspace
 	modelOwn Model
 	finder   pathFinder
-	finder32 pathFinder32
-	reuse    reuseCache
+	reuse    reuseCache  // scalar Prepare's path set, and its coherence base under PathReuse
 	extReuse *ReuseState // caller-owned cross-frame bases (SetReuseState)
 
 	// SoA-backend planes and scratch (Options.Backend == BackendSoA32).
@@ -159,7 +158,7 @@ func (d *FlexCore) Name() string {
 // Prepare runs the channel-dependent work: the sorted QR decomposition
 // (shared with any sphere decoder) and FlexCore's pre-processing tree
 // search. It re-runs whenever the channel changes, as in the paper.
-// All channel-rate storage (QR factors, model, candidate heap, path
+// All channel-rate storage (QR factors, model, search queues, path
 // set) is detector-owned and reused, so steady-state Prepare calls are
 // allocation-free; the slices returned by Paths() are valid until the
 // next Prepare/PrepareAll call. With Options.PathReuse, a channel
@@ -185,40 +184,32 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 }
 
 // preparePaths selects the position vectors for the current model,
-// going through the coherence cache when PathReuse is enabled.
+// going through the coherence cache when PathReuse is enabled. A fresh
+// search emits straight into the cache's store, which therefore holds
+// scalar Prepare's path set whether or not PathReuse ever consults it.
 //
 //flexcore:noalloc
 func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
-	if d.opts.PathReuse && d.reuse.valid {
+	c := &d.reuse
+	d.soa.prep.Plan = &c.plan
+	if d.opts.PathReuse && c.valid {
 		d.countSimilarity(r.Cols)
-		if d.reuse.match(r, sigma2, d.opts.ReuseThreshold) {
-			d.paths = d.reuse.paths
-			d.soa.prep.Plan = &d.reuse.plan
+		if c.match(r, sigma2, d.opts.ReuseThreshold) {
+			d.paths = c.paths
 			d.ppOps.CacheHits++
-			d.ppOps.CumulativeProb = d.reuse.cum
+			d.ppOps.CumulativeProb = c.cum
 			return
 		}
 	}
-	var paths []Path
-	var stats PreprocessStats
-	if d.useSoA() {
-		// The plan of the last fresh scalar search lives in the cache's
-		// plan slot whether or not PathReuse ever consults the cache.
-		paths, stats = d.finder32.find(d.model, d.opts.NPE, d.opts.Threshold, &d.reuse.plan)
-		d.soa.prep.Plan = &d.reuse.plan
-	} else {
-		paths, stats = d.finder.find(d.model, d.opts.NPE, d.opts.Threshold)
-	}
+	stats := d.finder.find(d.model, d.opts.NPE, d.opts.Threshold, &c.pathStore, d.useSoA())
+	d.paths = c.paths
 	d.ppOps.RealMuls += stats.RealMuls
 	d.ppOps.Expanded += stats.Expanded
 	d.ppOps.CumulativeProb = stats.CumulativeProb
 	if d.opts.PathReuse {
 		d.ppOps.CacheMisses++
-		d.reuse.store(r, sigma2, paths, stats.CumulativeProb)
-		d.paths = d.reuse.paths
-		return
+		c.rebase(r, sigma2)
 	}
-	d.paths = paths
 }
 
 // countSimilarity accounts the coherence test's arithmetic: 2 real

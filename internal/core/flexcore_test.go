@@ -300,18 +300,10 @@ func BenchmarkFlexCorePreprocess12x12_64QAM_128(b *testing.B) {
 	h := channel.Rayleigh(rng, 12, 12)
 	qr := cmatrix.SortedQR(h, cmatrix.OrderSQRD)
 	m := NewModel(qr.R, sigma2, cons)
-	for _, bb := range benchBackends {
-		b.Run(bb.name, func(b *testing.B) {
-			find := FindPaths
-			if bb.backend == BackendSoA32 {
-				find = FindPaths32
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				find(m, 128, 0)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FindPaths(m, 128, 0)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flexcore/internal/cmatrix"
-	"flexcore/internal/kernel32"
 )
 
 // This file implements the channel-rate fast path across channels: the
@@ -18,18 +17,15 @@ import (
 // be computed once per coherence interval and shared, and it can be
 // computed for many subcarriers independently and in parallel.
 
-// reuseCache is the depth-1 coherence cache of the scalar Prepare path:
-// the R factor, noise variance and position vectors of the last fresh-
-// prepared channel. Stored paths live in cache-owned arenas so they
-// survive subsequent tree searches into the finder's scratch.
+// reuseCache is one coherence base: the R factor and noise variance of
+// a fresh-prepared channel with the path set selected for it. The
+// detector's scalar Prepare path keeps a depth-1 cache — its searches
+// emit straight into it — and a ReuseState keeps one per subcarrier.
 type reuseCache struct {
+	pathStore
 	valid  bool
 	r      *cmatrix.Matrix // copy of the base R
 	sigma2 float64
-	cum    float64
-	paths  []Path
-	ranks  []int         // backing for the cached Ranks
-	plan   kernel32.Plan // the paths' descent plan (SoA backend)
 }
 
 // similarR reports whether r is within thr of base in normalized
@@ -69,16 +65,13 @@ func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
 	return similarR(c.r, r, thr)
 }
 
-// store copies (r, sigma2, paths) into the cache-owned arenas and makes
-// them the new reuse base. The plan is the caller's to fill.
-func (c *reuseCache) store(r *cmatrix.Matrix, sigma2 float64, paths []Path, cum float64) {
+// rebase makes (r, sigma2) the key of the path set the cache holds.
+func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
 	if c.r == nil || c.r.Rows != r.Rows || c.r.Cols != r.Cols {
 		c.r = cmatrix.New(r.Rows, r.Cols)
 	}
 	copy(c.r.Data, r.Data)
 	c.sigma2 = sigma2
-	c.cum = cum
-	c.paths, c.ranks = copyPaths(paths, c.paths, c.ranks)
 	c.valid = true
 }
 
@@ -136,52 +129,20 @@ func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
 		if s.hit && s.base == extBase {
 			continue
 		}
-		st.slots[k].store(s.qr.R, sigma2, s.paths, s.cum)
-		if s.plan != nil {
-			st.slots[k].plan.CopyFrom(s.plan)
-		}
+		st.slots[k].copyFrom(s.set)
+		st.slots[k].rebase(s.qr.R, sigma2)
 	}
-}
-
-// copyPaths clones a path set into reusable header/rank arenas and
-// returns the (possibly regrown) arenas.
-func copyPaths(src, hdr []Path, ranks []int) ([]Path, []int) {
-	n := 0
-	if len(src) > 0 {
-		n = len(src[0].Ranks)
-	}
-	if cap(hdr) < len(src) {
-		hdr = make([]Path, len(src))
-	}
-	hdr = hdr[:len(src)]
-	if cap(ranks) < len(src)*n {
-		ranks = make([]int, len(src)*n)
-	}
-	ranks = ranks[:cap(ranks)]
-	for i, p := range src {
-		dst := ranks[i*n : (i+1)*n : (i+1)*n]
-		copy(dst, p.Ranks)
-		hdr[i] = Path{Ranks: dst, LogP: p.LogP}
-	}
-	return hdr, ranks
 }
 
 // prepSlot is one subcarrier's prepared channel state inside a frame:
-// its QR factors, per-level model, and selected position vectors (owned
-// for fresh searches, aliased from the coherence base for reuse hits).
+// its QR factors, per-level model, and selected path set — the slot's
+// own store for a fresh search (emitted in place) or an external hit
+// (copied), another slot's for a within-frame hit (aliased).
 type prepSlot struct {
 	qr    cmatrix.QRResult
 	model Model
-	paths []Path
-	cum   float64
-
-	hdr   []Path // owned path-header arena (fresh slots)
-	ranks []int  // owned rank arena (fresh slots)
-
-	// SoA backend: the paths' descent plan — owned wherever the paths
-	// are owned, aliased wherever they are aliased.
-	plan    *kernel32.Plan
-	planOwn kernel32.Plan
+	set   *pathStore
+	own   pathStore
 
 	stats PreprocessStats // fresh-search stats; zero for reuse hits
 	hit   bool
@@ -193,14 +154,6 @@ type prepSlot struct {
 // rather than from a slot of the current frame.
 const extBase int32 = -2
 
-// storePaths clones the finder's result into the slot-owned arenas.
-func (s *prepSlot) storePaths(paths []Path, stats PreprocessStats) {
-	s.hdr, s.ranks = copyPaths(paths, s.hdr, s.ranks)
-	s.paths = s.hdr
-	s.stats = stats
-	s.cum = stats.CumulativeProb
-}
-
 // prepareSlot runs one subcarrier's channel-rate work (sorted QR + per-
 // level model) into slot s using the caller-owned QR workspace.
 //
@@ -211,12 +164,12 @@ func (d *FlexCore) prepareSlot(s *prepSlot, h *cmatrix.Matrix, sigma2 float64, w
 }
 
 // findSlotPaths runs the pre-processing tree search for slot s with the
-// caller-owned finder and stores the result in the slot's arenas.
+// caller-owned finder, straight into the slot's own store.
 //
 //flexcore:noalloc
 func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
-	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold)
-	s.storePaths(paths, stats)
+	s.stats = f.find(&s.model, d.opts.NPE, d.opts.Threshold, &s.own, d.useSoA())
+	s.set = &s.own
 }
 
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
@@ -323,37 +276,24 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		p.hs, p.frame, p.miss = nil, nil, nil
 	} else {
 		for _, k := range d.missIdx {
-			if d.useSoA() {
-				d.findSlotPaths32(&frame[k], &d.finder32)
-			} else {
-				d.findSlotPaths(&frame[k], &d.finder)
-			}
+			d.findSlotPaths(&frame[k], &d.finder)
 		}
 	}
 
 	// Resolve hit aliases and fold the counters in subcarrier order, so
 	// the cumulative stats are identical for every worker count.
-	// External hits copy the base's position vectors and descent plan
-	// into slot-owned arenas (negligible next to the skipped search):
-	// the ReuseState may be re-based by a later frame — possibly on a
-	// different detector — while this frame's slots are still selected.
+	// External hits copy the base's path set into the slot's own store
+	// (negligible next to the skipped search): the ReuseState may be
+	// re-based by a later frame — possibly on a different detector —
+	// while this frame's slots are still selected.
 	for k := range frame {
 		s := &frame[k]
 		if s.hit {
 			if s.base == extBase {
-				e := &ext.slots[k]
-				s.hdr, s.ranks = copyPaths(e.paths, s.hdr, s.ranks)
-				s.paths = s.hdr
-				s.cum = e.cum
-				if d.useSoA() {
-					s.planOwn.CopyFrom(&e.plan)
-					s.plan = &s.planOwn
-				}
+				s.own.copyFrom(&ext.slots[k].pathStore)
+				s.set = &s.own
 			} else {
-				b := &frame[s.base]
-				s.paths = b.paths
-				s.plan = b.plan
-				s.cum = b.cum
+				s.set = frame[s.base].set
 			}
 			d.ppOps.CacheHits++
 		} else {
@@ -368,7 +308,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		d.ops.RealMuls += muls
 		d.ops.FLOPs += 2 * muls
 	}
-	d.ppOps.CumulativeProb = frame[len(frame)-1].cum
+	d.ppOps.CumulativeProb = frame[len(frame)-1].set.cum
 	if d.opts.PathReuse && ext != nil {
 		ext.update(frame, sigma2)
 	}
@@ -412,9 +352,9 @@ func (d *FlexCore) Select(k int) error {
 	s := &d.frame[k]
 	d.qr = &s.qr
 	d.model = &s.model
-	d.paths = s.paths
-	d.soa.prep.Plan = s.plan
-	d.ppOps.CumulativeProb = s.cum
+	d.paths = s.set.paths
+	d.soa.prep.Plan = &s.set.plan
+	d.ppOps.CumulativeProb = s.set.cum
 	d.soa.dirty = true
 	return nil
 }

@@ -64,10 +64,9 @@ type poolWorker struct {
 	best []int        // local best path (jobPaths) / per-vector best (jobBatch)
 	ybar []complex128 // jobBatch: per-worker rotated vector
 
-	qrws     cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
-	finder   pathFinder          // jobPrepPaths: per-worker search pool
-	finder32 pathFinder32        // jobPrepPaths: per-worker search pool (SoA backend)
-	ks       kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
+	qrws   cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
+	finder pathFinder          // jobPrepPaths: per-worker search state
+	ks     kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
 
 	ped    float64 // jobPaths: local minimum PED
 	ok     bool    // jobPaths: local minimum exists
@@ -195,18 +194,13 @@ func (p *pool) runPrepModel(w *poolWorker) {
 }
 
 // runPrepPaths runs the pre-processing tree search for the worker's
-// stride of the frame's fresh slots, using the worker's pooled finder.
+// stride of the frame's fresh slots, using the worker's own finder.
 //
 //flexcore:noalloc
 func (p *pool) runPrepPaths(w *poolWorker) {
 	d := p.d
 	stride := len(p.workers)
-	soa := d.useSoA()
 	for i := w.id; i < len(p.miss); i += stride {
-		if soa {
-			d.findSlotPaths32(&p.frame[p.miss[i]], &w.finder32)
-		} else {
-			d.findSlotPaths(&p.frame[p.miss[i]], &w.finder)
-		}
+		d.findSlotPaths(&p.frame[p.miss[i]], &w.finder)
 	}
 }

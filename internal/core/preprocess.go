@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+
+	"flexcore/internal/kernel32"
 )
 
 // Path is one sphere-decoder tree path selected by pre-processing,
@@ -20,9 +22,12 @@ func (p Path) Prob() float64 { return math.Exp(p.LogP) }
 // search, in the units of the paper's Table 2, plus the coherence-reuse
 // counters of the channel-rate fast path.
 type PreprocessStats struct {
-	// RealMuls counts the probability-update multiplications
-	// (Pc(child) = Pc(parent)·Pe(w), one per generated child, plus the
-	// Nt-term root product).
+	// RealMuls counts the probability-update multiplications of the
+	// §3.1.1 search as the paper states it: the Nt-term root product plus
+	// one Pc(child) = Pc(parent)·Pe(w) per legal child of every expanded
+	// node. The finder evaluates fewer (it never materialises a child it
+	// does not emit) and reports the paper's count in closed form, so
+	// Table 2 measures the algorithm, not this implementation.
 	RealMuls int64
 	// Expanded counts expanded pre-processing tree nodes.
 	Expanded int64
@@ -48,148 +53,271 @@ func (s *PreprocessStats) Add(other PreprocessStats) {
 	s.CacheMisses += other.CacheMisses
 }
 
-// preNode is a pre-processing tree node (used by the batched-expansion
-// model FindPathsParallel; the production search uses candNode and the
-// pooled arena of pathFinder).
-type preNode struct {
-	ranks   []int
-	logP    float64
-	lastInc int // index whose increment generated this node (dedup rule)
+// pathStore is an owned path set: the header and rank arenas a search
+// emits into, the set's cumulative probability, and (SoA backend) its
+// descent plan. The detector's scalar cache, every frame slot and every
+// ReuseState base own one; all storage regrows only past its high-water
+// mark.
+type pathStore struct {
+	paths []Path
+	ranks []int         // backing for paths[i].Ranks, path-major
+	cum   float64       // Σ Pc over paths
+	plan  kernel32.Plan // the paths' prefix trie (empty on the complex128 backend)
 }
 
-// pathFinder owns the reusable storage of the pre-processing tree
-// search: the bounded candidate heap and the result arena the selected
-// paths are emitted into. Repeated searches with the same (N_PE, Nt)
-// shape perform no allocation — the paper's point that pre-processing is
-// O(N_PE·Nt) cheap holds for memory traffic too, not only arithmetic.
+// ensure sizes the arenas for up to nPE paths of n levels and empties
+// the set.
+func (s *pathStore) ensure(n, nPE int) {
+	if cap(s.paths) < nPE {
+		s.paths = make([]Path, nPE)
+	}
+	if cap(s.ranks) < nPE*n {
+		s.ranks = make([]int, nPE*n)
+	}
+	s.paths = s.paths[:0]
+}
+
+// copyFrom makes s a deep copy of src.
+func (s *pathStore) copyFrom(src *pathStore) {
+	P, n := len(src.paths), 0
+	if P > 0 {
+		n = len(src.paths[0].Ranks)
+	}
+	s.ensure(n, P)
+	s.paths = s.paths[:P]
+	copy(s.ranks, src.ranks[:P*n])
+	for i := range s.paths {
+		s.paths[i] = Path{Ranks: s.ranks[i*n : (i+1)*n : (i+1)*n], LogP: src.paths[i].LogP}
+	}
+	s.cum = src.cum
+	s.plan.CopyFrom(&src.plan)
+}
+
+// pathFinder is the working state of the pre-processing search of
+// §3.1.1 — the one search both backends run. The paper's candidate list
+// is a best-first frontier: expand the most probable node, insert its
+// children. Because the key is additive with one constant per level,
 //
-// The returned paths alias the finder's arena and stay valid until its
-// next find call. A finder is not safe for concurrent use.
+//	log Pc(child of p by level w) = log Pc(p) + log Pe(w),
+//
+// the frontier needs no priority queue. Fix a level w and list the
+// candidates "increment w" over parents in emission order: parents are
+// emitted in non-increasing log Pc and adding a constant is monotone, so
+// that list is itself non-increasing. The frontier is therefore n sorted
+// queues, each a cursor into the emitted list, and the next path is the
+// best of the n queue heads — an n-way merge.
+//
+// The Fig. 5 duplicate-suppression rule (a node generated by incrementing
+// level l only increments levels w ≤ l) means every level below a path's
+// last increment still holds rank 1, so the only level that can be
+// saturated at |Q| is the last-incremented one: a path's legal increments
+// are exactly the levels [0, lim), with lim = lastInc+1, or lastInc when
+// that level has reached |Q|. Queue w holds the parents with lim > w.
+//
+// Exact ties go to the smaller parent index, then the smaller level.
+// That is the order in which the eager formulation inserts children, so
+// the merge emits what a FIFO-among-equals sorted list would, bit for
+// bit (preprocess_test.go keeps that formulation as an executable spec).
+//
+// A finder is not safe for concurrent use; its arenas regrow only past
+// their high-water marks, so one finder serves searches of any mix of
+// shapes without allocating once the largest has been seen.
 type pathFinder struct {
-	heap   candHeap
-	resBuf []int // result arena, cap × n
-	paths  []Path
-	n, cap int
+	head []int32   // per level: cursor into the emitted list — the queue's next parent
+	key  []float64 // per level: logP[head] + logPe[level], valid while head < emitted
+	lim  []int16   // per emitted path: its legal increments are levels [0, lim)
+	pc   []float64 // per emitted path: Pc, carried as Pc(parent)·Pe(w)
+
+	comp    kernel32.Compiler // descent-plan build arenas (see link)
+	nodeBuf []int32           // per emitted path: its plan node at every level
 }
 
 // ensure grows the finder's arenas for an n-level, nPE-path search.
-func (f *pathFinder) ensure(n, nPE int) {
-	if f.n != n || f.cap < nPE {
-		f.n = n
-		f.cap = nPE
-		f.resBuf = make([]int, nPE*n)
-		f.paths = make([]Path, 0, nPE)
-		// compact fires above 2·nPE; the burst of children pushed between
-		// checks never exceeds n.
-		f.heap = make(candHeap, 0, 2*nPE+n)
+func (f *pathFinder) ensure(n, nPE int, plan bool) {
+	if cap(f.head) < n {
+		f.head = make([]int32, n)
+		f.key = make([]float64, n)
 	}
-	f.heap = f.heap[:0]
-	f.paths = f.paths[:0]
+	if cap(f.lim) < nPE {
+		f.lim = make([]int16, nPE)
+		f.pc = make([]float64, nPE)
+	}
+	if plan && cap(f.nodeBuf) < nPE*n {
+		f.nodeBuf = make([]int32, nPE*n)
+	}
 }
 
-// find runs the pre-processing tree search of §3.1.1 (see FindPaths for
-// the algorithm contract) into the finder's pooled storage.
+// link adds emitted path q to the descent plan under construction — the
+// prefix trie kernel32.Descend walks, one node per distinct rank suffix.
+// q was derived from path parent by incrementing level w, so above w it
+// shares its parent's nodes, and at w and below it is new: every level
+// under w still has rank 1, and any path sharing such a suffix is a
+// descendant of q in the generation order, so none was emitted before
+// it. (The root passes w = n−1 and shares nothing.) Leaves are added one
+// per path in emission order, which makes the plan's lanes the paths.
 //
 //flexcore:noalloc
-func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
-	var stats PreprocessStats
+func (f *pathFinder) link(q, parent, w int, res []int) {
+	n := len(res)
+	nodes := f.nodeBuf[q*n : (q+1)*n]
+	up := int32(0) // the plan's root
+	if w < n-1 {
+		copy(nodes[w+1:], f.nodeBuf[parent*n+w+1:(parent+1)*n])
+		up = nodes[w+1]
+	}
+	for j := w; j >= 0; j-- {
+		up = f.comp.Add(j, up, res[j])
+		nodes[j] = up
+	}
+}
+
+// find runs the pre-processing search (see FindPaths for the contract)
+// straight into dst. With plan set it also builds the paths' descent
+// plan into dst.plan as it emits them: a plan depends on the rank
+// vectors alone, so it is built once per search and then copied and
+// aliased with the paths.
+//
+//flexcore:noalloc
+func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathStore, plan bool) PreprocessStats {
 	n := m.Levels()
 	if nPE < 1 {
 		nPE = 1
 	}
 	// Cap at the total number of tree paths |Q|^Nt (avoiding overflow).
 	total := 1.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && total <= 1e15; i++ {
 		total *= float64(m.M)
-		if total > 1e15 {
-			total = 1e15
-			break
-		}
 	}
 	if float64(nPE) > total {
 		nPE = int(total)
 	}
-	f.ensure(n, nPE) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the search shape changes
+	f.ensure(n, nPE, plan) //lint:ignore noalloc amortised: the inlined arena helper allocates only past the finder's high-water mark
+	dst.ensure(n, nPE)     //lint:ignore noalloc amortised: the inlined arena helper allocates only past the store's high-water mark
+	head, key, lim, pc := f.head[:n], f.key[:n], f.lim[:nPE], f.pc[:nPE]
+	paths, ranks, logPe := dst.paths[:nPE], dst.ranks, m.logPe[:n]
 
-	// Root: the all-ones position vector.
-	seq := int32(0)
-	f.heap.push(candNode{logP: m.RootLogP(), seq: seq, lastInc: int32(n - 1), parent: -1})
-	stats.RealMuls += int64(n) // root product of (1−Pe) terms
+	// Root: the all-ones position vector, Pc = Π (1 − Pe(l)). Every queue
+	// starts on it.
+	root := ranks[:n:n]
+	rootLogP := m.RootLogP()
+	pc[0] = 1
+	for i := range root {
+		root[i] = 1
+		pc[0] *= 1 - m.Pe[i]
+		head[i] = 0
+		key[i] = rootLogP + logPe[i]
+	}
+	paths[0] = Path{Ranks: root, LogP: rootLogP}
+	lim[0] = int16(n)
+	if m.M < 2 {
+		lim[0] = 0
+	}
+	if plan {
+		f.comp.Begin(n, nPE) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the search shape grows
+		f.link(0, 0, n-1, root)
+	}
 
-	var cumulative float64
-	for len(f.paths) < nPE && len(f.heap) > 0 {
-		// Expand the most promising candidate, materializing its rank
-		// vector from its parent's (already in the result set).
-		node := f.heap.popMax()
-		res := f.resBuf[len(f.paths)*n : (len(f.paths)+1)*n : (len(f.paths)+1)*n]
-		if node.parent < 0 {
-			for i := range res {
-				res[i] = 1
-			}
-		} else {
-			copy(res, f.paths[node.parent].Ranks)
-			res[node.lastInc]++
-		}
-		parent := int32(len(f.paths))
-		f.paths = append(f.paths, Path{Ranks: res, LogP: node.logP}) //lint:ignore noalloc amortised: ensure reserves cap nPE and the loop emits at most nPE paths
-		cumulative += math.Exp(node.logP)
+	stats := PreprocessStats{RealMuls: int64(n)}
+	count, cum := 1, 0.0
+	for {
+		cum += pc[count-1]
 		stats.Expanded++
-		if stopThreshold > 0 && cumulative >= stopThreshold {
+		if stopThreshold > 0 && cum >= stopThreshold {
 			break
 		}
-		// Generate children: increment element w for w ≤ lastInc (the
-		// Fig. 5 duplicate-suppression rule — every position vector has a
-		// unique generation path).
-		for w := 0; w <= int(node.lastInc); w++ {
-			if res[w] >= m.M {
-				continue // rank cannot exceed the constellation order
-			}
-			seq++
-			f.heap.push(candNode{
-				logP:    node.logP + m.logPe[w], // Pc(child) = Pc·Pe(w)
-				seq:     seq,
-				lastInc: int32(w),
-				parent:  parent,
-			})
-			stats.RealMuls++
+		stats.RealMuls += int64(lim[count-1]) // the paper's search multiplies out every legal child here
+		if count == nPE {
+			break
 		}
-		// Bound |L|: the paper trims to N_PE after every insertion, but a
-		// trimmed entry can provably never be extracted, so compacting
-		// lazily at 2·N_PE is output-identical and amortizes to O(1).
-		if len(f.heap) > 2*nPE {
-			f.heap.compact(nPE)
+
+		// The best queue head: highest key, then earliest parent, then
+		// lowest level (the ascending scan keeps the first of equals).
+		bw, bk, bp := -1, 0.0, int32(0)
+		for w, p := range head {
+			if int(p) >= count {
+				continue // queue w is waiting for a parent not emitted yet
+			}
+			if k := key[w]; bw < 0 || k > bk || (k == bk && p < bp) { //lint:ignore floatcmp merge comparator: exact ties must fall through to the parent-index tie-break for a bit-identical emission order
+				bw, bk, bp = w, k, p
+			}
+		}
+		if bw < 0 {
+			break
+		}
+
+		// Emit it: the parent's rank vector with level bw incremented.
+		q := count
+		res := ranks[q*n : (q+1)*n : (q+1)*n]
+		copy(res, ranks[int(bp)*n:(int(bp)+1)*n])
+		res[bw]++
+		paths[q] = Path{Ranks: res, LogP: bk}
+		pc[q] = pc[bp] * m.Pe[bw]
+		lim[q] = int16(bw + 1)
+		if res[bw] >= m.M {
+			lim[q] = int16(bw)
+		}
+		if plan {
+			f.link(q, int(bp), bw, res)
+		}
+		count++
+
+		// Queues that were waiting for q: the levels below bw take it
+		// (lim[q] ≥ bw), the levels above never will.
+		for w := 0; w < bw; w++ {
+			if int(head[w]) == q {
+				key[w] = bk + logPe[w]
+			}
+		}
+		for w := bw + 1; w < n; w++ {
+			if int(head[w]) == q {
+				head[w]++
+			}
+		}
+		// Queue bw moves past the parent it just spent.
+		p := int(bp) + 1
+		for p < count && int(lim[p]) <= bw {
+			p++
+		}
+		head[bw] = int32(p)
+		if p < count {
+			key[bw] = paths[p].LogP + logPe[bw]
 		}
 	}
-	stats.CumulativeProb = cumulative
-	return f.paths, stats
+	dst.paths = paths[:count]
+	dst.cum = cum
+	stats.CumulativeProb = cum
+	if plan {
+		f.comp.Finish(&dst.plan)
+	}
+	return stats
 }
 
 // FindPaths runs the pre-processing tree search of §3.1.1: starting from
 // the all-ones position vector it repeatedly expands the most promising
 // node of the candidate list, collecting expanded nodes into the result
 // set E, until nPE paths are selected or (if stopThreshold > 0) the
-// cumulative probability of E exceeds the threshold — the a-FlexCore
-// stopping criterion. The returned paths are in descending Pc order.
+// cumulative probability of E reaches the threshold — the a-FlexCore
+// stopping criterion. The returned paths are in descending Pc order,
+// exact ties in the order the paper's list would insert them, and the
+// first k paths are the same for every nPE ≥ k.
 //
 // Duplicate suppression follows Fig. 5: a node generated by incrementing
 // element l only generates children for elements w ≤ l, so every position
 // vector is produced exactly once (its increments sorted in non-
 // increasing element order form the unique generation path).
 //
-// The candidate list is a bounded min-max heap capped at nPE entries
-// with all node storage pooled (see pathFinder); this standalone entry
-// point allocates a fresh pool per call, so the returned paths are the
-// caller's to keep. FlexCore detectors reuse a persistent pool across
-// Prepare calls instead.
+// This standalone entry point allocates fresh storage per call, so the
+// returned paths are the caller's to keep. FlexCore detectors run the
+// same search (pathFinder) into their own pooled arenas instead.
 func FindPaths(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
 	var f pathFinder
-	return f.find(m, nPE, stopThreshold)
+	var dst pathStore
+	stats := f.find(m, nPE, stopThreshold, &dst, false)
+	return dst.paths, stats
 }
 
-func onesVector(n int) []int {
-	v := make([]int, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
+// FindPaths32 is FindPaths: both backends run one search. The name is
+// kept for callers that select an entry point per backend.
+func FindPaths32(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
+	return FindPaths(m, nPE, stopThreshold)
 }

@@ -13,7 +13,7 @@ import (
 func enumerateAll(m *Model) []Path {
 	n := m.Levels()
 	var out []Path
-	ranks := onesVector(n)
+	ranks := make([]int, n)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {

@@ -6,8 +6,7 @@ import (
 
 // This file wires the reduced-precision SoA backend (internal/kernel32,
 // DESIGN.md §11) into the detector: Options.Backend == BackendSoA32
-// routes the detect hot path through the float32 trie kernel and the
-// pre-processing search through the packed-key float32 finder. The
+// routes the detect hot path through the float32 trie kernel. The
 // conversion happens at narrow boundaries — a fresh path search compiles
 // its paths into a descent plan that then travels with them; Prepare and
 // Select mark the channel planes stale and the first detection rebuilds
@@ -98,15 +97,4 @@ func (d *FlexCore) detectSoA(y []complex128) []int {
 		d.fallbk++
 	}
 	return d.out
-}
-
-// findSlotPaths32 is the SoA-backend twin of findSlotPaths: the float32
-// packed-key search into the slot's arenas, building the slot's descent
-// plan as it goes.
-//
-//flexcore:noalloc
-func (d *FlexCore) findSlotPaths32(s *prepSlot, f *pathFinder32) {
-	paths, stats := f.find(&s.model, d.opts.NPE, d.opts.Threshold, &s.planOwn)
-	s.storePaths(paths, stats)
-	s.plan = &s.planOwn
 }
