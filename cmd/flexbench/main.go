@@ -5,13 +5,10 @@
 //
 //	flexbench [-quick] [-seed N] [-o file] all
 //	flexbench [-quick] [-seed N] [-o file] table1|table2|table3|fig9|fig10|fig11|fig12|fig13|fig14
-//	flexbench -json [-commit HASH] [-o file]
 //
 // -quick runs reduced Monte-Carlo settings (minutes); the default runs
-// the full settings used for EXPERIMENTS.md. -json skips the experiment
-// tables and instead measures the kernel-backend comparison (complex128
-// vs float32 SoA) on the PR's reference benchmarks, emitting the
-// BENCH_PR*.json acceptance format (see json.go).
+// the full settings used for EXPERIMENTS.md. Speed is measured by
+// `go run ./bench`, not here.
 package main
 
 import (
@@ -35,32 +32,11 @@ func main() {
 	csvDir := flag.String("csvdir", "", "also write each table as a CSV file into this directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	jsonMode := flag.Bool("json", false, "measure the kernel-backend comparison and emit BENCH_PR*.json instead of experiment tables")
-	commit := flag.String("commit", "", "commit hash recorded as baseline_commit in -json output")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: flexbench [-quick] [-seed N] [-o file] {all|%s}\n"+
-			"       flexbench -json [-commit HASH] [-o file]\n",
-			joinNames())
+		fmt.Fprintf(os.Stderr, "usage: flexbench [-quick] [-seed N] [-o file] {all|%s}\n", joinNames())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonMode {
-		var w io.Writer = os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "flexbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = io.MultiWriter(os.Stdout, f)
-		}
-		if err := runJSONBench(w, *commit); err != nil {
-			fmt.Fprintf(os.Stderr, "flexbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)

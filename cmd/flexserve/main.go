@@ -79,7 +79,7 @@ func main() {
 		opts.ReuseThreshold = *reuse
 	}
 
-	rungs, err := parseLadder(*ladder)
+	rungs, err := parseLadder(*ladder, *npe)
 	if err != nil {
 		fatal(err)
 	}
@@ -95,14 +95,7 @@ func main() {
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, opts)
 		},
-	}
-	if len(rungs) > 0 {
-		scfg.DegradeLadder = rungs
-		scfg.DegradeFactory = func(npe int) detector.Detector {
-			rungOpts := opts
-			rungOpts.NPE = npe
-			return core.New(cons, rungOpts)
-		}
+		DegradeLadder: rungs,
 	}
 	srv, err := serve.NewServer(scfg)
 	if err != nil {
@@ -149,9 +142,11 @@ func main() {
 }
 
 // parseLadder parses the -ladder flag: a comma-separated list of
-// descending N_PE rungs, empty for none. Ordering and positivity are
-// validated again by serve.NewServer; this only parses.
-func parseLadder(spec string) ([]int, error) {
+// descending N_PE rungs, empty for none. A rung is a cap on the -npe
+// detector, so the first (largest) must lie below npe — at or above it
+// the server would report frames as degraded that were not. Ordering
+// and positivity of the rest are validated by serve.NewServer.
+func parseLadder(spec string, npe int) ([]int, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
@@ -163,6 +158,9 @@ func parseLadder(spec string) ([]int, error) {
 			return nil, fmt.Errorf("-ladder %q: %w", spec, err)
 		}
 		rungs = append(rungs, n)
+	}
+	if rungs[0] >= npe {
+		return nil, fmt.Errorf("-ladder %q: first rung %d must be below -npe %d", spec, rungs[0], npe)
 	}
 	return rungs, nil
 }

@@ -104,16 +104,37 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	}
 }
 
-// TestParseLadder pins the flag syntax; semantic validation (descending,
-// positive) stays with serve.NewServer.
+// TestParseLadder pins the -ladder flag contract: the syntax, and that
+// rungs are caps on the -npe detector, so a first rung at or above -npe
+// — which used to "degrade" to a larger detector — is a flag error.
+// The rest of the ordering stays with serve.NewServer.
 func TestParseLadder(t *testing.T) {
-	if rungs, err := parseLadder(" 128, 32 "); err != nil || len(rungs) != 2 || rungs[0] != 128 || rungs[1] != 32 {
-		t.Fatalf("parseLadder(\" 128, 32 \") = %v, %v", rungs, err)
-	}
-	if rungs, err := parseLadder(""); err != nil || rungs != nil {
-		t.Fatalf("parseLadder(\"\") = %v, %v, want nil, nil", rungs, err)
-	}
-	if _, err := parseLadder("128,abc"); err == nil {
-		t.Fatal("parseLadder accepted a non-numeric rung")
+	for _, tc := range []struct {
+		spec string
+		npe  int
+		want []int // nil with ok = false: rejected
+		ok   bool
+	}{
+		{"", 64, nil, true},
+		{" 128, 32 ", 512, []int{128, 32}, true},
+		{"63", 64, []int{63}, true},
+		{"64,32", 64, nil, false},
+		{"128,32", 64, nil, false},
+		{"32,x", 64, nil, false},
+	} {
+		got, err := parseLadder(tc.spec, tc.npe)
+		if (err == nil) != tc.ok {
+			t.Errorf("parseLadder(%q, %d): err = %v, want ok = %v", tc.spec, tc.npe, err, tc.ok)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("parseLadder(%q, %d) = %v, want %v", tc.spec, tc.npe, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("parseLadder(%q, %d) = %v, want %v", tc.spec, tc.npe, got, tc.want)
+			}
+		}
 	}
 }

@@ -223,6 +223,62 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestPathCapSteadyStateAllocFree gates the capped paths: alternating
+// full and capped frames over a user's ReuseState — prefix copies on a
+// static channel, capped searches and re-bases on a changing one — and
+// the scalar cache's prefix store all run from retained arenas.
+func TestPathCapSteadyStateAllocFree(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nr, nt, nSC = 6, 4, 8
+	fa := frameChannels(1820, nr, nt, nSC)
+	fb := frameChannels(1821, nr, nt, nSC)
+	for _, bb := range benchBackends {
+		t.Run(bb.name, func(t *testing.T) {
+			fc := New(cons, Options{NPE: 32, PathReuse: true, Backend: bb.backend})
+			defer fc.Close()
+			var st ReuseState
+			fc.SetReuseState(&st)
+			i := 0
+			static := func() { // hit, hit by prefix, hit, …
+				i++
+				fc.SetPathCap(12 * (i % 2))
+				if err := fc.PrepareAll(fa, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mobile := func() { // every frame a miss, every other one capped
+				i++
+				fc.SetPathCap(12 * (i / 2 % 2))
+				hs := fa
+				if i%2 == 0 {
+					hs = fb
+				}
+				if err := fc.PrepareAll(hs, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scalar := func() { // the depth-1 cache: hit, hit by prefix, …
+				i++
+				fc.SetPathCap(12 * (i % 2))
+				if err := fc.Prepare(fa[0], 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, leg := range []struct {
+				name string
+				f    func()
+			}{{"static", static}, {"mobile", mobile}, {"scalar", scalar}} {
+				for w := 0; w < 4; w++ {
+					leg.f()
+				}
+				if allocs := testing.AllocsPerRun(20, leg.f); allocs != 0 {
+					t.Errorf("%s frames under an alternating cap: %.1f allocs/op in steady state, want 0", leg.name, allocs)
+				}
+			}
+		})
+	}
+}
+
 // TestFinderAlternatingGeometryAllocFree gates the finder's arena
 // policy: one finder and one store serving searches of two shapes in
 // turn — a shard worker with users of two geometries — must settle at

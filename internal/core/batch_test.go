@@ -109,21 +109,31 @@ func TestDetectSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestCloseIsRestartable(t *testing.T) {
+	// The pool starts on the first fanned-out call — a burst; a single
+	// Detect runs on the caller and never needs it.
 	fc, ys, _ := makeBurst(t, Options{NPE: 32, Workers: 4}, 8, 6, 305)
-	want := append([]int(nil), fc.Detect(ys[0])...)
+	var want [][]int
+	for _, r := range fc.DetectBatch(ys) {
+		want = append(want, append([]int(nil), r...))
+	}
 	if fc.pool == nil {
-		t.Fatal("parallel Detect did not start the pool")
+		t.Fatal("parallel DetectBatch did not start the pool")
 	}
 	fc.Close()
 	if fc.pool != nil {
 		t.Fatal("Close left the pool attached")
 	}
 	fc.Close() // double Close is a no-op
-	if got := fc.Detect(ys[0]); !equalInts(got, want) {
-		t.Fatalf("after Close: got %v want %v", got, want)
+	if got := fc.Detect(ys[0]); !equalInts(got, want[0]) || fc.pool != nil {
+		t.Fatalf("Detect after Close: got %v want %v (pool restarted: %v)", got, want[0], fc.pool != nil)
+	}
+	for i, got := range fc.DetectBatch(ys) {
+		if !equalInts(got, want[i]) {
+			t.Fatalf("after Close: vector %d got %v want %v", i, got, want[i])
+		}
 	}
 	if fc.pool == nil {
-		t.Fatal("Detect after Close did not restart the pool")
+		t.Fatal("DetectBatch after Close did not restart the pool")
 	}
 	fc.Close()
 }

@@ -24,11 +24,11 @@ type Options struct {
 	// the SQRD ordering [13] and the FCSD ordering [4] and keeps the
 	// better; OrderSQRD is the default here.
 	Ordering cmatrix.Ordering
-	// Workers > 1 evaluates paths on a goroutine pool, demonstrating the
-	// embarrassingly parallel structure; 0 or 1 is sequential. The pool
-	// also fans DetectBatch bursts and PrepareAll frames out. On
-	// BackendSoA32 a single Detect always runs on the caller: its paths
-	// are one shared trie, not independent walks (DESIGN.md §11.2).
+	// Workers > 1 keeps a persistent goroutine pool that fans whole
+	// received vectors of a DetectBatch burst and whole subcarriers of a
+	// PrepareAll frame out; 0 or 1 is sequential. A single Detect always
+	// runs on the caller, on both backends: fanning one vector's paths
+	// out never measured a gain (DESIGN.md §8).
 	Workers int
 	// StrictDeactivation reproduces the paper's §3.2 wording literally: a
 	// candidate outside the constellation kills the whole path. The
@@ -84,6 +84,7 @@ type Options struct {
 type FlexCore struct {
 	cons *constellation.Constellation
 	opts Options
+	npe  int // path bound of the next Prepare/PrepareAll: opts.NPE, or the SetPathCap below it
 
 	qr     *cmatrix.QRResult
 	model  *Model
@@ -115,6 +116,7 @@ type FlexCore struct {
 	modelOwn Model
 	finder   pathFinder
 	reuse    reuseCache  // scalar Prepare's path set, and its coherence base under PathReuse
+	prefix   pathStore   // scalar Prepare's set when a larger base serves a path cap
 	extReuse *ReuseState // caller-owned cross-frame bases (SetReuseState)
 
 	// SoA-backend planes and scratch (Options.Backend == BackendSoA32).
@@ -137,7 +139,7 @@ func New(cons *constellation.Constellation, opts Options) *FlexCore {
 	if opts.Ordering == 0 {
 		opts.Ordering = cmatrix.OrderSQRD
 	}
-	return &FlexCore{cons: cons, opts: opts}
+	return &FlexCore{cons: cons, opts: opts, npe: opts.NPE}
 }
 
 // Name implements detector.Detector.
@@ -186,30 +188,36 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 // preparePaths selects the position vectors for the current model,
 // going through the coherence cache when PathReuse is enabled. A fresh
 // search emits straight into the cache's store, which therefore holds
-// scalar Prepare's path set whether or not PathReuse ever consults it.
+// scalar Prepare's path set whether or not PathReuse ever consults it;
+// a base larger than the current path cap serves it by prefix.
 //
 //flexcore:noalloc
 func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
 	c := &d.reuse
-	d.soa.prep.Plan = &c.plan
-	if d.opts.PathReuse && c.valid {
+	set := &c.pathStore
+	hit := false
+	if d.opts.PathReuse && c.valid && c.covers(d.npe) {
 		d.countSimilarity(r.Cols)
-		if c.match(r, sigma2, d.opts.ReuseThreshold) {
-			d.paths = c.paths
-			d.ppOps.CacheHits++
-			d.ppOps.CumulativeProb = c.cum
-			return
+		hit = c.match(r, sigma2, d.opts.ReuseThreshold)
+	}
+	if hit {
+		if d.npe < len(c.paths) {
+			set = &d.prefix
+			set.copyFrom(&c.pathStore, d.npe)
+		}
+		d.ppOps.CacheHits++
+	} else {
+		stats := d.finder.find(d.model, d.npe, d.opts.Threshold, set, d.useSoA())
+		d.ppOps.RealMuls += stats.RealMuls
+		d.ppOps.Expanded += stats.Expanded
+		if d.opts.PathReuse {
+			d.ppOps.CacheMisses++
+			c.rebase(r, sigma2)
 		}
 	}
-	stats := d.finder.find(d.model, d.opts.NPE, d.opts.Threshold, &c.pathStore, d.useSoA())
-	d.paths = c.paths
-	d.ppOps.RealMuls += stats.RealMuls
-	d.ppOps.Expanded += stats.Expanded
-	d.ppOps.CumulativeProb = stats.CumulativeProb
-	if d.opts.PathReuse {
-		d.ppOps.CacheMisses++
-		c.rebase(r, sigma2)
-	}
+	d.paths = set.paths
+	d.soa.prep.Plan = &set.plan
+	d.ppOps.CumulativeProb = set.cum
 }
 
 // countSimilarity accounts the coherence test's arithmetic: 2 real
@@ -237,6 +245,25 @@ func (d *FlexCore) countSimilarity(n int) {
 //
 //flexcore:noalloc
 func (d *FlexCore) SetReuseState(st *ReuseState) { d.extReuse = st }
+
+// SetPathCap bounds the path sets of the following Prepare/PrepareAll
+// calls at k processing elements — FlexCore's flexibility as a per-frame
+// knob: until the cap is lifted (k = 0, or any k ≥ Options.NPE) they
+// select, count and detect exactly as a detector built with
+// Options.NPE = k would. The set for k elements is the first k paths of
+// the set for more (FindPaths), so with PathReuse a coherent base
+// searched under a bound ≥ k — or one that stopped short of its bound —
+// serves the cap by prefix, descent plan included, and skips the search;
+// a base cut at a smaller bound does not cover k and is a miss. The
+// channel already prepared is not re-selected.
+//
+//flexcore:noalloc
+func (d *FlexCore) SetPathCap(k int) {
+	d.npe = d.opts.NPE
+	if 0 < k && k < d.npe {
+		d.npe = k
+	}
+}
 
 // ActivePaths returns the number of processing elements activated for the
 // current channel (< NPE only for a-FlexCore).
@@ -337,17 +364,6 @@ func (d *FlexCore) Detect(y []complex128) []int {
 	if d.useSoA() {
 		return d.detectSoA(y)
 	}
-	// One or zero paths gain nothing from fan-out: take the sequential
-	// route before touching the pool.
-	if d.opts.Workers > 1 && len(d.paths) > 1 {
-		ybar := d.qr.YbarInto(y, d.ybar)
-		if !d.detectParallel(ybar) {
-			d.fallbk++
-			d.clampedSICInto(ybar, d.idx, d.sym)
-			return d.qr.UnpermuteIntsInto(d.idx, d.out)
-		}
-		return d.qr.UnpermuteIntsInto(d.best, d.out)
-	}
 	if d.detectOne(y, d.ybar, d.idx, d.sym, d.best, d.out) {
 		d.fallbk++
 	}
@@ -444,33 +460,6 @@ func (d *FlexCore) detectOne(y []complex128, ybar []complex128, idx []int, sym [
 	}
 	d.qr.UnpermuteIntsInto(best, out)
 	return false
-}
-
-// detectParallel fans the paths out over the persistent worker pool;
-// each worker keeps its own scratch and local minimum, merged here — the
-// software analogue of Fig. 2's per-processing-element pipeline plus
-// minimum tree. The winning path lands in d.best; the return value
-// reports whether any path survived.
-//
-//flexcore:noalloc
-func (d *FlexCore) detectParallel(ybar []complex128) bool {
-	p := d.ensurePool()
-	p.kind = jobPaths
-	p.ybar = ybar
-	p.dispatch()
-	bestPed := math.Inf(1)
-	var winner *poolWorker
-	for _, w := range p.workers {
-		if w.ok && w.ped < bestPed {
-			bestPed = w.ped
-			winner = w
-		}
-	}
-	if winner == nil {
-		return false
-	}
-	copy(d.best, winner.best)
-	return true
 }
 
 // ensurePool lazily starts the persistent workers (first parallel use).

@@ -21,6 +21,8 @@ import (
 // a fresh-prepared channel with the path set selected for it. The
 // detector's scalar Prepare path keeps a depth-1 cache — its searches
 // emit straight into it — and a ReuseState keeps one per subcarrier.
+// A coherent base serves a Prepare only if it also covers the path
+// bound in force (pathStore.covers): callers test that first.
 type reuseCache struct {
 	pathStore
 	valid  bool
@@ -117,9 +119,11 @@ func (st *ReuseState) Reset() {
 // update re-bases the per-subcarrier slots on the frame just prepared.
 // A subcarrier that hit its own external base keeps it untouched — the
 // base R stays pinned until a miss, matching the scalar cache's
-// semantics — while fresh subcarriers (and within-frame chain hits)
-// store their actual (R, paths). Copies are state-owned, so later
-// frames cannot corrupt a detector's selected slots.
+// semantics, and a base that served a path cap by prefix stays whole for
+// the uncapped frames after it — while fresh subcarriers (and within-
+// frame chain hits) store their actual (R, paths). Copies are
+// state-owned, so later frames cannot corrupt a detector's selected
+// slots.
 func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
 	for len(st.slots) < len(frame) {
 		st.slots = append(st.slots, reuseCache{})
@@ -129,7 +133,7 @@ func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
 		if s.hit && s.base == extBase {
 			continue
 		}
-		st.slots[k].copyFrom(s.set)
+		st.slots[k].copyFrom(s.set, len(s.set.paths))
 		st.slots[k].rebase(s.qr.R, sigma2)
 	}
 }
@@ -168,7 +172,7 @@ func (d *FlexCore) prepareSlot(s *prepSlot, h *cmatrix.Matrix, sigma2 float64, w
 //
 //flexcore:noalloc
 func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
-	s.stats = f.find(&s.model, d.opts.NPE, d.opts.Threshold, &s.own, d.useSoA())
+	s.stats = f.find(&s.model, d.npe, d.opts.Threshold, &s.own, d.useSoA())
 	s.set = &s.own
 }
 
@@ -186,7 +190,10 @@ func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
 // spans frames: each subcarrier first tries the previous frame's base
 // for the same subcarrier, so a static or slowly-varying channel skips
 // every search on a re-sent H, and the state is re-based on this
-// frame's results afterwards.
+// frame's results afterwards. Under a path cap (SetPathCap) a base
+// selected under a larger bound still hits — the slot takes its first
+// paths — while a base cut shorter than the cap is passed over and
+// replaced by this frame's search.
 //
 // The hit/miss decisions are made sequentially in subcarrier order over
 // the already-computed R factors, so results are identical for every
@@ -246,7 +253,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		s.base = -1
 		s.stats = PreprocessStats{}
 		if d.opts.PathReuse {
-			if ext != nil && k < len(ext.slots) && ext.slots[k].valid {
+			if ext != nil && k < len(ext.slots) && ext.slots[k].valid && ext.slots[k].covers(d.npe) {
 				d.countSimilarity(n)
 				if ext.slots[k].match(s.qr.R, sigma2, d.opts.ReuseThreshold) {
 					s.hit = true
@@ -282,15 +289,16 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 
 	// Resolve hit aliases and fold the counters in subcarrier order, so
 	// the cumulative stats are identical for every worker count.
-	// External hits copy the base's path set into the slot's own store
-	// (negligible next to the skipped search): the ReuseState may be
-	// re-based by a later frame — possibly on a different detector —
-	// while this frame's slots are still selected.
+	// External hits copy the base's path set — its prefix under a path
+	// cap — into the slot's own store (negligible next to the skipped
+	// search): the ReuseState may be re-based by a later frame —
+	// possibly on a different detector — while this frame's slots are
+	// still selected.
 	for k := range frame {
 		s := &frame[k]
 		if s.hit {
 			if s.base == extBase {
-				s.own.copyFrom(&ext.slots[k].pathStore)
+				s.own.copyFrom(&ext.slots[k].pathStore, d.npe)
 				s.set = &s.own
 			} else {
 				s.set = frame[s.base].set

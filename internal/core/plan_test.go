@@ -14,7 +14,8 @@ import (
 // channels; a single draw varies by ±10 %). A finder change that destroys the
 // sharing fails here, not in a benchmark. The same loop cross-checks the
 // two ways a plan gets built: the finder's incremental link must produce
-// exactly the trie the generic rank-plane compiler finds.
+// exactly the trie the generic rank-plane compiler finds, and so must
+// every lane prefix of it (kernel32's own tests compare node for node).
 func TestPlanSharesPrefixes(t *testing.T) {
 	const channels = 40
 	for _, tc := range []struct {
@@ -31,7 +32,7 @@ func TestPlanSharesPrefixes(t *testing.T) {
 			rng := newRng(1400)
 			fc := New(cons, Options{NPE: tc.npe, Backend: BackendSoA32})
 			var comp kernel32.Compiler
-			var generic kernel32.Plan
+			var generic, prefix kernel32.Plan
 			total, flat := 0, 0 // distinct nodes, paths × levels, over all channels
 			for ch := 0; ch < channels; ch++ {
 				if err := fc.Prepare(channel.Rayleigh(rng, tc.nt, tc.nt), sigma2); err != nil {
@@ -51,6 +52,21 @@ func TestPlanSharesPrefixes(t *testing.T) {
 				comp.Compile(&generic)
 				if generic.Nodes() != nodes {
 					t.Errorf("channel %d: finder-built plan has %d nodes, generic compile of the same paths %d", ch, nodes, generic.Nodes())
+				}
+				// A path cap takes a prefix of the finder's plan: it must be
+				// the trie of the first k paths, no node more.
+				for _, k := range []int{1, P / 3, P - 1} {
+					ranks := comp.Ranks(tc.nt, k)
+					for p := 0; p < k; p++ {
+						for i, r := range paths[p].Ranks {
+							ranks[i*k+p] = int16(r)
+						}
+					}
+					comp.Compile(&generic)
+					prefix.CopyPrefix(fc.soa.prep.Plan, k)
+					if prefix.Nodes() != generic.Nodes() {
+						t.Errorf("channel %d: %d-lane prefix of the finder-built plan has %d nodes, the first %d paths compile to %d", ch, k, prefix.Nodes(), k, generic.Nodes())
+					}
 				}
 			}
 			if got := float64(total) / float64(flat); got > tc.share {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"flexcore/internal/cmatrix"
@@ -12,13 +11,9 @@ import (
 type jobKind int
 
 const (
-	// jobPaths fans the selected paths of a single received vector
-	// across the workers (Fig. 2's per-processing-element pipeline;
-	// complex128 backend only — the SoA trie descends on the caller).
-	jobPaths jobKind = iota
 	// jobBatch fans whole received vectors of a DetectBatch burst across
 	// the workers; each worker evaluates every path of its vectors.
-	jobBatch
+	jobBatch jobKind = iota
 	// jobPrepModel fans the per-subcarrier channel-rate math of a
 	// PrepareAll frame (sorted QR + model) across the workers.
 	jobPrepModel
@@ -28,7 +23,7 @@ const (
 )
 
 // pool is the persistent goroutine pool a FlexCore detector with
-// Workers > 1 keeps across Detect/DetectBatch calls — the software
+// Workers > 1 keeps across DetectBatch/PrepareAll calls — the software
 // analogue of the paper's always-resident processing elements. Workers
 // block on their start channels between jobs; the dispatching goroutine
 // publishes the job parameters on the pool, wakes every worker, and
@@ -44,7 +39,6 @@ type pool struct {
 	// Job parameters: written by the dispatcher before the wake-up,
 	// read back (worker results) after wg.Wait().
 	kind   jobKind
-	ybar   []complex128      // jobPaths: rotated received vector
 	ys     [][]complex128    // jobBatch: burst of received vectors
 	out    [][]int           // jobBatch: arena-backed result slots
 	hs     []*cmatrix.Matrix // jobPrepModel: per-subcarrier channels
@@ -61,16 +55,14 @@ type poolWorker struct {
 
 	idx  []int        // per-path candidate scratch
 	sym  []complex128 // per-path symbol scratch
-	best []int        // local best path (jobPaths) / per-vector best (jobBatch)
+	best []int        // per-vector best path
 	ybar []complex128 // jobBatch: per-worker rotated vector
 
 	qrws   cmatrix.QRWorkspace // jobPrepModel: per-worker QR scratch
 	finder pathFinder          // jobPrepPaths: per-worker search state
 	ks     kernel32.Scratch    // jobBatch: per-worker lane scratch (SoA backend)
 
-	ped    float64 // jobPaths: local minimum PED
-	ok     bool    // jobPaths: local minimum exists
-	fallbk int64   // jobBatch: fallback detections in the last job
+	fallbk int64 // jobBatch: fallback detections in the last job
 }
 
 // newPool starts workers resident goroutines for detector d.
@@ -109,8 +101,6 @@ func (p *pool) run(w *poolWorker) {
 	for range w.start {
 		w.ensure(p.d)
 		switch p.kind {
-		case jobPaths:
-			p.runPaths(w)
 		case jobBatch:
 			p.runBatch(w)
 		case jobPrepModel:
@@ -136,25 +126,6 @@ func (w *poolWorker) ensure(d *FlexCore) {
 	w.sym = w.sym[:d.n]
 	w.best = w.best[:d.n]
 	w.ybar = w.ybar[:d.n]
-}
-
-// runPaths evaluates the worker's stride of the selected paths against
-// the shared rotated vector, keeping a local minimum (merged by the
-// dispatcher — the minimum tree of Fig. 2).
-//
-//flexcore:noalloc
-func (p *pool) runPaths(w *poolWorker) {
-	d := p.d
-	w.ped = math.Inf(1)
-	w.ok = false
-	stride := len(p.workers)
-	for i := w.id; i < len(d.paths); i += stride {
-		ped, ok := d.evalPath(p.ybar, d.paths[i].Ranks, w.idx, w.sym)
-		if ok && ped < w.ped {
-			w.ped, w.ok = ped, true
-			copy(w.best, w.idx)
-		}
-	}
 }
 
 // runBatch fully detects the worker's stride of the burst's vectors,

@@ -54,14 +54,15 @@ func (s *PreprocessStats) Add(other PreprocessStats) {
 }
 
 // pathStore is an owned path set: the header and rank arenas a search
-// emits into, the set's cumulative probability, and (SoA backend) its
-// descent plan. The detector's scalar cache, every frame slot and every
-// ReuseState base own one; all storage regrows only past its high-water
-// mark.
+// emits into, the set's cumulative probability, the bound it was
+// searched under, and (SoA backend) its descent plan. The detector's
+// scalar cache, every frame slot and every ReuseState base own one; all
+// storage regrows only past its high-water mark.
 type pathStore struct {
 	paths []Path
 	ranks []int         // backing for paths[i].Ranks, path-major
 	cum   float64       // Σ Pc over paths
+	limit int           // the N_PE bound of the search that selected paths
 	plan  kernel32.Plan // the paths' prefix trie (empty on the complex128 backend)
 }
 
@@ -77,9 +78,22 @@ func (s *pathStore) ensure(n, nPE int) {
 	s.paths = s.paths[:0]
 }
 
-// copyFrom makes s a deep copy of src.
-func (s *pathStore) copyFrom(src *pathStore) {
-	P, n := len(src.paths), 0
+// covers reports whether the set answers a search bounded at k: the
+// first k paths are the same under every bound ≥ k (FindPaths), so a set
+// searched under limit ≥ k does by prefix, and a set that came back
+// shorter than its bound stopped on the threshold or ran out of tree —
+// no larger bound would have found more.
+//
+//flexcore:noalloc
+func (s *pathStore) covers(k int) bool {
+	return s.limit >= k || len(s.paths) < s.limit
+}
+
+// copyFrom makes s a deep copy of src as a search bounded at k would
+// have selected it: src's first k paths, all of them when it has no
+// more. src must cover k.
+func (s *pathStore) copyFrom(src *pathStore, k int) {
+	P, n := min(k, len(src.paths)), 0
 	if P > 0 {
 		n = len(src.paths[0].Ranks)
 	}
@@ -89,8 +103,16 @@ func (s *pathStore) copyFrom(src *pathStore) {
 	for i := range s.paths {
 		s.paths[i] = Path{Ranks: s.ranks[i*n : (i+1)*n : (i+1)*n], LogP: src.paths[i].LogP}
 	}
-	s.cum = src.cum
-	s.plan.CopyFrom(&src.plan)
+	s.cum, s.limit = src.cum, src.limit
+	if P < len(src.paths) {
+		// Cut short by k: Σ Pc from the log-probabilities (the search
+		// carries Pc as a running product; the two agree to rounding).
+		s.cum, s.limit = 0, k
+		for _, p := range s.paths {
+			s.cum += p.Prob()
+		}
+	}
+	s.plan.CopyPrefix(&src.plan, P)
 }
 
 // pathFinder is the working state of the pre-processing search of
@@ -183,6 +205,7 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	if nPE < 1 {
 		nPE = 1
 	}
+	dst.limit = nPE // the bound as asked: a set that exhausts the tree stays shorter than it
 	// Cap at the total number of tree paths |Q|^Nt (avoiding overflow).
 	total := 1.0
 	for i := 0; i < n && total <= 1e15; i++ {

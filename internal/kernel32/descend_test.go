@@ -3,6 +3,7 @@ package kernel32
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexcore/internal/cmatrix"
@@ -295,7 +296,7 @@ func TestCompileCountsDistinctSuffixes(t *testing.T) {
 		}
 
 		var cp Plan
-		cp.CopyFrom(&pl)
+		cp.CopyPrefix(&pl, P)
 		var pr Prep
 		var s Scratch
 		randomChannel(rng, &pr, n, cons)
@@ -305,6 +306,139 @@ func TestCompileCountsDistinctSuffixes(t *testing.T) {
 			s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
 		}
 		checkAgainstReference(t, &pr, sl, &s, P, ranks, false, [][2]int{{0, P}})
+	}
+}
+
+// firstLanes stages the first k lanes of an n×P rank plane in c.
+func firstLanes(c *Compiler, ranks []int16, n, P, k int) []int16 {
+	sub := c.Ranks(n, k)
+	for i := 0; i < n; i++ {
+		copy(sub[i*k:(i+1)*k], ranks[i*P:i*P+k])
+	}
+	return sub
+}
+
+// checkPrefixes pins CopyPrefix for every k on plan pl of the n×P rank
+// plane: the copy is, node for node, the plan Compile builds from the
+// first k lanes alone, and descending it gives every one of those lanes
+// the distance and decisions the reference does.
+func checkPrefixes(t *testing.T, rng *rand.Rand, sl *Slicer32, cons *constellation.Constellation, pl *Plan, ranks []int16, n, P int) {
+	t.Helper()
+	var c Compiler
+	var want, got Plan
+	var pr Prep
+	var s Scratch
+	randomChannel(rng, &pr, n, cons)
+	s.Ensure(n, P)
+	for i := range s.yb {
+		s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+	}
+	for k := P + 1; k >= 1; k-- { // descending: got's arenas shrink in place
+		kk := min(k, P)
+		sub := append([]int16(nil), firstLanes(&c, ranks, n, P, kk)...)
+		c.Compile(&want)
+		got.CopyPrefix(pl, k)
+		if got.N != want.N || got.P != want.P || got.umax != want.umax ||
+			!reflect.DeepEqual(got.start, want.start) || !reflect.DeepEqual(got.nodes, want.nodes) {
+			t.Fatalf("n=%d P=%d: prefix %d differs from the plan compiled from the first %d lanes:\n got %+v\nwant %+v", n, P, k, kk, got, want)
+		}
+		pr.Plan = &got
+		for _, strict := range []bool{false, true} {
+			checkAgainstReference(t, &pr, sl, &s, kk, sub, strict, [][2]int{{0, kk}})
+		}
+	}
+}
+
+// TestCopyPrefixArbitraryPlanes: the prefix property needs only the
+// first-visit node order every builder keeps, not the best-first
+// search's down-sets — duplicate lanes, a lone lane, a single level.
+func TestCopyPrefixArbitraryPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1406))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	for _, shape := range [][2]int{{1, 1}, {1, 9}, {2, 1}, {3, 7}, {4, 64}, {8, 33}} {
+		n, P := shape[0], shape[1]
+		for trial := 0; trial < 6; trial++ {
+			var c Compiler
+			maxRank := 1 + rng.Intn(16)
+			ranks := c.Ranks(n, P)
+			for i := range ranks {
+				ranks[i] = int16(1 + rng.Intn(maxRank))
+			}
+			for p := 1; p < P; p += 3 { // duplicate lanes
+				src := rng.Intn(p)
+				for i := 0; i < n; i++ {
+					ranks[i*P+p] = ranks[i*P+src]
+				}
+			}
+			var pl Plan
+			c.Compile(&pl)
+			checkPrefixes(t, rng, sl, cons, &pl, ranks, n, P)
+		}
+	}
+}
+
+// TestCopyPrefixIncrementalBuild covers the other builder: a path
+// search adding nodes through Begin/Add/Finish the way internal/core's
+// finder does — each path is an earlier one with one level w, no higher
+// than that parent's own increment, stepped up; it shares the parent's
+// nodes above w and is new from w down.
+func TestCopyPrefixIncrementalBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(1407))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	for _, shape := range [][2]int{{1, 12}, {2, 30}, {4, 64}, {8, 100}} {
+		n, P := shape[0], shape[1]
+		type cand struct{ parent, w int }
+		vec := make([][]int16, 0, P)  // rank vectors, emission order
+		node := make([][]int32, 0, P) // per path: its node at every level
+		var c Compiler
+		c.Begin(n, P)
+		emit := func(parent, w int) []cand {
+			r := make([]int16, n)
+			nd := make([]int32, n)
+			for i := range r {
+				r[i] = 1
+			}
+			up := int32(0)
+			if len(vec) > 0 {
+				copy(r, vec[parent])
+				r[w]++
+				copy(nd[w+1:], node[parent][w+1:])
+				if w < n-1 {
+					up = nd[w+1]
+				}
+			}
+			for j := w; j >= 0; j-- {
+				up = c.Add(j, up, int(r[j]))
+				nd[j] = up
+			}
+			q := len(vec)
+			vec, node = append(vec, r), append(node, nd)
+			var kids []cand
+			for l := 0; l <= w; l++ {
+				if r[l] < 16 { // stay inside the 16-QAM slicer's rank table
+					kids = append(kids, cand{q, l})
+				}
+			}
+			return kids
+		}
+		open := emit(0, n-1)
+		for len(vec) < P {
+			i := rng.Intn(len(open))
+			pick := open[i]
+			open = append(open[:i], open[i+1:]...)
+			open = append(open, emit(pick.parent, pick.w)...)
+		}
+		var pl Plan
+		c.Finish(&pl)
+		ranks := make([]int16, n*P)
+		for p, r := range vec {
+			for i := range r {
+				ranks[i*P+p] = r[i]
+			}
+		}
+		checkPrefixes(t, rng, sl, cons, &pl, ranks, n, P)
 	}
 }
 

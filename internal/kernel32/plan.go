@@ -41,14 +41,43 @@ func (pl *Plan) Nodes() int {
 	return int(pl.start[pl.N+1]) - 1
 }
 
-// CopyFrom makes pl a deep copy of src, growing pl's arenas only past
-// their high-water mark.
+// CopyPrefix makes pl a deep copy of the plan of src's first k lanes
+// (all of src when k ≥ src.P), growing pl's arenas only past their
+// high-water mark. Every builder adds a level's nodes in first-visit
+// lane order, so the nodes the first k lanes walk are a prefix of every
+// level and the result is, node for node, the plan compiled from those
+// lanes alone. The prefix lengths fall out bottom-up from the parent
+// links: k leaves, and above a level one more node than the largest
+// parent position its prefix refers to.
 //
 //flexcore:noalloc
-func (pl *Plan) CopyFrom(src *Plan) {
+func (pl *Plan) CopyPrefix(src *Plan, k int) {
 	pl.N, pl.P, pl.umax = src.N, src.P, src.umax
 	pl.start = append(pl.start[:0], src.start...) //lint:ignore noalloc amortised: plan arenas regrow only past their high-water mark
 	pl.nodes = append(pl.nodes[:0], src.nodes...) //lint:ignore noalloc amortised: see above
+	if k >= src.P {
+		return
+	}
+	n := src.N
+	pl.P, pl.umax = k, 0
+	// Lengths first, parked in start[t+1] until the packing pass turns
+	// them into offsets.
+	c := k
+	for t := n; t >= 1; t-- {
+		pl.start[t+1] = int32(c)
+		pl.umax = max(pl.umax, (n-t)*c)
+		up := int32(0)
+		for _, v := range src.nodes[src.start[t]:][:c] {
+			up = max(up, v.parent)
+		}
+		c = int(up) + 1
+	}
+	for t := 1; t <= n; t++ {
+		c := pl.start[t+1]
+		copy(pl.nodes[pl.start[t]:], src.nodes[src.start[t]:][:c])
+		pl.start[t+1] = pl.start[t] + c
+	}
+	pl.nodes = pl.nodes[:pl.start[n+1]]
 }
 
 // Compiler builds Plans. A path search that knows how its paths derive

@@ -24,6 +24,7 @@ type FrameDetector struct {
 	frame  FramePreparer
 	rep    ActivePathReporter
 	reuser ReuseCarrier
+	capper PathCapper
 
 	activeSum float64
 	activeN   int64
@@ -37,12 +38,20 @@ type ReuseCarrier interface {
 	SetReuseState(*core.ReuseState)
 }
 
+// PathCapper is implemented by detectors that can bound their path
+// sets per frame below the N_PE they were built with (core.FlexCore).
+// The serving layer uses it to degrade frames under queue pressure.
+type PathCapper interface {
+	SetPathCap(k int)
+}
+
 // NewFrameDetector wraps d for frame-at-a-time detection.
 func NewFrameDetector(d detector.Detector) *FrameDetector {
 	f := &FrameDetector{det: d, batch: detector.Batch(d)}
 	f.frame, _ = d.(FramePreparer)
 	f.rep, _ = d.(ActivePathReporter)
 	f.reuser, _ = d.(ReuseCarrier)
+	f.capper, _ = d.(PathCapper)
 	return f
 }
 
@@ -58,6 +67,19 @@ func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
 		return false
 	}
 	f.reuser.SetReuseState(st)
+	return true
+}
+
+// SetPathCap bounds the wrapped detector's path sets at k processing
+// elements for the next DetectFrame calls (0 lifts the bound) and
+// reports whether the detector supports a per-frame cap.
+//
+//flexcore:noalloc
+func (f *FrameDetector) SetPathCap(k int) bool {
+	if f.capper == nil {
+		return false
+	}
+	f.capper.SetPathCap(k)
 	return true
 }
 

@@ -25,15 +25,21 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 	// The reuse leg runs the same hot path with PathReuse enabled and a
 	// per-user ReuseState installed — the serve steady state for a
 	// static-channel user, where every subcarrier is a cross-frame
-	// cache hit.
-	for _, reuse := range []bool{false, true} {
-		name := "fresh"
-		if reuse {
-			name = "reuse"
-		}
-		t.Run(name, func(t *testing.T) {
+	// cache hit. The rungs leg alternates full and degraded frames on
+	// top: every other frame is served from the base by prefix.
+	for _, leg := range []struct {
+		name         string
+		reuse, rungs bool
+	}{{"fresh", false, false}, {"reuse", true, false}, {"reuse-rungs", true, true}} {
+		reuse := leg.reuse
+		t.Run(leg.name, func(t *testing.T) {
+			var ladder []int
+			if leg.rungs {
+				ladder = []int{e2eNPE / 2}
+			}
 			srv, err := NewServer(Config{
-				Shards: 1,
+				Shards:        1,
+				DegradeLadder: ladder,
 				DetectorFactory: func() detector.Detector {
 					opts := core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(t)}
 					if reuse {
@@ -68,6 +74,9 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				tk.enq = time.Now()
+				if leg.rungs {
+					tk.rung ^= 1 // full, degraded, full, …
+				}
 				srv.process(w, tk)
 			}
 			// Warm-up: first iterations grow the request arenas, the response

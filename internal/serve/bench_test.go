@@ -15,21 +15,27 @@ import (
 // subcarrier burst, frame the response — excluding socket I/O. The
 // reuse leg runs a static-channel user with per-user cross-frame reuse
 // installed (every subcarrier a cache hit); the fresh leg pays the full
-// §3.1.1 search per frame. Both must stay 0 allocs/op: this is the
-// benchmark twin of TestServeHotLoopZeroAllocs.
+// §3.1.1 search per frame; the rungs leg alternates full and degraded
+// frames of that user (every other frame a prefix hit). All must stay 0
+// allocs/op: this is the benchmark twin of TestServeHotLoopZeroAllocs.
 func BenchmarkServeProcess(b *testing.B) {
 	cons, err := constellation.New(e2eQAM)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, reuse := range []bool{false, true} {
-		name := "fresh"
-		if reuse {
-			name = "reuse"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, leg := range []struct {
+		name         string
+		reuse, rungs bool
+	}{{"fresh", false, false}, {"reuse", true, false}, {"reuse-rungs", true, true}} {
+		reuse := leg.reuse
+		b.Run(leg.name, func(b *testing.B) {
+			var ladder []int
+			if leg.rungs {
+				ladder = []int{e2eNPE / 2}
+			}
 			srv, err := NewServer(Config{
-				Shards: 1,
+				Shards:        1,
+				DegradeLadder: ladder,
 				DetectorFactory: func() detector.Detector {
 					opts := core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(b)}
 					if reuse {
@@ -61,6 +67,9 @@ func BenchmarkServeProcess(b *testing.B) {
 					b.Fatal(err)
 				}
 				tk.enq = time.Now()
+				if leg.rungs {
+					tk.rung ^= 1 // full, degraded, full, …
+				}
 				srv.process(w, tk)
 			}
 			hot() // warm the arenas (and, on the reuse leg, base the state)

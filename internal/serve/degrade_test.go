@@ -2,35 +2,49 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
+	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
 )
 
-// gatedDetector wraps a real detector, blocking the first Detect call
-// until its gate opens — it lets a test park the shard worker inside a
-// real frame so the admission queue fills to a known depth, then
-// observe how the pressure controller degrades the backlog.
+// gatedDetector is a real FlexCore whose parkAt-th frame (PrepareAll
+// call, 1-based) blocks until the gate opens — it lets a test park the
+// shard worker inside a real frame so the admission queue fills to a
+// known depth, then observe how the pressure controller degrades the
+// backlog. Embedding the concrete type keeps every capability the
+// serving layer probes for (frame preparation, reuse keying, the path
+// cap) in view.
 type gatedDetector struct {
-	detector.Detector
+	*core.FlexCore
+	parkAt  int
+	frames  int
 	started chan struct{}
 	gate    chan struct{}
-	once    sync.Once
 }
 
-func (d *gatedDetector) Detect(y []complex128) []int {
-	d.once.Do(func() {
-		select {
-		case d.started <- struct{}{}:
-		default:
-		}
+func newGatedDetector(fc *core.FlexCore, parkAt int) *gatedDetector {
+	return &gatedDetector{FlexCore: fc, parkAt: parkAt, started: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func (d *gatedDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+	if d.frames++; d.frames == d.parkAt {
+		d.started <- struct{}{}
 		<-d.gate
-	})
-	return d.Detector.Detect(y)
+	}
+	return d.FlexCore.PrepareAll(hs, sigma2)
+}
+
+// noDegradeFactory is the deprecated Config.DegradeFactory hook as the
+// tests install it: the server must never call it.
+func noDegradeFactory(t *testing.T) func(int) detector.Detector {
+	return func(npe int) detector.Detector {
+		t.Errorf("DegradeFactory(%d) called: rungs are path caps on the worker's one detector", npe)
+		return nil
+	}
 }
 
 // TestDegradationLadderBitIdentical is the degradation tentpole
@@ -46,11 +60,7 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := envBackend(t)
-	gated := &gatedDetector{
-		Detector: core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend}),
-		started:  make(chan struct{}, 1),
-		gate:     make(chan struct{}),
-	}
+	gated := newGatedDetector(core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend}), 1)
 	srv, err := NewServer(Config{
 		Shards:          1,
 		WorkersPerShard: 1,
@@ -58,9 +68,7 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 		DegradeLadder:   []int{8, 4},
 		DegradeStart:    0.25,
 		DetectorFactory: func() detector.Detector { return gated },
-		DegradeFactory: func(npe int) detector.Detector {
-			return core.New(cons, core.Options{NPE: npe, Workers: 1, Backend: backend})
-		},
+		DegradeFactory:  noDegradeFactory(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,21 +169,134 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDegradeConfigValidation pins the config contract: a ladder
-// without a factory, and a ladder that is not strictly decreasing,
-// are construction-time errors, not silent misconfiguration.
+// TestDegradedFramesShareReuseState: a rung is a cap on the worker's one
+// detector, so degraded frames go through the user's cross-frame reuse
+// state. One static-channel user sends full → degraded → full frames:
+// the degraded frame is served from the full frame's base by prefix
+// (reuse_hits grows by a frame's subcarriers, no path search), the base
+// stays whole for the full frame after it, and every response is bit-identical to offline detection at
+// the N_PE it reports.
+func TestDegradedFramesShareReuseState(t *testing.T) {
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second frame parks the worker so the user's next two queue up.
+	gated := newGatedDetector(core.New(cons, core.Options{
+		NPE: e2eNPE, Workers: 1, Backend: envBackend(t), PathReuse: true,
+	}), 2)
+	srv, err := NewServer(Config{
+		QueueDepth:      8,
+		DegradeLadder:   []int{8, 4},
+		DegradeStart:    0.25,
+		DetectorFactory: func() detector.Detector { return gated },
+		DegradeFactory:  noDegradeFactory(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	cl := srv.InProcess()
+	defer cl.Close()
+
+	const user, other = 7, 8
+	var q DetectRequest
+	var resp DetectResponse
+	// frame re-sends user's one static channel under a new frame ID.
+	frame := func(id uint64) *DetectRequest {
+		fillFrame(t, &q, user, 1)
+		q.FrameID = id
+		return &q
+	}
+	check := func(id uint64, wantNPE int, wantHits int64) {
+		t.Helper()
+		if resp.Status != StatusOK || resp.FrameID != id || resp.ServedNPE != wantNPE {
+			t.Fatalf("frame %d: got frame %d status %v served N_PE %d, want ok at %d", id, resp.FrameID, resp.Status, resp.ServedNPE, wantNPE)
+		}
+		eff := wantNPE
+		if eff == 0 {
+			eff = e2eNPE
+		}
+		ref := offlineDecisionsNPE(t, cons, frame(id), eff)
+		for i, w := range ref {
+			if int(resp.Decisions[i]) != w {
+				t.Fatalf("frame %d decision %d: served %d, offline reference at N_PE=%d says %d", id, i, resp.Decisions[i], eff, w)
+			}
+		}
+		if hits := srv.Metrics().ShardStats[0].ReuseHits; hits != wantHits {
+			t.Fatalf("after frame %d: reuse_hits %d, want %d", id, hits, wantHits)
+		}
+	}
+
+	// Frame 1, alone in the queue: full N_PE, every subcarrier a fresh search.
+	if err := cl.Do(frame(1), &resp); err != nil {
+		t.Fatal(err)
+	}
+	check(1, 0, 0)
+
+	// Park the worker inside a second user's frame and queue frame 2 and
+	// a third user's frame behind it: frame 2 dequeues at depth 2 of 8 →
+	// rung 1 (N_PE 8). The other users' channels are fresh: misses only.
+	send := func(q *DetectRequest) {
+		t.Helper()
+		if err := cl.Send(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fillFrame(t, &q, other, 1)
+	send(&q)
+	<-gated.started
+	send(frame(2))
+	fillFrame(t, &q, other+1, 1)
+	send(&q)
+	waitFor(t, "backlog admission", func() bool { return srv.Metrics().Accepted == 4 })
+	close(gated.gate)
+	var others DetectResponse
+	for _, r := range []*DetectResponse{&others, &resp, &others} {
+		if err := cl.Recv(r); err != nil || r.Status != StatusOK {
+			t.Fatalf("backlog response: %v, status %v", err, r.Status)
+		}
+	}
+	check(2, 8, e2eK)
+
+	// Frame 3, alone again: full N_PE, still a hit — serving the rung by
+	// prefix left the base whole.
+	if err := cl.Do(frame(3), &resp); err != nil {
+		t.Fatal(err)
+	}
+	check(3, 0, 2*e2eK)
+
+	snap := srv.Metrics()
+	if snap.DegradedFrames != 1 {
+		t.Fatalf("degraded_frames %d, want 1", snap.DegradedFrames)
+	}
+	if misses := snap.ShardStats[0].ReuseMisses; misses != 3*e2eK {
+		t.Fatalf("reuse_misses %d, want %d (frame 1 and the two other users' frames only)", misses, 3*e2eK)
+	}
+}
+
+// TestDegradeConfigValidation pins the config contract: a ladder over
+// a detector that cannot cap its paths, and a ladder that is not
+// strictly decreasing, are construction-time errors, not silent
+// misconfiguration.
 func TestDegradeConfigValidation(t *testing.T) {
 	slow := newSlowDetector()
 	close(slow.gate)
-	factory := func() detector.Detector { return slow }
-	degrade := func(npe int) detector.Detector { return slow }
+	cons := constellation.MustNew(e2eQAM)
+	flex := func() detector.Detector { return core.New(cons, core.Options{NPE: e2eNPE}) }
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"ladder without factory", Config{DetectorFactory: factory, DegradeLadder: []int{8, 4}}},
-		{"non-decreasing ladder", Config{DetectorFactory: factory, DegradeFactory: degrade, DegradeLadder: []int{4, 8}}},
-		{"non-positive rung", Config{DetectorFactory: factory, DegradeFactory: degrade, DegradeLadder: []int{8, 0}}},
+		{"ladder with an uncappable detector", Config{DetectorFactory: func() detector.Detector { return slow }, DegradeLadder: []int{8, 4}}},
+		{"non-decreasing ladder", Config{DetectorFactory: flex, DegradeLadder: []int{4, 8}}},
+		{"non-positive rung", Config{DetectorFactory: flex, DegradeLadder: []int{8, 0}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -186,16 +307,22 @@ func TestDegradeConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRungMapping pins the pressure controller's depth→rung curve.
+// TestRungMapping pins the pressure controller's depth→rung curve, and
+// that a ladder costs no detectors: one per worker, whatever its length.
 func TestRungMapping(t *testing.T) {
-	slow := newSlowDetector()
-	close(slow.gate)
+	cons := constellation.MustNew(e2eQAM)
+	built := 0
 	srv, err := NewServer(Config{
+		Shards:          2,
+		WorkersPerShard: 3,
 		QueueDepth:      8,
 		DegradeStart:    0.25,
 		DegradeLadder:   []int{8, 4},
-		DetectorFactory: func() detector.Detector { return slow },
-		DegradeFactory:  func(npe int) detector.Detector { return slow },
+		DetectorFactory: func() detector.Detector {
+			built++
+			return core.New(cons, core.Options{NPE: e2eNPE})
+		},
+		DegradeFactory: noDegradeFactory(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +332,9 @@ func TestRungMapping(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
+	if built != 2*3 {
+		t.Fatalf("a 2×3 server with a two-rung ladder built %d detectors, want 6", built)
+	}
 	want := map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2, 8: 2, 9: 2}
 	for depth, rung := range want {
 		if got := srv.rung(depth); got != rung {

@@ -351,14 +351,11 @@ func TestMetricsSnapshotShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Metrics()
-	if snap.Shards != 3 || len(snap.QueueDepths) != 3 {
-		t.Fatalf("shards %d, queue depths %v", snap.Shards, snap.QueueDepths)
+	if snap.Shards != 3 || len(snap.ShardStats) != 3 {
+		t.Fatalf("shards %d, shard_stats has %d entries, want 3 and 3", snap.Shards, len(snap.ShardStats))
 	}
 	if snap.WorkersPerShard != 2 {
 		t.Fatalf("workers_per_shard %d, want 2", snap.WorkersPerShard)
-	}
-	if len(snap.ShardStats) != 3 {
-		t.Fatalf("shard_stats has %d entries, want 3", len(snap.ShardStats))
 	}
 	var tracked, hwm int
 	var hits, misses int64

@@ -86,14 +86,11 @@ type ShardStats struct {
 // Snapshot is a point-in-time view of the server's metrics — the JSON
 // document served by the metrics endpoint.
 type Snapshot struct {
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	Shards          int     `json:"shards"`
-	WorkersPerShard int     `json:"workers_per_shard"`
-	QueueCapacity   int     `json:"queue_capacity"`
-	// QueueDepths is the instantaneous admission-queue depth per shard
-	// (ShardStats carries the rest of the per-shard gauges).
-	QueueDepths []int        `json:"queue_depths"`
-	ShardStats  []ShardStats `json:"shard_stats"`
+	UptimeSeconds   float64      `json:"uptime_seconds"`
+	Shards          int          `json:"shards"`
+	WorkersPerShard int          `json:"workers_per_shard"`
+	QueueCapacity   int          `json:"queue_capacity"`
+	ShardStats      []ShardStats `json:"shard_stats"`
 
 	Accepted  int64 `json:"accepted"`
 	Completed int64 `json:"completed"`
@@ -155,7 +152,6 @@ func (s *Server) Metrics() Snapshot {
 		Shards:           len(s.shards),
 		WorkersPerShard:  s.cfg.WorkersPerShard,
 		QueueCapacity:    s.cfg.QueueDepth,
-		QueueDepths:      make([]int, len(s.shards)),
 		ShardStats:       make([]ShardStats, len(s.shards)),
 		Accepted:         s.met.accepted.Load(),
 		Completed:        s.met.completed.Load(),
@@ -193,7 +189,6 @@ func (s *Server) Metrics() Snapshot {
 			activeN += w.activeN
 			w.mu.Unlock()
 		}
-		snap.QueueDepths[i] = st.QueueDepth
 		snap.ShardStats[i] = st
 	}
 	if activeN > 0 {

@@ -156,8 +156,8 @@ func TestOverloadRejectsExplicitly(t *testing.T) {
 	if snap.RejectedOverload != extra {
 		t.Fatalf("rejected_overload %d, want %d", snap.RejectedOverload, extra)
 	}
-	if snap.QueueDepths[0] > depth {
-		t.Fatalf("queue depth %d exceeds capacity %d — memory is unbounded", snap.QueueDepths[0], depth)
+	if got := snap.ShardStats[0].QueueDepth; got > depth {
+		t.Fatalf("queue depth %d exceeds capacity %d — memory is unbounded", got, depth)
 	}
 
 	// Begin shutdown: the backlog keeps draining, new work is rejected

@@ -57,15 +57,20 @@ type Config struct {
 	// flexibility knob entering the serve path as load shedding: lowering
 	// N_PE only relaxes the decision metric (the PR 2 monotonicity
 	// invariant), so a degraded frame is a coarser answer, never a
-	// corrupted one. Empty disables degradation. Entries must be positive
-	// and strictly decreasing; DegradeFactory is then required.
+	// corrupted one. A rung is a per-frame path cap on the worker's one
+	// detector (phy.PathCapper), so a degraded frame goes through the
+	// user's cross-frame reuse state like any other and is bit-identical
+	// to offline detection at the rung's N_PE. Empty disables
+	// degradation. Entries must be positive, strictly decreasing and
+	// below the detector's own N_PE (a cap at or above it lifts nothing
+	// and still reports the rung); the factory's detectors must then
+	// accept a cap.
 	DegradeLadder []int
-	// DegradeFactory builds one detector at the given rung N_PE (one per
-	// worker per rung, same statefulness rule as DetectorFactory).
-	// Degraded frames never touch the per-user cross-frame reuse state:
-	// cached candidate paths are N_PE-specific, and keeping the rungs
-	// isolated preserves bit-identity with offline detection at both the
-	// full and the degraded N_PE.
+	// DegradeFactory is ignored and never called.
+	//
+	// Deprecated: rungs no longer own detectors. The field is kept only
+	// because bench/serve.go assigns it and bench/ is frozen outside
+	// benchmark PRs; the next benchmark PR deletes both (ROADMAP item 1).
 	DegradeFactory func(npe int) detector.Detector
 	// DegradeStart is the queue-fill fraction (waiting/QueueDepth) at
 	// which degradation begins; the ladder's rungs divide the remaining
@@ -159,24 +164,13 @@ type shard struct {
 	waitHWM int          // high-watermark of waiting since start
 }
 
-// lane is one degraded detection rung of a worker: its own detector at
-// the rung's N_PE plus the FrameDetector wrapping it. Lanes never see
-// per-user reuse state (cached candidate paths are N_PE-specific).
-type lane struct {
-	npe int
+// shardWorker is one worker goroutine's state: its one detector and
+// FrameDetector (detectors are stateful) — every rung of the degrade
+// ladder runs on it, as a path cap — the write-coalescing dirty list,
+// and the op counters it publishes after every frame.
+type shardWorker struct {
 	det detector.Detector
 	fd  *phy.FrameDetector
-}
-
-// shardWorker is one worker goroutine's state: its own detector and
-// FrameDetector (detectors are stateful), the degradation lanes, the
-// write-coalescing dirty list, and the op counters it publishes after
-// every frame.
-type shardWorker struct {
-	det     detector.Detector
-	fd      *phy.FrameDetector
-	reuseOK bool   // detector supports external reuse keying
-	lanes   []lane // one per DegradeLadder rung, full→coarse
 
 	// dirty lists the connections holding buffered responses this worker
 	// has not flushed yet. Flushed before the worker blocks on an empty
@@ -233,14 +227,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DetectorFactory == nil {
 		return nil, fmt.Errorf("serve: Config.DetectorFactory is required")
 	}
-	if len(cfg.DegradeLadder) > 0 {
-		if cfg.DegradeFactory == nil {
-			return nil, fmt.Errorf("serve: Config.DegradeFactory is required with a DegradeLadder")
-		}
-		for i, npe := range cfg.DegradeLadder {
-			if npe <= 0 || (i > 0 && npe >= cfg.DegradeLadder[i-1]) {
-				return nil, fmt.Errorf("serve: Config.DegradeLadder must be positive and strictly decreasing")
-			}
+	for i, npe := range cfg.DegradeLadder {
+		if npe <= 0 || (i > 0 && npe >= cfg.DegradeLadder[i-1]) {
+			return nil, fmt.Errorf("serve: Config.DegradeLadder must be positive and strictly decreasing")
 		}
 	}
 	cfg = cfg.withDefaults()
@@ -258,6 +247,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return t
 	}
 	s.shards = make([]*shard, cfg.Shards)
+	var uncappable detector.Detector
 	for i := range s.shards {
 		sh := &shard{
 			runnable: make(chan *task, cfg.QueueDepth),
@@ -266,19 +256,35 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		for j := range sh.workers {
 			det := cfg.DetectorFactory()
-			w := &shardWorker{det: det, fd: phy.NewFrameDetector(det)}
-			w.reuseOK = w.fd.SetReuseState(nil)
-			for _, npe := range cfg.DegradeLadder {
-				ld := cfg.DegradeFactory(npe)
-				w.lanes = append(w.lanes, lane{npe: npe, det: ld, fd: phy.NewFrameDetector(ld)})
+			sh.workers[j] = &shardWorker{det: det, fd: phy.NewFrameDetector(det)}
+			if len(cfg.DegradeLadder) > 0 && !sh.workers[j].fd.SetPathCap(0) {
+				uncappable = det
 			}
-			sh.workers[j] = w
-			s.workerWG.Add(1)
-			go s.runWorker(sh, w)
 		}
 		s.shards[i] = sh
 	}
+	if uncappable != nil {
+		for _, sh := range s.shards {
+			for _, w := range sh.workers {
+				closeDetector(w.det)
+			}
+		}
+		return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", uncappable.Name())
+	}
+	for _, sh := range s.shards {
+		for _, w := range sh.workers {
+			s.workerWG.Add(1)
+			go s.runWorker(sh, w)
+		}
+	}
 	return s, nil
+}
+
+// closeDetector releases a factory-built detector that holds resources.
+func closeDetector(d detector.Detector) {
+	if c, ok := d.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // shardIndex maps a user ID to its shard: a SplitMix64 finalizer
@@ -321,14 +327,7 @@ func (s *Server) runWorker(sh *shard, w *shardWorker) {
 		}
 	}
 	s.flushDirty(w)
-	if c, ok := w.det.(interface{ Close() }); ok {
-		c.Close()
-	}
-	for i := range w.lanes {
-		if c, ok := w.lanes[i].det.(interface{ Close() }); ok {
-			c.Close()
-		}
-	}
+	closeDetector(w.det)
 }
 
 // nextTask returns the next runnable chain head, or nil once the queue
@@ -427,38 +426,37 @@ func (s *Server) expire(t *task) {
 }
 
 // process runs the ingest→detect→respond hot path for one admitted
-// task: install the user's cross-frame reuse bases, detect every
-// subcarrier burst through the worker's FrameDetector, streaming the
-// decisions straight into the response payload, frame it, publish the
-// worker's op counters and record the latency. Everything it touches is
-// task-, user- or worker-owned and reused — the AllocsPerRun gate
-// (alloc_test.go) pins this path at 0 allocs/op in steady state.
+// task: cap the worker's detector at the task's rung (0 lifts the cap),
+// install the user's cross-frame reuse bases — degraded frames share
+// them: a base selected at a larger N_PE serves the rung by prefix —
+// detect every subcarrier burst through the worker's FrameDetector,
+// streaming the decisions straight into the response payload, frame it,
+// publish the worker's op counters and record the latency. Everything
+// it touches is task-, user- or worker-owned and reused — the
+// AllocsPerRun gate (alloc_test.go) pins this path at 0 allocs/op in
+// steady state.
 //
 //flexcore:noalloc
 func (s *Server) process(w *shardWorker, t *task) {
 	q := &t.req
-	fd, npe := w.fd, 0
-	if t.rung > 0 && len(w.lanes) > 0 {
-		// Degraded rung: detect on the rung's own lane at its lower N_PE
-		// and report it in the response. Lanes never touch the per-user
-		// reuse state — cached candidate paths are N_PE-specific.
-		ln := &w.lanes[t.rung-1]
-		fd, npe = ln.fd, ln.npe
+	npe := 0
+	if t.rung > 0 {
+		npe = s.cfg.DegradeLadder[t.rung-1]
 		s.met.degraded.Add(1)
-	} else if w.reuseOK && t.user != nil {
+	}
+	w.fd.SetPathCap(npe)
+	if t.user != nil {
 		w.fd.SetReuseState(&t.user.reuse)
 	}
 	t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusOK, npe, q.Nt, q.Subcarriers, q.Symbols)
-	if err := fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
+	if err := w.fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
 		// Geometry was validated at decode time, so detector errors are
 		// unexpected — answer them as an explicit rejection, never a
 		// silent drop.
 		t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusInvalid, 0, 0, 0, 0)
 		s.met.rejectedInvalid.Add(1)
 	}
-	if npe == 0 && w.reuseOK {
-		w.fd.SetReuseState(nil)
-	}
+	w.fd.SetReuseState(nil)
 	t.wire = AppendFrame(t.wire[:0], MsgResult, t.payload)
 	s.publish(w)
 	s.met.observe(time.Since(t.enq)) //lint:ignore determinism wall-clock latency metric only — decisions are already encoded at this point
@@ -539,16 +537,6 @@ func (s *Server) publish(w *shardWorker) {
 		pre = pr.PreprocessStats()
 	}
 	activeSum, activeN := w.fd.ActivePEs()
-	for i := range w.lanes {
-		ln := &w.lanes[i]
-		ops.Add(ln.det.OpCount())
-		if pr, ok := ln.det.(preprocessReporter); ok {
-			pre.Add(pr.PreprocessStats())
-		}
-		as, an := ln.fd.ActivePEs()
-		activeSum += as
-		activeN += an
-	}
 	w.mu.Lock()
 	w.ops = ops
 	w.pre = pre
