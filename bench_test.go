@@ -217,52 +217,30 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWorkers measures the goroutine-pool path evaluation
-// against sequential evaluation (FlexCore's embarrassing parallelism).
-func BenchmarkAblationWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			det := flexcore.New(flexcore.MustConstellation(64), flexcore.Options{NPE: 512, Workers: workers})
-			y := detectSetup(b, det, 64, 12, 21.6, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det.Detect(y)
-			}
-		})
-	}
-}
-
 // BenchmarkDetectBatch measures the zero-allocation burst entry point
-// across path budgets and pool sizes: one call detects a 12-symbol OFDM
-// burst on a 12×12 64-QAM channel. Steady state must report 0 allocs/op.
+// across path budgets: one call detects a 12-symbol OFDM burst on a
+// 12×12 64-QAM channel. Steady state must report 0 allocs/op.
 func BenchmarkDetectBatch(b *testing.B) {
 	cons := flexcore.MustConstellation(64)
 	for _, npe := range []int{64, 512} {
-		workerCounts := []int{1, 4}
-		if n := runtime.NumCPU(); n != 1 && n != 4 {
-			workerCounts = append(workerCounts, n)
-		}
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("npe=%d/workers=%d", npe, workers), func(b *testing.B) {
-				det := flexcore.New(cons, flexcore.Options{NPE: npe, Workers: workers})
-				defer det.Close()
-				y := detectSetup(b, det, 64, 12, 21.6, 0)
-				rng := channel.NewRNG(77)
-				ys := make([][]complex128, 12)
-				for s := range ys {
-					v := make([]complex128, len(y))
-					copy(v, y)
-					channel.AddAWGN(rng, v, 0.01)
-					ys[s] = v
-				}
-				det.DetectBatch(ys) // warm scratch and pool
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					det.DetectBatch(ys)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("npe=%d", npe), func(b *testing.B) {
+			det := flexcore.New(cons, flexcore.Options{NPE: npe})
+			y := detectSetup(b, det, 64, 12, 21.6, 0)
+			rng := channel.NewRNG(77)
+			ys := make([][]complex128, 12)
+			for s := range ys {
+				v := make([]complex128, len(y))
+				copy(v, y)
+				channel.AddAWGN(rng, v, 0.01)
+				ys[s] = v
+			}
+			det.DetectBatch(ys) // warm scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				det.DetectBatch(ys)
+			}
+		})
 	}
 }
 
@@ -371,7 +349,6 @@ func benchPrepareSetup() ([]*cmatrix.Matrix, float64, *flexcore.Constellation) {
 func BenchmarkPrepareSingle(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
 	det := flexcore.New(cons, flexcore.Options{NPE: 128})
-	defer det.Close()
 	if err := det.Prepare(hs[0], sigma2); err != nil {
 		b.Fatal(err)
 	}
@@ -390,7 +367,6 @@ func BenchmarkPrepareSingle(b *testing.B) {
 func BenchmarkPrepareCachedRePrepare(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
 	det := flexcore.New(cons, flexcore.Options{NPE: 128, PathReuse: true, ReuseThreshold: 0})
-	defer det.Close()
 	for i := 0; i < 2; i++ { // warm: miss, then first hit
 		if err := det.Prepare(hs[0], sigma2); err != nil {
 			b.Fatal(err)
@@ -412,7 +388,6 @@ func BenchmarkPrepareFrame(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
 	b.Run("loop", func(b *testing.B) {
 		det := flexcore.New(cons, flexcore.Options{NPE: 128})
-		defer det.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -433,7 +408,6 @@ func BenchmarkPrepareFrame(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			det := flexcore.New(cons, v.opts)
-			defer det.Close()
 			if err := det.PrepareAll(hs, sigma2); err != nil {
 				b.Fatal(err)
 			}

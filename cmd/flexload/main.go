@@ -58,7 +58,6 @@ type config struct {
 	npe          int
 	threshold    float64
 	strict       bool
-	detWorkers   int
 	reuse        float64
 	backend      string
 
@@ -123,7 +122,6 @@ func main() {
 	flag.IntVar(&c.npe, "npe", 64, "[spawn] FlexCore processing elements")
 	flag.Float64Var(&c.threshold, "threshold", 0, "[spawn] a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
 	flag.BoolVar(&c.strict, "strict", false, "[spawn] strict PE deactivation (paper §3.2 literal: out-of-constellation kills the path)")
-	flag.IntVar(&c.detWorkers, "detworkers", 1, "[spawn] per-detector worker pool")
 	flag.Float64Var(&c.reuse, "reuse", -1, "[spawn] Prepare-reuse coherence threshold, keyed per user (<0 = off; 0 = exact-match, output-neutral)")
 	flag.StringVar(&c.backend, "backend", "", "[spawn] kernel backend: complex128 (default) or soa32")
 	flag.IntVar(&c.conns, "conns", 4, "pipelined client connections")
@@ -216,7 +214,7 @@ func spawnServer(c *config) (*serve.Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown backend %q", c.backend)
 	}
-	opts := core.Options{NPE: c.npe, Threshold: c.threshold, StrictDeactivation: c.strict, Workers: c.detWorkers, Backend: backend}
+	opts := core.Options{NPE: c.npe, Threshold: c.threshold, StrictDeactivation: c.strict, Backend: backend}
 	if c.reuse >= 0 {
 		opts.PathReuse = true
 		opts.ReuseThreshold = c.reuse
@@ -389,7 +387,7 @@ func run(c *config) (*result, error) {
 		Config: map[string]any{
 			"addr": c.addr, "spawn": c.spawn, "shards": c.shards,
 			"shardworkers": c.shardWorkers, "queue": c.queue, "qam": c.qam,
-			"npe": c.npe, "threshold": c.threshold, "strict": c.strict, "detworkers": c.detWorkers, "reuse": c.reuse,
+			"npe": c.npe, "threshold": c.threshold, "strict": c.strict, "reuse": c.reuse,
 			"backend": c.backend, "conns": c.conns, "users": c.users,
 			"frames": c.frames, "inflight": c.inflight, "rate": c.rate,
 			"coherence": c.coherence, "seed": c.seed,

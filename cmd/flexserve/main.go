@@ -48,7 +48,6 @@ func main() {
 	qam := flag.Int("qam", 16, "QAM order served (4, 16, 64, 256, 1024)")
 	npe := flag.Int("npe", 64, "FlexCore processing elements per detector")
 	threshold := flag.Float64("threshold", 0, "a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
-	workers := flag.Int("workers", 0, "per-detector worker pool (0/1 = sequential; decisions are identical for any value)")
 	reuse := flag.Float64("reuse", -1, "coherence threshold for position-vector reuse, within frames and per user across frames (<0 = off; 0 = exact-match, output-neutral)")
 	backendName := flag.String("backend", "", "kernel backend: complex128 (default) or soa32")
 	ladder := flag.String("ladder", "", "comma-separated descending N_PE degradation rungs (e.g. 128,32 under -npe 512); empty disables graceful degradation")
@@ -71,7 +70,6 @@ func main() {
 	opts := core.Options{
 		NPE:       *npe,
 		Threshold: *threshold,
-		Workers:   *workers,
 		Backend:   backend,
 	}
 	if *reuse >= 0 {
@@ -126,8 +124,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("flexserve: %d-QAM, %d shards × %d workers × (NPE=%d, detworkers=%d, backend=%s), queue depth %d\n",
-		*qam, *shards, *shardWorkers, *npe, *workers, backend, *queue)
+	fmt.Printf("flexserve: %d-QAM, %d shards × %d workers × (NPE=%d, backend=%s), queue depth %d\n",
+		*qam, *shards, *shardWorkers, *npe, backend, *queue)
 	if len(rungs) > 0 {
 		fmt.Printf("flexserve: degradation ladder %v (start at %.0f%% queue fill)\n", rungs, scfg.DegradeStart*100)
 	}

@@ -23,7 +23,7 @@ func testServer(t *testing.T) *serve.Server {
 	srv, err := serve.NewServer(serve.Config{
 		Shards: 1,
 		DetectorFactory: func() detector.Detector {
-			return core.New(cons, core.Options{NPE: 8, Workers: 1})
+			return core.New(cons, core.Options{NPE: 8})
 		},
 	})
 	if err != nil {

@@ -40,7 +40,6 @@ func main() {
 	soft := flag.Bool("soft", false, "soft-decision decoding (flexcore/aflexcore only)")
 	pilots := flag.Int("pilots", 0, "LS channel estimation from this many pilot symbols (0 = genie CSI)")
 	workers := flag.Int("workers", 1, "packet-level simulation parallelism (0 = all cores); results are identical for any value")
-	detWorkers := flag.Int("detworkers", 0, "flexcore/aflexcore internal worker pool (0/1 = sequential; detection results are identical for any value)")
 	reuse := flag.Float64("reuse", -1, "coherence threshold for flexcore position-vector reuse across subcarriers (<0 = off; 0 = exact-match only; typical 0.05–0.2)")
 	backendName := flag.String("backend", "", "flexcore/aflexcore kernel backend: complex128 (default) or soa32 (float32 structure-of-arrays fast path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -88,7 +87,7 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown backend %q (want complex128 or soa32)", *backendName))
 	}
-	det, err := makeDetector(strings.ToLower(*detName), cons, *npe, *detWorkers, *reuse, backend)
+	det, err := makeDetector(strings.ToLower(*detName), cons, *npe, *reuse, backend)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,9 +118,9 @@ func main() {
 		// instance then only serves the Name/OpCount report below.
 		cfg.Detector = nil
 		cfg.Workers = *workers
-		name, q, dw, ru := strings.ToLower(*detName), *npe, *detWorkers, *reuse
+		name, q, ru := strings.ToLower(*detName), *npe, *reuse
 		cfg.DetectorFactory = func() detector.Detector {
-			d, err := makeDetector(name, cons, q, dw, ru, backend)
+			d, err := makeDetector(name, cons, q, ru, backend)
 			if err != nil {
 				fatal(err)
 			}
@@ -156,8 +155,8 @@ func main() {
 	}
 }
 
-func makeDetector(name string, cons *constellation.Constellation, npe, detWorkers int, reuse float64, backend core.Backend) (detector.Detector, error) {
-	opts := core.Options{NPE: npe, Workers: detWorkers, Backend: backend}
+func makeDetector(name string, cons *constellation.Constellation, npe int, reuse float64, backend core.Backend) (detector.Detector, error) {
+	opts := core.Options{NPE: npe, Backend: backend}
 	if reuse >= 0 {
 		opts.PathReuse = true
 		opts.ReuseThreshold = reuse

@@ -23,8 +23,8 @@
 //	symbols := det.Detect(y)
 //
 // For OFDM frames, the channel-rate fast path prepares every subcarrier
-// in one call (fanning across Options.Workers, and reusing position
-// vectors across coherent subcarriers when Options.PathReuse is set):
+// in one call (reusing position vectors across coherent subcarriers when
+// Options.PathReuse is set):
 //
 //	if err := det.PrepareAll(hs, sigma2); err != nil { ... }
 //	for k := range hs {
@@ -65,8 +65,7 @@ type Detector = detector.Detector
 // BatchDetector is a Detector with an amortised burst entry point:
 // DetectBatch detects a whole slice of received vectors (e.g. every OFDM
 // symbol of a packet on one subcarrier) in one call. FlexCore implements
-// it natively (fanning vectors across its persistent worker pool); wrap
-// any other detector with AsBatchDetector.
+// it natively; wrap any other detector with AsBatchDetector.
 type BatchDetector = detector.BatchDetector
 
 // AsBatchDetector returns d's native batch implementation when it has

@@ -28,6 +28,18 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
+// Reshape returns a rows×cols matrix for the caller to overwrite: m
+// itself, re-dimensioned over its own storage with unspecified contents,
+// when that storage is large enough, and a new matrix otherwise (m may be
+// nil). It lets a reused buffer regrow only past its high-water mark.
+func Reshape(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)

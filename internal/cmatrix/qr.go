@@ -273,17 +273,14 @@ func (ws *QRWorkspace) ensure(m, n int) {
 }
 
 // ensureResult points out's factors at reusable buffers of the right
-// shape, zeroing reused storage (R's strict lower triangle must read as
-// zero for consumers that scan the full matrix).
+// shape, sized by capacity so a result alternating between geometries
+// regrows only past its high-water mark. R is zeroed (its strict lower
+// triangle must read as zero for consumers that scan the full matrix);
+// Q is overwritten whole by the factorisation.
 func ensureResult(out *QRResult, m, n int) {
-	if out.Q == nil || out.Q.Rows != m || out.Q.Cols != n {
-		out.Q = New(m, n)
-	}
-	if out.R == nil || out.R.Rows != n || out.R.Cols != n {
-		out.R = New(n, n)
-	} else {
-		clear(out.R.Data)
-	}
+	out.Q = Reshape(out.Q, m, n)
+	out.R = Reshape(out.R, n, n)
+	clear(out.R.Data)
 	if cap(out.Perm) < n {
 		out.Perm = make([]int, n)
 	}

@@ -56,7 +56,6 @@ func TestSoA32MatchesGoldenFlexCoreDecisions(t *testing.T) {
 			if want == nil {
 				t.Fatalf("case %s: fixture has no detector %q", p.name, scalar.Name())
 			}
-			scalar.Close()
 			opts.Backend = core.BackendSoA32
 			fc := core.New(c.Cons, opts)
 			if err := fc.Prepare(c.H, c.Sigma2); err != nil {
@@ -69,7 +68,6 @@ func TestSoA32MatchesGoldenFlexCoreDecisions(t *testing.T) {
 						p.name, v, fc.Name(), got, want.Indices[v])
 				}
 			}
-			fc.Close()
 		}
 	}
 }
@@ -112,8 +110,6 @@ func TestSoA32MatchesComplex128OnMLEnsembles(t *testing.T) {
 						c.Seed, v, npe, d32, d64)
 				}
 			}
-			fc64.Close()
-			fc32.Close()
 		}
 	})
 }

@@ -246,9 +246,7 @@ func allDetectors(c *Case) []detector.Detector {
 		detector.NewLRZF(c.Cons),
 		core.New(c.Cons, core.Options{NPE: 8}),
 		core.New(c.Cons, core.Options{NPE: 16, Threshold: 0.95}),
-		core.New(c.Cons, core.Options{NPE: 16, Workers: 4}),
 		core.New(c.Cons, core.Options{NPE: 8, Backend: core.BackendSoA32}),
-		core.New(c.Cons, core.Options{NPE: 16, Workers: 4, Backend: core.BackendSoA32}),
 	}
 }
 
@@ -275,9 +273,6 @@ func TestDetectBatchMatchesLoopedDetect(t *testing.T) {
 			if !equalIntSlices(got[v], want[v]) {
 				t.Fatalf("%s vector %d: batch %v, looped Detect %v", det.Name(), v, got[v], want[v])
 			}
-		}
-		if fc, ok := det.(*core.FlexCore); ok {
-			fc.Close()
 		}
 	}
 }
@@ -323,9 +318,6 @@ func TestOpCountMonotoneAndConsistent(t *testing.T) {
 		}
 		if per := det.OpCount().PerDetection(); per.Detections != 1 {
 			t.Fatalf("%s: PerDetection.Detections = %d", det.Name(), per.Detections)
-		}
-		if fc, ok := det.(*core.FlexCore); ok {
-			fc.Close()
 		}
 	}
 }

@@ -3,7 +3,6 @@ package conformance
 import (
 	"testing"
 
-	"flexcore/internal/core"
 	"flexcore/internal/detector"
 )
 
@@ -65,11 +64,6 @@ func FuzzDetect(f *testing.F) {
 						}
 					}
 				}
-			}
-		}
-		for _, det := range dets {
-			if fc, ok := det.(*core.FlexCore); ok {
-				fc.Close()
 			}
 		}
 	})

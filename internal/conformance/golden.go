@@ -200,9 +200,6 @@ func GenerateGoldenSuite() (*GoldenSuite, error) {
 				gd.Indices[v] = append([]int(nil), det.Detect(c.Y[v])...)
 			}
 			gc.Detectors = append(gc.Detectors, gd)
-			if fc, ok := det.(*core.FlexCore); ok {
-				fc.Close()
-			}
 		}
 		suite.Cases = append(suite.Cases, gc)
 	}

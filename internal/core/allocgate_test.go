@@ -25,7 +25,6 @@ func TestPrepareSteadyStateAllocFree(t *testing.T) {
 	const nr, nt = 8, 4
 	hs := frameChannels(401, nr, nt, 2)
 	fc := New(cons, Options{NPE: 32})
-	defer fc.Close()
 	for _, h := range hs {
 		if err := fc.Prepare(h, 0.05); err != nil {
 			t.Fatal(err)
@@ -45,33 +44,28 @@ func TestPrepareSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestPrepareAllSteadyStateAllocFree gates the frame pipeline across the
-// worker × reuse matrix: once a frame of the target shape has been
-// prepared, re-preparing a same-shape frame must not allocate — QR
-// workspaces, per-slot path arenas, the miss list and the pool dispatch
-// all run from retained storage.
+// TestPrepareAllSteadyStateAllocFree gates the frame pipeline with and
+// without the coherence chain: once a frame of the target shape has been
+// prepared, re-preparing a same-shape frame must not allocate — the QR
+// workspace and the per-slot path arenas run from retained storage.
 func TestPrepareAllSteadyStateAllocFree(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nr, nt, nSC = 6, 4, 12
 	fa := frameChannels(402, nr, nt, nSC)
 	fb := frameChannels(403, nr, nt, nSC)
 	for _, tc := range []struct {
-		name    string
-		workers int
-		reuse   bool
+		name  string
+		reuse bool
 	}{
-		{"seq", 1, false},
-		{"seq-reuse", 1, true},
-		{"par", 4, false},
-		{"par-reuse", 4, true},
+		{"seq", false},
+		{"seq-reuse", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{NPE: 32, Workers: tc.workers, PathReuse: tc.reuse}
+			opts := Options{NPE: 32, PathReuse: tc.reuse}
 			if tc.reuse {
 				opts.ReuseThreshold = 0.05
 			}
 			fc := New(cons, opts)
-			defer fc.Close()
 			if err := fc.PrepareAll(fa, 0.05); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +100,6 @@ func TestSelectAllocFree(t *testing.T) {
 	for _, bb := range benchBackends {
 		t.Run(bb.name, func(t *testing.T) {
 			fc := New(cons, Options{NPE: 32, Backend: bb.backend})
-			defer fc.Close()
 			if err := fc.PrepareAll(hs, 0.05); err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +141,6 @@ func TestPrepareAllRegrowThenSettle(t *testing.T) {
 	small := frameChannels(405, 6, 4, 4)
 	big := frameChannels(406, 6, 4, 16)
 	fc := New(cons, Options{NPE: 32})
-	defer fc.Close()
 	if err := fc.PrepareAll(small, 0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +179,6 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 	for _, bb := range benchBackends {
 		t.Run(bb.name, func(t *testing.T) {
 			fc := New(cons, Options{NPE: 32, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend})
-			defer fc.Close()
 			var st ReuseState
 			fc.SetReuseState(&st)
 			for _, hs := range [][]*cmatrix.Matrix{fa, fa, fb, fb} { // warm both hit and re-base paths
@@ -235,7 +226,6 @@ func TestPathCapSteadyStateAllocFree(t *testing.T) {
 	for _, bb := range benchBackends {
 		t.Run(bb.name, func(t *testing.T) {
 			fc := New(cons, Options{NPE: 32, PathReuse: true, Backend: bb.backend})
-			defer fc.Close()
 			var st ReuseState
 			fc.SetReuseState(&st)
 			i := 0
@@ -303,6 +293,53 @@ func TestFinderAlternatingGeometryAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("alternating 4- and 8-level searches (plan=%v): %.1f allocs/op after warm-up, want 0", plan, allocs)
+		}
+	}
+}
+
+// TestPrepareAllAlternatingGeometryAllocFree gates the detector's arena
+// policy under mixed-geometry traffic: one detector preparing 4×4 and
+// 8×8 frames in turn — a serve worker whose consecutive frames come from
+// users of two geometries — must settle at the high-water mark of the
+// per-slot Q/R factors and, with a ReuseState installed, of every base
+// R, instead of reallocating whenever the shape changes.
+func TestPrepareAllAlternatingGeometryAllocFree(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nSC = 6
+	small := [2][]*cmatrix.Matrix{frameChannels(1901, 4, 4, nSC), frameChannels(1902, 4, 4, nSC)}
+	big := [2][]*cmatrix.Matrix{frameChannels(1903, 8, 8, nSC), frameChannels(1904, 8, 8, nSC)}
+	y := make([]complex128, 8)
+	for _, bb := range benchBackends {
+		for _, withState := range []bool{false, true} {
+			fc := New(cons, Options{NPE: 32, PathReuse: withState, Backend: bb.backend})
+			// One state shared by both geometries: every frame finds bases
+			// of the other shape, misses, and re-bases all of them.
+			var st ReuseState
+			if withState {
+				fc.SetReuseState(&st)
+			}
+			i := 0
+			frame := func() {
+				i++
+				hs := small[i/2%2]
+				if i%2 == 0 {
+					hs = big[i/2%2]
+				}
+				if err := fc.PrepareAll(hs, 0.05); err != nil {
+					t.Fatal(err)
+				}
+				for k := range hs {
+					fc.Select(k)
+					fc.Detect(y[:hs[k].Rows])
+				}
+			}
+			for w := 0; w < 4; w++ {
+				frame()
+			}
+			if allocs := testing.AllocsPerRun(20, frame); allocs != 0 {
+				t.Errorf("%s, ReuseState %v: alternating 4×4 and 8×8 frames: %.1f allocs/op after warm-up, want 0",
+					bb.name, withState, allocs)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,37 +35,28 @@ func makeBurst(t testing.TB, opts Options, nt, vectors int, seed uint64) (*FlexC
 }
 
 func TestDetectBatchMatchesDetect(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		fc, ys, _ := makeBurst(t, Options{NPE: 32, Workers: workers}, 8, 12, 301)
-		defer fc.Close()
-		want := make([][]int, len(ys))
-		for v, y := range ys {
-			want[v] = append([]int(nil), fc.Detect(y)...)
-		}
-		got := fc.DetectBatch(ys)
-		if len(got) != len(ys) {
-			t.Fatalf("workers=%d: %d results for %d vectors", workers, len(got), len(ys))
-		}
-		for v := range got {
-			if !equalInts(got[v], want[v]) {
-				t.Fatalf("workers=%d vector %d: batch %v, loop %v", workers, v, got[v], want[v])
-			}
+	fc, ys, _ := makeBurst(t, Options{NPE: 32}, 8, 12, 301)
+	want := make([][]int, len(ys))
+	for v, y := range ys {
+		want[v] = append([]int(nil), fc.Detect(y)...)
+	}
+	got := fc.DetectBatch(ys)
+	if len(got) != len(ys) {
+		t.Fatalf("%d results for %d vectors", len(got), len(ys))
+	}
+	for v := range got {
+		if !equalInts(got[v], want[v]) {
+			t.Fatalf("vector %d: batch %v, loop %v", v, got[v], want[v])
 		}
 	}
 }
 
 func TestDetectBatchEmptyAndSingle(t *testing.T) {
-	fc, ys, _ := makeBurst(t, Options{NPE: 16, Workers: 4}, 6, 1, 302)
-	defer fc.Close()
+	fc, ys, _ := makeBurst(t, Options{NPE: 16}, 6, 1, 302)
 	if got := fc.DetectBatch(nil); len(got) != 0 {
 		t.Fatalf("nil burst returned %d results", len(got))
 	}
-	// A one-vector burst must not need the pool (batch fan-out is over
-	// vectors, and one vector short-circuits to the sequential kernel).
 	got := append([]int(nil), fc.DetectBatch(ys[:1])[0]...)
-	if fc.pool != nil {
-		t.Fatal("one-vector burst spun up the worker pool")
-	}
 	want := fc.Detect(ys[0])
 	if !equalInts(got, want) {
 		t.Fatalf("single-vector burst: got %v want %v", got, want)
@@ -80,8 +72,7 @@ func TestDetectBatchConcurrentInstances(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			fc, ys, _ := makeBurst(t, Options{NPE: 24, Workers: 2}, 6, 8, 303+uint64(g))
-			defer fc.Close()
+			fc, ys, _ := makeBurst(t, Options{NPE: 24}, 6, 8, 303+uint64(g))
 			for i := 0; i < 20; i++ {
 				if got := fc.DetectBatch(ys); len(got) != len(ys) {
 					t.Errorf("goroutine %d: %d results", g, len(got))
@@ -94,48 +85,63 @@ func TestDetectBatchConcurrentInstances(t *testing.T) {
 }
 
 func TestDetectSteadyStateAllocFree(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		fc, ys, _ := makeBurst(t, Options{NPE: 32, Workers: workers}, 8, 4, 304)
-		fc.Detect(ys[0]) // warm the scratch (and the pool, if any)
-		if n := testing.AllocsPerRun(50, func() { fc.Detect(ys[1]) }); n != 0 {
-			t.Errorf("Detect workers=%d: %.1f allocs/op in steady state", workers, n)
-		}
-		fc.DetectBatch(ys)
-		if n := testing.AllocsPerRun(50, func() { fc.DetectBatch(ys) }); n != 0 {
-			t.Errorf("DetectBatch workers=%d: %.1f allocs/op in steady state", workers, n)
-		}
-		fc.Close()
+	fc, ys, _ := makeBurst(t, Options{NPE: 32}, 8, 4, 304)
+	fc.Detect(ys[0]) // warm the scratch
+	if n := testing.AllocsPerRun(50, func() { fc.Detect(ys[1]) }); n != 0 {
+		t.Errorf("Detect: %.1f allocs/op in steady state", n)
+	}
+	fc.DetectBatch(ys)
+	if n := testing.AllocsPerRun(50, func() { fc.DetectBatch(ys) }); n != 0 {
+		t.Errorf("DetectBatch: %.1f allocs/op in steady state", n)
 	}
 }
 
-func TestCloseIsRestartable(t *testing.T) {
-	// The pool starts on the first fanned-out call — a burst; a single
-	// Detect runs on the caller and never needs it.
-	fc, ys, _ := makeBurst(t, Options{NPE: 32, Workers: 4}, 8, 6, 305)
-	var want [][]int
-	for _, r := range fc.DetectBatch(ys) {
-		want = append(want, append([]int(nil), r...))
-	}
-	if fc.pool == nil {
-		t.Fatal("parallel DetectBatch did not start the pool")
-	}
-	fc.Close()
-	if fc.pool != nil {
-		t.Fatal("Close left the pool attached")
-	}
-	fc.Close() // double Close is a no-op
-	if got := fc.Detect(ys[0]); !equalInts(got, want[0]) || fc.pool != nil {
-		t.Fatalf("Detect after Close: got %v want %v (pool restarted: %v)", got, want[0], fc.pool != nil)
-	}
-	for i, got := range fc.DetectBatch(ys) {
-		if !equalInts(got, want[i]) {
-			t.Fatalf("after Close: vector %d got %v want %v", i, got, want[i])
+// TestWorkersOptionStartsNoGoroutines pins the two stubs the frozen
+// bench/ keeps alive: Options.Workers is ignored — no goroutine starts
+// and decisions equal the unset option — and Close is a no-op after
+// which the detector still works. It goes when they do.
+func TestWorkersOptionStartsNoGoroutines(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nt, nSC, burst = 6, 8, 4
+	hs := frameChannels(305, nt, nt, nSC)
+	sigma2 := channel.Sigma2FromSNRdB(14, 1)
+	rng := newRng(306)
+	ys := make([][][]complex128, nSC)
+	for k := range ys {
+		for v := 0; v < burst; v++ {
+			ys[k] = append(ys[k], transmit(rng, hs[k], cons, randSymbols(rng, cons, nt), sigma2))
 		}
 	}
-	if fc.pool == nil {
-		t.Fatal("DetectBatch after Close did not restart the pool")
+	run := func(fc *FlexCore) (dec [][]int) {
+		if err := fc.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		for k := range hs {
+			if err := fc.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range fc.DetectBatch(ys[k]) {
+				dec = append(dec, append([]int(nil), r...))
+			}
+		}
+		return dec
 	}
-	fc.Close()
+	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
+		want := run(New(cons, Options{NPE: 24, Backend: backend}))
+		before := runtime.NumGoroutine()
+		fc := New(cons, Options{NPE: 24, Backend: backend, Workers: 4})
+		got := run(fc)
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%v: Workers: 4 changed the goroutine count %d → %d", backend, before, n)
+		}
+		fc.Close()
+		again := run(fc)
+		for i := range want {
+			if !equalInts(got[i], want[i]) || !equalInts(again[i], want[i]) {
+				t.Fatalf("%v vector %d: Workers 4 decided %v, after Close %v, Workers 0 %v", backend, i, got[i], again[i], want[i])
+			}
+		}
+	}
 }
 
 func TestBatchLoopAdapter(t *testing.T) {
@@ -174,8 +180,7 @@ func TestBatchLoopAdapter(t *testing.T) {
 }
 
 func TestDetectBatchEmptyNonNil(t *testing.T) {
-	fc, _, _ := makeBurst(t, Options{NPE: 16, Workers: 4}, 6, 1, 307)
-	defer fc.Close()
+	fc, _, _ := makeBurst(t, Options{NPE: 16}, 6, 1, 307)
 	before := fc.OpCount()
 	if got := fc.DetectBatch([][]complex128{}); len(got) != 0 {
 		t.Fatalf("empty burst returned %d results", len(got))
@@ -188,52 +193,24 @@ func TestDetectBatchEmptyNonNil(t *testing.T) {
 func TestDetectBatchGrowsArena(t *testing.T) {
 	// A burst larger than any previous one must regrow the result arena
 	// without corrupting results; a subsequent smaller burst reuses it.
-	for _, workers := range []int{1, 4} {
-		fc, ys, _ := makeBurst(t, Options{NPE: 24, Workers: workers}, 6, 40, 308)
-		want := make([][]int, len(ys))
-		for v, y := range ys {
-			want[v] = append([]int(nil), fc.Detect(y)...)
+	fc, ys, _ := makeBurst(t, Options{NPE: 24}, 6, 40, 308)
+	want := make([][]int, len(ys))
+	for v, y := range ys {
+		want[v] = append([]int(nil), fc.Detect(y)...)
+	}
+	check := func(lo, hi int) {
+		t.Helper()
+		got := fc.DetectBatch(ys[lo:hi])
+		if len(got) != hi-lo {
+			t.Fatalf("[%d:%d]: %d results", lo, hi, len(got))
 		}
-		check := func(lo, hi int) {
-			t.Helper()
-			got := fc.DetectBatch(ys[lo:hi])
-			if len(got) != hi-lo {
-				t.Fatalf("workers=%d [%d:%d]: %d results", workers, lo, hi, len(got))
-			}
-			for v := range got {
-				if !equalInts(got[v], want[lo+v]) {
-					t.Fatalf("workers=%d [%d:%d] vector %d: %v want %v", workers, lo, hi, v, got[v], want[lo+v])
-				}
+		for v := range got {
+			if !equalInts(got[v], want[lo+v]) {
+				t.Fatalf("[%d:%d] vector %d: %v want %v", lo, hi, v, got[v], want[lo+v])
 			}
 		}
-		check(0, 3)       // small burst pre-grows a small arena
-		check(0, len(ys)) // larger than the pre-grown arena
-		check(5, 9)       // smaller again, reusing the big arena
-		fc.Close()
 	}
-}
-
-func TestDetectBatchAfterClose(t *testing.T) {
-	// Close is a quiescing point, not a terminal state: the batch path
-	// must keep working afterwards, restarting the pool on demand.
-	fc, ys, _ := makeBurst(t, Options{NPE: 24, Workers: 4}, 6, 8, 309)
-	res := fc.DetectBatch(ys)
-	want := make([][]int, len(res))
-	for v := range res {
-		want[v] = append([]int(nil), res[v]...)
-	}
-	fc.Close()
-	if fc.pool != nil {
-		t.Fatal("Close left the pool attached")
-	}
-	got := fc.DetectBatch(ys)
-	for v := range got {
-		if !equalInts(got[v], want[v]) {
-			t.Fatalf("after Close, vector %d: %v want %v", v, got[v], want[v])
-		}
-	}
-	if fc.pool == nil {
-		t.Fatal("DetectBatch after Close did not restart the pool")
-	}
-	fc.Close()
+	check(0, 3)       // small burst pre-grows a small arena
+	check(0, len(ys)) // larger than the pre-grown arena
+	check(5, 9)       // smaller again, reusing the big arena
 }

@@ -24,11 +24,11 @@ type Options struct {
 	// the SQRD ordering [13] and the FCSD ordering [4] and keeps the
 	// better; OrderSQRD is the default here.
 	Ordering cmatrix.Ordering
-	// Workers > 1 keeps a persistent goroutine pool that fans whole
-	// received vectors of a DetectBatch burst and whole subcarriers of a
-	// PrepareAll frame out; 0 or 1 is sequential. A single Detect always
-	// runs on the caller, on both backends: fanning one vector's paths
-	// out never measured a gain (DESIGN.md §8).
+	// Workers is ignored: a detector is single-threaded, and parallelism
+	// is one detector per goroutine (DESIGN.md §8).
+	//
+	// Deprecated: ignored. Declared only because the frozen bench/ still
+	// sets it; it goes with that use.
 	Workers int
 	// StrictDeactivation reproduces the paper's §3.2 wording literally: a
 	// candidate outside the constellation kills the whole path. The
@@ -79,8 +79,7 @@ type Options struct {
 //
 // A FlexCore instance is not safe for concurrent use; run one instance
 // per goroutine (they are cheap — all scratch is lazily grown and
-// reused). With Workers > 1 the instance owns a persistent goroutine
-// pool; call Close to release it when the detector is long-lived no more.
+// reused). It starts no goroutine and holds no resource to release.
 type FlexCore struct {
 	cons *constellation.Constellation
 	opts Options
@@ -124,11 +123,8 @@ type FlexCore struct {
 
 	// Frame state: per-subcarrier prepared slots filled by PrepareAll,
 	// activated by Select.
-	frame   []prepSlot
-	frameN  int
-	missIdx []int32 // PrepareAll scratch: slots needing a fresh search
-
-	pool *pool // persistent workers, started on first parallel use
+	frame  []prepSlot
+	frameN int
 }
 
 // New returns a FlexCore detector. NPE must be ≥ 1.
@@ -361,26 +357,17 @@ func (d *FlexCore) countDetections(vectors, ylen int) {
 //flexcore:noalloc
 func (d *FlexCore) Detect(y []complex128) []int {
 	d.countDetections(1, len(y))
-	if d.useSoA() {
-		return d.detectSoA(y)
-	}
-	if d.detectOne(y, d.ybar, d.idx, d.sym, d.best, d.out) {
-		d.fallbk++
-	}
+	d.detectInto(y, d.out)
 	return d.out
 }
 
 // DetectBatch implements detector.BatchDetector: it detects a whole
-// burst of received vectors under the current Prepare, fanning vectors
-// (not paths) across the persistent workers so the pool wake-up cost is
-// paid once per burst. Results live in a reused arena, valid until the
-// next Detect/DetectBatch call. With Workers ≤ 1 the burst is processed
-// sequentially with the same scratch reuse.
+// burst of received vectors under the current Prepare, one after the
+// other on the caller with the detector's own scratch. Results live in a
+// reused arena, valid until the next Detect/DetectBatch call.
 //
 // A nil or empty burst returns nil without counting detections; the
-// arena regrows transparently for bursts larger than any seen before;
-// and calling DetectBatch after Close restarts the worker pool on
-// demand (Close quiesces, it does not retire the detector).
+// arena regrows transparently for bursts larger than any seen before.
 //
 //flexcore:noalloc
 func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
@@ -389,35 +376,26 @@ func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
 	}
 	d.countDetections(len(ys), len(ys[0]))
 	out := d.batchSlots(len(ys)) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the burst shape grows
-	soa := d.useSoA()
-	if soa {
-		// Refresh once on the dispatcher so the batch workers only read
-		// the planes.
-		d.soaRefresh()
-	}
-	if d.opts.Workers > 1 && len(ys) > 1 && len(d.paths) > 0 {
-		p := d.ensurePool()
-		p.kind = jobBatch
-		p.ys, p.out = ys, out
-		p.dispatch()
-		p.ys, p.out = nil, nil
-		for _, w := range p.workers {
-			d.fallbk += w.fallbk
-		}
-		return out
-	}
 	for i, y := range ys {
-		var fb bool
-		if soa {
-			fb = d.soaDetectOne(y, &d.soa.scratch, d.ybar, d.idx, d.sym, d.best, out[i])
-		} else {
-			fb = d.detectOne(y, d.ybar, d.idx, d.sym, d.best, out[i])
-		}
-		if fb {
-			d.fallbk++
-		}
+		d.detectInto(y, out[i])
 	}
 	return out
+}
+
+// detectInto detects one vector on the active backend, writing the
+// unpermuted result into out and counting a fallback resolution.
+//
+//flexcore:noalloc
+func (d *FlexCore) detectInto(y []complex128, out []int) {
+	var fb bool
+	if d.useSoA() {
+		fb = d.soaDetectOne(y, out)
+	} else {
+		fb = d.detectOne(y, out)
+	}
+	if fb {
+		d.fallbk++
+	}
 }
 
 // batchSlots re-slices the batch arena into m result slots of n streams.
@@ -435,15 +413,14 @@ func (d *FlexCore) batchSlots(m int) [][]int {
 	return d.batchHdr
 }
 
-// detectOne runs one full detection with caller-owned scratch (ybar,
-// idx, sym, best of length ≥ n) and writes the unpermuted result into
-// out. It reports whether the clamped-SIC fallback resolved the vector.
-// It is the sequential per-vector kernel shared by Detect, the
-// sequential DetectBatch route and the pool's batch workers.
+// detectOne runs one full scalar detection and writes the unpermuted
+// result into out. It reports whether the clamped-SIC fallback resolved
+// the vector.
 //
 //flexcore:noalloc
-func (d *FlexCore) detectOne(y []complex128, ybar []complex128, idx []int, sym []complex128, best, out []int) bool {
-	yb := d.qr.YbarInto(y, ybar)
+func (d *FlexCore) detectOne(y []complex128, out []int) bool {
+	idx, sym, best := d.idx, d.sym, d.best
+	yb := d.qr.YbarInto(y, d.ybar)
 	bestPed := math.Inf(1)
 	found := false
 	for _, p := range d.paths {
@@ -462,23 +439,11 @@ func (d *FlexCore) detectOne(y []complex128, ybar []complex128, idx []int, sym [
 	return false
 }
 
-// ensurePool lazily starts the persistent workers (first parallel use).
-func (d *FlexCore) ensurePool() *pool {
-	if d.pool == nil {
-		d.pool = newPool(d, d.opts.Workers)
-	}
-	return d.pool
-}
-
-// Close releases the persistent worker pool (a no-op for sequential
-// detectors). The detector remains usable afterwards: the pool restarts
-// on the next parallel call.
-func (d *FlexCore) Close() {
-	if d.pool != nil {
-		d.pool.stop()
-		d.pool = nil
-	}
-}
+// Close does nothing: a detector holds no resource.
+//
+// Deprecated: no-op. Declared only because the frozen bench/ still
+// calls it; it goes with those calls.
+func (d *FlexCore) Close() {}
 
 // clampedSICInto is the deactivation fallback: a rank-one descent using
 // the exact slicer (which clamps to the constellation and never

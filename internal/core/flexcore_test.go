@@ -167,28 +167,6 @@ func TestAFlexCoreAdaptsToChannel(t *testing.T) {
 	}
 }
 
-func TestFlexCoreParallelMatchesSequential(t *testing.T) {
-	rng := newRng(206)
-	cons := constellation.MustNew(16)
-	seqD := New(cons, Options{NPE: 48})
-	parD := New(cons, Options{NPE: 48, Workers: 4})
-	sigma2 := channel.Sigma2FromSNRdB(14, 1)
-	for trial := 0; trial < 40; trial++ {
-		h := channel.Rayleigh(rng, 8, 8)
-		if err := seqD.Prepare(h, sigma2); err != nil {
-			t.Fatal(err)
-		}
-		if err := parD.Prepare(h, sigma2); err != nil {
-			t.Fatal(err)
-		}
-		s := randSymbols(rng, cons, 8)
-		y := transmit(rng, h, cons, s, sigma2)
-		if !equalInts(seqD.Detect(y), parD.Detect(y)) {
-			t.Fatalf("trial %d: parallel and sequential disagree", trial)
-		}
-	}
-}
-
 func TestFlexCoreFallbackOnFullDeactivation(t *testing.T) {
 	cons := constellation.MustNew(16)
 	fc := New(cons, Options{NPE: 4, StrictDeactivation: true})

@@ -9,13 +9,11 @@ import (
 // This file implements the channel-rate fast path across channels: the
 // coherence-aware position-vector cache (Options.PathReuse) and the
 // frame-level PrepareAll/Select pipeline that prepares every subcarrier
-// of an OFDM frame in one call, fanning the per-subcarrier work across
-// the detector's persistent worker pool.
+// of an OFDM frame in one call.
 //
 // Both exploit the same property of §3.1.1: the selected path set E is
 // a function of (R, σ²) only — never of the received signal — so it can
-// be computed once per coherence interval and shared, and it can be
-// computed for many subcarriers independently and in parallel.
+// be computed once per coherence interval and shared.
 
 // reuseCache is one coherence base: the R factor and noise variance of
 // a fresh-prepared channel with the path set selected for it. The
@@ -69,9 +67,7 @@ func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
 
 // rebase makes (r, sigma2) the key of the path set the cache holds.
 func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
-	if c.r == nil || c.r.Rows != r.Rows || c.r.Cols != r.Cols {
-		c.r = cmatrix.New(r.Rows, r.Cols)
-	}
+	c.r = cmatrix.Reshape(c.r, r.Rows, r.Cols)
 	copy(c.r.Data, r.Data)
 	c.sigma2 = sigma2
 	c.valid = true
@@ -116,91 +112,48 @@ func (st *ReuseState) Reset() {
 	}
 }
 
-// update re-bases the per-subcarrier slots on the frame just prepared.
-// A subcarrier that hit its own external base keeps it untouched — the
-// base R stays pinned until a miss, matching the scalar cache's
-// semantics, and a base that served a path cap by prefix stays whole for
-// the uncapped frames after it — while fresh subcarriers (and within-
-// frame chain hits) store their actual (R, paths). Copies are
-// state-owned, so later frames cannot corrupt a detector's selected
-// slots.
-func (st *ReuseState) update(frame []prepSlot, sigma2 float64) {
-	for len(st.slots) < len(frame) {
+// grow extends the state to at least n subcarrier slots; new slots hold
+// no base.
+func (st *ReuseState) grow(n int) {
+	for len(st.slots) < n {
 		st.slots = append(st.slots, reuseCache{})
-	}
-	for k := range frame {
-		s := &frame[k]
-		if s.hit && s.base == extBase {
-			continue
-		}
-		st.slots[k].copyFrom(s.set, len(s.set.paths))
-		st.slots[k].rebase(s.qr.R, sigma2)
 	}
 }
 
 // prepSlot is one subcarrier's prepared channel state inside a frame:
 // its QR factors, per-level model, and selected path set — the slot's
-// own store for a fresh search (emitted in place) or an external hit
+// own store for a fresh search (emitted in place) or a ReuseState hit
 // (copied), another slot's for a within-frame hit (aliased).
 type prepSlot struct {
 	qr    cmatrix.QRResult
 	model Model
 	set   *pathStore
 	own   pathStore
-
-	stats PreprocessStats // fresh-search stats; zero for reuse hits
-	hit   bool
-	base  int32 // slot whose paths a hit aliases (-1 fresh, extBase external)
-}
-
-// extBase marks a slot whose coherence hit came from the installed
-// ReuseState (the previous frame's base for the same subcarrier)
-// rather than from a slot of the current frame.
-const extBase int32 = -2
-
-// prepareSlot runs one subcarrier's channel-rate work (sorted QR + per-
-// level model) into slot s using the caller-owned QR workspace.
-//
-//flexcore:noalloc
-func (d *FlexCore) prepareSlot(s *prepSlot, h *cmatrix.Matrix, sigma2 float64, ws *cmatrix.QRWorkspace) {
-	ws.SortedQRInto(h, d.opts.Ordering, &s.qr)
-	NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
-}
-
-// findSlotPaths runs the pre-processing tree search for slot s with the
-// caller-owned finder, straight into the slot's own store.
-//
-//flexcore:noalloc
-func (d *FlexCore) findSlotPaths(s *prepSlot, f *pathFinder) {
-	s.stats = f.find(&s.model, d.npe, d.opts.Threshold, &s.own, d.useSoA())
-	s.set = &s.own
 }
 
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
-// geometry, same noise variance) in one call: the sorted QR and model of
-// every subcarrier, then the pre-processing tree search for every
-// subcarrier that needs one. With Options.Workers > 1 both stages fan
-// out across the persistent worker pool; with Options.PathReuse the
-// subcarriers are chained through the coherence test in index order, so
-// a subcarrier within ReuseThreshold of the last fresh-prepared one
-// aliases its position vectors instead of searching again (adjacent
-// subcarriers inside the coherence bandwidth — the dominant OFDM case).
+// geometry, same noise variance) in one call, one pass in subcarrier
+// order: the sorted QR and model, then — with Options.PathReuse — the
+// coherence test, then the pre-processing tree search or the alias that
+// replaces it. A subcarrier within ReuseThreshold of the last
+// fresh-prepared one aliases its position vectors instead of searching
+// again (adjacent subcarriers inside the coherence bandwidth — the
+// dominant OFDM case).
 //
 // With a ReuseState installed (SetReuseState), the coherence test also
 // spans frames: each subcarrier first tries the previous frame's base
-// for the same subcarrier, so a static or slowly-varying channel skips
-// every search on a re-sent H, and the state is re-based on this
-// frame's results afterwards. Under a path cap (SetPathCap) a base
-// selected under a larger bound still hits — the slot takes its first
-// paths — while a base cut shorter than the cap is passed over and
-// replaced by this frame's search.
+// for the same subcarrier — the sharper key: a static or slowly-varying
+// channel hits on every subcarrier and skips every search on a re-sent
+// H — then falls back to the within-frame chain, and the state is
+// re-based on this frame's results as it goes. Under a path cap
+// (SetPathCap) a base selected under a larger bound still hits — the
+// slot takes its first paths — while a base cut shorter than the cap is
+// passed over and replaced by this frame's search.
 //
-// The hit/miss decisions are made sequentially in subcarrier order over
-// the already-computed R factors, so results are identical for every
-// worker count; with PathReuse disabled they are bit-identical to
-// looping Prepare over the channels. PrepareAll leaves no subcarrier
-// selected: call Select(k) before detecting. The frame state is valid
-// until the next PrepareAll call (scalar Prepare does not disturb it).
+// With PathReuse disabled the results are bit-identical to looping
+// Prepare over the channels. PrepareAll leaves no subcarrier selected:
+// call Select(k) before detecting. The frame state is valid until the
+// next PrepareAll call (scalar Prepare does not disturb it).
 //
 //flexcore:noalloc
 func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
@@ -219,107 +172,68 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	d.frameN = len(hs)
 	frame := d.frame
 
-	parallel := d.opts.Workers > 1 && len(hs) > 1
-
-	// Stage 1 — channel-rate math per subcarrier: sorted QR + model.
-	if parallel {
-		p := d.ensurePool()
-		p.kind = jobPrepModel
-		p.hs, p.sigma2, p.frame = hs, sigma2, frame
-		p.dispatch()
-		p.hs, p.frame = nil, nil
-	} else {
-		for k := range frame {
-			d.prepareSlot(&frame[k], hs[k], sigma2, &d.qrws)
-		}
+	reuse := d.opts.PathReuse
+	var ext *ReuseState
+	if reuse && d.extReuse != nil {
+		ext = d.extReuse
+		ext.grow(len(frame))
 	}
-
-	// Stage 2 — sequential coherence tests over the computed R factors
-	// (cheap: one normalized Frobenius distance per comparison), marking
-	// each slot fresh or aliasing it to its coherence base. With an
-	// installed ReuseState, subcarrier k first tries the previous
-	// frame's base for the same subcarrier — the sharper key: a static
-	// or slowly-varying channel hits on every subcarrier and skips the
-	// search entirely — then falls back to the within-frame chain (the
-	// last fresh-prepared subcarrier of this frame). Decisions are made
-	// in subcarrier order, so results are identical for every worker
-	// count.
-	d.missIdx = d.missIdx[:0]
-	base := int32(-1)
-	ext := d.extReuse
+	base := -1 // last fresh-prepared subcarrier of this frame
 	for k := range frame {
 		s := &frame[k]
-		s.hit = false
-		s.base = -1
-		s.stats = PreprocessStats{}
-		if d.opts.PathReuse {
-			if ext != nil && k < len(ext.slots) && ext.slots[k].valid && ext.slots[k].covers(d.npe) {
-				d.countSimilarity(n)
-				if ext.slots[k].match(s.qr.R, sigma2, d.opts.ReuseThreshold) {
-					s.hit = true
-					s.base = extBase
-					continue
-				}
-			}
-			if base >= 0 {
-				d.countSimilarity(n)
-				if similarR(frame[base].qr.R, s.qr.R, d.opts.ReuseThreshold) {
-					s.hit = true
-					s.base = base
-					continue
-				}
-			}
-		}
-		base = int32(k)
-		d.missIdx = append(d.missIdx, int32(k)) //lint:ignore noalloc amortised: miss list is reset to len 0 and reuses its frame-sized capacity
-	}
+		d.qrws.SortedQRInto(hs[k], d.opts.Ordering, &s.qr)
+		NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
 
-	// Stage 3 — pre-processing tree search for the fresh slots.
-	if parallel && len(d.missIdx) > 1 {
-		p := d.ensurePool()
-		p.kind = jobPrepPaths
-		p.hs, p.sigma2, p.frame, p.miss = hs, sigma2, frame, d.missIdx
-		p.dispatch()
-		p.hs, p.frame, p.miss = nil, nil, nil
-	} else {
-		for _, k := range d.missIdx {
-			d.findSlotPaths(&frame[k], &d.finder)
+		extHit, chainHit := false, false
+		if ext != nil && ext.slots[k].valid && ext.slots[k].covers(d.npe) {
+			d.countSimilarity(n)
+			extHit = ext.slots[k].match(s.qr.R, sigma2, d.opts.ReuseThreshold)
 		}
-	}
+		if reuse && !extHit && base >= 0 {
+			d.countSimilarity(n)
+			chainHit = similarR(frame[base].qr.R, s.qr.R, d.opts.ReuseThreshold)
+		}
 
-	// Resolve hit aliases and fold the counters in subcarrier order, so
-	// the cumulative stats are identical for every worker count.
-	// External hits copy the base's path set — its prefix under a path
-	// cap — into the slot's own store (negligible next to the skipped
-	// search): the ReuseState may be re-based by a later frame —
-	// possibly on a different detector — while this frame's slots are
-	// still selected.
-	for k := range frame {
-		s := &frame[k]
-		if s.hit {
-			if s.base == extBase {
-				s.own.copyFrom(&ext.slots[k].pathStore, d.npe)
-				s.set = &s.own
-			} else {
-				s.set = frame[s.base].set
-			}
+		switch {
+		case extHit:
+			// Copy the base's path set — its prefix under a path cap —
+			// into the slot's own store (negligible next to the skipped
+			// search): the ReuseState may be re-based by a later frame —
+			// possibly on a different detector — while this frame's slots
+			// are still selected.
+			s.own.copyFrom(&ext.slots[k].pathStore, d.npe)
+			s.set = &s.own
 			d.ppOps.CacheHits++
-		} else {
-			d.ppOps.RealMuls += s.stats.RealMuls
-			d.ppOps.Expanded += s.stats.Expanded
-			if d.opts.PathReuse {
+		case chainHit:
+			s.set = frame[base].set
+			d.ppOps.CacheHits++
+		default:
+			base = k
+			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, &s.own, d.useSoA())
+			s.set = &s.own
+			d.ppOps.RealMuls += stats.RealMuls
+			d.ppOps.Expanded += stats.Expanded
+			if reuse {
 				d.ppOps.CacheMisses++
 			}
 		}
+		// Re-base the subcarrier's cross-frame slot on what was just
+		// prepared. A subcarrier that hit that slot keeps it untouched —
+		// the base R stays pinned until a miss, matching the scalar
+		// cache's semantics, and a base that served a path cap by prefix
+		// stays whole for the uncapped frames after it. The copy is
+		// state-owned, so later frames cannot corrupt this frame's slots.
+		if ext != nil && !extHit {
+			ext.slots[k].copyFrom(s.set, len(s.set.paths))
+			ext.slots[k].rebase(s.qr.R, sigma2)
+		}
+
 		d.ops.Prepares++
 		muls := int64(4 * nr * n * n)
 		d.ops.RealMuls += muls
 		d.ops.FLOPs += 2 * muls
 	}
 	d.ppOps.CumulativeProb = frame[len(frame)-1].set.cum
-	if d.opts.PathReuse && ext != nil {
-		ext.update(frame, sigma2)
-	}
 	return nil
 }
 

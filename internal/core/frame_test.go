@@ -52,7 +52,6 @@ func framePrepareReference(t *testing.T, cons *constellation.Constellation, opts
 	hs []*cmatrix.Matrix, ys [][]complex128, sigma2 float64) (paths [][]Path, det [][]int) {
 	t.Helper()
 	ref := New(cons, opts)
-	defer ref.Close()
 	paths = make([][]Path, len(hs))
 	det = make([][]int, len(hs))
 	for k, h := range hs {
@@ -69,7 +68,7 @@ func framePrepareReference(t *testing.T, cons *constellation.Constellation, opts
 // the frame pipeline: with the coherence cache disabled, PrepareAll +
 // Select(k) must reproduce a fresh sequential Prepare per subcarrier
 // exactly — same position vectors (ranks and log-probabilities bit for
-// bit) and same detection decisions — for every worker count.
+// bit) and same detection decisions.
 func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nt, nSC = 6, 24
@@ -82,29 +81,26 @@ func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 	}
 	wantPaths, wantDet := framePrepareReference(t, cons, Options{NPE: 32}, hs, ys, sigma2)
 
-	for _, workers := range []int{0, 2, 4} {
-		fc := New(cons, Options{NPE: 32, Workers: workers})
-		// Two rounds: the second exercises the steady-state pooled arenas.
-		for round := 0; round < 2; round++ {
-			if err := fc.PrepareAll(hs, sigma2); err != nil {
+	fc := New(cons, Options{NPE: 32})
+	// Two rounds: the second exercises the steady-state pooled arenas.
+	for round := 0; round < 2; round++ {
+		if err := fc.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if fc.FrameSize() != nSC {
+			t.Fatalf("FrameSize %d, want %d", fc.FrameSize(), nSC)
+		}
+		for k := range hs {
+			if err := fc.Select(k); err != nil {
 				t.Fatal(err)
 			}
-			if fc.FrameSize() != nSC {
-				t.Fatalf("workers=%d: FrameSize %d, want %d", workers, fc.FrameSize(), nSC)
+			if !samePaths(fc.Paths(), wantPaths[k]) {
+				t.Fatalf("round %d subcarrier %d: paths differ from looped Prepare", round, k)
 			}
-			for k := range hs {
-				if err := fc.Select(k); err != nil {
-					t.Fatal(err)
-				}
-				if !samePaths(fc.Paths(), wantPaths[k]) {
-					t.Fatalf("workers=%d round %d subcarrier %d: paths differ from looped Prepare", workers, round, k)
-				}
-				if got := fc.Detect(ys[k]); !equalInts(got, wantDet[k]) {
-					t.Fatalf("workers=%d round %d subcarrier %d: Detect %v, want %v", workers, round, k, got, wantDet[k])
-				}
+			if got := fc.Detect(ys[k]); !equalInts(got, wantDet[k]) {
+				t.Fatalf("round %d subcarrier %d: Detect %v, want %v", round, k, got, wantDet[k])
 			}
 		}
-		fc.Close()
 	}
 }
 
@@ -131,7 +127,6 @@ func TestPathReuseThresholdZeroExact(t *testing.T) {
 	wantPaths, wantDet := framePrepareReference(t, cons, Options{NPE: 24}, hs, ys, sigma2)
 
 	fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0})
-	defer fc.Close()
 	if err := fc.PrepareAll(hs, sigma2); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +210,6 @@ func TestPathReuseWithinCoherence(t *testing.T) {
 	hs := frameChannels(31, nt, nt, nSC)
 	sigma2 := channel.Sigma2FromSNRdB(18, 1)
 	fc := New(cons, Options{NPE: 16, PathReuse: true, ReuseThreshold: 0.5})
-	defer fc.Close()
 	if err := fc.PrepareAll(hs, sigma2); err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +230,9 @@ func TestPathReuseWithinCoherence(t *testing.T) {
 	}
 }
 
-// TestPrepareAllConcurrent is the race test: several detectors (each
-// with an internal worker pool) run PrepareAll/Select/Detect on shared
-// immutable channel data concurrently. Run under -race in CI.
+// TestPrepareAllConcurrent is the race test: several detectors, one per
+// goroutine, run PrepareAll/Select/Detect on shared immutable channel
+// data concurrently. Run under -race in CI.
 func TestPrepareAllConcurrent(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nt, nSC = 4, 12
@@ -257,8 +251,7 @@ func TestPrepareAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fc := New(cons, Options{NPE: 16, Workers: 3})
-			defer fc.Close()
+			fc := New(cons, Options{NPE: 16})
 			for round := 0; round < 5; round++ {
 				if err := fc.PrepareAll(hs, sigma2); err != nil {
 					errs <- err

@@ -140,7 +140,7 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 			fs := fresh.ppOps
 			if frame {
 				found = len(fresh.frame[k].set.paths)
-				fs = fresh.frame[k].stats
+				_, fs = FindPaths(&fresh.frame[k].model, eff, theta)
 			}
 			expanded += fs.Expanded
 			muls += fs.RealMuls
@@ -200,7 +200,6 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 				t.Fatalf("step %d %+v subcarrier %d: Detect counted differently from a fresh N_PE=%d detector", i, s, k, eff)
 			}
 		}
-		fresh.Close()
 	}
 
 	// The script must have exercised what it is here for.

@@ -51,13 +51,9 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 
 	// Both backends: on soa32 every hit also copies the base's descent
 	// plan, which the decisions below then walk.
-	for _, cfg := range []struct {
-		workers int
-		backend Backend
-	}{{1, BackendComplex128}, {3, BackendComplex128}, {1, BackendSoA32}, {3, BackendSoA32}} {
-		workers := cfg.workers
-		ref := New(cons, Options{NPE: 24, Workers: workers, Backend: cfg.backend})
-		fc := New(cons, Options{NPE: 24, Workers: workers, PathReuse: true, ReuseThreshold: 0, Backend: cfg.backend})
+	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
+		ref := New(cons, Options{NPE: 24, Backend: backend})
+		fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0, Backend: backend})
 		var st ReuseState
 		fc.SetReuseState(&st)
 		if st.Valid() {
@@ -68,8 +64,8 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 			got := detectFrame(t, fc, hs, ys, sigma2)
 			for k := range want {
 				if !equalInts(got[k], want[k]) {
-					t.Fatalf("workers=%d frame %d subcarrier %d: reuse-state decisions %v, want %v",
-						workers, f, k, got[k], want[k])
+					t.Fatalf("%v frame %d subcarrier %d: reuse-state decisions %v, want %v",
+						backend, f, k, got[k], want[k])
 				}
 			}
 		}
@@ -82,21 +78,19 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 		// subcarriers are distinct and thr = 0).
 		pp := fc.PreprocessStats()
 		if wantHits := int64((nFrames - 1) * nSC); pp.CacheHits != wantHits {
-			t.Fatalf("workers=%d: CacheHits = %d, want %d (all subcarriers of frames 2..%d)",
-				workers, pp.CacheHits, wantHits, nFrames)
+			t.Fatalf("%v: CacheHits = %d, want %d (all subcarriers of frames 2..%d)",
+				backend, pp.CacheHits, wantHits, nFrames)
 		}
 		if pp.CacheMisses != nSC {
-			t.Fatalf("workers=%d: CacheMisses = %d, want %d (frame 1 only)", workers, pp.CacheMisses, nSC)
+			t.Fatalf("%v: CacheMisses = %d, want %d (frame 1 only)", backend, pp.CacheMisses, nSC)
 		}
-		ref.Close()
-		fc.Close()
 	}
 }
 
 // TestReuseStatePerturbedRebase drives a slowly-varying channel through
 // a shared state: a perturbed frame misses (thr = 0), re-bases the
 // state, and the perturbed frame re-sent afterwards hits again — the
-// pin-until-miss semantics of ReuseState.update.
+// pin-until-miss semantics of PrepareAll's re-base.
 func TestReuseStatePerturbedRebase(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nr, nt, nSC = 5, 4, 6
@@ -110,12 +104,10 @@ func TestReuseStatePerturbedRebase(t *testing.T) {
 	}
 
 	fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0})
-	defer fc.Close()
 	var st ReuseState
 	fc.SetReuseState(&st)
 
 	ref := New(cons, Options{NPE: 24})
-	defer ref.Close()
 
 	hits := func() int64 { return fc.PreprocessStats().CacheHits }
 	step := func(hs []*cmatrix.Matrix) {
@@ -171,9 +163,7 @@ func TestReuseStateGeometryChange(t *testing.T) {
 	}
 
 	fc := New(cons, Options{NPE: 8, PathReuse: true, ReuseThreshold: 0})
-	defer fc.Close()
 	ref := New(cons, Options{NPE: 8})
-	defer ref.Close()
 	var st ReuseState
 	fc.SetReuseState(&st)
 
@@ -220,13 +210,10 @@ func TestReuseStateHandoff(t *testing.T) {
 	}
 	for _, bb := range benchBackends {
 		ref := New(cons, Options{NPE: 24, Backend: bb.backend})
-		defer ref.Close()
 		want := detectFrame(t, ref, hs, ys, sigma2)
 
 		opts := Options{NPE: 24, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend}
 		a, b := New(cons, opts), New(cons, opts)
-		defer a.Close()
-		defer b.Close()
 		var st ReuseState
 
 		for i, fc := range []*FlexCore{a, b, a, b} {

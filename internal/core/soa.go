@@ -20,9 +20,9 @@ import (
 // reference arithmetic.
 
 // soaState is the detector's SoA-backend state: the per-channel planes
-// with the active descent plan, the shared immutable slicer, the
-// sequential-route scratch, and the staleness flag that defers the
-// channel-plane conversion to the first detection.
+// with the active descent plan, the immutable slicer, the descent
+// scratch, and the staleness flag that defers the channel-plane
+// conversion to the first detection.
 type soaState struct {
 	prep    kernel32.Prep
 	slicer  *kernel32.Slicer32
@@ -54,16 +54,18 @@ func (d *FlexCore) soaRefresh() {
 	d.soa.dirty = false
 }
 
-// soaDetectOne runs one full detection on the SoA kernel with
-// caller-owned scratch, writing the unpermuted result into out; the
-// planes must be refreshed already. It reports whether the clamped-SIC
+// soaDetectOne runs one full detection on the SoA kernel, writing the
+// unpermuted result into out. It reports whether the clamped-SIC
 // fallback resolved the vector — the scalar detectOne contract. The
-// complex128 scratch (ybar/idx/sym) stays in play for the ȳ rotation
-// and the fallback, both of which are shared with the scalar backend.
+// whole path set descends in one Descend call. The complex128 scratch
+// (ybar/idx/sym) stays in play for the ȳ rotation and the fallback, both
+// of which are shared with the scalar backend.
 //
 //flexcore:noalloc
-func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []complex128, idx []int, sym []complex128, best, out []int) bool {
-	yb := d.qr.YbarInto(y, ybar)
+func (d *FlexCore) soaDetectOne(y []complex128, out []int) bool {
+	d.soaRefresh()
+	s, idx, sym := &d.soa.scratch, d.idx, d.sym
+	yb := d.qr.YbarInto(y, d.ybar)
 	P := len(d.paths)
 	if P == 0 || d.soa.prep.Degenerate {
 		// A non-positive diagonal deactivates every path at that level in
@@ -80,21 +82,7 @@ func (d *FlexCore) soaDetectOne(y []complex128, s *kernel32.Scratch, ybar []comp
 		d.qr.UnpermuteIntsInto(idx, out)
 		return true
 	}
-	s.GatherIdx(lane, best)
-	d.qr.UnpermuteIntsInto(best, out)
+	s.GatherIdx(lane, d.best)
+	d.qr.UnpermuteIntsInto(d.best, out)
 	return false
-}
-
-// detectSoA is the Detect body of the SoA backend: the whole path set
-// descends in one Descend call on the caller. A trie cannot be cut into
-// per-worker lane blocks the way independent lanes could, so
-// Options.Workers fans out whole vectors (DetectBatch) only.
-//
-//flexcore:noalloc
-func (d *FlexCore) detectSoA(y []complex128) []int {
-	d.soaRefresh()
-	if d.soaDetectOne(y, &d.soa.scratch, d.ybar, d.idx, d.sym, d.best, d.out) {
-		d.fallbk++
-	}
-	return d.out
 }

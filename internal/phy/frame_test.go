@@ -82,9 +82,7 @@ func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := core.New(cons, core.Options{NPE: 16})
-	defer det.Close()
 	ref := core.New(cons, core.Options{NPE: 16})
-	defer ref.Close()
 	fd := NewFrameDetector(det)
 	checkAgainstScalarLoop(t, fd, ref, 0xabc1)
 	// FlexCore reports active PEs: the frame loop must have sampled one
@@ -155,7 +153,6 @@ func TestFrameDetectorReuseState(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := core.New(cons, core.Options{NPE: 16, PathReuse: true, ReuseThreshold: 0})
-	defer det.Close()
 	fd := NewFrameDetector(det)
 	var st core.ReuseState
 	if !fd.SetReuseState(&st) {

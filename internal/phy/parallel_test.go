@@ -147,10 +147,8 @@ func TestSplitSeedStreamsAreDistinct(t *testing.T) {
 
 func TestRunParallelEarlyStopFlexCoreBitIdentical(t *testing.T) {
 	// The full determinism matrix for the paper's own detector: a
-	// FlexCore factory (with its internal path-level worker pool) under
-	// MaxPacketErrors early stop must be byte-identical for every
-	// simulation worker count — the two parallelism layers compose
-	// without breaking the in-order merge.
+	// FlexCore factory under MaxPacketErrors early stop must be
+	// byte-identical for every simulation worker count.
 	link := smallLink()
 	cfg := SimConfig{
 		Link:    link,
@@ -158,7 +156,7 @@ func TestRunParallelEarlyStopFlexCoreBitIdentical(t *testing.T) {
 		Packets: 400,
 		Seed:    606,
 		DetectorFactory: func() detector.Detector {
-			return core.New(link.Constellation, core.Options{NPE: 16, Workers: 2})
+			return core.New(link.Constellation, core.Options{NPE: 16})
 		},
 		MaxPacketErrors: 6,
 	}

@@ -82,8 +82,7 @@ type SimConfig struct {
 	// are stateful across Prepare/Detect, so workers cannot share one).
 	// Required for Workers > 1; when nil the run is single-worker using
 	// Detector. When both are set, Detector serves the 1-worker path and
-	// the factory the parallel path. Factory-created detectors are
-	// closed by Run if they expose a Close method.
+	// the factory the parallel path.
 	DetectorFactory func() detector.Detector
 }
 
@@ -163,14 +162,6 @@ func (cfg *SimConfig) effectiveWorkers() (int, error) {
 	return w, nil
 }
 
-// closeDetector releases a factory-created detector's resources (e.g.
-// FlexCore's persistent worker pool) if it exposes them.
-func closeDetector(d detector.Detector) {
-	if c, ok := d.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // Run simulates Packets MIMO-OFDM packets through the full chain and
 // returns PER, BER and throughput. With Workers > 1 (and a
 // DetectorFactory) packets are simulated concurrently; every packet
@@ -222,13 +213,8 @@ func Run(cfg SimConfig) (Result, error) {
 // accumulator as the parallel path, on the calling goroutine.
 func runSerial(cfg *SimConfig, il *coding.Interleaver, sigma2 float64) (Result, error) {
 	det := cfg.Detector
-	owned := false
 	if det == nil {
 		det = cfg.DetectorFactory()
-		owned = true
-	}
-	if owned {
-		defer closeDetector(det)
 	}
 	w, err := newSimWorker(cfg, il, sigma2, det)
 	if err != nil {
@@ -255,25 +241,13 @@ func runSerial(cfg *SimConfig, il *coding.Interleaver, sigma2 float64) (Result, 
 // computed beyond the stop point are discarded.
 func runParallel(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 float64) (Result, error) {
 	ws := make([]*simWorker, workers)
-	dets := make([]detector.Detector, workers)
 	for i := range ws {
-		det := cfg.DetectorFactory()
-		w, err := newSimWorker(cfg, il, sigma2, det)
+		w, err := newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
 		if err != nil {
-			closeDetector(det)
-			for j := 0; j < i; j++ {
-				closeDetector(dets[j])
-			}
 			return Result{}, err
 		}
-		dets[i] = det
 		ws[i] = w
 	}
-	defer func() {
-		for _, det := range dets {
-			closeDetector(det)
-		}
-	}()
 
 	type outcome struct {
 		pkt   int

@@ -26,11 +26,15 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 	// per-user ReuseState installed — the serve steady state for a
 	// static-channel user, where every subcarrier is a cross-frame
 	// cache hit. The rungs leg alternates full and degraded frames on
-	// top: every other frame is served from the base by prefix.
+	// top: every other frame is served from the base by prefix. The
+	// two-geometries leg alternates a 5×4 and an 8×8 user on the one
+	// worker, so the detector's Q/R factors and the decode planes are
+	// reshaped on every frame.
 	for _, leg := range []struct {
-		name         string
-		reuse, rungs bool
-	}{{"fresh", false, false}, {"reuse", true, false}, {"reuse-rungs", true, true}} {
+		name                string
+		reuse, rungs, mixed bool
+	}{{"fresh", false, false, false}, {"reuse", true, false, false}, {"reuse-rungs", true, true, false},
+		{"two-geometries", false, false, true}, {"two-geometries-reuse", true, false, true}} {
 		reuse := leg.reuse
 		t.Run(leg.name, func(t *testing.T) {
 			var ladder []int
@@ -41,7 +45,7 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 				Shards:        1,
 				DegradeLadder: ladder,
 				DetectorFactory: func() detector.Detector {
-					opts := core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(t)}
+					opts := core.Options{NPE: e2eNPE, Backend: envBackend(t)}
 					if reuse {
 						opts.PathReuse = true
 					}
@@ -59,19 +63,26 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 
 			var q DetectRequest
 			fillFrame(t, &q, 12, 1)
-			payload := q.AppendPayload(nil)
+			payloads := [][]byte{q.AppendPayload(nil)}
+			users := []*userState{{id: 12}}
+			if leg.mixed {
+				fillFrameGeometry(t, &q, 13, 1, 8, 8)
+				payloads = append(payloads, q.AppendPayload(nil))
+				users = append(users, &userState{id: 13})
+			}
 
 			// Drive process directly: the shard workers sit idle on their
 			// queue, so the test owns the detector without racing it.
 			w := srv.shards[0].workers[0]
 			tk := srv.taskPool.Get().(*task)
-			u := &userState{id: 12}
-			if reuse {
-				tk.user = u
-			}
+			frame := 0
 			hot := func() {
-				if err := tk.req.Decode(payload); err != nil {
+				frame++
+				if err := tk.req.Decode(payloads[frame%len(payloads)]); err != nil {
 					t.Fatal(err)
+				}
+				if reuse {
+					tk.user = users[frame%len(users)]
 				}
 				tk.enq = time.Now()
 				if leg.rungs {
@@ -82,7 +93,7 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 			// Warm-up: first iterations grow the request arenas, the response
 			// and wire buffers and the detector's pooled storage to their
 			// high-water marks.
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 4; i++ {
 				hot()
 			}
 			if allocs := testing.AllocsPerRun(50, hot); allocs != 0 {

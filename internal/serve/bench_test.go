@@ -37,7 +37,7 @@ func BenchmarkServeProcess(b *testing.B) {
 				Shards:        1,
 				DegradeLadder: ladder,
 				DetectorFactory: func() detector.Detector {
-					opts := core.Options{NPE: e2eNPE, Workers: 1, Backend: envBackend(b)}
+					opts := core.Options{NPE: e2eNPE, Backend: envBackend(b)}
 					if reuse {
 						opts.PathReuse = true
 					}

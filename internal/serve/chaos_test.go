@@ -21,7 +21,7 @@ func chaosServe(t *testing.T, cons *constellation.Constellation, cfg Config) (*S
 	if cfg.DetectorFactory == nil {
 		backend := envBackend(t)
 		cfg.DetectorFactory = func() detector.Detector {
-			return core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend})
+			return core.New(cons, core.Options{NPE: e2eNPE, Backend: backend})
 		}
 	}
 	srv, err := NewServer(cfg)

@@ -60,7 +60,7 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := envBackend(t)
-	gated := newGatedDetector(core.New(cons, core.Options{NPE: e2eNPE, Workers: 1, Backend: backend}), 1)
+	gated := newGatedDetector(core.New(cons, core.Options{NPE: e2eNPE, Backend: backend}), 1)
 	srv, err := NewServer(Config{
 		Shards:          1,
 		WorkersPerShard: 1,
@@ -183,7 +183,7 @@ func TestDegradedFramesShareReuseState(t *testing.T) {
 	}
 	// The second frame parks the worker so the user's next two queue up.
 	gated := newGatedDetector(core.New(cons, core.Options{
-		NPE: e2eNPE, Workers: 1, Backend: envBackend(t), PathReuse: true,
+		NPE: e2eNPE, Backend: envBackend(t), PathReuse: true,
 	}), 2)
 	srv, err := NewServer(Config{
 		QueueDepth:      8,

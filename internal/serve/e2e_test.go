@@ -41,14 +41,21 @@ const (
 // reference regenerate identical bits from the same (userID, frameID).
 func fillFrame(t testing.TB, q *DetectRequest, userID, frameID uint64) {
 	t.Helper()
+	fillFrameGeometry(t, q, userID, frameID, e2eNr, e2eNt)
+}
+
+// fillFrameGeometry is fillFrame for a user with an nr×nt antenna
+// geometry of its own.
+func fillFrameGeometry(t testing.TB, q *DetectRequest, userID, frameID uint64, nr, nt int) {
+	t.Helper()
 	q.UserID, q.FrameID, q.Sigma2 = userID, frameID, e2eSigma2
-	if err := q.SetGeometry(e2eNr, e2eNt, e2eK, e2eS); err != nil {
+	if err := q.SetGeometry(nr, nt, e2eK, e2eS); err != nil {
 		t.Fatal(err)
 	}
 	rng := channel.NewStreamRNG(0xf1ec, userID<<20|frameID)
-	x := make([]complex128, e2eNt)
+	x := make([]complex128, nt)
 	for k := 0; k < e2eK; k++ {
-		h := channel.Rayleigh(rng, e2eNr, e2eNt)
+		h := channel.Rayleigh(rng, nr, nt)
 		copy(q.H()[k].Data, h.Data)
 		for _, y := range q.Burst(k) {
 			for i := range x {
@@ -72,8 +79,8 @@ func offlineDecisions(t testing.TB, cons *constellation.Constellation, q *Detect
 	return offlineDecisionsNPE(t, cons, q, e2eNPE)
 }
 
-// offlineDecisionsNPE runs the reference path — a fresh single-worker
-// detector at the given N_PE, scalar Prepare+Detect looped over every
+// offlineDecisionsNPE runs the reference path — a fresh detector at the
+// given N_PE, scalar Prepare+Detect looped over every
 // subcarrier and OFDM symbol — and returns the flat (k, s, stream)-major
 // decisions. The degradation suite compares served frames against it at
 // the rung N_PE the server reported.
@@ -83,8 +90,7 @@ func offlineDecisionsNPE(t testing.TB, cons *constellation.Constellation, q *Det
 	if got, ok := offlineCache.Load(key); ok {
 		return got.([]int)
 	}
-	det := core.New(cons, core.Options{NPE: npe, Workers: 1, Backend: envBackend(t)})
-	defer det.Close()
+	det := core.New(cons, core.Options{NPE: npe, Backend: envBackend(t)})
 	out := make([]int, 0, q.Subcarriers*q.Symbols*q.Nt)
 	for k := 0; k < q.Subcarriers; k++ {
 		if err := det.Prepare(q.H()[k], q.Sigma2); err != nil {
@@ -128,7 +134,7 @@ func checkResponse(t testing.TB, cons *constellation.Constellation, q *DetectReq
 
 // TestE2EServedEqualsOffline is the tentpole contract: N concurrent
 // clients stream frames through the full ingest→shard→detect→respond
-// pipeline, across shard counts and detector worker counts, and every
+// pipeline, across shard and shard-worker counts, and every
 // served decision must be bit-identical to looping the offline
 // Prepare+Detect over the same frame. The kernel backend leg comes from
 // FLEXCORE_BACKEND, so the CI matrix covers both.
@@ -141,8 +147,10 @@ func TestE2EServedEqualsOffline(t *testing.T) {
 	const clients, framesPerClient = 6, 4
 	for _, shards := range []int{1, 2, 8} {
 		for _, wps := range []int{1, 4} {
-			// Cover in-detector parallelism on the configs without shard
-			// worker pools (the two multiply the same worker budget).
+			// detWorkers sets the deprecated core.Options.Workers, which a
+			// detector ignores: the served decisions must not depend on it.
+			// The axis (and its place in the subtest names) goes with the
+			// field.
 			workers := 1
 			if wps == 1 {
 				workers = 3

@@ -63,7 +63,7 @@ func TestPerUserFIFOWithWorkerPools(t *testing.T) {
 		QueueDepth:      users * frames, // overload-free: this test pins ordering, not backpressure
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, core.Options{
-				NPE: e2eNPE, Workers: 1, Backend: backend,
+				NPE: e2eNPE, Backend: backend,
 				PathReuse: true, ReuseThreshold: 0,
 			})
 		},

@@ -45,10 +45,9 @@ type Config struct {
 	UserStateCap int
 	// DetectorFactory builds one detector per worker (detectors are
 	// stateful across Prepare/Detect, so workers cannot share one).
-	// Required. Factory-created detectors are closed on Shutdown when
-	// they expose a Close method. With core.Options.PathReuse enabled,
-	// the server keys the coherence cache per user across frames; at
-	// ReuseThreshold 0 this is provably output-neutral (DESIGN.md §13).
+	// Required. With core.Options.PathReuse enabled, the server keys
+	// the coherence cache per user across frames; at ReuseThreshold 0
+	// this is provably output-neutral (DESIGN.md §13).
 	DetectorFactory func() detector.Detector
 
 	// DegradeLadder lists descending N_PE rungs (e.g. 512→128→32 as
@@ -264,11 +263,6 @@ func NewServer(cfg Config) (*Server, error) {
 		s.shards[i] = sh
 	}
 	if uncappable != nil {
-		for _, sh := range s.shards {
-			for _, w := range sh.workers {
-				closeDetector(w.det)
-			}
-		}
 		return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", uncappable.Name())
 	}
 	for _, sh := range s.shards {
@@ -278,13 +272,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	return s, nil
-}
-
-// closeDetector releases a factory-built detector that holds resources.
-func closeDetector(d detector.Detector) {
-	if c, ok := d.(interface{ Close() }); ok {
-		c.Close()
-	}
 }
 
 // shardIndex maps a user ID to its shard: a SplitMix64 finalizer
@@ -302,8 +289,7 @@ func shardIndex(userID uint64, shards int) int {
 }
 
 // runWorker drains one shard's runnable queue until it is closed by
-// Shutdown, then flushes its buffered responses and releases its
-// detector. Each runnable task is the head of one user's chain: after
+// Shutdown, then flushes its buffered responses. Each runnable task is the head of one user's chain: after
 // responding, the worker takes the user's next pending frame directly
 // (completeUser), so one user's frames are processed back-to-back by
 // one worker in arrival order — per-user FIFO, serialized reuse state —
@@ -327,7 +313,6 @@ func (s *Server) runWorker(sh *shard, w *shardWorker) {
 		}
 	}
 	s.flushDirty(w)
-	closeDetector(w.det)
 }
 
 // nextTask returns the next runnable chain head, or nil once the queue
@@ -878,7 +863,6 @@ func (s *Server) trackConn(c io.Closer) bool {
 	return true
 }
 
-// untrackConn removes a closed connection.
 // forceClosed reports whether Shutdown has entered its force-close
 // phase (the connection table is retired before the conns are closed,
 // so any read error surfacing afterwards is server-initiated).
@@ -888,6 +872,7 @@ func (s *Server) forceClosed() bool {
 	return s.conns == nil
 }
 
+// untrackConn removes a closed connection.
 func (s *Server) untrackConn(c io.Closer) {
 	s.connMu.Lock()
 	delete(s.conns, c)
