@@ -299,10 +299,12 @@ func (d *FlexCore) ensureScratch() {
 // candidate into idx/sym. A candidate outside the constellation
 // saturates the slicer per axis (default) or deactivates the whole path
 // (StrictDeactivation, the paper's literal §3.2 wording), reported by
-// ok = false.
+// ok = false. So does a path that cannot improve on bound: partial
+// distances only grow, so the walk stops at the first level where
+// ped ≥ bound — an equal distance never replaces the incumbent.
 //
 //flexcore:noalloc
-func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []complex128) (ped float64, ok bool) {
+func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []complex128, bound float64) (ped float64, ok bool) {
 	for i := d.n - 1; i >= 0; i-- {
 		b := cmatrix.CancelRow(d.qr.R, ybar, sym, i)
 		rii := real(d.qr.R.At(i, i))
@@ -326,6 +328,9 @@ func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []com
 		q := d.cons.Point(k)
 		sym[i] = q
 		ped += cmatrix.PEDIncrement(b, rii, q)
+		if ped >= bound {
+			return ped, false
+		}
 	}
 	return ped, true
 }
@@ -334,8 +339,9 @@ func (d *FlexCore) evalPath(ybar []complex128, ranks []int, idx []int, sym []com
 // `vectors` received vectors of length ylen under the current Prepare.
 // The per-path term is the paper's per-processing-element cost — what
 // N_PE independent elements execute, the hardware model behind Table 1
-// and Fig. 10 — on every backend, including the SoA trie descent that
-// shares tree nodes between paths and so executes fewer (DESIGN §11.2).
+// and Fig. 10 — on every backend, although the SoA trie descent shares
+// tree nodes between paths and both backends stop a path at the bound
+// an independent element cannot see, and so execute fewer (DESIGN §11.2).
 //
 //flexcore:noalloc
 func (d *FlexCore) countDetections(vectors, ylen int) {
@@ -424,7 +430,7 @@ func (d *FlexCore) detectOne(y []complex128, out []int) bool {
 	bestPed := math.Inf(1)
 	found := false
 	for _, p := range d.paths {
-		ped, ok := d.evalPath(yb, p.Ranks, idx, sym)
+		ped, ok := d.evalPath(yb, p.Ranks, idx, sym, bestPed)
 		if ok && ped < bestPed {
 			bestPed, found = ped, true
 			copy(best, idx)

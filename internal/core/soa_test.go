@@ -335,3 +335,90 @@ func TestParseBackend(t *testing.T) {
 		t.Error("Backend.String spellings drifted")
 	}
 }
+
+// visitedPerVector detects `vectors` noisy vectors on each of `channels`
+// seeded Rayleigh draws and returns the mean per vector of
+// Scratch.Visited — the nodes the bounded descent sliced, its bound
+// lane's walk included — and of Plan.Nodes, the trie's distinct nodes.
+func visitedPerVector(t *testing.T, qam, nt, npe int, sigma2 float64, channels, vectors int) (visited, nodes float64) {
+	t.Helper()
+	cons := constellation.MustNew(qam)
+	fc := New(cons, Options{NPE: npe, Backend: BackendSoA32})
+	for ch := 0; ch < channels; ch++ {
+		rng := newRng(4200 + uint64(ch))
+		h := channel.Rayleigh(rng, nt, nt)
+		if err := fc.Prepare(h, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < vectors; v++ {
+			fc.Detect(transmit(rng, h, cons, randSymbols(rng, cons, nt), sigma2))
+			visited += float64(fc.soa.scratch.Visited)
+			nodes += float64(fc.soa.prep.Plan.Nodes())
+		}
+	}
+	n := float64(channels * vectors)
+	return visited / n, nodes / n
+}
+
+// TestBoundedDescentVisitedShare counts the work the bound saves, at
+// the two benchmark geometries: the descent slices at most half of the
+// paper-geometry trie (`frame-detect`) and about a third of the shallow
+// one (`serve-static`); an unbounded walk slices every node. The logged
+// sweep is EXPERIMENTS.md's table: pruning fades as SNR falls, because
+// the first lane's distance grows with the noise.
+func TestBoundedDescentVisitedShare(t *testing.T) {
+	for _, g := range []struct {
+		name         string
+		qam, nt, npe int
+		sigma2, max  float64
+	}{
+		{"12x12 64-QAM N_PE=128 16 dB", 64, 12, 128, channel.Sigma2FromSNRdB(16, 1), 0.50},
+		{"4x4 16-QAM N_PE=512 sigma2=0.05", 16, 4, 512, 0.05, 0.35},
+	} {
+		visited, nodes := visitedPerVector(t, g.qam, g.nt, g.npe, g.sigma2, 40, 4)
+		t.Logf("visited share %s: %.3f (%.0f of %.0f nodes per vector)", g.name, visited/nodes, visited, nodes)
+		if visited > g.max*nodes {
+			t.Errorf("%s: descent sliced %.3f of the trie's nodes, want ≤ %.2f", g.name, visited/nodes, g.max)
+		}
+	}
+	for _, db := range []float64{10, 16, 21.6} {
+		visited, nodes := visitedPerVector(t, 64, 12, 128, channel.Sigma2FromSNRdB(db, 1), 40, 4)
+		t.Logf("visited share 12x12 64-QAM N_PE=128 %.1f dB: %.3f (%.0f of %.0f nodes per vector)", db, visited/nodes, visited, nodes)
+	}
+}
+
+// TestNonFiniteInputFallsBack: a received vector of NaNs gives every
+// path a NaN distance on either backend; none wins — bounded walk or
+// not — so the detection is the clamped-SIC fallback's and is counted
+// as one. A finite vector under the same Prepare is not.
+func TestNonFiniteInputFallsBack(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nt = 4
+	sigma2 := channel.Sigma2FromSNRdB(18, 1)
+	rng := newRng(4300)
+	h := channel.Rayleigh(rng, nt, nt)
+	y := transmit(rng, h, cons, randSymbols(rng, cons, nt), sigma2)
+	bad := make([]complex128, nt)
+	for i := range bad {
+		bad[i] = complex(math.NaN(), math.NaN())
+	}
+	c128, soa := backendPair(cons, Options{NPE: 32})
+	for _, fc := range []*FlexCore{c128, soa} {
+		name := fc.opts.Backend
+		if err := fc.Prepare(h, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		fc.Detect(y)
+		if n := fc.FallbackDetections(); n != 0 {
+			t.Errorf("%v: finite vector counted %d fallbacks", name, n)
+		}
+		for _, k := range fc.Detect(bad) {
+			if k < 0 || k >= cons.Size() {
+				t.Errorf("%v: NaN vector decided index %d", name, k)
+			}
+		}
+		if n := fc.FallbackDetections(); n != 1 {
+			t.Errorf("%v: NaN vector counted %d fallbacks, want 1", name, n)
+		}
+	}
+}

@@ -31,7 +31,7 @@ func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs 
 	idx := make([]int, d.n)
 	sym := make([]complex128, d.n)
 	for _, p := range d.paths {
-		ped, ok := d.evalPath(ybar, p.Ranks, idx, sym)
+		ped, ok := d.evalPath(ybar, p.Ranks, idx, sym, math.Inf(1))
 		if ok {
 			cands = append(cands, candidate{idx: append([]int(nil), idx...), ped: ped})
 		}

@@ -80,30 +80,69 @@ func randomChannel(rng *rand.Rand, pr *Prep, n int, cons *constellation.Constell
 	pr.SetChannel(r, 1/cons.Scale())
 }
 
-// checkAgainstReference descends the staged plane and compares every
-// lane — distance bits, decided indices — and the returned argmin of
-// each given range with the per-lane reference.
+// bits32 is the exact-equality view of a distance.
+func bits32(v float32) uint32 { return math.Float32bits(v) }
+
+// checkAgainstReference descends the staged plane and pins it to the
+// per-lane reference. Each given range must return the reference's
+// argmin — lane and distance bits — with the winner's decisions, under
+// a bound that is the range's first lane's distance in both the
+// reference and the level walk; every leaf of the range is either the
+// reference's bit for bit or pruned to +Inf, and then strictly worse
+// than the returned minimum. A pruned lane has no distance, so per-lane
+// exactness is pinned on single-lane ranges, where the bound is the
+// lane's own: Descend(p, p+1) must return (p, ref[p]) and lane p's
+// reference decisions, or −1 when the reference deactivated.
 func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P int, ranks []int16, strict bool, ranges [][2]int) {
 	t.Helper()
 	n := pr.N
 	want, wantIdx := refLanes(pr, sl, P, ranks, s.yb, strict)
 	got := make([]int, n)
+	checkIdx := func(p int) {
+		t.Helper()
+		s.GatherIdx(p, got)
+		for i := range got {
+			if int32(got[i]) != wantIdx[p][i] {
+				t.Fatalf("n=%d P=%d strict=%v lane %d level %d: index %d, reference %d", n, P, strict, p, i, got[i], wantIdx[p][i])
+			}
+		}
+	}
 	for _, rg := range ranges {
-		lane, ped := Descend(pr, sl, s, rg[0], rg[1], strict)
-		wl, wp := refArgmin(want, rg[0], rg[1])
-		if lane != wl || math.Float32bits(ped) != math.Float32bits(wp) {
+		lo, hi := rg[0], rg[1]
+		lane, ped := Descend(pr, sl, s, lo, hi, strict)
+		wl, wp := refArgmin(want, lo, hi)
+		if lane != wl || bits32(ped) != bits32(wp) {
 			t.Fatalf("n=%d P=%d strict=%v range %v: got lane %d ped %v, reference lane %d ped %v", n, P, strict, rg, lane, ped, wl, wp)
 		}
-		for p := rg[0]; p < rg[1]; p++ {
-			if gp := s.Ped[int(pr.Plan.start[n])+p]; math.Float32bits(gp) != math.Float32bits(want[p]) {
-				t.Fatalf("n=%d P=%d strict=%v lane %d: distance %v, reference %v", n, P, strict, p, gp, want[p])
+		if s.Visited > pr.Plan.Nodes()+n {
+			t.Fatalf("n=%d P=%d strict=%v range %v: %d nodes sliced, the trie has %d and the bound lane %d", n, P, strict, rg, s.Visited, pr.Plan.Nodes(), n)
+		}
+		if lo >= hi {
+			continue
+		}
+		leaves := s.Ped[pr.Plan.start[n]:]
+		if bits32(s.bound) != bits32(want[lo]) || bits32(s.bound) != bits32(leaves[lo]) {
+			t.Fatalf("n=%d P=%d strict=%v range %v: bound %v, level walk %v, reference %v for lane %d", n, P, strict, rg, s.bound, leaves[lo], want[lo], lo)
+		}
+		for p := lo; p < hi; p++ {
+			pruned := math.IsInf(float64(leaves[p]), 1) && want[p] > wp
+			if bits32(leaves[p]) != bits32(want[p]) && !pruned {
+				t.Fatalf("n=%d P=%d strict=%v range %v lane %d: distance %v, reference %v (minimum %v)", n, P, strict, rg, p, leaves[p], want[p], wp)
 			}
-			s.GatherIdx(p, got)
-			for i := range got {
-				if int32(got[i]) != wantIdx[p][i] {
-					t.Fatalf("n=%d P=%d strict=%v lane %d level %d: index %d, reference %d", n, P, strict, p, i, got[i], wantIdx[p][i])
-				}
+		}
+		if lane >= 0 {
+			checkIdx(lane)
+		}
+	}
+	for p := 0; p < P; p++ {
+		lane, ped := Descend(pr, sl, s, p, p+1, strict)
+		if want[p] < inf32 {
+			if lane != p || bits32(ped) != bits32(want[p]) {
+				t.Fatalf("n=%d P=%d strict=%v lane %d alone: got lane %d ped %v, reference %v", n, P, strict, p, lane, ped, want[p])
 			}
+			checkIdx(p)
+		} else if lane != -1 || !math.IsInf(float64(ped), 1) {
+			t.Fatalf("n=%d P=%d strict=%v lane %d alone: got lane %d ped %v, reference deactivated", n, P, strict, p, lane, ped)
 		}
 	}
 }
@@ -174,6 +213,90 @@ func TestDescendTieBreakLowestLane(t *testing.T) {
 	}
 }
 
+// TestDescendBoundLane pins the cases where the bound lane — the first
+// of the range — is special: tied with a later duplicate, beaten by a
+// later tie, deactivated, or absent because the range is empty.
+func TestDescendBoundLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(1408))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	const n, P = 4, 9
+	var pr Prep
+	var s Scratch
+	randomChannel(rng, &pr, n, cons)
+	s.Ensure(n, P)
+	// ȳ = R·x + a little noise for inner constellation points x, so the
+	// SIC path is the clear winner and its neighbours stay inside.
+	for i := range s.yb {
+		var re, im float32
+		for j := i; j < n; j++ {
+			xr, xi := sl.Point(int32(5 + j%2))
+			re += pr.Rre[i*n+j]*xr - pr.Rim[i*n+j]*xi
+			im += pr.Rre[i*n+j]*xi + pr.Rim[i*n+j]*xr
+		}
+		s.yb[i] = c32{re + float32(rng.NormFloat64())/50, im + float32(rng.NormFloat64())/50}
+	}
+	// Lanes 2 and 5 are the SIC path, lanes 3 and 6 its neighbour one
+	// step up at the bottom level; lane 0 takes the 16th-closest symbol
+	// at the top level, which no received point near the constellation
+	// has inside it; the rest are arbitrary.
+	ranks := pr.EnsureRanks(P)
+	for i := range ranks {
+		ranks[i] = int16(2 + rng.Intn(4))
+	}
+	for i := 0; i < n; i++ {
+		ranks[i*P+0] = 1
+		for _, p := range []int{2, 3, 5, 6} {
+			ranks[i*P+p] = 1
+		}
+	}
+	ranks[(n-1)*P+0] = 16
+	ranks[3], ranks[6] = 2, 2
+
+	for _, strict := range []bool{false, true} {
+		want, _ := refLanes(&pr, sl, P, ranks, s.yb, strict)
+		if bits32(want[2]) != bits32(want[5]) || bits32(want[3]) != bits32(want[6]) || !(want[3] > want[2]) {
+			t.Fatalf("strict=%v: the staged lanes no longer tie as intended: %v", strict, want)
+		}
+		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}, {2, P}, {3, P}, {3, 6}, {1, 2}})
+		// The bound lane and the lane three up tie: the bound lane wins.
+		if lane, _ := Descend(&pr, sl, &s, 2, P, strict); lane != 2 {
+			t.Errorf("strict=%v range [2,%d): lane %d, want the bound lane 2 over its duplicate 5", strict, P, lane)
+		}
+		// The bound lane is beaten by a tie further up: the lower of the
+		// two wins, and the bound lane's duplicate survives unpruned.
+		lane, ped := Descend(&pr, sl, &s, 3, P, strict)
+		if lane != 5 || bits32(ped) != bits32(want[5]) {
+			t.Errorf("strict=%v range [3,%d): lane %d ped %v, want lane 5 ped %v", strict, P, lane, ped, want[5])
+		}
+		if got := s.Ped[int(pr.Plan.start[n])+6]; bits32(got) != bits32(want[6]) {
+			t.Errorf("strict=%v range [3,%d): lane 6 ties the bound yet reads %v, want %v", strict, P, got, want[6])
+		}
+		for _, lo := range []int{0, P / 2, P} {
+			if lane, ped := Descend(&pr, sl, &s, lo, lo, strict); lane != -1 || !math.IsInf(float64(ped), 1) || s.Visited != 0 {
+				t.Errorf("strict=%v empty range [%d,%d): lane %d ped %v visited %d, want -1 +Inf 0", strict, lo, lo, lane, ped, s.Visited)
+			}
+		}
+		if !strict {
+			continue
+		}
+		// Strict, bound lane deactivated: the bound is +Inf, no distance
+		// prunes, and the rest of the range is decided as if it led it.
+		if !math.IsInf(float64(want[0]), 1) {
+			t.Fatalf("lane 0 no longer deactivates under strict: distance %v", want[0])
+		}
+		lane, ped = Descend(&pr, sl, &s, 0, P, true)
+		if !math.IsInf(float64(s.bound), 1) || lane != 2 || bits32(ped) != bits32(want[2]) {
+			t.Errorf("deactivated bound lane: bound %v lane %d ped %v, want +Inf 2 %v", s.bound, lane, ped, want[2])
+		}
+		for p, d := range s.Ped[pr.Plan.start[n]:] {
+			if bits32(d) != bits32(want[p]) {
+				t.Errorf("deactivated bound lane: lane %d reads %v, want %v — nothing may be pruned", p, d, want[p])
+			}
+		}
+	}
+}
+
 // TestDescendAllLanesDead: a received point far outside the
 // constellation deactivates every top-level node under strict
 // deactivation; every lane inherits +Inf and the descent reports −1.
@@ -199,6 +322,93 @@ func TestDescendAllLanesDead(t *testing.T) {
 	}
 	if lane, _ := Descend(&pr, sl, &s, 0, P, false); lane < 0 {
 		t.Fatalf("clamped descent of the same input deactivated")
+	}
+}
+
+// TestDescendNonFiniteInputs: received entries that are NaN or ±Inf
+// and off-diagonal R entries that float32() turns into ±Inf (a
+// wire-valid 1e150) go through the walk without a panic and without an
+// index outside the constellation; a lane whose distance is NaN or +Inf
+// never wins, whichever lane the bound came from, and when no lane is
+// finite the descent reports −1 so the caller falls back. A diagonal
+// that underflows to zero in float32 is degenerate like a zero one.
+func TestDescendNonFiniteInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1409))
+	cons := constellation.MustNew(16)
+	sl := NewSlicer32(cons)
+	const n, P = 4, 24
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	r := cmatrix.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			r.Set(i, j, complex(rng.NormFloat64()*0.5, rng.NormFloat64()*0.5))
+		}
+		r.Set(i, i, complex(0.3+rng.Float64(), 0))
+	}
+	hugeR := cmatrix.New(n, n)
+	copy(hugeR.Data, r.Data)
+	hugeR.Set(0, 2, complex(1e150, -1e150))
+	hugeR.Set(1, 3, complex(-1e150, 0))
+
+	for _, tc := range []struct {
+		name    string
+		r       *cmatrix.Matrix
+		poison  map[int]c32 // ȳ entries overwritten, by level
+		allDead bool        // no lane can have a finite distance
+	}{
+		{"NaN at the top level", r, map[int]c32{n - 1: {nan, 0}}, true},
+		{"NaN at the bottom level", r, map[int]c32{0: {0.5, nan}}, true},
+		{"+Inf and -Inf in the middle", r, map[int]c32{1: {inf, -inf}, 2: {-inf, 1}}, true},
+		{"all NaN", r, map[int]c32{0: {nan, nan}, 1: {nan, nan}, 2: {nan, nan}, 3: {nan, nan}}, true},
+		{"Inf off-diagonals, finite input", hugeR, nil, false},
+		{"Inf off-diagonals, NaN at the bottom", hugeR, map[int]c32{0: {nan, nan}}, true},
+	} {
+		var pr Prep
+		var s Scratch
+		pr.SetChannel(tc.r, 1/cons.Scale())
+		if pr.Degenerate {
+			t.Fatalf("%s: positive diagonal reported degenerate", tc.name)
+		}
+		ranks := pr.EnsureRanks(P)
+		for i := range ranks {
+			ranks[i] = int16(1 + rng.Intn(6))
+		}
+		s.Ensure(n, P)
+		for i := range s.yb {
+			s.yb[i] = c32{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+		}
+		for l, v := range tc.poison {
+			s.yb[l] = v
+		}
+		for _, strict := range []bool{false, true} {
+			want, _ := refLanes(&pr, sl, P, ranks, s.yb, strict)
+			for _, rg := range [][2]int{{0, P}, {1, P}, {P / 2, P}, {P - 1, P}} {
+				lane, ped := Descend(&pr, sl, &s, rg[0], rg[1], strict)
+				wl, wp := refArgmin(want, rg[0], rg[1])
+				if lane != wl || bits32(ped) != bits32(wp) {
+					t.Errorf("%s strict=%v range %v: lane %d ped %v, reference lane %d ped %v", tc.name, strict, rg, lane, ped, wl, wp)
+				}
+				if tc.allDead && lane != -1 {
+					t.Errorf("%s strict=%v range %v: lane %d won with distance %v", tc.name, strict, rg, lane, ped)
+				}
+				if lane >= 0 && !(ped < inf) {
+					t.Errorf("%s strict=%v range %v: winning distance %v is not finite", tc.name, strict, rg, ped)
+				}
+				for g, k := range s.Idx {
+					if k < 0 || int(k) >= cons.Size() {
+						t.Fatalf("%s strict=%v range %v: node %d decided index %d", tc.name, strict, rg, g, k)
+					}
+				}
+			}
+		}
+	}
+
+	var pr Prep
+	tiny := cmatrix.New(n, n)
+	copy(tiny.Data, r.Data)
+	tiny.Set(2, 2, complex(1e-60, 0))
+	if pr.SetChannel(tiny, 1/cons.Scale()); !pr.Degenerate {
+		t.Errorf("diagonal 1e-60 is %v in float32 yet the channel is not degenerate", pr.Rii[2])
 	}
 }
 

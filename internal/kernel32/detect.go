@@ -5,34 +5,44 @@ import "math"
 const signBit = 1 << 31
 
 // Descend walks the prefix trie of the selected paths (pr.Plan) from the
-// top level down, deciding every distinct node once: it reads the
-// node's interference-cancelled observation b from its parent's plane,
-// forms the effective received point with one reciprocal multiply (no
-// complex division), picks the node's rank-th closest symbol with the
-// inlined integer slicer, extends the parent's partial Euclidean
-// distance, and then cancels the decided symbol out of every row below
-// in push form — u(l) = parent.u(l) − R(l,j)·sym for l < j — so the
-// node's children find their b ready. A suffix shared by many paths is
-// sliced and cancelled once, not once per path; the leaves are one per
-// lane, so the result is the scalar evalPath loop's, lane for lane.
+// top level down, deciding each distinct node that can still hold the
+// answer once: it reads the node's interference-cancelled observation b
+// from its parent's plane, forms the effective received point with one
+// reciprocal multiply (no complex division), picks the node's rank-th
+// closest symbol with the inlined integer slicer, extends the parent's
+// partial Euclidean distance, and then cancels the decided symbol out
+// of every row below in push form — u(l) = parent.u(l) − R(l,j)·sym for
+// l < j — so the node's children find their b ready. A suffix shared by
+// many paths is sliced and cancelled once; the leaves are one per lane.
+//
+// The walk is bounded. Lane lo is walked alone first, through the same
+// code, and its distance B bounds the rest: a node whose partial
+// distance exceeds B is decided but not cancelled, and nothing below it
+// is sliced. Partial distances never decrease down a path (a
+// non-negative float32 addend never rounds a sum down) and B is the
+// distance of a lane of the range, so every leaf under a pruned node is
+// strictly worse than the range's minimum: the returned lane and
+// distance are the unbounded walk's, bit for bit. A NaN or +Inf bound
+// (a NaN input, a deactivated first lane) compares false and prunes
+// nothing. DESIGN.md §11.2 has the argument and the worst case.
 //
 // The node step is branch-free where the data decides (the sign of the
-// offset from the square centre, the diagonal swap, the clamp): those
-// are coin flips per node, and a mispredicted branch costs several
+// offset from the square centre, the diagonal swap, the clamp, the
+// bound): coin flips per node, and a mispredicted branch costs several
 // times the step's arithmetic.
 //
 // strict selects the paper's literal §3.2 deactivation: a candidate
-// outside the constellation kills the node, marked by a +Inf distance
-// and a neutral symbol, and the whole subtree under it inherits +Inf;
-// the default saturates the slicer per axis. With pr.Degenerate the
-// caller must skip Descend entirely and take the fallback, exactly like
-// the scalar backend's per-level rii ≤ 0 bailout.
+// outside the constellation kills the node and the subtree under it;
+// the default saturates the slicer per axis. A dead or pruned node has
+// no column in its level's cancellation plane and the leaves below it
+// read +Inf. With pr.Degenerate the caller must skip Descend and take
+// the fallback, like the scalar backend's per-level rii ≤ 0 bailout.
 //
 // It returns the best lane of [lo, hi) (ties resolved to the lowest
 // lane index, matching the scalar first-strict-improvement scan) and
-// its distance; lane −1 means every lane of the range deactivated. The
-// levels above the leaves are always walked whole; only the leaves and
-// the argmin are restricted to the range.
+// its distance; lane −1 means the range is empty or all of it
+// deactivated. Only the leaves, the bound and the argmin are restricted
+// to the range; the levels above are walked for every lane of the plan.
 //
 // A plan staged through EnsureRanks is compiled here on first use;
 // callers that share one Prep between concurrent descents must install
@@ -41,40 +51,89 @@ const signBit = 1 << 31
 //flexcore:noalloc
 func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane int, ped float32) {
 	pl := pr.plan()
-	s.fit(pl) //lint:ignore noalloc amortised: the inlined arena helper allocates only when a plan outgrows every earlier one
-	n := pr.N
+	s.fit(pl)
+	s.Visited, s.bound = 0, inf32
+	if lo >= hi {
+		return -1, inf32
+	}
+	leaves := s.Ped[pl.start[pr.N]:]
+
+	// Lane lo's node at every depth, leaf upwards, then its distance.
+	at := int32(lo)
+	for t := pr.N; t >= 1; t-- {
+		s.spine[t] = at
+		at = pl.nodes[pl.start[t]+at].parent
+	}
+	s.walk(pr, sl, lo, hi, strict, inf32, s.spine)
+	s.bound = leaves[lo]
+	s.walk(pr, sl, lo, hi, strict, s.bound, nil)
+
+	// Argmin over the range's leaves; ties resolve to the lowest lane
+	// like the scalar first-strict-improvement scan (dead lanes are +Inf
+	// and a NaN distance — possible only from a NaN input — never wins,
+	// the scalar backend's behaviour too).
+	lane = -1
+	best := inf32
+	for p, d := range leaves[lo:hi] {
+		if d < best {
+			best = d
+			lane = lo + p
+		}
+	}
+	return lane, best
+}
+
+// walk is the one descent body: under bound, every node of the levels
+// above the leaves and leaves [lo, hi) — or, given a spine, just that
+// one node per depth.
+//
+//flexcore:noalloc
+func (s *Scratch) walk(pr *Prep, sl *Slicer32, lo, hi int, strict bool, bound float32, spine []int32) {
+	pl, n := s.plan, pr.N
 	side, fside := sl.side, sl.fside
 	off, pts := sl.off, sl.pts
 	start := pl.start
+	visited := 0
 
-	s.Ped[0] = 0
-	// The root's plane is ȳ itself: N rows of one node.
+	s.Ped[0], s.col[0] = 0, 0
+	// The root's plane is ȳ itself: N rows of one column.
 	pu, pcnt := s.yb, 1
 	for t := 1; t <= n; t++ {
 		j := n - t
 		a, b := int(start[t]), int(start[t+1])
 		nd := pl.nodes[a:b]
-		cnt := len(nd)
 		peds := s.Ped[a:b]
 		peds = peds[:len(nd)]
 		idxs := s.Idx[a:b]
 		idxs = idxs[:len(nd)]
-		sym := s.sym[:len(nd)]
+		col := s.col[a:b]
+		col = col[:len(nd)]
+		cols := s.cols[:len(nd)]
 		pped := s.Ped[start[t-1]:a]
+		pcol := s.col[start[t-1]:a]
+		pcol = pcol[:len(pped)]
 		bs := pu[j*pcnt : (j+1)*pcnt]
-		bs = bs[:len(pped)]
 
 		// Slice and accumulate: z = b·W is already in half-distance
 		// units, so the lookup is integer math on float bits.
-		w := pr.W[j]
-		rii := pr.Rii[j]
-		q0, q1 := 0, cnt
+		w, rii := pr.W[j], pr.Rii[j]
+		q0, q1 := 0, len(nd)
 		if j == 0 {
 			q0, q1 = lo, hi
 		}
+		if spine != nil {
+			q0, q1 = int(spine[t]), int(spine[t])+1
+		}
+		live := 0
 		for q := q0; q < q1; q++ {
 			v := nd[q]
-			bv := bs[v.parent]
+			pc := pcol[v.parent]
+			if pc < 0 {
+				peds[q], col[q] = inf32, -1 // under a dead or pruned node: not sliced
+				continue
+			}
+			visited++
+			bv := bs[pc]
 			zx := bv.re * w
 			zy := bv.im * w
 			// Nearest midpoint-grid square, rounding half away from zero
@@ -105,11 +164,7 @@ func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane 
 			nx := (cx + ((oa ^ sx) - sx) + side - 1) >> 1
 			ny := (cy + ((ob ^ sy) - sy) + side - 1) >> 1
 			if strict && (uint32(nx) >= uint32(side) || uint32(ny) >= uint32(side)) {
-				// Deactivated node: +Inf distance, neutral symbol so the
-				// levels below stay finite.
-				peds[q] = inf32
-				idxs[q] = 0
-				sym[q] = c32{}
+				peds[q], col[q] = inf32, -1
 				continue
 			}
 			// Saturate each axis to [0, side): v &^ (v>>31) is max(v, 0),
@@ -123,41 +178,36 @@ func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane 
 			pt := pts[k]
 			dr := bv.re - rii*pt.re
 			di := bv.im - rii*pt.im
-			peds[q] = pped[v.parent] + (dr*dr + di*di)
+			d := pped[v.parent] + (dr*dr + di*di)
+			peds[q] = d
 			idxs[q] = k
-			sym[q] = pt
+			// Past the bound the node takes no column — a coin flip, so
+			// the column is written regardless and kept by conditional move.
+			c, keep := int32(live), 1
+			if d > bound {
+				c, keep = -1, 0
+			}
+			col[q] = c
+			cols[live] = column{pt, pc}
+			live += keep
 		}
 
-		// Push the decided symbols into the rows below: the R entry is a
-		// broadcast scalar and the node loop writes one contiguous run per
-		// row, gathering only the parent's entry.
-		cu := s.u[t&1][:j*cnt]
+		// Push the live columns' symbols into the rows below: the R entry
+		// is a broadcast scalar and the column loop writes one contiguous
+		// run per row, gathering only the parent's entry.
+		cols = cols[:live]
+		cu := s.u[t&1][:j*live]
 		for l := 0; l < j; l++ {
-			rr := pr.Rre[l*n+j]
-			ri := pr.Rim[l*n+j]
+			rr, ri := pr.Rre[l*n+j], pr.Rim[l*n+j]
 			src := pu[l*pcnt : (l+1)*pcnt]
-			dst := cu[l*cnt : (l+1)*cnt]
-			dst = dst[:len(nd)]
-			for q, v := range nd {
+			dst := cu[l*live : (l+1)*live]
+			dst = dst[:len(cols)]
+			for c, v := range cols {
 				pv := src[v.parent]
-				sv := sym[q]
-				dst[q] = c32{pv.re - (rr*sv.re - ri*sv.im), pv.im - (rr*sv.im + ri*sv.re)}
+				dst[c] = c32{pv.re - (rr*v.sym.re - ri*v.sym.im), pv.im - (rr*v.sym.im + ri*v.sym.re)}
 			}
 		}
-		pu, pcnt = cu, cnt
+		pu, pcnt = cu, live
 	}
-
-	// Argmin over the range's leaves; ties resolve to the lowest lane
-	// like the scalar first-strict-improvement scan (deactivated lanes
-	// are +Inf and a NaN distance — possible only from a NaN input —
-	// never wins, the scalar backend's behaviour too).
-	lane = -1
-	best := inf32
-	for p, d := range s.Ped[int(start[n])+lo : int(start[n])+hi] {
-		if d < best {
-			best = d
-			lane = lo + p
-		}
-	}
-	return lane, best
+	s.Visited += visited
 }

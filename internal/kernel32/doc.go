@@ -16,10 +16,11 @@
 //	Scratch  per descent: ȳ, the per-node distances and decisions, and
 //	         the cancellation planes of two adjacent levels
 //
-// One Descend call decides every distinct node once, top level first:
-// a branch-free integer slicer step per node, then the decided symbol
-// is cancelled out of every lower row in push form so the children
-// read their observation directly.
+// One Descend call decides each distinct node at most once, top level
+// first — a branch-free integer slicer step, then the decided symbol is
+// cancelled out of every lower row in push form so the children read
+// their observation directly — and skips every subtree whose partial
+// distance already exceeds that of the first lane, walked ahead alone.
 //
 // Numerics: float32 arithmetic makes distances (not decisions) the
 // approximate quantity. The conformance contract (internal/conformance)

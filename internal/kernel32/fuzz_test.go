@@ -24,9 +24,10 @@ func (b *fuzzBytes) next() byte {
 // shape, deactivation mode, an arbitrary rank plane, an upper-triangular
 // R with a positive diagonal and a received vector, all on coarse dyadic
 // grids so no distance can overflow — and demands what the properties in
-// descend_test.go demand of seeded draws: every lane's decisions and
-// distance equal the per-lane reference's, the argmin is the reference's,
-// and every distance is finite or +Inf.
+// descend_test.go demand of seeded draws: the argmin and every lane on
+// its own equal the per-lane reference's, a pruned lane is worse than
+// the minimum, every distance is finite or +Inf and the clamped mode's
+// returned one is finite.
 func FuzzDescend(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,9 +59,13 @@ func FuzzDescend(f *testing.F) {
 			s.yb[i] = c32{float32(int8(in.next())) / 16, float32(int8(in.next())) / 16}
 		}
 
-		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}})
+		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}, {P / 2, P}})
+		lane, ped := Descend(&pr, sl, &s, 0, P, strict)
+		if !strict && (lane < 0 || math.IsInf(float64(ped), 1)) {
+			t.Fatalf("clamped descent returned lane %d distance %v", lane, ped)
+		}
 		for p, d := range s.Ped[pr.Plan.start[n]:] {
-			if math.IsNaN(float64(d)) || math.IsInf(float64(d), -1) || (!strict && math.IsInf(float64(d), 1)) {
+			if math.IsNaN(float64(d)) || math.IsInf(float64(d), -1) {
 				t.Fatalf("lane %d: distance %v (strict=%v)", p, d, strict)
 			}
 		}

@@ -25,9 +25,9 @@ type Prep struct {
 	// rank plane into the Prep's own plan and installs that.
 	Plan *Plan
 
-	// Degenerate is set when some diagonal entry is ≤ 0: every path
-	// deactivates at that level (exactly as in the scalar backend), so
-	// detection goes straight to the clamped-SIC fallback.
+	// Degenerate is set when some diagonal entry is ≤ 0 in float32: every
+	// path deactivates at that level (exactly as in the scalar backend),
+	// so detection goes straight to the clamped-SIC fallback.
 	Degenerate bool
 
 	comp Compiler // EnsureRanks route: staging plane and compile scratch
@@ -61,7 +61,7 @@ func (pr *Prep) SetChannel(r *cmatrix.Matrix, invScale float64) {
 		}
 		rii := real(row[i])
 		pr.Rii[i] = float32(rii)
-		if rii <= 0 {
+		if pr.Rii[i] <= 0 { // as float32: a diagonal that underflows is a zero one
 			pr.Degenerate = true
 			pr.W[i] = 0
 			continue
@@ -98,6 +98,13 @@ func (pr *Prep) plan() *Plan {
 // access.
 type c32 struct{ re, im float32 }
 
+// column is one live node of the level being decided, as the push loop
+// reads it: the decided symbol and the node's parent column.
+type column struct {
+	sym    c32
+	parent int32
+}
+
 // Scratch is the mutable state of one descent: the rotated received
 // vector, the per-node distances and decisions, and the cancellation
 // planes of the level being decided and the one above it. One Scratch
@@ -106,17 +113,28 @@ type c32 struct{ re, im float32 }
 type Scratch struct {
 	yb []c32 // N: rotated received vector ȳ — the root's cancellation plane
 
-	Ped []float32 // per plan node: accumulated partial Euclidean distance
-	Idx []int32   // per plan node: decided symbol index
+	// Per plan node of the last descent. A node the bounded walk did not
+	// slice — below a deactivated node, or below one whose partial
+	// distance exceeded the bound — has Ped = +Inf and an unspecified
+	// Idx; the returned lane's nodes are always decided.
+	Ped []float32 // accumulated partial Euclidean distance
+	Idx []int32   // decided symbol index
+
+	// Visited counts the nodes the last descent sliced, the bound lane's
+	// own walk included; Plan.Nodes is what an unbounded walk slices.
+	Visited int
 
 	// Cancellation planes, ping-ponged between a level and its parents:
-	// row l < j of a level-j plane holds, per node, ȳ(l) less the
+	// row l < j of a level-j plane holds, per live node, ȳ(l) less the
 	// interference of the symbols decided at levels j..N−1 along the
 	// node's suffix.
-	u   [2][]c32
-	sym []c32 // the current level's decided symbol values
+	u    [2][]c32
+	col  []int32  // per plan node: its column in its level's plane, −1 = dead or pruned
+	cols []column // the current level's live nodes, by column
 
-	plan *Plan // plan of the last descent, for GatherIdx
+	spine []int32 // per depth: the bound lane's node within the level
+	bound float32 // the last descent's bound: its first lane's distance
+	plan  *Plan   // plan of the last descent, for GatherIdx
 }
 
 // Ensure sizes the ȳ plane for n levels; the node planes are sized by
@@ -141,11 +159,16 @@ func (s *Scratch) fit(pl *Plan) {
 	if cap(s.Ped) < nodes {
 		s.Ped = make([]float32, nodes) //lint:ignore noalloc amortised: node planes regrow only when a plan outgrows every earlier one
 		s.Idx = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
+		s.col = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
 	}
 	s.Ped = s.Ped[:nodes]
 	s.Idx = s.Idx[:nodes]
-	if cap(s.sym) < pl.P {
-		s.sym = make([]c32, pl.P) //lint:ignore noalloc amortised: see above
+	s.col = s.col[:nodes]
+	if cap(s.cols) < pl.P {
+		s.cols = make([]column, pl.P) //lint:ignore noalloc amortised: see above
+	}
+	if len(s.spine) <= pl.N {
+		s.spine = make([]int32, pl.N+1) //lint:ignore noalloc amortised: see above
 	}
 	if cap(s.u[0]) < pl.umax {
 		s.u[0] = make([]c32, pl.umax) //lint:ignore noalloc amortised: see above
@@ -167,7 +190,8 @@ func (s *Scratch) SetYbar(yb []complex128) {
 
 // GatherIdx copies lane p's decided symbol indices of the last descent
 // (factored stream order) into dst, one per level, walking the plan's
-// parent links up from the lane's leaf.
+// parent links up from the lane's leaf. They are the lane's decisions
+// when its distance is finite — always, for the returned lane.
 //
 //flexcore:noalloc
 func (s *Scratch) GatherIdx(p int, dst []int) {
