@@ -164,6 +164,29 @@ func TestPrepareAllRegrowThenSettle(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("PrepareAll after shrink: %.1f allocs/op, want 0", allocs)
 	}
+
+	// 48 → 8 → 64 subcarriers: the regrow happens while the frame is
+	// re-sliced to 8, and must still carry over the arenas slots 8–47
+	// grew for the 48-subcarrier frame.
+	wide := frameChannels(409, 6, 4, 64)
+	fc = New(cons, Options{NPE: 32})
+	if err := fc.PrepareAll(wide[:48], 0.05); err != nil {
+		t.Fatal(err)
+	}
+	arena := make([]*int, 48)
+	for k := range arena {
+		arena[k] = &fc.frame[k].own.ranks[0]
+	}
+	for _, n := range []int{8, 64} {
+		if err := fc.PrepareAll(wide[:n], 0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range arena {
+		if &fc.frame[k].own.ranks[0] != arena[k] {
+			t.Fatalf("slot %d lost its grown arena in the 48 → 8 → 64 regrow", k)
+		}
+	}
 }
 
 // TestReuseStateSteadyStateAllocFree gates the cross-frame reuse path:
@@ -186,8 +209,8 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// All-hit frame: every slot copies its base's paths — and, on
-			// the SoA backend, the base's descent plan — into its arenas.
+			// All-hit frame: every slot selects its base's paths — and, on
+			// the SoA backend, the base's descent plan — in place.
 			allocs := testing.AllocsPerRun(20, func() {
 				if err := fc.PrepareAll(fb, 0.05); err != nil {
 					t.Fatal(err)
@@ -217,7 +240,7 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 // TestPathCapSteadyStateAllocFree gates the capped paths: alternating
 // full and capped frames over a user's ReuseState — prefix copies on a
 // static channel, capped searches and re-bases on a changing one — and
-// the scalar cache's prefix store all run from retained arenas.
+// scalar Prepare's prefix copies all run from retained arenas.
 func TestPathCapSteadyStateAllocFree(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nr, nt, nSC = 6, 4, 8
@@ -247,7 +270,7 @@ func TestPathCapSteadyStateAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			scalar := func() { // the depth-1 cache: hit, hit by prefix, …
+			scalar := func() { // Prepare's own base: hit, hit by prefix, …
 				i++
 				fc.SetPathCap(12 * (i % 2))
 				if err := fc.Prepare(fa[0], 0.05); err != nil {

@@ -86,7 +86,6 @@ type FlexCore struct {
 	npe  int // path bound of the next Prepare/PrepareAll: opts.NPE, or the SetPathCap below it
 
 	qr     *cmatrix.QRResult
-	model  *Model
 	paths  []Path
 	n      int
 	ops    detector.OpCount
@@ -106,25 +105,21 @@ type FlexCore struct {
 	batchBuf []int
 	batchHdr [][]int
 
-	// Channel-rate scratch: QR factors, workspace, model storage and the
-	// pre-processing pool, all reused so steady-state Prepare performs
-	// no allocation (the paper's O(N_PE·Nt) pre-processing claim held in
-	// memory traffic too, not only arithmetic).
-	qrOwn    cmatrix.QRResult
-	qrws     cmatrix.QRWorkspace
-	modelOwn Model
-	finder   pathFinder
-	reuse    reuseCache  // scalar Prepare's path set, and its coherence base under PathReuse
-	prefix   pathStore   // scalar Prepare's set when a larger base serves a path cap
-	extReuse *ReuseState // caller-owned cross-frame bases (SetReuseState)
+	// Channel-rate scratch: the QR workspace and the pre-processing
+	// pool, reused with the frame slots below so steady-state Prepare
+	// performs no allocation (the paper's O(N_PE·Nt) pre-processing claim
+	// held in memory traffic too, not only arithmetic).
+	qrws        cmatrix.QRWorkspace
+	finder      pathFinder
+	scalarReuse ReuseState  // scalar Prepare's one-slot coherence base under PathReuse
+	extReuse    *ReuseState // caller-owned cross-frame bases for PrepareAll (SetReuseState)
 
 	// SoA-backend planes and scratch (Options.Backend == BackendSoA32).
 	soa soaState
 
-	// Frame state: per-subcarrier prepared slots filled by PrepareAll,
-	// activated by Select.
-	frame  []prepSlot
-	frameN int
+	// The prepared frame: per-subcarrier slots filled by PrepareAll — or
+	// by Prepare, as one slot — and activated by Select.
+	frame []prepSlot
 }
 
 // New returns a FlexCore detector. NPE must be ≥ 1.
@@ -156,64 +151,22 @@ func (d *FlexCore) Name() string {
 // Prepare runs the channel-dependent work: the sorted QR decomposition
 // (shared with any sphere decoder) and FlexCore's pre-processing tree
 // search. It re-runs whenever the channel changes, as in the paper.
-// All channel-rate storage (QR factors, model, search queues, path
-// set) is detector-owned and reused, so steady-state Prepare calls are
-// allocation-free; the slices returned by Paths() are valid until the
-// next Prepare/PrepareAll call. With Options.PathReuse, a channel
-// coherent with the previous fresh-prepared one reuses its position
-// vectors and skips the tree search entirely.
+// Prepare is the one-subcarrier frame, selected: it replaces the
+// prepared frame (FrameSize() == 1). All channel-rate storage (QR
+// factors, model, search queues, path set) is detector-owned and
+// reused, so steady-state Prepare calls are allocation-free; the slices
+// returned by Paths() are valid until the next Prepare/PrepareAll call.
+// With Options.PathReuse, a channel coherent with the previous
+// fresh-prepared one reuses its position vectors and skips the tree
+// search entirely — the detector's own base, never a ReuseState's.
 //
 //flexcore:noalloc
 func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
-	if h.Rows < h.Cols {
-		return fmt.Errorf("core: need receive antennas ≥ streams, got %d×%d", h.Rows, h.Cols) //lint:ignore noalloc cold validation path, never taken in steady state
+	hs := [1]*cmatrix.Matrix{h}
+	if err := d.prepareFrame(hs[:], sigma2, &d.scalarReuse); err != nil {
+		return err
 	}
-	d.qr = d.qrws.SortedQRInto(h, d.opts.Ordering, &d.qrOwn)
-	d.n = h.Cols
-	d.ensureScratch() //lint:ignore noalloc amortised: the inlined grow helper allocates only when the stream count changes
-	d.model = NewModelInto(&d.modelOwn, d.qr.R, sigma2, d.cons)
-	d.preparePaths(d.qr.R, sigma2)
-	d.soa.dirty = true
-	d.ops.Prepares++
-	muls := int64(4 * h.Rows * h.Cols * h.Cols)
-	d.ops.RealMuls += muls
-	d.ops.FLOPs += 2 * muls
-	return nil
-}
-
-// preparePaths selects the position vectors for the current model,
-// going through the coherence cache when PathReuse is enabled. A fresh
-// search emits straight into the cache's store, which therefore holds
-// scalar Prepare's path set whether or not PathReuse ever consults it;
-// a base larger than the current path cap serves it by prefix.
-//
-//flexcore:noalloc
-func (d *FlexCore) preparePaths(r *cmatrix.Matrix, sigma2 float64) {
-	c := &d.reuse
-	set := &c.pathStore
-	hit := false
-	if d.opts.PathReuse && c.valid && c.covers(d.npe) {
-		d.countSimilarity(r.Cols)
-		hit = c.match(r, sigma2, d.opts.ReuseThreshold)
-	}
-	if hit {
-		if d.npe < len(c.paths) {
-			set = &d.prefix
-			set.copyFrom(&c.pathStore, d.npe)
-		}
-		d.ppOps.CacheHits++
-	} else {
-		stats := d.finder.find(d.model, d.npe, d.opts.Threshold, set, d.useSoA())
-		d.ppOps.RealMuls += stats.RealMuls
-		d.ppOps.Expanded += stats.Expanded
-		if d.opts.PathReuse {
-			d.ppOps.CacheMisses++
-			c.rebase(r, sigma2)
-		}
-	}
-	d.paths = set.paths
-	d.soa.prep.Plan = &set.plan
-	d.ppOps.CumulativeProb = set.cum
+	return d.Select(0)
 }
 
 // countSimilarity accounts the coherence test's arithmetic: 2 real
@@ -234,10 +187,10 @@ func (d *FlexCore) countSimilarity(n int) {
 // state is re-based on the frame's results afterwards. The caller keys
 // the state however it likes — the serving layer installs one per user
 // before each frame, so a user's static channel skips the
-// candidate-position search across frames. It has no effect on the
-// scalar Prepare path (which keeps the detector-internal depth-1
-// cache) or when PathReuse is disabled. See ReuseState for the
-// single-detector-at-a-time contract.
+// candidate-position search across frames. It has no effect on scalar
+// Prepare (which keeps its own one-subcarrier base) or when PathReuse
+// is disabled. Frames prepared against st detect out of its storage:
+// each is valid until st is next prepared against or Reset (ReuseState).
 //
 //flexcore:noalloc
 func (d *FlexCore) SetReuseState(st *ReuseState) { d.extReuse = st }

@@ -16,11 +16,10 @@ import (
 // be computed once per coherence interval and shared.
 
 // reuseCache is one coherence base: the R factor and noise variance of
-// a fresh-prepared channel with the path set selected for it. The
-// detector's scalar Prepare path keeps a depth-1 cache — its searches
-// emit straight into it — and a ReuseState keeps one per subcarrier.
-// A coherent base serves a Prepare only if it also covers the path
-// bound in force (pathStore.covers): callers test that first.
+// a fresh-prepared channel with the path set selected for it — searched
+// straight into it. A ReuseState keeps one per subcarrier. A coherent
+// base serves a Prepare only if it also covers the path bound in force
+// (pathStore.covers): callers test that first.
 type reuseCache struct {
 	pathStore
 	valid  bool
@@ -48,13 +47,10 @@ func similarR(base, r *cmatrix.Matrix, thr float64) bool {
 }
 
 // match reports whether (r, sigma2) is coherent with the cached base
-// under the relative tolerance thr.
+// (a valid one) under the relative tolerance thr.
 //
 //flexcore:noalloc
 func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
-	if !c.valid {
-		return false
-	}
 	ds := sigma2 - c.sigma2
 	if ds < 0 {
 		ds = -ds
@@ -81,15 +77,19 @@ func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
 // varying across frames skips the §3.1.1 candidate-position search on
 // every re-sent H, not only within one frame. With ReuseThreshold = 0
 // a hit requires a bit-identical (R, σ²), so reuse is provably
-// output-neutral (the same proof as the scalar cache, DESIGN.md §9).
+// output-neutral (DESIGN.md §9).
 //
-// A ReuseState must be installed on at most one detector at a time,
-// and hand-offs between detectors must be externally synchronized
-// (the serving layer's per-user FIFO sequencing provides exactly
-// that). Its bases carry the storing detector's backend state (the
-// SoA descent plan), so it moves only between detectors of one
-// Options.Backend. The zero value is ready to use; all storage is state-owned
-// and regrows only past its high-water mark.
+// A prepared frame shares the state's path sets instead of copying
+// them — a hit detects out of the base's storage, a miss searches
+// straight into it — so it is valid only until the state is next
+// prepared against, by any detector, or Reset. A ReuseState must be
+// installed on at most one detector at a time, and hand-offs between
+// detectors must be externally synchronized (the serving layer's
+// per-user FIFO sequencing provides both). Its bases carry the storing
+// detector's backend state (the SoA descent plan), so it moves only
+// between detectors of one Options.Backend. The zero value is ready to
+// use; all storage is state-owned and regrows only past its high-water
+// mark.
 type ReuseState struct {
 	slots []reuseCache
 }
@@ -122,8 +122,9 @@ func (st *ReuseState) grow(n int) {
 
 // prepSlot is one subcarrier's prepared channel state inside a frame:
 // its QR factors, per-level model, and selected path set — the slot's
-// own store for a fresh search (emitted in place) or a ReuseState hit
-// (copied), another slot's for a within-frame hit (aliased).
+// own store (a search with no reuse state behind it, or a larger base's
+// prefix under a path cap), the reuse state's (a hit on it or a search
+// into it) or another slot's (a within-frame hit).
 type prepSlot struct {
 	qr    cmatrix.QRResult
 	model Model
@@ -150,13 +151,24 @@ type prepSlot struct {
 // slot takes its first paths — while a base cut shorter than the cap is
 // passed over and replaced by this frame's search.
 //
-// With PathReuse disabled the results are bit-identical to looping
-// Prepare over the channels. PrepareAll leaves no subcarrier selected:
-// call Select(k) before detecting. The frame state is valid until the
-// next PrepareAll call (scalar Prepare does not disturb it).
+// Scalar Prepare is the one-subcarrier frame, so with PathReuse disabled
+// the results are bit-identical to looping Prepare over the channels.
+// PrepareAll leaves no subcarrier selected: call Select(k) before
+// detecting. The frame is valid until the next Prepare/PrepareAll, or
+// until an installed ReuseState is next prepared against or Reset.
 //
 //flexcore:noalloc
 func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+	return d.prepareFrame(hs, sigma2, d.extReuse)
+}
+
+// prepareFrame is the one reuse-aware prepare: PrepareAll runs it against
+// the installed ReuseState (nil for none), scalar Prepare against the
+// detector's own one-slot state. Slot k of st is written only at
+// iteration k and read only by the frame slots ≥ k that alias it.
+//
+//flexcore:noalloc
+func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseState) error {
 	nr, n, err := validateFrameGeometry(hs)
 	if err != nil {
 		return err
@@ -164,68 +176,70 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	d.n = n
 	d.ensureScratch() //lint:ignore noalloc amortised: the inlined grow helper allocates only when the stream count changes
 	if cap(d.frame) < len(hs) {
-		grown := make([]prepSlot, len(hs)) //lint:ignore noalloc amortised: frame arena regrows only when the subcarrier count grows
-		copy(grown, d.frame)               // keep the arenas already grown in old slots
+		grown := make([]prepSlot, len(hs))  //lint:ignore noalloc amortised: frame arena regrows only when the subcarrier count grows
+		copy(grown, d.frame[:cap(d.frame)]) // keep the arenas already grown in old slots, beyond the last frame's too
 		d.frame = grown
 	}
 	d.frame = d.frame[:len(hs)]
-	d.frameN = len(hs)
-	frame := d.frame
 
 	reuse := d.opts.PathReuse
-	var ext *ReuseState
-	if reuse && d.extReuse != nil {
-		ext = d.extReuse
-		ext.grow(len(frame))
+	if reuse && st != nil {
+		st.grow(len(hs))
+	} else {
+		st = nil
 	}
 	base := -1 // last fresh-prepared subcarrier of this frame
-	for k := range frame {
-		s := &frame[k]
+	for k := range d.frame {
+		s := &d.frame[k]
 		d.qrws.SortedQRInto(hs[k], d.opts.Ordering, &s.qr)
 		NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
 
-		extHit, chainHit := false, false
-		if ext != nil && ext.slots[k].valid && ext.slots[k].covers(d.npe) {
-			d.countSimilarity(n)
-			extHit = ext.slots[k].match(s.qr.R, sigma2, d.opts.ReuseThreshold)
+		var own *reuseCache // the subcarrier's cross-frame base
+		dst := &s.own       // where a search emits: in place into that base when there is one
+		stHit, chainHit := false, false
+		if st != nil {
+			own = &st.slots[k]
+			dst = &own.pathStore
+			if own.valid && own.covers(d.npe) {
+				d.countSimilarity(n)
+				stHit = own.match(s.qr.R, sigma2, d.opts.ReuseThreshold)
+			}
 		}
-		if reuse && !extHit && base >= 0 {
+		if reuse && !stHit && base >= 0 {
 			d.countSimilarity(n)
-			chainHit = similarR(frame[base].qr.R, s.qr.R, d.opts.ReuseThreshold)
+			chainHit = similarR(d.frame[base].qr.R, s.qr.R, d.opts.ReuseThreshold)
 		}
 
 		switch {
-		case extHit:
-			// Copy the base's path set — its prefix under a path cap —
-			// into the slot's own store (negligible next to the skipped
-			// search): the ReuseState may be re-based by a later frame —
-			// possibly on a different detector — while this frame's slots
-			// are still selected.
-			s.own.copyFrom(&ext.slots[k].pathStore, d.npe)
-			s.set = &s.own
+		case stHit:
+			// Alias the base — or, under a path cap below its size, copy its
+			// first paths: the base stays whole for the uncapped frames after.
+			s.set = dst
+			if d.npe < len(dst.paths) {
+				s.own.copyFrom(dst, d.npe)
+				s.set = &s.own
+			}
 			d.ppOps.CacheHits++
 		case chainHit:
-			s.set = frame[base].set
+			s.set = d.frame[base].set
+			if own != nil {
+				own.copyFrom(s.set, len(s.set.paths))
+			}
 			d.ppOps.CacheHits++
 		default:
 			base = k
-			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, &s.own, d.useSoA())
-			s.set = &s.own
+			s.set = dst
+			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst, d.useSoA())
 			d.ppOps.RealMuls += stats.RealMuls
 			d.ppOps.Expanded += stats.Expanded
 			if reuse {
 				d.ppOps.CacheMisses++
 			}
 		}
-		// Re-base the subcarrier's cross-frame slot on what was just
-		// prepared. A subcarrier that hit that slot keeps it untouched —
-		// the base R stays pinned until a miss, matching the scalar
-		// cache's semantics, and a base that served a path cap by prefix
-		// stays whole for the uncapped frames after it. The copy is
-		// state-owned, so later frames cannot corrupt this frame's slots.
-		if ext != nil && !extHit {
-			ext.slots[k].copyFrom(s.set, len(s.set.paths))
-			ext.slots[k].rebase(s.qr.R, sigma2)
+		// Key the cross-frame base on what it now holds; a subcarrier that
+		// hit it keeps it untouched — the base R stays pinned until a miss.
+		if own != nil && !stHit {
+			own.rebase(s.qr.R, sigma2)
 		}
 
 		d.ops.Prepares++
@@ -233,7 +247,7 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 		d.ops.RealMuls += muls
 		d.ops.FLOPs += 2 * muls
 	}
-	d.ppOps.CumulativeProb = frame[len(frame)-1].set.cum
+	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.cum
 	return nil
 }
 
@@ -258,22 +272,21 @@ func validateFrameGeometry(hs []*cmatrix.Matrix) (nr, n int, err error) {
 	return nr, n, nil
 }
 
-// FrameSize returns the number of subcarriers prepared by the last
-// PrepareAll (0 before the first).
-func (d *FlexCore) FrameSize() int { return d.frameN }
+// FrameSize returns the number of subcarriers of the prepared frame: the
+// last PrepareAll's, 1 after a scalar Prepare, 0 before either.
+func (d *FlexCore) FrameSize() int { return len(d.frame) }
 
-// Select activates subcarrier k of the frame prepared by PrepareAll:
+// Select activates subcarrier k of the prepared frame:
 // subsequent Detect/DetectBatch/DetectSoft calls run against its
 // channel. It is a pointer swap — O(1), no math, no allocation.
 //
 //flexcore:noalloc
 func (d *FlexCore) Select(k int) error {
-	if k < 0 || k >= d.frameN {
-		return fmt.Errorf("core: Select(%d) outside the prepared frame of %d subcarriers", k, d.frameN) //lint:ignore noalloc cold validation path, never taken in steady state
+	if k < 0 || k >= len(d.frame) {
+		return fmt.Errorf("core: Select(%d) outside the prepared frame of %d subcarriers", k, len(d.frame)) //lint:ignore noalloc cold validation path, never taken in steady state
 	}
 	s := &d.frame[k]
 	d.qr = &s.qr
-	d.model = &s.model
 	d.paths = s.set.paths
 	d.soa.prep.Plan = &s.set.plan
 	d.ppOps.CumulativeProb = s.set.cum

@@ -64,11 +64,12 @@ func framePrepareReference(t *testing.T, cons *constellation.Constellation, opts
 	return paths, det
 }
 
-// TestPrepareAllMatchesLoopedPrepare is the bit-identity property test of
-// the frame pipeline: with the coherence cache disabled, PrepareAll +
-// Select(k) must reproduce a fresh sequential Prepare per subcarrier
-// exactly — same position vectors (ranks and log-probabilities bit for
-// bit) and same detection decisions.
+// TestPrepareAllMatchesLoopedPrepare pins slot independence. Scalar
+// Prepare is the one-subcarrier frame, so this compares one
+// K-subcarrier frame with K one-subcarrier frames: with the coherence
+// cache disabled, what a slot holds must not depend on the slots
+// prepared before it in the frame — same position vectors (ranks and
+// log-probabilities bit for bit) and same detection decisions.
 func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nt, nSC = 6, 24
@@ -198,6 +199,48 @@ func TestScalarPrepareReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached re-Prepare allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestPrepareReplacesFrame pins Prepare as the one-subcarrier frame: after
+// a PrepareAll of another geometry it replaces the prepared frame rather
+// than leaving it half-selected — FrameSize is 1, Select(1) is outside
+// the frame, and Select(0) re-selects the scalar channel with the stream
+// count and scratch that go with it (it used to re-select the stale 4×4
+// slot under the 6×6 scratch, and Detect panicked).
+func TestPrepareReplacesFrame(t *testing.T) {
+	cons := constellation.MustNew(16)
+	sigma2 := channel.Sigma2FromSNRdB(16, 1)
+	frame := frameChannels(341, 4, 4, 3)
+	rng := newRng(342)
+	h := channel.Rayleigh(rng, 6, 6)
+	y := transmit(rng, h, cons, randSymbols(rng, cons, 6), sigma2)
+	for _, bb := range benchBackends {
+		ref := New(cons, Options{NPE: 24, Backend: bb.backend})
+		if err := ref.Prepare(h, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]int(nil), ref.Detect(y)...)
+
+		fc := New(cons, Options{NPE: 24, Backend: bb.backend})
+		if err := fc.PrepareAll(frame, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.Prepare(h, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if fc.FrameSize() != 1 {
+			t.Fatalf("%s: FrameSize %d after Prepare, want 1", bb.name, fc.FrameSize())
+		}
+		if err := fc.Select(1); err == nil {
+			t.Fatalf("%s: Select(1) accepted after Prepare replaced the frame", bb.name)
+		}
+		if err := fc.Select(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := fc.Detect(y); !equalInts(got, want) {
+			t.Fatalf("%s: Detect after PrepareAll(4×4), Prepare(6×6), Select(0): %v, want %v", bb.name, got, want)
+		}
 	}
 }
 

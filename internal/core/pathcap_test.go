@@ -36,7 +36,7 @@ func (b capBase) covers(k int) bool { return b.limit >= k || b.paths < b.limit }
 // full → capped → full (miss, hit by prefix, hit) and, on a new channel,
 // capped → full (miss, miss by coverage, hit) — and continues with a
 // random interleaving. frame mode drives PrepareAll/Select over four
-// subcarriers with a ReuseState, scalar mode Prepare's depth-1 cache.
+// subcarriers with a ReuseState, scalar mode Prepare's own one-slot base.
 func TestPathCapEquivalence(t *testing.T) {
 	for _, bb := range benchBackends {
 		for _, theta := range []float64{0, 0.95} {
@@ -211,5 +211,41 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 	}
 	if theta > 0 && shortBaseHits == 0 {
 		t.Error("no threshold-stopped base ever served a cap above the bound it was searched under")
+	}
+}
+
+// TestCappedHitCopiesOnlyThePrefix pins the one copy a ReuseState hit
+// still makes: under a cap below the base's size the slot takes the
+// base's first paths into its own store and leaves the base whole, so the
+// uncapped frame after it hits the whole base again, in place.
+func TestCappedHitCopiesOnlyThePrefix(t *testing.T) {
+	const npe, capped, nSC = 24, 8, 4
+	cons := constellation.MustNew(16)
+	hs := frameChannels(1830, 5, 4, nSC)
+	for _, bb := range benchBackends {
+		fc := New(cons, Options{NPE: npe, PathReuse: true, Backend: bb.backend})
+		var st ReuseState
+		fc.SetReuseState(&st)
+		for i, k := range []int{0, capped, 0} {
+			fc.SetPathCap(k)
+			if err := fc.PrepareAll(hs, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			for sc := range hs {
+				s, base := &fc.frame[sc], &st.slots[sc].pathStore
+				if len(base.paths) != npe || base.limit != npe {
+					t.Fatalf("%s frame %d: base %d holds %d paths under bound %d, want the whole %d", bb.name, i, sc, len(base.paths), base.limit, npe)
+				}
+				if k == 0 && s.set != base {
+					t.Fatalf("%s frame %d: uncapped subcarrier %d does not select the base in place", bb.name, i, sc)
+				}
+				if k != 0 && (s.set != &s.own || len(s.own.paths) != capped || !samePaths(s.own.paths, base.paths[:capped])) {
+					t.Fatalf("%s frame %d: capped subcarrier %d does not hold a copy of the base's first %d paths", bb.name, i, sc, capped)
+				}
+			}
+		}
+		if pp := fc.PreprocessStats(); pp.CacheMisses != nSC || pp.CacheHits != 2*nSC {
+			t.Fatalf("%s: %d misses and %d hits, want %d and %d", bb.name, pp.CacheMisses, pp.CacheHits, nSC, 2*nSC)
+		}
 	}
 }

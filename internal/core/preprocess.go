@@ -55,8 +55,8 @@ func (s *PreprocessStats) Add(other PreprocessStats) {
 
 // pathStore is an owned path set: the header and rank arenas a search
 // emits into, the set's cumulative probability, the bound it was
-// searched under, and (SoA backend) its descent plan. The detector's
-// scalar cache, every frame slot and every ReuseState base own one; all
+// searched under, and (SoA backend) its descent plan. Every frame slot
+// and every ReuseState base — scalar Prepare's included — own one; all
 // storage regrows only past its high-water mark.
 type pathStore struct {
 	paths []Path

@@ -49,7 +49,7 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 		frames[f] = ys
 	}
 
-	// Both backends: on soa32 every hit also copies the base's descent
+	// Both backends: on soa32 every hit also selects the base's descent
 	// plan, which the decisions below then walk.
 	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
 		ref := New(cons, Options{NPE: 24, Backend: backend})
@@ -229,6 +229,138 @@ func TestReuseStateHandoff(t *testing.T) {
 		// Steps 2..4 each hit all nSC subcarriers, split across detectors.
 		if ha, hb := a.PreprocessStats().CacheHits, b.PreprocessStats().CacheHits; ha+hb != 3*nSC {
 			t.Fatalf("%s handoff hits = %d+%d, want %d total", bb.name, ha, hb, 3*nSC)
+		}
+	}
+}
+
+// TestReuseStateAliasedNotCopied pins where a frame's path sets live once
+// a ReuseState is installed: a miss searches straight into the state's
+// base and a hit selects that base in place. The slot's own store is
+// never touched — the copy is gone, not moved.
+func TestReuseStateAliasedNotCopied(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nSC = 4
+	hs := frameChannels(63, 5, 4, nSC)
+	for _, bb := range benchBackends {
+		fc := New(cons, Options{NPE: 24, PathReuse: true, Backend: bb.backend})
+		var st ReuseState
+		fc.SetReuseState(&st)
+		for _, outcome := range []string{"miss", "hit"} {
+			if err := fc.PrepareAll(hs, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			for k := range hs {
+				s := &fc.frame[k]
+				if s.set != &st.slots[k].pathStore {
+					t.Fatalf("%s %s: subcarrier %d does not select the state's own store", bb.name, outcome, k)
+				}
+				if s.own.paths != nil || s.own.ranks != nil || s.own.plan.Nodes() != 0 {
+					t.Fatalf("%s %s: subcarrier %d wrote the slot's own store", bb.name, outcome, k)
+				}
+			}
+		}
+		if pp := fc.PreprocessStats(); pp.CacheMisses != nSC || pp.CacheHits != nSC {
+			t.Fatalf("%s: %d misses and %d hits, want %d of each", bb.name, pp.CacheMisses, pp.CacheHits, nSC)
+		}
+	}
+}
+
+// TestScalarAndFrameBasesAreSeparate interleaves scalar Prepare and
+// PrepareAll on one detector with a ReuseState installed. Prepare keeps
+// its own one-subcarrier base and PrepareAll the caller's state: neither
+// reads nor writes the other's, so every hit and miss below is exact.
+func TestScalarAndFrameBasesAreSeparate(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nSC = 4
+	hs := frameChannels(64, 5, 4, nSC)
+	hx := frameChannels(65, 5, 4, 1)[0]
+	fc := New(cons, Options{NPE: 24, PathReuse: true})
+	var st ReuseState
+	fc.SetReuseState(&st)
+
+	var hits, misses int64
+	step := func(what string, prepare func() error, dHits, dMisses int64) {
+		t.Helper()
+		if err := prepare(); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses = hits+dHits, misses+dMisses
+		if pp := fc.PreprocessStats(); pp.CacheHits != hits || pp.CacheMisses != misses {
+			t.Fatalf("%s: %d hits and %d misses so far, want %d and %d", what, pp.CacheHits, pp.CacheMisses, hits, misses)
+		}
+	}
+	frame := func() error { return fc.PrepareAll(hs, 0.05) }
+	scalar := func(h *cmatrix.Matrix) func() error { return func() error { return fc.Prepare(h, 0.05) } }
+
+	step("first frame", frame, 0, nSC)
+	step("Prepare(hs[0]) does not read the state's base for subcarrier 0", scalar(hs[0]), 0, 1)
+	step("Prepare(hs[0]) again hits its own base", scalar(hs[0]), 1, 0)
+	step("Prepare(hx) re-bases its own base", scalar(hx), 0, 1)
+	step("the frame again: Prepare wrote none of the state's bases", frame, nSC, 0)
+	step("Prepare(hx) again: PrepareAll did not write Prepare's base", scalar(hx), 1, 0)
+	if len(st.slots) != nSC || len(fc.scalarReuse.slots) != 1 {
+		t.Fatalf("state of %d bases and scalar state of %d, want %d and 1", len(st.slots), len(fc.scalarReuse.slots), nSC)
+	}
+
+	// Without a state PrepareAll has the within-frame chain only: it does
+	// not fall back on Prepare's base, which holds subcarrier 0's channel.
+	fc.SetReuseState(nil)
+	step("Prepare(hs[0])", scalar(hs[0]), 0, 1)
+	step("a frame without a state does not read Prepare's base", frame, 0, nSC)
+	step("Prepare(hs[0]) still hits", scalar(hs[0]), 1, 0)
+}
+
+// TestPrepareIsTheOneSubcarrierFrame drives one channel/cap script twice:
+// through scalar Prepare, and as one-subcarrier PrepareAll frames against
+// a caller's ReuseState. Every step must leave the two detectors with
+// the same paths, descent plan, operation counts and pre-processing
+// statistics — coherence hits, prefix hits and coverage misses included.
+func TestPrepareIsTheOneSubcarrierFrame(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const npe = 24
+	sigma2 := channel.Sigma2FromSNRdB(8, 1)
+	chans := frameChannels(66, 5, 4, 3)
+	caps := []int{0, 3, 8, 16, 40}
+	for _, bb := range benchBackends {
+		for _, reuse := range []bool{false, true} {
+			for _, theta := range []float64{0, 0.95} {
+				opts := Options{NPE: npe, Threshold: theta, PathReuse: reuse, Backend: bb.backend}
+				scalar, framed := New(cons, opts), New(cons, opts)
+				var st ReuseState
+				framed.SetReuseState(&st)
+				rng := newRng(67)
+				for i := 0; i < 60; i++ {
+					h, k := chans[rng.IntN(len(chans))], caps[rng.IntN(len(caps))]
+					scalar.SetPathCap(k)
+					framed.SetPathCap(k)
+					if err := scalar.Prepare(h, sigma2); err != nil {
+						t.Fatal(err)
+					}
+					if err := framed.PrepareAll([]*cmatrix.Matrix{h}, sigma2); err != nil {
+						t.Fatal(err)
+					}
+					if err := framed.Select(0); err != nil {
+						t.Fatal(err)
+					}
+					if !samePaths(scalar.Paths(), framed.Paths()) {
+						t.Fatalf("%s reuse=%v θ=%g step %d: paths differ", bb.name, reuse, theta, i)
+					}
+					ps, pf := scalar.soa.prep.Plan, framed.soa.prep.Plan
+					if ps.P != pf.P || ps.Nodes() != pf.Nodes() {
+						t.Fatalf("%s reuse=%v θ=%g step %d: plan of %d leaves and %d nodes, the frame's has %d and %d",
+							bb.name, reuse, theta, i, ps.P, ps.Nodes(), pf.P, pf.Nodes())
+					}
+					if a, b := scalar.OpCount(), framed.OpCount(); a != b {
+						t.Fatalf("%s reuse=%v θ=%g step %d: OpCount %+v, the frame's %+v", bb.name, reuse, theta, i, a, b)
+					}
+					if a, b := scalar.PreprocessStats(), framed.PreprocessStats(); a != b {
+						t.Fatalf("%s reuse=%v θ=%g step %d: PreprocessStats %+v, the frame's %+v", bb.name, reuse, theta, i, a, b)
+					}
+				}
+				if pp := scalar.PreprocessStats(); reuse && (pp.CacheHits == 0 || pp.CacheMisses == 0) {
+					t.Fatalf("%s θ=%g: script made %d hits and %d misses, want both", bb.name, theta, pp.CacheHits, pp.CacheMisses)
+				}
+			}
 		}
 	}
 }

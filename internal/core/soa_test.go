@@ -78,7 +78,7 @@ func TestSoA32PathsMatchComplex128(t *testing.T) {
 		if err := soa.Prepare(h, sigma2); err != nil {
 			t.Fatal(err)
 		}
-		want, ws := specFindPaths(c128.model, 128, 0)
+		want, ws := specFindPaths(&c128.frame[0].model, 128, 0)
 		var none PreprocessStats
 		sameSearch(t, "complex128 vs spec", c128.Paths(), want, none, none)
 		sameSearch(t, "soa32 vs complex128", soa.Paths(), c128.Paths(), none, none)

@@ -11,10 +11,11 @@ import (
 // subcarrier — through the channel-rate fast path when the detector
 // implements FramePreparer (FlexCore's PrepareAll/Select, DESIGN.md
 // §9) and through the scalar Prepare loop otherwise. It is the
-// frame-detection loop shared by the link simulator's genie-CSI path
-// and the serving layer (internal/serve): both must produce decisions
-// bit-identical to looping Prepare+Detect per subcarrier, which the
-// underlying detectors guarantee for any worker count.
+// serving layer's frame-detection loop (internal/serve builds one per
+// shard worker, and bench/ replays it); the link simulator's genie-CSI
+// path runs its own PrepareAll/Select loop (simWorker.simPacket). Its
+// decisions are bit-identical to looping Prepare+Detect per subcarrier:
+// FlexCore's Prepare is the one-subcarrier PrepareAll.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
