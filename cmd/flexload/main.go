@@ -21,7 +21,7 @@
 //
 // Example:
 //
-//	flexload -spawn -shards 2 -shardworkers 4 -reuse 0 -users 16 -frames 200 -json
+//	flexload -spawn -shards 2 -reuse 0 -users 16 -frames 200 -json
 //	flexload -addr :7600 -conns 8 -users 32 -rate 5000 -duration 10s
 //	flexload -addr :7600 -deadline 5ms -retries 2 -fault partial,stutter
 package main
@@ -51,15 +51,14 @@ type config struct {
 	spawn bool
 
 	// server knobs (spawn mode)
-	shards       int
-	shardWorkers int
-	queue        int
-	qam          int
-	npe          int
-	threshold    float64
-	strict       bool
-	reuse        float64
-	backend      string
+	shards    int
+	queue     int
+	qam       int
+	npe       int
+	threshold float64
+	strict    bool
+	reuse     float64
+	backend   string
 
 	// workload
 	conns     int
@@ -116,7 +115,6 @@ func main() {
 	flag.StringVar(&c.addr, "addr", "", "flexserve TCP address to load (empty with -spawn: loopback)")
 	flag.BoolVar(&c.spawn, "spawn", false, "start an in-process loopback server and load it")
 	flag.IntVar(&c.shards, "shards", 2, "[spawn] detection shards")
-	flag.IntVar(&c.shardWorkers, "shardworkers", 1, "[spawn] worker goroutines per shard")
 	flag.IntVar(&c.queue, "queue", 256, "[spawn] per-shard admission backlog")
 	flag.IntVar(&c.qam, "qam", 16, "[spawn] QAM order")
 	flag.IntVar(&c.npe, "npe", 64, "[spawn] FlexCore processing elements")
@@ -221,7 +219,6 @@ func spawnServer(c *config) (*serve.Server, error) {
 	}
 	srv, err := serve.NewServer(serve.Config{
 		Shards:          c.shards,
-		WorkersPerShard: c.shardWorkers,
 		QueueDepth:      c.queue,
 		DetectorFactory: func() detector.Detector { return core.New(cons, opts) },
 	})
@@ -386,8 +383,7 @@ func run(c *config) (*result, error) {
 	res := &result{
 		Config: map[string]any{
 			"addr": c.addr, "spawn": c.spawn, "shards": c.shards,
-			"shardworkers": c.shardWorkers, "queue": c.queue, "qam": c.qam,
-			"npe": c.npe, "threshold": c.threshold, "strict": c.strict, "reuse": c.reuse,
+			"queue": c.queue, "qam": c.qam, "npe": c.npe, "threshold": c.threshold, "strict": c.strict, "reuse": c.reuse,
 			"backend": c.backend, "conns": c.conns, "users": c.users,
 			"frames": c.frames, "inflight": c.inflight, "rate": c.rate,
 			"coherence": c.coherence, "seed": c.seed,

@@ -1,8 +1,8 @@
 // Command flexserve is the long-running FlexCore detection service
 // (DESIGN.md §12–13): it accepts concurrent uplink detection frames
 // from many users over a length-prefixed binary TCP protocol, shards
-// them across per-shard worker pools (several detectors per shard,
-// per-user FIFO sequencing) with consistent user→shard routing,
+// them across single-worker shards (one detector each, per-user FIFO
+// order from the shard's one queue) with consistent user→shard routing,
 // applies bounded admission queues with explicit overload rejection,
 // reuses each user's Prepare results across frames when -reuse is set,
 // coalesces response writes per connection, and exposes a JSON metrics
@@ -15,7 +15,7 @@
 // Example:
 //
 //	flexserve -listen :7600 -metrics :7601 -shards 4 -qam 16 -npe 64
-//	flexserve -listen :7600 -shards 8 -shardworkers 4 -reuse 0 -qam 64 -npe 128 -backend soa32
+//	flexserve -listen :7600 -shards 8 -reuse 0 -qam 64 -npe 128 -backend soa32
 //	flexserve -listen :7600 -npe 512 -ladder 128,32 -degrade-start 0.5 -idle-timeout 2m
 package main
 
@@ -41,8 +41,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7600", "TCP address for the frame-ingest protocol")
 	metricsAddr := flag.String("metrics", ":7601", "HTTP address for /metrics and /healthz (empty disables)")
-	shards := flag.Int("shards", 4, "detection shards (one admission queue + worker pool each)")
-	shardWorkers := flag.Int("shardworkers", 1, "worker goroutines per shard, one detector each (per-user order is preserved for any value)")
+	shards := flag.Int("shards", 4, "detection shards (one admission queue + one worker goroutine with one detector each)")
 	queue := flag.Int("queue", 256, "per-shard admission queue depth (full queue ⇒ StatusOverloaded)")
 	userCap := flag.Int("usercap", 0, "per-shard tracked-user state cap (0 = default; idle users evict FIFO)")
 	qam := flag.Int("qam", 16, "QAM order served (4, 16, 64, 256, 1024)")
@@ -82,14 +81,13 @@ func main() {
 		fatal(err)
 	}
 	scfg := serve.Config{
-		Shards:          *shards,
-		WorkersPerShard: *shardWorkers,
-		QueueDepth:      *queue,
-		UserStateCap:    *userCap,
-		DegradeStart:    *degradeStart,
-		ReadTimeout:     *readTimeout,
-		IdleTimeout:     *idleTimeout,
-		WriteTimeout:    *writeTimeout,
+		Shards:       *shards,
+		QueueDepth:   *queue,
+		UserStateCap: *userCap,
+		DegradeStart: *degradeStart,
+		ReadTimeout:  *readTimeout,
+		IdleTimeout:  *idleTimeout,
+		WriteTimeout: *writeTimeout,
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, opts)
 		},
@@ -124,8 +122,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("flexserve: %d-QAM, %d shards × %d workers × (NPE=%d, backend=%s), queue depth %d\n",
-		*qam, *shards, *shardWorkers, *npe, backend, *queue)
+	fmt.Printf("flexserve: %d-QAM, %d shards × (NPE=%d, backend=%s), queue depth %d\n",
+		*qam, *shards, *npe, backend, *queue)
 	if len(rungs) > 0 {
 		fmt.Printf("flexserve: degradation ladder %v (start at %.0f%% queue fill)\n", rungs, scfg.DegradeStart*100)
 	}

@@ -64,16 +64,16 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 			var q DetectRequest
 			fillFrame(t, &q, 12, 1)
 			payloads := [][]byte{q.AppendPayload(nil)}
-			users := []*userState{{id: 12}}
+			users := []*userState{{}}
 			if leg.mixed {
 				fillFrameGeometry(t, &q, 13, 1, 8, 8)
 				payloads = append(payloads, q.AppendPayload(nil))
-				users = append(users, &userState{id: 13})
+				users = append(users, &userState{})
 			}
 
-			// Drive process directly: the shard workers sit idle on their
+			// Drive process directly: the shard's worker sits idle on its
 			// queue, so the test owns the detector without racing it.
-			w := srv.shards[0].workers[0]
+			sh := srv.shards[0]
 			tk := srv.taskPool.Get().(*task)
 			frame := 0
 			hot := func() {
@@ -88,7 +88,7 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 				if leg.rungs {
 					tk.rung ^= 1 // full, degraded, full, …
 				}
-				srv.process(w, tk)
+				srv.process(sh, tk)
 			}
 			// Warm-up: first iterations grow the request arenas, the response
 			// and wire buffers and the detector's pooled storage to their
@@ -100,7 +100,7 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 				t.Fatalf("serve hot loop allocates %.1f objects per frame, want 0", allocs)
 			}
 			if reuse {
-				if hits := w.det.(*core.FlexCore).PreprocessStats().CacheHits; hits == 0 {
+				if hits := sh.det.(*core.FlexCore).PreprocessStats().CacheHits; hits == 0 {
 					t.Fatal("reuse leg never hit the per-user cross-frame cache")
 				}
 			}

@@ -56,10 +56,10 @@ func BenchmarkServeProcess(b *testing.B) {
 			var q DetectRequest
 			fillFrame(b, &q, 12, 1)
 			payload := q.AppendPayload(nil)
-			w := srv.shards[0].workers[0]
+			sh := srv.shards[0]
 			tk := srv.taskPool.Get().(*task)
 			if reuse {
-				tk.user = &userState{id: 12}
+				tk.user = &userState{}
 			}
 			defer srv.release(tk)
 			hot := func() {
@@ -70,7 +70,7 @@ func BenchmarkServeProcess(b *testing.B) {
 				if leg.rungs {
 					tk.rung ^= 1 // full, degraded, full, …
 				}
-				srv.process(w, tk)
+				srv.process(sh, tk)
 			}
 			hot() // warm the arenas (and, on the reuse leg, base the state)
 			b.ReportAllocs()

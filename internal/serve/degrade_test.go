@@ -63,7 +63,6 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 	gated := newGatedDetector(core.New(cons, core.Options{NPE: e2eNPE, Backend: backend}), 1)
 	srv, err := NewServer(Config{
 		Shards:          1,
-		WorkersPerShard: 1,
 		QueueDepth:      8,
 		DegradeLadder:   []int{8, 4},
 		DegradeStart:    0.25,
@@ -95,9 +94,8 @@ func TestDegradationLadderBitIdentical(t *testing.T) {
 		}
 	}()
 
-	// Distinct users (all on the single shard) so each frame is its own
-	// runnable chain head and the single worker dequeues them in
-	// admission order; FrameID == UserID keys the response map.
+	// Distinct users, all on the single shard, whose one worker dequeues
+	// them in admission order; FrameID == UserID keys the response map.
 	var q DetectRequest
 	send := func(u uint64) {
 		fillFrame(t, &q, u, u)
@@ -282,9 +280,9 @@ func TestDegradedFramesShareReuseState(t *testing.T) {
 }
 
 // TestDegradeConfigValidation pins the config contract: a ladder over
-// a detector that cannot cap its paths, and a ladder that is not
-// strictly decreasing, are construction-time errors, not silent
-// misconfiguration.
+// a detector that cannot cap its paths, a ladder that is not strictly
+// decreasing, and more than one worker per shard are construction-time
+// errors, not silent misconfiguration (or silently lost parallelism).
 func TestDegradeConfigValidation(t *testing.T) {
 	slow := newSlowDetector()
 	close(slow.gate)
@@ -297,6 +295,7 @@ func TestDegradeConfigValidation(t *testing.T) {
 		{"ladder with an uncappable detector", Config{DetectorFactory: func() detector.Detector { return slow }, DegradeLadder: []int{8, 4}}},
 		{"non-decreasing ladder", Config{DetectorFactory: flex, DegradeLadder: []int{4, 8}}},
 		{"non-positive rung", Config{DetectorFactory: flex, DegradeLadder: []int{8, 0}}},
+		{"WorkersPerShard > 1", Config{DetectorFactory: flex, WorkersPerShard: 2}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -308,16 +307,15 @@ func TestDegradeConfigValidation(t *testing.T) {
 }
 
 // TestRungMapping pins the pressure controller's depth→rung curve, and
-// that a ladder costs no detectors: one per worker, whatever its length.
+// that a ladder costs no detectors: one per shard, whatever its length.
 func TestRungMapping(t *testing.T) {
 	cons := constellation.MustNew(e2eQAM)
 	built := 0
 	srv, err := NewServer(Config{
-		Shards:          2,
-		WorkersPerShard: 3,
-		QueueDepth:      8,
-		DegradeStart:    0.25,
-		DegradeLadder:   []int{8, 4},
+		Shards:        6,
+		QueueDepth:    8,
+		DegradeStart:  0.25,
+		DegradeLadder: []int{8, 4},
 		DetectorFactory: func() detector.Detector {
 			built++
 			return core.New(cons, core.Options{NPE: e2eNPE})
@@ -332,8 +330,8 @@ func TestRungMapping(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	if built != 2*3 {
-		t.Fatalf("a 2×3 server with a two-rung ladder built %d detectors, want 6", built)
+	if built != 6 {
+		t.Fatalf("a 6-shard server with a two-rung ladder built %d detectors, want 6", built)
 	}
 	want := map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2, 8: 2, 9: 2}
 	for depth, rung := range want {

@@ -134,7 +134,7 @@ func checkResponse(t testing.TB, cons *constellation.Constellation, q *DetectReq
 
 // TestE2EServedEqualsOffline is the tentpole contract: N concurrent
 // clients stream frames through the full ingest→shard→detect→respond
-// pipeline, across shard and shard-worker counts, and every
+// pipeline, across shard counts, and every
 // served decision must be bit-identical to looping the offline
 // Prepare+Detect over the same frame. The kernel backend leg comes from
 // FLEXCORE_BACKEND, so the CI matrix covers both.
@@ -146,20 +146,15 @@ func TestE2EServedEqualsOffline(t *testing.T) {
 	backend := envBackend(t)
 	const clients, framesPerClient = 6, 4
 	for _, shards := range []int{1, 2, 8} {
-		for _, wps := range []int{1, 4} {
-			// detWorkers sets the deprecated core.Options.Workers, which a
-			// detector ignores: the served decisions must not depend on it.
-			// The axis (and its place in the subtest names) goes with the
-			// field.
-			workers := 1
-			if wps == 1 {
-				workers = 3
-			}
-			t.Run(fmt.Sprintf("shards=%d,workersPerShard=%d,detWorkers=%d", shards, wps, workers), func(t *testing.T) {
+		// detWorkers sets the deprecated core.Options.Workers, which a
+		// detector ignores: the served decisions must not depend on it.
+		// The axis (and its place in the subtest names) goes with the
+		// field.
+		for _, workers := range []int{3, 1} {
+			t.Run(fmt.Sprintf("shards=%d,detWorkers=%d", shards, workers), func(t *testing.T) {
 				srv, err := NewServer(Config{
-					Shards:          shards,
-					WorkersPerShard: wps,
-					QueueDepth:      2 * clients * framesPerClient, // overload-free: this test pins correctness, not backpressure
+					Shards:     shards,
+					QueueDepth: 2 * clients * framesPerClient, // overload-free: this test pins correctness, not backpressure
 					DetectorFactory: func() detector.Detector {
 						return core.New(cons, core.Options{NPE: e2eNPE, Workers: workers, Backend: backend})
 					},
@@ -341,8 +336,7 @@ func TestMetricsSnapshotShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(Config{
-		Shards:          3,
-		WorkersPerShard: 2,
+		Shards: 3,
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, core.Options{NPE: e2eNPE, Backend: envBackend(t)})
 		},
@@ -361,9 +355,6 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	snap := srv.Metrics()
 	if snap.Shards != 3 || len(snap.ShardStats) != 3 {
 		t.Fatalf("shards %d, shard_stats has %d entries, want 3 and 3", snap.Shards, len(snap.ShardStats))
-	}
-	if snap.WorkersPerShard != 2 {
-		t.Fatalf("workers_per_shard %d, want 2", snap.WorkersPerShard)
 	}
 	var tracked, hwm int
 	var hits, misses int64

@@ -41,7 +41,7 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 	close(slow.gate)
 	base := runtime.NumGoroutine()
 
-	srv, err := NewServer(Config{Shards: 2, WorkersPerShard: 2, DetectorFactory: func() detector.Detector { return slow }})
+	srv, err := NewServer(Config{Shards: 4, DetectorFactory: func() detector.Detector { return slow }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,11 +70,11 @@ type ShardStats struct {
 	// capacity-planning signal QueueDepth alone misses between scrapes.
 	QueueDepth         int `json:"queue_depth"`
 	QueueHighWatermark int `json:"queue_high_watermark"`
-	// TrackedUsers is the number of per-user sequencing/reuse states the
-	// shard currently holds (bounded by Config.UserStateCap).
+	// TrackedUsers is the number of per-user states the shard currently
+	// holds (bounded by Config.UserStateCap).
 	TrackedUsers int `json:"tracked_users"`
-	// ReuseHits/ReuseMisses aggregate the Prepare path-reuse cache
-	// counters over the shard's workers: hits are subcarriers whose
+	// ReuseHits/ReuseMisses are the Prepare path-reuse cache counters of
+	// the shard's detector: hits are subcarriers whose
 	// §3.1.1 candidate-position search was skipped via the coherence
 	// cache (within-frame or per-user cross-frame), misses are fresh
 	// searches with reuse enabled. Both stay 0 when the detector factory
@@ -86,11 +86,10 @@ type ShardStats struct {
 // Snapshot is a point-in-time view of the server's metrics — the JSON
 // document served by the metrics endpoint.
 type Snapshot struct {
-	UptimeSeconds   float64      `json:"uptime_seconds"`
-	Shards          int          `json:"shards"`
-	WorkersPerShard int          `json:"workers_per_shard"`
-	QueueCapacity   int          `json:"queue_capacity"`
-	ShardStats      []ShardStats `json:"shard_stats"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	Shards        int          `json:"shards"`
+	QueueCapacity int          `json:"queue_capacity"`
+	ShardStats    []ShardStats `json:"shard_stats"`
 
 	Accepted  int64 `json:"accepted"`
 	Completed int64 `json:"completed"`
@@ -150,7 +149,6 @@ func (s *Server) Metrics() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds:    time.Since(s.met.start).Seconds(), //lint:ignore determinism wall-clock observability only — detection results never depend on it
 		Shards:           len(s.shards),
-		WorkersPerShard:  s.cfg.WorkersPerShard,
 		QueueCapacity:    s.cfg.QueueDepth,
 		ShardStats:       make([]ShardStats, len(s.shards)),
 		Accepted:         s.met.accepted.Load(),
@@ -174,21 +172,18 @@ func (s *Server) Metrics() Snapshot {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		st := ShardStats{
-			QueueDepth:         sh.waiting,
+			QueueDepth:         len(sh.runnable),
 			QueueHighWatermark: sh.waitHWM,
 			TrackedUsers:       len(sh.users),
 		}
 		sh.mu.Unlock()
-		for _, w := range sh.workers {
-			w.mu.Lock()
-			snap.OpCount.Add(w.ops)
-			snap.Preprocess.Add(w.pre)
-			st.ReuseHits += w.pre.CacheHits
-			st.ReuseMisses += w.pre.CacheMisses
-			activeSum += w.activeSum
-			activeN += w.activeN
-			w.mu.Unlock()
-		}
+		sh.statsMu.Lock()
+		snap.OpCount.Add(sh.ops)
+		snap.Preprocess.Add(sh.pre)
+		st.ReuseHits, st.ReuseMisses = sh.pre.CacheHits, sh.pre.CacheMisses
+		activeSum += sh.activeSum
+		activeN += sh.activeN
+		sh.statsMu.Unlock()
 		snap.ShardStats[i] = st
 	}
 	if activeN > 0 {

@@ -39,18 +39,19 @@ func fillFrameCoherent(t testing.TB, q *DetectRequest, userID, frameID, epoch ui
 	}
 }
 
-// TestPerUserFIFOWithWorkerPools is the ordering property test of the
-// multi-worker serve path: many users pipeline bursts of frames into
-// shards with several workers each and per-user cross-frame reuse
-// enabled (ReuseThreshold 0), and for every user the responses must
-// come back in send order (per-user FIFO completion) with decisions
-// bit-identical to the offline Prepare+Detect loop — reuse hits and
-// all. Half the users are static (identical H every frame: every
-// subcarrier after the first frame is a cross-frame cache hit), half
-// vary their channel every frame (no hits at threshold 0); the final
-// snapshot pins both counters exactly, proving the per-user state was
-// neither shared across users nor lost between a user's frames.
-func TestPerUserFIFOWithWorkerPools(t *testing.T) {
+// TestPerUserFIFOAndReuseKeying is the ordering property test of the
+// serve path: many users pipeline bursts of frames into eight
+// single-worker shards with per-user cross-frame reuse enabled
+// (ReuseThreshold 0), and for every user the responses must come back
+// in send order — per-user FIFO from one user → one shard → one queue →
+// one worker — with decisions bit-identical to the offline
+// Prepare+Detect loop, reuse hits and all. Half the users are static
+// (identical H every frame: every subcarrier after the first frame is a
+// cross-frame cache hit), half vary their channel every frame (no hits
+// at threshold 0); the final snapshot pins both counters exactly,
+// proving the per-user state was neither shared across users nor lost
+// between a user's frames.
+func TestPerUserFIFOAndReuseKeying(t *testing.T) {
 	cons, err := constellation.New(e2eQAM)
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +59,8 @@ func TestPerUserFIFOWithWorkerPools(t *testing.T) {
 	backend := envBackend(t)
 	const users, frames = 10, 6
 	srv, err := NewServer(Config{
-		Shards:          2,
-		WorkersPerShard: 4,
-		QueueDepth:      users * frames, // overload-free: this test pins ordering, not backpressure
+		Shards:     8,
+		QueueDepth: users * frames, // overload-free: this test pins ordering, not backpressure
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, core.Options{
 				NPE: e2eNPE, Backend: backend,

@@ -19,32 +19,33 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Shards is the number of independent detection shards. Consistent
-	// user→shard routing (shardIndex) pins every frame of one user to
-	// one shard, so per-user state — FIFO sequencing and the Prepare
-	// reuse cache — never crosses shards. Default 1.
+	// Shards is the number of independent detection shards, each one
+	// worker goroutine owning one detector: more parallelism is more
+	// shards. Consistent user→shard routing (shardIndex) pins every
+	// frame of one user to one shard, so per-user state — FIFO order and
+	// the Prepare reuse cache — never crosses shards. Default 1.
 	Shards int
-	// WorkersPerShard is the number of worker goroutines per shard, each
-	// owning its own detector/FrameDetector from the factory, so a
-	// shard's throughput scales with cores. Frames of one user are still
-	// dispatched and completed in arrival order: a user's next frame is
-	// handed to a worker only after its previous frame has responded
-	// (user-keyed sequencing on the shared shard queue), which also
-	// serialises access to the user's cross-frame reuse state. Default 1.
+	// WorkersPerShard must be 0 or 1: a shard is one worker.
+	//
+	// Deprecated: NewServer rejects values above 1; raise Shards instead.
+	// The field is kept only because bench/serve.go assigns it and bench/
+	// is frozen outside benchmark PRs; the next benchmark PR deletes both
+	// (ROADMAP item 1).
 	WorkersPerShard int
 	// QueueDepth bounds each shard's admitted-but-not-yet-processing
 	// backlog. A frame arriving at a full shard is rejected immediately
 	// with StatusOverloaded — explicit backpressure, bounded memory.
 	// Default 64.
 	QueueDepth int
-	// UserStateCap bounds each shard's table of per-user states (FIFO
-	// sequencing + cross-frame Prepare-reuse bases). Past the cap the
-	// oldest idle user is evicted and its reuse bases reset; users with
-	// frames in flight are never evicted, so the table can transiently
-	// exceed the cap by the in-flight user count. Default 1024.
+	// UserStateCap bounds each shard's table of per-user states
+	// (in-flight frame counts + cross-frame Prepare-reuse bases). Past
+	// the cap the oldest idle user is evicted and its reuse bases reset;
+	// users with frames in flight are never evicted, so the table can
+	// transiently exceed the cap by the in-flight user count. Default
+	// 1024.
 	UserStateCap int
-	// DetectorFactory builds one detector per worker (detectors are
-	// stateful across Prepare/Detect, so workers cannot share one).
+	// DetectorFactory builds one detector per shard (detectors are
+	// stateful across Prepare/Detect, so shards cannot share one).
 	// Required. With core.Options.PathReuse enabled, the server keys
 	// the coherence cache per user across frames; at ReuseThreshold 0
 	// this is provably output-neutral (DESIGN.md §13).
@@ -71,7 +72,7 @@ type Config struct {
 	// because bench/serve.go assigns it and bench/ is frozen outside
 	// benchmark PRs; the next benchmark PR deletes both (ROADMAP item 1).
 	DegradeFactory func(npe int) detector.Detector
-	// DegradeStart is the queue-fill fraction (waiting/QueueDepth) at
+	// DegradeStart is the queue-fill fraction (backlog/QueueDepth) at
 	// which degradation begins; the ladder's rungs divide the remaining
 	// fill range evenly. Default 0.5.
 	DegradeStart float64
@@ -95,9 +96,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -131,56 +129,48 @@ type task struct {
 	emit  func(k int, decisions [][]int)
 }
 
-// userState is one user's serve-side state on its home shard: the FIFO
-// sequencing slot (busy + pending backlog) and the cross-frame Prepare
-// reuse bases. It is accessed under the shard mutex, except reuse,
-// which is touched only by the worker currently processing the user's
-// frame — the busy flag guarantees there is at most one, and the
-// mutex/channel handoff between frames orders the accesses.
+// userState is one user's serve-side state on its home shard: the count
+// of its admitted frames not yet answered, and the cross-frame Prepare
+// reuse bases. inflight is guarded by the shard mutex. reuse is touched
+// only by the shard's one worker, which takes the user's frames off one
+// FIFO channel in admission order, and by eviction, which resets it
+// only while inflight is 0; the mutex/channel handoff orders the two.
 type userState struct {
-	id      uint64
-	busy    bool    // a worker is processing (or holds) this user's frame
-	pending []*task // admitted frames waiting for the one in flight
-	reuse   core.ReuseState
+	inflight int // admitted frames not yet answered; evictIdle skips the user while > 0
+	reuse    core.ReuseState
 }
 
-// shard is one detection lane: a user-sequenced admission stage feeding
-// a runnable queue drained by WorkersPerShard workers.
+// shard is one detection lane: an admission queue drained by one worker
+// goroutine that owns the shard's detector.
 type shard struct {
-	// runnable carries the head frame of each user's chain to the
-	// workers. Capacity QueueDepth: every queued task is counted in
-	// waiting, and admission caps waiting at QueueDepth, so sends under
-	// the admission path never block.
+	// runnable is the admitted backlog in admission order. Capacity
+	// QueueDepth: only sh.mu holders send, after seeing it not full, so
+	// a send never blocks.
 	runnable chan *task
-	workers  []*shardWorker
 
-	// mu guards the sequencing state below.
-	mu      sync.Mutex
-	users   map[uint64]*userState
-	order   []uint64     // user insertion order (FIFO eviction scan)
-	free    []*userState // evicted states recycled for new users
-	waiting int          // admitted frames not yet processing
-	waitHWM int          // high-watermark of waiting since start
-}
-
-// shardWorker is one worker goroutine's state: its one detector and
-// FrameDetector (detectors are stateful) — every rung of the degrade
-// ladder runs on it, as a path cap — the write-coalescing dirty list,
-// and the op counters it publishes after every frame.
-type shardWorker struct {
+	// det and fd are the worker's one detector and FrameDetector
+	// (detectors are stateful) — every rung of the degrade ladder runs
+	// on it, as a path cap.
 	det detector.Detector
 	fd  *phy.FrameDetector
 
-	// dirty lists the connections holding buffered responses this worker
+	// dirty lists the connections holding buffered responses the worker
 	// has not flushed yet. Flushed before the worker blocks on an empty
 	// runnable queue — coalescing consecutive responses per connection
 	// into one write while the shard is busy, without ever parking a
 	// response behind an idle queue.
 	dirty []*serverConn
 
-	// mu publishes the detector's op counters to Metrics (the worker
-	// writes them after every frame; Snapshot reads them).
-	mu        sync.Mutex
+	// mu guards the user table and the backlog high-watermark.
+	mu      sync.Mutex
+	users   map[uint64]*userState
+	order   []uint64     // user insertion order (FIFO eviction scan)
+	free    []*userState // evicted states recycled for new users
+	waitHWM int          // high-watermark of the admitted backlog since start
+
+	// statsMu publishes the detector's op counters to Metrics (the
+	// worker writes them after every frame; Snapshot reads them).
+	statsMu   sync.Mutex
 	ops       detector.OpCount
 	pre       core.PreprocessStats
 	activeSum float64
@@ -226,6 +216,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DetectorFactory == nil {
 		return nil, fmt.Errorf("serve: Config.DetectorFactory is required")
 	}
+	if w := cfg.WorkersPerShard; w != 0 && w != 1 {
+		return nil, fmt.Errorf("serve: Config.WorkersPerShard %d: a shard is one worker; raise Config.Shards for more parallelism", w)
+	}
 	for i, npe := range cfg.DegradeLadder {
 		if npe <= 0 || (i > 0 && npe >= cfg.DegradeLadder[i-1]) {
 			return nil, fmt.Errorf("serve: Config.DegradeLadder must be positive and strictly decreasing")
@@ -248,17 +241,15 @@ func NewServer(cfg Config) (*Server, error) {
 	s.shards = make([]*shard, cfg.Shards)
 	var uncappable detector.Detector
 	for i := range s.shards {
+		det := cfg.DetectorFactory()
 		sh := &shard{
 			runnable: make(chan *task, cfg.QueueDepth),
-			workers:  make([]*shardWorker, cfg.WorkersPerShard),
+			det:      det,
+			fd:       phy.NewFrameDetector(det),
 			users:    make(map[uint64]*userState),
 		}
-		for j := range sh.workers {
-			det := cfg.DetectorFactory()
-			sh.workers[j] = &shardWorker{det: det, fd: phy.NewFrameDetector(det)}
-			if len(cfg.DegradeLadder) > 0 && !sh.workers[j].fd.SetPathCap(0) {
-				uncappable = det
-			}
+		if len(cfg.DegradeLadder) > 0 && !sh.fd.SetPathCap(0) {
+			uncappable = det
 		}
 		s.shards[i] = sh
 	}
@@ -266,10 +257,8 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", uncappable.Name())
 	}
 	for _, sh := range s.shards {
-		for _, w := range sh.workers {
-			s.workerWG.Add(1)
-			go s.runWorker(sh, w)
-		}
+		s.workerWG.Add(1)
+		go s.runWorker(sh)
 	}
 	return s, nil
 }
@@ -288,39 +277,33 @@ func shardIndex(userID uint64, shards int) int {
 	return int(z % uint64(shards))
 }
 
-// runWorker drains one shard's runnable queue until it is closed by
-// Shutdown, then flushes its buffered responses. Each runnable task is the head of one user's chain: after
-// responding, the worker takes the user's next pending frame directly
-// (completeUser), so one user's frames are processed back-to-back by
-// one worker in arrival order — per-user FIFO, serialized reuse state —
-// while different users' chains run on all workers in parallel.
-func (s *Server) runWorker(sh *shard, w *shardWorker) {
+// runWorker is the shard's one worker: it takes every admitted frame
+// off the shard's queue, in admission order, until Shutdown closes the
+// queue, then flushes its buffered responses. One consumer of one FIFO
+// channel is what makes per-user order and serialised access to a
+// user's reuse state structural: all of a user's frames land on its
+// home shard's queue.
+func (s *Server) runWorker(sh *shard) {
 	defer s.workerWG.Done()
-	for {
-		t := s.nextTask(sh, w)
-		if t == nil {
-			break
+	for t := s.nextTask(sh); t != nil; t = s.nextTask(sh) {
+		s.begin(sh, t)
+		if s.expired(t) {
+			s.expire(t)
+		} else {
+			s.process(sh, t)
 		}
-		for t != nil {
-			s.begin(sh, t)
-			if s.expired(t) {
-				s.expire(t)
-			} else {
-				s.process(w, t)
-			}
-			s.buffer(w, t)
-			t = s.completeUser(sh, t)
-		}
+		s.buffer(sh, t)
+		s.complete(sh, t)
 	}
-	s.flushDirty(w)
+	s.flushDirty(sh)
 }
 
-// nextTask returns the next runnable chain head, or nil once the queue
-// is closed and drained. Before blocking on an empty queue it flushes
-// the worker's buffered responses — the coalescing contract: responses
-// may ride in one write with their successors while work is queued, but
+// nextTask returns the next admitted frame, or nil once the queue is
+// closed and drained. Before blocking on an empty queue it flushes the
+// worker's buffered responses — the coalescing contract: responses may
+// ride in one write with their successors while work is queued, but
 // never wait behind an idle queue.
-func (s *Server) nextTask(sh *shard, w *shardWorker) *task {
+func (s *Server) nextTask(sh *shard) *task {
 	select {
 	case t, ok := <-sh.runnable:
 		if !ok {
@@ -329,7 +312,7 @@ func (s *Server) nextTask(sh *shard, w *shardWorker) *task {
 		return t
 	default:
 	}
-	s.flushDirty(w)
+	s.flushDirty(sh)
 	t, ok := <-sh.runnable
 	if !ok {
 		return nil
@@ -337,19 +320,14 @@ func (s *Server) nextTask(sh *shard, w *shardWorker) *task {
 	return t
 }
 
-// begin moves one frame from the admitted backlog into processing and
-// picks its pressure-ladder rung from the backlog depth it leaves
-// behind it — the degradation decision is made at dequeue, when the
-// queue state is current, not at admission, when it may be stale by a
-// whole backlog.
+// begin picks a dequeued frame's pressure-ladder rung from the backlog
+// depth it was taken from: itself plus the frames queued behind it. The
+// degradation decision is made at dequeue, when the queue state is
+// current, not at admission, when it may be stale by a whole backlog.
 //
 //flexcore:noalloc
 func (s *Server) begin(sh *shard, t *task) {
-	sh.mu.Lock()
-	depth := sh.waiting
-	sh.waiting--
-	sh.mu.Unlock()
-	t.rung = s.rung(depth)
+	t.rung = s.rung(len(sh.runnable) + 1)
 }
 
 // rung maps an instantaneous queue depth to a DegradeLadder rung: 0
@@ -411,39 +389,39 @@ func (s *Server) expire(t *task) {
 }
 
 // process runs the ingest→detect→respond hot path for one admitted
-// task: cap the worker's detector at the task's rung (0 lifts the cap),
+// task: cap the shard's detector at the task's rung (0 lifts the cap),
 // install the user's cross-frame reuse bases — degraded frames share
 // them: a base selected at a larger N_PE serves the rung by prefix —
-// detect every subcarrier burst through the worker's FrameDetector,
+// detect every subcarrier burst through the shard's FrameDetector,
 // streaming the decisions straight into the response payload, frame it,
-// publish the worker's op counters and record the latency. Everything
-// it touches is task-, user- or worker-owned and reused — the
+// publish the detector's op counters and record the latency. Everything
+// it touches is task-, user- or shard-owned and reused — the
 // AllocsPerRun gate (alloc_test.go) pins this path at 0 allocs/op in
 // steady state.
 //
 //flexcore:noalloc
-func (s *Server) process(w *shardWorker, t *task) {
+func (s *Server) process(sh *shard, t *task) {
 	q := &t.req
 	npe := 0
 	if t.rung > 0 {
 		npe = s.cfg.DegradeLadder[t.rung-1]
 		s.met.degraded.Add(1)
 	}
-	w.fd.SetPathCap(npe)
+	sh.fd.SetPathCap(npe)
 	if t.user != nil {
-		w.fd.SetReuseState(&t.user.reuse)
+		sh.fd.SetReuseState(&t.user.reuse)
 	}
 	t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusOK, npe, q.Nt, q.Subcarriers, q.Symbols)
-	if err := w.fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
+	if err := sh.fd.DetectFrame(q.H(), q.Sigma2, t.burst, t.emit); err != nil {
 		// Geometry was validated at decode time, so detector errors are
 		// unexpected — answer them as an explicit rejection, never a
 		// silent drop.
 		t.payload = appendRespHeader(t.payload[:0], q.FrameID, StatusInvalid, 0, 0, 0, 0)
 		s.met.rejectedInvalid.Add(1)
 	}
-	w.fd.SetReuseState(nil)
+	sh.fd.SetReuseState(nil)
 	t.wire = AppendFrame(t.wire[:0], MsgResult, t.payload)
-	s.publish(w)
+	s.publish(sh)
 	s.met.observe(time.Since(t.enq)) //lint:ignore determinism wall-clock latency metric only — decisions are already encoded at this point
 	s.met.completed.Add(1)
 }
@@ -454,7 +432,7 @@ func (s *Server) process(w *shardWorker, t *task) {
 // buffering; write errors surface here (sticky) or at flush.
 //
 //flexcore:noalloc
-func (s *Server) buffer(w *shardWorker, t *task) {
+func (s *Server) buffer(sh *shard, t *task) {
 	c := t.c
 	c.mu.Lock()
 	c.armWrite()
@@ -464,14 +442,14 @@ func (s *Server) buffer(w *shardWorker, t *task) {
 		c.condemn(s, err)
 		return
 	}
-	w.dirty = append(w.dirty, c) //lint:ignore noalloc amortised: the dirty list reuses its high-water capacity across flush cycles
+	sh.dirty = append(sh.dirty, c) //lint:ignore noalloc amortised: the dirty list reuses its high-water capacity across flush cycles
 }
 
-// flushDirty flushes every connection this worker buffered responses on
-// since the last flush. Duplicate entries are harmless: flushing an
-// empty bufio writer is a no-op.
-func (s *Server) flushDirty(w *shardWorker) {
-	for i, c := range w.dirty {
+// flushDirty flushes every connection the shard's worker buffered
+// responses on since the last flush. Duplicate entries are harmless:
+// flushing an empty bufio writer is a no-op.
+func (s *Server) flushDirty(sh *shard) {
+	for i, c := range sh.dirty {
 		c.mu.Lock()
 		c.armWrite()
 		err := c.bw.Flush() //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
@@ -479,54 +457,39 @@ func (s *Server) flushDirty(w *shardWorker) {
 		if err != nil {
 			c.condemn(s, err)
 		}
-		w.dirty[i] = nil
+		sh.dirty[i] = nil
 	}
-	w.dirty = w.dirty[:0]
+	sh.dirty = sh.dirty[:0]
 }
 
-// completeUser finishes t's slot in its user's FIFO chain: it releases
-// the task and returns the user's next pending frame for this worker to
-// process, or marks the user idle. Handing the successor to the same
-// worker (never back through runnable) is what makes per-user ordering
-// a structural property: at most one worker ever holds a given user's
-// frame, and it processes them in arrival order.
+// complete releases an answered task and its hold on the user's state:
+// once the user's in-flight count is back to 0, evictIdle may reset and
+// recycle the state.
 //
 //flexcore:noalloc
-func (s *Server) completeUser(sh *shard, t *task) *task {
-	u := t.user
-	s.release(t)
-	if u == nil {
-		return nil
-	}
+func (s *Server) complete(sh *shard, t *task) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if n := len(u.pending); n > 0 {
-		next := u.pending[0]
-		copy(u.pending, u.pending[1:])
-		u.pending[n-1] = nil
-		u.pending = u.pending[:n-1]
-		return next
-	}
-	u.busy = false
-	return nil
+	t.user.inflight--
+	sh.mu.Unlock()
+	s.release(t)
 }
 
-// publish copies the worker detector's cumulative counters under the
-// worker's metrics lock.
+// publish copies the shard detector's cumulative counters under the
+// shard's metrics lock.
 //
 //flexcore:noalloc
-func (s *Server) publish(w *shardWorker) {
-	ops := w.det.OpCount()
+func (s *Server) publish(sh *shard) {
+	ops := sh.det.OpCount()
 	var pre core.PreprocessStats
-	if pr, ok := w.det.(preprocessReporter); ok {
+	if pr, ok := sh.det.(preprocessReporter); ok {
 		pre = pr.PreprocessStats()
 	}
-	activeSum, activeN := w.fd.ActivePEs()
-	w.mu.Lock()
-	w.ops = ops
-	w.pre = pre
-	w.activeSum, w.activeN = activeSum, activeN
-	w.mu.Unlock()
+	activeSum, activeN := sh.fd.ActivePEs()
+	sh.statsMu.Lock()
+	sh.ops = ops
+	sh.pre = pre
+	sh.activeSum, sh.activeN = activeSum, activeN
+	sh.statsMu.Unlock()
 }
 
 // release returns a task to the pool.
@@ -559,9 +522,6 @@ func (sh *shard) userFor(id uint64, capacity int) *userState {
 	} else {
 		u = &userState{}
 	}
-	u.id = id
-	u.busy = false
-	u.pending = u.pending[:0]
 	sh.users[id] = u
 	sh.order = append(sh.order, id)
 	return u
@@ -570,12 +530,12 @@ func (sh *shard) userFor(id uint64, capacity int) *userState {
 // evictIdle drops the longest-tracked user with no frames in flight,
 // resetting its reuse bases and recycling its storage. The scan walks
 // the insertion-order slice (never the map: iteration order must not
-// influence behaviour); if every tracked user is busy nothing is
-// evicted and the table transiently overshoots the cap.
+// influence behaviour); if every tracked user has a frame in flight
+// nothing is evicted and the table transiently overshoots the cap.
 func (sh *shard) evictIdle() {
 	for i, id := range sh.order {
 		u := sh.users[id]
-		if u.busy {
+		if u.inflight > 0 {
 			continue
 		}
 		delete(sh.users, id)
@@ -587,13 +547,12 @@ func (sh *shard) evictIdle() {
 	}
 }
 
-// admit routes a decoded request into its shard's user-sequenced
-// backlog, or rejects it explicitly: StatusDraining once shutdown has
-// begun, StatusOverloaded when the shard's admitted backlog is full.
-// Admission never blocks — backpressure is a response code, not a
-// stalled connection. If the user is idle the frame becomes a runnable
-// chain head; if a worker already holds the user's previous frame it
-// joins the user's pending FIFO instead, preserving arrival order.
+// admit routes a decoded request into its shard's queue, or rejects it
+// explicitly: StatusDraining once shutdown has begun, StatusOverloaded
+// when the shard's queue is full. Admission never blocks — backpressure
+// is a response code, not a stalled connection. The send happens under
+// sh.mu, so queue order is admission order, for one user across
+// connections too.
 //
 //flexcore:noalloc
 func (s *Server) admit(t *task) {
@@ -616,31 +575,22 @@ func (s *Server) admit(t *task) {
 	}
 	sh := s.shards[shardIndex(t.req.UserID, len(s.shards))]
 	sh.mu.Lock()
-	if sh.waiting >= s.cfg.QueueDepth {
+	depth := len(sh.runnable)
+	if depth == cap(sh.runnable) {
 		sh.mu.Unlock()
 		s.met.rejectedOverload.Add(1)
 		t.c.reject(s, t.req.FrameID, StatusOverloaded) //lint:ignore lockscope drainMu is read-held; the rejection write is bounded by the conn's armWrite deadline and a stalled conn is condemned, not waited on
 		s.release(t)
 		return
 	}
-	sh.waiting++
-	if sh.waiting > sh.waitHWM {
-		sh.waitHWM = sh.waiting
-	}
-	u := sh.userFor(t.req.UserID, s.cfg.UserStateCap)
-	t.user = u
-	if u.busy {
-		u.pending = append(u.pending, t) //lint:ignore noalloc amortised: the pending arena reuses its high-water capacity across a user's bursts
-		sh.mu.Unlock()
-		s.met.accepted.Add(1)
-		return
-	}
-	u.busy = true
-	sh.mu.Unlock()
+	sh.waitHWM = max(sh.waitHWM, depth+1)
+	t.user = sh.userFor(t.req.UserID, s.cfg.UserStateCap)
+	t.user.inflight++
 	s.met.accepted.Add(1)
-	// Never blocks: every task in runnable is counted in waiting, and
-	// waiting ≤ QueueDepth = cap(runnable) was just enforced above.
-	sh.runnable <- t //lint:ignore lockscope the capacity invariant above makes this send non-blocking: waiting ≤ QueueDepth = cap(runnable)
+	// Never blocks: only sh.mu holders send, and the queue was just seen
+	// not full.
+	sh.runnable <- t //lint:ignore lockscope only sh.mu holders send and the queue was seen not full under it, so this send never blocks
+	sh.mu.Unlock()
 }
 
 // Connection I/O buffer sizes. The write buffer is sized for a burst of
@@ -838,7 +788,7 @@ func (s *Server) handleConn(rwc io.ReadWriteCloser) {
 			s.met.badFrames.Add(1)
 			return
 		}
-		t := s.taskPool.Get().(*task) //lint:ignore pooldiscipline ownership transfers through the shard's sequencing state — the shard worker (or the rejection path in admit) releases the task after responding
+		t := s.taskPool.Get().(*task) //lint:ignore pooldiscipline ownership transfers through the shard's queue — the shard worker (or the rejection path in admit) releases the task after responding
 		if err := t.req.Decode(payload); err != nil {
 			s.met.rejectedInvalid.Add(1)
 			c.reject(s, peekFrameID(payload), StatusInvalid)
@@ -970,9 +920,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.drainMu.Unlock()
 	// No admitter can be mid-enqueue past this point: close the queues
-	// so the workers drain the backlog — every admitted task is either
-	// in runnable or in a busy user's pending chain, and workers drain
-	// whole chains before taking the next runnable head — and exit.
+	// so the workers drain the backlog — every admitted task is in its
+	// shard's runnable queue — and exit.
 	for _, sh := range s.shards {
 		close(sh.runnable)
 	}

@@ -2,8 +2,8 @@
 // reproduction (DESIGN.md §12–13): a streaming frame-ingest interface
 // (length-prefixed binary frames over any io.ReadWriteCloser — TCP in
 // production, an in-memory pipe in tests), consistent user→shard
-// routing onto per-shard worker pools with per-user FIFO sequencing
-// and per-user cross-frame Prepare reuse, bounded admission with
+// routing onto single-worker shards (per-user FIFO from the shard's one
+// queue) and per-user cross-frame Prepare reuse, bounded admission with
 // explicit overload rejection (work is refused with a status code,
 // never silently dropped), coalesced response writes, graceful drain
 // on shutdown, and a metrics surface exposing latency histograms,
