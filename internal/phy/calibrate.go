@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 
-	"flexcore/internal/constellation"
 	"flexcore/internal/detector"
 )
 
@@ -98,9 +97,4 @@ func CalibrateSNR(cfg CalibrationConfig) (snrdB, measuredPER float64, err error)
 		}
 	}
 	return mid, perMid, nil
-}
-
-// MustConstellation is a test/experiment helper resolving a QAM order.
-func MustConstellation(m int) *constellation.Constellation {
-	return constellation.MustNew(m)
 }

@@ -1,6 +1,8 @@
 package phy
 
 import (
+	"errors"
+
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -8,14 +10,14 @@ import (
 
 // FrameDetector runs any detector over whole uplink frames — one
 // channel matrix per subcarrier, a burst of OFDM symbols per
-// subcarrier — through the channel-rate fast path when the detector
-// implements FramePreparer (FlexCore's PrepareAll/Select, DESIGN.md
-// §9) and through the scalar Prepare loop otherwise. It is the
-// serving layer's frame-detection loop (internal/serve builds one per
-// shard worker, and bench/ replays it); the link simulator's genie-CSI
-// path runs its own PrepareAll/Select loop (simWorker.simPacket). Its
-// decisions are bit-identical to looping Prepare+Detect per subcarrier:
-// FlexCore's Prepare is the one-subcarrier PrepareAll.
+// subcarrier. It is the repo's one frame loop: the serving layer
+// (one per shard), bench/, the link simulator (one per packet worker)
+// and the waveform receiver all prepare and detect frames through it.
+// A detector implementing FramePreparer (FlexCore, DESIGN.md §9) runs
+// its channel-rate PrepareAll/Select; any other detector is prepared
+// one subcarrier at a time by Select. Decisions are bit-identical to
+// looping Prepare+Detect per subcarrier either way: FlexCore's Prepare
+// is the one-subcarrier PrepareAll.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
@@ -24,33 +26,62 @@ type FrameDetector struct {
 	batch  detector.BatchDetector
 	frame  FramePreparer
 	rep    ActivePathReporter
+	pre    preprocessReporter
 	reuser ReuseCarrier
 	capper PathCapper
+
+	hs     []*cmatrix.Matrix // the frame Select prepares per subcarrier (no FramePreparer)
+	sigma2 float64
 
 	activeSum float64
 	activeN   int64
 }
 
+// FramePreparer is implemented by detectors that prepare a whole frame
+// of per-subcarrier channels in one call (FlexCore's channel-rate fast
+// path); Select activates one prepared subcarrier for Detect.
+type FramePreparer interface {
+	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
+	Select(k int) error
+}
+
+// ActivePathReporter is implemented by detectors (a-FlexCore) that
+// activate a channel-dependent subset of their processing elements.
+type ActivePathReporter interface {
+	ActivePaths() int
+}
+
+// preprocessReporter is implemented by detectors exposing
+// pre-processing counters (FlexCore).
+type preprocessReporter interface {
+	PreprocessStats() core.PreprocessStats
+}
+
 // ReuseCarrier is implemented by detectors whose PathReuse coherence
 // cache can be re-keyed onto caller-owned cross-frame state
-// (core.FlexCore). The serving layer uses it to key Prepare reuse per
-// user.
+// (core.FlexCore); serve keys Prepare reuse per user with it.
 type ReuseCarrier interface {
 	SetReuseState(*core.ReuseState)
 }
 
-// PathCapper is implemented by detectors that can bound their path
-// sets per frame below the N_PE they were built with (core.FlexCore).
-// The serving layer uses it to degrade frames under queue pressure.
+// PathCapper is implemented by detectors that can bound their path sets
+// per frame below the N_PE they were built with (core.FlexCore); serve
+// degrades frames under queue pressure with it.
 type PathCapper interface {
 	SetPathCap(k int)
 }
+
+var (
+	errEmptyFrame  = errors.New("phy: a frame needs at least one channel")
+	errSelectRange = errors.New("phy: Select outside the prepared frame")
+)
 
 // NewFrameDetector wraps d for frame-at-a-time detection.
 func NewFrameDetector(d detector.Detector) *FrameDetector {
 	f := &FrameDetector{det: d, batch: detector.Batch(d)}
 	f.frame, _ = d.(FramePreparer)
 	f.rep, _ = d.(ActivePathReporter)
+	f.pre, _ = d.(preprocessReporter)
 	f.reuser, _ = d.(ReuseCarrier)
 	f.capper, _ = d.(PathCapper)
 	return f
@@ -87,34 +118,62 @@ func (f *FrameDetector) SetPathCap(k int) bool {
 // Detector returns the wrapped detector.
 func (f *FrameDetector) Detector() detector.Detector { return f.det }
 
+// PrepareAll prepares a frame of per-subcarrier channels: in one call
+// for a FramePreparer, otherwise by recording hs and sigma2 for Select
+// to prepare one subcarrier at a time (hs must then stay unchanged
+// until the frame's last Select). An empty frame is an error for every
+// detector.
+//
+//flexcore:noalloc
+func (f *FrameDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+	if f.frame != nil {
+		return f.frame.PrepareAll(hs, sigma2)
+	}
+	if len(hs) == 0 {
+		return errEmptyFrame
+	}
+	f.hs, f.sigma2 = hs, sigma2
+	return nil
+}
+
+// Select activates subcarrier k of the prepared frame for the wrapped
+// detector's Detect/DetectBatch/DetectSoft calls and samples its
+// active processing-element count.
+//
+//flexcore:noalloc
+func (f *FrameDetector) Select(k int) error {
+	err := errSelectRange
+	switch {
+	case f.frame != nil:
+		err = f.frame.Select(k)
+	case 0 <= k && k < len(f.hs):
+		err = f.det.Prepare(f.hs[k], f.sigma2)
+	}
+	if err == nil && f.rep != nil {
+		f.activeSum += float64(f.rep.ActivePaths())
+		f.activeN++
+	}
+	return err
+}
+
 // DetectFrame detects one frame: it prepares every subcarrier channel
-// (in one PrepareAll when the detector supports it), then for each
-// subcarrier k detects the burst returned by burst(k) — one received
-// vector per OFDM symbol — and hands the decisions to emit(k, got).
-// The decisions slice is detector-owned and valid only until the next
-// detection call: emit must consume (copy or encode) it before
-// returning. The burst and emit callbacks let callers stream results
-// without any intermediate per-frame decision buffer, keeping the
-// steady-state loop allocation-free.
+// (PrepareAll), then for each subcarrier k selects it, detects the
+// burst returned by burst(k) — one received vector per OFDM symbol —
+// and hands the decisions to emit(k, got). The decisions slice is
+// detector-owned and valid only until the next detection call: emit
+// must consume (copy or encode) it before returning. The burst and
+// emit callbacks let callers stream results without any intermediate
+// per-frame decision buffer, keeping the steady-state loop
+// allocation-free.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k int, decisions [][]int)) error {
-	if f.frame != nil {
-		if err := f.frame.PrepareAll(hs, sigma2); err != nil {
-			return err
-		}
+	if err := f.PrepareAll(hs, sigma2); err != nil {
+		return err
 	}
 	for k := range hs {
-		if f.frame != nil {
-			if err := f.frame.Select(k); err != nil {
-				return err
-			}
-		} else if err := f.det.Prepare(hs[k], sigma2); err != nil {
+		if err := f.Select(k); err != nil {
 			return err
-		}
-		if f.rep != nil {
-			f.activeSum += float64(f.rep.ActivePaths())
-			f.activeN++
 		}
 		emit(k, f.batch.DetectBatch(burst(k)))
 	}
@@ -122,7 +181,16 @@ func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst 
 }
 
 // ActivePEs returns the cumulative active processing-element count and
-// the number of prepared subcarriers it was sampled over (nonzero only
+// the number of selected subcarriers it was sampled over (nonzero only
 // for detectors reporting ActivePaths, i.e. FlexCore/a-FlexCore) — the
-// serving layer's AvgActivePEs metric.
+// serving layer's AvgActivePEs metric and the simulator's.
 func (f *FrameDetector) ActivePEs() (sum float64, n int64) { return f.activeSum, f.activeN }
+
+// PreprocessStats returns the wrapped detector's cumulative
+// pre-processing counters (zero for detectors without any).
+func (f *FrameDetector) PreprocessStats() core.PreprocessStats {
+	if f.pre == nil {
+		return core.PreprocessStats{}
+	}
+	return f.pre.PreprocessStats()
+}

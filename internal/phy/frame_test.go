@@ -92,8 +92,9 @@ func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	}
 }
 
-// TestFrameDetectorMatchesScalarLoopMMSE covers the scalar fallback:
-// a linear detector has no FramePreparer, so DetectFrame loops Prepare.
+// TestFrameDetectorMatchesScalarLoopMMSE covers the per-subcarrier
+// branch: a linear detector has no FramePreparer, so Select runs its
+// Prepare one subcarrier at a time.
 func TestFrameDetectorMatchesScalarLoopMMSE(t *testing.T) {
 	cons, err := constellation.New(16)
 	if err != nil {
@@ -182,5 +183,54 @@ func TestFrameDetectorReuseState(t *testing.T) {
 	mmse := NewFrameDetector(detector.NewMMSE(cons))
 	if mmse.SetReuseState(&st) {
 		t.Fatal("MMSE FrameDetector must not report reuse-state support")
+	}
+}
+
+// TestFrameDetectorRejectsEmptyFrame: an empty frame is an error for
+// every detector, not a silent no-op, and nothing is emitted.
+func TestFrameDetectorRejectsEmptyFrame(t *testing.T) {
+	cons := constellation.MustNew(16)
+	for _, det := range []detector.Detector{core.New(cons, core.Options{NPE: 16}), detector.NewMMSE(cons)} {
+		emitted := 0
+		err := NewFrameDetector(det).DetectFrame(nil, 0.1, func(k int) [][]complex128 { return nil }, func(k int, decisions [][]int) { emitted++ })
+		if err == nil || emitted != 0 {
+			t.Errorf("%s: DetectFrame(nil) = %v with %d emits, want an error and none", det.Name(), err, emitted)
+		}
+	}
+}
+
+// TestFrameDetectorAllocFree gates the frame loop itself: once warm,
+// DetectFrame on FlexCore (both backends) and PrepareAll+Select on the
+// per-subcarrier branch run without allocating.
+func TestFrameDetectorAllocFree(t *testing.T) {
+	const nr, nt, k, s, sigma2 = 4, 3, 6, 4, 0.1
+	hs, ys := frameCase(t, 0xabc5, nr, nt, k, s)
+	burst := func(k int) [][]complex128 { return ys[k] }
+	emit := func(k int, decisions [][]int) {}
+	cons := constellation.MustNew(16)
+	for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
+		fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16, Backend: b}))
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := fd.DetectFrame(hs, sigma2, burst, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s DetectFrame: %.1f allocs/frame, want 0", b, allocs)
+		}
+	}
+	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no FramePreparer
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := fd.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range hs {
+			if err := fd.Select(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("per-subcarrier PrepareAll+Select: %.1f allocs/frame, want 0", allocs)
 	}
 }

@@ -173,3 +173,37 @@ func TestRunParallelEarlyStopFlexCoreBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+func TestRunReuseEstimatesWorkerIndependent(t *testing.T) {
+	// Estimated channels under PathReuse: every packet sees the same true
+	// H on every subcarrier (one trace drop, one bin) with fresh
+	// estimates, so a coherence base that survived from a worker's
+	// previous packet would hit and carry that packet's path set — making
+	// the Result depend on which packets the worker ran before. Every
+	// packet prepares its own frame, so it cannot.
+	link := smallLink()
+	ts, err := channel.Synthesize(channel.TraceConfig{
+		Seed: 607, Users: link.Users, APAntennas: link.APAntennas,
+		Subcarriers: []int{5, 5, 5, 5, 5, 5, 5, 5}, Drops: 1, SNRSpreadDB: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimConfig{
+		Link:        link,
+		SNRdB:       8,
+		Packets:     24,
+		Seed:        608,
+		EstErrorVar: 0.01,
+		Channels:    &TraceProvider{Set: ts},
+		DetectorFactory: func() detector.Detector {
+			return core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95, PathReuse: true, ReuseThreshold: 0.1})
+		},
+	}
+	serial := runAt(t, 1, cfg)
+	for _, w := range []int{2, 3} {
+		if got := runAt(t, w, cfg); got != serial {
+			t.Fatalf("workers=%d diverged under reuse:\n  %+v\nvs\n  %+v", w, got, serial)
+		}
+	}
+}

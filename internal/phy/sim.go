@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,23 +12,6 @@ import (
 	"flexcore/internal/detector"
 	"flexcore/internal/ofdm"
 )
-
-// ActivePathReporter is implemented by detectors (a-FlexCore) that
-// activate a channel-dependent subset of their processing elements.
-type ActivePathReporter interface {
-	ActivePaths() int
-}
-
-// FramePreparer is implemented by detectors that can prepare a whole
-// frame of per-subcarrier channels in one call (FlexCore's channel-rate
-// fast path): PrepareAll runs every subcarrier's pre-processing —
-// fanning it across the detector's workers and reusing position vectors
-// across coherent subcarriers when enabled — and Select activates one
-// prepared subcarrier for the per-symbol Detect calls.
-type FramePreparer interface {
-	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
-	Select(k int) error
-}
 
 // SoftDetector is implemented by detectors that can emit per-bit LLRs
 // alongside hard decisions (FlexCore's list-sphere soft output — the
@@ -315,69 +297,63 @@ func runParallel(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 flo
 }
 
 // simWorker is the per-worker simulation state: one detector instance
-// plus every reusable buffer of the per-packet chain.
+// behind a FrameDetector plus every reusable buffer of the per-packet
+// chain.
 type simWorker struct {
 	cfg    *SimConfig
 	il     *coding.Interleaver
 	sigma2 float64
-	det    detector.Detector
-	batch  detector.BatchDetector
+	fd     *FrameDetector
 	soft   SoftDetector
-	rep    ActivePathReporter
-	frame  FramePreparer
 
-	tx  []txPacket
-	rx  [][][]int      // [user][ofdmSym][subcarrier]
-	rxL [][][]float64  // [user][ofdmSym][ncbps] when soft
-	x   []complex128   // transmit vector scratch
-	ys  [][]complex128 // one received vector per OFDM symbol (batched)
+	tx   []txPacket
+	rx   [][][]int         // [user][ofdmSym][subcarrier]
+	rxL  [][][]float64     // [user][ofdmSym][ncbps] when soft
+	x    []complex128      // transmit vector scratch
+	prep []*cmatrix.Matrix // [subcarrier] the channel the detector is prepared on
+	ys   [][][]complex128  // [subcarrier][ofdmSym] received vectors
+
+	burst func(k int) [][]complex128
+	emit  func(k int, got [][]int)
 }
 
 // newSimWorker allocates the worker buffers and validates the detector
 // against the configuration.
 func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det detector.Detector) (*simWorker, error) {
 	link := cfg.Link
-	w := &simWorker{cfg: cfg, il: il, sigma2: sigma2, det: det}
+	w := &simWorker{cfg: cfg, il: il, sigma2: sigma2, fd: NewFrameDetector(det)}
 	if cfg.Soft {
 		soft, ok := det.(SoftDetector)
 		if !ok {
 			return nil, fmt.Errorf("phy: detector %s cannot produce soft outputs", det.Name())
 		}
 		w.soft = soft
-	} else {
-		w.batch = detector.Batch(det)
+		w.rxL = grid[float64](link.Users, link.OFDMSymbols, link.ncbps())
 	}
-	w.rep, _ = det.(ActivePathReporter)
-	w.frame, _ = det.(FramePreparer)
 	w.tx = make([]txPacket, link.Users)
-	w.rx = make([][][]int, link.Users)
-	for u := range w.rx {
-		w.rx[u] = make([][]int, link.OFDMSymbols)
-		for s := range w.rx[u] {
-			w.rx[u][s] = make([]int, link.Subcarriers)
-		}
-	}
-	if cfg.Soft {
-		w.rxL = make([][][]float64, link.Users)
-		for u := range w.rxL {
-			w.rxL[u] = make([][]float64, link.OFDMSymbols)
-			for s := range w.rxL[u] {
-				w.rxL[u][s] = make([]float64, link.ncbps())
+	w.rx = grid[int](link.Users, link.OFDMSymbols, link.Subcarriers)
+	w.x = make([]complex128, link.Users)
+	w.prep = make([]*cmatrix.Matrix, link.Subcarriers)
+	w.ys = grid[complex128](link.Subcarriers, link.OFDMSymbols, link.APAntennas)
+	w.burst = func(k int) [][]complex128 { return w.ys[k] }
+	w.emit = func(k int, got [][]int) {
+		for s := range got {
+			for u := range w.rx {
+				w.rx[u][s][k] = got[s][u]
 			}
 		}
-	}
-	w.x = make([]complex128, link.Users)
-	w.ys = make([][]complex128, link.OFDMSymbols)
-	for s := range w.ys {
-		w.ys[s] = make([]complex128, link.APAntennas)
 	}
 	return w, nil
 }
 
-// simPacket runs one packet end to end: transmit chains, per-subcarrier
-// channel preparation, detection (batched per subcarrier over the OFDM
-// symbols) and decoding. All randomness comes from the packet's own
-// seed-split RNG stream, so the outcome depends only on (Seed, pkt).
+// simPacket runs one packet end to end: transmit chains, then per
+// subcarrier the channel the detector is prepared on (genie, perturbed
+// or LS-estimated) and the received OFDM-symbol burst, then one frame
+// detection and decoding. The channels and bursts are drawn first, in
+// subcarrier order, so the packet's RNG stream is consumed exactly as
+// by a per-subcarrier Prepare/Detect loop. All randomness comes from
+// the packet's own seed-split RNG stream, so the outcome depends only
+// on (Seed, pkt).
 func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 	cfg := w.cfg
 	link := cfg.Link
@@ -390,72 +366,41 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 	for u := range w.tx {
 		w.tx[u] = link.buildTxPacket(rng, w.il)
 	}
-	bps := link.Constellation.BitsPerSymbol()
-	// Genie-CSI runs prepare the whole frame up front through the
-	// detector's channel-rate fast path when it has one. With channel
-	// estimation the per-subcarrier estimates must be drawn in loop order
-	// (their RNG draws interleave with the AWGN draws), so those runs keep
-	// the scalar Prepare path — either way the RNG stream and the
-	// detection outcomes are bit-identical to the per-subcarrier loop.
-	useFrame := w.frame != nil && cfg.PilotSymbols == 0 && cfg.EstErrorVar == 0 //lint:ignore floatcmp zero is the config's exact "genie CSI" sentinel
-	if useFrame {
-		if err := w.frame.PrepareAll(hs, w.sigma2); err != nil {
-			return st, fmt.Errorf("phy: prepare frame: %w", err)
+	for k, h := range hs {
+		switch {
+		case cfg.PilotSymbols > 0:
+			w.prep[k] = EstimateLS(rng, h, w.sigma2, cfg.PilotSymbols)
+		case cfg.EstErrorVar > 0:
+			est := h.Copy()
+			for i := range est.Data {
+				est.Data[i] += channel.CN(rng, cfg.EstErrorVar*w.sigma2)
+			}
+			w.prep[k] = est
+		default:
+			w.prep[k] = h
+		}
+		for s, y := range w.ys[k] {
+			for u := range w.x {
+				w.x[u] = link.Constellation.Point(w.tx[u].symbols[s][k])
+			}
+			channel.AddAWGN(rng, h.MulVecInto(w.x, y), w.sigma2)
 		}
 	}
-	for k := 0; k < link.Subcarriers; k++ {
-		if useFrame {
-			if err := w.frame.Select(k); err != nil {
-				return st, fmt.Errorf("phy: select subcarrier %d: %w", k, err)
-			}
-		} else {
-			prepH := hs[k]
-			switch {
-			case cfg.PilotSymbols > 0:
-				prepH = EstimateLS(rng, prepH, w.sigma2, cfg.PilotSymbols)
-			case cfg.EstErrorVar > 0:
-				est := prepH.Copy()
-				for i := range est.Data {
-					est.Data[i] += channel.CN(rng, cfg.EstErrorVar*w.sigma2)
-				}
-				prepH = est
-			}
-			if err := w.det.Prepare(prepH, w.sigma2); err != nil {
-				return st, fmt.Errorf("phy: prepare subcarrier %d: %w", k, err)
-			}
-		}
-		if w.rep != nil {
-			st.activeSum += float64(w.rep.ActivePaths())
-			st.activeN++
-		}
-		if cfg.Soft {
-			for s := 0; s < link.OFDMSymbols; s++ {
-				y := w.received(hs[k], rng, s, k)
-				got, llrs := w.soft.DetectSoft(y, w.sigma2)
-				for u := 0; u < link.Users; u++ {
-					w.rx[u][s][k] = got[u]
-					copy(w.rxL[u][s][k*bps:(k+1)*bps], llrs[u])
-				}
-			}
-			continue
-		}
-		// Hard path: synthesize the whole OFDM-symbol burst for this
-		// subcarrier, then detect it in one batch so the detector can
-		// amortise its fan-out over the burst.
-		for s := 0; s < link.OFDMSymbols; s++ {
-			w.received(hs[k], rng, s, k)
-		}
-		got := w.batch.DetectBatch(w.ys)
-		for s := range got {
-			for u := 0; u < link.Users; u++ {
-				w.rx[u][s][k] = got[s][u]
-			}
-		}
+	sum0, n0 := w.fd.ActivePEs()
+	var err error
+	if cfg.Soft {
+		err = w.detectSoft()
+	} else {
+		err = w.fd.DetectFrame(w.prep, w.sigma2, w.burst, w.emit)
 	}
+	if err != nil {
+		return st, fmt.Errorf("phy: detect frame: %w", err)
+	}
+	sum1, n1 := w.fd.ActivePEs()
+	st.activeSum, st.activeN = sum1-sum0, int(n1-n0)
 	for u := 0; u < link.Users; u++ {
 		var ok bool
 		var bitErrs int
-		var err error
 		if cfg.Soft {
 			ok, bitErrs, err = link.decodeRxPacketSoft(w.rxL[u], w.tx[u], w.il)
 		} else {
@@ -474,13 +419,37 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 	return st, nil
 }
 
-// received synthesizes the received vector of OFDM symbol s on
-// subcarrier k into the worker's ys[s] buffer: modulation, channel, AWGN.
-func (w *simWorker) received(h *cmatrix.Matrix, rng *rand.Rand, s, k int) []complex128 {
-	link := w.cfg.Link
-	for u := 0; u < link.Users; u++ {
-		w.x[u] = link.Constellation.Point(w.tx[u].symbols[s][k])
+// detectSoft detects the packet's frame one received vector at a time
+// through the soft-output detector, scattering hard decisions and LLRs:
+// the one soft-only loop beside DetectFrame (CI's frame-loop gate names it).
+func (w *simWorker) detectSoft() error {
+	bps := w.cfg.Link.Constellation.BitsPerSymbol()
+	if err := w.fd.PrepareAll(w.prep, w.sigma2); err != nil {
+		return err
 	}
-	y := h.MulVecInto(w.x, w.ys[s])
-	return channel.AddAWGN(rng, y, w.sigma2)
+	for k := range w.prep {
+		if err := w.fd.Select(k); err != nil {
+			return err
+		}
+		for s, y := range w.ys[k] {
+			got, llrs := w.soft.DetectSoft(y, w.sigma2)
+			for u := range w.rx {
+				w.rx[u][s][k] = got[u]
+				copy(w.rxL[u][s][k*bps:(k+1)*bps], llrs[u])
+			}
+		}
+	}
+	return nil
+}
+
+// grid allocates an a×b×c slice of zero values.
+func grid[T any](a, b, c int) [][][]T {
+	g := make([][][]T, a)
+	for i := range g {
+		g[i] = make([][]T, b)
+		for j := range g[i] {
+			g[i][j] = make([]T, c)
+		}
+	}
+	return g
 }

@@ -68,7 +68,7 @@ func RunWaveform(cfg WaveformConfig) (WaveformResult, error) {
 	samples := totalSymbols * ofdm.SamplesPerSymbol
 
 	// Per-user transmit waveforms: staggered LTFs then payload.
-	txSym := make([][][]int, nt) // [user][dataSym][subcarrier]
+	txSym := grid[int](nt, cfg.DataSymbols, ofdm.DataSubcarriers) // [user][dataSym][subcarrier]
 	waves := make([][]complex128, nt)
 	ltf := ofdm.LTFSequence()
 	for u := 0; u < nt; u++ {
@@ -84,9 +84,7 @@ func RunWaveform(cfg WaveformConfig) (WaveformResult, error) {
 				wave = append(wave, make([]complex128, ofdm.SamplesPerSymbol)...)
 			}
 		}
-		txSym[u] = make([][]int, cfg.DataSymbols)
 		for s := 0; s < cfg.DataSymbols; s++ {
-			txSym[u][s] = make([]int, ofdm.DataSubcarriers)
 			data := make([]complex128, ofdm.DataSubcarriers)
 			for k := range data {
 				idx := rng.IntN(cons.Size())
@@ -159,50 +157,36 @@ func RunWaveform(cfg WaveformConfig) (WaveformResult, error) {
 		}
 	}
 
-	// Detection: per subcarrier Prepare on the estimate, per symbol
-	// Detect across antennas.
+	// Detection: one frame prepared on the estimates, each bin's burst
+	// the data symbols' received vectors across antennas.
 	res := WaveformResult{ChannelErrVar: estErr / float64(estN)}
-	y := make([]complex128, nr)
-	demod := make([][][]complex128, nr) // [antenna][dataSym][bin]
+	ys := grid[complex128](ofdm.DataSubcarriers, cfg.DataSymbols, nr) // [bin][dataSym][antenna]
 	for r := 0; r < nr; r++ {
-		demod[r] = make([][]complex128, cfg.DataSymbols)
 		for s := 0; s < cfg.DataSymbols; s++ {
 			start := (preambleSlots + s) * ofdm.SamplesPerSymbol
 			d, err := mod.Demodulate(rx[r][start : start+ofdm.SamplesPerSymbol])
 			if err != nil {
 				return WaveformResult{}, err
 			}
-			demod[r][s] = d
+			for k := range ys {
+				ys[k][s][r] = d[k]
+			}
 		}
 	}
-	// The estimates are all computed before detection starts, so a
-	// frame-capable detector prepares every bin in one PrepareAll call.
-	framePrep, _ := cfg.Detector.(FramePreparer)
-	if framePrep != nil {
-		if err := framePrep.PrepareAll(hEst, sigma2); err != nil {
-			return WaveformResult{}, fmt.Errorf("phy: waveform prepare frame: %w", err)
-		}
-	}
-	for k := 0; k < ofdm.DataSubcarriers; k++ {
-		if framePrep != nil {
-			if err := framePrep.Select(k); err != nil {
-				return WaveformResult{}, fmt.Errorf("phy: waveform select bin %d: %w", k, err)
-			}
-		} else if err := cfg.Detector.Prepare(hEst[k], sigma2); err != nil {
-			return WaveformResult{}, fmt.Errorf("phy: waveform prepare bin %d: %w", k, err)
-		}
-		for s := 0; s < cfg.DataSymbols; s++ {
-			for r := 0; r < nr; r++ {
-				y[r] = demod[r][s][k]
-			}
-			got := cfg.Detector.Detect(y)
-			for u := 0; u < nt; u++ {
-				res.Symbols++
-				if got[u] != txSym[u][s][k] {
-					res.SymbolErrors++
+	err := NewFrameDetector(cfg.Detector).DetectFrame(hEst, sigma2,
+		func(k int) [][]complex128 { return ys[k] },
+		func(k int, got [][]int) {
+			for s := range got {
+				for u := 0; u < nt; u++ {
+					res.Symbols++
+					if got[s][u] != txSym[u][s][k] {
+						res.SymbolErrors++
+					}
 				}
 			}
-		}
+		})
+	if err != nil {
+		return WaveformResult{}, fmt.Errorf("phy: waveform detect: %w", err)
 	}
 	res.SER = float64(res.SymbolErrors) / float64(res.Symbols)
 	return res, nil

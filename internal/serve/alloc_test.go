@@ -100,7 +100,7 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 				t.Fatalf("serve hot loop allocates %.1f objects per frame, want 0", allocs)
 			}
 			if reuse {
-				if hits := sh.det.(*core.FlexCore).PreprocessStats().CacheHits; hits == 0 {
+				if hits := sh.fd.PreprocessStats().CacheHits; hits == 0 {
 					t.Fatal("reuse leg never hit the per-user cross-frame cache")
 				}
 			}

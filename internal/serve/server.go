@@ -148,11 +148,9 @@ type shard struct {
 	// a send never blocks.
 	runnable chan *task
 
-	// det and fd are the worker's one detector and FrameDetector
-	// (detectors are stateful) — every rung of the degrade ladder runs
-	// on it, as a path cap.
-	det detector.Detector
-	fd  *phy.FrameDetector
+	// fd wraps the worker's one detector (detectors are stateful) —
+	// every rung of the degrade ladder runs on it, as a path cap.
+	fd *phy.FrameDetector
 
 	// dirty lists the connections holding buffered responses the worker
 	// has not flushed yet. Flushed before the worker blocks on an empty
@@ -175,12 +173,6 @@ type shard struct {
 	pre       core.PreprocessStats
 	activeSum float64
 	activeN   int64
-}
-
-// preprocessReporter is implemented by detectors exposing
-// pre-processing counters (FlexCore).
-type preprocessReporter interface {
-	PreprocessStats() core.PreprocessStats
 }
 
 // Server is the sharded, backpressured detection service. Build one
@@ -239,22 +231,16 @@ func NewServer(cfg Config) (*Server, error) {
 		return t
 	}
 	s.shards = make([]*shard, cfg.Shards)
-	var uncappable detector.Detector
 	for i := range s.shards {
-		det := cfg.DetectorFactory()
 		sh := &shard{
 			runnable: make(chan *task, cfg.QueueDepth),
-			det:      det,
-			fd:       phy.NewFrameDetector(det),
+			fd:       phy.NewFrameDetector(cfg.DetectorFactory()),
 			users:    make(map[uint64]*userState),
 		}
 		if len(cfg.DegradeLadder) > 0 && !sh.fd.SetPathCap(0) {
-			uncappable = det
+			return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", sh.fd.Detector().Name())
 		}
 		s.shards[i] = sh
-	}
-	if uncappable != nil {
-		return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", uncappable.Name())
 	}
 	for _, sh := range s.shards {
 		s.workerWG.Add(1)
@@ -479,15 +465,11 @@ func (s *Server) complete(sh *shard, t *task) {
 //
 //flexcore:noalloc
 func (s *Server) publish(sh *shard) {
-	ops := sh.det.OpCount()
-	var pre core.PreprocessStats
-	if pr, ok := sh.det.(preprocessReporter); ok {
-		pre = pr.PreprocessStats()
-	}
+	ops := sh.fd.Detector().OpCount()
+	pre := sh.fd.PreprocessStats()
 	activeSum, activeN := sh.fd.ActivePEs()
 	sh.statsMu.Lock()
-	sh.ops = ops
-	sh.pre = pre
+	sh.ops, sh.pre = ops, pre
 	sh.activeSum, sh.activeN = activeSum, activeN
 	sh.statsMu.Unlock()
 }
