@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -8,14 +10,107 @@ import (
 	"flexcore/internal/kernel32"
 )
 
+// compilePaths is the generic route: the first k paths' rank plane
+// through kernel32's Compile.
+func compilePaths(comp *kernel32.Compiler, pl *kernel32.Plan, paths []Path, k int) {
+	ranks := comp.Ranks(len(paths[0].Ranks), k)
+	for p, path := range paths[:k] {
+		for i, r := range path.Ranks {
+			ranks[i*k+p] = int16(r)
+		}
+	}
+	comp.Compile(pl)
+}
+
+// samePlans fails unless the finder-built plan of paths is, node for
+// node and link for link, the plan Compile builds from their rank
+// plane, and so is its prefix of the first k lanes for a few k.
+func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
+	t.Helper()
+	var comp kernel32.Compiler
+	var want, prefix kernel32.Plan
+	P := len(paths)
+	compilePaths(&comp, &want, paths, P)
+	if !reflect.DeepEqual(*plan, want) {
+		t.Fatalf("%s: finder-built plan of %d paths differs from the compiled one:\n got %+v\nwant %+v", what, P, *plan, want)
+	}
+	for _, k := range []int{1, P / 3, P - 1} {
+		if k < 1 {
+			continue
+		}
+		compilePaths(&comp, &want, paths, k)
+		prefix.CopyPrefix(plan, k)
+		if !reflect.DeepEqual(prefix, want) {
+			t.Fatalf("%s: %d-lane prefix of the finder-built plan differs from the first %d paths compiled:\n got %+v\nwant %+v", what, k, k, prefix, want)
+		}
+	}
+}
+
+// TestFinderPlanMatchesCompile pins the chain builder the finder uses
+// (kernel32.Compiler.Extend) to the generic compiler, child and sibling
+// links included: on random models, budgets and thresholds straight
+// through the finder, then through a soa32 detector's scalar Prepare
+// and PrepareAll/Select under changing path caps with reuse on, so
+// capped hits take plan prefixes.
+func TestFinderPlanMatchesCompile(t *testing.T) {
+	rng := newRng(1410)
+	var f pathFinder
+	var dst pathStore
+	for trial := 0; trial < 400; trial++ {
+		pe := make([]float64, 1+rng.IntN(10))
+		for i := range pe {
+			pe[i] = math.Pow(10, -4*rng.Float64()) * peMax
+		}
+		m := modelFromPe([]int{4, 16, 64}[rng.IntN(3)], pe)
+		thr := 0.0
+		if trial%3 == 0 {
+			thr = 0.05 + 0.94*rng.Float64()
+		}
+		f.find(m, 1+rng.IntN(400), thr, &dst, true)
+		samePlans(t, "finder", &dst.plan, dst.paths)
+	}
+
+	cons := constellation.MustNew(16)
+	sigma2 := channel.Sigma2FromSNRdB(12, 1)
+	caps := []int{0, 1, 5, 40, 0, 200}
+	for _, frame := range []bool{false, true} {
+		det := New(cons, Options{NPE: 256, Backend: BackendSoA32, PathReuse: true})
+		var st ReuseState
+		det.SetReuseState(&st)
+		for step := 0; step < 24; step++ {
+			hs := frameChannels(1420+uint64(step%3), 4, 4, 3)
+			det.SetPathCap(caps[step%len(caps)])
+			var err error
+			if frame {
+				err = det.PrepareAll(hs, sigma2)
+			} else {
+				err = det.Prepare(hs[0], sigma2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range hs {
+				if frame {
+					if err := det.Select(k); err != nil {
+						t.Fatal(err)
+					}
+				} else if k > 0 {
+					break
+				}
+				samePlans(t, "detector", det.soa.prep.Plan, det.Paths())
+			}
+		}
+	}
+}
+
 // TestPlanSharesPrefixes pins the property the SoA descent's speed rests
 // on: the best-first path set is so redundant that its prefix trie has
 // far fewer nodes than paths × levels (averaged over seeded Rayleigh
 // channels; a single draw varies by ±10 %). A finder change that destroys the
 // sharing fails here, not in a benchmark. The same loop cross-checks the
-// two ways a plan gets built: the finder's incremental link must produce
+// two ways a plan gets built: the finder's chain builder must produce
 // exactly the trie the generic rank-plane compiler finds, and so must
-// every lane prefix of it (kernel32's own tests compare node for node).
+// every lane prefix of it.
 func TestPlanSharesPrefixes(t *testing.T) {
 	const channels = 40
 	for _, tc := range []struct {
@@ -31,43 +126,14 @@ func TestPlanSharesPrefixes(t *testing.T) {
 			sigma2 := channel.Sigma2FromSNRdB(tc.snrDB, 1)
 			rng := newRng(1400)
 			fc := New(cons, Options{NPE: tc.npe, Backend: BackendSoA32})
-			var comp kernel32.Compiler
-			var generic, prefix kernel32.Plan
 			total, flat := 0, 0 // distinct nodes, paths × levels, over all channels
 			for ch := 0; ch < channels; ch++ {
 				if err := fc.Prepare(channel.Rayleigh(rng, tc.nt, tc.nt), sigma2); err != nil {
 					t.Fatal(err)
 				}
-				paths := fc.Paths()
-				P := len(paths)
-				nodes := fc.soa.prep.Plan.Nodes()
-				total += nodes
-				flat += tc.nt * P
-				ranks := comp.Ranks(tc.nt, P)
-				for p := range paths {
-					for i, r := range paths[p].Ranks {
-						ranks[i*P+p] = int16(r)
-					}
-				}
-				comp.Compile(&generic)
-				if generic.Nodes() != nodes {
-					t.Errorf("channel %d: finder-built plan has %d nodes, generic compile of the same paths %d", ch, nodes, generic.Nodes())
-				}
-				// A path cap takes a prefix of the finder's plan: it must be
-				// the trie of the first k paths, no node more.
-				for _, k := range []int{1, P / 3, P - 1} {
-					ranks := comp.Ranks(tc.nt, k)
-					for p := 0; p < k; p++ {
-						for i, r := range paths[p].Ranks {
-							ranks[i*k+p] = int16(r)
-						}
-					}
-					comp.Compile(&generic)
-					prefix.CopyPrefix(fc.soa.prep.Plan, k)
-					if prefix.Nodes() != generic.Nodes() {
-						t.Errorf("channel %d: %d-lane prefix of the finder-built plan has %d nodes, the first %d paths compile to %d", ch, k, prefix.Nodes(), k, generic.Nodes())
-					}
-				}
+				total += fc.soa.prep.Plan.Nodes()
+				flat += tc.nt * len(fc.Paths())
+				samePlans(t, tc.name, fc.soa.prep.Plan, fc.Paths())
 			}
 			if got := float64(total) / float64(flat); got > tc.share {
 				t.Errorf("%d distinct nodes of %d path-levels over %d channels: share %.3f, want ≤ %.2f", total, flat, channels, got, tc.share)

@@ -175,22 +175,27 @@ func (f *pathFinder) ensure(n, nPE int, plan bool) {
 // shares its parent's nodes, and at w and below it is new: every level
 // under w still has rank 1, and any path sharing such a suffix is a
 // descendant of q in the generation order, so none was emitted before
-// it. (The root passes w = n−1 and shares nothing.) Leaves are added one
-// per path in emission order, which makes the plan's lanes the paths.
+// it. Its level-w node is the next sibling of the parent's: the children
+// of one node are created in rank order, by one increment each. (The
+// root passes w = n−1 and shares nothing.) Leaves are added one per path
+// in emission order, which makes the plan's lanes the paths.
+//
+// A child of q increments a level w′ ≤ w and reads q's nodes at w′ and
+// w′+1 only, so of the parent's nodes q keeps just the one at w+1.
 //
 //flexcore:noalloc
 func (f *pathFinder) link(q, parent, w int, res []int) {
 	n := len(res)
 	nodes := f.nodeBuf[q*n : (q+1)*n]
-	up := int32(0) // the plan's root
-	if w < n-1 {
-		copy(nodes[w+1:], f.nodeBuf[parent*n+w+1:(parent+1)*n])
-		up = nodes[w+1]
+	up, prev := int32(0), int32(-1) // the plan's root, no child yet
+	if q > 0 {
+		prev = f.nodeBuf[parent*n+w]
+		if w < n-1 {
+			up = f.nodeBuf[parent*n+w+1]
+			nodes[w+1] = up
+		}
 	}
-	for j := w; j >= 0; j-- {
-		up = f.comp.Add(j, up, res[j])
-		nodes[j] = up
-	}
+	f.comp.Extend(up, prev, res[:w+1], nodes)
 }
 
 // find runs the pre-processing search (see FindPaths for the contract)

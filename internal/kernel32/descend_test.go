@@ -85,14 +85,14 @@ func bits32(v float32) uint32 { return math.Float32bits(v) }
 
 // checkAgainstReference descends the staged plane and pins it to the
 // per-lane reference. Each given range must return the reference's
-// argmin — lane and distance bits — with the winner's decisions, under
-// a bound that is the range's first lane's distance in both the
-// reference and the level walk; every leaf of the range is either the
-// reference's bit for bit or pruned to +Inf, and then strictly worse
-// than the returned minimum. A pruned lane has no distance, so per-lane
-// exactness is pinned on single-lane ranges, where the bound is the
-// lane's own: Descend(p, p+1) must return (p, ref[p]) and lane p's
-// reference decisions, or −1 when the reference deactivated.
+// argmin — lane and distance bits — with the winner's decisions, slicing
+// no more than the trie's nodes; every leaf of the range is either the
+// reference's bit for bit or skipped by the bound and so +Inf, and then
+// strictly worse than the returned minimum; a range that starts at lane
+// 0 also passes checkWork. A skipped lane has no distance, so per-lane
+// exactness is pinned on single-lane ranges, where nothing can beat the
+// lane: Descend(p, p+1) must return (p, ref[p]) and lane p's reference
+// decisions, or −1 when the reference deactivated.
 func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P int, ranks []int16, strict bool, ranges [][2]int) {
 	t.Helper()
 	n := pr.N
@@ -109,26 +109,27 @@ func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P i
 	}
 	for _, rg := range ranges {
 		lo, hi := rg[0], rg[1]
+		poisonPed(pr, s)
 		lane, ped := Descend(pr, sl, s, lo, hi, strict)
 		wl, wp := refArgmin(want, lo, hi)
 		if lane != wl || bits32(ped) != bits32(wp) {
 			t.Fatalf("n=%d P=%d strict=%v range %v: got lane %d ped %v, reference lane %d ped %v", n, P, strict, rg, lane, ped, wl, wp)
 		}
-		if s.Visited > pr.Plan.Nodes()+n {
-			t.Fatalf("n=%d P=%d strict=%v range %v: %d nodes sliced, the trie has %d and the bound lane %d", n, P, strict, rg, s.Visited, pr.Plan.Nodes(), n)
+		if s.Visited > pr.Plan.Nodes() {
+			t.Fatalf("n=%d P=%d strict=%v range %v: %d nodes sliced, the trie has %d", n, P, strict, rg, s.Visited, pr.Plan.Nodes())
 		}
 		if lo >= hi {
 			continue
 		}
 		leaves := s.Ped[pr.Plan.start[n]:]
-		if bits32(s.bound) != bits32(want[lo]) || bits32(s.bound) != bits32(leaves[lo]) {
-			t.Fatalf("n=%d P=%d strict=%v range %v: bound %v, level walk %v, reference %v for lane %d", n, P, strict, rg, s.bound, leaves[lo], want[lo], lo)
-		}
 		for p := lo; p < hi; p++ {
-			pruned := math.IsInf(float64(leaves[p]), 1) && want[p] > wp
-			if bits32(leaves[p]) != bits32(want[p]) && !pruned {
+			skipped := math.IsInf(float64(leaves[p]), 1) && want[p] > wp
+			if bits32(leaves[p]) != bits32(want[p]) && !skipped {
 				t.Fatalf("n=%d P=%d strict=%v range %v lane %d: distance %v, reference %v (minimum %v)", n, P, strict, rg, p, leaves[p], want[p], wp)
 			}
+		}
+		if lo == 0 {
+			checkWork(t, pr.Plan, s, want[0])
 		}
 		if lane >= 0 {
 			checkIdx(lane)
@@ -144,6 +145,45 @@ func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P i
 		} else if lane != -1 || !math.IsInf(float64(ped), 1) {
 			t.Fatalf("n=%d P=%d strict=%v lane %d alone: got lane %d ped %v, reference deactivated", n, P, strict, p, lane, ped)
 		}
+	}
+}
+
+// poisonPed sizes the scratch for pr's plan and sets every node's
+// distance to NaN, so the nodes the next descent slices are the ones
+// that read otherwise (for finite inputs).
+func poisonPed(pr *Prep, s *Scratch) {
+	s.fit(pr.plan())
+	for g := range s.Ped {
+		s.Ped[g] = float32(math.NaN())
+	}
+}
+
+// checkWork pins the depth-first walk's work bound on a descent of
+// lanes [0, hi) of finite inputs, Ped poisoned beforehand: every node it
+// sliced hangs under the root or under a parent it sliced, found live
+// and not beyond b0, lane 0's distance — a node that a walk bounded by
+// lane 0 alone slices too — and there are no more of them than Visited.
+// (A deactivated leaf reads +Inf either way and is not told apart.)
+func checkWork(t *testing.T, pl *Plan, s *Scratch, b0 float32) {
+	t.Helper()
+	sliced := 0
+	for d := 1; d <= pl.N; d++ {
+		for g := pl.start[d]; g < pl.start[d+1]; g++ {
+			v := s.Ped[g]
+			if math.IsNaN(float64(v)) || d == pl.N && math.IsInf(float64(v), 1) {
+				continue
+			}
+			sliced++
+			if d == 1 {
+				continue
+			}
+			if pp := s.Ped[pl.start[d-1]+pl.nodes[g].parent]; !(pp < inf32) || pp > b0 {
+				t.Fatalf("depth %d node %d sliced under a parent at %v; lane 0's distance is %v", d, g-pl.start[d], pp, b0)
+			}
+		}
+	}
+	if sliced > s.Visited {
+		t.Fatalf("%d nodes read as sliced, Visited says %d", sliced, s.Visited)
 	}
 }
 
@@ -188,8 +228,10 @@ func TestDescendMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDescendTieBreakLowestLane: identical lanes tie exactly, and the
-// argmin must name the lowest lane of the range it was given.
+// TestDescendTieBreakLowestLane: tied lanes must resolve to the lowest
+// lane of the range it was given — identical lanes, which the walk
+// reaches in lane order, and two distinct paths the walk reaches
+// higher lane first.
 func TestDescendTieBreakLowestLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(1402))
 	cons := constellation.MustNew(16)
@@ -211,11 +253,70 @@ func TestDescendTieBreakLowestLane(t *testing.T) {
 			t.Errorf("range [%d,%d): best lane %d, want the lowest tied lane %d", lo, P, lane, lo)
 		}
 	}
+
+	// Two uncoupled levels with the same observation: a level's distance
+	// depends on its rank alone, so ranks (2, 1) and (1, 2) sum the same
+	// two terms and tie exactly. Lane 1 = (2, 1) opens the second
+	// top-level node and lane 2 = (1, 2) hangs under lane 0's first one,
+	// so the walk completes lane 2 before lane 1.
+	one := cmatrix.New(2, 2)
+	one.Set(0, 0, 1)
+	one.Set(1, 1, 1)
+	pr.SetChannel(one, 1/cons.Scale())
+	s.Ensure(2, 4)
+	s.yb[0], s.yb[1] = c32{0.37, -0.11}, c32{0.37, -0.11}
+	pl := pr.EnsureRanks(4) // level-major: level 0's four lanes, then level 1's
+	copy(pl, []int16{1, 1, 2, 2, 1, 2, 1, 2})
+	want, _ := refLanes(&pr, sl, 4, pl, s.yb, false)
+	if bits32(want[1]) != bits32(want[2]) || !(want[1] < want[3]) {
+		t.Fatalf("lanes 1 and 2 no longer tie below lane 3: %v", want)
+	}
+	if lane, ped := Descend(&pr, sl, &s, 1, 4, false); lane != 1 || bits32(ped) != bits32(want[1]) {
+		t.Errorf("range [1,4): lane %d ped %v, want the lower tied lane 1 at %v although the walk meets lane 2 first", lane, ped, want[1])
+	}
+
+	// A node whose partial distance equals the bound can still hold a
+	// lower tied lane, so only a strictly worse node is pruned. Both
+	// levels observe a constellation point exactly, so rank 1 at the
+	// bottom adds 0; two top ranks a < b at the same distance D open two
+	// top-level nodes of partial D. Lane 0 = (a, 2) and lane 2 = (a, 1)
+	// sit under the first, lane 1 = (b, 1) under the second: the walk
+	// sets the bound to lane 2's D, then meets a node at exactly D.
+	xr, xi := sl.Point(5)
+	s.yb[0], s.yb[1] = c32{xr, xi}, c32{xr, xi}
+	top := make([]float32, 17)
+	for r := 2; r <= 16; r++ {
+		one := pr.EnsureRanks(1)
+		one[0], one[1] = 1, int16(r)
+		d, _ := refLanes(&pr, sl, 1, one, s.yb, false)
+		top[r] = d[0]
+	}
+	a, b := 0, 0
+	for r := 2; r <= 16 && a == 0; r++ {
+		for q := r + 1; q <= 16; q++ {
+			if bits32(top[r]) == bits32(top[q]) {
+				a, b = r, q
+				break
+			}
+		}
+	}
+	if a == 0 {
+		t.Fatalf("no two top ranks tie on a constellation point: %v", top[2:])
+	}
+	pl = pr.EnsureRanks(3)
+	copy(pl, []int16{2, 1, 1, int16(a), int16(b), int16(a)})
+	want, _ = refLanes(&pr, sl, 3, pl, s.yb, false)
+	if bits32(want[1]) != bits32(want[2]) || bits32(want[1]) != bits32(top[a]) || !(want[0] > want[1]) {
+		t.Fatalf("ranks %d and %d: lanes no longer tie as staged: %v", a, b, want)
+	}
+	if lane, _ := Descend(&pr, sl, &s, 0, 3, false); lane != 1 {
+		t.Errorf("a node at exactly the bound was pruned: lane %d, want the lower tied lane 1 under it", lane)
+	}
 }
 
-// TestDescendBoundLane pins the cases where the bound lane — the first
-// of the range — is special: tied with a later duplicate, beaten by a
-// later tie, deactivated, or absent because the range is empty.
+// TestDescendBoundLane pins the cases where the first lane of a range
+// is special to the running bound: tied with a later duplicate, beaten by
+// a later tie, deactivated, or absent because the range is empty.
 func TestDescendBoundLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(1408))
 	cons := constellation.MustNew(16)
@@ -259,18 +360,15 @@ func TestDescendBoundLane(t *testing.T) {
 			t.Fatalf("strict=%v: the staged lanes no longer tie as intended: %v", strict, want)
 		}
 		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}, {2, P}, {3, P}, {3, 6}, {1, 2}})
-		// The bound lane and the lane three up tie: the bound lane wins.
+		// The first lane and the lane three up tie: the first lane wins.
 		if lane, _ := Descend(&pr, sl, &s, 2, P, strict); lane != 2 {
-			t.Errorf("strict=%v range [2,%d): lane %d, want the bound lane 2 over its duplicate 5", strict, P, lane)
+			t.Errorf("strict=%v range [2,%d): lane %d, want the first lane 2 over its duplicate 5", strict, P, lane)
 		}
-		// The bound lane is beaten by a tie further up: the lower of the
-		// two wins, and the bound lane's duplicate survives unpruned.
+		// The first lane is beaten by a tie further up: the lower of the
+		// two wins.
 		lane, ped := Descend(&pr, sl, &s, 3, P, strict)
 		if lane != 5 || bits32(ped) != bits32(want[5]) {
 			t.Errorf("strict=%v range [3,%d): lane %d ped %v, want lane 5 ped %v", strict, P, lane, ped, want[5])
-		}
-		if got := s.Ped[int(pr.Plan.start[n])+6]; bits32(got) != bits32(want[6]) {
-			t.Errorf("strict=%v range [3,%d): lane 6 ties the bound yet reads %v, want %v", strict, P, got, want[6])
 		}
 		for _, lo := range []int{0, P / 2, P} {
 			if lane, ped := Descend(&pr, sl, &s, lo, lo, strict); lane != -1 || !math.IsInf(float64(ped), 1) || s.Visited != 0 {
@@ -280,19 +378,20 @@ func TestDescendBoundLane(t *testing.T) {
 		if !strict {
 			continue
 		}
-		// Strict, bound lane deactivated: the bound is +Inf, no distance
-		// prunes, and the rest of the range is decided as if it led it.
+		// Strict, first lane deactivated: the bound waits for the first
+		// leaf that completes and then prunes as usual.
 		if !math.IsInf(float64(want[0]), 1) {
 			t.Fatalf("lane 0 no longer deactivates under strict: distance %v", want[0])
 		}
 		lane, ped = Descend(&pr, sl, &s, 0, P, true)
-		if !math.IsInf(float64(s.bound), 1) || lane != 2 || bits32(ped) != bits32(want[2]) {
-			t.Errorf("deactivated bound lane: bound %v lane %d ped %v, want +Inf 2 %v", s.bound, lane, ped, want[2])
+		if lane != 2 || bits32(ped) != bits32(want[2]) {
+			t.Errorf("deactivated first lane: lane %d ped %v, want 2 %v", lane, ped, want[2])
 		}
-		for p, d := range s.Ped[pr.Plan.start[n]:] {
-			if bits32(d) != bits32(want[p]) {
-				t.Errorf("deactivated bound lane: lane %d reads %v, want %v — nothing may be pruned", p, d, want[p])
-			}
+		if got := s.Ped[pr.Plan.start[n]]; !math.IsInf(float64(got), 1) {
+			t.Errorf("deactivated first lane reads %v, want +Inf", got)
+		}
+		if s.Visited >= pr.Plan.Nodes() {
+			t.Errorf("deactivated first lane: %d of %d nodes sliced, want the bound to prune", s.Visited, pr.Plan.Nodes())
 		}
 	}
 }
@@ -548,7 +647,7 @@ func checkPrefixes(t *testing.T, rng *rand.Rand, sl *Slicer32, cons *constellati
 		sub := append([]int16(nil), firstLanes(&c, ranks, n, P, kk)...)
 		c.Compile(&want)
 		got.CopyPrefix(pl, k)
-		if got.N != want.N || got.P != want.P || got.umax != want.umax ||
+		if got.N != want.N || got.P != want.P ||
 			!reflect.DeepEqual(got.start, want.start) || !reflect.DeepEqual(got.nodes, want.nodes) {
 			t.Fatalf("n=%d P=%d: prefix %d differs from the plan compiled from the first %d lanes:\n got %+v\nwant %+v", n, P, k, kk, got, want)
 		}
@@ -589,10 +688,12 @@ func TestCopyPrefixArbitraryPlanes(t *testing.T) {
 }
 
 // TestCopyPrefixIncrementalBuild covers the other builder: a path
-// search adding nodes through Begin/Add/Finish the way internal/core's
+// search adding nodes through Begin/Extend/Finish the way internal/core's
 // finder does — each path is an earlier one with one level w, no higher
 // than that parent's own increment, stepped up; it shares the parent's
-// nodes above w and is new from w down.
+// nodes above w, its level-w node is the next sibling of the parent's,
+// and below that it is new. The emission order is random, not best
+// first: the structure alone must give the plan Compile builds.
 func TestCopyPrefixIncrementalBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1407))
 	cons := constellation.MustNew(16)
@@ -600,29 +701,27 @@ func TestCopyPrefixIncrementalBuild(t *testing.T) {
 	for _, shape := range [][2]int{{1, 12}, {2, 30}, {4, 64}, {8, 100}} {
 		n, P := shape[0], shape[1]
 		type cand struct{ parent, w int }
-		vec := make([][]int16, 0, P)  // rank vectors, emission order
+		vec := make([][]int, 0, P)    // rank vectors, emission order
 		node := make([][]int32, 0, P) // per path: its node at every level
 		var c Compiler
 		c.Begin(n, P)
 		emit := func(parent, w int) []cand {
-			r := make([]int16, n)
+			r := make([]int, n)
 			nd := make([]int32, n)
 			for i := range r {
 				r[i] = 1
 			}
-			up := int32(0)
+			up, prev := int32(0), int32(-1)
 			if len(vec) > 0 {
 				copy(r, vec[parent])
 				r[w]++
 				copy(nd[w+1:], node[parent][w+1:])
+				prev = node[parent][w]
 				if w < n-1 {
 					up = nd[w+1]
 				}
 			}
-			for j := w; j >= 0; j-- {
-				up = c.Add(j, up, int(r[j]))
-				nd[j] = up
-			}
+			c.Extend(up, prev, r[:w+1], nd)
 			q := len(vec)
 			vec, node = append(vec, r), append(node, nd)
 			var kids []cand
@@ -645,7 +744,7 @@ func TestCopyPrefixIncrementalBuild(t *testing.T) {
 		ranks := make([]int16, n*P)
 		for p, r := range vec {
 			for i := range r {
-				ranks[i*P+p] = r[i]
+				ranks[i*P+p] = int16(r[i])
 			}
 		}
 		checkPrefixes(t, rng, sl, cons, &pl, ranks, n, P)

@@ -11,16 +11,19 @@
 //	Prep     per channel: R as float32 planes, the diagonal, and the
 //	         per-level reciprocal W that replaces the complex division
 //	Plan     per path set: the trie — one node per distinct rank suffix,
-//	         one leaf per path (a "lane") — built once per path search
-//	         by a Compiler and shared read-only from then on
+//	         one leaf per path (a "lane"), parent, first-child and
+//	         next-sibling links — built once per path search by a
+//	         Compiler and shared read-only from then on
 //	Scratch  per descent: ȳ, the per-node distances and decisions, and
-//	         the cancellation planes of two adjacent levels
+//	         the walk's stack: one node, one partial distance and one
+//	         cancellation row-vector per depth
 //
-// One Descend call decides each distinct node at most once, top level
-// first — a branch-free integer slicer step, then the decided symbol is
-// cancelled out of every lower row in push form so the children read
-// their observation directly — and skips every subtree whose partial
-// distance already exceeds that of the first lane, walked ahead alone.
+// One Descend call walks the trie depth first and decides each distinct
+// node at most once — a branch-free integer slicer step, then, before
+// stepping into the node's children, the decided symbol is cancelled
+// out of every lower row in push form so they read their observation
+// directly — and skips every subtree whose partial distance already
+// exceeds the best leaf completed so far.
 //
 // Numerics: float32 arithmetic makes distances (not decisions) the
 // approximate quantity. The conformance contract (internal/conformance)

@@ -26,8 +26,9 @@ func (b *fuzzBytes) next() byte {
 // grids so no distance can overflow — and demands what the properties in
 // descend_test.go demand of seeded draws: the argmin and every lane on
 // its own equal the per-lane reference's, a pruned lane is worse than
-// the minimum, every distance is finite or +Inf and the clamped mode's
-// returned one is finite.
+// the minimum, a descent of [0, P) slices no more than the trie and only
+// under parents lane 0's distance keeps live (checkWork), every distance
+// is finite or +Inf and the clamped mode's returned one is finite.
 func FuzzDescend(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,10 +9,14 @@ package kernel32
 // duplicate paths stay distinct lanes.
 //
 // Nodes are stored by depth (depth t holds level N−t; depth 0 is the
-// root, node 0): level-local parent links and the slicer table offset
-// of each node's rank. A Plan depends on the rank vectors only — never
-// on the channel or the received signal — so it belongs to whoever owns
-// the path set: internal/core compiles one per fresh path search and
+// root, node 0), each with level-local links — its parent in the depth
+// above, its first child in the depth below, its next sibling in its
+// own depth — and the slicer table offset of its rank. Every builder
+// adds a level's nodes in first-visit lane order, so a sibling chain
+// runs in increasing position and a node's first child is the one its
+// lowest lane walks. A Plan depends on the rank vectors only — never on
+// the channel or the received signal — so it belongs to whoever owns
+// the path set: internal/core builds one per fresh path search and
 // copies or aliases it wherever it copies or aliases the paths. It is
 // read-only once compiled and safe to share between descents.
 type Plan struct {
@@ -21,14 +25,15 @@ type Plan struct {
 
 	start []int32 // N+2: depth t's nodes are [start[t], start[t+1])
 	nodes []node
-
-	umax int // max over levels j of j·nodes(j): one cancellation plane
 }
 
-// node is one trie node as Descend reads it.
+// node is one trie node as Descend reads it. All links are positions
+// within a depth, −1 for none.
 type node struct {
 	parent int32 // the parent's position within the depth above
 	kidx   int32 // 4·(rank−1): the rank's row of Slicer32.off
+	kid    int32 // the first child's position within the depth below
+	sib    int32 // the next sibling's position within this depth
 }
 
 // Nodes returns the number of distinct tree nodes a descent of the plan
@@ -48,24 +53,25 @@ func (pl *Plan) Nodes() int {
 // level and the result is, node for node, the plan compiled from those
 // lanes alone. The prefix lengths fall out bottom-up from the parent
 // links: k leaves, and above a level one more node than the largest
-// parent position its prefix refers to.
+// parent position its prefix refers to. A sibling chain is cut where it
+// leaves its depth's prefix; a first child never is, since the lowest
+// lane through a node is the one that created its first child.
 //
 //flexcore:noalloc
 func (pl *Plan) CopyPrefix(src *Plan, k int) {
-	pl.N, pl.P, pl.umax = src.N, src.P, src.umax
+	pl.N, pl.P = src.N, src.P
 	pl.start = append(pl.start[:0], src.start...) //lint:ignore noalloc amortised: plan arenas regrow only past their high-water mark
 	pl.nodes = append(pl.nodes[:0], src.nodes...) //lint:ignore noalloc amortised: see above
 	if k >= src.P {
 		return
 	}
 	n := src.N
-	pl.P, pl.umax = k, 0
+	pl.P = k
 	// Lengths first, parked in start[t+1] until the packing pass turns
 	// them into offsets.
 	c := k
 	for t := n; t >= 1; t-- {
 		pl.start[t+1] = int32(c)
-		pl.umax = max(pl.umax, (n-t)*c)
 		up := int32(0)
 		for _, v := range src.nodes[src.start[t]:][:c] {
 			up = max(up, v.parent)
@@ -74,22 +80,28 @@ func (pl *Plan) CopyPrefix(src *Plan, k int) {
 	}
 	for t := 1; t <= n; t++ {
 		c := pl.start[t+1]
-		copy(pl.nodes[pl.start[t]:], src.nodes[src.start[t]:][:c])
+		dst := pl.nodes[pl.start[t]:][:c]
+		copy(dst, src.nodes[src.start[t]:][:c])
+		for i := range dst {
+			if dst[i].sib >= c {
+				dst[i].sib = -1
+			}
+		}
 		pl.start[t+1] = pl.start[t] + c
 	}
 	pl.nodes = pl.nodes[:pl.start[n+1]]
 }
 
 // Compiler builds Plans. A path search that knows how its paths derive
-// from one another adds the trie's nodes directly (Begin, Add, Finish);
-// anyone else stages a rank plane and lets Compile find the shared
-// suffixes (Ranks, Compile). It owns the build arenas and the compile
-// scratch, so one Compiler serves any number of sequential builds
-// without allocating once its shapes settle. It is not safe for
-// concurrent use.
+// from one another adds the trie's nodes directly (Begin, Extend,
+// Finish); anyone else stages a rank plane and lets Compile find the
+// shared suffixes and link them (Ranks, Compile). It owns the build
+// arenas and the compile scratch, so one Compiler serves any number of
+// sequential builds without allocating once its shapes settle. It is
+// not safe for concurrent use.
 type Compiler struct {
 	n, p int
-	lvl  []node  // build arena, level j's nodes at [j*p, j*p+cnt[j])
+	lvl  []node  // build arena, level j's nodes at [j*p, j*p+cnt[j]); the root at n*p
 	cnt  []int32 // nodes added per level
 
 	ranks []int16  // level-major n×p staging plane: ranks[i*p+lane]
@@ -103,28 +115,60 @@ type Compiler struct {
 //flexcore:noalloc
 func (c *Compiler) Begin(n, p int) {
 	c.n, c.p = n, p
-	if cap(c.lvl) < n*p {
-		c.lvl = make([]node, n*p) //lint:ignore noalloc amortised: the build arena regrows only when paths×levels grows
+	if cap(c.lvl) < n*p+1 {
+		c.lvl = make([]node, n*p+1) //lint:ignore noalloc amortised: the build arena regrows only when paths×levels grows
 	}
 	if cap(c.cnt) < n {
 		c.cnt = make([]int32, n) //lint:ignore noalloc amortised: see above
 	}
-	c.lvl = c.lvl[:n*p]
+	c.lvl = c.lvl[:n*p+1]
 	c.cnt = c.cnt[:n]
 	clear(c.cnt)
+	c.lvl[n*p] = node{kid: -1, sib: -1}
 }
 
-// Add appends a node to level j — the child, by the 1-based slicer
+// add appends a node to level j — the child, by the 1-based slicer
 // rank, of node parent of level j+1 (0 at the top level: the root) —
-// and returns its position within the level. Leaves (level 0) must be
-// added one per lane, in lane order.
+// and returns its position within the level. Its links are left for
+// Compile's linking pass.
 //
 //flexcore:noalloc
-func (c *Compiler) Add(j int, parent int32, rank int) int32 {
+func (c *Compiler) add(j int, parent int32, rank int) int32 {
 	e := c.cnt[j]
 	c.cnt[j] = e + 1
-	c.lvl[j*c.p+int(e)] = node{parent, 4 * (int32(rank) - 1)}
+	c.lvl[j*c.p+int(e)] = node{parent, 4 * (int32(rank) - 1), -1, -1}
 	return e
+}
+
+// Extend adds a chain of new nodes from level w = len(ranks)−1 down to
+// a leaf: level w's node, the child of node up of level w+1 (0 at the
+// top level: the root) appended after its current last child prev (−1
+// when it has none), and below it at every level j the first child of
+// the node just added, each of rank ranks[j]. It writes the chain's
+// positions to nodes[j]. This is the whole of a best-first search's
+// trie growth: a path derived from an earlier one by incrementing level
+// w shares the earlier path's nodes above w and is new from w down.
+//
+//flexcore:noalloc
+func (c *Compiler) Extend(up, prev int32, ranks []int, nodes []int32) {
+	lvl, p := c.lvl, c.p
+	w := len(ranks) - 1
+	cnt, nodes := c.cnt[:w+1], nodes[:w+1]
+	e := cnt[w]
+	if prev < 0 {
+		lvl[(w+1)*p+int(up)].kid = e
+	} else {
+		lvl[w*p+int(prev)].sib = e
+	}
+	for j := w; j >= 0; j-- {
+		kid := int32(-1)
+		if j > 0 {
+			kid = cnt[j-1] // the next node of the level below is this one's child
+		}
+		cnt[j] = e + 1
+		lvl[j*p+int(e)] = node{up, 4 * (int32(ranks[j]) - 1), kid, -1}
+		nodes[j], up, e = e, e, kid
+	}
 }
 
 // Finish packs the nodes added since Begin into pl, top level first.
@@ -132,7 +176,7 @@ func (c *Compiler) Add(j int, parent int32, rank int) int32 {
 //flexcore:noalloc
 func (c *Compiler) Finish(pl *Plan) {
 	n := c.n
-	pl.N, pl.P, pl.umax = n, int(c.cnt[0]), 0
+	pl.N, pl.P = n, int(c.cnt[0])
 	total := 1 // node 0 is the root: no parent, no rank, distance 0
 	for _, k := range c.cnt {
 		total += int(k)
@@ -145,7 +189,7 @@ func (c *Compiler) Finish(pl *Plan) {
 	}
 	pl.start = pl.start[:n+2]
 	pl.nodes = pl.nodes[:total]
-	pl.start[0], pl.start[1], pl.nodes[0] = 0, 1, node{}
+	pl.start[0], pl.start[1], pl.nodes[0] = 0, 1, c.lvl[n*c.p]
 	at := 1
 	for t := 1; t <= n; t++ {
 		j := n - t
@@ -153,7 +197,6 @@ func (c *Compiler) Finish(pl *Plan) {
 		copy(pl.nodes[at:at+k], c.lvl[j*c.p:])
 		at += k
 		pl.start[t+1] = int32(at)
-		pl.umax = max(pl.umax, j*k)
 	}
 }
 
@@ -204,7 +247,7 @@ func (c *Compiler) Compile(pl *Plan) {
 		if j == 0 {
 			// Leaves are never merged: lane p is leaf p.
 			for p, r := range row {
-				c.Add(0, cur[p], int(r))
+				c.add(0, cur[p], int(r))
 			}
 			break
 		}
@@ -223,12 +266,22 @@ func (c *Compiler) Compile(pl *Plan) {
 			ent := table[key]
 			e := int32(ent)
 			if ent>>32 != uint64(c.gen) {
-				e = c.Add(j, cur[p], int(r))
+				e = c.add(j, cur[p], int(r))
 				table[key] = stamp | uint64(e)
 			}
 			cur[p] = e
 		}
 		pcnt = int(c.cnt[j])
+	}
+	// Link every level into its parents' child lists: scanning a level
+	// backwards and pushing each node in front of its parent's first
+	// child leaves the lists in creation order.
+	for j := 0; j < n; j++ {
+		kids, ups := c.lvl[j*P:][:c.cnt[j]], c.lvl[(j+1)*P:]
+		for e := len(kids) - 1; e >= 0; e-- {
+			up := &ups[kids[e].parent]
+			kids[e].sib, up.kid = up.kid, int32(e)
+		}
 	}
 	c.Finish(pl)
 }

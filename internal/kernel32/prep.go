@@ -98,56 +98,52 @@ func (pr *Prep) plan() *Plan {
 // access.
 type c32 struct{ re, im float32 }
 
-// column is one live node of the level being decided, as the push loop
-// reads it: the decided symbol and the node's parent column.
-type column struct {
-	sym    c32
-	parent int32
-}
-
 // Scratch is the mutable state of one descent: the rotated received
-// vector, the per-node distances and decisions, and the cancellation
-// planes of the level being decided and the one above it. One Scratch
-// serves any number of sequential detections; concurrent descents each
-// own one.
+// vector, the per-node distances and decisions, and the depth-first
+// walk's stack. One Scratch serves any number of sequential detections;
+// concurrent descents each own one.
 type Scratch struct {
-	yb []c32 // N: rotated received vector ȳ — the root's cancellation plane
+	yb []c32 // N: rotated received vector ȳ — the root's row of u
 
-	// Per plan node of the last descent. A node the bounded walk did not
-	// slice — below a deactivated node, or below one whose partial
-	// distance exceeded the bound — has Ped = +Inf and an unspecified
-	// Idx; the returned lane's nodes are always decided.
+	// Per plan node of the last descent. A node the walk did not slice —
+	// below a deactivated node, or below one whose partial distance
+	// exceeded the bound — keeps whatever an earlier descent left, except
+	// that the range's leaves read +Inf; the returned lane's nodes are
+	// always decided.
 	Ped []float32 // accumulated partial Euclidean distance
 	Idx []int32   // decided symbol index
-
-	// Visited counts the nodes the last descent sliced, the bound lane's
-	// own walk included; Plan.Nodes is what an unbounded walk slices.
+	// Visited counts the nodes the last descent sliced; Plan.Nodes is
+	// what an unbounded walk slices.
 	Visited int
 
-	// Cancellation planes, ping-ponged between a level and its parents:
-	// row l < j of a level-j plane holds, per live node, ȳ(l) less the
-	// interference of the symbols decided at levels j..N−1 along the
-	// node's suffix.
-	u    [2][]c32
-	col  []int32  // per plan node: its column in its level's plane, −1 = dead or pruned
-	cols []column // the current level's live nodes, by column
-
-	spine []int32 // per depth: the bound lane's node within the level
-	bound float32 // the last descent's bound: its first lane's distance
-	plan  *Plan   // plan of the last descent, for GatherIdx
+	// The walk's stack: per depth, the node on the current path, and per
+	// depth t < N its cancellation rows at u[t*N:] — row l < N−t holds
+	// ȳ(l) less the interference of the symbols decided along the path.
+	stack []cursor
+	u     []c32
+	plan  *Plan // plan of the last descent, for GatherIdx
 }
 
-// Ensure sizes the ȳ plane for n levels; the node planes are sized by
-// Descend from the plan it walks (p is the lane count callers already
-// know and is kept for the signature's sake). It only allocates when n
-// grows.
+// cursor is one depth of the walk's current path.
+type cursor struct {
+	at  int32   // the node's position within its depth
+	ped float32 // its partial distance
+}
+
+// Ensure sizes the ȳ vector and the walk's stack for n levels; the node
+// planes are sized by Descend from the plan it walks (p is the lane
+// count callers already know and is kept for the signature's sake). It
+// only allocates when n grows.
 //
 //flexcore:noalloc
 func (s *Scratch) Ensure(n, p int) {
-	if cap(s.yb) < n {
-		s.yb = make([]c32, n) //lint:ignore noalloc amortised: the ȳ plane regrows only when the stream count grows
+	if cap(s.u) < n*n {
+		s.u = make([]c32, n*n)        //lint:ignore noalloc amortised: the walk's stack regrows only when the stream count grows
+		s.stack = make([]cursor, n+1) //lint:ignore noalloc amortised: see above
 	}
-	s.yb = s.yb[:n]
+	s.u = s.u[:n*n]
+	s.stack = s.stack[:n+1]
+	s.yb = s.u[:n]
 }
 
 // fit sizes the node planes for a descent of pl; it only allocates when
@@ -159,21 +155,9 @@ func (s *Scratch) fit(pl *Plan) {
 	if cap(s.Ped) < nodes {
 		s.Ped = make([]float32, nodes) //lint:ignore noalloc amortised: node planes regrow only when a plan outgrows every earlier one
 		s.Idx = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
-		s.col = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
 	}
 	s.Ped = s.Ped[:nodes]
 	s.Idx = s.Idx[:nodes]
-	s.col = s.col[:nodes]
-	if cap(s.cols) < pl.P {
-		s.cols = make([]column, pl.P) //lint:ignore noalloc amortised: see above
-	}
-	if len(s.spine) <= pl.N {
-		s.spine = make([]int32, pl.N+1) //lint:ignore noalloc amortised: see above
-	}
-	if cap(s.u[0]) < pl.umax {
-		s.u[0] = make([]c32, pl.umax) //lint:ignore noalloc amortised: see above
-		s.u[1] = make([]c32, pl.umax) //lint:ignore noalloc amortised: see above
-	}
 	s.plan = pl
 }
 
