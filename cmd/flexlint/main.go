@@ -1,9 +1,9 @@
 // Command flexlint runs the repository's custom static-analysis suite
-// (internal/lint): stdlib-only analyzers that machine-enforce the
-// determinism, zero-allocation, pool-discipline, OpCount-accounting,
-// lock-scope, goroutine-joining, conn-deadline, status-exhaustiveness
-// and wire-offset contracts the tests and benchmarks otherwise only
-// check dynamically.
+// (internal/lint): eight stdlib-only analyzers that machine-enforce the
+// zero-allocation, determinism, float-comparison, lock-scope,
+// goroutine-joining, conn-deadline, status-exhaustiveness and
+// wire-offset contracts the tests and benchmarks otherwise only check
+// dynamically.
 //
 // Usage:
 //
@@ -17,8 +17,10 @@
 // With -escapes, flexlint additionally runs `go build -gcflags=-m`
 // over the module and reports every value the compiler moved to the
 // heap inside a //flexcore:noalloc function — the dynamic complement
-// to the syntactic noalloc analyzer. //lint:ignore noalloc comments
-// silence both sides.
+// to the syntactic noalloc analyzer. Notes at an inlined call site (the
+// callee's allocation) and notes about a string literal (a constant
+// panic message) are not allocations at that line and are skipped.
+// //lint:ignore noalloc comments silence both sides.
 //
 // With -json, findings are emitted as a JSON array of
 // {file, line, col, analyzer, message} objects on stdout (an empty

@@ -77,7 +77,7 @@ func ExponentialCorrelation(n int, rho float64) *cmatrix.Matrix {
 // CorrelatedRayleigh returns C^{1/2}·H_iid, a receive-side Kronecker
 // correlated Rayleigh channel. rho=0 reduces to Rayleigh.
 func CorrelatedRayleigh(rng *rand.Rand, nr, nt int, rho float64) (*cmatrix.Matrix, error) {
-	if rho == 0 { //lint:ignore floatcmp rho=0 is the documented exact sentinel for the uncorrelated fast path
+	if rho == 0 {
 		return Rayleigh(rng, nr, nt), nil
 	}
 	l, err := cmatrix.Cholesky(ExponentialCorrelation(nr, rho))

@@ -39,7 +39,7 @@ func (c TDLConfig) CoherenceSubcarriers() int {
 		mean2 += float64(t) * float64(t) * p
 	}
 	tauRMS := math.Sqrt(mean2 - mean*mean)
-	if tauRMS == 0 { //lint:ignore floatcmp a single-tap profile has exactly zero delay spread — the flat-channel case
+	if tauRMS == 0 {
 		return c.NFFT
 	}
 	bc := float64(c.NFFT) / (5 * tauRMS)

@@ -49,7 +49,7 @@ func Synthesize(cfg TraceConfig) (*TraceSet, error) {
 	}
 	rng := NewRNG(cfg.Seed)
 	var corr *cmatrix.Matrix
-	if cfg.APCorrelation != 0 { //lint:ignore floatcmp zero is the config's exact "correlation disabled" sentinel
+	if cfg.APCorrelation != 0 {
 		l, err := cmatrix.Cholesky(ExponentialCorrelation(cfg.APAntennas, cfg.APCorrelation))
 		if err != nil {
 			return nil, fmt.Errorf("channel: AP correlation: %w", err)

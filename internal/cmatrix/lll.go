@@ -50,7 +50,7 @@ func CLLL(g *Matrix, delta float64) (b, t *Matrix) {
 			mu[i] = make([]complex128, n)
 			star[i] = CopyVec(bc[i])
 			for j := 0; j < i; j++ {
-				if norms[j] == 0 { //lint:ignore floatcmp division guard for a degenerate Gram-Schmidt vector
+				if norms[j] == 0 {
 					continue
 				}
 				mu[i][j] = Dot(star[j], bc[i]) / complex(norms[j], 0)
@@ -69,7 +69,7 @@ func CLLL(g *Matrix, delta float64) (b, t *Matrix) {
 		for k := 1; k < n; k++ {
 			for j := k - 1; j >= 0; j-- {
 				q := roundGaussian(mu[k][j])
-				if q == 0 { //lint:ignore floatcmp q is an exact Gaussian integer from rounding; zero means a no-op size reduction
+				if q == 0 {
 					continue
 				}
 				AXPY(-q, bc[j], bc[k])
@@ -117,7 +117,7 @@ func OrthogonalityDefect(b *Matrix) float64 {
 	for i := 0; i < b.Cols; i++ {
 		vol *= real(qr.R.At(i, i))
 	}
-	if vol == 0 { //lint:ignore floatcmp division guard: exactly-zero volume means a rank-deficient basis
+	if vol == 0 {
 		return math.Inf(1)
 	}
 	return prod / vol
@@ -151,7 +151,7 @@ func determinant(m *Matrix) complex128 {
 				best, p = v, r
 			}
 		}
-		if best == 0 { //lint:ignore floatcmp an exactly-zero best pivot means an exactly-zero determinant
+		if best == 0 {
 			return 0
 		}
 		if p != col {
@@ -162,7 +162,7 @@ func determinant(m *Matrix) complex128 {
 		det *= piv
 		for r := col + 1; r < n; r++ {
 			f := a.At(r, col) / piv
-			if f == 0 { //lint:ignore floatcmp exact-zero entries need no elimination; skipping them is exact
+			if f == 0 {
 				continue
 			}
 			for j := col; j < n; j++ {

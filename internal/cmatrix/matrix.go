@@ -97,7 +97,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.Data[i*m.Cols+k]
-			if a == 0 { //lint:ignore floatcmp sparsity skip: an exactly-zero factor contributes exactly nothing
+			if a == 0 {
 				continue
 			}
 			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]

@@ -78,12 +78,12 @@ func QR(h *Matrix) *QRResult {
 			norm += real(x)*real(x) + imag(x)*imag(x)
 		}
 		norm = math.Sqrt(norm)
-		if norm == 0 { //lint:ignore floatcmp an exactly-zero column norm has no reflector; any nonzero norm is usable
+		if norm == 0 {
 			continue
 		}
 		akk := r.At(k, k)
 		alpha := complex(-norm, 0)
-		if akk != 0 { //lint:ignore floatcmp division guard for the phase factor akk/|akk|
+		if akk != 0 {
 			alpha = -complex(norm, 0) * akk / complex(cmplx.Abs(akk), 0)
 		}
 		var vnorm2 float64
@@ -94,7 +94,7 @@ func QR(h *Matrix) *QRResult {
 		for i := k; i < m; i++ {
 			vnorm2 += real(v[i])*real(v[i]) + imag(v[i])*imag(v[i])
 		}
-		if vnorm2 == 0 { //lint:ignore floatcmp division guard: β = 2/vnorm2
+		if vnorm2 == 0 {
 			continue
 		}
 		beta := complex(2/vnorm2, 0)
@@ -128,7 +128,7 @@ func QR(h *Matrix) *QRResult {
 	for j := 0; j < n; j++ {
 		d := r.At(j, j)
 		phases[j] = 1
-		if d != 0 { //lint:ignore floatcmp division guard for the phase factor d/|d|
+		if d != 0 {
 			phases[j] = d / complex(cmplx.Abs(d), 0)
 		}
 	}
@@ -245,9 +245,9 @@ func (ws *QRWorkspace) SortedQRInto(h *Matrix, ord Ordering, out *QRResult) *QRR
 	case OrderSQRD:
 		return ws.sortedQRInto(h, func(step, n int) pickRule { return pickMin }, out)
 	case OrderFCSD:
-		panic("cmatrix: use SortedQRFCSD for the FCSD ordering") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+		panic("cmatrix: use SortedQRFCSD for the FCSD ordering")
 	default:
-		panic("cmatrix: unknown ordering") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+		panic("cmatrix: unknown ordering")
 	}
 }
 
@@ -295,7 +295,7 @@ func ensureResult(out *QRResult, m, n int) {
 func (ws *QRWorkspace) sortedQRInto(h *Matrix, ruleAt func(step, cols int) pickRule, out *QRResult) *QRResult {
 	m, n := h.Rows, h.Cols
 	if m < n {
-		panic("cmatrix: SortedQR requires Rows ≥ Cols") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+		panic("cmatrix: SortedQR requires Rows ≥ Cols")
 	}
 	ws.ensure(m, n)
 	ensureResult(out, m, n)
@@ -353,11 +353,11 @@ func (ws *QRWorkspace) sortedQRInto(h *Matrix, ruleAt func(step, cols int) pickR
 		} else {
 			clear(qi)
 		}
-		q.SetCol(i, qi) //lint:ignore noalloc cold panic path of the inlined SetCol length check
+		q.SetCol(i, qi)
 		for j := i + 1; j < n; j++ {
-			rij := Dot(qi, cols[j]) //lint:ignore noalloc cold panic path of the inlined Dot length check
+			rij := Dot(qi, cols[j])
 			r.Set(i, j, rij)
-			AXPY(-rij, qi, cols[j]) //lint:ignore noalloc cold panic path of the inlined AXPY length check
+			AXPY(-rij, qi, cols[j])
 			norms[j] -= real(rij)*real(rij) + imag(rij)*imag(rij)
 			if norms[j] < 0 {
 				norms[j] = 0

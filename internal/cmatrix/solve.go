@@ -27,7 +27,7 @@ func Inverse(m *Matrix) (*Matrix, error) {
 				best, p = v, r
 			}
 		}
-		if best == 0 { //lint:ignore floatcmp an exactly-zero best pivot means a structurally singular column; any nonzero pivot is divisible
+		if best == 0 {
 			return nil, ErrSingular
 		}
 		if p != col {
@@ -44,7 +44,7 @@ func Inverse(m *Matrix) (*Matrix, error) {
 				continue
 			}
 			f := a.At(r, col)
-			if f == 0 { //lint:ignore floatcmp exact-zero entries need no elimination; skipping them is exact
+			if f == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
@@ -70,7 +70,7 @@ func SolveUpperTriangular(r *Matrix, b []complex128) ([]complex128, error) {
 			s -= r.At(i, j) * x[j]
 		}
 		d := r.At(i, i)
-		if d == 0 { //lint:ignore floatcmp division guard: any nonzero diagonal is divisible, exactly zero is singular
+		if d == 0 {
 			return nil, ErrSingular
 		}
 		x[i] = s / d

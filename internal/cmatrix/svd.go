@@ -30,7 +30,7 @@ func SingularValues(m *Matrix) []float64 {
 				aqq := Norm2(cq)
 				apq := Dot(cp, cq)
 				mag := cmplx.Abs(apq)
-				if mag <= tol*math.Sqrt(app*aqq) || mag == 0 { //lint:ignore floatcmp exact-zero off-diagonal needs no rotation (guards the tol·0 case too)
+				if mag <= tol*math.Sqrt(app*aqq) || mag == 0 {
 					continue
 				}
 				off += mag
@@ -67,7 +67,7 @@ func SingularValues(m *Matrix) []float64 {
 func Cond2(m *Matrix) float64 {
 	sv := SingularValues(m)
 	smin := sv[len(sv)-1]
-	if smin == 0 { //lint:ignore floatcmp division guard: exactly-zero σ_min means exact rank deficiency
+	if smin == 0 {
 		return math.Inf(1)
 	}
 	return sv[0] / smin

@@ -10,7 +10,7 @@ import (
 //flexcore:noalloc
 func Dot(a, b []complex128) complex128 {
 	if len(a) != len(b) {
-		panic("cmatrix: Dot length mismatch") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+		panic("cmatrix: Dot length mismatch")
 	}
 	var s complex128
 	for i := range a {
@@ -40,7 +40,7 @@ func Norm(v []complex128) float64 { return math.Sqrt(Norm2(v)) }
 //flexcore:noalloc
 func AXPY(a complex128, x, y []complex128) {
 	if len(x) != len(y) {
-		panic("cmatrix: AXPY length mismatch") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+		panic("cmatrix: AXPY length mismatch")
 	}
 	for i := range x {
 		y[i] += a * x[i]

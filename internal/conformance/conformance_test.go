@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"flexcore/internal/cmatrix"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
 )
@@ -280,9 +281,13 @@ func TestDetectBatchMatchesLoopedDetect(t *testing.T) {
 // TestOpCountMonotoneAndConsistent checks the instrumentation contract
 // across every detector: counters never decrease, Prepares/Detections
 // track the call counts exactly (DetectBatch counting one detection per
-// vector), and per-call work is attributed where it happens.
+// vector), and per-call work is attributed where it happens. On the
+// FlexCore entries it also drives the frame and soft entry points:
+// PrepareAll counts one Prepare per subcarrier, Select counts nothing,
+// DetectSoft counts one detection.
 func TestOpCountMonotoneAndConsistent(t *testing.T) {
 	c := NewCase(43, 16, 4, 4, 14, 6)
+	frame := []*cmatrix.Matrix{c.H, NewCase(44, 16, 4, 4, 14, 1).H, NewCase(45, 16, 4, 4, 14, 1).H}
 	for _, det := range allDetectors(c) {
 		prev := det.OpCount()
 		if prev != (detector.OpCount{}) {
@@ -315,6 +320,24 @@ func TestOpCountMonotoneAndConsistent(t *testing.T) {
 			detector.Batch(det).DetectBatch(c.Y)
 			detections += int64(len(c.Y))
 			step("DetectBatch")
+			fc, ok := det.(*core.FlexCore)
+			if !ok {
+				continue
+			}
+			if err := fc.PrepareAll(frame, c.Sigma2); err != nil {
+				t.Fatalf("%s: %v", det.Name(), err)
+			}
+			prepares += int64(len(frame))
+			step("PrepareAll")
+			for k := range frame {
+				if err := fc.Select(k); err != nil {
+					t.Fatalf("%s: %v", det.Name(), err)
+				}
+				step("Select")
+				fc.DetectSoft(c.Y[k], c.Sigma2)
+				detections++
+				step("DetectSoft")
+			}
 		}
 		if per := det.OpCount().PerDetection(); per.Detections != 1 {
 			t.Fatalf("%s: PerDetection.Detections = %d", det.Name(), per.Detections)

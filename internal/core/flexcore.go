@@ -334,7 +334,7 @@ func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
 		return nil
 	}
 	d.countDetections(len(ys), len(ys[0]))
-	out := d.batchSlots(len(ys)) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the burst shape grows
+	out := d.batchSlots(len(ys))
 	for i, y := range ys {
 		d.detectInto(y, out[i])
 	}

@@ -174,7 +174,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		return err
 	}
 	d.n = n
-	d.ensureScratch() //lint:ignore noalloc amortised: the inlined grow helper allocates only when the stream count changes
+	d.ensureScratch()
 	if cap(d.frame) < len(hs) {
 		grown := make([]prepSlot, len(hs))  //lint:ignore noalloc amortised: frame arena regrows only when the subcarrier count grows
 		copy(grown, d.frame[:cap(d.frame)]) // keep the arenas already grown in old slots, beyond the last frame's too

@@ -219,8 +219,8 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	if float64(nPE) > total {
 		nPE = int(total)
 	}
-	f.ensure(n, nPE, plan) //lint:ignore noalloc amortised: the inlined arena helper allocates only past the finder's high-water mark
-	dst.ensure(n, nPE)     //lint:ignore noalloc amortised: the inlined arena helper allocates only past the store's high-water mark
+	f.ensure(n, nPE, plan)
+	dst.ensure(n, nPE)
 	head, key, lim, pc := f.head[:n], f.key[:n], f.lim[:nPE], f.pc[:nPE]
 	paths, ranks, logPe := dst.paths[:nPE], dst.ranks, m.logPe[:n]
 
@@ -241,7 +241,7 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 		lim[0] = 0
 	}
 	if plan {
-		f.comp.Begin(n, nPE) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the search shape grows
+		f.comp.Begin(n, nPE)
 		f.link(0, 0, n-1, root)
 	}
 

@@ -74,7 +74,7 @@ func (d *FlexCore) soaDetectOne(y []complex128, out []int) bool {
 		d.qr.UnpermuteIntsInto(idx, out)
 		return true
 	}
-	s.Ensure(d.n, P) //lint:ignore noalloc amortised: the inlined arena helper allocates only when the stream count grows
+	s.Ensure(d.n, P)
 	s.SetYbar(yb)
 	lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, s, 0, P, d.opts.StrictDeactivation)
 	if lane < 0 {

@@ -50,12 +50,10 @@ type loopBatch struct {
 
 func (l *loopBatch) Name() string { return l.d.Name() }
 
-//lint:ignore opcount pure adapter — the wrapped detector's Prepare does the accounting
 func (l *loopBatch) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 	return l.d.Prepare(h, sigma2)
 }
 
-//lint:ignore opcount pure adapter — the wrapped detector's Detect does the accounting
 func (l *loopBatch) Detect(y []complex128) []int { return l.d.Detect(y) }
 
 func (l *loopBatch) OpCount() OpCount { return l.d.OpCount() }
@@ -63,7 +61,6 @@ func (l *loopBatch) OpCount() OpCount { return l.d.OpCount() }
 // Unwrap exposes the adapted detector (for optional-interface probing).
 func (l *loopBatch) Unwrap() Detector { return l.d }
 
-//lint:ignore opcount pure adapter — each looped Detect accounts in the wrapped detector
 func (l *loopBatch) DetectBatch(ys [][]complex128) [][]int {
 	if cap(l.out) < len(ys) {
 		l.out = make([][]int, len(ys))

@@ -55,7 +55,7 @@ const signBit = 1 << 31
 //flexcore:noalloc
 func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane int, ped float32) {
 	pl := pr.plan()
-	s.fit(pl) //lint:ignore noalloc amortised: the inlined arena helper allocates only when a plan outgrows every earlier one
+	s.fit(pl)
 	s.Visited = 0
 	if lo >= hi {
 		return -1, inf32

@@ -231,11 +231,11 @@ func (c *Compiler) Compile(pl *Plan) {
 	mr := int32(1)
 	for _, r := range c.ranks {
 		if r < 1 {
-			panic("kernel32: rank plane entry < 1") //lint:ignore noalloc cold panic path: the panic argument escapes by construction
+			panic("kernel32: rank plane entry < 1")
 		}
 		mr = max(mr, int32(r))
 	}
-	c.Begin(n, P) //lint:ignore noalloc amortised: the inlined arena helper allocates only when paths×levels grows
+	c.Begin(n, P)
 	if cap(c.cur) < P {
 		c.cur = make([]int32, P) //lint:ignore noalloc amortised: lane scratch regrows only when the path count grows
 	}

@@ -78,7 +78,7 @@ func (pr *Prep) SetChannel(r *cmatrix.Matrix, invScale float64) {
 //flexcore:noalloc
 func (pr *Prep) EnsureRanks(p int) []int16 {
 	pr.Plan = nil
-	return pr.comp.Ranks(pr.N, p) //lint:ignore noalloc amortised: the inlined arena helper allocates only when paths×levels grows
+	return pr.comp.Ranks(pr.N, p)
 }
 
 // plan returns the active plan, first compiling the rank plane staged by

@@ -6,21 +6,27 @@ import (
 )
 
 // Determinism enforces the bit-identical-results contract of the
-// detection pipeline (ROADMAP "Full verify"; DESIGN.md §8–§9): inside
-// the detector-facing packages it forbids wall-clock reads (time.Now /
-// Since / Until), the process-seeded global math/rand generators (only
+// detection pipeline (ROADMAP "Full verify"; DESIGN.md §8–§10): it
+// forbids the process-seeded global math/rand generators (only
 // explicitly seeded *rand.Rand instances are deterministic), map
 // iteration whose body writes to state declared outside the loop
 // (iteration order is randomized; writes indexed by the range key are
 // order-independent and stay legal), and goroutines that append to a
 // slice captured from the enclosing scope (a determinism *and* race
-// hazard — workers must write through disjoint indices).
+// hazard — workers must write through disjoint indices). Inside the
+// detector-facing packages it also forbids wall-clock reads (time.Now /
+// Since / Until); internal/serve reads the clock by design, for
+// deadlines and latency metrics, and is covered by the other checks.
 var Determinism = &Analyzer{
 	Name:     "determinism",
-	Doc:      "forbid wall-clock, global rand, order-dependent map iteration and shared-slice appends in goroutines",
-	Packages: []string{"internal/core", "internal/detector", "internal/phy", "internal/conformance", "internal/serve"},
+	Doc:      "forbid wall-clock (detector packages), global rand, order-dependent map iteration and shared-slice appends in goroutines",
+	Packages: append([]string{"internal/serve"}, detectorPackages...),
 	Run:      runDeterminism,
 }
+
+// detectorPackages are the packages whose results must be a pure
+// function of their inputs — the scope of the wall-clock check.
+var detectorPackages = []string{"internal/core", "internal/detector", "internal/phy", "internal/conformance"}
 
 // randConstructors are the math/rand[/v2] package-level functions that
 // build explicitly seeded generators — the deterministic entry points.
@@ -29,11 +35,12 @@ var randConstructors = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
+	wallClock := pathMatches(pass.Pkg.Path(), detectorPackages)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				checkForbiddenRef(pass, n)
+				checkForbiddenRef(pass, n, wallClock)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
 			case *ast.GoStmt:
@@ -44,16 +51,16 @@ func runDeterminism(pass *Pass) {
 	}
 }
 
-// checkForbiddenRef flags time.Now/Since/Until and package-level
-// math/rand state.
-func checkForbiddenRef(pass *Pass, sel *ast.SelectorExpr) {
+// checkForbiddenRef flags package-level math/rand state and, when
+// wallClock is set, time.Now/Since/Until.
+func checkForbiddenRef(pass *Pass, sel *ast.SelectorExpr, wallClock bool) {
 	obj := pass.Info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil {
 		return
 	}
 	switch obj.Pkg().Path() {
 	case "time":
-		if _, ok := obj.(*types.Func); ok {
+		if _, ok := obj.(*types.Func); ok && wallClock {
 			switch obj.Name() {
 			case "Now", "Since", "Until":
 				pass.Reportf(sel.Pos(), "time.%s reads the wall clock — detection must be a pure function of its inputs", obj.Name())

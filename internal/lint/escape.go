@@ -54,12 +54,27 @@ func (m *Module) NoallocRanges() []FuncRange {
 //	internal/core/pool.go:77:8: moved to heap: w
 var escapeNote = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*(?:escapes to heap|moved to heap).*)$`)
 
+// inlineNote matches the -m line that marks an inlined call site:
+//
+//	internal/core/frame.go:177:17: inlining call to (*FlexCore).ensureScratch
+var inlineNote = regexp.MustCompile(`^(.+\.go:\d+:\d+): inlining call to `)
+
 // EscapeDiagnostics parses `go build -gcflags=-m` output and returns a
 // diagnostic for every heap allocation the compiler placed inside an
 // annotated //flexcore:noalloc function. File names in the build output
-// are resolved relative to the module root. The result is unfiltered;
-// pass it through Module.FilterSuppressed so //lint:ignore noalloc
-// comments cover both the AST and the escape findings.
+// are resolved relative to the module root. Two kinds of note are not
+// allocations at their line and are skipped:
+//
+//   - a note at the position of an inlined call: the allocation is the
+//     callee's, judged at the callee's own source line (flagged there if
+//     the callee is annotated; left to the AllocsPerRun gates if not),
+//     just as the AST pass never follows calls;
+//   - a note whose subject is a string literal: a constant panic
+//     message boxes into static data.
+//
+// The result is unfiltered; pass it through Module.FilterSuppressed so
+// //lint:ignore noalloc comments cover both the AST and the escape
+// findings.
 func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 	ranges := mod.NoallocRanges()
 	if len(ranges) == 0 {
@@ -69,10 +84,17 @@ func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 	for _, r := range ranges {
 		byFile[r.File] = append(byFile[r.File], r)
 	}
+	lines := strings.Split(string(buildOutput), "\n")
+	inlined := map[string]bool{} // file:line:col of every inlined call
+	for _, line := range lines {
+		if sub := inlineNote.FindStringSubmatch(strings.TrimSpace(line)); sub != nil {
+			inlined[sub[1]] = true
+		}
+	}
 	var out []Diagnostic
-	for _, line := range strings.Split(string(buildOutput), "\n") {
+	for _, line := range lines {
 		sub := escapeNote.FindStringSubmatch(strings.TrimSpace(line))
-		if sub == nil {
+		if sub == nil || inlined[sub[1]+":"+sub[2]+":"+sub[3]] || isStringLiteralNote(sub[4]) {
 			continue
 		}
 		file := sub[1]
@@ -82,8 +104,6 @@ func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 		lineNo, _ := strconv.Atoi(sub[2])
 		col, _ := strconv.Atoi(sub[3])
 		note := sub[4]
-		// "leaking param" style notes also contain no allocation; the
-		// regexp already restricts to escapes/moved-to-heap.
 		for _, r := range byFile[file] {
 			if lineNo >= r.StartLine && lineNo <= r.EndLine {
 				d := Diagnostic{Analyzer: "noalloc", Message: fmt.Sprintf("escape analysis: %s inside //flexcore:noalloc %s", note, r.Name)}
@@ -96,4 +116,11 @@ func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// isStringLiteralNote reports whether an escape note's subject is a
+// string literal: `"msg" escapes to heap`.
+func isStringLiteralNote(note string) bool {
+	q, err := strconv.QuotedPrefix(note)
+	return err == nil && note[len(q):] == " escapes to heap"
 }

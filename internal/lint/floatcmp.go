@@ -2,22 +2,24 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// Floatcmp forbids == and != on floating-point and complex operands.
-// The conformance work of CHANGES.md PR 2 (the buildOrderLUT FP-tie
-// fix) showed how float equality silently turns algebraic identities
-// into rounding-dependent behaviour; the contract is that every exact
-// float comparison in the codebase is either rewritten as an
-// epsilon/ULP compare or carries a //lint:ignore floatcmp comment
-// saying why exact equality is correct there (sentinel "unset" checks,
-// exact-zero division guards, IEEE-exact copies). Comparisons where
-// both operands are compile-time constants are allowed.
+// Floatcmp forbids == and != between two computed floating-point or
+// complex values. The conformance work of CHANGES.md PR 2 (the
+// buildOrderLUT FP-tie fix) showed how float equality silently turns
+// algebraic identities into rounding-dependent behaviour; the contract
+// is that every such comparison in the codebase is either rewritten as
+// an epsilon/ULP compare or carries a //lint:ignore floatcmp comment
+// saying why exact equality is correct there (comparator ties, golden
+// drift checks). A compare against the constant 0 is exact by
+// construction — a division guard, an "unset" sentinel, a sparsity
+// skip — and is allowed, as are compares of two constants.
 var Floatcmp = &Analyzer{
 	Name: "floatcmp",
-	Doc:  "forbid ==/!= on float and complex operands outside annotated sites",
+	Doc:  "forbid ==/!= between two computed float or complex values outside annotated sites",
 	Run:  runFloatcmp,
 }
 
@@ -31,8 +33,9 @@ func runFloatcmp(pass *Pass) {
 			if !isFloatish(pass.TypeOf(be.X)) && !isFloatish(pass.TypeOf(be.Y)) {
 				return true
 			}
-			if pass.Info.Types[be.X].Value != nil && pass.Info.Types[be.Y].Value != nil {
-				return true // constant folded at compile time
+			x, y := pass.Info.Types[be.X].Value, pass.Info.Types[be.Y].Value
+			if (x != nil && y != nil) || isZero(x) || isZero(y) {
+				return true // constant folded, or an exact compare with 0
 			}
 			kind := "floating-point"
 			if isComplex(pass.TypeOf(be.X)) || isComplex(pass.TypeOf(be.Y)) {
@@ -42,6 +45,18 @@ func runFloatcmp(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// isZero reports whether v is a numeric constant equal to 0.
+func isZero(v constant.Value) bool {
+	if v == nil {
+		return false
+	}
+	switch v.Kind() {
+	case constant.Int, constant.Float, constant.Complex:
+		return constant.Sign(v) == 0
+	}
+	return false
 }
 
 func isFloatish(t types.Type) bool {

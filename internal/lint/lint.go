@@ -2,22 +2,25 @@
 // go/parser + go/types + go/importer; no golang.org/x/tools) that
 // machine-enforces this repository's structural contracts: determinism
 // (bit-identical results for any worker count), allocation-free
-// steady-state hot paths, pooled-resource discipline and OpCount
-// accounting. The framework is deliberately small — analyzers, passes,
-// diagnostics, line-level suppressions — and is driven either by
-// cmd/flexlint over the whole module or by the `// want`-comment test
-// harness in want.go over fixture packages.
+// steady-state hot paths, reviewed float equality and the serving
+// layer's concurrency and wire contracts. The framework is
+// deliberately small — analyzers, passes, diagnostics, line-level
+// suppressions — and is driven either by cmd/flexlint over the whole
+// module or by the `// want`-comment test harness in want.go over
+// fixture packages.
 //
 // Suppression: a finding is silenced by a comment
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
 // either at the end of the offending line or on its own line directly
-// above it. The reason is mandatory; a reasonless ignore is itself
-// reported (analyzer "lint"). Suppressions are the escape hatch for
-// sites where the flagged construct is provably correct — an exact
-// float compare against a sentinel, an amortized grow-path append — and
-// double as in-source documentation of why.
+// above it. The reason is mandatory, and every name must be an
+// analyzer flexlint ships; a reasonless ignore or one naming an
+// unknown analyzer is itself reported (analyzer "lint"). Suppressions
+// are the escape hatch for sites where the flagged construct is
+// provably correct — an exact float compare of two computed values, an
+// amortized grow-path append — and double as in-source documentation
+// of why.
 //
 // Function annotation: a declaration whose doc comment carries the
 // directive
@@ -29,11 +32,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -55,10 +59,13 @@ type Analyzer struct {
 
 // AppliesTo reports whether the analyzer covers a package import path.
 func (a *Analyzer) AppliesTo(pkgPath string) bool {
-	if len(a.Packages) == 0 {
-		return true
-	}
-	for _, frag := range a.Packages {
+	return len(a.Packages) == 0 || pathMatches(pkgPath, a.Packages)
+}
+
+// pathMatches reports whether an import path contains one of the
+// fragments segment-wise.
+func pathMatches(pkgPath string, frags []string) bool {
+	for _, frag := range frags {
 		if pkgPath == frag || strings.HasSuffix(pkgPath, "/"+frag) ||
 			strings.Contains(pkgPath, "/"+frag+"/") || strings.HasPrefix(pkgPath, frag+"/") {
 			return true
@@ -104,21 +111,14 @@ func (d Diagnostic) String() string {
 
 // sortDiagnostics orders findings by file, line, column, analyzer.
 func sortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message),
+		)
 	})
 }
 
@@ -146,7 +146,8 @@ type SuppressionEntry struct {
 
 // collectSuppressions scans the comments of a parsed file and returns
 // the line-level suppression table, the parsed entries (for the
-// suppressions audit) and diagnostics for malformed ignore comments.
+// suppressions audit) and diagnostics for malformed ignore comments
+// and for names that are not shipped analyzers.
 // src is the file's source, used to decide whether a suppression
 // comment shares its line with code (silences that line) or stands
 // alone (silences the next line).
@@ -200,6 +201,13 @@ func collectSuppressions(fset *token.FileSet, file *ast.File, src []byte) (suppr
 			}
 			for _, n := range strings.Split(names, ",") {
 				n = strings.TrimSpace(n)
+				if !shipped(n) {
+					bad = append(bad, Diagnostic{
+						Pos:      pos,
+						Analyzer: "lint",
+						Message:  fmt.Sprintf("//lint:ignore names %q, which is not an analyzer flexlint ships — it silences nothing; remove it", n),
+					})
+				}
 				set[n] = true
 				entry.Analyzers = append(entry.Analyzers, n)
 			}
@@ -207,26 +215,6 @@ func collectSuppressions(fset *token.FileSet, file *ast.File, src []byte) (suppr
 		}
 	}
 	return sup, entries, bad
-}
-
-// merge folds other into s.
-func (s suppressions) merge(other suppressions) {
-	for f, byLine := range other {
-		m := s[f]
-		if m == nil {
-			s[f] = byLine
-			continue
-		}
-		for line, set := range byLine {
-			if m[line] == nil {
-				m[line] = set
-				continue
-			}
-			for n := range set {
-				m[line][n] = true
-			}
-		}
-	}
 }
 
 // filter drops diagnostics silenced by s. Framework ("lint")

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -168,7 +169,7 @@ func (m *Module) Suppressions() (suppressions, []SuppressionEntry, []Diagnostic)
 		for _, pkg := range m.Pkgs {
 			for i, f := range pkg.Files {
 				s, ents, bad := collectSuppressions(m.Fset, f, pkg.Src[pkg.Names[i]])
-				m.sup.merge(s)
+				maps.Copy(m.sup, s) // one key per file: nothing to merge
 				m.supEnts = append(m.supEnts, ents...)
 				m.supDiag = append(m.supDiag, bad...)
 			}

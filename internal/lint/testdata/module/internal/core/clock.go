@@ -1,6 +1,6 @@
 // Package core is the determinism-analyzer fixture: it mirrors the
-// real repository's internal/core import path so the Packages filter of
-// the determinism and opcount analyzers selects it.
+// real repository's internal/core import path, a detector-facing
+// package, so the wall-clock check covers it.
 package core
 
 import (

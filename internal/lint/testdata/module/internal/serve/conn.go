@@ -1,8 +1,8 @@
 // Package serve is the serve-scoped fixture package: timeoutguard
-// (deadline-armed conn I/O), statuscase (exhaustive Status switches)
-// and wireoffset (frame tiling directives) all apply here because the
-// fixture import path ends in internal/serve, mirroring the real
-// serve package.
+// (deadline-armed conn I/O), statuscase (exhaustive Status switches),
+// wireoffset (frame tiling directives) and determinism without its
+// wall-clock check all apply here because the fixture import path ends
+// in internal/serve, mirroring the real serve package.
 package serve
 
 import (

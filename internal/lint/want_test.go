@@ -14,9 +14,9 @@ func TestFixtureModule(t *testing.T) {
 }
 
 // TestFixturePatterns checks the harness respects package patterns: the
-// pool fixture alone must produce only pooldiscipline findings.
+// lock fixture alone must produce only lockscope findings.
 func TestFixturePatterns(t *testing.T) {
-	RunWantTest(t, "testdata/module", []string{"./pool"}, DefaultAnalyzers()...)
+	RunWantTest(t, "testdata/module", []string{"./lock"}, DefaultAnalyzers()...)
 }
 
 // fakeReporter records Errorf calls for testing the harness itself.

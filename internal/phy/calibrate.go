@@ -39,7 +39,7 @@ func CalibrateSNR(cfg CalibrationConfig) (snrdB, measuredPER float64, err error)
 	if cfg.TargetPER <= 0 || cfg.TargetPER >= 1 {
 		return 0, 0, fmt.Errorf("phy: target PER %v out of (0,1)", cfg.TargetPER)
 	}
-	if cfg.HiDB == 0 { //lint:ignore floatcmp zero is the config's exact "use the default" sentinel
+	if cfg.HiDB == 0 {
 		cfg.HiDB = 45
 	}
 	if cfg.Iterations == 0 {

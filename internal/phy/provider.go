@@ -35,7 +35,7 @@ type TDLProvider struct {
 func (p *TDLProvider) Packet(pkt int) []*cmatrix.Matrix {
 	rng := channel.NewRNG(p.Seed + uint64(pkt)*0x9e3779b97f4a7c15)
 	hs := channel.FreqSelective(rng, p.APAntennas, p.Users, p.Subcarriers, p.Config)
-	if p.APCorrelation != 0 { //lint:ignore floatcmp zero is the config's exact "correlation disabled" sentinel
+	if p.APCorrelation != 0 {
 		l, err := cmatrix.Cholesky(channel.ExponentialCorrelation(p.APAntennas, p.APCorrelation))
 		if err == nil {
 			for i := range hs {

@@ -227,7 +227,7 @@ func tapsToFreq(taps []complex128) []complex128 {
 // convolveInto accumulates conv(x, taps) into acc (same length as x).
 func convolveInto(acc, x, taps []complex128) {
 	for d, tap := range taps {
-		if tap == 0 { //lint:ignore floatcmp exact-zero taps (padded profiles) contribute nothing; skipping them is exact
+		if tap == 0 {
 			continue
 		}
 		for n := d; n < len(x); n++ {

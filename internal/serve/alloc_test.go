@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -107,7 +109,64 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 			srv.release(tk)
 		})
 	}
+
+	// The reject leg drives admit's two on-the-spot rejections — expired
+	// at admission, then draining once Shutdown has begun — onto a conn
+	// whose writer discards. Each rejection hands its task back to the
+	// pool, so a task leaked on a reject path shows up as an allocation
+	// at the next Get.
+	t.Run("reject", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector's sync.Pool drops a random share of Puts")
+		}
+		srv, err := NewServer(Config{
+			Shards: 1,
+			DetectorFactory: func() detector.Detector {
+				return core.New(cons, core.Options{NPE: e2eNPE, Backend: envBackend(t)})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shutdown := func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}
+		defer shutdown()
+
+		var q DetectRequest
+		fillFrame(t, &q, 12, 1)
+		q.DeadlineMicros = 1 // with enq a second back: expired at admission
+		payload := q.AppendPayload(nil)
+		c := &serverConn{bw: bufio.NewWriter(io.Discard)}
+		reject := func() {
+			tk := srv.taskPool.Get().(*task)
+			if err := tk.req.Decode(payload); err != nil {
+				t.Fatal(err)
+			}
+			tk.c = c
+			tk.enq = time.Now().Add(-time.Second)
+			srv.admit(tk)
+		}
+		reject() // warm-up: grow the task's request arenas and the conn's rejection scratch
+		if allocs := testing.AllocsPerRun(50, reject); allocs != 0 {
+			t.Fatalf("expired-at-admission rejection allocates %.1f objects per frame, want 0", allocs)
+		}
+		shutdown()
+		if allocs := testing.AllocsPerRun(50, reject); allocs != 0 {
+			t.Fatalf("draining rejection allocates %.1f objects per frame, want 0", allocs)
+		}
+		if srv.met.expired.Load() == 0 || srv.met.rejectedDraining.Load() == 0 {
+			t.Fatalf("rejections not taken: expired %d, draining %d", srv.met.expired.Load(), srv.met.rejectedDraining.Load())
+		}
+	})
 }
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops a random share of Puts: an allocation at the next Get
+// that is not a leak.
+var raceEnabled bool
 
 // TestReadFrameZeroAllocs gates the ingest side of the wire codec: a
 // connection's read loop reuses one buffer, so decoding a stream of

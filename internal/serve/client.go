@@ -136,7 +136,7 @@ func (c *Client) armWrite() {
 	if c.dl == nil || c.ioTimeout <= 0 {
 		return
 	}
-	c.dl.SetWriteDeadline(time.Now().Add(c.ioTimeout)) //lint:ignore determinism wall-clock connection hygiene only — detection results never depend on it
+	c.dl.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 }
 
 // armRead arms the read deadline ahead of a response read. Called
@@ -145,7 +145,7 @@ func (c *Client) armRead() {
 	if c.dl == nil || c.ioTimeout <= 0 {
 		return
 	}
-	c.dl.SetReadDeadline(time.Now().Add(c.ioTimeout)) //lint:ignore determinism wall-clock connection hygiene only — detection results never depend on it
+	c.dl.SetReadDeadline(time.Now().Add(c.ioTimeout))
 }
 
 // Dial connects to a flexserve TCP address with TCP_NODELAY set:

@@ -147,7 +147,7 @@ type Snapshot struct {
 // sampled per shard.
 func (s *Server) Metrics() Snapshot {
 	snap := Snapshot{
-		UptimeSeconds:    time.Since(s.met.start).Seconds(), //lint:ignore determinism wall-clock observability only — detection results never depend on it
+		UptimeSeconds:    time.Since(s.met.start).Seconds(),
 		Shards:           len(s.shards),
 		QueueCapacity:    s.cfg.QueueDepth,
 		ShardStats:       make([]ShardStats, len(s.shards)),

@@ -219,7 +219,7 @@ func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		met:   metrics{start: time.Now()}, //lint:ignore determinism wall-clock observability only — detection results never depend on it
+		met:   metrics{start: time.Now()},
 		conns: make(map[io.Closer]struct{}),
 	}
 	s.taskPool.New = func() any {
@@ -345,7 +345,7 @@ func (s *Server) rung(depth int) int {
 // expired reports whether t's staleness budget elapsed while it sat in
 // the admitted backlog.
 func (s *Server) expired(t *task) bool {
-	return stale(t.enq, t.req.DeadlineMicros, time.Now()) //lint:ignore determinism wall-clock staleness shedding — an expired frame is answered StatusExpired, never detected, so decisions of served frames are unaffected
+	return stale(t.enq, t.req.DeadlineMicros, time.Now())
 }
 
 // stale reports whether a frame that arrived at enq with the given
@@ -370,7 +370,7 @@ func (s *Server) expire(t *task) {
 	t.payload = appendRespHeader(t.payload[:0], t.req.FrameID, StatusExpired, 0, 0, 0, 0)
 	t.wire = AppendFrame(t.wire[:0], MsgResult, t.payload)
 	s.met.expired.Add(1)
-	s.met.observe(time.Since(t.enq)) //lint:ignore determinism wall-clock latency metric only — the frame is already shed at this point
+	s.met.observe(time.Since(t.enq))
 	s.met.completed.Add(1)
 }
 
@@ -408,7 +408,7 @@ func (s *Server) process(sh *shard, t *task) {
 	sh.fd.SetReuseState(nil)
 	t.wire = AppendFrame(t.wire[:0], MsgResult, t.payload)
 	s.publish(sh)
-	s.met.observe(time.Since(t.enq)) //lint:ignore determinism wall-clock latency metric only — decisions are already encoded at this point
+	s.met.observe(time.Since(t.enq))
 	s.met.completed.Add(1)
 }
 
@@ -629,7 +629,7 @@ func (c *serverConn) armRead(d time.Duration) {
 		}
 		return
 	}
-	c.dl.SetReadDeadline(time.Now().Add(d)) //lint:ignore determinism wall-clock connection hygiene only — detection results never depend on it
+	c.dl.SetReadDeadline(time.Now().Add(d))
 	c.armed = true
 }
 
@@ -639,7 +639,7 @@ func (c *serverConn) armWrite() {
 	if c.dl == nil || c.wt <= 0 {
 		return
 	}
-	c.dl.SetWriteDeadline(time.Now().Add(c.wt)) //lint:ignore determinism wall-clock connection hygiene only — detection results never depend on it
+	c.dl.SetWriteDeadline(time.Now().Add(c.wt))
 }
 
 // condemn closes a connection whose response path failed (write error
@@ -770,7 +770,7 @@ func (s *Server) handleConn(rwc io.ReadWriteCloser) {
 			s.met.badFrames.Add(1)
 			return
 		}
-		t := s.taskPool.Get().(*task) //lint:ignore pooldiscipline ownership transfers through the shard's queue — the shard worker (or the rejection path in admit) releases the task after responding
+		t := s.taskPool.Get().(*task)
 		if err := t.req.Decode(payload); err != nil {
 			s.met.rejectedInvalid.Add(1)
 			c.reject(s, peekFrameID(payload), StatusInvalid)
@@ -778,7 +778,7 @@ func (s *Server) handleConn(rwc io.ReadWriteCloser) {
 			continue
 		}
 		t.c = c
-		t.enq = time.Now() //lint:ignore determinism admit timestamp feeds the latency histogram only — detection results never depend on it
+		t.enq = time.Now()
 		s.admit(t)
 	}
 }

@@ -14,8 +14,8 @@
 // The serving layer adds no arithmetic of its own: detection results
 // are produced by the same two-phase Prepare/Detect pipeline as the
 // offline path, so a served frame's decisions are bit-identical to
-// looping Prepare+Detect over its subcarriers — for any shard count,
-// any workers-per-shard count, any detector worker count and either
+// looping Prepare+Detect over its subcarriers — for any shard count (a
+// shard is one worker driving one single-threaded detector) and either
 // kernel backend (reuse is held at ReuseThreshold 0, where hits
 // require a bit-identical (R, σ²) and are provably output-neutral).
 // The e2e and ordering suites (e2e_test.go, order_test.go) enforce
