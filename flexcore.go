@@ -77,7 +77,8 @@ func AsBatchDetector(d Detector) BatchDetector { return detector.Batch(d) }
 type OpCount = detector.OpCount
 
 // Options configures the FlexCore detector (processing elements,
-// a-FlexCore threshold, QR ordering, worker parallelism).
+// a-FlexCore threshold, QR ordering, slicer variant, path reuse, kernel
+// backend). A detector is single-threaded: run one per goroutine.
 type Options = core.Options
 
 // FlexCore is the paper's detector.

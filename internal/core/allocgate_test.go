@@ -133,6 +133,38 @@ func TestSelectAllocFree(t *testing.T) {
 	}
 }
 
+// TestDetectSoftSteadyStateAllocFree gates soft output: once the soft
+// arenas have seen the geometry, DetectSoft — including the
+// all-deactivated fallback — runs entirely out of detector-owned
+// storage on both backends.
+func TestDetectSoftSteadyStateAllocFree(t *testing.T) {
+	cons := constellation.MustNew(16)
+	hs := frameChannels(410, 6, 4, 2)
+	y := []complex128{0.3, -0.2i, 0.1 + 0.4i, -0.5, 0.25i, 0.6 - 0.1i}
+	far := []complex128{90, -90i, 90 + 90i, -90, 90i, 90 - 90i}
+	for _, bb := range benchBackends {
+		fc := New(cons, Options{NPE: 32, StrictDeactivation: true, Backend: bb.backend})
+		if err := fc.PrepareAll(hs, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		fc.Select(0)
+		fc.DetectSoft(y, 0.05)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			i++
+			fc.Select(i % 2)
+			fc.DetectSoft(y, 0.05)
+			fc.DetectSoft(far, 0.05)
+		})
+		if allocs != 0 {
+			t.Errorf("%s DetectSoft: %.1f allocs/op in steady state, want 0", bb.name, allocs)
+		}
+		if fc.FallbackDetections() == 0 {
+			t.Errorf("%s: the far vector never fell back", bb.name)
+		}
+	}
+}
+
 // TestPrepareAllRegrowThenSettle checks the amortization story end to
 // end: growing the frame (more subcarriers than ever seen) may allocate,
 // but the very next same-shape call is allocation-free again.

@@ -104,6 +104,7 @@ type FlexCore struct {
 	// headers each DetectBatch call.
 	batchBuf []int
 	batchHdr [][]int
+	soft     softState // DetectSoft's arenas
 
 	// Channel-rate scratch: the QR workspace and the pre-processing
 	// pool, reused with the frame slots below so steady-state Prepare
@@ -224,7 +225,7 @@ func (d *FlexCore) Paths() []Path { return d.paths }
 // PreprocessStats returns cumulative pre-processing work counters.
 func (d *FlexCore) PreprocessStats() PreprocessStats { return d.ppOps }
 
-// FallbackDetections returns how many Detect calls were resolved by the
+// FallbackDetections returns how many detections were resolved by the
 // clamped-SIC fallback because every selected path deactivated.
 func (d *FlexCore) FallbackDetections() int64 { return d.fallbk }
 
@@ -342,18 +343,14 @@ func (d *FlexCore) DetectBatch(ys [][]complex128) [][]int {
 }
 
 // detectInto detects one vector on the active backend, writing the
-// unpermuted result into out and counting a fallback resolution.
+// unpermuted result into out.
 //
 //flexcore:noalloc
 func (d *FlexCore) detectInto(y []complex128, out []int) {
-	var fb bool
 	if d.useSoA() {
-		fb = d.soaDetectOne(y, out)
+		d.soaDetectOne(y, out)
 	} else {
-		fb = d.detectOne(y, out)
-	}
-	if fb {
-		d.fallbk++
+		d.detectOne(y, out)
 	}
 }
 
@@ -373,11 +370,10 @@ func (d *FlexCore) batchSlots(m int) [][]int {
 }
 
 // detectOne runs one full scalar detection and writes the unpermuted
-// result into out. It reports whether the clamped-SIC fallback resolved
-// the vector.
+// result into out.
 //
 //flexcore:noalloc
-func (d *FlexCore) detectOne(y []complex128, out []int) bool {
+func (d *FlexCore) detectOne(y []complex128, out []int) {
 	idx, sym, best := d.idx, d.sym, d.best
 	yb := d.qr.YbarInto(y, d.ybar)
 	bestPed := math.Inf(1)
@@ -390,12 +386,9 @@ func (d *FlexCore) detectOne(y []complex128, out []int) bool {
 		}
 	}
 	if !found {
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
-		return true
+		best = d.fallback(yb)
 	}
 	d.qr.UnpermuteIntsInto(best, out)
-	return false
 }
 
 // Close does nothing: a detector holds no resource.
@@ -404,12 +397,16 @@ func (d *FlexCore) detectOne(y []complex128, out []int) bool {
 // calls it; it goes with those calls.
 func (d *FlexCore) Close() {}
 
-// clampedSICInto is the deactivation fallback: a rank-one descent using
-// the exact slicer (which clamps to the constellation and never
-// deactivates), written into caller-owned idx/sym scratch.
+// fallback resolves a vector every selected path deactivated on, for
+// every detection entry point, and counts it in FallbackDetections: a
+// rank-one descent using the exact slicer (which clamps to the
+// constellation and never deactivates). The decision is written into
+// the detector's idx/sym scratch and returned in factored order.
 //
 //flexcore:noalloc
-func (d *FlexCore) clampedSICInto(ybar []complex128, idx []int, sym []complex128) []int {
+func (d *FlexCore) fallback(ybar []complex128) []int {
+	d.fallbk++
+	idx, sym := d.idx, d.sym
 	for i := d.n - 1; i >= 0; i-- {
 		b := cmatrix.CancelRow(d.qr.R, ybar, sym, i)
 		rii := real(d.qr.R.At(i, i))

@@ -55,34 +55,30 @@ func (d *FlexCore) soaRefresh() {
 }
 
 // soaDetectOne runs one full detection on the SoA kernel, writing the
-// unpermuted result into out. It reports whether the clamped-SIC
-// fallback resolved the vector — the scalar detectOne contract. The
-// whole path set descends in one Descend call. The complex128 scratch
+// unpermuted result into out — the scalar detectOne contract. The whole
+// path set descends in one Descend call. The complex128 scratch
 // (ybar/idx/sym) stays in play for the ȳ rotation and the fallback, both
 // of which are shared with the scalar backend.
 //
 //flexcore:noalloc
-func (d *FlexCore) soaDetectOne(y []complex128, out []int) bool {
+func (d *FlexCore) soaDetectOne(y []complex128, out []int) {
 	d.soaRefresh()
-	s, idx, sym := &d.soa.scratch, d.idx, d.sym
+	s := &d.soa.scratch
 	yb := d.qr.YbarInto(y, d.ybar)
 	P := len(d.paths)
 	if P == 0 || d.soa.prep.Degenerate {
 		// A non-positive diagonal deactivates every path at that level in
 		// the scalar backend too: straight to the fallback.
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
-		return true
+		d.qr.UnpermuteIntsInto(d.fallback(yb), out)
+		return
 	}
 	s.Ensure(d.n, P)
 	s.SetYbar(yb)
-	lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, s, 0, P, d.opts.StrictDeactivation)
-	if lane < 0 {
-		d.clampedSICInto(yb, idx, sym)
-		d.qr.UnpermuteIntsInto(idx, out)
-		return true
+	best := d.best
+	if lane, _ := kernel32.Descend(&d.soa.prep, d.soa.slicer, s, 0, P, d.opts.StrictDeactivation); lane < 0 {
+		best = d.fallback(yb)
+	} else {
+		s.GatherIdx(lane, best)
 	}
-	s.GatherIdx(lane, d.best)
-	d.qr.UnpermuteIntsInto(d.best, out)
-	return false
+	d.qr.UnpermuteIntsInto(best, out)
 }

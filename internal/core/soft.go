@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"flexcore/internal/constellation"
+)
 
 // maxLLR clamps soft outputs when a bit has no counter-hypothesis among
 // the evaluated paths. Small candidate lists miss counter-hypotheses
@@ -9,6 +13,52 @@ import "math"
 // overconfident and soft decoding loses its gain.
 const maxLLR = 8.0
 
+// softState is DetectSoft's detector-owned storage. Its sizes depend
+// only on the stream count (bits per symbol is fixed per detector), so
+// it regrows only past the largest stream count seen.
+type softState struct {
+	// least[v][u·bits+b] is the least distance of a candidate whose bit b
+	// of stream u (original order) is v; least[0] then holds the LLRs.
+	least [2][]float64
+	rows  [][]float64 // least[0] sliced per stream
+	best  []int
+	bits  []uint8
+}
+
+// reset sizes the arenas for n streams of nb bits and clears the minima.
+func (s *softState) reset(n, nb int) {
+	if cap(s.best) < n {
+		s.least = [2][]float64{make([]float64, n*nb), make([]float64, n*nb)}
+		s.rows, s.best, s.bits = make([][]float64, n), make([]int, n), make([]uint8, nb)
+	}
+	s.rows, s.best = s.rows[:n], s.best[:n]
+	for v := range s.least {
+		s.least[v] = s.least[v][:n*nb]
+		for i := range s.least[v] {
+			s.least[v][i] = math.Inf(1)
+		}
+	}
+	for u := range s.rows {
+		s.rows[u] = s.least[0][u*nb : (u+1)*nb : (u+1)*nb]
+	}
+}
+
+// observe folds one candidate — symbol indices idx in the factored
+// order perm maps back, at distance ped — into the per-bit minima.
+//
+//flexcore:noalloc
+func (s *softState) observe(cons *constellation.Constellation, perm, idx []int, ped float64) {
+	for k, sym := range idx {
+		cons.SymbolBits(sym, s.bits)
+		at := perm[k] * len(s.bits)
+		for b, v := range s.bits {
+			if m := &s.least[v][at+b]; ped < *m {
+				*m = ped
+			}
+		}
+	}
+}
+
 // DetectSoft evaluates the selected paths like Detect but additionally
 // produces per-bit log-likelihood ratios by max-log-MAP over the
 // candidate list: LLR(b) = (min_{s∈E, b(s)=1} ‖ȳ−Rs‖² −
@@ -16,96 +66,48 @@ const maxLLR = 8.0
 //
 // This is the paper's §7 future-work extension ("extend FlexCore to
 // soft-detectors" [7,43]): FlexCore's path set doubles as the candidate
-// list of a list sphere decoder at no extra detection cost.
-// llrs[u][b] is bit b of stream u (original stream order).
+// list of a list sphere decoder at no extra detection cost. The list is
+// never kept — each path's distance is folded into running per-bit
+// minima as it is scored in full, on the complex128 arithmetic whatever
+// the Backend. If every path deactivates, the clamped-SIC decision is
+// the one candidate (every LLR saturates) and counts as a fallback.
+// llrs[u][b] is bit b of stream u (original stream order). best and
+// llrs are detector-owned, apart from Detect's result, and valid until
+// the next Detect/DetectBatch/DetectSoft call.
+//
+//flexcore:noalloc
 func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs [][]float64) {
-	ybar := d.qr.Ybar(y)
 	d.countDetections(1, len(y))
-	bits := d.cons.BitsPerSymbol()
-
-	type candidate struct {
-		idx []int
-		ped float64
-	}
-	cands := make([]candidate, 0, len(d.paths))
-	idx := make([]int, d.n)
-	sym := make([]complex128, d.n)
+	s := &d.soft
+	s.reset(d.n, d.cons.BitsPerSymbol())
+	idx, sym, win, perm := d.idx, d.sym, d.best, d.qr.Perm
+	yb := d.qr.YbarInto(y, d.ybar)
+	bestPed, found := 0.0, false
 	for _, p := range d.paths {
-		ped, ok := d.evalPath(ybar, p.Ranks, idx, sym, math.Inf(1))
-		if ok {
-			cands = append(cands, candidate{idx: append([]int(nil), idx...), ped: ped})
+		ped, ok := d.evalPath(yb, p.Ranks, idx, sym, math.Inf(1))
+		if !ok {
+			continue
 		}
-	}
-	if len(cands) == 0 {
-		// Degenerate: fall back to the clamped SIC path with saturated
-		// confidence.
-		sic := d.clampedSICInto(ybar, make([]int, d.n), make([]complex128, d.n))
-		cands = append(cands, candidate{idx: sic, ped: 0})
-	}
-
-	bestI := 0
-	for i := range cands {
-		if cands[i].ped < cands[bestI].ped {
-			bestI = i
+		if !found || ped < bestPed {
+			bestPed, found = ped, true
+			copy(win, idx)
 		}
+		s.observe(d.cons, perm, idx, ped)
 	}
-
-	// Per-stream, per-bit hypothesis minima over the candidate list
-	// (streams here are in factored order; unpermute at the end).
-	min0 := make([][]float64, d.n)
-	min1 := make([][]float64, d.n)
-	for u := 0; u < d.n; u++ {
-		min0[u] = make([]float64, bits)
-		min1[u] = make([]float64, bits)
-		for b := 0; b < bits; b++ {
-			min0[u][b] = math.Inf(1)
-			min1[u][b] = math.Inf(1)
+	if !found {
+		win = d.fallback(yb)
+		s.observe(d.cons, perm, win, 0)
+	}
+	for i, m0 := range s.least[0] {
+		m1 := s.least[1][i]
+		l := (m1 - m0) / sigma2
+		switch {
+		case math.IsInf(m0, 1):
+			l = -maxLLR
+		case math.IsInf(m1, 1):
+			l = maxLLR
 		}
+		s.least[0][i] = max(-maxLLR, min(l, maxLLR))
 	}
-	bitBuf := make([]uint8, bits)
-	for _, c := range cands {
-		for u := 0; u < d.n; u++ {
-			d.cons.SymbolBits(c.idx[u], bitBuf)
-			for b := 0; b < bits; b++ {
-				if bitBuf[b] == 0 {
-					if c.ped < min0[u][b] {
-						min0[u][b] = c.ped
-					}
-				} else if c.ped < min1[u][b] {
-					min1[u][b] = c.ped
-				}
-			}
-		}
-	}
-
-	permLLR := make([][]float64, d.n)
-	for u := 0; u < d.n; u++ {
-		permLLR[u] = make([]float64, bits)
-		for b := 0; b < bits; b++ {
-			var l float64
-			switch {
-			case math.IsInf(min0[u][b], 1):
-				l = -maxLLR
-			case math.IsInf(min1[u][b], 1):
-				l = maxLLR
-			default:
-				l = (min1[u][b] - min0[u][b]) / sigma2
-				if l > maxLLR {
-					l = maxLLR
-				}
-				if l < -maxLLR {
-					l = -maxLLR
-				}
-			}
-			permLLR[u][b] = l
-		}
-	}
-
-	// Unpermute streams back to original order.
-	best = d.qr.UnpermuteInts(cands[bestI].idx)
-	llrs = make([][]float64, d.n)
-	for k, src := range d.qr.Perm {
-		llrs[src] = permLLR[k]
-	}
-	return best, llrs
+	return d.qr.UnpermuteIntsInto(win, s.best), s.rows
 }

@@ -13,92 +13,61 @@ import (
 // subcarrier. It is the repo's one frame loop: the serving layer
 // (one per shard), bench/, the link simulator (one per packet worker)
 // and the waveform receiver all prepare and detect frames through it.
-// A detector implementing FramePreparer (FlexCore, DESIGN.md §9) runs
-// its channel-rate PrepareAll/Select; any other detector is prepared
-// one subcarrier at a time by Select. Decisions are bit-identical to
-// looping Prepare+Detect per subcarrier either way: FlexCore's Prepare
-// is the one-subcarrier PrepareAll.
+// FlexCore (DESIGN.md §9) runs its channel-rate PrepareAll/Select; any
+// other detector is prepared one subcarrier at a time by Select.
+// Decisions are bit-identical to looping Prepare+Detect per subcarrier
+// either way: FlexCore's Prepare is the one-subcarrier PrepareAll.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
 type FrameDetector struct {
-	det    detector.Detector
-	batch  detector.BatchDetector
-	frame  FramePreparer
-	rep    ActivePathReporter
-	pre    preprocessReporter
-	reuser ReuseCarrier
-	capper PathCapper
+	det   detector.Detector
+	batch detector.BatchDetector
+	fc    flexCore // the detector's FlexCore surface; nil for any other detector
 
-	hs     []*cmatrix.Matrix // the frame Select prepares per subcarrier (no FramePreparer)
+	hs     []*cmatrix.Matrix // the frame Select prepares per subcarrier (fc == nil)
 	sigma2 float64
 
 	activeSum float64
 	activeN   int64
 }
 
-// FramePreparer is implemented by detectors that prepare a whole frame
-// of per-subcarrier channels in one call (FlexCore's channel-rate fast
-// path); Select activates one prepared subcarrier for Detect.
-type FramePreparer interface {
+// flexCore is the surface FrameDetector drives beyond detector.Detector,
+// probed once in NewFrameDetector. A detector has all of it
+// (*core.FlexCore, or a type embedding one) or none.
+type flexCore interface {
 	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
 	Select(k int) error
-}
-
-// ActivePathReporter is implemented by detectors (a-FlexCore) that
-// activate a channel-dependent subset of their processing elements.
-type ActivePathReporter interface {
 	ActivePaths() int
-}
-
-// preprocessReporter is implemented by detectors exposing
-// pre-processing counters (FlexCore).
-type preprocessReporter interface {
 	PreprocessStats() core.PreprocessStats
-}
-
-// ReuseCarrier is implemented by detectors whose PathReuse coherence
-// cache can be re-keyed onto caller-owned cross-frame state
-// (core.FlexCore); serve keys Prepare reuse per user with it.
-type ReuseCarrier interface {
 	SetReuseState(*core.ReuseState)
-}
-
-// PathCapper is implemented by detectors that can bound their path sets
-// per frame below the N_PE they were built with (core.FlexCore); serve
-// degrades frames under queue pressure with it.
-type PathCapper interface {
 	SetPathCap(k int)
+	DetectSoft(y []complex128, sigma2 float64) (best []int, llrs [][]float64)
 }
 
 var (
 	errEmptyFrame  = errors.New("phy: a frame needs at least one channel")
 	errSelectRange = errors.New("phy: Select outside the prepared frame")
+	errNoSoft      = errors.New("phy: soft output needs a FlexCore detector")
 )
 
 // NewFrameDetector wraps d for frame-at-a-time detection.
 func NewFrameDetector(d detector.Detector) *FrameDetector {
 	f := &FrameDetector{det: d, batch: detector.Batch(d)}
-	f.frame, _ = d.(FramePreparer)
-	f.rep, _ = d.(ActivePathReporter)
-	f.pre, _ = d.(preprocessReporter)
-	f.reuser, _ = d.(ReuseCarrier)
-	f.capper, _ = d.(PathCapper)
+	f.fc, _ = d.(flexCore)
 	return f
 }
 
 // SetReuseState installs st as the wrapped detector's cross-frame
 // coherence base for the next DetectFrame calls (nil removes it) and
-// reports whether the detector supports external reuse keying. The
-// type assertion is done once at construction, so per-frame installs
-// stay off the allocation and dispatch hot path.
+// reports whether the detector supports external reuse keying.
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
-	if f.reuser == nil {
+	if f.fc == nil {
 		return false
 	}
-	f.reuser.SetReuseState(st)
+	f.fc.SetReuseState(st)
 	return true
 }
 
@@ -108,10 +77,10 @@ func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetPathCap(k int) bool {
-	if f.capper == nil {
+	if f.fc == nil {
 		return false
 	}
-	f.capper.SetPathCap(k)
+	f.fc.SetPathCap(k)
 	return true
 }
 
@@ -119,15 +88,15 @@ func (f *FrameDetector) SetPathCap(k int) bool {
 func (f *FrameDetector) Detector() detector.Detector { return f.det }
 
 // PrepareAll prepares a frame of per-subcarrier channels: in one call
-// for a FramePreparer, otherwise by recording hs and sigma2 for Select
-// to prepare one subcarrier at a time (hs must then stay unchanged
-// until the frame's last Select). An empty frame is an error for every
+// for FlexCore, otherwise by recording hs and sigma2 for Select to
+// prepare one subcarrier at a time (hs must then stay unchanged until
+// the frame's last Select). An empty frame is an error for every
 // detector.
 //
 //flexcore:noalloc
 func (f *FrameDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
-	if f.frame != nil {
-		return f.frame.PrepareAll(hs, sigma2)
+	if f.fc != nil {
+		return f.fc.PrepareAll(hs, sigma2)
 	}
 	if len(hs) == 0 {
 		return errEmptyFrame
@@ -144,13 +113,13 @@ func (f *FrameDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 func (f *FrameDetector) Select(k int) error {
 	err := errSelectRange
 	switch {
-	case f.frame != nil:
-		err = f.frame.Select(k)
+	case f.fc != nil:
+		err = f.fc.Select(k)
 	case 0 <= k && k < len(f.hs):
 		err = f.det.Prepare(f.hs[k], f.sigma2)
 	}
-	if err == nil && f.rep != nil {
-		f.activeSum += float64(f.rep.ActivePaths())
+	if err == nil && f.fc != nil {
+		f.activeSum += float64(f.fc.ActivePaths())
 		f.activeN++
 	}
 	return err
@@ -168,6 +137,28 @@ func (f *FrameDetector) Select(k int) error {
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k int, decisions [][]int)) error {
+	return f.detectFrame(hs, sigma2, burst, emit, nil)
+}
+
+// DetectFrameSoft is DetectFrame with soft output: received vector s of
+// subcarrier k goes through FlexCore's DetectSoft, and emit(k, s, got,
+// llrs) must consume its decisions and per-bit LLRs before returning.
+// Any other detector is an error, before anything is prepared.
+//
+//flexcore:noalloc
+func (f *FrameDetector) DetectFrameSoft(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k, s int, got []int, llrs [][]float64)) error {
+	if f.fc == nil {
+		return errNoSoft
+	}
+	return f.detectFrame(hs, sigma2, burst, nil, emit)
+}
+
+// detectFrame is the one frame loop: PrepareAll, then per subcarrier
+// Select and the burst's detection — one DetectBatch when hard is set,
+// else one DetectSoft per vector.
+//
+//flexcore:noalloc
+func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
 	if err := f.PrepareAll(hs, sigma2); err != nil {
 		return err
 	}
@@ -175,22 +166,29 @@ func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst 
 		if err := f.Select(k); err != nil {
 			return err
 		}
-		emit(k, f.batch.DetectBatch(burst(k)))
+		if hard != nil {
+			hard(k, f.batch.DetectBatch(burst(k)))
+			continue
+		}
+		for s, y := range burst(k) {
+			got, llrs := f.fc.DetectSoft(y, sigma2)
+			soft(k, s, got, llrs)
+		}
 	}
 	return nil
 }
 
 // ActivePEs returns the cumulative active processing-element count and
 // the number of selected subcarriers it was sampled over (nonzero only
-// for detectors reporting ActivePaths, i.e. FlexCore/a-FlexCore) — the
-// serving layer's AvgActivePEs metric and the simulator's.
+// for FlexCore/a-FlexCore) — the serving layer's AvgActivePEs metric
+// and the simulator's.
 func (f *FrameDetector) ActivePEs() (sum float64, n int64) { return f.activeSum, f.activeN }
 
 // PreprocessStats returns the wrapped detector's cumulative
 // pre-processing counters (zero for detectors without any).
 func (f *FrameDetector) PreprocessStats() core.PreprocessStats {
-	if f.pre == nil {
+	if f.fc == nil {
 		return core.PreprocessStats{}
 	}
-	return f.pre.PreprocessStats()
+	return f.fc.PreprocessStats()
 }

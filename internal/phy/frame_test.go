@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -74,8 +75,8 @@ func checkAgainstScalarLoop(t *testing.T, fd *FrameDetector, ref detector.Detect
 }
 
 // TestFrameDetectorMatchesScalarLoopFlexCore covers the channel-rate
-// fast path: FlexCore implements FramePreparer, so DetectFrame goes
-// through PrepareAll/Select.
+// fast path: FlexCore has its own PrepareAll/Select, and DetectFrame
+// goes through them.
 func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	cons, err := constellation.New(16)
 	if err != nil {
@@ -93,7 +94,7 @@ func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 }
 
 // TestFrameDetectorMatchesScalarLoopMMSE covers the per-subcarrier
-// branch: a linear detector has no FramePreparer, so Select runs its
+// branch: a linear detector has no PrepareAll, so Select runs its
 // Prepare one subcarrier at a time.
 func TestFrameDetectorMatchesScalarLoopMMSE(t *testing.T) {
 	cons, err := constellation.New(16)
@@ -199,14 +200,60 @@ func TestFrameDetectorRejectsEmptyFrame(t *testing.T) {
 	}
 }
 
+// TestDetectFrameSoftMatchesScalarLoop: DetectFrameSoft hands emit, in
+// subcarrier and symbol order, exactly the decisions and LLRs of scalar
+// Prepare+DetectSoft per subcarrier; a detector without soft output is
+// refused before anything is emitted.
+func TestDetectFrameSoftMatchesScalarLoop(t *testing.T) {
+	const nr, nt, k, s, sigma2 = 4, 3, 5, 2, 0.1
+	hs, ys := frameCase(t, 0xabc6, nr, nt, k, s)
+	burst := func(k int) [][]complex128 { return ys[k] }
+	cons := constellation.MustNew(16)
+	for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
+		ref := core.New(cons, core.Options{NPE: 16, Backend: b})
+		next := 0
+		err := NewFrameDetector(core.New(cons, core.Options{NPE: 16, Backend: b})).DetectFrameSoft(hs, sigma2, burst, func(ki, si int, got []int, llrs [][]float64) {
+			if ki*s+si != next {
+				t.Fatalf("%s: emit(%d, %d) out of order, want vector %d", b, ki, si, next)
+			}
+			next++
+			if si == 0 {
+				if err := ref.Prepare(hs[ki], sigma2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, wantLLR := ref.DetectSoft(ys[ki][si], sigma2)
+			for u := range want {
+				if got[u] != want[u] {
+					t.Fatalf("%s: subcarrier %d symbol %d stream %d: frame %d, scalar %d", b, ki, si, u, got[u], want[u])
+				}
+				for bit, l := range wantLLR[u] {
+					if math.Float64bits(llrs[u][bit]) != math.Float64bits(l) {
+						t.Fatalf("%s: subcarrier %d symbol %d stream %d bit %d: LLR %v, scalar %v", b, ki, si, u, bit, llrs[u][bit], l)
+					}
+				}
+			}
+		})
+		if err != nil || next != k*s {
+			t.Fatalf("%s: DetectFrameSoft = %v after %d emits, want nil after %d", b, err, next, k*s)
+		}
+	}
+	emitted := 0
+	err := NewFrameDetector(detector.NewMMSE(cons)).DetectFrameSoft(hs, sigma2, burst, func(int, int, []int, [][]float64) { emitted++ })
+	if !errors.Is(err, errNoSoft) || emitted != 0 {
+		t.Fatalf("MMSE DetectFrameSoft = %v with %d emits, want errNoSoft and none", err, emitted)
+	}
+}
+
 // TestFrameDetectorAllocFree gates the frame loop itself: once warm,
-// DetectFrame on FlexCore (both backends) and PrepareAll+Select on the
-// per-subcarrier branch run without allocating.
+// DetectFrame and DetectFrameSoft on FlexCore (both backends) and
+// PrepareAll+Select on the per-subcarrier branch run without allocating.
 func TestFrameDetectorAllocFree(t *testing.T) {
 	const nr, nt, k, s, sigma2 = 4, 3, 6, 4, 0.1
 	hs, ys := frameCase(t, 0xabc5, nr, nt, k, s)
 	burst := func(k int) [][]complex128 { return ys[k] }
 	emit := func(k int, decisions [][]int) {}
+	emitSoft := func(k, s int, got []int, llrs [][]float64) {}
 	cons := constellation.MustNew(16)
 	for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
 		fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16, Backend: b}))
@@ -218,8 +265,16 @@ func TestFrameDetectorAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s DetectFrame: %.1f allocs/frame, want 0", b, allocs)
 		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if err := fd.DetectFrameSoft(hs, sigma2, burst, emitSoft); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s DetectFrameSoft: %.1f allocs/frame, want 0", b, allocs)
+		}
 	}
-	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no FramePreparer
+	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no PrepareAll
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := fd.PrepareAll(hs, sigma2); err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 		t.Fatal(err)
 	}
 	sigma2 := channel.Sigma2FromSNRdB(cfg.SNRdB, 1)
-	rep, _ := det.(ActivePathReporter)
+	rep, _ := det.(interface{ ActivePaths() int })
 	var acc accumulator
 	for pkt := 0; pkt < cfg.Packets; pkt++ {
 		var st packetStats
@@ -61,7 +61,7 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 				}
 				y := channel.AddAWGN(rng, h.MulVec(x), sigma2)
 				if cfg.Soft {
-					got, llrs := det.(SoftDetector).DetectSoft(y, sigma2)
+					got, llrs := det.(*core.FlexCore).DetectSoft(y, sigma2)
 					for u := range rx {
 						rx[u][s][k] = got[u]
 						copy(rxL[u][s][k*bps:(k+1)*bps], llrs[u])

@@ -13,14 +13,6 @@ import (
 	"flexcore/internal/ofdm"
 )
 
-// SoftDetector is implemented by detectors that can emit per-bit LLRs
-// alongside hard decisions (FlexCore's list-sphere soft output — the
-// paper's §7 extension). LLRs are positive when bit 0 is favoured.
-type SoftDetector interface {
-	detector.Detector
-	DetectSoft(y []complex128, sigma2 float64) (best []int, llrs [][]float64)
-}
-
 // SimConfig drives one link-level measurement.
 type SimConfig struct {
 	Link     LinkConfig
@@ -38,9 +30,9 @@ type SimConfig struct {
 	// by accumulating packets strictly in order, so it is identical for
 	// every worker count.
 	MaxPacketErrors int
-	// Soft enables soft-decision decoding: the detector must implement
-	// SoftDetector, and the receive chain feeds its LLRs to a soft
-	// Viterbi decoder instead of hard decisions.
+	// Soft enables soft-decision decoding: the detector must be FlexCore
+	// (FrameDetector.DetectFrameSoft), and the receive chain feeds its
+	// LLRs to a soft Viterbi decoder instead of hard decisions.
 	Soft bool
 	// EstErrorVar adds synthetic channel-estimation error: the detector
 	// is prepared on Ĥ = H + E with i.i.d. CN(0, EstErrorVar·σ²) entries
@@ -198,10 +190,7 @@ func runSerial(cfg *SimConfig, il *coding.Interleaver, sigma2 float64) (Result, 
 	if det == nil {
 		det = cfg.DetectorFactory()
 	}
-	w, err := newSimWorker(cfg, il, sigma2, det)
-	if err != nil {
-		return Result{}, err
-	}
+	w := newSimWorker(cfg, il, sigma2, det)
 	var acc accumulator
 	for pkt := 0; pkt < cfg.Packets; pkt++ {
 		st, err := w.simPacket(pkt)
@@ -224,11 +213,7 @@ func runSerial(cfg *SimConfig, il *coding.Interleaver, sigma2 float64) (Result, 
 func runParallel(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 float64) (Result, error) {
 	ws := make([]*simWorker, workers)
 	for i := range ws {
-		w, err := newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
-		if err != nil {
-			return Result{}, err
-		}
-		ws[i] = w
+		ws[i] = newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
 	}
 
 	type outcome struct {
@@ -304,7 +289,6 @@ type simWorker struct {
 	il     *coding.Interleaver
 	sigma2 float64
 	fd     *FrameDetector
-	soft   SoftDetector
 
 	tx   []txPacket
 	rx   [][][]int         // [user][ofdmSym][subcarrier]
@@ -313,22 +297,23 @@ type simWorker struct {
 	prep []*cmatrix.Matrix // [subcarrier] the channel the detector is prepared on
 	ys   [][][]complex128  // [subcarrier][ofdmSym] received vectors
 
-	burst func(k int) [][]complex128
-	emit  func(k int, got [][]int)
+	burst    func(k int) [][]complex128
+	emit     func(k int, got [][]int)
+	emitSoft func(k, s int, got []int, llrs [][]float64)
 }
 
-// newSimWorker allocates the worker buffers and validates the detector
-// against the configuration.
-func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det detector.Detector) (*simWorker, error) {
+// newSimWorker allocates the worker buffers.
+func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det detector.Detector) *simWorker {
 	link := cfg.Link
 	w := &simWorker{cfg: cfg, il: il, sigma2: sigma2, fd: NewFrameDetector(det)}
 	if cfg.Soft {
-		soft, ok := det.(SoftDetector)
-		if !ok {
-			return nil, fmt.Errorf("phy: detector %s cannot produce soft outputs", det.Name())
-		}
-		w.soft = soft
 		w.rxL = grid[float64](link.Users, link.OFDMSymbols, link.ncbps())
+		bps := link.Constellation.BitsPerSymbol()
+		w.emitSoft = func(k, s int, _ []int, llrs [][]float64) {
+			for u, l := range llrs {
+				copy(w.rxL[u][s][k*bps:(k+1)*bps], l)
+			}
+		}
 	}
 	w.tx = make([]txPacket, link.Users)
 	w.rx = grid[int](link.Users, link.OFDMSymbols, link.Subcarriers)
@@ -343,7 +328,7 @@ func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det de
 			}
 		}
 	}
-	return w, nil
+	return w
 }
 
 // simPacket runs one packet end to end: transmit chains, then per
@@ -389,7 +374,7 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 	sum0, n0 := w.fd.ActivePEs()
 	var err error
 	if cfg.Soft {
-		err = w.detectSoft()
+		err = w.fd.DetectFrameSoft(w.prep, w.sigma2, w.burst, w.emitSoft)
 	} else {
 		err = w.fd.DetectFrame(w.prep, w.sigma2, w.burst, w.emit)
 	}
@@ -417,29 +402,6 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 		st.payloadBits += int64(len(w.tx[u].payload))
 	}
 	return st, nil
-}
-
-// detectSoft detects the packet's frame one received vector at a time
-// through the soft-output detector, scattering hard decisions and LLRs:
-// the one soft-only loop beside DetectFrame (CI's frame-loop gate names it).
-func (w *simWorker) detectSoft() error {
-	bps := w.cfg.Link.Constellation.BitsPerSymbol()
-	if err := w.fd.PrepareAll(w.prep, w.sigma2); err != nil {
-		return err
-	}
-	for k := range w.prep {
-		if err := w.fd.Select(k); err != nil {
-			return err
-		}
-		for s, y := range w.ys[k] {
-			got, llrs := w.soft.DetectSoft(y, w.sigma2)
-			for u := range w.rx {
-				w.rx[u][s][k] = got[u]
-				copy(w.rxL[u][s][k*bps:(k+1)*bps], llrs[u])
-			}
-		}
-	}
-	return nil
 }
 
 // grid allocates an a×b×c slice of zero values.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -58,7 +57,7 @@ type Config struct {
 	// N_PE only relaxes the decision metric (the PR 2 monotonicity
 	// invariant), so a degraded frame is a coarser answer, never a
 	// corrupted one. A rung is a per-frame path cap on the worker's one
-	// detector (phy.PathCapper), so a degraded frame goes through the
+	// detector (FlexCore.SetPathCap), so a degraded frame goes through the
 	// user's cross-frame reuse state like any other and is bit-identical
 	// to offline detection at the rung's N_PE. Empty disables
 	// degradation. Entries must be positive, strictly decreasing and
@@ -238,7 +237,7 @@ func NewServer(cfg Config) (*Server, error) {
 			users:    make(map[uint64]*userState),
 		}
 		if len(cfg.DegradeLadder) > 0 && !sh.fd.SetPathCap(0) {
-			return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (phy.PathCapper); %s has none", sh.fd.Detector().Name())
+			return nil, fmt.Errorf("serve: Config.DegradeLadder needs detectors with a per-frame path cap (FlexCore.SetPathCap); %s has none", sh.fd.Detector().Name())
 		}
 		s.shards[i] = sh
 	}
@@ -249,18 +248,14 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// shardIndex maps a user ID to its shard: a SplitMix64 finalizer
-// reduced modulo the shard count — uniform, stable across restarts
+// shardIndex maps a user ID to its shard: one SplitMix64 step from the
+// ID reduced modulo the shard count — uniform, stable across restarts
 // and independent of Go's per-process map hashing, so routing is
 // consistent for every server instance.
 //
 //flexcore:noalloc
 func shardIndex(userID uint64, shards int) int {
-	z := userID + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(shards))
+	return int(splitmix(&userID) % uint64(shards))
 }
 
 // runWorker is the shard's one worker: it takes every admitted frame
@@ -692,43 +687,21 @@ func (c *serverConn) reject(s *Server, frameID uint64, st Status) {
 // while waiting for the next header (the idle-connection reaper, which
 // also bounds a stalled partial header) and ReadTimeout for the
 // payload once a header has arrived (the slow-loris guard — a peer
-// that trickles a frame cannot pin the goroutine past it). It mirrors
-// wire.ReadFrame's buffer reuse and error contract, except that a
-// deadline expiry surfaces as the transport's timeout error so the
-// caller can classify it apart from peer framing faults.
+// that trickles a frame cannot pin the goroutine past it). It is
+// ReadFrame's two steps with those deadlines armed between them, so a
+// deadline expiry surfaces as the transport's timeout error, which the
+// caller classifies apart from peer framing faults.
 func (s *Server) readRequest(c *serverConn, buf []byte) (typ MsgType, payload, bufOut []byte, err error) {
-	if cap(buf) < headerSize {
-		buf = make([]byte, headerSize)
-	}
 	c.armRead(s.cfg.IdleTimeout)
-	if _, err := io.ReadFull(c.br, buf[:headerSize]); err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, io.EOF
-		}
-		if isTimeout(err) {
-			return 0, nil, buf, err
-		}
-		return 0, nil, buf, ErrTruncated
+	typ, n, crc, buf, err := readHeader(c.br, buf)
+	if err == nil {
+		c.armRead(s.cfg.ReadTimeout)
+		buf, err = readPayload(c.br, buf, n, crc)
 	}
-	typ, n, crc, err := parseHeader(buf[:headerSize])
 	if err != nil {
 		return 0, nil, buf, err
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	c.armRead(s.cfg.ReadTimeout)
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		if isTimeout(err) {
-			return 0, nil, buf, err
-		}
-		return 0, nil, buf, ErrTruncated
-	}
 	c.armRead(0)
-	if crc32.ChecksumIEEE(buf) != crc {
-		return 0, nil, buf, ErrChecksum
-	}
 	return typ, buf, buf, nil
 }
 

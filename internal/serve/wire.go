@@ -163,36 +163,59 @@ func DecodeFrame(b []byte) (typ MsgType, payload, rest []byte, err error) {
 // (grown only when a frame exceeds every earlier one). It returns the
 // payload (aliasing the returned buffer, valid until the next call
 // that reuses it) and the buffer itself for reuse. A clean EOF at a
-// frame boundary returns io.EOF; a stream ending mid-frame returns
-// ErrTruncated.
+// frame boundary returns io.EOF, a read-deadline expiry the transport's
+// timeout error, and a stream ending mid-frame ErrTruncated.
 //
 //flexcore:noalloc
 func ReadFrame(r io.Reader, buf []byte) (typ MsgType, payload, bufOut []byte, err error) {
-	// The header is read into the reusable buffer too (and overwritten
-	// by the payload once parsed): a stack-local header array would
-	// escape through the io.Reader interface and allocate per call.
-	if cap(buf) < headerSize {
-		buf = make([]byte, headerSize) //lint:ignore noalloc amortised: the connection reuses buf, which regrows only past its high-water mark
+	typ, n, crc, buf, err := readHeader(r, buf)
+	if err == nil {
+		buf, err = readPayload(r, buf, n, crc)
 	}
-	if _, err := io.ReadFull(r, buf[:headerSize]); err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, io.EOF
-		}
-		return 0, nil, buf, ErrTruncated
-	}
-	typ, n, crc, err := parseHeader(buf[:headerSize])
 	if err != nil {
 		return 0, nil, buf, err
 	}
+	return typ, buf, buf, nil
+}
+
+// readHeader reads one frame header into buf — a stack-local array
+// would escape through the io.Reader and allocate — and parses it.
+//
+//flexcore:noalloc
+func readHeader(r io.Reader, buf []byte) (typ MsgType, n int, crc uint32, bufOut []byte, err error) {
+	if buf, err = readFull(r, buf, headerSize, io.EOF); err == nil {
+		typ, n, crc, err = parseHeader(buf)
+	}
+	return typ, n, crc, buf, err
+}
+
+// readPayload reads the n-byte payload a header announced into buf and
+// checks it against the header's CRC.
+//
+//flexcore:noalloc
+func readPayload(r io.Reader, buf []byte, n int, crc uint32) ([]byte, error) {
+	buf, err := readFull(r, buf, n, ErrTruncated)
+	if err == nil && crc32.ChecksumIEEE(buf) != crc {
+		err = ErrChecksum
+	}
+	return buf, err
+}
+
+// readFull reads n bytes from r into buf, grown only past its
+// high-water mark. A deadline expiry comes back as is, a stream ending
+// before the first byte as eof, and any other failure as ErrTruncated.
+//
+//flexcore:noalloc
+func readFull(r io.Reader, buf []byte, n int, eof error) ([]byte, error) {
 	if cap(buf) < n {
 		buf = make([]byte, n) //lint:ignore noalloc amortised: the connection reuses buf, which regrows only past its high-water mark
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, ErrTruncated
+	_, err := io.ReadFull(r, buf)
+	if err == io.EOF {
+		err = eof
+	} else if err != nil && !isTimeout(err) {
+		err = ErrTruncated
 	}
-	if crc32.ChecksumIEEE(buf) != crc {
-		return 0, nil, buf, ErrChecksum
-	}
-	return typ, buf, buf, nil
+	return buf, err
 }

@@ -414,3 +414,20 @@ func TestShardIndexStableAndInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestShardIndexPinned pins user→shard routing to recorded values:
+// routing decides which users share a shard, so it must not drift.
+func TestShardIndexPinned(t *testing.T) {
+	for _, c := range []struct {
+		user          uint64
+		shards, shard int
+	}{
+		{0, 2, 1}, {1, 2, 1}, {7, 4, 3}, {42, 4, 1}, {1000, 8, 0},
+		{123456789, 13, 1}, {1 << 40, 3, 0}, {^uint64(0), 16, 0},
+		{0xdeadbeef, 5, 2}, {31, 64, 42},
+	} {
+		if got := shardIndex(c.user, c.shards); got != c.shard {
+			t.Errorf("shardIndex(%d, %d) = %d, want %d", c.user, c.shards, got, c.shard)
+		}
+	}
+}
