@@ -131,8 +131,10 @@ func TestWorkersOptionStartsNoGoroutines(t *testing.T) {
 		before := runtime.NumGoroutine()
 		fc := New(cons, Options{NPE: 24, Backend: backend, Workers: 4})
 		got := run(fc)
-		if n := runtime.NumGoroutine(); n != before {
-			t.Fatalf("%v: Workers: 4 changed the goroutine count %d → %d", backend, before, n)
+		// Only a rise counts: a goroutine an earlier test finished with may
+		// still be exiting (wg.Done runs before its goroutine ends).
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%v: Workers: 4 raised the goroutine count %d → %d", backend, before, n)
 		}
 		fc.Close()
 		again := run(fc)

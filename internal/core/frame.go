@@ -121,10 +121,11 @@ func (st *ReuseState) grow(n int) {
 }
 
 // prepSlot is one subcarrier's prepared channel state inside a frame:
-// its QR factors, per-level model, and selected path set — the slot's
-// own store (a search with no reuse state behind it, or a larger base's
-// prefix under a path cap), the reuse state's (a hit on it or a search
-// into it) or another slot's (a within-frame hit).
+// its QR factors, the per-level model its last search read (a hit
+// builds none), and selected path set — the slot's own store (a search
+// with no reuse state behind it, or a larger base's prefix under a path
+// cap), the reuse state's (a hit on it or a search into it) or another
+// slot's (a within-frame hit).
 type prepSlot struct {
 	qr    cmatrix.QRResult
 	model Model
@@ -134,12 +135,12 @@ type prepSlot struct {
 
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
 // geometry, same noise variance) in one call, one pass in subcarrier
-// order: the sorted QR and model, then — with Options.PathReuse — the
-// coherence test, then the pre-processing tree search or the alias that
-// replaces it. A subcarrier within ReuseThreshold of the last
-// fresh-prepared one aliases its position vectors instead of searching
-// again (adjacent subcarriers inside the coherence bandwidth — the
-// dominant OFDM case).
+// order: the sorted QR, then — with Options.PathReuse — the coherence
+// test, then the per-level model and the pre-processing tree search, or
+// the alias that replaces both. A subcarrier within ReuseThreshold of
+// the last fresh-prepared one aliases its position vectors instead of
+// searching again (adjacent subcarriers inside the coherence bandwidth —
+// the dominant OFDM case).
 //
 // With a ReuseState installed (SetReuseState), the coherence test also
 // spans frames: each subcarrier first tries the previous frame's base
@@ -192,7 +193,6 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 	for k := range d.frame {
 		s := &d.frame[k]
 		d.qrws.SortedQRInto(hs[k], d.opts.Ordering, &s.qr)
-		NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
 
 		var own *reuseCache // the subcarrier's cross-frame base
 		dst := &s.own       // where a search emits: in place into that base when there is one
@@ -229,6 +229,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		default:
 			base = k
 			s.set = dst
+			NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
 			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst, d.useSoA())
 			d.ppOps.RealMuls += stats.RealMuls
 			d.ppOps.Expanded += stats.Expanded

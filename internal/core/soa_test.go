@@ -338,9 +338,9 @@ func TestParseBackend(t *testing.T) {
 
 // visitedPerVector detects `vectors` noisy vectors on each of `channels`
 // seeded Rayleigh draws and returns the mean per vector of
-// Scratch.Visited — the nodes the bounded descent sliced — and of
-// Plan.Nodes, the trie's distinct nodes.
-func visitedPerVector(t *testing.T, qam, nt, npe int, sigma2 float64, channels, vectors int) (visited, nodes float64) {
+// Scratch.Visited — the nodes the bounded descent sliced — of Plan.Nodes,
+// the trie's distinct nodes, and of Scratch.Chains, the chains it sliced.
+func visitedPerVector(t *testing.T, qam, nt, npe int, sigma2 float64, channels, vectors int) (visited, nodes, chains float64) {
 	t.Helper()
 	cons := constellation.MustNew(qam)
 	fc := New(cons, Options{NPE: npe, Backend: BackendSoA32})
@@ -352,20 +352,20 @@ func visitedPerVector(t *testing.T, qam, nt, npe int, sigma2 float64, channels, 
 		}
 		for v := 0; v < vectors; v++ {
 			fc.Detect(transmit(rng, h, cons, randSymbols(rng, cons, nt), sigma2))
-			visited += float64(fc.soa.scratch.Visited)
+			visited, chains = visited+float64(fc.soa.scratch.Visited), chains+float64(fc.soa.scratch.Chains)
 			nodes += float64(fc.soa.prep.Plan.Nodes())
 		}
 	}
 	n := float64(channels * vectors)
-	return visited / n, nodes / n
+	return visited / n, nodes / n, chains / n
 }
 
 // TestBoundedDescentVisitedShare counts the work the running bound
-// saves, at the two benchmark geometries: the depth-first descent slices
-// about a fifth of the paper-geometry trie (`frame-detect`) and about a
-// seventh of the shallow one (`serve-static`); an unbounded walk slices
-// every node. The logged sweep is EXPERIMENTS.md's table: pruning fades
-// as SNR falls, because the best leaf's distance grows with the noise.
+// saves at the two benchmark geometries — the descent slices about a
+// fifth of the paper-geometry trie (`frame-detect`), a seventh of the
+// shallow one (`serve-static`) — and the work the sibling chains save on
+// the shallow one. The logged sweep is EXPERIMENTS.md's table: pruning
+// fades as SNR falls, because the best leaf's distance grows with noise.
 func TestBoundedDescentVisitedShare(t *testing.T) {
 	for _, g := range []struct {
 		name         string
@@ -375,15 +375,22 @@ func TestBoundedDescentVisitedShare(t *testing.T) {
 		{"12x12 64-QAM N_PE=128 16 dB", 64, 12, 128, channel.Sigma2FromSNRdB(16, 1), 0.25},
 		{"4x4 16-QAM N_PE=512 sigma2=0.05", 16, 4, 512, 0.05, 0.18},
 	} {
-		visited, nodes := visitedPerVector(t, g.qam, g.nt, g.npe, g.sigma2, 40, 4)
+		visited, nodes, _ := visitedPerVector(t, g.qam, g.nt, g.npe, g.sigma2, 40, 4)
 		t.Logf("visited share %s: %.3f (%.0f of %.0f nodes per vector)", g.name, visited/nodes, visited, nodes)
 		if visited > g.max*nodes {
 			t.Errorf("%s: descent sliced %.3f of the trie's nodes, want ≤ %.2f", g.name, visited/nodes, g.max)
 		}
 	}
 	for _, db := range []float64{6, 10, 16, 21.6} {
-		visited, nodes := visitedPerVector(t, 64, 12, 128, channel.Sigma2FromSNRdB(db, 1), 40, 4)
+		visited, nodes, _ := visitedPerVector(t, 64, 12, 128, channel.Sigma2FromSNRdB(db, 1), 40, 4)
 		t.Logf("visited share 12x12 64-QAM N_PE=128 %.1f dB: %.3f (%.0f of %.0f nodes per vector)", db, visited/nodes, visited, nodes)
+	}
+	// The sibling share: the visited nodes that reuse the row half of the
+	// slicer step their chain's first one computed (DESIGN.md §11.2).
+	visited, _, chains := visitedPerVector(t, 16, 4, 512, 0.05, 40, 4)
+	t.Logf("sibling share 4x4 16-QAM N_PE=512 sigma2=0.05: %.3f (%.1f chains for %.0f visited nodes per vector)", 1-chains/visited, chains, visited)
+	if 1-chains/visited < 0.75 {
+		t.Errorf("4x4 16-QAM N_PE=512: sibling share %.3f, want ≥ 0.75", 1-chains/visited)
 	}
 }
 

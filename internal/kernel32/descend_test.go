@@ -164,26 +164,37 @@ func poisonPed(pr *Prep, s *Scratch) {
 // and not beyond b0, lane 0's distance — a node that a walk bounded by
 // lane 0 alone slices too — and there are no more of them than Visited.
 // (A deactivated leaf reads +Inf either way and is not told apart.)
+// Chains lies between the chains those nodes hang in and the chains
+// under the root and under every sliced inner node within b0.
 func checkWork(t *testing.T, pl *Plan, s *Scratch, b0 float32) {
 	t.Helper()
-	sliced := 0
+	sliced, chains, steps := 0, 1, 1 // the root's chain
 	for d := 1; d <= pl.N; d++ {
+		under := map[int32]bool{}
 		for g := pl.start[d]; g < pl.start[d+1]; g++ {
 			v := s.Ped[g]
 			if math.IsNaN(float64(v)) || d == pl.N && math.IsInf(float64(v), 1) {
 				continue
 			}
 			sliced++
+			if d < pl.N && v <= b0 {
+				steps++
+			}
 			if d == 1 {
 				continue
 			}
+			under[pl.nodes[g].parent] = true
 			if pp := s.Ped[pl.start[d-1]+pl.nodes[g].parent]; !(pp < inf32) || pp > b0 {
 				t.Fatalf("depth %d node %d sliced under a parent at %v; lane 0's distance is %v", d, g-pl.start[d], pp, b0)
 			}
 		}
+		chains += len(under)
 	}
 	if sliced > s.Visited {
 		t.Fatalf("%d nodes read as sliced, Visited says %d", sliced, s.Visited)
+	}
+	if s.Chains < chains || s.Chains > steps {
+		t.Fatalf("Chains says %d; the sliced nodes hang in %d chains and at most %d were stepped into", s.Chains, chains, steps)
 	}
 }
 
@@ -371,8 +382,8 @@ func TestDescendBoundLane(t *testing.T) {
 			t.Errorf("strict=%v range [3,%d): lane %d ped %v, want lane 5 ped %v", strict, P, lane, ped, want[5])
 		}
 		for _, lo := range []int{0, P / 2, P} {
-			if lane, ped := Descend(&pr, sl, &s, lo, lo, strict); lane != -1 || !math.IsInf(float64(ped), 1) || s.Visited != 0 {
-				t.Errorf("strict=%v empty range [%d,%d): lane %d ped %v visited %d, want -1 +Inf 0", strict, lo, lo, lane, ped, s.Visited)
+			if lane, ped := Descend(&pr, sl, &s, lo, lo, strict); lane != -1 || !math.IsInf(float64(ped), 1) || s.Visited != 0 || s.Chains != 0 {
+				t.Errorf("strict=%v empty range [%d,%d): lane %d ped %v visited %d chains %d, want -1 +Inf 0 0", strict, lo, lo, lane, ped, s.Visited, s.Chains)
 			}
 		}
 		if !strict {

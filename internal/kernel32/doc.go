@@ -15,14 +15,14 @@
 //	         next-sibling links — built once per path search by a
 //	         Compiler and shared read-only from then on
 //	Scratch  per descent: ȳ, the per-node distances and decisions, and
-//	         the walk's stack: one node, one partial distance and one
-//	         cancellation row-vector per depth
+//	         the walk's stack: per depth one node, its partial distance,
+//	         its children's shared slicer row and its cancellation rows
 //
 // One Descend call walks the trie depth first and decides each distinct
-// node at most once — a branch-free integer slicer step, then, before
-// stepping into the node's children, the decided symbol is cancelled
-// out of every lower row in push form so they read their observation
-// directly — and skips every subtree whose partial distance already
+// node at most once — the rank half of a branch-free integer slicer
+// step; stepping into its children, the walk cancels the decided symbol
+// out of every lower row in push form and slices their shared row half
+// once — and skips every subtree whose partial distance already
 // exceeds the best leaf completed so far.
 //
 // Numerics: float32 arithmetic makes distances (not decisions) the

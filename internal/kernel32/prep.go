@@ -112,9 +112,9 @@ type Scratch struct {
 	// always decided.
 	Ped []float32 // accumulated partial Euclidean distance
 	Idx []int32   // decided symbol index
-	// Visited counts the nodes the last descent sliced; Plan.Nodes is
-	// what an unbounded walk slices.
-	Visited int
+	// Visited counts the nodes the last descent sliced (Plan.Nodes is
+	// what an unbounded walk slices), Chains the sibling chains it sliced.
+	Visited, Chains int
 
 	// The walk's stack: per depth, the node on the current path, and per
 	// depth t < N its cancellation rows at u[t*N:] — row l < N−t holds
@@ -124,10 +124,16 @@ type Scratch struct {
 	plan  *Plan // plan of the last descent, for GatherIdx
 }
 
-// cursor is one depth of the walk's current path.
+// cursor is one depth of the walk's current path: the node and, set as
+// the walk steps below it, the row half its children's slicer steps share.
 type cursor struct {
-	at  int32   // the node's position within its depth
-	ped float32 // its partial distance
+	at     int32   // the node's position within its depth
+	ped    float32 // its partial distance
+	b      c32     // the children's observation, and their level's
+	rii    float32 // diagonal entry of R
+	bx, by int32   // the nearest square's centre, plus side−1
+	sx, sy int32   // −1 where the offset from that centre is negative
+	swap2  int32   // 2 when |dy| > |dx|: the offset table's swapped pair
 }
 
 // Ensure sizes the ȳ vector and the walk's stack for n levels; the node

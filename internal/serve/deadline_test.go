@@ -54,7 +54,9 @@ func TestDeadlineShedsStaleQueuedFrames(t *testing.T) {
 	responses := recvAll(cl)
 
 	// Frame 1 (no deadline) parks the worker inside Detect; frames 2..4
-	// carry a 1µs budget and age out while queued behind it.
+	// carry a budget no admission plausibly blows, even under the race
+	// detector on a loaded host, and age out while queued behind it.
+	const budget = 50 * time.Millisecond
 	var q DetectRequest
 	tinyFrame(t, &q, 1)
 	q.DeadlineMicros = 0
@@ -64,12 +66,15 @@ func TestDeadlineShedsStaleQueuedFrames(t *testing.T) {
 	<-slow.started
 	for id := uint64(2); id <= 4; id++ {
 		tinyFrame(t, &q, id)
-		q.DeadlineMicros = 1
+		q.DeadlineMicros = uint64(budget / time.Microsecond)
 		if err := cl.Send(&q); err != nil {
 			t.Fatalf("send %d: %v", id, err)
 		}
 	}
 	waitFor(t, "backlog admission", func() bool { return srv.Metrics().Accepted == 4 })
+	// Every queued frame arrived before this point: past one more budget,
+	// all three are stale when the worker dequeues them.
+	time.Sleep(budget + time.Millisecond)
 	close(slow.gate)
 
 	got := map[uint64]Status{}
