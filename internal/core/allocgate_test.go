@@ -205,9 +205,9 @@ func TestPrepareAllRegrowThenSettle(t *testing.T) {
 	if err := fc.PrepareAll(wide[:48], 0.05); err != nil {
 		t.Fatal(err)
 	}
-	arena := make([]*int, 48)
+	arena := make([]*float64, 48)
 	for k := range arena {
-		arena[k] = &fc.frame[k].own.ranks[0]
+		arena[k] = &fc.frame[k].own.logP[0]
 	}
 	for _, n := range []int{8, 64} {
 		if err := fc.PrepareAll(wide[:n], 0.05); err != nil {
@@ -215,7 +215,7 @@ func TestPrepareAllRegrowThenSettle(t *testing.T) {
 		}
 	}
 	for k := range arena {
-		if &fc.frame[k].own.ranks[0] != arena[k] {
+		if &fc.frame[k].own.logP[0] != arena[k] {
 			t.Fatalf("slot %d lost its grown arena in the 48 → 8 → 64 regrow", k)
 		}
 	}
@@ -328,26 +328,33 @@ func TestPathCapSteadyStateAllocFree(t *testing.T) {
 // policy: one finder and one store serving searches of two shapes in
 // turn — a shard worker with users of two geometries — must settle at
 // the high-water mark of each arena instead of reallocating whenever the
-// level count changes.
+// level count changes, with and without the rank view materialised
+// after each search.
 func TestFinderAlternatingGeometryAllocFree(t *testing.T) {
 	small := testModel(t, 16, []float64{0.9, 1.2, 0.7, 1.5}, 12)
 	big := testModel(t, 64, []float64{0.5, 1.0, 1.5, 0.8, 1.2, 0.9, 1.1, 0.6}, 18)
-	for _, plan := range []bool{false, true} {
+	for _, view := range []bool{false, true} {
 		var f pathFinder
 		var dst pathStore
-		f.find(small, 96, 0, &dst, plan)
-		f.find(big, 40, 0, &dst, plan)
+		search := func(m *Model, nPE int) {
+			f.find(m, nPE, 0, &dst)
+			if view {
+				dst.view()
+			}
+		}
+		search(small, 96)
+		search(big, 40)
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
 			i++
 			if i%2 == 0 {
-				f.find(small, 96, 0, &dst, plan)
+				search(small, 96)
 			} else {
-				f.find(big, 40, 0, &dst, plan)
+				search(big, 40)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("alternating 4- and 8-level searches (plan=%v): %.1f allocs/op after warm-up, want 0", plan, allocs)
+			t.Errorf("alternating 4- and 8-level searches (view=%v): %.1f allocs/op after warm-up, want 0", view, allocs)
 		}
 	}
 }

@@ -208,7 +208,10 @@ func fuzzModel(data []byte) (m *Model, nPE int, thr float64) {
 }
 
 // FuzzFindPaths drives the merge against the specification on arbitrary
-// models; see fuzzModel for the encoding.
+// models (see fuzzModel for the encoding), and pins the plan the search
+// writes to the one kernel32's Compile builds from the returned rank
+// plane — slots, tops, owners above them and node count — and so every
+// lane prefix of it (samePlans).
 func FuzzFindPaths(f *testing.F) {
 	f.Add([]byte{2, 3, 128, 0, 0, 200, 180, 160, 140})          // generic 16-QAM, 4 levels
 	f.Add([]byte{2, 5, 255, 1, 0, 1, 1, 1, 1, 1, 1})            // all levels equal: ties everywhere
@@ -219,16 +222,19 @@ func FuzzFindPaths(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, nPE, thr := fuzzModel(data)
 		want, ws := specFindPaths(m, nPE, thr)
-		got, gs := FindPaths(m, nPE, thr)
-		sameSearch(t, "fuzz", got, want, gs, ws)
+		var f pathFinder
+		var dst pathStore
+		gs := f.find(m, nPE, thr, &dst)
+		sameSearch(t, "fuzz", dst.view(), want, gs, ws)
+		samePlans(t, "fuzz", &dst.plan, dst.view())
 	})
 }
 
 // TestFindPathsHostileModels feeds the finder models no valid channel
 // produces — NaN and ±Inf log-probabilities, as a NaN or zero R diagonal
-// would give an unclamped model — with and without the plan build. The
-// emission order is then meaningless; the contract is only that the
-// search terminates with at least the root and in-range ranks.
+// would give an unclamped model. The emission order is then
+// meaningless; the contract is only that the search terminates with at
+// least the root and in-range ranks, one plan lane per path.
 func TestFindPathsHostileModels(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -243,28 +249,27 @@ func TestFindPathsHostileModels(t *testing.T) {
 		{"positive", []float64{3, 2, 1}},
 	} {
 		for _, thr := range []float64{0, 0.9} {
-			for _, plan := range []bool{false, true} {
-				m := &Model{M: 4, Pe: make([]float64, len(tc.logPe)), logPe: tc.logPe, log1mPe: make([]float64, len(tc.logPe))}
-				for i, l := range tc.logPe {
-					m.Pe[i] = math.Exp(l)
-					m.log1mPe[i] = math.Log1p(-m.Pe[i])
-				}
-				var f pathFinder
-				var dst pathStore
-				f.find(m, 100, thr, &dst, plan)
-				if len(dst.paths) < 1 || len(dst.paths) > 100 {
-					t.Fatalf("%s thr=%g plan=%v: %d paths", tc.name, thr, plan, len(dst.paths))
-				}
-				for _, p := range dst.paths {
-					for _, r := range p.Ranks {
-						if r < 1 || r > m.M {
-							t.Fatalf("%s: rank vector %v out of range", tc.name, p.Ranks)
-						}
+			m := &Model{M: 4, Pe: make([]float64, len(tc.logPe)), logPe: tc.logPe, log1mPe: make([]float64, len(tc.logPe))}
+			for i, l := range tc.logPe {
+				m.Pe[i] = math.Exp(l)
+				m.log1mPe[i] = math.Log1p(-m.Pe[i])
+			}
+			var f pathFinder
+			var dst pathStore
+			f.find(m, 100, thr, &dst)
+			paths := dst.view()
+			if len(paths) < 1 || len(paths) > 100 {
+				t.Fatalf("%s thr=%g: %d paths", tc.name, thr, len(paths))
+			}
+			for _, p := range paths {
+				for _, r := range p.Ranks {
+					if r < 1 || r > m.M {
+						t.Fatalf("%s: rank vector %v out of range", tc.name, p.Ranks)
 					}
 				}
-				if plan && dst.plan.P != len(dst.paths) {
-					t.Fatalf("%s: plan has %d lanes for %d paths", tc.name, dst.plan.P, len(dst.paths))
-				}
+			}
+			if dst.plan.P != len(paths) {
+				t.Fatalf("%s: plan has %d lanes for %d paths", tc.name, dst.plan.P, len(paths))
 			}
 		}
 	}

@@ -86,7 +86,7 @@ type FlexCore struct {
 	npe  int // path bound of the next Prepare/PrepareAll: opts.NPE, or the SetPathCap below it
 
 	qr     *cmatrix.QRResult
-	paths  []Path
+	set    *pathStore // the selected subcarrier's path set
 	n      int
 	ops    detector.OpCount
 	ppOps  PreprocessStats
@@ -131,7 +131,7 @@ func New(cons *constellation.Constellation, opts Options) *FlexCore {
 	if opts.Ordering == 0 {
 		opts.Ordering = cmatrix.OrderSQRD
 	}
-	return &FlexCore{cons: cons, opts: opts, npe: opts.NPE}
+	return &FlexCore{cons: cons, opts: opts, npe: opts.NPE, set: new(pathStore)}
 }
 
 // Name implements detector.Detector.
@@ -217,10 +217,13 @@ func (d *FlexCore) SetPathCap(k int) {
 
 // ActivePaths returns the number of processing elements activated for the
 // current channel (< NPE only for a-FlexCore).
-func (d *FlexCore) ActivePaths() int { return len(d.paths) }
+//
+//flexcore:noalloc
+func (d *FlexCore) ActivePaths() int { return len(d.set.logP) }
 
-// Paths returns the selected position vectors (descending Pc).
-func (d *FlexCore) Paths() []Path { return d.paths }
+// Paths returns the selected position vectors (descending Pc), valid
+// until the next Prepare/PrepareAll call.
+func (d *FlexCore) Paths() []Path { return d.set.view() }
 
 // PreprocessStats returns cumulative pre-processing work counters.
 func (d *FlexCore) PreprocessStats() PreprocessStats { return d.ppOps }
@@ -302,10 +305,11 @@ func (d *FlexCore) countDetections(vectors, ylen int) {
 	d.ops.Detections += int64(vectors)
 	// ȳ rotation plus per-path cost: Σ_i [4(n−1−i) + 4 + 2] real muls.
 	perPath := int64(2*d.n*(d.n-1) + 6*d.n)
-	muls := (int64(4*ylen*d.n) + perPath*int64(len(d.paths))) * int64(vectors)
+	P := int64(d.ActivePaths())
+	muls := (int64(4*ylen*d.n) + perPath*P) * int64(vectors)
 	d.ops.RealMuls += muls
 	d.ops.FLOPs += 2 * muls
-	d.ops.Nodes += int64(len(d.paths)*d.n) * int64(vectors)
+	d.ops.Nodes += P * int64(d.n) * int64(vectors)
 }
 
 // Detect implements detector.Detector: it evaluates every selected path
@@ -378,7 +382,7 @@ func (d *FlexCore) detectOne(y []complex128, out []int) {
 	yb := d.qr.YbarInto(y, d.ybar)
 	bestPed := math.Inf(1)
 	found := false
-	for _, p := range d.paths {
+	for _, p := range d.set.view() {
 		ped, ok := d.evalPath(yb, p.Ranks, idx, sym, bestPed)
 		if ok && ped < bestPed {
 			bestPed, found = ped, true

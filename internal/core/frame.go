@@ -85,11 +85,11 @@ func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
 // prepared against, by any detector, or Reset. A ReuseState must be
 // installed on at most one detector at a time, and hand-offs between
 // detectors must be externally synchronized (the serving layer's
-// per-user FIFO sequencing provides both). Its bases carry the storing
-// detector's backend state (the SoA descent plan), so it moves only
-// between detectors of one Options.Backend. The zero value is ready to
-// use; all storage is state-owned and regrows only past its high-water
-// mark.
+// per-user FIFO sequencing provides both). A base holds its path set as
+// the descent plan the search wrote, whatever the storing detector's
+// backend, so a state moves between detectors of either Options.Backend.
+// The zero value is ready to use; all storage is state-owned and regrows
+// only past its high-water mark.
 type ReuseState struct {
 	slots []reuseCache
 }
@@ -215,7 +215,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 			// Alias the base — or, under a path cap below its size, copy its
 			// first paths: the base stays whole for the uncapped frames after.
 			s.set = dst
-			if d.npe < len(dst.paths) {
+			if d.npe < dst.count() {
 				s.own.copyFrom(dst, d.npe)
 				s.set = &s.own
 			}
@@ -223,14 +223,14 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		case chainHit:
 			s.set = d.frame[base].set
 			if own != nil {
-				own.copyFrom(s.set, len(s.set.paths))
+				own.copyFrom(s.set, s.set.count())
 			}
 			d.ppOps.CacheHits++
 		default:
 			base = k
 			s.set = dst
 			NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
-			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst, d.useSoA())
+			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst)
 			d.ppOps.RealMuls += stats.RealMuls
 			d.ppOps.Expanded += stats.Expanded
 			if reuse {
@@ -248,7 +248,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		d.ops.RealMuls += muls
 		d.ops.FLOPs += 2 * muls
 	}
-	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.cum
+	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.total()
 	return nil
 }
 
@@ -288,9 +288,9 @@ func (d *FlexCore) Select(k int) error {
 	}
 	s := &d.frame[k]
 	d.qr = &s.qr
-	d.paths = s.set.paths
+	d.set = s.set
 	d.soa.prep.Plan = &s.set.plan
-	d.ppOps.CumulativeProb = s.set.cum
+	d.ppOps.CumulativeProb = s.set.total()
 	d.soa.dirty = true
 	return nil
 }

@@ -26,7 +26,7 @@ func (b capBase) covers(k int) bool { return b.limit >= k || b.paths < b.limit }
 // ReuseState, a sequence of caps and channels — and after every Prepare
 // the detector is indistinguishable from a fresh one built with
 // Options.NPE = the cap: the same paths, the same descent plan, the same
-// decisions and operation counts, the same Σ Pc to rounding. On top of
+// decisions and operation counts, the same Σ Pc bit for bit. On top of
 // that the reuse counters follow the coverage rule exactly: a base
 // selected under a larger bound serves a cap by prefix, a base cut
 // shorter than the cap does not, and a base that stopped on the
@@ -139,7 +139,7 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 			found := len(fresh.Paths())
 			fs := fresh.ppOps
 			if frame {
-				found = len(fresh.frame[k].set.paths)
+				found = fresh.frame[k].set.count()
 				_, fs = FindPaths(&fresh.frame[k].model, eff, theta)
 			}
 			expanded += fs.Expanded
@@ -187,7 +187,7 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 			if g, w := det.soa.prep.Plan.Nodes(), fresh.soa.prep.Plan.Nodes(); g != w {
 				t.Fatalf("step %d %+v subcarrier %d: plan of %d nodes, fresh N_PE=%d plan has %d", i, s, k, g, eff, w)
 			}
-			if g, w := det.PreprocessStats().CumulativeProb, fresh.PreprocessStats().CumulativeProb; math.Abs(g-w) > 1e-12 {
+			if g, w := det.PreprocessStats().CumulativeProb, fresh.PreprocessStats().CumulativeProb; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("step %d %+v subcarrier %d: Σ Pc %.15f, fresh search %.15f", i, s, k, g, w)
 			}
 			d0, f0 := det.OpCount(), fresh.OpCount()
@@ -233,13 +233,13 @@ func TestCappedHitCopiesOnlyThePrefix(t *testing.T) {
 			}
 			for sc := range hs {
 				s, base := &fc.frame[sc], &st.slots[sc].pathStore
-				if len(base.paths) != npe || base.limit != npe {
-					t.Fatalf("%s frame %d: base %d holds %d paths under bound %d, want the whole %d", bb.name, i, sc, len(base.paths), base.limit, npe)
+				if base.count() != npe || base.limit != npe {
+					t.Fatalf("%s frame %d: base %d holds %d paths under bound %d, want the whole %d", bb.name, i, sc, base.count(), base.limit, npe)
 				}
 				if k == 0 && s.set != base {
 					t.Fatalf("%s frame %d: uncapped subcarrier %d does not select the base in place", bb.name, i, sc)
 				}
-				if k != 0 && (s.set != &s.own || len(s.own.paths) != capped || !samePaths(s.own.paths, base.paths[:capped])) {
+				if k != 0 && (s.set != &s.own || s.own.count() != capped || !samePaths(s.own.view(), base.view()[:capped])) {
 					t.Fatalf("%s frame %d: capped subcarrier %d does not hold a copy of the base's first %d paths", bb.name, i, sc, capped)
 				}
 			}

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"flexcore/internal/channel"
+	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
 	"flexcore/internal/kernel32"
 )
@@ -22,8 +23,8 @@ func compilePaths(comp *kernel32.Compiler, pl *kernel32.Plan, paths []Path, k in
 	comp.Compile(pl)
 }
 
-// samePlans fails unless the finder-built plan of paths is, node for
-// node and link for link, the plan Compile builds from their rank
+// samePlans fails unless the finder-built plan of paths is, slot for
+// slot and link for link, the plan Compile builds from their rank
 // plane, and so is its prefix of the first k lanes for a few k.
 func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 	t.Helper()
@@ -31,7 +32,7 @@ func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 	var want, prefix kernel32.Plan
 	P := len(paths)
 	compilePaths(&comp, &want, paths, P)
-	if !reflect.DeepEqual(*plan, want) {
+	if !plan.Equal(&want) || plan.Nodes() != want.Nodes() {
 		t.Fatalf("%s: finder-built plan of %d paths differs from the compiled one:\n got %+v\nwant %+v", what, P, *plan, want)
 	}
 	for _, k := range []int{1, P / 3, P - 1} {
@@ -40,15 +41,15 @@ func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 		}
 		compilePaths(&comp, &want, paths, k)
 		prefix.CopyPrefix(plan, k)
-		if !reflect.DeepEqual(prefix, want) {
+		if !prefix.Equal(&want) || prefix.Nodes() != want.Nodes() {
 			t.Fatalf("%s: %d-lane prefix of the finder-built plan differs from the first %d paths compiled:\n got %+v\nwant %+v", what, k, k, prefix, want)
 		}
 	}
 }
 
-// TestFinderPlanMatchesCompile pins the chain builder the finder uses
-// (kernel32.Compiler.Extend) to the generic compiler, child and sibling
-// links included: on random models, budgets and thresholds straight
+// TestFinderPlanMatchesCompile pins the lane builder the finder uses
+// (kernel32.Plan.Branch) to the generic compiler, sibling links, tops
+// and owners included: on random models, budgets and thresholds straight
 // through the finder, then through a soa32 detector's scalar Prepare
 // and PrepareAll/Select under changing path caps with reuse on, so
 // capped hits take plan prefixes.
@@ -66,8 +67,8 @@ func TestFinderPlanMatchesCompile(t *testing.T) {
 		if trial%3 == 0 {
 			thr = 0.05 + 0.94*rng.Float64()
 		}
-		f.find(m, 1+rng.IntN(400), thr, &dst, true)
-		samePlans(t, "finder", &dst.plan, dst.paths)
+		f.find(m, 1+rng.IntN(400), thr, &dst)
+		samePlans(t, "finder", &dst.plan, dst.view())
 	}
 
 	cons := constellation.MustNew(16)
@@ -108,7 +109,7 @@ func TestFinderPlanMatchesCompile(t *testing.T) {
 // far fewer nodes than paths × levels (averaged over seeded Rayleigh
 // channels; a single draw varies by ±10 %). A finder change that destroys the
 // sharing fails here, not in a benchmark. The same loop cross-checks the
-// two ways a plan gets built: the finder's chain builder must produce
+// two ways a plan gets built: the finder's lane builder must produce
 // exactly the trie the generic rank-plane compiler finds, and so must
 // every lane prefix of it.
 func TestPlanSharesPrefixes(t *testing.T) {
@@ -141,5 +142,60 @@ func TestPlanSharesPrefixes(t *testing.T) {
 				t.Logf("distinct-node share %.3f (limit %.2f)", got, tc.share)
 			}
 		})
+	}
+}
+
+// TestRankViewMatchesFindPaths pins the rank vectors a detector
+// materialises from its plans on demand: after PrepareAll, Select(k)
+// and Paths() give, for every subcarrier k, exactly what FindPaths —
+// and the executable specification — return for that subcarrier's
+// model: ranks, order, LogP bits and Σ Pc bits —
+// whether the slot searched (a miss), aliased the frame's last search (a
+// chain hit: subcarrier 2 repeats subcarrier 1's channel) or aliased or
+// copied a prefix of the ReuseState's base (a state hit, capped or not),
+// on both backends.
+func TestRankViewMatchesFindPaths(t *testing.T) {
+	const nr, nt, npe, nSC = 5, 4, 48, 4
+	cons := constellation.MustNew(16)
+	sigma2 := channel.Sigma2FromSNRdB(3, 1) // noisy: paths step up several levels
+	frames := [][]*cmatrix.Matrix{frameChannels(1850, nr, nt, nSC), frameChannels(1851, nr, nt, nSC)}
+	for _, hs := range frames {
+		hs[2] = hs[1]
+	}
+	for _, bb := range benchBackends {
+		for _, theta := range []float64{0, 0.9} {
+			det := New(cons, Options{NPE: npe, Threshold: theta, Backend: bb.backend, PathReuse: true})
+			var st ReuseState
+			det.SetReuseState(&st)
+			for step, s := range []struct{ frame, cap int }{{0, 0}, {0, 0}, {0, 8}, {1, 8}, {1, 0}, {1, 0}, {0, 3}} {
+				det.SetPathCap(s.cap)
+				if err := det.PrepareAll(frames[s.frame], sigma2); err != nil {
+					t.Fatal(err)
+				}
+				if pp := det.PreprocessStats(); step == 0 && (pp.CacheHits != 1 || pp.CacheMisses != nSC-1) {
+					t.Fatalf("%s θ=%g: first frame took %d hits and %d misses, want the one chain hit", bb.name, theta, pp.CacheHits, pp.CacheMisses)
+				}
+				eff := npe
+				if s.cap > 0 {
+					eff = s.cap
+				}
+				for k, h := range frames[s.frame] {
+					if err := det.Select(k); err != nil {
+						t.Fatal(err)
+					}
+					m := NewModel(cmatrix.SortedQR(h, cmatrix.OrderSQRD).R, sigma2, cons)
+					want, ws := FindPaths(m, eff, theta)
+					what := fmt.Sprintf("%s θ=%g step %d %+v subcarrier %d", bb.name, theta, step, s, k)
+					sameSearch(t, what, det.Paths(), want, PreprocessStats{CumulativeProb: det.PreprocessStats().CumulativeProb}, PreprocessStats{CumulativeProb: ws.CumulativeProb})
+					// FindPaths materialises its ranks the same way: pin both to
+					// the specification, which never builds a plan.
+					spec, ss := specFindPaths(m, eff, theta)
+					sameSearch(t, what+" (spec)", want, spec, ws, ss)
+				}
+			}
+			if pp := det.PreprocessStats(); pp.CacheMisses == 0 || pp.CacheHits <= pp.CacheMisses {
+				t.Fatalf("%s θ=%g: %d hits and %d misses, want both kinds", bb.name, theta, pp.CacheHits, pp.CacheMisses)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"flexcore/internal/kernel32"
 )
@@ -53,30 +54,40 @@ func (s *PreprocessStats) Add(other PreprocessStats) {
 	s.CacheMisses += other.CacheMisses
 }
 
-// pathStore is an owned path set: the header and rank arenas a search
-// emits into, the set's cumulative probability, the bound it was
-// searched under, and (SoA backend) its descent plan. Every frame slot
-// and every ReuseState base — scalar Prepare's included — own one; all
-// storage regrows only past its high-water mark.
+// pathStore is an owned path set: its descent plan — the paths' prefix
+// trie, one lane per path in emission order, written by the search as it
+// emits — with each path's log-probability and the running Σ Pc at it,
+// the bound it was searched under, and the rank vectors, materialised
+// from the plan only for the callers that read them (view). Every frame
+// slot and every ReuseState base — scalar Prepare's included — own one;
+// all storage regrows only past its high-water mark.
 type pathStore struct {
-	paths []Path
-	ranks []int         // backing for paths[i].Ranks, path-major
-	cum   float64       // Σ Pc over paths
-	limit int           // the N_PE bound of the search that selected paths
-	plan  kernel32.Plan // the paths' prefix trie (empty on the complex128 backend)
+	logP  []float64     // per path: log Pc
+	cum   []float64     // per path q: Σ Pc over paths [0, q], summed in the search's order
+	limit int           // the N_PE bound of the search that selected the paths
+	plan  kernel32.Plan // the paths' prefix trie: lane q is path q
+
+	viewed bool   // paths and ranks hold the current set's rank vectors
+	paths  []Path // the rank view (view)
+	ranks  []int  // backing for paths[q].Ranks, path-major
 }
 
-// ensure sizes the arenas for up to nPE paths of n levels and empties
-// the set.
-func (s *pathStore) ensure(n, nPE int) {
-	if cap(s.paths) < nPE {
-		s.paths = make([]Path, nPE)
-	}
-	if cap(s.ranks) < nPE*n {
-		s.ranks = make([]int, nPE*n)
-	}
-	s.paths = s.paths[:0]
+// ensure sizes the per-path arenas for up to nPE paths and empties the
+// set.
+func (s *pathStore) ensure(nPE int) {
+	s.logP, s.cum = slices.Grow(s.logP[:0], nPE), slices.Grow(s.cum[:0], nPE)
+	s.viewed = false
 }
+
+// count returns the number of paths in the set.
+//
+//flexcore:noalloc
+func (s *pathStore) count() int { return len(s.logP) }
+
+// total returns Σ Pc over a searched set.
+//
+//flexcore:noalloc
+func (s *pathStore) total() float64 { return s.cum[len(s.cum)-1] }
 
 // covers reports whether the set answers a search bounded at k: the
 // first k paths are the same under every bound ≥ k (FindPaths), so a set
@@ -86,33 +97,42 @@ func (s *pathStore) ensure(n, nPE int) {
 //
 //flexcore:noalloc
 func (s *pathStore) covers(k int) bool {
-	return s.limit >= k || len(s.paths) < s.limit
+	return s.limit >= k || s.count() < s.limit
+}
+
+// view returns the set as rank vectors, materialised from the plan into
+// the store's own arenas on the first call after the set changed. Only
+// the complex128 walk, DetectSoft and the Paths surfaces read ranks; the
+// SoA descent reads the plan.
+func (s *pathStore) view() []Path {
+	if s.viewed {
+		return s.paths
+	}
+	P, n := s.count(), s.plan.N
+	s.paths, s.ranks = slices.Grow(s.paths[:0], P)[:P], slices.Grow(s.ranks[:0], P*n)[:P*n]
+	s.plan.Ranks(s.ranks)
+	for q := range s.paths {
+		s.paths[q] = Path{Ranks: s.ranks[q*n : (q+1)*n : (q+1)*n], LogP: s.logP[q]}
+	}
+	s.viewed = true
+	return s.paths
 }
 
 // copyFrom makes s a deep copy of src as a search bounded at k would
 // have selected it: src's first k paths, all of them when it has no
-// more. src must cover k.
+// more. src must cover k. The search sums Σ Pc path by path, so the
+// prefix's sum is the running sum at its last path, bit for bit what a
+// search bounded at k returns.
 func (s *pathStore) copyFrom(src *pathStore, k int) {
-	P, n := min(k, len(src.paths)), 0
-	if P > 0 {
-		n = len(src.paths[0].Ranks)
-	}
-	s.ensure(n, P)
-	s.paths = s.paths[:P]
-	copy(s.ranks, src.ranks[:P*n])
-	for i := range s.paths {
-		s.paths[i] = Path{Ranks: s.ranks[i*n : (i+1)*n : (i+1)*n], LogP: src.paths[i].LogP}
-	}
-	s.cum, s.limit = src.cum, src.limit
-	if P < len(src.paths) {
-		// Cut short by k: Σ Pc from the log-probabilities (the search
-		// carries Pc as a running product; the two agree to rounding).
-		s.cum, s.limit = 0, k
-		for _, p := range s.paths {
-			s.cum += p.Prob()
-		}
+	P := min(k, src.count())
+	s.logP = append(s.logP[:0], src.logP[:P]...)
+	s.cum = append(s.cum[:0], src.cum[:P]...)
+	s.limit = src.limit
+	if P < src.count() {
+		s.limit = k
 	}
 	s.plan.CopyPrefix(&src.plan, P)
+	s.viewed = false
 }
 
 // pathFinder is the working state of the pre-processing search of
@@ -134,78 +154,46 @@ func (s *pathStore) copyFrom(src *pathStore, k int) {
 // last increment still holds rank 1, so the only level that can be
 // saturated at |Q| is the last-incremented one: a path's legal increments
 // are exactly the levels [0, lim), with lim = lastInc+1, or lastInc when
-// that level has reached |Q|. Queue w holds the parents with lim > w.
+// that level has reached |Q|. Queue w holds the parents with lim > w; a
+// queue that has passed every emitted path is empty until the next path
+// it may take.
 //
 // Exact ties go to the smaller parent index, then the smaller level.
 // That is the order in which the eager formulation inserts children, so
 // the merge emits what a FIFO-among-equals sorted list would, bit for
 // bit (preprocess_test.go keeps that formulation as an executable spec).
 //
+// The emitted paths are the lanes of the descent plan the search writes
+// as it goes (kernel32.Plan.Branch): a path's rank vector is its
+// parent's with one level stepped up, so it costs the plan four stores,
+// and no rank vector is ever copied.
+//
 // A finder is not safe for concurrent use; its arenas regrow only past
 // their high-water marks, so one finder serves searches of any mix of
 // shapes without allocating once the largest has been seen.
 type pathFinder struct {
-	head []int32   // per level: cursor into the emitted list — the queue's next parent
-	key  []float64 // per level: logP[head] + logPe[level], valid while head < emitted
-	lim  []int16   // per emitted path: its legal increments are levels [0, lim)
+	par  []int32   // per level: the queue's head parent, emptyQueue when it has none
+	key  []float64 // per level: logP[par] + logPe[level], −Inf when the queue is empty
+	lims []int16   // per emitted path: its legal increments are levels [0, lim)
 	pc   []float64 // per emitted path: Pc, carried as Pc(parent)·Pe(w)
-
-	comp    kernel32.Compiler // descent-plan build arenas (see link)
-	nodeBuf []int32           // per emitted path: its plan node at every level
 }
+
+// emptyQueue is the head parent of an empty queue: it loses every
+// exact tie, and its key −Inf every other compare.
+const emptyQueue = math.MaxInt32
 
 // ensure grows the finder's arenas for an n-level, nPE-path search.
-func (f *pathFinder) ensure(n, nPE int, plan bool) {
-	if cap(f.head) < n {
-		f.head = make([]int32, n)
-		f.key = make([]float64, n)
-	}
-	if cap(f.lim) < nPE {
-		f.lim = make([]int16, nPE)
-		f.pc = make([]float64, nPE)
-	}
-	if plan && cap(f.nodeBuf) < nPE*n {
-		f.nodeBuf = make([]int32, nPE*n)
-	}
-}
-
-// link adds emitted path q to the descent plan under construction — the
-// prefix trie kernel32.Descend walks, one node per distinct rank suffix.
-// q was derived from path parent by incrementing level w, so above w it
-// shares its parent's nodes, and at w and below it is new: every level
-// under w still has rank 1, and any path sharing such a suffix is a
-// descendant of q in the generation order, so none was emitted before
-// it. Its level-w node is the next sibling of the parent's: the children
-// of one node are created in rank order, by one increment each. (The
-// root passes w = n−1 and shares nothing.) Leaves are added one per path
-// in emission order, which makes the plan's lanes the paths.
-//
-// A child of q increments a level w′ ≤ w and reads q's nodes at w′ and
-// w′+1 only, so of the parent's nodes q keeps just the one at w+1.
-//
-//flexcore:noalloc
-func (f *pathFinder) link(q, parent, w int, res []int) {
-	n := len(res)
-	nodes := f.nodeBuf[q*n : (q+1)*n]
-	up, prev := int32(0), int32(-1) // the plan's root, no child yet
-	if q > 0 {
-		prev = f.nodeBuf[parent*n+w]
-		if w < n-1 {
-			up = f.nodeBuf[parent*n+w+1]
-			nodes[w+1] = up
-		}
-	}
-	f.comp.Extend(up, prev, res[:w+1], nodes)
+func (f *pathFinder) ensure(n, nPE int) {
+	f.par, f.key = slices.Grow(f.par[:0], n), slices.Grow(f.key[:0], n)
+	f.pc, f.lims = slices.Grow(f.pc[:0], nPE), slices.Grow(f.lims[:0], nPE)
 }
 
 // find runs the pre-processing search (see FindPaths for the contract)
-// straight into dst. With plan set it also builds the paths' descent
-// plan into dst.plan as it emits them: a plan depends on the rank
-// vectors alone, so it is built once per search and then copied and
-// aliased with the paths.
+// straight into dst, plan included: a plan depends on the rank vectors
+// alone, so it is built once per search and then copied with the paths.
 //
 //flexcore:noalloc
-func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathStore, plan bool) PreprocessStats {
+func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathStore) PreprocessStats {
 	n := m.Levels()
 	if nPE < 1 {
 		nPE = 1
@@ -219,53 +207,54 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	if float64(nPE) > total {
 		nPE = int(total)
 	}
-	f.ensure(n, nPE, plan)
-	dst.ensure(n, nPE)
-	head, key, lim, pc := f.head[:n], f.key[:n], f.lim[:nPE], f.pc[:nPE]
-	paths, ranks, logPe := dst.paths[:nPE], dst.ranks, m.logPe[:n]
+	f.ensure(n, nPE)
+	dst.ensure(nPE)
+	pl := &dst.plan
+	pl.Begin(n, nPE)
+	logP, cumAt := dst.logP[:nPE], dst.cum[:nPE]
+	lims, pc := f.lims[:nPE], f.pc[:nPE]
+	par, key, logPe := f.par[:n], f.key[:n], m.logPe[:n]
+	full := 4 * (int32(m.M) - 1) // the slicer offset of rank |Q|: saturated
 
 	// Root: the all-ones position vector, Pc = Π (1 − Pe(l)). Every queue
 	// starts on it.
-	root := ranks[:n:n]
 	rootLogP := m.RootLogP()
 	pc[0] = 1
-	for i := range root {
-		root[i] = 1
+	for i := range key {
 		pc[0] *= 1 - m.Pe[i]
-		head[i] = 0
-		key[i] = rootLogP + logPe[i]
+		par[i], key[i] = emptyQueue, math.Inf(-1)
 	}
-	paths[0] = Path{Ranks: root, LogP: rootLogP}
-	lim[0] = int16(n)
+	logP[0] = rootLogP
+	lim := n // the last emitted path's legal increments: levels [0, lim)
 	if m.M < 2 {
-		lim[0] = 0
+		lim = 0
 	}
-	if plan {
-		f.comp.Begin(n, nPE)
-		f.link(0, 0, n-1, root)
+	lims[0] = int16(lim)
+	for w := 0; w < lim; w++ {
+		par[w], key[w] = 0, rootLogP+logPe[w]
 	}
 
 	stats := PreprocessStats{RealMuls: int64(n)}
 	count, cum := 1, 0.0
 	for {
 		cum += pc[count-1]
+		cumAt[count-1] = cum
 		stats.Expanded++
 		if stopThreshold > 0 && cum >= stopThreshold {
 			break
 		}
-		stats.RealMuls += int64(lim[count-1]) // the paper's search multiplies out every legal child here
+		stats.RealMuls += int64(lim) // the paper's search multiplies out every legal child here
 		if count == nPE {
 			break
 		}
 
 		// The best queue head: highest key, then earliest parent, then
-		// lowest level (the ascending scan keeps the first of equals).
-		bw, bk, bp := -1, 0.0, int32(0)
-		for w, p := range head {
-			if int(p) >= count {
-				continue // queue w is waiting for a parent not emitted yet
-			}
-			if k := key[w]; bw < 0 || k > bk || (k == bk && p < bp) { //lint:ignore floatcmp merge comparator: exact ties must fall through to the parent-index tie-break for a bit-identical emission order
+		// lowest level (the ascending scan keeps the first of equals). The
+		// first queue that has a head is taken whatever its key, so a NaN
+		// key (a NaN channel's model) is emitted, not dropped.
+		bw, bk, bp := -1, math.Inf(-1), int32(emptyQueue)
+		for w, p := range par {
+			if k := key[w]; k > bk || (k == bk && p < bp) || bw < 0 && p != emptyQueue { //lint:ignore floatcmp merge comparator: exact ties must fall through to the parent-index tie-break for a bit-identical emission order
 				bw, bk, bp = w, k, p
 			}
 		}
@@ -273,50 +262,37 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 			break
 		}
 
-		// Emit it: the parent's rank vector with level bw incremented.
+		// Emit it: the parent's path with level bw stepped up.
 		q := count
-		res := ranks[q*n : (q+1)*n : (q+1)*n]
-		copy(res, ranks[int(bp)*n:(int(bp)+1)*n])
-		res[bw]++
-		paths[q] = Path{Ranks: res, LogP: bk}
+		logP[q] = bk
 		pc[q] = pc[bp] * m.Pe[bw]
-		lim[q] = int16(bw + 1)
-		if res[bw] >= m.M {
-			lim[q] = int16(bw)
+		lim = bw + 1
+		if pl.Branch(int(bp), bw) >= full {
+			lim = bw
 		}
-		if plan {
-			f.link(q, int(bp), bw, res)
-		}
+		lims[q] = int16(lim)
 		count++
 
-		// Queues that were waiting for q: the levels below bw take it
-		// (lim[q] ≥ bw), the levels above never will.
-		for w := 0; w < bw; w++ {
-			if int(head[w]) == q {
-				key[w] = bk + logPe[w]
-			}
-		}
-		for w := bw + 1; w < n; w++ {
-			if int(head[w]) == q {
-				head[w]++
+		// The queues of the levels q may increment take it as their head
+		// if they had run dry.
+		for w := range par[:lim] {
+			if par[w] == emptyQueue {
+				par[w], key[w] = int32(q), bk+logPe[w]
 			}
 		}
 		// Queue bw moves past the parent it just spent.
 		p := int(bp) + 1
-		for p < count && int(lim[p]) <= bw {
+		for p < count && int(lims[p]) <= bw {
 			p++
 		}
-		head[bw] = int32(p)
 		if p < count {
-			key[bw] = paths[p].LogP + logPe[bw]
+			par[bw], key[bw] = int32(p), logP[p]+logPe[bw]
+		} else {
+			par[bw], key[bw] = emptyQueue, math.Inf(-1)
 		}
 	}
-	dst.paths = paths[:count]
-	dst.cum = cum
+	dst.logP, dst.cum = logP[:count], cumAt[:count]
 	stats.CumulativeProb = cum
-	if plan {
-		f.comp.Finish(&dst.plan)
-	}
 	return stats
 }
 
@@ -340,8 +316,8 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 func FindPaths(m *Model, nPE int, stopThreshold float64) ([]Path, PreprocessStats) {
 	var f pathFinder
 	var dst pathStore
-	stats := f.find(m, nPE, stopThreshold, &dst, false)
-	return dst.paths, stats
+	stats := f.find(m, nPE, stopThreshold, &dst)
+	return dst.view(), stats
 }
 
 // FindPaths32 is FindPaths: both backends run one search. The name is

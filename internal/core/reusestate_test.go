@@ -254,7 +254,7 @@ func TestReuseStateAliasedNotCopied(t *testing.T) {
 				if s.set != &st.slots[k].pathStore {
 					t.Fatalf("%s %s: subcarrier %d does not select the state's own store", bb.name, outcome, k)
 				}
-				if s.own.paths != nil || s.own.ranks != nil || s.own.plan.Nodes() != 0 {
+				if s.own.logP != nil || s.own.paths != nil || s.own.plan.Nodes() != 0 {
 					t.Fatalf("%s %s: subcarrier %d wrote the slot's own store", bb.name, outcome, k)
 				}
 			}

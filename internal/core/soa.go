@@ -7,8 +7,8 @@ import (
 // This file wires the reduced-precision SoA backend (internal/kernel32,
 // DESIGN.md §11) into the detector: Options.Backend == BackendSoA32
 // routes the detect hot path through the float32 trie kernel. The
-// conversion happens at narrow boundaries — a fresh path search compiles
-// its paths into a descent plan that then travels with them; Prepare and
+// conversion happens at narrow boundaries — a path set is the descent
+// plan its search wrote, whatever the backend; Prepare and
 // Select mark the channel planes stale and the first detection rebuilds
 // them; detection results convert back to the public []int form — so
 // the API, the OpCount accounting and the PreprocessStats contract are
@@ -65,7 +65,7 @@ func (d *FlexCore) soaDetectOne(y []complex128, out []int) {
 	d.soaRefresh()
 	s := &d.soa.scratch
 	yb := d.qr.YbarInto(y, d.ybar)
-	P := len(d.paths)
+	P := d.set.count()
 	if P == 0 || d.soa.prep.Degenerate {
 		// A non-positive diagonal deactivates every path at that level in
 		// the scalar backend too: straight to the fallback.

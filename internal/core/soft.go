@@ -83,7 +83,7 @@ func (d *FlexCore) DetectSoft(y []complex128, sigma2 float64) (best []int, llrs 
 	idx, sym, win, perm := d.idx, d.sym, d.best, d.qr.Perm
 	yb := d.qr.YbarInto(y, d.ybar)
 	bestPed, found := 0.0, false
-	for _, p := range d.paths {
+	for _, p := range d.set.view() {
 		ped, ok := d.evalPath(yb, p.Ranks, idx, sym, math.Inf(1))
 		if !ok {
 			continue

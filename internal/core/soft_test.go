@@ -120,10 +120,10 @@ func candidateListSoft(d *FlexCore, y []complex128, sigma2 float64) (best []int,
 		idx []int
 		ped float64
 	}
-	cands := make([]candidate, 0, len(d.paths))
+	cands := make([]candidate, 0, d.ActivePaths())
 	idx := make([]int, d.n)
 	sym := make([]complex128, d.n)
-	for _, p := range d.paths {
+	for _, p := range d.Paths() {
 		ped, ok := d.evalPath(ybar, p.Ranks, idx, sym, math.Inf(1))
 		if ok {
 			cands = append(cands, candidate{idx: append([]int(nil), idx...), ped: ped})

@@ -121,11 +121,11 @@ func checkAgainstReference(t *testing.T, pr *Prep, sl *Slicer32, s *Scratch, P i
 		if lo >= hi {
 			continue
 		}
-		leaves := s.Ped[pr.Plan.start[n]:]
 		for p := lo; p < hi; p++ {
-			skipped := math.IsInf(float64(leaves[p]), 1) && want[p] > wp
-			if bits32(leaves[p]) != bits32(want[p]) && !skipped {
-				t.Fatalf("n=%d P=%d strict=%v range %v lane %d: distance %v, reference %v (minimum %v)", n, P, strict, rg, p, leaves[p], want[p], wp)
+			leaf := s.Ped[p]
+			skipped := math.IsInf(float64(leaf), 1) && want[p] > wp
+			if bits32(leaf) != bits32(want[p]) && !skipped {
+				t.Fatalf("n=%d P=%d strict=%v range %v lane %d: distance %v, reference %v (minimum %v)", n, P, strict, rg, p, leaf, want[p], wp)
 			}
 		}
 		if lo == 0 {
@@ -168,24 +168,33 @@ func poisonPed(pr *Prep, s *Scratch) {
 // under the root and under every sliced inner node within b0.
 func checkWork(t *testing.T, pl *Plan, s *Scratch, b0 float32) {
 	t.Helper()
+	n := pl.N
 	sliced, chains, steps := 0, 1, 1 // the root's chain
-	for d := 1; d <= pl.N; d++ {
+	for d := 1; d <= n; d++ {
+		j := n - d
 		under := map[int32]bool{}
-		for g := pl.start[d]; g < pl.start[d+1]; g++ {
-			v := s.Ped[g]
-			if math.IsNaN(float64(v)) || d == pl.N && math.IsInf(float64(v), 1) {
+		for q := 0; q < pl.P; q++ {
+			if j > int(pl.top[q]) {
+				continue // lane q shares its node at this depth
+			}
+			v := s.Ped[j*pl.stride+q]
+			if math.IsNaN(float64(v)) || d == n && math.IsInf(float64(v), 1) {
 				continue
 			}
 			sliced++
-			if d < pl.N && v <= b0 {
+			if d < n && v <= b0 {
 				steps++
 			}
 			if d == 1 {
 				continue
 			}
-			under[pl.nodes[g].parent] = true
-			if pp := s.Ped[pl.start[d-1]+pl.nodes[g].parent]; !(pp < inf32) || pp > b0 {
-				t.Fatalf("depth %d node %d sliced under a parent at %v; lane 0's distance is %v", d, g-pl.start[d], pp, b0)
+			parent := int32(q)
+			if j == int(pl.top[q]) {
+				parent = pl.up[q]
+			}
+			under[parent] = true
+			if pp := s.Ped[(j+1)*pl.stride+int(parent)]; !(pp < inf32) || pp > b0 {
+				t.Fatalf("depth %d node of lane %d sliced under a parent at %v; lane 0's distance is %v", d, q, pp, b0)
 			}
 		}
 		chains += len(under)
@@ -386,6 +395,12 @@ func TestDescendBoundLane(t *testing.T) {
 				t.Errorf("strict=%v empty range [%d,%d): lane %d ped %v visited %d chains %d, want -1 +Inf 0 0", strict, lo, lo, lane, ped, s.Visited, s.Chains)
 			}
 		}
+		var empty Prep // a plane of no lanes compiles and descends to nothing
+		randomChannel(rng, &empty, n, cons)
+		empty.EnsureRanks(0)
+		if lane, ped := Descend(&empty, sl, &s, 0, 0, strict); lane != -1 || !math.IsInf(float64(ped), 1) {
+			t.Errorf("strict=%v plane of no lanes: lane %d ped %v, want -1 +Inf", strict, lane, ped)
+		}
 		if !strict {
 			continue
 		}
@@ -398,7 +413,7 @@ func TestDescendBoundLane(t *testing.T) {
 		if lane != 2 || bits32(ped) != bits32(want[2]) {
 			t.Errorf("deactivated first lane: lane %d ped %v, want 2 %v", lane, ped, want[2])
 		}
-		if got := s.Ped[pr.Plan.start[n]]; !math.IsInf(float64(got), 1) {
+		if got := s.Ped[0]; !math.IsInf(float64(got), 1) {
 			t.Errorf("deactivated first lane reads %v, want +Inf", got)
 		}
 		if s.Visited >= pr.Plan.Nodes() {
@@ -559,11 +574,11 @@ func TestNodeStepMatchesSlicer(t *testing.T) {
 					s.yb[0] = c32{zx, zy}
 					want, ok := sl.Kth(zx, zy, k)
 					lane, _ := Descend(&pr, sl, &s, 0, 1, true)
-					if ok != (lane == 0) || (ok && s.Idx[1] != want) {
-						t.Fatalf("%d-QAM strict z=(%v,%v) k=%d: lane %d idx %d, Kth gives %d ok=%v", m, zx, zy, k, lane, s.Idx[1], want, ok)
+					if ok != (lane == 0) || (ok && s.Idx[0] != want) {
+						t.Fatalf("%d-QAM strict z=(%v,%v) k=%d: lane %d idx %d, Kth gives %d ok=%v", m, zx, zy, k, lane, s.Idx[0], want, ok)
 					}
 					Descend(&pr, sl, &s, 0, 1, false)
-					if got, want := s.Idx[1], sl.KthClamped(zx, zy, k); got != want {
+					if got, want := s.Idx[0], sl.KthClamped(zx, zy, k); got != want {
 						t.Fatalf("%d-QAM clamped z=(%v,%v) k=%d: idx %d, KthClamped gives %d", m, zx, zy, k, got, want)
 					}
 				}
@@ -573,7 +588,7 @@ func TestNodeStepMatchesSlicer(t *testing.T) {
 					s.yb[0] = c32{z[0], z[1]}
 					for _, strict := range []bool{false, true} {
 						Descend(&pr, sl, &s, 0, 1, strict)
-						if idx := s.Idx[1]; idx < 0 || idx >= int32(m) {
+						if idx := s.Idx[0]; idx < 0 || idx >= int32(m) {
 							t.Fatalf("%d-QAM z=%v k=%d strict=%v: index %d outside the constellation", m, z, k, strict, idx)
 						}
 					}
@@ -658,8 +673,7 @@ func checkPrefixes(t *testing.T, rng *rand.Rand, sl *Slicer32, cons *constellati
 		sub := append([]int16(nil), firstLanes(&c, ranks, n, P, kk)...)
 		c.Compile(&want)
 		got.CopyPrefix(pl, k)
-		if got.N != want.N || got.P != want.P ||
-			!reflect.DeepEqual(got.start, want.start) || !reflect.DeepEqual(got.nodes, want.nodes) {
+		if !got.Equal(&want) {
 			t.Fatalf("n=%d P=%d: prefix %d differs from the plan compiled from the first %d lanes:\n got %+v\nwant %+v", n, P, k, kk, got, want)
 		}
 		pr.Plan = &got
@@ -699,12 +713,12 @@ func TestCopyPrefixArbitraryPlanes(t *testing.T) {
 }
 
 // TestCopyPrefixIncrementalBuild covers the other builder: a path
-// search adding nodes through Begin/Extend/Finish the way internal/core's
+// search adding lanes through Begin/Branch the way internal/core's
 // finder does — each path is an earlier one with one level w, no higher
-// than that parent's own increment, stepped up; it shares the parent's
-// nodes above w, its level-w node is the next sibling of the parent's,
-// and below that it is new. The emission order is random, not best
-// first: the structure alone must give the plan Compile builds.
+// than that parent's own top, stepped up; it shares the parent's nodes
+// above w, its level-w node is the next sibling of the parent's, and
+// below that it is new. The emission order is random, not best first:
+// the structure alone must give the plan Compile builds.
 func TestCopyPrefixIncrementalBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1407))
 	cons := constellation.MustNew(16)
@@ -712,29 +726,23 @@ func TestCopyPrefixIncrementalBuild(t *testing.T) {
 	for _, shape := range [][2]int{{1, 12}, {2, 30}, {4, 64}, {8, 100}} {
 		n, P := shape[0], shape[1]
 		type cand struct{ parent, w int }
-		vec := make([][]int, 0, P)    // rank vectors, emission order
-		node := make([][]int32, 0, P) // per path: its node at every level
-		var c Compiler
-		c.Begin(n, P)
+		vec := make([][]int, 0, P) // rank vectors, emission order
+		var pl Plan
+		pl.Begin(n, P)
 		emit := func(parent, w int) []cand {
 			r := make([]int, n)
-			nd := make([]int32, n)
 			for i := range r {
 				r[i] = 1
 			}
-			up, prev := int32(0), int32(-1)
 			if len(vec) > 0 {
 				copy(r, vec[parent])
 				r[w]++
-				copy(nd[w+1:], node[parent][w+1:])
-				prev = node[parent][w]
-				if w < n-1 {
-					up = nd[w+1]
+				if k := pl.Branch(parent, w); int(k) != 4*(r[w]-1) {
+					t.Fatalf("Branch(%d, %d) made offset %d for rank %d", parent, w, k, r[w])
 				}
 			}
-			c.Extend(up, prev, r[:w+1], nd)
 			q := len(vec)
-			vec, node = append(vec, r), append(node, nd)
+			vec = append(vec, r)
 			var kids []cand
 			for l := 0; l <= w; l++ {
 				if r[l] < 16 { // stay inside the 16-QAM slicer's rank table
@@ -750,12 +758,17 @@ func TestCopyPrefixIncrementalBuild(t *testing.T) {
 			open = append(open[:i], open[i+1:]...)
 			open = append(open, emit(pick.parent, pick.w)...)
 		}
-		var pl Plan
-		c.Finish(&pl)
 		ranks := make([]int16, n*P)
 		for p, r := range vec {
 			for i := range r {
 				ranks[i*P+p] = int16(r[i])
+			}
+		}
+		got := make([]int, n*P)
+		pl.Ranks(got)
+		for p, r := range vec {
+			if !reflect.DeepEqual(got[p*n:(p+1)*n], r) {
+				t.Fatalf("n=%d P=%d lane %d: Ranks gives %v, the lane was built as %v", n, P, p, got[p*n:(p+1)*n], r)
 			}
 		}
 		checkPrefixes(t, rng, sl, cons, &pl, ranks, n, P)

@@ -25,11 +25,11 @@ const signBit = 1 << 31
 // a leaf at or below the range's minimum has every ancestor at or below
 // the bound at every moment and is never skipped: the returned lane and
 // distance are the unbounded walk's, bit for bit. NaN compares false: it
-// prunes nothing and never wins. Children are visited first child
-// first, and the first child is the one the lowest lane walks, so a
-// descent of [0, hi) completes lane 0 first and slices no node whose
-// parent lies beyond lane 0's distance. DESIGN.md §11.2 has the
-// argument.
+// prunes nothing and never wins. The walk moves over owner lanes:
+// stepping down keeps the lane — a node's first child is its own lane's
+// — and a sibling step follows the link to the next owner. So a descent
+// of [0, hi) completes lane 0 first and slices no node whose parent lies
+// beyond lane 0's distance. DESIGN.md §11.2 has the argument.
 //
 // The node step is branch-free where the data decides (the sign of the
 // offset from the square centre, the diagonal swap, the clamp): coin
@@ -64,18 +64,17 @@ func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane 
 	n := pr.N
 	side, fside := sl.side, sl.fside
 	off, pts := sl.off, sl.pts
-	nodes, start := pl.nodes, pl.start
+	nodes, lanes, stride := pl.nodes, int32(pl.P), pl.stride
 	peds, idxs := s.Ped, s.Idx
 	u, stack := s.u, s.stack[:n+1]
-	leaves := peds[start[n]:][lo:hi]
-	for p := range leaves {
-		leaves[p] = inf32 // until sliced: a leaf the bound keeps out stays so
-	}
+	// Until sliced, the range's leaves — one run: level 0 leads the
+	// level-major planes — read +Inf: a leaf the bound keeps out stays so.
+	fill(peds[lo:hi], inf32)
 
 	best, win := inf32, int32(-1)
 	visited, chains := 0, 0
 	stack[0] = cursor{} // the root: ȳ is its row of u
-	t, q := 0, nodes[0].kid
+	t, q := 0, int32(0) // the root's first child is lane 0's top node
 walk:
 	for {
 		// Row half, once per sibling chain: the children of the node at
@@ -108,18 +107,25 @@ walk:
 		c.b, c.rii = bv, pr.Rii[j]
 		chains++
 		t++
+		// Lanes past end are not in the chain: past the plan, or at the
+		// leaves past the range, whose lanes the chain visits in order.
+		end := lanes
+		if t == n {
+			end = int32(hi)
+		}
 
 		for {
-			// The chain at depth t is done — run out, past the range, or
-			// under a parent the bound has since overtaken: back up a depth.
-			if q < 0 || stack[t-1].ped > best || t == n && int(q) >= hi {
+			// The chain at depth t is done — run out, past end, or under a
+			// parent the bound has since overtaken: back up a depth.
+			if q >= end || stack[t-1].ped > best {
 				if t--; t == 0 {
 					break walk
 				}
-				q = nodes[int(start[t])+int(stack[t].at)].sib
+				q, end = nodes[(n-t)*stride+int(stack[t].at)].sib, lanes
 				continue
 			}
-			g := int(start[t]) + int(q)
+			j := n - t
+			g := j*stride + int(q)
 			v := nodes[g]
 			if t == n && int(q) < lo {
 				q = v.sib
@@ -166,9 +172,9 @@ walk:
 				q = v.sib
 				continue
 			}
-			// Step down: push the symbol into the rows below, one contiguous
+			// Step down — to the first child, the node's own lane one level
+			// lower — and push the symbol into the rows below, one contiguous
 			// run gathering the column of R.
-			j := n - t
 			stack[t].at, stack[t].ped = q, d
 			src := u[(t-1)*n : (t-1)*n+j]
 			dst := u[t*n : t*n+j]
@@ -177,7 +183,6 @@ walk:
 				pv := src[l]
 				dst[l] = c32{pv.re - (rr*pt.re - ri*pt.im), pv.im - (rr*pt.im + ri*pt.re)}
 			}
-			q = v.kid
 			continue walk
 		}
 	}

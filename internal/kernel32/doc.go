@@ -10,13 +10,17 @@
 //
 //	Prep     per channel: R as float32 planes, the diagonal, and the
 //	         per-level reciprocal W that replaces the complex division
-//	Plan     per path set: the trie — one node per distinct rank suffix,
-//	         one leaf per path (a "lane"), parent, first-child and
-//	         next-sibling links — built once per path search by a
-//	         Compiler and shared read-only from then on
+//	Plan     per path set: the trie indexed by lane — one node per
+//	         distinct rank suffix, owned by the lowest lane through it,
+//	         one leaf per path (a "lane"); per node its rank and next
+//	         sibling, per lane its top owned level and the owner above —
+//	         written by the path search as it emits (Begin, Branch), or
+//	         compiled from a rank plane (Compiler), and shared read-only
+//	         from then on
 //	Scratch  per descent: ȳ, the per-node distances and decisions, and
-//	         the walk's stack: per depth one node, its partial distance,
-//	         its children's shared slicer row and its cancellation rows
+//	         the walk's stack: per depth one node's lane, its partial
+//	         distance, its children's shared slicer row and its
+//	         cancellation rows
 //
 // One Descend call walks the trie depth first and decides each distinct
 // node at most once — the rank half of a branch-free integer slicer

@@ -65,7 +65,7 @@ func FuzzDescend(f *testing.F) {
 		if !strict && (lane < 0 || math.IsInf(float64(ped), 1)) {
 			t.Fatalf("clamped descent returned lane %d distance %v", lane, ped)
 		}
-		for p, d := range s.Ped[pr.Plan.start[n]:] {
+		for p, d := range s.Ped[:P] {
 			if math.IsNaN(float64(d)) || math.IsInf(float64(d), -1) {
 				t.Fatalf("lane %d: distance %v (strict=%v)", p, d, strict)
 			}

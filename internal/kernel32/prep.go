@@ -105,11 +105,12 @@ type c32 struct{ re, im float32 }
 type Scratch struct {
 	yb []c32 // N: rotated received vector ȳ — the root's row of u
 
-	// Per plan node of the last descent. A node the walk did not slice —
-	// below a deactivated node, or below one whose partial distance
-	// exceeded the bound — keeps whatever an earlier descent left, except
-	// that the range's leaves read +Inf; the returned lane's nodes are
-	// always decided.
+	// Per plan node slot of the last descent, level-major like the plan's
+	// (node (j, q) at j·stride+q, so lane q's leaf at q). A node the walk
+	// did not slice — below a deactivated node, or below one whose partial
+	// distance exceeded the bound — keeps whatever an earlier descent
+	// left, except that the range's leaves read +Inf; the returned lane's
+	// nodes are always decided.
 	Ped []float32 // accumulated partial Euclidean distance
 	Idx []int32   // decided symbol index
 	// Visited counts the nodes the last descent sliced (Plan.Nodes is
@@ -127,7 +128,7 @@ type Scratch struct {
 // cursor is one depth of the walk's current path: the node and, set as
 // the walk steps below it, the row half its children's slicer steps share.
 type cursor struct {
-	at     int32   // the node's position within its depth
+	at     int32   // the node's owner lane
 	ped    float32 // its partial distance
 	b      c32     // the children's observation, and their level's
 	rii    float32 // diagonal entry of R
@@ -179,18 +180,20 @@ func (s *Scratch) SetYbar(yb []complex128) {
 }
 
 // GatherIdx copies lane p's decided symbol indices of the last descent
-// (factored stream order) into dst, one per level, walking the plan's
-// parent links up from the lane's leaf. They are the lane's decisions
-// when its distance is finite — always, for the returned lane.
+// (factored stream order) into dst, one per level: lane p's own nodes up
+// to its top, then those of the lane owning the node above, and so on up
+// to the root. They are the lane's decisions when its distance is finite
+// — always, for the returned lane.
 //
 //flexcore:noalloc
 func (s *Scratch) GatherIdx(p int, dst []int) {
 	pl := s.plan
-	at := int32(p)
-	for i := range dst {
-		g := pl.start[pl.N-i] + at
-		dst[i] = int(s.Idx[g])
-		at = pl.nodes[g].parent
+	q := p
+	for j := range dst {
+		if j > int(pl.top[q]) {
+			q = int(pl.up[q])
+		}
+		dst[j] = int(s.Idx[j*pl.stride+q])
 	}
 }
 
