@@ -78,7 +78,10 @@ type OpCount = detector.OpCount
 
 // Options configures the FlexCore detector (processing elements,
 // a-FlexCore threshold, QR ordering, slicer variant, path reuse, kernel
-// backend). A detector is single-threaded: run one per goroutine.
+// backend). A detector is single-threaded: run one per goroutine. A
+// frame's subcarriers may still run on several cores — the frame loop
+// behind RunLink stripes them over helper detectors of its own when
+// cores are idle, with results unchanged.
 type Options = core.Options
 
 // FlexCore is the paper's detector.

@@ -232,6 +232,36 @@ func (d *FlexCore) PreprocessStats() PreprocessStats { return d.ppOps }
 // clamped-SIC fallback because every selected path deactivated.
 func (d *FlexCore) FallbackDetections() int64 { return d.fallbk }
 
+// Options returns the options d was built with.
+func (d *FlexCore) Options() Options { return d.opts }
+
+// Helper returns a new detector that prepares and detects any part of a
+// frame as d would — d's constellation, Options and the path cap in
+// force — so that part can run on another goroutine. Without PathReuse
+// a subcarrier's decisions and counters depend on no other subcarrier,
+// so a frame split over helpers reads as one run by d once Fold has
+// returned their counters. A later SetPathCap on d is not the helper's:
+// cap it too.
+func (d *FlexCore) Helper() *FlexCore {
+	h := New(d.cons, d.opts)
+	h.npe = d.npe
+	return h
+}
+
+// Fold moves a helper's counters into d: OpCount, the PreprocessStats
+// counters and FallbackDetections add up, and d takes h's
+// CumulativeProb — fold helpers in subcarrier order and it is the last
+// subcarrier's. h's counters restart from zero.
+//
+//flexcore:noalloc
+func (d *FlexCore) Fold(h *FlexCore) {
+	d.ops.Add(h.ops)
+	d.ppOps.Add(h.ppOps)
+	d.ppOps.CumulativeProb = h.ppOps.CumulativeProb
+	d.fallbk += h.fallbk
+	h.ops, h.ppOps, h.fallbk = detector.OpCount{}, PreprocessStats{}, 0
+}
+
 // ensureScratch grows the detector-owned scratch to the current stream
 // count; it only allocates when n grows, keeping Detect allocation-free
 // in steady state.

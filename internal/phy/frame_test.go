@@ -127,21 +127,79 @@ func (d *errDetector) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 func (d *errDetector) Detect(y []complex128) []int { return []int{0} }
 func (d *errDetector) OpCount() detector.OpCount   { return detector.OpCount{} }
 
-// TestFrameDetectorPropagatesPrepareError: a mid-frame Prepare failure
-// surfaces as DetectFrame's error; emit is not called for the failed
-// subcarrier.
+// TestFrameDetectorPropagatesPrepareError: a mid-frame failure surfaces
+// as DetectFrame's error after exactly the subcarriers below it were
+// emitted, in order — on one stripe and on a frame striped over helper
+// detectors alike — and a frame whose geometry fails anywhere emits
+// nothing and returns the one-stripe error, with k counted from the
+// frame's start.
 func TestFrameDetectorPropagatesPrepareError(t *testing.T) {
 	want := errors.New("prepare failed")
-	fd := NewFrameDetector(&errDetector{okLeft: 2, err: want})
+	// checkOrder checks that emit saw exactly k = 0…n−1.
+	checkOrder := func(name string, err error, order []int, n int) {
+		t.Helper()
+		if !errors.Is(err, want) || len(order) != n {
+			t.Fatalf("%s: %v after %d emits, want the detector's error after %d", name, err, len(order), n)
+		}
+		for i, k := range order {
+			if k != i {
+				t.Fatalf("%s: emit order %v, want 0…%d", name, order, n-1)
+			}
+		}
+	}
+	var order []int
+	emit := func(k int, decisions [][]int) { order = append(order, k) }
+
 	hs, ys := frameCase(t, 0xabc3, 2, 1, 4, 1)
-	emitted := 0
-	err := fd.DetectFrame(hs, 0.1, func(k int) [][]complex128 { return ys[k] }, func(k int, decisions [][]int) { emitted++ })
-	if !errors.Is(err, want) {
-		t.Fatalf("got %v, want the detector's error", err)
+	err := NewFrameDetector(&errDetector{okLeft: 2, err: want}).DetectFrame(hs, 0.1, func(k int) [][]complex128 { return ys[k] }, emit)
+	checkOrder("4 subcarriers", err, order, 2)
+
+	const k, bad = 48, 30
+	hs, ys = frameCase(t, 0xabc7, 4, 3, k, 2)
+	burst := func(k int) [][]complex128 { return ys[k] }
+	order = nil
+	err = NewFrameDetector(&errDetector{okLeft: bad, err: want}).DetectFrame(hs, 0.1, burst, emit)
+	checkOrder("48 subcarriers", err, order, bad)
+
+	cons := constellation.MustNew(16)
+	mixed := append([]*cmatrix.Matrix(nil), hs...)
+	mixed[bad] = cmatrix.New(5, 3)
+	oneStripe := core.New(cons, core.Options{NPE: 16}).PrepareAll(mixed, 0.1)
+	if oneStripe == nil {
+		t.Fatal("PrepareAll accepted a mixed-geometry frame")
 	}
-	if emitted != 2 {
-		t.Fatalf("emit called %d times before the failure, want 2", emitted)
+	withProcs(2, func() {
+		order = nil
+		err := NewFrameDetector(core.New(cons, core.Options{NPE: 16})).DetectFrame(mixed, 0.1, burst, emit)
+		if err == nil || err.Error() != oneStripe.Error() || len(order) != 0 {
+			t.Fatalf("mixed geometry: %v after %d emits, want %q and none", err, len(order), oneStripe)
+		}
+
+		fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16}))
+		if err := fd.DetectFrame(hs, 0.1, burst, func(int, [][]int) {}); err != nil {
+			t.Fatal(err)
+		}
+		l := fd.lanes[0] // at GOMAXPROCS 2: subcarriers 24…47
+		l.fd.fc = failSelect{flexCore: l.fd.fc, at: bad - l.lo, err: want}
+		order = nil
+		err = fd.DetectFrame(hs, 0.1, burst, emit)
+		checkOrder("striped", err, order, bad)
+	})
+}
+
+// failSelect is a stripe's detector whose Select fails at one
+// subcarrier of the stripe.
+type failSelect struct {
+	flexCore
+	at  int
+	err error
+}
+
+func (d failSelect) Select(k int) error {
+	if k == d.at {
+		return d.err
 	}
+	return d.flexCore.Select(k)
 }
 
 // TestFrameDetectorReuseState covers the SetReuseState passthrough: a
