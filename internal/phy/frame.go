@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/core"
@@ -17,34 +18,40 @@ import (
 // (one per shard), bench/, the link simulator (one per packet worker)
 // and the waveform receiver all prepare and detect frames through it.
 // FlexCore (DESIGN.md §9) runs its channel-rate PrepareAll/Select; any
-// other detector is prepared one subcarrier at a time by Select.
-// Decisions are bit-identical to looping Prepare+Detect per subcarrier
-// either way: FlexCore's Prepare is the one-subcarrier PrepareAll.
+// other detector is prepared one subcarrier at a time. Decisions are
+// bit-identical to looping Prepare+Detect per subcarrier either way:
+// FlexCore's Prepare is the one-subcarrier PrepareAll.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
 // DetectFrame may itself run a frame on more than one core (DESIGN.md
-// §8): over a FlexCore without PathReuse it stripes the subcarriers over
-// helper detectors it keeps, each on a goroutine that ends before the
-// call returns.
+// §8): over a FlexCore without PathReuse its lanes — the caller and
+// helper goroutines, each with a detector of its own — claim the
+// subcarriers one at a time.
 type FrameDetector struct {
 	det   detector.Detector
 	batch detector.BatchDetector
 	fc    flexCore // the detector's FlexCore surface; nil for any other detector
 
-	hs     []*cmatrix.Matrix // the frame Select prepares per subcarrier (fc == nil)
-	sigma2 float64
+	hs     []*cmatrix.Matrix // the frame selectK prepares per subcarrier (fc == nil)
+	sigma2 float64           // hs's noise variance, or claimed's
 
 	activeSum float64
 	activeN   int64
 
 	// lead is the wrapped detector when it is a FlexCore without
 	// PathReuse — its subcarriers depend on no other subcarrier, so a hard
-	// frame may stripe: stripe 0 runs on lead, stripe i on lanes[i-1],
-	// made on first need. wg joins the helper lanes of a frame.
-	lead  *core.FlexCore
-	lanes []*lane
-	wg    sync.WaitGroup
+	// frame may run on several lanes: own on the caller, lanes[i] on a
+	// helper goroutine, each over a helper of lead made on first need.
+	// They claim the subcarriers of claimed from next; wg joins the
+	// helpers.
+	lead    *core.FlexCore
+	own     *lane
+	lanes   []*lane
+	wg      sync.WaitGroup
+	claimed []*cmatrix.Matrix
+	burst   func(k int) [][]complex128
+	next    atomic.Int64 // claimed's next unclaimed subcarrier
 }
 
 // flexCore is the surface FrameDetector drives beyond detector.Detector,
@@ -89,10 +96,9 @@ func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
 	return true
 }
 
-// SetPathCap bounds the wrapped detector's path sets, and its stripe
-// helpers', at k processing elements for the next DetectFrame calls (0
-// lifts the bound) and reports whether the detector supports a
-// per-frame cap.
+// SetPathCap bounds the wrapped detector's path sets, and its lanes',
+// at k processing elements for the next DetectFrame calls (0 lifts the
+// bound) and reports whether the detector supports a per-frame cap.
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetPathCap(k int) bool {
@@ -100,23 +106,27 @@ func (f *FrameDetector) SetPathCap(k int) bool {
 		return false
 	}
 	f.fc.SetPathCap(k)
+	if f.own != nil {
+		f.own.fd.SetPathCap(k)
+	}
 	for _, l := range f.lanes {
 		l.fd.SetPathCap(k)
 	}
 	return true
 }
 
-// Detector returns the wrapped detector.
+// Detector returns the wrapped detector. Its prepared frame is
+// DetectFrame's last only when that frame ran on one lane.
 func (f *FrameDetector) Detector() detector.Detector { return f.det }
 
-// PrepareAll prepares a frame of per-subcarrier channels: in one call
-// for FlexCore, otherwise by recording hs and sigma2 for Select to
+// prepareAll prepares a frame of per-subcarrier channels: in one call
+// for FlexCore, otherwise by recording hs and sigma2 for selectK to
 // prepare one subcarrier at a time (hs must then stay unchanged until
-// the frame's last Select). An empty frame is an error for every
+// the frame's last selectK). An empty frame is an error for every
 // detector.
 //
 //flexcore:noalloc
-func (f *FrameDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+func (f *FrameDetector) prepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	if f.fc != nil {
 		return f.fc.PrepareAll(hs, sigma2)
 	}
@@ -127,12 +137,12 @@ func (f *FrameDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	return nil
 }
 
-// Select activates subcarrier k of the prepared frame for the wrapped
+// selectK activates subcarrier k of the prepared frame for the wrapped
 // detector's Detect/DetectBatch/DetectSoft calls and samples its
 // active processing-element count.
 //
 //flexcore:noalloc
-func (f *FrameDetector) Select(k int) error {
+func (f *FrameDetector) selectK(k int) error {
 	err := errSelectRange
 	switch {
 	case f.fc != nil:
@@ -147,30 +157,28 @@ func (f *FrameDetector) Select(k int) error {
 	return err
 }
 
-// DetectFrame detects one frame: it prepares every subcarrier channel
-// (PrepareAll), then for each subcarrier k selects it, detects the
-// burst returned by burst(k) — one received vector per OFDM symbol —
-// and hands the decisions to emit(k, got). The decisions slice is
-// detector-owned and valid only until the next detection call: emit
-// must consume (copy or encode) it before returning. The burst and
-// emit callbacks let callers stream results without any intermediate
-// per-frame decision buffer, keeping the steady-state loop
-// allocation-free.
+// DetectFrame detects one frame: it prepares every subcarrier channel,
+// then for each subcarrier k selects it, detects the burst returned by
+// burst(k) — one received vector per OFDM symbol — and hands the
+// decisions to emit(k, got). The decisions slice is detector-owned and
+// valid only until the next detection call: emit must consume (copy or
+// encode) it before returning. The burst and emit callbacks let callers
+// stream results without any intermediate per-frame decision buffer,
+// keeping the steady-state loop allocation-free.
 //
 // Over a FlexCore without PathReuse, a frame of K ≥ 2 subcarriers runs
-// as L = min(K, GOMAXPROCS − busy) contiguous stripes, and at least one,
-// busy being the cores the process's other frames hold — one per frame
-// in flight plus one per helper stripe it runs (DESIGN.md §8).
-// Decisions, emit order and every counter are those of the one-stripe
-// run, and emit runs only on the caller's goroutine, in increasing k.
-// burst(k), though, may run on a helper goroutine, concurrently with
-// emit and with other burst calls: it must only read data that stays
-// unchanged for the call, as returning a slice of the frame does.
-//
-// The wrapped detector's prepared frame is the one-stripe run's only
-// when the frame ran as one stripe: a striped frame leaves it holding
-// stripe 0 alone, so after DetectFrame call PrepareAll before Select,
-// and Select before Detect, Paths or ActivePaths.
+// on L = min(K, GOMAXPROCS − busy) lanes, and at least one, busy being
+// the cores the process's other frames hold — one per frame in flight
+// plus one per helper lane it runs (DESIGN.md §8). Every lane, the
+// caller's included, claims the next subcarrier until none is left.
+// Decisions, emit order, errors and every counter are those of the
+// one-lane run, and emit runs only on the caller's goroutine, in
+// increasing k (on several lanes, once they are joined). burst(k) may run
+// on a helper goroutine, concurrently with other burst calls: it must
+// only read data that stays unchanged for the call, as returning a
+// slice of the frame does. A helper outlives its last frame by at most
+// one linger, and only while the process runs no more goroutines than
+// it has Ps; it touches no frame state after the join.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k int, decisions [][]int)) error {
@@ -181,7 +189,7 @@ func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst 
 // subcarrier k goes through FlexCore's DetectSoft, and emit(k, s, got,
 // llrs) must consume its decisions and per-bit LLRs before returning.
 // Any other detector is an error, before anything is prepared. A soft
-// frame runs as one stripe, on the caller.
+// frame runs on one lane, the caller.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrameSoft(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k, s int, got []int, llrs [][]float64)) error {
@@ -193,8 +201,8 @@ func (f *FrameDetector) DetectFrameSoft(hs []*cmatrix.Matrix, sigma2 float64, bu
 
 // coresInUse counts the cores the process's DetectFrame and
 // DetectFrameSoft calls hold: one per call in flight, plus one per helper
-// stripe it runs. A frame stripes only over the cores the others leave
-// idle.
+// lane it runs. A frame takes helper lanes only on the cores the others
+// leave idle.
 var coresInUse atomic.Int64
 
 // reserveCores takes up to want of the cores GOMAXPROCS leaves idle, and
@@ -212,44 +220,32 @@ func reserveCores(want int) int {
 	}
 }
 
-// detectFrame is the one frame loop. Helper lanes take stripes 1…L−1,
-// the caller runs stripe 0 on the wrapped detector, emitting as it
-// goes, then joins the lanes, emits their decisions in k order and
-// folds their counters back. A one-stripe frame (L = 1) hands off
-// nothing and joins nothing. The error is the lowest subcarrier's, after
-// exactly the subcarriers below it were emitted.
+// detectFrame is the one frame loop. A one-lane frame runs on the
+// wrapped detector, emitting as it goes; a frame on L ≥ 2 lanes is
+// claimFrame's.
 //
 //flexcore:noalloc
 func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
 	want := 1
 	if hard != nil {
-		want = f.maxStripes(hs)
+		want = f.maxLanes(hs)
 	}
-	stripes := reserveCores(want)
-	defer coresInUse.Add(-int64(stripes))
-	K := len(hs)
-	for i := 1; i < stripes; i++ {
-		f.handOff(i-1, hs, K*i/stripes, K*(i+1)/stripes, sigma2, burst)
+	lanes := reserveCores(want)
+	defer coresInUse.Add(-int64(lanes))
+	if lanes == 1 {
+		return f.stripe(hs, 0, sigma2, burst, hard, soft)
 	}
-	err := f.stripe(hs[:K/stripes], 0, sigma2, burst, hard, soft)
-	f.wg.Wait()
-	for _, l := range f.lanes[:stripes-1] {
-		if err == nil {
-			err = l.emit(hard)
-		}
-		f.fold(l)
-	}
-	return err
+	return f.claimFrame(hs, sigma2, burst, hard, lanes)
 }
 
-// maxStripes returns how many stripes a hard frame may run in: one
-// unless the wrapped detector is a FlexCore without PathReuse and the
-// frame has two or more subcarriers of one valid geometry (any other
-// frame gets the wrapped detector's own error, nothing emitted), else
-// one per subcarrier.
+// maxLanes returns how many lanes a hard frame may run on: one unless
+// the wrapped detector is a FlexCore without PathReuse and the frame
+// has two or more subcarriers of one valid geometry (any other frame
+// gets the wrapped detector's own error, nothing emitted), else one per
+// subcarrier.
 //
 //flexcore:noalloc
-func (f *FrameDetector) maxStripes(hs []*cmatrix.Matrix) int {
+func (f *FrameDetector) maxLanes(hs []*cmatrix.Matrix) int {
 	if f.lead == nil || len(hs) < 2 || hs[0].Rows < hs[0].Cols {
 		return 1
 	}
@@ -262,16 +258,16 @@ func (f *FrameDetector) maxStripes(hs []*cmatrix.Matrix) int {
 }
 
 // stripe prepares hs — subcarriers lo… of a frame — and detects them in
-// order: per subcarrier Select and the burst's detection, one
+// order: per subcarrier selectK and the burst's detection, one
 // DetectBatch when hard is set, else one DetectSoft per vector.
 //
 //flexcore:noalloc
 func (f *FrameDetector) stripe(hs []*cmatrix.Matrix, lo int, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
-	if err := f.PrepareAll(hs, sigma2); err != nil {
+	if err := f.prepareAll(hs, sigma2); err != nil {
 		return err
 	}
 	for i := range hs {
-		if err := f.Select(i); err != nil {
+		if err := f.selectK(i); err != nil {
 			return err
 		}
 		k := lo + i
@@ -287,22 +283,95 @@ func (f *FrameDetector) stripe(hs []*cmatrix.Matrix, lo int, sigma2 float64, bur
 	return nil
 }
 
-// handOff starts helper lane i on subcarriers [lo, hi) of the frame,
-// making the lane on first need.
-func (f *FrameDetector) handOff(i int, hs []*cmatrix.Matrix, lo, hi int, sigma2 float64, burst func(k int) [][]complex128) {
+// claimFrame runs a hard frame on n lanes: it hands the frame to helper
+// lanes 0…n−2, claims subcarriers on its own lane until none is left,
+// joins the helpers, emits every lane's decisions in increasing k up to
+// the lowest failed claim and folds the lanes' counters into the
+// wrapped detector. The error is that claim's, after exactly the
+// subcarriers below it were emitted.
+//
+//flexcore:noalloc
+func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), n int) error {
+	if f.own == nil {
+		f.own = newLane(f)
+	}
+	f.claimed, f.sigma2, f.burst = hs, sigma2, burst
+	f.next.Store(0)
+	for i := range n - 1 {
+		f.handOff(i)
+	}
+	f.own.reset()
+	f.own.claim()
+	for _, l := range f.lanes[:n-1] {
+		for l.state.Load() == laneWork && alone() {
+			runtime.Gosched()
+		}
+	}
+	f.wg.Wait()
+
+	end, err := len(hs), error(nil)
+	for i := range n {
+		l := f.lane(i)
+		if l.err != nil && l.errK < end {
+			end, err = l.errK, l.err
+		}
+		l.views()
+	}
+	for k := range end {
+		i := 0 // the lane that claimed k emits it
+		for !f.lane(i).emit(k, hard) {
+			i++
+		}
+	}
+
+	last := 0 // the lane that prepared the last subcarrier claimed: folded last, its CumulativeProb is the frame's
+	for i := range n {
+		if f.lane(i).top() > f.lane(last).top() {
+			last = i
+		}
+	}
+	for i := range n {
+		if i != last {
+			f.fold(f.lane(i))
+		}
+	}
+	f.fold(f.lane(last))
+	f.claimed, f.burst = nil, nil
+	return err
+}
+
+// lane returns lane i of a frame: 0 the caller's, i ≥ 1 helper i−1.
+//
+//flexcore:noalloc
+func (f *FrameDetector) lane(i int) *lane {
+	if i == 0 {
+		return f.own
+	}
+	return f.lanes[i-1]
+}
+
+// handOff hands the frame to helper lane i, making the lane on first
+// need: a lane whose goroutine still lingers takes it with one
+// compare-and-swap, any other gets a goroutine started for it.
+func (f *FrameDetector) handOff(i int) {
 	if i == len(f.lanes) {
-		f.lanes = append(f.lanes, newLane(f))
+		l := newLane(f)
+		l.timer = time.NewTimer(linger)
+		l.timer.Stop()
+		f.lanes = append(f.lanes, l)
 	}
 	l := f.lanes[i]
-	l.hs, l.lo, l.sigma2, l.burst = hs[lo:hi], lo, sigma2, burst
-	l.at, l.buf = append(l.at[:0], 0), l.buf[:0]
+	l.reset()
 	f.wg.Add(1)
+	if l.state.CompareAndSwap(laneIdle, laneWork) {
+		return
+	}
+	l.state.Store(laneWork)
 	go runLane()
 	laneQ <- l
 }
 
-// fold returns a joined lane's counters to the wrapped detector and
-// drops its references to the frame.
+// fold returns a joined lane's counters to the wrapped detector.
 //
 //flexcore:noalloc
 func (f *FrameDetector) fold(l *lane) {
@@ -310,7 +379,7 @@ func (f *FrameDetector) fold(l *lane) {
 	f.activeSum += l.fd.activeSum
 	f.activeN += l.fd.activeN
 	l.fd.activeSum, l.fd.activeN = 0, 0
-	l.hs, l.burst, l.err = nil, nil, nil
+	l.err = nil
 }
 
 // laneQ carries each handed-off lane to the goroutine started for it. A
@@ -322,31 +391,96 @@ func (f *FrameDetector) fold(l *lane) {
 // runLane to take one.
 var laneQ = make(chan *lane, 64)
 
-// runLane runs one handed-off lane and marks it joined.
-func runLane() {
-	l := <-laneQ
-	defer l.owner.wg.Done()
-	l.err = l.fd.stripe(l.hs, l.lo, l.sigma2, l.burst, l.keep, nil)
+// A helper lane's state: laneWork from its hand-off until its goroutine
+// has run out of claims, then laneIdle while that goroutine lingers, and
+// laneGone once it has exited.
+const (
+	laneGone int32 = iota
+	laneWork
+	laneIdle
+)
+
+// linger is how long a helper goroutine waits for its lane's next
+// hand-off after a frame. Starting a goroutine onto an idle core costs
+// about a sixth of a frame-prep frame on the 2-vCPU reference host, and
+// back-to-back frames hand off well within this (DESIGN.md §8). It is
+// only a wait: no result depends on it.
+const linger = 300 * time.Microsecond
+
+// alone reports whether the process runs no more goroutines than it has
+// Ps. Only then may a lane keep a core warm with a yielding poll — a
+// helper lingering for the next hand-off, a caller waiting at the join:
+// a P that keeps finding its poller in the global run queue never polls
+// the network, steals work or runs other Ps' timers, but with no more
+// goroutines than Ps none waits for a P, and while one is parked a P is
+// idle to do that work.
+//
+//flexcore:noalloc
+func alone() bool {
+	return runtime.NumGoroutine() <= runtime.GOMAXPROCS(0)
 }
 
-// lane is a helper stripe of a frame: a FrameDetector over a helper of
-// the wrapped FlexCore (SetPathCap caps both), the stripe it runs, and
-// its decisions, kept in lane-owned arenas (grown to their high-water
-// mark) until the caller emits them after the join.
+// runLane serves a handed-off lane: it claims the frame's subcarriers,
+// marks its part done and lingers for the lane's next hand-off, until a
+// linger passes without one.
+func runLane() {
+	l := <-laneQ
+	for {
+		l.claim()
+		l.state.Store(laneIdle)
+		l.owner.wg.Done()
+		if !l.await() {
+			return
+		}
+	}
+}
+
+// await polls the lane for its next hand-off for up to one linger,
+// yielding the P on every poll so that any goroutine queued there runs
+// first, and reports whether one came; it gives up as soon as the
+// process is not alone, and arms no timer when it starts out so. A
+// hand-off that races the give-up either wins the compare-and-swap, and
+// is served, or finds the lane gone and starts a goroutine of its own.
+func (l *lane) await() bool {
+	if alone() {
+		l.timer.Reset(linger)
+		for alone() && l.state.Load() != laneWork {
+			runtime.Gosched()
+			select {
+			case <-l.timer.C:
+				return !l.state.CompareAndSwap(laneIdle, laneGone)
+			default:
+			}
+		}
+		l.timer.Stop()
+		select { // a timer that expired as it was stopped
+		case <-l.timer.C:
+		default:
+		}
+	}
+	return !l.state.CompareAndSwap(laneIdle, laneGone)
+}
+
+// lane is one lane of a frame: a FrameDetector over a helper of the
+// wrapped FlexCore (SetPathCap caps both), the subcarriers it claimed,
+// in increasing k, and their decisions, kept in lane-owned arenas
+// (grown to their high-water mark) until the caller emits them after
+// the join.
 type lane struct {
 	owner *FrameDetector
 	fd    *FrameDetector                 // over the helper detector, fd.lead
 	keep  func(k int, decisions [][]int) // l.store, bound once: a method value made per frame allocates
+	state atomic.Int32                   // a helper lane's laneGone, laneWork or laneIdle
+	timer *time.Timer                    // a helper's linger
 
-	hs     []*cmatrix.Matrix
-	lo     int
-	sigma2 float64
-	burst  func(k int) [][]complex128
-	err    error
+	err  error // the failed claim's, which ended the lane's claims
+	errK int
 
-	buf []int   // the stripe's decisions, vector after vector
-	at  []int   // at[i]: vectors of the stripe before subcarrier lo+i; one more entry per kept subcarrier
-	hdr [][]int // per-vector views into buf, built by emit
+	ks  []int   // the claimed subcarriers
+	buf []int   // their decisions, vector after vector
+	at  []int   // at[i]: vectors kept before ks[i]; one more entry than ks
+	hdr [][]int // per-vector views into buf, built by views
+	cur int     // ks[cur] is the next subcarrier emit hands over
 }
 
 func newLane(owner *FrameDetector) *lane {
@@ -355,17 +489,43 @@ func newLane(owner *FrameDetector) *lane {
 	return l
 }
 
+// reset empties the lane for the next frame.
+func (l *lane) reset() {
+	l.ks, l.buf, l.at = l.ks[:0], l.buf[:0], append(l.at[:0], 0)
+}
+
+// claim takes the owner's next unclaimed subcarrier and runs it as a
+// one-subcarrier frame, until none is left or a claim fails; a failure
+// records its k and ends every lane's claims.
+//
+//flexcore:noalloc
+func (l *lane) claim() {
+	f := l.owner
+	K := len(f.claimed)
+	for {
+		k := int(f.next.Add(1) - 1)
+		if k >= K {
+			return
+		}
+		if err := l.fd.stripe(f.claimed[k:k+1], k, f.sigma2, f.burst, l.keep, nil); err != nil {
+			l.err, l.errK = err, k
+			f.next.Store(int64(K))
+			return
+		}
+	}
+}
+
 // store keeps subcarrier k's decisions for emit.
 func (l *lane) store(k int, decisions [][]int) {
 	for _, d := range decisions {
 		l.buf = append(l.buf, d...)
 	}
+	l.ks = append(l.ks, k)
 	l.at = append(l.at, l.at[len(l.at)-1]+len(decisions))
 }
 
-// emit hands the stripe's kept decisions to hard in k order and returns
-// the stripe's error, which stopped it after the last one kept.
-func (l *lane) emit(hard func(k int, decisions [][]int)) error {
+// views builds the per-vector views emit hands over and rewinds it.
+func (l *lane) views() {
 	vectors := l.at[len(l.at)-1]
 	if cap(l.hdr) < vectors {
 		l.hdr = make([][]int, vectors)
@@ -377,10 +537,30 @@ func (l *lane) emit(hard func(k int, decisions [][]int)) error {
 			l.hdr[v] = l.buf[v*n : (v+1)*n : (v+1)*n]
 		}
 	}
-	for i := 0; i+1 < len(l.at); i++ {
-		hard(l.lo+i, l.hdr[l.at[i]:l.at[i+1]])
+	l.cur = 0
+}
+
+// emit hands subcarrier k's kept decisions to hard and reports whether
+// the lane claimed k.
+//
+//flexcore:noalloc
+func (l *lane) emit(k int, hard func(k int, decisions [][]int)) bool {
+	if l.cur == len(l.ks) || l.ks[l.cur] != k {
+		return false
 	}
-	return l.err
+	hard(k, l.hdr[l.at[l.cur]:l.at[l.cur+1]])
+	l.cur++
+	return true
+}
+
+// top returns the last subcarrier the lane claimed, −1 for none.
+//
+//flexcore:noalloc
+func (l *lane) top() int {
+	if len(l.ks) == 0 {
+		return -1
+	}
+	return l.ks[len(l.ks)-1]
 }
 
 // ActivePEs returns the cumulative active processing-element count and

@@ -2,7 +2,9 @@ package phy
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -129,10 +131,9 @@ func (d *errDetector) OpCount() detector.OpCount   { return detector.OpCount{} }
 
 // TestFrameDetectorPropagatesPrepareError: a mid-frame failure surfaces
 // as DetectFrame's error after exactly the subcarriers below it were
-// emitted, in order — on one stripe and on a frame striped over helper
-// detectors alike — and a frame whose geometry fails anywhere emits
-// nothing and returns the one-stripe error, with k counted from the
-// frame's start.
+// emitted, in order — on one lane and on a frame whose lanes claim its
+// subcarriers alike, where the lowest failed k wins — and a frame whose
+// geometry fails anywhere emits nothing and returns the one-lane error.
 func TestFrameDetectorPropagatesPrepareError(t *testing.T) {
 	want := errors.New("prepare failed")
 	// checkOrder checks that emit saw exactly k = 0…n−1.
@@ -174,30 +175,53 @@ func TestFrameDetectorPropagatesPrepareError(t *testing.T) {
 		if err == nil || err.Error() != oneStripe.Error() || len(order) != 0 {
 			t.Fatalf("mixed geometry: %v after %d emits, want %q and none", err, len(order), oneStripe)
 		}
-
-		fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16}))
-		if err := fd.DetectFrame(hs, 0.1, burst, func(int, [][]int) {}); err != nil {
-			t.Fatal(err)
-		}
-		l := fd.lanes[0] // at GOMAXPROCS 2: subcarriers 24…47
-		l.fd.fc = failSelect{flexCore: l.fd.fc, at: bad - l.lo, err: want}
-		order = nil
-		err = fd.DetectFrame(hs, 0.1, burst, emit)
-		checkOrder("striped", err, order, bad)
 	})
+
+	// A frame on several lanes, failing at k = 12 and at k = 30 on
+	// whichever lanes claim them, returns k = 12's error after exactly
+	// k = 0…11 were emitted.
+	later := errors.New("later failure")
+	fail := map[*cmatrix.Matrix]error{hs[12]: want, hs[30]: later}
+	for _, procs := range []int{2, 4} {
+		withProcs(procs, func() {
+			fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16}))
+			if err := fd.DetectFrame(hs, 0.1, burst, func(int, [][]int) {}); err != nil {
+				t.Fatal(err)
+			}
+			if len(fd.lanes) != procs-1 {
+				t.Fatalf("GOMAXPROCS %d: %d helper lanes, want %d", procs, len(fd.lanes), procs-1)
+			}
+			for i := range procs {
+				l := fd.lane(i)
+				l.fd.fc = &failOn{flexCore: l.fd.fc, bad: fail}
+			}
+			var striped atomic.Bool
+			order = nil
+			err := fd.DetectFrame(hs, 0.1, stripedBurst(ys, &striped), emit)
+			if !striped.Load() {
+				t.Fatalf("GOMAXPROCS %d: the failing frame ran on one lane", procs)
+			}
+			checkOrder(fmt.Sprintf("GOMAXPROCS %d", procs), err, order, 12)
+		})
+	}
 }
 
-// failSelect is a stripe's detector whose Select fails at one
-// subcarrier of the stripe.
-type failSelect struct {
+// failOn is a lane's detector whose Select fails on the subcarriers
+// whose channel bad names, with that channel's error.
+type failOn struct {
 	flexCore
-	at  int
-	err error
+	bad map[*cmatrix.Matrix]error
+	hs  []*cmatrix.Matrix
 }
 
-func (d failSelect) Select(k int) error {
-	if k == d.at {
-		return d.err
+func (d *failOn) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+	d.hs = hs
+	return d.flexCore.PrepareAll(hs, sigma2)
+}
+
+func (d *failOn) Select(k int) error {
+	if err := d.bad[d.hs[k]]; err != nil {
+		return err
 	}
 	return d.flexCore.Select(k)
 }
@@ -305,7 +329,7 @@ func TestDetectFrameSoftMatchesScalarLoop(t *testing.T) {
 
 // TestFrameDetectorAllocFree gates the frame loop itself: once warm,
 // DetectFrame and DetectFrameSoft on FlexCore (both backends) and
-// PrepareAll+Select on the per-subcarrier branch run without allocating.
+// prepareAll+selectK on the per-subcarrier branch run without allocating.
 func TestFrameDetectorAllocFree(t *testing.T) {
 	const nr, nt, k, s, sigma2 = 4, 3, 6, 4, 0.1
 	hs, ys := frameCase(t, 0xabc5, nr, nt, k, s)
@@ -334,16 +358,16 @@ func TestFrameDetectorAllocFree(t *testing.T) {
 	}
 	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no PrepareAll
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := fd.PrepareAll(hs, sigma2); err != nil {
+		if err := fd.prepareAll(hs, sigma2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range hs {
-			if err := fd.Select(i); err != nil {
+			if err := fd.selectK(i); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("per-subcarrier PrepareAll+Select: %.1f allocs/frame, want 0", allocs)
+		t.Errorf("per-subcarrier prepareAll+selectK: %.1f allocs/frame, want 0", allocs)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
@@ -168,7 +169,7 @@ func stripedBurst(ys [][][]complex128, striped *atomic.Bool) func(k int) [][]com
 
 // TestStripedFrameScope: a PathReuse detector and any detector other
 // than a plain FlexCore never stripe, and no helper goroutine outlives
-// the frames that started them.
+// the frames that started them by more than its linger.
 func TestStripedFrameScope(t *testing.T) {
 	const k = 48
 	cons := constellation.MustNew(16)
@@ -195,7 +196,7 @@ func TestStripedFrameScope(t *testing.T) {
 
 		det := core.New(cons, core.Options{NPE: 16})
 		fd := NewFrameDetector(det)
-		before := runtime.NumGoroutine()
+		before := settledGoroutines()
 		for i := 0; i < 100; i++ {
 			striped.Store(false)
 			if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
@@ -205,7 +206,7 @@ func TestStripedFrameScope(t *testing.T) {
 				t.Fatalf("frame %d ran as one stripe", i)
 			}
 		}
-		// A helper marks its lane joined on its way out; give the last
+		// A helper lingers after its frame, then exits; give the last
 		// ones the moment they need to return.
 		after := runtime.NumGoroutine()
 		for deadline := time.Now().Add(2 * time.Second); after != before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
@@ -274,63 +275,309 @@ func TestStripedFrameAllocFree(t *testing.T) {
 	})
 }
 
-// TestStripedFrameTakesIdleCoresOnly: a frame stripes only over the cores the
-// frames already in flight leave idle, and a striped frame holds one core
-// per stripe. At GOMAXPROCS 4, a frame that arrives while another runs
-// in 2, 3 or 4 stripes takes 2, 1 or 1 — its caller's own core — so the
-// stripes in flight outnumber the cores only when the callers do.
+// TestStripedFrameTakesIdleCoresOnly: a frame takes lanes only on the
+// cores the frames already in flight leave idle, and a frame on several
+// lanes holds one core per lane. At GOMAXPROCS 4, a frame that arrives
+// while another holds 2, 3 or 4 cores reserves 2, 1 or 1 — its caller's
+// own — so the lanes in flight outnumber the cores only when the callers
+// do. Which goroutines run a frame's subcarriers is not pinned (a lane
+// claims them one at a time, and one lane may take both of a
+// 2-subcarrier frame), so the test reads the cores each frame reserved.
 func TestStripedFrameTakesIdleCoresOnly(t *testing.T) {
 	const procs = 4
 	cons := constellation.MustNew(16)
 	hs, ys := frameCase(t, 0x57d1, 4, 3, 48, 1)
-	// run detects hs[:k] and reports on how many goroutines burst ran,
-	// calling hold(k) first in every burst.
-	run := func(k int, hold func(k int)) (int, error) {
-		var mu sync.Mutex
-		seen := map[int]bool{}
+	// run detects hs[:k], calling hold(k) first in every burst, and
+	// reports the cores in use its bursts saw.
+	run := func(k int, hold func(k int)) (int64, error) {
+		var cores atomic.Int64
 		err := NewFrameDetector(core.New(cons, core.Options{NPE: 16})).DetectFrame(hs[:k], 0.1, func(k int) [][]complex128 {
-			mu.Lock()
-			seen[goid()] = true
-			mu.Unlock()
 			hold(k)
+			cores.Store(coresInUse.Load())
 			return ys[k]
 		}, func(int, [][]int) {})
-		return len(seen), err
+		return cores.Load(), err
 	}
 	withProcs(procs, func() {
 		for _, first := range []int{2, 3, 48} {
 			held, release := make(chan struct{}), make(chan struct{})
-			type result struct {
-				stripes int
-				err     error
-			}
-			done := make(chan result)
+			var firstCores int64
+			done := make(chan error)
 			go func() {
-				// subcarrier 0 runs on the caller, after every helper
-				// stripe was handed off: hold the frame there.
-				n, err := run(first, func(k int) {
+				// subcarrier 0 is claimed first, on whichever lane: hold
+				// the frame there, with no other frame in flight.
+				_, err := run(first, func(k int) {
 					if k == 0 {
+						firstCores = coresInUse.Load()
 						close(held)
 						<-release
 					}
 				})
-				done <- result{n, err}
+				done <- err
 			}()
 			<-held
-			second, err := run(48, func(int) {})
+			both, err := run(48, func(int) {})
 			close(release)
-			a := <-done
-			if err != nil || a.err != nil {
-				t.Fatal(err, a.err)
+			if aerr := <-done; err != nil || aerr != nil {
+				t.Fatal(err, aerr)
 			}
-			want := max(1, procs-min(first, procs))
-			if a.stripes != min(first, procs) || second != want {
-				t.Errorf("a %d-subcarrier frame in flight ran %d stripes and the next frame %d; want %d and %d",
-					first, a.stripes, second, min(first, procs), want)
+			second := both - firstCores
+			want := int64(max(1, procs-min(first, procs)))
+			if firstCores != int64(min(first, procs)) || second != want {
+				t.Errorf("a %d-subcarrier frame in flight reserved %d cores and the next frame %d; want %d and %d",
+					first, firstCores, second, min(first, procs), want)
 			}
 			if n := coresInUse.Load(); n != 0 {
 				t.Fatalf("%d cores held after both frames returned", n)
 			}
 		}
 	})
+}
+
+// settledGoroutines waits for the helpers earlier frames left lingering
+// to exit and returns the goroutine count then.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(100 * linger); time.Now().Before(deadline); {
+		time.Sleep(linger)
+		if m := runtime.NumGoroutine(); m != n {
+			n, deadline = m, time.Now().Add(100*linger)
+		}
+	}
+	return n
+}
+
+// TestStripedFrameLinger: a helper that lingers after its frame serves
+// the next hand-off or exits, whatever the gap between frames — none,
+// half a linger, one, two or ten, in a seeded order and jittered ±25 %,
+// so that hand-offs land before, around and after a helper gives up.
+// Every frame returns with each subcarrier's burst run exactly once (a
+// lost hand-off would leave the join waiting), decisions and counters
+// are the one-lane run's, and the goroutines return to their count
+// before the frames within 100 lingers of the last. Frames of 3
+// subcarriers keep the process alone at GOMAXPROCS 4 (the test binary's
+// two goroutines and two helpers), so helpers linger there and some
+// frame must run on a helper goroutine of the frame before; at
+// GOMAXPROCS 2 they never linger.
+func TestStripedFrameLinger(t *testing.T) {
+	const k, perGap = 3, 12
+	cons := constellation.MustNew(16)
+	opts := core.Options{NPE: 16}
+	rng := channel.NewStreamRNG(0x57e1, 0)
+	var gaps []time.Duration
+	for _, g := range []time.Duration{0, linger / 2, linger, 2 * linger, 10 * linger} {
+		for range perGap {
+			gaps = append(gaps, g)
+		}
+	}
+	rng.Shuffle(len(gaps), func(i, j int) { gaps[i], gaps[j] = gaps[j], gaps[i] })
+	for i := range gaps {
+		gaps[i] = time.Duration(float64(gaps[i]) * (0.75 + 0.5*rng.Float64()))
+	}
+	var hs [][]*cmatrix.Matrix
+	var ys [][][][]complex128
+	for f := range gaps {
+		h, y := frameCase(t, uint64(0x57e2+f), 4, 3, k, 2)
+		hs, ys = append(hs, h), append(ys, y)
+	}
+	one := runStripes(t, 1, cons, opts, 0, hs, ys)
+
+	for _, procs := range []int{2, 4} {
+		withProcs(procs, func() {
+			base := settledGoroutines()
+			det := core.New(cons, opts)
+			fd := NewFrameDetector(det)
+			caller := goid()
+			var many stripeRun
+			var bursts [k]atomic.Int32
+			var ran [k]atomic.Int64 // the goroutine that ran each subcarrier's burst
+			reused := 0             // frames with a burst on a helper goroutine of the frame before
+			prev := map[int64]bool{}
+			// A lost hand-off hangs the join: fail with a message rather
+			// than at the test binary's timeout. The timer starts no
+			// goroutine until it fires.
+			watchdog := time.AfterFunc(time.Minute, func() { panic("a striped frame never returned: a hand-off was lost") })
+			for f := range hs {
+				for start := time.Now(); time.Since(start) < gaps[f]; {
+					// the caller busy between frames
+				}
+				for i := range bursts {
+					bursts[i].Store(0)
+				}
+				err := fd.DetectFrame(hs[f], 0.1, func(k int) [][]complex128 {
+					bursts[k].Add(1)
+					ran[k].Store(int64(goid()))
+					return ys[f][k]
+				}, func(k int, decisions [][]int) {
+					many.order = append(many.order, k)
+					cp := make([][]int, len(decisions))
+					for s, d := range decisions {
+						cp[s] = append([]int(nil), d...)
+					}
+					many.decisions = append(many.decisions, cp)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur := map[int64]bool{}
+				for i := range bursts {
+					if n := bursts[i].Load(); n != 1 {
+						t.Fatalf("GOMAXPROCS %d, frame %d: subcarrier %d's burst ran %d times", procs, f, i, n)
+					}
+					if id := ran[i].Load(); id != int64(caller) {
+						cur[id] = true
+					}
+				}
+				for id := range cur {
+					if prev[id] {
+						reused++
+						break
+					}
+				}
+				prev = cur
+			}
+			watchdog.Stop()
+			if len(fd.lanes) != min(k, procs)-1 {
+				t.Fatalf("GOMAXPROCS %d: %d helper lanes, want %d", procs, len(fd.lanes), min(k, procs)-1)
+			}
+			// The helpers may linger only while the goroutines that were
+			// there before the frames, plus the frame's helpers, fit the Ps.
+			switch alone := base+len(fd.lanes) <= procs; {
+			case alone && reused == 0:
+				t.Errorf("GOMAXPROCS %d: no frame ran on a lingering helper", procs)
+			case !alone && reused != 0:
+				t.Errorf("GOMAXPROCS %d: %d frames ran on a helper that lingered with more goroutines than Ps", procs, reused)
+			}
+			many.ops, many.pp, many.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
+			many.cumBits = math.Float64bits(many.pp.CumulativeProb)
+			many.activeSum, many.activeN = fd.ActivePEs()
+			if !reflect.DeepEqual(one, many) {
+				t.Fatalf("GOMAXPROCS %d: frames with gaps differ from one lane:\n one  %+v %+v %d %v/%d\n many %+v %+v %d %v/%d",
+					procs, one.ops, one.pp, one.fallbacks, one.activeSum, one.activeN,
+					many.ops, many.pp, many.fallbacks, many.activeSum, many.activeN)
+			}
+
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(100 * linger); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(linger / 10)
+			}
+			if n != base {
+				t.Fatalf("GOMAXPROCS %d: %d goroutines 100 lingers after the last frame, %d before the first", procs, n, base)
+			}
+		})
+	}
+}
+
+// BenchmarkStripedFrame times one frame on the soa32 backend at the
+// library bench workloads' geometries — frame-prep (8×8 64-QAM, N_PE
+// 128 at 17 dB, 48 subcarriers of one vector) and frame-detect (12×12
+// 64-QAM, N_PE 128 at 16 dB, 48 of four) — cycling over 4 seeded frames
+// of fresh channels, as one caller calling back to back. Run it at -cpu
+// 2 to time frames on two lanes. A test binary is never alone (its main
+// goroutine waits beside the benchmark's), so helpers do not linger
+// here: each frame starts its helper, as a served frame's does. With
+// only timestamps taken in its own burst and emit and around the call,
+// it also reports
+//   - handoff_us: from the call to each helper's first burst, mean over
+//     the helpers that claimed a subcarrier;
+//   - join_us: from the frame's last burst to its first emit — the
+//     last claim's detection and the join, during which the other lanes
+//     have nothing left to claim.
+func BenchmarkStripedFrame(b *testing.B) {
+	for _, g := range []struct {
+		name         string
+		nt, qam, npe int
+		sigma2       float64
+		k, s         int
+	}{
+		{"frame-prep", 8, 64, 128, math.Pow(10, -17.0/10), 48, 1},
+		{"frame-detect", 12, 64, 128, math.Pow(10, -16.0/10), 48, 4},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			cons := constellation.MustNew(g.qam)
+			rng := channel.NewStreamRNG(3850, 0)
+			const frames = 4
+			hs := make([][]*cmatrix.Matrix, frames)
+			ys := make([][][][]complex128, frames)
+			x := make([]complex128, g.nt)
+			for f := range hs {
+				for k := 0; k < g.k; k++ {
+					h := channel.Rayleigh(rng, g.nt, g.nt)
+					var burst [][]complex128
+					for v := 0; v < g.s; v++ {
+						for i := range x {
+							x[i] = cons.Point(rng.IntN(cons.Size()))
+						}
+						burst = append(burst, channel.AddAWGN(rng, h.MulVec(x), g.sigma2))
+					}
+					hs[f], ys[f] = append(hs[f], h), append(ys[f], burst)
+				}
+			}
+			fd := NewFrameDetector(core.New(cons, core.Options{NPE: g.npe, Backend: core.BackendSoA32}))
+			caller, helpers := goid(), runtime.GOMAXPROCS(0)-1
+			var (
+				f         int
+				base      time.Time
+				at        = make([]time.Duration, g.k) // each subcarrier's burst, from base
+				firstEmit time.Duration
+				handoff   time.Duration
+				handoffN  int
+				join      time.Duration
+				// the helpers seen in the frame so far, and when: goid
+				// reads the stack, so bursts stop asking once all are seen
+				seen  atomic.Int32
+				ids   = make([]atomic.Int64, helpers)
+				first = make([]time.Duration, helpers)
+			)
+			burst := func(k int) [][]complex128 {
+				d := time.Since(base)
+				at[k] = d
+				if n := int(seen.Load()); n < helpers {
+					id := int64(goid())
+					known := id == int64(caller)
+					for i := 0; i < n && !known; i++ {
+						known = ids[i].Load() == id
+					}
+					if !known {
+						i := seen.Add(1) - 1
+						ids[i].Store(id)
+						first[i] = d
+					}
+				}
+				return ys[f][k]
+			}
+			emit := func(k int, decisions [][]int) {
+				if k == 0 {
+					firstEmit = time.Since(base)
+				}
+			}
+			frame := func() {
+				seen.Store(0)
+				base = time.Now()
+				if err := fd.DetectFrame(hs[f], g.sigma2, burst, emit); err != nil {
+					b.Fatal(err)
+				}
+				join += firstEmit - slices.Max(at)
+				for i := range seen.Load() {
+					handoff += first[i]
+					handoffN++
+					ids[i].Store(0)
+				}
+			}
+			for f = range hs {
+				frame()
+			}
+			handoff, handoffN, join = 0, 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f = i % frames
+				frame()
+			}
+			b.StopTimer()
+			if helpers > 0 {
+				b.ReportMetric(float64(handoff)/float64(time.Microsecond)/float64(max(1, handoffN)), "handoff_us")
+				b.ReportMetric(float64(join)/float64(time.Microsecond)/float64(b.N), "join_us")
+			}
+		})
+	}
 }
