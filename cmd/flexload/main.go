@@ -2,8 +2,9 @@
 // service (DESIGN.md §13): it drives pipelined detection frames from
 // many simulated users over concurrent connections — closed-loop (a
 // fixed in-flight window per connection) or open-loop (a target
-// aggregate frame rate) — and reports throughput and exact latency
-// percentiles. Each user follows a channel-coherence model: its
+// aggregate frame rate on a fixed schedule) — and reports throughput
+// and exact latency percentiles of the detected (StatusOK) frames.
+// Each user follows a channel-coherence model: its
 // per-subcarrier channels are redrawn every -coherence frames
 // (0 = static, the cross-frame Prepare-reuse steady state), so the
 // served reuse hit rate is a controlled property of the workload.
@@ -92,6 +93,12 @@ type latSummary struct {
 // degraded ones; FramesDegraded breaks out the responses the pressure
 // ladder served at a reduced N_PE, FramesExpired the StatusExpired
 // sheds, FramesRetried the overloaded re-submissions (closed loop).
+// The headline latency covers StatusOK frames only: a refusal is
+// answered in microseconds, and pooling it would make the headline
+// improve as the server sheds more load. LatencyByStatus keeps every
+// status. GenLate is the open-loop generator's lateness behind its
+// schedule (0 in closed loop): a large value means the client, not
+// the server, set the offered rate.
 type result struct {
 	Config          map[string]any        `json:"config"`
 	ElapsedSeconds  float64               `json:"elapsed_seconds"`
@@ -107,6 +114,8 @@ type result struct {
 	LatencyP95Us    float64               `json:"latency_p95_micros"`
 	LatencyP99Us    float64               `json:"latency_p99_micros"`
 	LatencyByStatus map[string]latSummary `json:"latency_by_status,omitempty"`
+	GenLateP50Us    float64               `json:"gen_late_p50_micros"`
+	GenLateP99Us    float64               `json:"gen_late_p99_micros"`
 	Server          *serve.Snapshot       `json:"server,omitempty"`
 }
 
@@ -185,8 +194,11 @@ func main() {
 	fmt.Printf("flexload: %d frames ok (%d degraded), %d rejected, %d expired, %d retried in %.2fs — %.0f frames/sec\n",
 		res.FramesOK, res.FramesDegraded, res.FramesRejected, res.FramesExpired, res.FramesRetried,
 		res.ElapsedSeconds, res.ThroughputFPS)
-	fmt.Printf("flexload: latency µs — mean %.0f, p50 %.0f, p95 %.0f, p99 %.0f\n",
+	fmt.Printf("flexload: ok latency µs — mean %.0f, p50 %.0f, p95 %.0f, p99 %.0f\n",
 		res.LatencyMeanUs, res.LatencyP50Us, res.LatencyP95Us, res.LatencyP99Us)
+	if c.rate > 0 {
+		fmt.Printf("flexload: generator late µs — p50 %.0f, p99 %.0f\n", res.GenLateP50Us, res.GenLateP99Us)
+	}
 	for status, s := range res.LatencyByStatus {
 		fmt.Printf("flexload: latency[%s] µs — n %d, mean %.0f, p50 %.0f, p95 %.0f, p99 %.0f\n",
 			status, s.Count, s.MeanUs, s.P50Us, s.P95Us, s.P99Us)
@@ -308,19 +320,20 @@ type connStats struct {
 	sent, ok, rejected int64
 	expired, degraded  int64
 	retried            int64
-	lat                []time.Duration
+	lat                []time.Duration // StatusOK frames only
 	latBy              map[serve.Status][]time.Duration
+	late               []time.Duration // open loop: each send's lateness behind its due time
 	err                error
 }
 
-// record books one finalized response: overall and per-status latency,
-// plus the disposition counters.
+// record books one finalized response: its per-status latency, the
+// headline latency if it was detected, and the disposition counters.
 func (st *connStats) record(status serve.Status, servedNPE int, lat time.Duration) {
-	st.lat = append(st.lat, lat)
 	st.latBy[status] = append(st.latBy[status], lat)
 	switch status {
 	case serve.StatusOK:
 		st.ok++
+		st.lat = append(st.lat, lat)
 		if servedNPE != 0 {
 			st.degraded++
 		}
@@ -392,11 +405,21 @@ func run(c *config) (*result, error) {
 		},
 		ElapsedSeconds: elapsed.Seconds(),
 	}
-	var all []time.Duration
+	if err := res.tally(stats); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// tally merges the connections' stats into res: counts, throughput over
+// res.ElapsedSeconds, the StatusOK headline latency, per-status
+// latencies and the generator's lateness.
+func (res *result) tally(stats []connStats) error {
+	var all, late []time.Duration
 	byStatus := map[serve.Status][]time.Duration{}
 	for i := range stats {
 		if stats[i].err != nil {
-			return nil, stats[i].err
+			return stats[i].err
 		}
 		res.FramesSent += stats[i].sent
 		res.FramesOK += stats[i].ok
@@ -405,6 +428,7 @@ func run(c *config) (*result, error) {
 		res.FramesDegraded += stats[i].degraded
 		res.FramesRetried += stats[i].retried
 		all = append(all, stats[i].lat...)
+		late = append(late, stats[i].late...)
 		for status, lats := range stats[i].latBy {
 			byStatus[status] = append(byStatus[status], lats...)
 		}
@@ -412,18 +436,25 @@ func run(c *config) (*result, error) {
 	if res.ElapsedSeconds > 0 {
 		res.ThroughputFPS = float64(res.FramesOK) / res.ElapsedSeconds
 	}
-	if len(all) > 0 {
+	if len(byStatus) > 0 {
 		res.LatencyByStatus = make(map[string]latSummary, len(byStatus))
 		for status, lats := range byStatus {
 			res.LatencyByStatus[status.String()] = summarize(lats)
 		}
-		overall := summarize(all)
-		res.LatencyMeanUs = overall.MeanUs
-		res.LatencyP50Us = overall.P50Us
-		res.LatencyP95Us = overall.P95Us
-		res.LatencyP99Us = overall.P99Us
 	}
-	return res, nil
+	if len(all) > 0 {
+		ok := summarize(all)
+		res.LatencyMeanUs = ok.MeanUs
+		res.LatencyP50Us = ok.P50Us
+		res.LatencyP95Us = ok.P95Us
+		res.LatencyP99Us = ok.P99Us
+	}
+	if len(late) > 0 {
+		gen := summarize(late)
+		res.GenLateP50Us = gen.P50Us
+		res.GenLateP99Us = gen.P99Us
+	}
+	return nil
 }
 
 // summarize sorts the samples in place and condenses them.
@@ -496,8 +527,8 @@ func faultPlanFor(spec string, seed uint64, idx int) (serve.FaultPlan, error) {
 
 // driveConn runs one connection's workload: closed loop (in-flight
 // window over pregenerated frames, Queue/Flush coalescing, optional
-// overload retries) or open loop (paced inline-synthesised sends with
-// a concurrent reader).
+// overload retries) or open loop (inline-synthesised sends on a fixed
+// schedule from start, with a concurrent reader).
 func driveConn(c *config, idx int, users []*user, reqs []*serve.DetectRequest, start time.Time) connStats {
 	st := connStats{latBy: map[serve.Status][]time.Duration{}}
 	if len(users) == 0 {
@@ -511,7 +542,7 @@ func driveConn(c *config, idx int, users []*user, reqs []*serve.DetectRequest, s
 	defer cl.Close()
 
 	if c.rate > 0 {
-		st.err = openLoopConn(c, cl, users, &st)
+		st.err = openLoopConn(c, idx, start, cl, users, &st)
 		return st
 	}
 	st.err = closedLoop(c, cl, reqs, &st)
@@ -581,34 +612,36 @@ func closedLoop(c *config, cl *serve.Client, reqs []*serve.DetectRequest, st *co
 	return nil
 }
 
-// openLoopConn wires the open-loop pacer's send/recv hooks for one
-// connection: inline frame synthesis round-robin over the connection's
-// users, with a response matcher keyed by (user, frame). -retries does
-// not apply here — an open-loop generator measures the server's
-// behaviour at the offered rate, it does not add load to a server
-// already shedding it.
-func openLoopConn(c *config, cl *serve.Client, users []*user, st *connStats) error {
-	// sendAt maps an on-the-wire (user, frame) key to its send time.
+// openLoopConn wires the open-loop pacer's send/recv hooks for
+// connection idx: inline frame synthesis round-robin over the
+// connection's users, with a response matcher keyed by (user, frame).
+// A frame's latency runs from its due time, not from when it went out:
+// a send that falls behind is the client's delay, and it is charged to
+// the frame. -retries does not apply here — an open-loop generator
+// measures the server's behaviour at the offered rate, it does not add
+// load to a server already shedding it.
+func openLoopConn(c *config, idx int, start time.Time, cl *serve.Client, users []*user, st *connStats) error {
+	// dueAt maps an on-the-wire (user, frame) key to its due time.
 	// Guarded by mu: the open-loop mode reads responses on a separate
-	// goroutine (Client.Queue and Client.Recv are individually
+	// goroutine (Client.Send and Client.Recv are individually
 	// thread-safe).
 	type key struct{ user, frame uint64 }
 	var mu sync.Mutex
-	sendAt := make(map[key]time.Time, c.inflight*len(users)+1)
+	dueAt := make(map[key]time.Time, c.inflight*len(users)+1)
 	var q serve.DetectRequest
 	next := 0 // round-robin user cursor
 
-	send := func() error {
+	send := func(due time.Time) error {
 		u := users[next]
 		next = (next + 1) % len(users)
 		if err := fillFrame(c, u, &q); err != nil {
 			return err
 		}
 		mu.Lock()
-		sendAt[key{q.UserID, q.FrameID}] = time.Now()
+		dueAt[key{q.UserID, q.FrameID}] = due
 		st.sent++
 		mu.Unlock()
-		return cl.Queue(&q)
+		return cl.Send(&q)
 	}
 	var resp serve.DetectResponse
 	recv := func() error {
@@ -622,9 +655,9 @@ func openLoopConn(c *config, cl *serve.Client, users []*user, st *connStats) err
 		lat := time.Duration(-1)
 		for _, u := range users {
 			k := key{u.id, resp.FrameID}
-			if t0, ok := sendAt[k]; ok {
-				lat = time.Since(t0)
-				delete(sendAt, k)
+			if due, ok := dueAt[k]; ok {
+				lat = time.Since(due)
+				delete(dueAt, k)
 				break
 			}
 		}
@@ -634,73 +667,74 @@ func openLoopConn(c *config, cl *serve.Client, users []*user, st *connStats) err
 		mu.Unlock()
 		return nil
 	}
-	return openLoop(c, cl, send, recv)
+	late, err := openLoop(c, idx, start, send, recv)
+	st.late = late
+	return err
 }
 
-// openLoop paces this connection's share of the aggregate target rate
-// until the run duration elapses, with a concurrent reader recording
-// latencies as responses arrive (a lazily-read response would otherwise
-// charge client-side batching to the server), then drains what is still
-// outstanding.
-func openLoop(c *config, cl *serve.Client, send func() error, recv func() error) error {
-	interval := time.Duration(float64(time.Second) * float64(c.conns) / c.rate)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
+// openLoop sends connection idx's share of the aggregate target rate on
+// a fixed schedule: the run's g-th frame is due at start + g/rate, for
+// every g < rate × duration, and connection idx sends every g ≡ idx
+// (mod conns), whatever happened to the frames before it. A sender
+// that falls behind sends the overdue frames back to back — it
+// never skips one and never shifts the schedule, so the offered count
+// is rate × duration and a stall shows up as latency, not as a lower
+// offered rate. A concurrent reader records latencies as responses
+// arrive (a lazily-read response would otherwise charge client-side
+// batching to the server; an idle reader is woken by the next send,
+// never by a poll), then drains what is still outstanding. It returns each send's lateness behind its due time.
+func openLoop(c *config, idx int, start time.Time, send func(due time.Time) error, recv func() error) ([]time.Duration, error) {
+	total := int(float64(c.duration) * c.rate / float64(time.Second))
 	stop := make(chan struct{})
+	woke := make(chan struct{}, 1) // wakes a reader with nothing outstanding
 	readerErr := make(chan error, 1)
 	var sent atomic.Int64
-	var recvd int64
 	go func() {
+		var recvd int64
 		for {
-			select {
-			case <-stop:
-				// Drain the remainder, then report.
-				for recvd < sent.Load() {
-					if err := recv(); err != nil {
-						readerErr <- err
-						return
-					}
-					recvd++
-				}
-				readerErr <- nil
-				return
-			default:
-			}
-			if recvd < sent.Load() { // outstanding responses exist or will shortly
+			if recvd < sent.Load() {
 				if err := recv(); err != nil {
 					readerErr <- err
 					return
 				}
 				recvd++
-			} else {
-				time.Sleep(interval / 2)
+				continue
+			}
+			select {
+			case <-woke:
+			case <-stop:
+				// The sender is done: drain the remainder, then report.
+				for ; recvd < sent.Load(); recvd++ {
+					if err := recv(); err != nil {
+						readerErr <- err
+						return
+					}
+				}
+				readerErr <- nil
+				return
 			}
 		}
 	}()
-	deadline := time.Now().Add(c.duration)
-	nextSend := time.Now()
-	for time.Now().Before(deadline) {
-		if err := send(); err != nil {
-			close(stop)
-			<-readerErr
-			return err
+	var late []time.Duration
+	for g := idx; g < total; g += c.conns {
+		due := start.Add(time.Duration(float64(g) * float64(time.Second) / c.rate))
+		if d := time.Until(due); d > 0 {
+			time.Sleep(d)
 		}
-		if err := cl.Flush(); err != nil {
+		late = append(late, time.Since(due))
+		if err := send(due); err != nil {
 			close(stop)
 			<-readerErr
-			return err
+			return late, err
 		}
 		sent.Add(1)
-		nextSend = nextSend.Add(interval)
-		if d := time.Until(nextSend); d > 0 {
-			time.Sleep(d)
-		} else {
-			nextSend = time.Now() // behind schedule: don't burst to catch up
+		select {
+		case woke <- struct{}{}:
+		default:
 		}
 	}
 	close(stop)
-	return <-readerErr
+	return late, <-readerErr
 }
 
 func fatal(err error) {

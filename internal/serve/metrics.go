@@ -124,6 +124,11 @@ type Snapshot struct {
 	// ThroughputFPS is completed frames per second of uptime.
 	ThroughputFPS float64 `json:"throughput_fps"`
 
+	// LatencyMeanMicros is the mean admit→respond latency of the
+	// completed frames, each counted in whole microseconds.
+	// LatencyP50/P95/P99Micros are not exact: each is the upper bound
+	// 2^i − 1 of the power-of-two Latency bucket the percentile falls
+	// in, so it reads up to 2× the true value.
 	LatencyMeanMicros float64         `json:"latency_mean_micros"`
 	LatencyP50Micros  int64           `json:"latency_p50_micros"`
 	LatencyP95Micros  int64           `json:"latency_p95_micros"`

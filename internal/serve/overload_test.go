@@ -398,3 +398,119 @@ func TestShutdownOpenConnNotBadFrame(t *testing.T) {
 		t.Fatalf("shutdown force-close counted %d bad frames, want 0", snap.BadFrames)
 	}
 }
+
+// TestShutdownNotHeldByUnreadRejection: a rejection written to a peer
+// that stops reading must hold no admission lock. One client sends
+// three frames into a QueueDepth-1 shard and never reads: frame 1 holds
+// the worker, frame 2 the queue slot, and frame 3's StatusOverloaded
+// answer blocks on the synchronous pipe. Shutdown must still begin —
+// a second connection is answered StatusDraining — and must return its
+// context's error at the deadline, with the worker still blocked.
+// (Regression: the rejection was written under the drain lock, so
+// Shutdown waited on the unread pipe forever, and Draining with it.)
+func TestShutdownNotHeldByUnreadRejection(t *testing.T) {
+	slow := newSlowDetector()
+	srv, err := NewServer(Config{Shards: 1, QueueDepth: 1, DetectorFactory: func() detector.Detector { return slow }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := srv.InProcess()
+	defer stuck.Close()
+	other := srv.InProcess()
+	defer other.Close()
+	responses := recvAll(other)
+
+	var q DetectRequest
+	for id := uint64(1); id <= 3; id++ {
+		tinyFrame(t, &q, id)
+		if err := stuck.Send(&q); err != nil {
+			t.Fatalf("send %d: %v", id, err)
+		}
+		if id == 1 {
+			<-slow.started
+		}
+	}
+	waitFor(t, "the unread overload rejection", func() bool { return srv.Metrics().RejectedOverload == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(ctx) }()
+	giveUp := time.After(1500 * time.Millisecond)
+
+	// Draining is polled on its own goroutine: were it to block, the
+	// test fails at giveUp instead of hanging.
+	draining := make(chan struct{})
+	go func() {
+		for !srv.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+		close(draining)
+	}()
+	select {
+	case <-draining:
+	case <-giveUp:
+		t.Fatal("Draining() did not report true within 1.5s of Shutdown")
+	}
+	tinyFrame(t, &q, 4)
+	if err := other.Send(&q); err != nil {
+		t.Fatalf("send on the second connection: %v", err)
+	}
+	select {
+	case r := <-responses:
+		if r.status != StatusDraining {
+			t.Fatalf("frame 4 during drain: status %v, want draining", r.status)
+		}
+	case <-giveUp:
+		t.Fatal("no answer on the second connection within 1.5s of Shutdown")
+	}
+	select {
+	case err := <-shutdownErr:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("shutdown with a stuck worker returned %v, want deadline exceeded", err)
+		}
+	case <-giveUp:
+		t.Fatal("Shutdown still blocked 1.5s after it began, past its 500ms deadline")
+	}
+
+	// Unstick the worker so the test leaves no goroutine behind.
+	close(slow.gate)
+	srv.workerWG.Wait()
+	srv.connWG.Wait()
+}
+
+// TestServeAfterShutdown: a Serve that starts once Shutdown has run
+// closes its listener and returns nil at once. (Regression: it accepted
+// and closed connections forever.)
+func TestServeAfterShutdown(t *testing.T) {
+	slow := newSlowDetector()
+	close(slow.gate)
+	srv, err := NewServer(Config{Shards: 1, DetectorFactory: func() detector.Detector { return slow }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(lis) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		lis.Close()
+		<-served
+		t.Fatal("Serve after Shutdown was still accepting after 1s")
+	}
+	if _, err := lis.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept on the listener after Serve returned: %v, want it closed", err)
+	}
+}

@@ -184,13 +184,6 @@ type Server struct {
 
 	taskPool sync.Pool
 
-	// drainMu orders admission against shutdown: admitters hold the
-	// read side while checking draining and enqueueing; Shutdown flips
-	// draining under the write side, after which no admitter can be
-	// mid-enqueue — closing the shard queues is then race-free.
-	drainMu  sync.RWMutex
-	draining bool
-
 	workerWG sync.WaitGroup
 	connWG   sync.WaitGroup
 
@@ -198,6 +191,10 @@ type Server struct {
 	conns  map[io.Closer]struct{}
 	lis    net.Listener
 
+	// closed is set once, when Shutdown begins. Admission reads it under
+	// the shard mutex that Shutdown takes to close the shard's queue, so
+	// no frame is sent on a closed queue; trackConn and Serve read it
+	// under connMu, which Shutdown takes to close the listener.
 	closed atomic.Bool
 }
 
@@ -256,6 +253,15 @@ func NewServer(cfg Config) (*Server, error) {
 //flexcore:noalloc
 func shardIndex(userID uint64, shards int) int {
 	return int(splitmix(&userID) % uint64(shards))
+}
+
+// splitmix advances a SplitMix64 state and returns the next value.
+func splitmix(z *uint64) uint64 {
+	*z += 0x9e3779b97f4a7c15
+	x := *z
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // runWorker is the shard's one worker: it takes every admitted frame
@@ -414,16 +420,11 @@ func (s *Server) process(sh *shard, t *task) {
 //
 //flexcore:noalloc
 func (s *Server) buffer(sh *shard, t *task) {
-	c := t.c
-	c.mu.Lock()
-	c.armWrite()
-	_, err := c.bw.Write(t.wire) //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
-	c.mu.Unlock()
-	if err != nil {
-		c.condemn(s, err)
+	if err := t.c.send(t.wire, false); err != nil {
+		t.c.condemn(s, err)
 		return
 	}
-	sh.dirty = append(sh.dirty, c) //lint:ignore noalloc amortised: the dirty list reuses its high-water capacity across flush cycles
+	sh.dirty = append(sh.dirty, t.c) //lint:ignore noalloc amortised: the dirty list reuses its high-water capacity across flush cycles
 }
 
 // flushDirty flushes every connection the shard's worker buffered
@@ -431,11 +432,7 @@ func (s *Server) buffer(sh *shard, t *task) {
 // flushing an empty bufio writer is a no-op.
 func (s *Server) flushDirty(sh *shard) {
 	for i, c := range sh.dirty {
-		c.mu.Lock()
-		c.armWrite()
-		err := c.bw.Flush() //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
-		c.mu.Unlock()
-		if err != nil {
+		if err := c.send(nil, true); err != nil {
 			c.condemn(s, err)
 		}
 		sh.dirty[i] = nil
@@ -524,50 +521,53 @@ func (sh *shard) evictIdle() {
 	}
 }
 
-// admit routes a decoded request into its shard's queue, or rejects it
-// explicitly: StatusDraining once shutdown has begun, StatusOverloaded
-// when the shard's queue is full. Admission never blocks — backpressure
-// is a response code, not a stalled connection. The send happens under
-// sh.mu, so queue order is admission order, for one user across
-// connections too.
+// admit routes a decoded request into its shard's queue, or answers it
+// with the rejection enqueue decided. Admission never blocks —
+// backpressure is a response code, not a stalled connection — and the
+// rejection is written after the shard mutex is dropped, so a peer that
+// stops reading stalls its own connection only, never Shutdown or
+// another connection's admission.
 //
 //flexcore:noalloc
 func (s *Server) admit(t *task) {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
-		s.met.rejectedDraining.Add(1)
-		t.c.reject(s, t.req.FrameID, StatusDraining) //lint:ignore lockscope drainMu is read-held; the rejection write is bounded by the conn's armWrite deadline and a stalled conn is condemned, not waited on
+	if st := s.enqueue(t); st != StatusOK {
+		t.c.reject(s, t.req.FrameID, st)
 		s.release(t)
-		return
 	}
-	if s.expired(t) {
-		// Already stale at admission (a tiny budget or an ingest stall):
-		// shed before the frame ever occupies queue capacity. Never
-		// counted accepted, so the in-flight ledger is untouched.
-		s.met.expired.Add(1)
-		t.c.reject(s, t.req.FrameID, StatusExpired) //lint:ignore lockscope drainMu is read-held; the rejection write is bounded by the conn's armWrite deadline and a stalled conn is condemned, not waited on
-		s.release(t)
-		return
-	}
+}
+
+// enqueue decides t's admission under its shard's mutex: StatusDraining
+// once Shutdown has begun, StatusExpired for a frame already stale (a
+// tiny budget or an ingest stall: shed before it occupies queue
+// capacity, never counted accepted), StatusOverloaded at a full queue,
+// else StatusOK with t sent to the shard's worker. The send happens
+// under sh.mu, so queue order is admission order, for one user across
+// connections too.
+//
+//flexcore:noalloc
+func (s *Server) enqueue(t *task) Status {
+	stale := s.expired(t) // the clock is read before the lock
 	sh := s.shards[shardIndex(t.req.UserID, len(s.shards))]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	depth := len(sh.runnable)
-	if depth == cap(sh.runnable) {
-		sh.mu.Unlock()
+	switch {
+	case s.closed.Load():
+		s.met.rejectedDraining.Add(1)
+		return StatusDraining
+	case stale:
+		s.met.expired.Add(1)
+		return StatusExpired
+	case depth == cap(sh.runnable):
 		s.met.rejectedOverload.Add(1)
-		t.c.reject(s, t.req.FrameID, StatusOverloaded) //lint:ignore lockscope drainMu is read-held; the rejection write is bounded by the conn's armWrite deadline and a stalled conn is condemned, not waited on
-		s.release(t)
-		return
+		return StatusOverloaded
 	}
 	sh.waitHWM = max(sh.waitHWM, depth+1)
 	t.user = sh.userFor(t.req.UserID, s.cfg.UserStateCap)
 	t.user.inflight++
 	s.met.accepted.Add(1)
-	// Never blocks: only sh.mu holders send, and the queue was just seen
-	// not full.
-	sh.runnable <- t //lint:ignore lockscope only sh.mu holders send and the queue was seen not full under it, so this send never blocks
-	sh.mu.Unlock()
+	sh.runnable <- t //lint:ignore lockscope only sh.mu holders send, on a queue seen open and not full under it, so this send never blocks
+	return StatusOK
 }
 
 // Connection I/O buffer sizes. The write buffer is sized for a burst of
@@ -658,17 +658,20 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// write frames one response onto the connection and flushes immediately
-// (the rejection path: a rejected frame must never wait for detection
-// work to coalesce with).
-func (c *serverConn) write(frame []byte) error {
+// send is the connection's one write: it buffers frame (nil: nothing)
+// under the write mutex with the write-stall deadline armed, and
+// flushes when asked. A worker's response waits for its flushDirty; a
+// rejection flushes on the spot, never waiting for detection work to
+// coalesce with. The caller condemns the connection on an error.
+func (c *serverConn) send(frame []byte, flush bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.armWrite()
-	if _, err := c.bw.Write(frame); err != nil { //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
-		return err
+	_, err := c.bw.Write(frame) //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
+	if err == nil && flush {
+		err = c.bw.Flush() //lint:ignore lockscope same bounded write window under the conn mutex
 	}
-	return c.bw.Flush() //lint:ignore lockscope same bounded write window under the conn mutex
+	return err
 }
 
 // reject answers a request with a bare status response.
@@ -677,7 +680,7 @@ func (c *serverConn) write(frame []byte) error {
 func (c *serverConn) reject(s *Server, frameID uint64, st Status) {
 	c.rejPayload = appendRespHeader(c.rejPayload[:0], frameID, st, 0, 0, 0, 0)
 	c.rejWire = AppendFrame(c.rejWire[:0], MsgResult, c.rejPayload)
-	if err := c.write(c.rejWire); err != nil {
+	if err := c.send(c.rejWire, true); err != nil {
 		c.condemn(s, err)
 	}
 }
@@ -757,14 +760,16 @@ func (s *Server) handleConn(rwc io.ReadWriteCloser) {
 }
 
 // trackConn registers a live connection (for forced close at the end
-// of Shutdown) and reports whether the server still accepts it.
+// of Shutdown) and counts it in connWG, unless Shutdown has begun. Both
+// happen under connMu, so every Add precedes Shutdown's Wait.
 func (s *Server) trackConn(c io.Closer) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	if s.conns == nil {
+	if s.closed.Load() {
 		return false
 	}
 	s.conns[c] = struct{}{}
+	s.connWG.Add(1)
 	return true
 }
 
@@ -785,16 +790,12 @@ func (s *Server) untrackConn(c io.Closer) {
 }
 
 // startConn registers rwc and spawns its handler unless shutdown has
-// begun (the drainMu read lock orders the connWG.Add against
-// Shutdown's Wait).
+// begun, in which case it closes rwc.
 func (s *Server) startConn(rwc io.ReadWriteCloser) bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining || !s.trackConn(rwc) {
+	if !s.trackConn(rwc) {
 		rwc.Close()
 		return false
 	}
-	s.connWG.Add(1)
 	go s.handleConn(rwc)
 	return true
 }
@@ -804,11 +805,17 @@ func (s *Server) startConn(rwc io.ReadWriteCloser) bool {
 // server's decision (buffered writers + coalesced flushing), not the
 // kernel's — Nagle would add delayed-ACK latency on top of flushes the
 // server already sized. It returns nil after a graceful shutdown, or
-// the first accept error.
+// the first accept error; after Shutdown it closes lis and returns nil
+// at once.
 func (s *Server) Serve(lis net.Listener) error {
 	s.connMu.Lock()
 	s.lis = lis
+	closed := s.closed.Load()
 	s.connMu.Unlock()
+	if closed {
+		lis.Close()
+		return nil
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
@@ -849,9 +856,7 @@ func (s *Server) InProcess() *Client {
 // Draining reports whether Shutdown has begun (new work is being
 // rejected with StatusDraining).
 func (s *Server) Draining() bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	return s.draining
+	return s.closed.Load()
 }
 
 // Shutdown gracefully drains the server: it stops accepting
@@ -860,7 +865,9 @@ func (s *Server) Draining() bool {
 // closes the remaining connections and the worker detectors. It
 // returns nil on a complete drain, or ctx's error if the context
 // expires first (workers keep draining in the background; connections
-// are then closed on the spot so readers unblock).
+// are then closed on the spot so readers unblock). No connection write
+// happens under a lock Shutdown takes, so a peer that stops reading
+// cannot hold it past ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -871,14 +878,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.connMu.Unlock()
 
-	s.drainMu.Lock()
-	s.draining = true
-	s.drainMu.Unlock()
-	// No admitter can be mid-enqueue past this point: close the queues
-	// so the workers drain the backlog — every admitted task is in its
-	// shard's runnable queue — and exit.
+	// An admitter holding sh.mu finishes its send first; one taking it
+	// afterwards sees closed. The workers then drain the backlog — every
+	// admitted task is in its shard's runnable queue — and exit.
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		close(sh.runnable)
+		sh.mu.Unlock()
 	}
 
 	done := make(chan struct{})
