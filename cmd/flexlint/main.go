@@ -1,9 +1,8 @@
 // Command flexlint runs the repository's custom static-analysis suite
-// (internal/lint): eight stdlib-only analyzers that machine-enforce the
-// zero-allocation, determinism, float-comparison, lock-scope,
-// goroutine-joining, conn-deadline, status-exhaustiveness and
-// wire-offset contracts the tests and benchmarks otherwise only check
-// dynamically.
+// (internal/lint): five stdlib-only analyzers that machine-enforce the
+// zero-allocation, determinism, float-comparison, lock-scope and
+// goroutine-joining contracts the tests and benchmarks otherwise only
+// check dynamically.
 //
 // Usage:
 //

@@ -359,7 +359,7 @@ func run(c *config) (*result, error) {
 	// would otherwise share cores with the server and dominate the timed
 	// window, masking exactly the server-side effects being measured.
 	// Open-loop runs are duration-bound (frame count unknown up front)
-	// and synthesise inline; their pacing loop absorbs the cost.
+	// and synthesise each frame in the pacing gap before its due time.
 	var connReqs [][]*serve.DetectRequest
 	if c.rate <= 0 {
 		connReqs = make([][]*serve.DetectRequest, c.conns)
@@ -612,9 +612,10 @@ func closedLoop(c *config, cl *serve.Client, reqs []*serve.DetectRequest, st *co
 	return nil
 }
 
-// openLoopConn wires the open-loop pacer's send/recv hooks for
-// connection idx: inline frame synthesis round-robin over the
-// connection's users, with a response matcher keyed by (user, frame).
+// openLoopConn wires the open-loop pacer's prepare/send/recv hooks for
+// connection idx: frame synthesis round-robin over the connection's
+// users, ahead of each frame's due time, with a response matcher keyed
+// by (user, frame).
 // A frame's latency runs from its due time, not from when it went out:
 // a send that falls behind is the client's delay, and it is charged to
 // the frame. -retries does not apply here — an open-loop generator
@@ -631,12 +632,12 @@ func openLoopConn(c *config, idx int, start time.Time, cl *serve.Client, users [
 	var q serve.DetectRequest
 	next := 0 // round-robin user cursor
 
-	send := func(due time.Time) error {
+	prepare := func() error {
 		u := users[next]
 		next = (next + 1) % len(users)
-		if err := fillFrame(c, u, &q); err != nil {
-			return err
-		}
+		return fillFrame(c, u, &q)
+	}
+	send := func(due time.Time) error {
 		mu.Lock()
 		dueAt[key{q.UserID, q.FrameID}] = due
 		st.sent++
@@ -667,7 +668,7 @@ func openLoopConn(c *config, idx int, start time.Time, cl *serve.Client, users [
 		mu.Unlock()
 		return nil
 	}
-	late, err := openLoop(c, idx, start, send, recv)
+	late, err := openLoop(c, idx, start, prepare, send, recv)
 	st.late = late
 	return err
 }
@@ -682,8 +683,12 @@ func openLoopConn(c *config, idx int, start time.Time, cl *serve.Client, users [
 // offered rate. A concurrent reader records latencies as responses
 // arrive (a lazily-read response would otherwise charge client-side
 // batching to the server; an idle reader is woken by the next send,
-// never by a poll), then drains what is still outstanding. It returns each send's lateness behind its due time.
-func openLoop(c *config, idx int, start time.Time, send func(due time.Time) error, recv func() error) ([]time.Duration, error) {
+// never by a poll), then drains what is still outstanding. Each frame
+// is prepared before its due time — the first before the first sleep,
+// every later one right after its predecessor's send — so neither a
+// latency nor the lateness includes the client's own synthesis. It
+// returns each send's lateness behind its due time.
+func openLoop(c *config, idx int, start time.Time, prepare func() error, send func(due time.Time) error, recv func() error) ([]time.Duration, error) {
 	total := int(float64(c.duration) * c.rate / float64(time.Second))
 	stop := make(chan struct{})
 	woke := make(chan struct{}, 1) // wakes a reader with nothing outstanding
@@ -716,16 +721,18 @@ func openLoop(c *config, idx int, start time.Time, send func(due time.Time) erro
 		}
 	}()
 	var late []time.Duration
+	var err error
 	for g := idx; g < total; g += c.conns {
+		if err = prepare(); err != nil {
+			break
+		}
 		due := start.Add(time.Duration(float64(g) * float64(time.Second) / c.rate))
 		if d := time.Until(due); d > 0 {
 			time.Sleep(d)
 		}
 		late = append(late, time.Since(due))
-		if err := send(due); err != nil {
-			close(stop)
-			<-readerErr
-			return late, err
+		if err = send(due); err != nil {
+			break
 		}
 		sent.Add(1)
 		select {
@@ -734,7 +741,10 @@ func openLoop(c *config, idx int, start time.Time, send func(due time.Time) erro
 		}
 	}
 	close(stop)
-	return late, <-readerErr
+	if rerr := <-readerErr; err == nil {
+		err = rerr
+	}
+	return late, err
 }
 
 func fatal(err error) {

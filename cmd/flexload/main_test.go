@@ -112,7 +112,7 @@ func TestOpenLoopStallShowsAsLatency(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	late, err := openLoop(c, 0, time.Now(), send, recv)
+	late, err := openLoop(c, 0, time.Now(), func() error { return nil }, send, recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +129,56 @@ func TestOpenLoopStallShowsAsLatency(t *testing.T) {
 	}
 	if worstLate < stall-2*time.Millisecond {
 		t.Fatalf("worst lateness %v after a %v stall", worstLate, stall)
+	}
+}
+
+// TestOpenLoopPreparesBeforeDue pins where the open loop synthesises a
+// frame: before the frame's due time, right after its predecessor's
+// send — never between a due time and that frame's send, where the
+// synthesis would be charged to the frame as latency and hidden from
+// the generator's lateness. Calls must alternate prepare, send; and a
+// frame whose predecessor went out on schedule (more than a slack
+// before the frame's due time) must have been prepared before its due
+// time.
+func TestOpenLoopPreparesBeforeDue(t *testing.T) {
+	const slack = time.Millisecond
+	c := &config{rate: 200, conns: 1, duration: 100 * time.Millisecond}
+	var calls []string
+	var prepared []time.Time // when each frame's prepare started
+	var dues, sentAt []time.Time
+	prepare := func() error {
+		calls = append(calls, "prepare")
+		prepared = append(prepared, time.Now())
+		return nil
+	}
+	send := func(due time.Time) error {
+		calls = append(calls, "send")
+		dues = append(dues, due)
+		sentAt = append(sentAt, time.Now())
+		return nil
+	}
+	if _, err := openLoop(c, 0, time.Now(), prepare, send, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(dues) != 20 || len(prepared) != 20 {
+		t.Fatalf("%d frames prepared, %d sent; want rate × duration = 20 each", len(prepared), len(dues))
+	}
+	for i, call := range calls {
+		if want := [2]string{"prepare", "send"}[i%2]; call != want {
+			t.Fatalf("call %d is %s, want %s: calls %v", i, call, want, calls)
+		}
+	}
+	onSchedule := 0
+	for i := 1; i < len(dues); i++ {
+		if sentAt[i-1].Add(slack).After(dues[i]) {
+			continue // the predecessor went out late: nothing to prepare ahead of
+		}
+		onSchedule++
+		if !prepared[i].Before(dues[i]) {
+			t.Errorf("frame %d prepared %v after its due time", i, prepared[i].Sub(dues[i]))
+		}
+	}
+	if onSchedule == 0 {
+		t.Fatal("no frame followed an on-schedule send: the test checked nothing")
 	}
 }

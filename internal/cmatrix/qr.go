@@ -164,24 +164,18 @@ const (
 	// column first, this leaves the strongest streams for the levels that
 	// are detected first.
 	OrderSQRD
-	// OrderFCSD is the Barbero–Thompson FCSD ordering [4] parameterised by
-	// the number of fully-expanded levels L (see SortedQRFCSD): the L
-	// streams with the worst residual norms are pushed to the levels the
-	// FCSD fully expands, and the rest are ordered as in OrderSQRD.
-	OrderFCSD
 )
 
 // SortedQR computes a thin QR decomposition with the given column
-// ordering using modified Gram-Schmidt with column pivoting.
-// For OrderFCSD use SortedQRFCSD, which takes the expansion depth.
+// ordering using modified Gram-Schmidt with column pivoting. The FCSD
+// ordering of Barbero–Thompson [4] takes an expansion depth and is
+// SortedQRFCSD.
 func SortedQR(h *Matrix, ord Ordering) *QRResult {
 	switch ord {
 	case OrderNone:
 		return sortedQR(h, func(step, n int) pickRule { return pickFirst })
 	case OrderSQRD:
 		return sortedQR(h, func(step, n int) pickRule { return pickMin })
-	case OrderFCSD:
-		panic("cmatrix: use SortedQRFCSD for the FCSD ordering")
 	default:
 		panic("cmatrix: unknown ordering")
 	}
@@ -244,8 +238,6 @@ func (ws *QRWorkspace) SortedQRInto(h *Matrix, ord Ordering, out *QRResult) *QRR
 		return ws.sortedQRInto(h, func(step, n int) pickRule { return pickFirst }, out)
 	case OrderSQRD:
 		return ws.sortedQRInto(h, func(step, n int) pickRule { return pickMin }, out)
-	case OrderFCSD:
-		panic("cmatrix: use SortedQRFCSD for the FCSD ordering")
 	default:
 		panic("cmatrix: unknown ordering")
 	}

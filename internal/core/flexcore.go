@@ -20,10 +20,6 @@ type Options struct {
 	// the threshold, activating only as many of the NPE elements as the
 	// channel requires (the paper uses 0.95).
 	Threshold float64
-	// Ordering selects the sorted QR variant. The paper evaluates both
-	// the SQRD ordering [13] and the FCSD ordering [4] and keeps the
-	// better; OrderSQRD is the default here.
-	Ordering cmatrix.Ordering
 	// Workers is ignored: a detector is single-threaded, and parallelism
 	// is one detector per goroutine (DESIGN.md §8).
 	//
@@ -127,9 +123,6 @@ type FlexCore struct {
 func New(cons *constellation.Constellation, opts Options) *FlexCore {
 	if opts.NPE < 1 {
 		panic("core: NPE must be ≥ 1")
-	}
-	if opts.Ordering == 0 {
-		opts.Ordering = cmatrix.OrderSQRD
 	}
 	return &FlexCore{cons: cons, opts: opts, npe: opts.NPE, set: new(pathStore)}
 }

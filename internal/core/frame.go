@@ -177,7 +177,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 	d.n = n
 	d.ensureScratch()
 	if cap(d.frame) < len(hs) {
-		grown := make([]prepSlot, len(hs))  //lint:ignore noalloc amortised: frame arena regrows only when the subcarrier count grows
+		grown := make([]prepSlot, len(hs))
 		copy(grown, d.frame[:cap(d.frame)]) // keep the arenas already grown in old slots, beyond the last frame's too
 		d.frame = grown
 	}
@@ -192,7 +192,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 	base := -1 // last fresh-prepared subcarrier of this frame
 	for k := range d.frame {
 		s := &d.frame[k]
-		d.qrws.SortedQRInto(hs[k], d.opts.Ordering, &s.qr)
+		d.qrws.SortedQRInto(hs[k], cmatrix.OrderSQRD, &s.qr)
 
 		var own *reuseCache // the subcarrier's cross-frame base
 		dst := &s.own       // where a search emits: in place into that base when there is one

@@ -42,10 +42,10 @@ type Prep struct {
 func (pr *Prep) SetChannel(r *cmatrix.Matrix, invScale float64) {
 	n := r.Cols
 	if cap(pr.Rre) < n*n {
-		pr.Rre = make([]float32, n*n) //lint:ignore noalloc amortised: channel planes regrow only when the stream count grows
-		pr.Rim = make([]float32, n*n) //lint:ignore noalloc amortised: see above
-		pr.Rii = make([]float32, n)   //lint:ignore noalloc amortised: see above
-		pr.W = make([]float32, n)     //lint:ignore noalloc amortised: see above
+		pr.Rre = make([]float32, n*n)
+		pr.Rim = make([]float32, n*n)
+		pr.Rii = make([]float32, n)
+		pr.W = make([]float32, n)
 	}
 	pr.N = n
 	pr.Rre = pr.Rre[:n*n]
@@ -145,8 +145,8 @@ type cursor struct {
 //flexcore:noalloc
 func (s *Scratch) Ensure(n, p int) {
 	if cap(s.u) < n*n {
-		s.u = make([]c32, n*n)        //lint:ignore noalloc amortised: the walk's stack regrows only when the stream count grows
-		s.stack = make([]cursor, n+1) //lint:ignore noalloc amortised: see above
+		s.u = make([]c32, n*n)
+		s.stack = make([]cursor, n+1)
 	}
 	s.u = s.u[:n*n]
 	s.stack = s.stack[:n+1]
@@ -160,8 +160,8 @@ func (s *Scratch) Ensure(n, p int) {
 func (s *Scratch) fit(pl *Plan) {
 	nodes := len(pl.nodes)
 	if cap(s.Ped) < nodes {
-		s.Ped = make([]float32, nodes) //lint:ignore noalloc amortised: node planes regrow only when a plan outgrows every earlier one
-		s.Idx = make([]int32, nodes)   //lint:ignore noalloc amortised: see above
+		s.Ped = make([]float32, nodes)
+		s.Idx = make([]int32, nodes)
 	}
 	s.Ped = s.Ped[:nodes]
 	s.Idx = s.Idx[:nodes]

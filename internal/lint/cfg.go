@@ -8,15 +8,13 @@ import (
 
 // This file is the framework's small intra-procedural control-flow
 // helper: a forward walk over one function body that drives analyzer
-// hooks in execution order while maintaining two path-sensitive fact
-// sets. "May" facts hold on at least one path reaching a point (used
-// by lockscope for locks-possibly-held: union at merges), "must" facts
-// hold on every path (used by timeoutguard for deadlines-armed:
-// intersection at merges). The walker is deliberately simpler than a
-// real CFG: loop bodies are evaluated once (facts established late in
-// a body are not propagated back to its top), and break/continue/goto
-// conservatively end their path, so both fact kinds can only miss
-// findings on such paths, never invent them.
+// hooks in execution order while maintaining a path-sensitive fact
+// set. "May" facts hold on at least one path reaching a point (used by
+// lockscope for locks-possibly-held: union at merges). The walker is
+// deliberately simpler than a real CFG: loop bodies are evaluated once
+// (facts established late in a body are not propagated back to its
+// top), and break/continue/goto conservatively end their path, so it
+// can only miss findings on such paths, never invent them.
 //
 // Closures are separate execution contexts: the walker never descends
 // into a *ast.FuncLit body — analyzers walk each literal as its own
@@ -26,24 +24,19 @@ import (
 type flowFacts struct {
 	// may holds facts true on at least one path (union at merges).
 	may map[string]bool
-	// must holds facts true on every path (intersection at merges).
-	must map[string]bool
 	// dead marks a path that cannot continue (after return/break);
 	// dead paths are excluded from merges.
 	dead bool
 }
 
 func newFlowFacts() *flowFacts {
-	return &flowFacts{may: map[string]bool{}, must: map[string]bool{}}
+	return &flowFacts{may: map[string]bool{}}
 }
 
 func (f *flowFacts) clone() *flowFacts {
-	c := &flowFacts{may: make(map[string]bool, len(f.may)), must: make(map[string]bool, len(f.must)), dead: f.dead}
+	c := &flowFacts{may: make(map[string]bool, len(f.may)), dead: f.dead}
 	for k, v := range f.may {
 		c.may[k] = v
-	}
-	for k, v := range f.must {
-		c.must[k] = v
 	}
 	return c
 }
@@ -58,9 +51,9 @@ func (f *flowFacts) mayKeys() []string {
 	return keys
 }
 
-// merge folds the state of a sibling branch into f: may-union,
-// must-intersection. A dead branch contributes nothing; if f itself is
-// dead the other branch's state replaces it.
+// merge folds the state of a sibling branch into f (may-union). A
+// dead branch contributes nothing; if f itself is dead the other
+// branch's state replaces it.
 func (f *flowFacts) merge(o *flowFacts) {
 	if o.dead {
 		return
@@ -72,17 +65,11 @@ func (f *flowFacts) merge(o *flowFacts) {
 	for k := range o.may {
 		f.may[k] = true
 	}
-	for k := range f.must {
-		if !o.must[k] {
-			delete(f.must, k)
-		}
-	}
 }
 
 // flowHooks are the analyzer callbacks the walker drives. Every hook
 // is optional; each receives the current path facts and may mutate
-// them (that is how lockscope records Lock/Unlock transitions and
-// timeoutguard records deadline arming).
+// them (that is how lockscope records Lock/Unlock transitions).
 type flowHooks struct {
 	// onCall fires for every call expression, with deferred=true for
 	// the call of a defer statement (which runs at function exit, not
@@ -100,9 +87,6 @@ type flowHooks struct {
 	// onRangeChan fires for every range statement; the analyzer checks
 	// whether the ranged expression is a channel.
 	onRangeChan func(r *ast.RangeStmt, f *flowFacts)
-	// onGo fires for every go statement (the spawned call itself runs
-	// concurrently and is not treated as executing here).
-	onGo func(g *ast.GoStmt, f *flowFacts)
 }
 
 // walkFlow drives hooks over body with fresh facts and returns the
@@ -209,11 +193,10 @@ func flowStmt(s ast.Stmt, hooks *flowHooks, f *flowFacts) {
 			hooks.onCall(s.Call, true, f)
 		}
 	case *ast.GoStmt:
+		// The spawned call runs concurrently, not here; its arguments
+		// are evaluated here.
 		for _, a := range s.Call.Args {
 			flowExpr(a, hooks, f)
-		}
-		if hooks.onGo != nil {
-			hooks.onGo(s, f)
 		}
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {

@@ -29,23 +29,44 @@ type FuncRange struct {
 // module annotated //flexcore:noalloc.
 func (m *Module) NoallocRanges() []FuncRange {
 	var out []FuncRange
+	m.noallocFuncs(func(pkg *Package, file string, fd *ast.FuncDecl) {
+		out = append(out, FuncRange{
+			File:      file,
+			Name:      fd.Name.Name,
+			StartLine: m.Fset.Position(fd.Pos()).Line,
+			EndLine:   m.Fset.Position(fd.End()).Line,
+		})
+	})
+	return out
+}
+
+// noallocFuncs calls visit for every //flexcore:noalloc function of the
+// module with a body.
+func (m *Module) noallocFuncs(visit func(pkg *Package, file string, fd *ast.FuncDecl)) {
 	for _, pkg := range m.Pkgs {
 		for i, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasNoallocDirective(fd) {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hasNoallocDirective(fd) {
+					visit(pkg, pkg.Names[i], fd)
 				}
-				out = append(out, FuncRange{
-					File:      pkg.Names[i],
-					Name:      fd.Name.Name,
-					StartLine: m.Fset.Position(fd.Pos()).Line,
-					EndLine:   m.Fset.Position(fd.End()).Line,
-				})
 			}
 		}
 	}
-	return out
+}
+
+// growSites returns the file:line:col of every amortised grow in a
+// //flexcore:noalloc function — the makes the AST pass accepts
+// (amortisedGrows) — at the opening paren, where the compiler anchors
+// a make's escape note.
+func (m *Module) growSites() map[string]bool {
+	sites := map[string]bool{}
+	m.noallocFuncs(func(pkg *Package, _ string, fd *ast.FuncDecl) {
+		for call := range amortisedGrows(pkg.Info, fd.Body) {
+			p := m.Fset.Position(call.Lparen)
+			sites[fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)] = true
+		}
+	})
+	return sites
 }
 
 // escapeNote matches the -m lines that indicate a heap allocation:
@@ -62,15 +83,17 @@ var inlineNote = regexp.MustCompile(`^(.+\.go:\d+:\d+): inlining call to `)
 // EscapeDiagnostics parses `go build -gcflags=-m` output and returns a
 // diagnostic for every heap allocation the compiler placed inside an
 // annotated //flexcore:noalloc function. File names in the build output
-// are resolved relative to the module root. Two kinds of note are not
-// allocations at their line and are skipped:
+// are resolved relative to the module root. Three kinds of note are
+// not a steady-state allocation at their line and are skipped:
 //
 //   - a note at the position of an inlined call: the allocation is the
 //     callee's, judged at the callee's own source line (flagged there if
 //     the callee is annotated; left to the AllocsPerRun gates if not),
 //     just as the AST pass never follows calls;
 //   - a note whose subject is a string literal: a constant panic
-//     message boxes into static data.
+//     message boxes into static data;
+//   - a note at an amortised grow: the make in the then-branch of
+//     `if cap(x) < n` that the AST pass accepts too (amortisedGrows).
 //
 // The result is unfiltered; pass it through Module.FilterSuppressed so
 // //lint:ignore noalloc comments cover both the AST and the escape
@@ -91,6 +114,7 @@ func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 			inlined[sub[1]] = true
 		}
 	}
+	grows := mod.growSites()
 	var out []Diagnostic
 	for _, line := range lines {
 		sub := escapeNote.FindStringSubmatch(strings.TrimSpace(line))
@@ -100,6 +124,9 @@ func EscapeDiagnostics(mod *Module, buildOutput []byte) []Diagnostic {
 		file := sub[1]
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(mod.Root, file)
+		}
+		if grows[file+":"+sub[2]+":"+sub[3]] {
+			continue
 		}
 		lineNo, _ := strconv.Atoi(sub[2])
 		col, _ := strconv.Atoi(sub[3])

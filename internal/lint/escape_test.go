@@ -13,8 +13,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // through the escape cross-check: a heap note inside an annotated
 // function must be reported (under the noalloc analyzer name, so
 // //lint:ignore noalloc covers it); notes outside annotated functions,
-// non-allocation notes, notes at an inlined call site and notes whose
-// subject is a string literal must not.
+// non-allocation notes, notes at an inlined call site, notes whose
+// subject is a string literal and notes at an amortised grow (a make
+// in the then-branch of `if cap(x) < n`) must not — while an unguarded
+// make in the same kind of function still is.
 func TestEscapeDiagnostics(t *testing.T) {
 	mod, err := LoadModule("testdata/module")
 	if err != nil {
@@ -25,8 +27,9 @@ func TestEscapeDiagnostics(t *testing.T) {
 		ranges[r.Name] = r
 	}
 	scratch, guarded, join := ranges["scratch"], ranges["guarded"], ranges["join"]
-	if scratch.Name == "" || guarded.Name == "" || join.Name == "" {
-		t.Fatalf("fixture functions scratch, guarded, join not all in NoallocRanges: %v", ranges)
+	ensure, regrow := ranges["ensure"], ranges["regrow"]
+	if scratch.Name == "" || guarded.Name == "" || join.Name == "" || ensure.Name == "" || regrow.Name == "" {
+		t.Fatalf("fixture functions scratch, guarded, join, ensure, regrow not all in NoallocRanges: %v", ranges)
 	}
 	inside := scratch.StartLine + 1
 	build := strings.Join([]string{
@@ -41,6 +44,11 @@ func TestEscapeDiagnostics(t *testing.T) {
 		fmt.Sprintf(`hot/hot.go:%d:9: "hot: empty input" escapes to heap`, guarded.StartLine+2),
 		// A string-literal operand of a concatenation: reported.
 		fmt.Sprintf(`hot/hot.go:%d:9: "x" + a escapes to heap`, join.StartLine+1),
+		// The compiler anchors a make's note at its opening paren.
+		// An amortised grow (ensure's guarded `g.a = make(`): ignored.
+		fmt.Sprintf("hot/hot.go:%d:13: make([]float64, n) escapes to heap", ensure.StartLine+2),
+		// An unguarded make (regrow's `g.b = make(`): reported.
+		fmt.Sprintf("hot/hot.go:%d:12: make([]float64, n) escapes to heap", regrow.StartLine+4),
 		// Outside any annotated function: ignored.
 		"hot/hot.go:10000:1: make([]int, 4) escapes to heap",
 		// Unrelated file: ignored.
@@ -48,8 +56,8 @@ func TestEscapeDiagnostics(t *testing.T) {
 		"# fixture/hot",
 	}, "\n")
 	diags := EscapeDiagnostics(mod, []byte(build))
-	if len(diags) != 2 {
-		t.Fatalf("want exactly 2 escape diagnostics, got %d: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("want exactly 3 escape diagnostics, got %d: %v", len(diags), diags)
 	}
 	d := diags[0]
 	if d.Analyzer != "noalloc" {
@@ -63,6 +71,9 @@ func TestEscapeDiagnostics(t *testing.T) {
 	}
 	if d := diags[1]; !strings.Contains(d.Message, "join") || d.Pos.Line != join.StartLine+1 {
 		t.Errorf("concatenation note not reported in join: %v", d)
+	}
+	if d := diags[2]; !strings.Contains(d.Message, "regrow") || d.Pos.Line != regrow.StartLine+4 {
+		t.Errorf("unguarded make not reported in regrow: %v", d)
 	}
 }
 

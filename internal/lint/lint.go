@@ -2,12 +2,12 @@
 // go/parser + go/types + go/importer; no golang.org/x/tools) that
 // machine-enforces this repository's structural contracts: determinism
 // (bit-identical results for any worker count), allocation-free
-// steady-state hot paths, reviewed float equality and the serving
-// layer's concurrency and wire contracts. The framework is
-// deliberately small — analyzers, passes, diagnostics, line-level
-// suppressions — and is driven either by cmd/flexlint over the whole
-// module or by the `// want`-comment test harness in want.go over
-// fixture packages.
+// steady-state hot paths, reviewed float equality, and neither blocking
+// under a mutex nor an unjoined goroutine in the serving layer. The
+// framework is deliberately small — analyzers, passes, diagnostics,
+// line-level suppressions — and is driven either by cmd/flexlint over
+// the whole module or by the `// want`-comment test harness in want.go
+// over fixture packages.
 //
 // Suppression: a finding is silenced by a comment
 //

@@ -57,18 +57,15 @@ func pkgPathForFile(mod *Module, filename string) string {
 	return ""
 }
 
-// DefaultAnalyzers returns the eight analyzers flexlint ships: the
+// DefaultAnalyzers returns the five analyzers flexlint ships: the
 // repository's zero-allocation, determinism and float-comparison
-// contracts for the compute path, plus the concurrency and
-// wire-protocol contracts of the serving layer (lock scope, goroutine
-// joining, conn deadline arming, status-switch exhaustiveness,
-// wire-offset tiling). A //lint:ignore naming any other analyzer is
-// itself a finding.
+// contracts for the compute path, plus the two concurrency contracts
+// of the serving layer (lock scope, goroutine joining). Each one
+// alone catches some seeded bug of its class that no test, alloc gate
+// or fuzzer catches (DESIGN.md §10.1). A //lint:ignore naming any
+// other analyzer is itself a finding.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		Noalloc, Determinism, Floatcmp,
-		Lockscope, Waitdiscipline, Timeoutguard, Statuscase, Wireoffset,
-	}
+	return []*Analyzer{Noalloc, Determinism, Floatcmp, Lockscope, Waitdiscipline}
 }
 
 // shipped reports whether name is one of DefaultAnalyzers.

@@ -94,6 +94,44 @@ func amortized(xs []int, v int) []int {
 	return append(xs, v) //lint:ignore noalloc fixture: capacity reserved by the caller
 }
 
+// grows holds the reused buffers of the amortised-grow cases.
+type grows struct {
+	a, b []float64
+	idx  []int
+}
+
+// The amortised grow: a make assigned directly in the then-branch of
+// `if cap(x) < n` or `if len(x) < n` is legal, for every buffer the
+// branch regrows. A make anywhere else in the same function is not.
+
+//flexcore:noalloc
+func (g *grows) ensure(n int) {
+	if cap(g.a) < n {
+		g.a = make([]float64, n)
+		g.b = make([]float64, n)
+	}
+	if len(g.idx) < n {
+		g.idx = make([]int, n)
+	}
+	g.a, g.b, g.idx = g.a[:n], g.b[:n], g.idx[:n]
+}
+
+//flexcore:noalloc
+func (g *grows) regrow(n int) {
+	if cap(g.a) < n {
+		g.a = make([]float64, n)
+	}
+	g.b = make([]float64, n) // want "make allocates"
+	if cap(g.idx) < n {
+		for range 2 {
+			g.idx = make([]int, n) // want "make allocates"
+		}
+	}
+	if cap(g.idx) > n {
+		g.idx = make([]int, n) // want "make allocates"
+	}
+}
+
 // unannotated may allocate freely; the analyzer only checks opted-in
 // functions.
 func unannotated(n int) []int {

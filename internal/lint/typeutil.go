@@ -6,7 +6,7 @@ import (
 )
 
 // Shared type-resolution helpers for the concurrency analyzers
-// (lockscope, waitdiscipline, timeoutguard).
+// (lockscope, waitdiscipline).
 
 // calleeFunc resolves the called function or method object of a call
 // expression, or nil (built-ins, function values, indirect calls).

@@ -208,11 +208,9 @@ func (q *DetectRequest) AppendPayload(dst []byte) []byte {
 // Decode parses payload into q, reusing q's storage. Truncated,
 // oversized, inconsistent or non-finite payloads return ErrPayload or
 // ErrGeometry; Decode never panics on arbitrary input.
-// The header layout is machine-checked against reqHeaderSize
-// (wireoffset); the variable-length H/y tail is outside the tiling.
+// TestRequestPayloadRoundTrip pins the layout against AppendPayload's.
 //
 //flexcore:noalloc
-//flexcore:wire payload reqHeaderSize
 func (q *DetectRequest) Decode(payload []byte) error {
 	if len(payload) < reqHeaderSize {
 		return ErrPayload
@@ -328,11 +326,8 @@ func appendDecisions(dst []byte, decisions [][]int) []byte {
 }
 
 // Decode parses payload into r, reusing r.Decisions. It never panics
-// on arbitrary input. The header layout is machine-checked against
-// respHeaderSize (wireoffset); the decision tail is variable-length
-// and outside the tiling.
-//
-//flexcore:wire payload respHeaderSize
+// on arbitrary input. TestResponsePayloadRoundTrip pins the layout
+// against the encoder's.
 func (r *DetectResponse) Decode(payload []byte) error {
 	if len(payload) < respHeaderSize {
 		return ErrPayload
@@ -419,7 +414,6 @@ func appendC128(dst []byte, v complex128) []byte {
 // would poison every distance computation downstream).
 //
 //flexcore:noalloc
-//flexcore:wire b c128Size
 func decodeC128(b []byte) (complex128, bool) {
 	re := math.Float64frombits(binary.BigEndian.Uint64(b[0:8]))
 	im := math.Float64frombits(binary.BigEndian.Uint64(b[8:16]))

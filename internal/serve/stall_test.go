@@ -41,10 +41,10 @@ func blackHole(t *testing.T) net.Listener {
 }
 
 // TestIOTimeoutBoundsStalledRecv is the regression for the client's
-// missing I/O deadlines (found by the timeoutguard analyzer): a server
-// that accepts and reads but never responds used to wedge Do forever,
-// because Recv blocked without a read deadline. With SetIOTimeout the
-// stall surfaces as a timeout error in bounded time.
+// missing I/O deadlines: a server that accepts and reads but never
+// responds used to wedge Do forever, because Recv blocked without a
+// read deadline. With SetIOTimeout the stall surfaces as a timeout
+// error in bounded time.
 func TestIOTimeoutBoundsStalledRecv(t *testing.T) {
 	lis := blackHole(t)
 	cl, err := Dial(lis.Addr().String())

@@ -97,12 +97,10 @@ var (
 // AppendFrame appends one framed message to dst and returns the
 // extended slice. It allocates only when dst lacks capacity, so a
 // caller reusing its buffer frames messages allocation-free in steady
-// state.
-// The header layout is machine-checked: the constant-bound writes
-// below must tile headerSize exactly (wireoffset).
+// state. TestFrameRoundTrip and FuzzFrameCodec pin the header layout
+// against parseHeader's.
 //
 //flexcore:noalloc
-//flexcore:wire hdr headerSize
 func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
 	var hdr [headerSize]byte
 	copy(hdr[0:4], magic[:])
@@ -115,13 +113,10 @@ func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
 }
 
 // parseHeader validates one frame header and returns the type, payload
-// length and expected payload CRC.
-// Decode-side twin of AppendFrame's layout, checked against the same
-// headerSize (wireoffset): the two cannot silently disagree about
-// where a field lives, CRC included.
+// length and expected payload CRC: the decode-side twin of
+// AppendFrame's layout, CRC included.
 //
 //flexcore:noalloc
-//flexcore:wire hdr headerSize
 func parseHeader(hdr []byte) (typ MsgType, n int, crc uint32, err error) {
 	if [4]byte(hdr[0:4]) != magic || hdr[5] != 0 {
 		return 0, 0, 0, ErrHeader
@@ -208,7 +203,7 @@ func readPayload(r io.Reader, buf []byte, n int, crc uint32) ([]byte, error) {
 //flexcore:noalloc
 func readFull(r io.Reader, buf []byte, n int, eof error) ([]byte, error) {
 	if cap(buf) < n {
-		buf = make([]byte, n) //lint:ignore noalloc amortised: the connection reuses buf, which regrows only past its high-water mark
+		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	_, err := io.ReadFull(r, buf)

@@ -394,6 +394,20 @@ func TestStatusString(t *testing.T) {
 			t.Fatalf("Status(%d).String() = %q, want %q", st, got, want)
 		}
 	}
+	// Every code the decoder accepts has its own name: a code added
+	// without a String case would print (and be tallied by flexload's
+	// latency_by_status) as "unknown".
+	seen := map[string]Status{}
+	for st := Status(0); st <= statusMax; st++ {
+		name := st.String()
+		if name == "unknown" {
+			t.Fatalf("Status(%d) is a wire code with no String case", st)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("Status(%d) and Status(%d) are both %q", prev, st, name)
+		}
+		seen[name] = st
+	}
 }
 
 func TestShardIndexStableAndInRange(t *testing.T) {
