@@ -14,8 +14,9 @@ import (
 	"flexcore"
 	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
-	"flexcore/internal/coding"
+	"flexcore/internal/constellation"
 	"flexcore/internal/core"
+	"flexcore/internal/detector"
 	"flexcore/internal/experiments"
 	"flexcore/internal/phy"
 	"flexcore/internal/platform/fpga"
@@ -87,15 +88,16 @@ func BenchmarkFig9(b *testing.B) {
 	cons := flexcore.MustConstellation(16)
 	link := flexcore.LinkConfig{
 		Users: 8, APAntennas: 8, Constellation: cons,
-		CodeRate: coding.Rate12, Subcarriers: 8, OFDMSymbols: 8,
+		Subcarriers: 8, OFDMSymbols: 8,
 	}
 	det := flexcore.New(cons, flexcore.Options{NPE: 128})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := flexcore.RunLink(flexcore.SimConfig{
-			Link: link, SNRdB: 12, Packets: 1, Seed: uint64(i), Detector: det,
-			Channels: &phy.FlatProvider{Seed: uint64(i), Users: 8, APAntennas: 8, Subcarriers: 8, APCorrelation: 0.6},
+			Link: link, SNRdB: 12, Packets: 1, Seed: uint64(i),
+			DetectorFactory: func() flexcore.Detector { return det },
+			Channels:        &phy.FlatProvider{Seed: uint64(i), Users: 8, APAntennas: 8, Subcarriers: 8, APCorrelation: 0.6},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +142,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkFig12 profiles the LTE budget computation (max supported
 // paths per mode) plus one SIC detection, Fig. 12's repeated unit.
 func BenchmarkFig12(b *testing.B) {
-	det := flexcore.NewSIC(flexcore.MustConstellation(64))
+	det := detector.NewSIC(flexcore.MustConstellation(64))
 	y := detectSetup(b, det, 64, 12, 21.6, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +252,7 @@ func BenchmarkRunParallel(b *testing.B) {
 	cons := flexcore.MustConstellation(16)
 	link := flexcore.LinkConfig{
 		Users: 8, APAntennas: 8, Constellation: cons,
-		CodeRate: coding.Rate12, Subcarriers: 8, OFDMSymbols: 8,
+		Subcarriers: 8, OFDMSymbols: 8,
 	}
 	workerCounts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {
@@ -275,18 +277,16 @@ func BenchmarkRunParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDetectors lines every detector up on the same 8×8
-// 64-QAM instance.
+// BenchmarkAblationDetectors lines the paper's detectors up on the same
+// 8×8 64-QAM instance.
 func BenchmarkAblationDetectors(b *testing.B) {
 	cons := flexcore.MustConstellation(64)
 	dets := []flexcore.Detector{
 		flexcore.NewMMSE(cons),
-		flexcore.NewLRZF(cons),
-		flexcore.NewSIC(cons),
+		detector.NewSIC(cons),
 		flexcore.New(cons, flexcore.Options{NPE: 64}),
 		flexcore.NewFCSD(cons, 1),
-		flexcore.NewTrellis(cons),
-		flexcore.NewKBest(cons, 16),
+		detector.NewTrellis(cons),
 		flexcore.NewML(cons),
 	}
 	for _, det := range dets {
@@ -299,24 +299,6 @@ func BenchmarkAblationDetectors(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationLatticeReduction measures the strictly sequential
-// CLLL cost that rules lattice reduction out for large MIMO APs
-// (paper §6), against the sorted QR both FlexCore and the FCSD use.
-func BenchmarkAblationLatticeReduction(b *testing.B) {
-	h := flexcore.Rayleigh(21, 12, 12)
-	b.Run("clll", func(b *testing.B) {
-		g := h.Scale(complex(2*flexcore.MustConstellation(64).Scale(), 0))
-		for i := 0; i < b.N; i++ {
-			cmatrix.CLLL(g, 0.75)
-		}
-	})
-	b.Run("sortedqr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cmatrix.SortedQR(h, cmatrix.OrderSQRD)
-		}
-	})
 }
 
 // BenchmarkExperimentTable3Quick regenerates the cheapest full table
@@ -332,7 +314,7 @@ func BenchmarkExperimentTable3Quick(b *testing.B) {
 // benchPrepareSetup builds the PR's frame-prepare reference workload:
 // a 48-subcarrier 64-QAM 8×8 indoor-TDL frame at the paper's 21.6 dB
 // operating point (BENCH_PR3.json records before/after numbers on it).
-func benchPrepareSetup() ([]*cmatrix.Matrix, float64, *flexcore.Constellation) {
+func benchPrepareSetup() ([]*cmatrix.Matrix, float64, *constellation.Constellation) {
 	cons := flexcore.MustConstellation(64)
 	rng := channel.NewRNG(321)
 	sc := make([]int, 48)

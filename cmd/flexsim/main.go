@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"flexcore/internal/channel"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -29,8 +28,8 @@ func main() {
 	antennas := flag.Int("antennas", 8, "AP receive antennas (Nr)")
 	qam := flag.Int("qam", 16, "QAM order (4, 16, 64, 256, 1024)")
 	snr := flag.Float64("snr", 14, "per-stream SNR Es/σ² in dB")
-	detName := flag.String("detector", "flexcore", "detector: flexcore|aflexcore|ml|mmse|zf|sic|fcsd|kbest|trellis|lrzf")
-	npe := flag.Int("npe", 32, "processing elements for flexcore/aflexcore; K for kbest; |Q|^L paths pick L for fcsd")
+	detName := flag.String("detector", "flexcore", "detector: "+detectorNames)
+	npe := flag.Int("npe", 32, "processing elements for flexcore/aflexcore; |Q|^L paths pick L for fcsd")
 	packets := flag.Int("packets", 50, "packets to simulate")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	subcarriers := flag.Int("subcarriers", 16, "simulated data subcarriers (NCBPS must be a multiple of 16)")
@@ -79,7 +78,6 @@ func main() {
 		Users:         *users,
 		APAntennas:    *antennas,
 		Constellation: cons,
-		CodeRate:      coding.Rate12,
 		Subcarriers:   *subcarriers,
 		OFDMSymbols:   *symbols,
 	}
@@ -87,7 +85,8 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown backend %q (want complex128 or soa32)", *backendName))
 	}
-	det, err := makeDetector(strings.ToLower(*detName), cons, *npe, *reuse, backend)
+	name := strings.ToLower(*detName)
+	det, err := makeDetector(name, cons, *npe, *reuse, backend)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,29 +102,26 @@ func main() {
 		fatal(fmt.Errorf("unknown channel model %q", *channelKind))
 	}
 
+	// One detector per worker; the first is the flag-built instance, so
+	// a one-worker run reports its counters below.
+	first := true
 	cfg := phy.SimConfig{
-		Link:         link,
-		SNRdB:        *snr,
-		Packets:      *packets,
-		Seed:         *seed,
-		Detector:     det,
+		Link:    link,
+		SNRdB:   *snr,
+		Packets: *packets,
+		Seed:    *seed,
+		DetectorFactory: func() detector.Detector {
+			if first {
+				first = false
+				return det
+			}
+			d, _ := makeDetector(name, cons, *npe, *reuse, backend)
+			return d
+		},
 		Channels:     channels,
 		Soft:         *soft,
 		PilotSymbols: *pilots,
-	}
-	if *workers != 1 {
-		// Parallel runs use one detector per worker; the flag-built
-		// instance then only serves the Name/OpCount report below.
-		cfg.Detector = nil
-		cfg.Workers = *workers
-		name, q, ru := strings.ToLower(*detName), *npe, *reuse
-		cfg.DetectorFactory = func() detector.Detector {
-			d, err := makeDetector(name, cons, q, ru, backend)
-			if err != nil {
-				fatal(err)
-			}
-			return d
-		}
+		Workers:      *workers,
 	}
 	res, err := phy.Run(cfg)
 	if err != nil {
@@ -155,6 +151,10 @@ func main() {
 	}
 }
 
+// detectorNames lists every name makeDetector builds, in the -detector
+// usage string.
+const detectorNames = "flexcore|aflexcore|ml|mmse|zf|sic|fcsd|trellis"
+
 func makeDetector(name string, cons *constellation.Constellation, npe int, reuse float64, backend core.Backend) (detector.Detector, error) {
 	opts := core.Options{NPE: npe, Backend: backend}
 	if reuse >= 0 {
@@ -181,12 +181,8 @@ func makeDetector(name string, cons *constellation.Constellation, npe int, reuse
 			l++
 		}
 		return detector.NewFCSD(cons, l), nil
-	case "kbest":
-		return detector.NewKBest(cons, npe), nil
 	case "trellis":
 		return detector.NewTrellis(cons), nil
-	case "lrzf":
-		return detector.NewLRZF(cons), nil
 	default:
 		return nil, fmt.Errorf("unknown detector %q", name)
 	}

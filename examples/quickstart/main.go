@@ -1,6 +1,9 @@
 // Quickstart: detect one 12×12 64-QAM MIMO vector with FlexCore and
 // compare the result (and the work done) against exact ML sphere
-// decoding and linear MMSE.
+// decoding and linear MMSE; then a-FlexCore in action (Fig. 10's right
+// axis) — the same 64-PE detector prepared on channels of increasing
+// difficulty activates only as many processing elements as each
+// channel requires.
 package main
 
 import (
@@ -9,6 +12,7 @@ import (
 
 	"flexcore"
 	"flexcore/internal/channel"
+	"flexcore/internal/cmatrix"
 )
 
 func main() {
@@ -62,4 +66,42 @@ func main() {
 	for _, p := range paths {
 		fmt.Printf("  %v  Pc=%.3g\n", p.Ranks, p.Prob())
 	}
+
+	adaptive()
+}
+
+// adaptive prints the active-PE count of a-FlexCore (64 PEs, 0.95
+// cumulative-probability stop) across channels: linear-detection
+// complexity on easy channels, near-ML complexity only when the channel
+// demands it (paper §5.1, Fig. 10).
+func adaptive() {
+	af := flexcore.New(flexcore.MustConstellation(64), flexcore.Options{NPE: 64, Threshold: 0.95})
+	fmt.Println()
+	fmt.Println("a-FlexCore with 64 available PEs, 0.95 cumulative-probability stop")
+	fmt.Println()
+	fmt.Printf("%-44s %-10s %s\n", "channel", "SNR (dB)", "active PEs")
+	show := func(name string, h *flexcore.Matrix, snrdB float64) {
+		if err := af.Prepare(h, flexcore.Sigma2FromSNRdB(snrdB)); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-44s %-10.1f %d\n", name, snrdB, af.ActivePaths())
+	}
+
+	// An orthogonal channel at high SNR needs one path — the complexity
+	// of linear detection.
+	show("identity (orthogonal streams)", cmatrix.Identity(12), 30)
+	// Random channels need more as the SNR falls.
+	rng := channel.NewRNG(77)
+	h := channel.Rayleigh(rng, 12, 12)
+	for _, snr := range []float64{30, 24, 21.6, 18, 14} {
+		show("12×12 Rayleigh", h, snr)
+	}
+	// Fewer users than antennas is well conditioned (Fig. 10's 6 users).
+	show("6 users × 12 antennas", channel.Rayleigh(rng, 12, 6), 21.6)
+	// Two nearly parallel users exhaust the budget.
+	bad := channel.Rayleigh(rng, 12, 12)
+	for i := 0; i < 12; i++ {
+		bad.Set(i, 1, bad.At(i, 0)+0.05*bad.At(i, 1))
+	}
+	show("12×12 with two nearly-parallel users", bad, 21.6)
 }

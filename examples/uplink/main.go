@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"flexcore"
-	"flexcore/internal/coding"
 	"flexcore/internal/phy"
 )
 
@@ -19,7 +18,6 @@ func main() {
 		Users:         8,
 		APAntennas:    8,
 		Constellation: cons,
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
@@ -45,10 +43,10 @@ func main() {
 	}
 	fmt.Printf("operating point: %.1f dB (measured PER_ML %.3f)\n\n", snr, perML)
 
-	measure := func(det flexcore.Detector) flexcore.SimResult {
+	measure := func(newDet func() flexcore.Detector) flexcore.SimResult {
 		res, err := flexcore.RunLink(flexcore.SimConfig{
 			Link: link, SNRdB: snr, Packets: 30, Seed: 5,
-			Detector: det, Channels: channels(5),
+			DetectorFactory: newDet, Channels: channels(5),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -58,14 +56,14 @@ func main() {
 
 	fmt.Println("NPE   FlexCore throughput")
 	for _, npe := range []int{1, 4, 16, 64, 128} {
-		res := measure(flexcore.New(cons, flexcore.Options{NPE: npe}))
+		res := measure(func() flexcore.Detector { return flexcore.New(cons, flexcore.Options{NPE: npe}) })
 		fmt.Printf("%-5d %.0f Mbit/s (PER %.3f)\n", npe, res.ThroughputBps/1e6, res.PER)
 	}
 	fmt.Println()
-	fcsd := measure(flexcore.NewFCSD(cons, 1))
+	fcsd := measure(func() flexcore.Detector { return flexcore.NewFCSD(cons, 1) })
 	fmt.Printf("FCSD L=1 (16 paths): %.0f Mbit/s (PER %.3f)\n", fcsd.ThroughputBps/1e6, fcsd.PER)
-	mmse := measure(flexcore.NewMMSE(cons))
+	mmse := measure(func() flexcore.Detector { return flexcore.NewMMSE(cons) })
 	fmt.Printf("MMSE:                %.0f Mbit/s (PER %.3f)\n", mmse.ThroughputBps/1e6, mmse.PER)
-	ml := measure(flexcore.NewML(cons))
+	ml := measure(func() flexcore.Detector { return flexcore.NewML(cons) })
 	fmt.Printf("ML bound:            %.0f Mbit/s (PER %.3f)\n", ml.ThroughputBps/1e6, ml.PER)
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"flexcore"
-	"flexcore/internal/coding"
+	"flexcore/internal/cmatrix"
 )
 
 // TestFacadeEndToEnd exercises the public API the way README's quickstart
@@ -44,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeFindPaths(t *testing.T) {
 	cons := flexcore.MustConstellation(64)
-	r := flexcore.NewMatrix(4, 4)
+	r := cmatrix.New(4, 4)
 	for i := 0; i < 4; i++ {
 		r.Set(i, i, complex(float64(i+1)/2, 0))
 	}
@@ -64,12 +64,12 @@ func TestFacadeLinkSim(t *testing.T) {
 	res, err := flexcore.RunLink(flexcore.SimConfig{
 		Link: flexcore.LinkConfig{
 			Users: 2, APAntennas: 2, Constellation: cons,
-			CodeRate: coding.Rate12, Subcarriers: 8, OFDMSymbols: 8,
+			Subcarriers: 8, OFDMSymbols: 8,
 		},
-		SNRdB:    35,
-		Packets:  5,
-		Seed:     9,
-		Detector: flexcore.NewMMSE(cons),
+		SNRdB:           35,
+		Packets:         5,
+		Seed:            9,
+		DetectorFactory: func() flexcore.Detector { return flexcore.NewMMSE(cons) },
 	})
 	if err != nil {
 		t.Fatal(err)

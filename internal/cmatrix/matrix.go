@@ -1,6 +1,6 @@
 // Package cmatrix provides dense complex-valued linear algebra for MIMO
 // detection: matrix products, Householder and sorted QR decompositions,
-// matrix inversion, triangular solves and a one-sided Jacobi SVD.
+// matrix inversion and triangular solves.
 //
 // Matrices are row-major and sized for MIMO dimensions (tens of rows and
 // columns), so the implementations favour clarity and numerical robustness

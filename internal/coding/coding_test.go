@@ -205,59 +205,6 @@ func TestInterleaverValidation(t *testing.T) {
 	}
 }
 
-func TestPunctureRoundTrip(t *testing.T) {
-	rng := newRng(85)
-	for _, r := range []Rate{Rate12, Rate23, Rate34} {
-		info := randBits(rng, 240)
-		coded := EncodeRate12(info)
-		p := Puncture(coded, r)
-		if want := PuncturedLength(len(coded)/2, r); len(p) != want {
-			t.Fatalf("rate %v: punctured length %d, want %d", r, len(p), want)
-		}
-		d, err := Depuncture(p, r, len(coded)/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d) != len(coded) {
-			t.Fatalf("rate %v: depunctured length %d", r, len(d))
-		}
-		// Non-erased positions must match the original code word.
-		for i := range d {
-			if d[i] != Erasure && d[i] != coded[i] {
-				t.Fatalf("rate %v: depunctured bit %d corrupted", r, i)
-			}
-		}
-		// And the punctured code must still decode cleanly.
-		dec, err := DecodeRate12(d, len(info))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range info {
-			if dec[i] != info[i] {
-				t.Fatalf("rate %v: punctured round trip failed at %d", r, i)
-			}
-		}
-	}
-}
-
-func TestDepunctureValidation(t *testing.T) {
-	if _, err := Depuncture(make([]uint8, 3), Rate23, 10); err == nil {
-		t.Fatal("short punctured stream accepted")
-	}
-	if _, err := Depuncture(make([]uint8, 100), Rate23, 10); err == nil {
-		t.Fatal("long punctured stream accepted")
-	}
-}
-
-func TestRateValues(t *testing.T) {
-	if Rate12.Value() != 0.5 || Rate34.Value() != 0.75 {
-		t.Fatal("rate values wrong")
-	}
-	if Rate23.String() != "2/3" {
-		t.Fatal("rate string wrong")
-	}
-}
-
 func BenchmarkViterbi1024(b *testing.B) {
 	rng := newRng(86)
 	info := randBits(rng, 1024)

@@ -1,9 +1,9 @@
 // Package coding implements the 802.11 forward-error-correction substrate
 // used by the FlexCore evaluation: the rate-1/2 constraint-length-7
 // convolutional code (g0 = 133, g1 = 171 octal) with zero-tail
-// termination, a hard-decision Viterbi decoder with erasure support, the
-// 802.11 two-permutation block interleaver, and the standard 2/3 and 3/4
-// puncturing patterns.
+// termination, hard- and soft-decision Viterbi decoders (the hard one
+// with erasure support), and the 802.11 two-permutation block
+// interleaver.
 package coding
 
 import "math/bits"
@@ -23,7 +23,7 @@ const (
 const (
 	Zero    uint8 = 0
 	One     uint8 = 1
-	Erasure uint8 = 2 // depunctured position with no channel observation
+	Erasure uint8 = 2 // position with no channel observation
 )
 
 // EncodeRate12 convolutionally encodes info with the 802.11 rate-1/2 code

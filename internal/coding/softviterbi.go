@@ -5,9 +5,9 @@ import "fmt"
 // DecodeRate12Soft performs soft-decision Viterbi decoding of a
 // zero-tail terminated rate-1/2 code word from log-likelihood ratios.
 // llrs[i] is the LLR of coded bit i with the convention
-// LLR = log P(bit=0)/P(bit=1): positive values favour 0. Punctured
-// positions carry LLR 0 (no information), so no separate erasure symbol
-// is needed. infoLen is the number of information bits.
+// LLR = log P(bit=0)/P(bit=1): positive values favour 0. A position
+// with no channel observation carries LLR 0, so no separate erasure
+// symbol is needed. infoLen is the number of information bits.
 //
 // Soft decoding is the substrate for the paper's §7 future-work
 // extension ("extend FlexCore to soft-detectors"); see detector-side LLR
@@ -75,21 +75,4 @@ func DecodeRate12Soft(llrs []float64, infoLen int) ([]uint8, error) {
 		state = int(sv.prev)
 	}
 	return decoded[:infoLen], nil
-}
-
-// HardToLLR converts hard bits (possibly with Erasure) to LLRs with the
-// given confidence magnitude.
-func HardToLLR(bits []uint8, confidence float64) []float64 {
-	llrs := make([]float64, len(bits))
-	for i, b := range bits {
-		switch b {
-		case Zero:
-			llrs[i] = confidence
-		case One:
-			llrs[i] = -confidence
-		default: // Erasure
-			llrs[i] = 0
-		}
-	}
-	return llrs
 }

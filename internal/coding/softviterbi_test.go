@@ -7,7 +7,7 @@ func TestSoftViterbiCleanRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 64, 300} {
 		info := randBits(rng, n)
 		coded := EncodeRate12(info)
-		dec, err := DecodeRate12Soft(HardToLLR(coded, 4), n)
+		dec, err := DecodeRate12Soft(hardToLLR(coded, 4), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func TestSoftViterbiUsesReliability(t *testing.T) {
 	rng := newRng(92)
 	info := randBits(rng, 200)
 	coded := EncodeRate12(info)
-	llrs := HardToLLR(coded, 8)
+	llrs := hardToLLR(coded, 8)
 	hard := append([]uint8(nil), coded...)
 	flips := 0
 	for i := 10; i < len(coded) && flips < 40; i += 9 {
@@ -72,7 +72,7 @@ func TestSoftViterbiZeroLLRsAreErasures(t *testing.T) {
 	rng := newRng(93)
 	info := randBits(rng, 150)
 	coded := EncodeRate12(info)
-	llrs := HardToLLR(coded, 5)
+	llrs := hardToLLR(coded, 5)
 	for i := 0; i < len(llrs); i += 4 {
 		llrs[i] = 0
 	}
@@ -90,37 +90,6 @@ func TestSoftViterbiZeroLLRsAreErasures(t *testing.T) {
 func TestSoftViterbiLengthValidation(t *testing.T) {
 	if _, err := DecodeRate12Soft(make([]float64, 5), 100); err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestDepunctureLLRs(t *testing.T) {
-	rng := newRng(94)
-	for _, r := range []Rate{Rate12, Rate23, Rate34} {
-		info := randBits(rng, 120)
-		coded := EncodeRate12(info)
-		punctured := Puncture(coded, r)
-		llrs, err := DepunctureLLRs(HardToLLR(punctured, 6), r, len(coded)/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(llrs) != len(coded) {
-			t.Fatalf("rate %v: length %d", r, len(llrs))
-		}
-		dec, err := DecodeRate12Soft(llrs, len(info))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range info {
-			if dec[i] != info[i] {
-				t.Fatalf("rate %v: punctured soft round trip failed", r)
-			}
-		}
-	}
-	if _, err := DepunctureLLRs(make([]float64, 3), Rate23, 10); err == nil {
-		t.Fatal("short LLR stream accepted")
-	}
-	if _, err := DepunctureLLRs(make([]float64, 99), Rate34, 10); err == nil {
-		t.Fatal("long LLR stream accepted")
 	}
 }
 
@@ -152,4 +121,21 @@ func TestInterleaverLLRRoundTrip(t *testing.T) {
 			t.Fatalf("LLR deinterleave mismatch at %d", i)
 		}
 	}
+}
+
+// hardToLLR converts hard bits (possibly with Erasure) to LLRs with the
+// given confidence magnitude.
+func hardToLLR(bits []uint8, confidence float64) []float64 {
+	llrs := make([]float64, len(bits))
+	for i, b := range bits {
+		switch b {
+		case Zero:
+			llrs[i] = confidence
+		case One:
+			llrs[i] = -confidence
+		default: // Erasure
+			llrs[i] = 0
+		}
+	}
+	return llrs
 }

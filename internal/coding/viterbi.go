@@ -4,7 +4,7 @@ import "fmt"
 
 // DecodeRate12 performs hard-decision Viterbi decoding of a zero-tail
 // terminated rate-1/2 code word (as produced by EncodeRate12, possibly
-// with bit errors and Erasure symbols from depuncturing) and returns the
+// with bit errors and Erasure symbols) and returns the
 // info bits. infoLen is the number of information bits excluding the tail.
 func DecodeRate12(coded []uint8, infoLen int) ([]uint8, error) {
 	steps := infoLen + ConstraintLength - 1

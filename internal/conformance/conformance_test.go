@@ -242,9 +242,7 @@ func allDetectors(c *Case) []detector.Detector {
 		detector.NewSIC(c.Cons),
 		detector.NewSphere(c.Cons),
 		detector.NewFCSD(c.Cons, 1),
-		detector.NewKBest(c.Cons, 4),
 		detector.NewTrellis(c.Cons),
-		detector.NewLRZF(c.Cons),
 		core.New(c.Cons, core.Options{NPE: 8}),
 		core.New(c.Cons, core.Options{NPE: 16, Threshold: 0.95}),
 		core.New(c.Cons, core.Options{NPE: 8, Backend: core.BackendSoA32}),

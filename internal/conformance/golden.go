@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"flexcore/internal/cmatrix"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -107,9 +106,7 @@ func goldenDetectors(cons *constellation.Constellation) []detector.Detector {
 		detector.NewSIC(cons),
 		detector.NewSphere(cons),
 		detector.NewFCSD(cons, 1),
-		detector.NewKBest(cons, 4),
 		detector.NewTrellis(cons),
-		detector.NewLRZF(cons),
 		core.New(cons, core.Options{NPE: 8}),
 		core.New(cons, core.Options{NPE: 16, Threshold: 0.95}),
 		core.New(cons, core.Options{NPE: 16, ExactSlicer: true}),
@@ -123,25 +120,25 @@ func goldenLink() phy.LinkConfig {
 		Users:         2,
 		APAntennas:    2,
 		Constellation: constellation.MustNew(4),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
 }
 
-// goldenSimDetector maps a pinned sim's detector name to a fresh
-// instance (the inverse of Detector.Name for the names the corpus uses).
-func goldenSimDetector(name string) (detector.Detector, error) {
+// goldenSimDetector maps a pinned sim's detector name to a factory of
+// fresh instances (the inverse of Detector.Name for the names the
+// corpus uses).
+func goldenSimDetector(name string) (func() detector.Detector, error) {
 	cons := goldenLink().Constellation
 	switch name {
 	case "MMSE":
-		return detector.NewMMSE(cons), nil
+		return func() detector.Detector { return detector.NewMMSE(cons) }, nil
 	case "SIC":
-		return detector.NewSIC(cons), nil
+		return func() detector.Detector { return detector.NewSIC(cons) }, nil
 	case "ML":
-		return detector.NewSphere(cons), nil
+		return func() detector.Detector { return detector.NewSphere(cons) }, nil
 	case "FlexCore(NPE=16)":
-		return core.New(cons, core.Options{NPE: 16}), nil
+		return func() detector.Detector { return core.New(cons, core.Options{NPE: 16}) }, nil
 	default:
 		return nil, fmt.Errorf("conformance: unknown golden sim detector %q", name)
 	}
@@ -204,7 +201,7 @@ func GenerateGoldenSuite() (*GoldenSuite, error) {
 		suite.Cases = append(suite.Cases, gc)
 	}
 	for _, p := range goldenSimParams {
-		det, err := goldenSimDetector(p.det)
+		newDet, err := goldenSimDetector(p.det)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +210,7 @@ func GenerateGoldenSuite() (*GoldenSuite, error) {
 			SNRdB:           p.snrdB,
 			Packets:         p.packets,
 			Seed:            p.seed,
-			Detector:        det,
+			DetectorFactory: newDet,
 			MaxPacketErrors: p.maxPacketErrors,
 		})
 		if err != nil {

@@ -2,8 +2,8 @@
 // evaluates against: linear ZF and MMSE, ordered successive interference
 // cancellation (SIC / V-BLAST), the exact maximum-likelihood depth-first
 // sphere decoder (the paper's "ML"/Geosphere reference), the fixed
-// complexity sphere decoder (FCSD), a K-best breadth-first decoder, and
-// the trellis-based fully-parallel detector of Wu et al. [50].
+// complexity sphere decoder (FCSD), and the trellis-based
+// fully-parallel detector of Wu et al. [50].
 //
 // Every detector follows the same two-phase protocol: Prepare runs once
 // per channel realisation (QR decompositions, filter inversions — the

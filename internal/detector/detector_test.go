@@ -82,7 +82,6 @@ func allDetectors(cons *constellation.Constellation) []Detector {
 		NewSIC(cons),
 		NewSphere(cons),
 		NewFCSD(cons, 1),
-		NewKBest(cons, 8),
 		NewTrellis(cons),
 	}
 }
@@ -112,7 +111,7 @@ func TestNonlinearDetectorsNoiselessRandomChannel(t *testing.T) {
 	cons := constellation.MustNew(16)
 	for trial := 0; trial < 10; trial++ {
 		h := channel.Rayleigh(rng, 6, 6)
-		for _, det := range []Detector{NewSphere(cons), NewFCSD(cons, 2), NewKBest(cons, 16)} {
+		for _, det := range []Detector{NewSphere(cons), NewFCSD(cons, 2)} {
 			if err := det.Prepare(h, 1e-6); err != nil {
 				t.Fatal(err)
 			}
@@ -199,35 +198,6 @@ func TestFCSDNumPaths(t *testing.T) {
 	}
 }
 
-func TestKBestLargeKIsML(t *testing.T) {
-	rng := newRng(105)
-	cons := constellation.MustNew(4)
-	for trial := 0; trial < 50; trial++ {
-		h := channel.Rayleigh(rng, 3, 3)
-		kb := NewKBest(cons, 64) // ≥ |Q|^Nt
-		if err := kb.Prepare(h, 0.3); err != nil {
-			t.Fatal(err)
-		}
-		s := randSymbols(rng, cons, 3)
-		y := transmit(rng, h, cons, s, 0.3)
-		got := kb.Detect(y)
-		want := exhaustiveML(h, cons, y)
-		toVec := func(idx []int) []complex128 {
-			x := make([]complex128, len(idx))
-			for i, k := range idx {
-				x[i] = cons.Point(k)
-			}
-			return x
-		}
-		dg := cmatrix.Norm2(cmatrix.SubVec(y, h.MulVec(toVec(got))))
-		dw := cmatrix.Norm2(cmatrix.SubVec(y, h.MulVec(toVec(want))))
-		if dg > dw+1e-9 {
-			t.Fatalf("trial %d: K-best(64) worse than ML", trial)
-		}
-	}
-}
-
-// symbolErrorRate measures SER for a detector over random channels.
 func symbolErrorRate(t *testing.T, det Detector, cons *constellation.Constellation, nt int, snrdB float64, trials int, seed uint64) float64 {
 	t.Helper()
 	rng := newRng(seed)
@@ -419,40 +389,5 @@ func BenchmarkFCSD12x12_64QAM_L1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Detect(y)
-	}
-}
-
-func TestLRZFNoiselessRecovery(t *testing.T) {
-	rng := newRng(120)
-	for _, m := range []int{4, 16, 64} {
-		cons := constellation.MustNew(m)
-		lr := NewLRZF(cons)
-		for trial := 0; trial < 10; trial++ {
-			h := channel.Rayleigh(rng, 6, 6)
-			if err := lr.Prepare(h, 1e-9); err != nil {
-				t.Fatal(err)
-			}
-			s := randSymbols(rng, cons, 6)
-			y := transmit(rng, h, cons, s, 0)
-			if got := lr.Detect(y); !equalInts(got, s) {
-				t.Fatalf("%d-QAM trial %d: LR-ZF noiseless recovery failed: %v vs %v", m, trial, got, s)
-			}
-		}
-	}
-}
-
-func TestLRZFBeatsPlainZF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	// Lattice reduction collects receive diversity plain ZF lacks: at a
-	// moderate SNR on square channels its SER must be clearly lower.
-	cons := constellation.MustNew(16)
-	const nt, snr, trials, seed = 4, 14, 400, 121
-	serLR := symbolErrorRate(t, NewLRZF(cons), cons, nt, snr, trials, seed)
-	serZF := symbolErrorRate(t, NewZF(cons), cons, nt, snr, trials, seed)
-	t.Logf("SER: LR-ZF=%.4f ZF=%.4f", serLR, serZF)
-	if serLR >= serZF {
-		t.Fatalf("LR-ZF (%.4f) not better than ZF (%.4f)", serLR, serZF)
 	}
 }

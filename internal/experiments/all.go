@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// Names lists the generators accepted by Run and the flexbench CLI.
+// Names lists the generators accepted by RunTables and the flexbench CLI.
 var Names = []string{
 	"table1", "table2", "table3",
 	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
@@ -48,21 +48,4 @@ func wrap(t *Table, err error) ([]*Table, error) {
 		return nil, err
 	}
 	return []*Table{t}, nil
-}
-
-// Run executes one named generator, writing its tables to w.
-func Run(name string, cfg Config, w io.Writer) error {
-	_, err := RunTables(name, cfg, w)
-	return err
-}
-
-// RunAll executes every generator in order.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, n := range Names {
-		fmt.Fprintf(w, "\n––––– %s –––––\n", n)
-		if err := Run(n, cfg, w); err != nil {
-			return fmt.Errorf("%s: %w", n, err)
-		}
-	}
-	return nil
 }

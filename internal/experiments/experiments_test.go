@@ -252,10 +252,10 @@ func TestFig9HeadlinePanelShape(t *testing.T) {
 }
 
 func TestRunDispatcher(t *testing.T) {
-	if err := Run("table3", quickCfg(), io.Discard); err != nil {
+	if _, err := RunTables("table3", quickCfg(), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run("nonsense", quickCfg(), io.Discard); err == nil {
+	if _, err := RunTables("nonsense", quickCfg(), io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Names) != 9 {

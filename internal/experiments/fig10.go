@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flexcore/internal/channel"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -49,7 +48,6 @@ func Fig10(cfg Config, w io.Writer) (*Table, error) {
 			Users:         users,
 			APAntennas:    apAntennas,
 			Constellation: cons,
-			CodeRate:      coding.Rate12,
 			Subcarriers:   cfg.subcarriers(),
 			OFDMSymbols:   cfg.ofdmSymbols(),
 		}

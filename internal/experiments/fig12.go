@@ -39,16 +39,16 @@ func Fig12(cfg Config, w io.Writer) ([]*Table, error) {
 			// SNR at which a given detector hits the same PER target.
 			snrFor := func(mk func() detector.Detector) (float64, error) {
 				snr, _, err := phy.CalibrateSNR(phy.CalibrationConfig{
-					Link:        link,
-					TargetPER:   target,
-					Packets:     cfg.calPackets(),
-					Seed:        seed,
-					LoDB:        10,
-					HiDB:        48,
-					Iterations:  cfg.calIterations(),
-					NewDetector: mk,
-					Channels:    cfg.flatProvider(link, seed),
-					Workers:     cfg.Workers,
+					Link:            link,
+					TargetPER:       target,
+					Packets:         cfg.calPackets(),
+					Seed:            seed,
+					LoDB:            10,
+					HiDB:            48,
+					Iterations:      cfg.calIterations(),
+					DetectorFactory: mk,
+					Channels:        cfg.flatProvider(link, seed),
+					Workers:         cfg.Workers,
 				})
 				return snr, err
 			}

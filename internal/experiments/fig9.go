@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -59,7 +58,6 @@ func (c Config) linkFor(qam, nt int) phy.LinkConfig {
 		Users:         nt,
 		APAntennas:    nt,
 		Constellation: constellation.MustNew(qam),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   c.subcarriers(),
 		OFDMSymbols:   c.ofdmSymbols(),
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flexcore/internal/channel"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/detector"
 	"flexcore/internal/ofdm"
@@ -55,7 +54,7 @@ func Table1(cfg Config, w io.Writer) (*Table, error) {
 		res, err := phy.Run(phy.SimConfig{
 			Link: phy.LinkConfig{
 				Users: nt, APAntennas: nt, Constellation: cons,
-				CodeRate: coding.Rate12, Subcarriers: cfg.subcarriers(), OFDMSymbols: cfg.ofdmSymbols(),
+				Subcarriers: cfg.subcarriers(), OFDMSymbols: cfg.ofdmSymbols(),
 			},
 			SNRdB:           snrdB,
 			Packets:         cfg.packets(),

@@ -15,7 +15,8 @@
 //
 // either at the end of the offending line or on its own line directly
 // above it. The reason is mandatory, and every name must be an
-// analyzer flexlint ships; a reasonless ignore or one naming an
+// analyzer flexlint ships; a lockscope ignore silences a finding only
+// if its reason names the held mutex (e.g. c.rmu); a reasonless ignore or one naming an
 // unknown analyzer is itself reported (analyzer "lint"). Suppressions
 // are the escape hatch for sites where the flagged construct is
 // provably correct — an exact float compare of two computed values, an
@@ -125,8 +126,9 @@ func sortDiagnostics(ds []Diagnostic) {
 // ignorePrefix is the suppression-comment marker (after "//").
 const ignorePrefix = "lint:ignore"
 
-// suppressions maps file → line → set of silenced analyzer names.
-type suppressions map[string]map[int]map[string]bool
+// suppressions maps file → line → silenced analyzer name → the reason
+// of the ignore naming it there (newline-joined when several do).
+type suppressions map[string]map[int]map[string]string
 
 // SuppressionEntry is one parsed //lint:ignore comment — the auditable
 // record behind flexlint -suppressions.
@@ -185,12 +187,12 @@ func collectSuppressions(fset *token.FileSet, file *ast.File, src []byte) (suppr
 			}
 			m := sup[pos.Filename]
 			if m == nil {
-				m = map[int]map[string]bool{}
+				m = map[int]map[string]string{}
 				sup[pos.Filename] = m
 			}
 			set := m[line]
 			if set == nil {
-				set = map[string]bool{}
+				set = map[string]string{}
 				m[line] = set
 			}
 			entry := SuppressionEntry{
@@ -208,7 +210,7 @@ func collectSuppressions(fset *token.FileSet, file *ast.File, src []byte) (suppr
 						Message:  fmt.Sprintf("//lint:ignore names %q, which is not an analyzer flexlint ships — it silences nothing; remove it", n),
 					})
 				}
-				set[n] = true
+				set[n] = strings.TrimSpace(set[n] + "\n" + entry.Reason)
 				entry.Analyzers = append(entry.Analyzers, n)
 			}
 			entries = append(entries, entry)
@@ -223,13 +225,30 @@ func (s suppressions) filter(ds []Diagnostic) []Diagnostic {
 	out := ds[:0]
 	for _, d := range ds {
 		if d.Analyzer != "lint" {
-			if set := s[d.Pos.Filename][d.Pos.Line]; set[d.Analyzer] {
+			if reason, ok := s[d.Pos.Filename][d.Pos.Line][d.Analyzer]; ok && silences(reason, d) {
 				continue
 			}
 		}
 		out = append(out, d)
 	}
 	return out
+}
+
+// silences reports whether an ignore with this reason, naming d's
+// analyzer on d's line, silences d: it does, except that a lockscope
+// finding is silenced only when the reason names every mutex the
+// finding reports held — an ignore written for one mutex must not hide
+// a new hold of another on its line.
+func silences(reason string, d Diagnostic) bool {
+	if d.Analyzer != "lockscope" {
+		return true
+	}
+	for _, mu := range lockscopeHeld(d.Message) {
+		if !namesMutex(reason, mu) {
+			return false
+		}
+	}
+	return true
 }
 
 // NoallocDirective is the doc-comment directive that opts a function

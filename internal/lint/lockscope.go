@@ -52,7 +52,7 @@ func checkLockScope(pass *Pass, body *ast.BlockStmt, blockers map[*types.Func]st
 			return
 		}
 		reported[key] = true
-		pass.Reportf(pos, "%s while %s is held — blocking under a mutex stalls every contender", what, held)
+		pass.Reportf(pos, "%s"+heldPrefix+"%s"+heldSuffix+"blocking under a mutex stalls every contender", what, held)
 	}
 	hooks := &flowHooks{
 		onCall: func(call *ast.CallExpr, deferred bool, f *flowFacts) {
@@ -94,6 +94,43 @@ func checkLockScope(pass *Pass, body *ast.BlockStmt, blockers map[*types.Func]st
 		},
 	}
 	walkFlow(body, hooks)
+}
+
+// heldPrefix and heldSuffix bracket the held mutexes (", "-joined) in
+// a lockscope message, where lockscopeHeld finds them again.
+const heldPrefix, heldSuffix = " while ", " is held — "
+
+// lockscopeHeld returns the mutexes a lockscope message reports held.
+func lockscopeHeld(msg string) []string {
+	end := strings.Index(msg, heldSuffix)
+	if end < 0 {
+		return nil
+	}
+	start := strings.LastIndex(msg[:end], heldPrefix)
+	if start < 0 {
+		return nil
+	}
+	return strings.Split(msg[start+len(heldPrefix):end], ", ")
+}
+
+// namesMutex reports whether text names the mutex expression mu as a
+// whole word: "c.rmu" names c.rmu, "sc.rmu" and "c.rmux" do not.
+func namesMutex(text, mu string) bool {
+	ident := func(r byte) bool {
+		return r == '_' || '0' <= r && r <= '9' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	for i := 0; ; {
+		j := strings.Index(text[i:], mu)
+		if j < 0 {
+			return false
+		}
+		j += i
+		end := j + len(mu)
+		if (j == 0 || !ident(text[j-1]) && text[j-1] != '.') && (end == len(text) || !ident(text[end])) {
+			return true
+		}
+		i = j + 1
+	}
 }
 
 // mutexOp classifies a call as a sync.Mutex/RWMutex transition,

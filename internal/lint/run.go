@@ -79,8 +79,8 @@ func shipped(name string) bool {
 }
 
 // SuppressionAudit classifies one //lint:ignore comment: Active when
-// at least one raw (pre-suppression) diagnostic still lands on the
-// line and analyzer it silences, stale otherwise. Stale ignores are
+// at least one raw (pre-suppression) diagnostic it silences still
+// lands on its line, stale otherwise. Stale ignores are
 // worse than dead code — they pre-silence future findings at that
 // line — so flexlint -suppressions reports them and exits nonzero.
 type SuppressionAudit struct {
@@ -93,9 +93,10 @@ type SuppressionAudit struct {
 // any extra raw diagnostics (the -escapes side when enabled).
 func AuditSuppressions(mod *Module, patterns []string, analyzers []*Analyzer, extra []Diagnostic) []SuppressionAudit {
 	raw := append(RunRaw(mod, patterns, analyzers), extra...)
-	hit := map[string]bool{}
+	hit := map[string][]Diagnostic{}
 	for _, d := range raw {
-		hit[suppressionKey(d.Pos.Filename, d.Pos.Line, d.Analyzer)] = true
+		k := suppressionKey(d.Pos.Filename, d.Pos.Line, d.Analyzer)
+		hit[k] = append(hit[k], d)
 	}
 	selected := map[string]bool{}
 	for _, pkg := range mod.Match(patterns) {
@@ -108,9 +109,8 @@ func AuditSuppressions(mod *Module, patterns []string, analyzers []*Analyzer, ex
 		}
 		active := false
 		for _, a := range e.Analyzers {
-			if hit[suppressionKey(e.File, e.Line, a)] {
-				active = true
-				break
+			for _, d := range hit[suppressionKey(e.File, e.Line, a)] {
+				active = active || silences(e.Reason, d)
 			}
 		}
 		out = append(out, SuppressionAudit{Entry: e, Active: active})

@@ -34,7 +34,7 @@ func f() int {
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed diags: %v", bad)
 	}
-	if !sup["s.go"][4]["determinism"] {
+	if sup["s.go"][4]["determinism"] != "reason here" {
 		t.Errorf("inline ignore should silence its own line 4: %v", sup)
 	}
 }
@@ -51,7 +51,7 @@ func f() int {
 		t.Fatalf("unexpected malformed diags: %v", bad)
 	}
 	for _, a := range []string{"floatcmp", "noalloc"} {
-		if !sup["s.go"][5][a] {
+		if sup["s.go"][5][a] != "the next line is intentional" {
 			t.Errorf("standalone ignore should silence analyzer %s on line 5: %v", a, sup)
 		}
 	}
@@ -83,7 +83,7 @@ func TestSuppressionMalformed(t *testing.T) {
 }
 
 func TestFilterNeverDropsFrameworkDiags(t *testing.T) {
-	sup := suppressions{"s.go": {4: {"lint": true, "floatcmp": true}}}
+	sup := suppressions{"s.go": {4: {"lint": "r", "floatcmp": "r"}}}
 	ds := []Diagnostic{
 		{Pos: token.Position{Filename: "s.go", Line: 4}, Analyzer: "lint", Message: "malformed"},
 		{Pos: token.Position{Filename: "s.go", Line: 4}, Analyzer: "floatcmp", Message: "cmp"},
@@ -144,5 +144,30 @@ func g() {}
 	}
 	if len(got) != 2 || !got[0] || got[1] {
 		t.Errorf("directive detection wrong: %v", got)
+	}
+}
+
+func TestLockscopeIgnoreNamesHeldMutex(t *testing.T) {
+	held := func(mus string) Diagnostic {
+		return Diagnostic{Pos: token.Position{Filename: "s.go", Line: 4}, Analyzer: "lockscope",
+			Message: "channel send" + heldPrefix + mus + heldSuffix + "blocking under a mutex stalls every contender"}
+	}
+	for _, tc := range []struct {
+		reason string
+		d      Diagnostic
+		want   bool
+	}{
+		{"c.rmu bounds the read", held("c.rmu"), true},
+		{"bounded under c.rmu", held("c.rmu"), true},
+		{"the read mutex bounds it", held("c.rmu"), false},
+		{"c.rmu bounds the read", held("c.wmu"), false},
+		{"sc.rmu and c.rmux are other mutexes", held("c.rmu"), false},
+		{"c.mu bounds it", held("c.mu, sh.mu"), false},
+		{"c.mu and sh.mu bound it", held("c.mu, sh.mu"), true},
+		{"any reason", Diagnostic{Analyzer: "floatcmp", Message: "exact compare"}, true},
+	} {
+		if got := silences(tc.reason, tc.d); got != tc.want {
+			t.Errorf("silences(%q, %q) = %v, want %v", tc.reason, tc.d.Message, got, tc.want)
+		}
 	}
 }

@@ -22,10 +22,10 @@ type CalibrationConfig struct {
 	Iterations int
 	// MLMaxNodes caps the sphere search per vector (0 = exact).
 	MLMaxNodes int64
-	// NewDetector overrides the detector whose PER curve is bisected
-	// (default: the exact ML sphere decoder — the paper's anchor). A
-	// fresh instance is created per PER evaluation.
-	NewDetector func() detector.Detector
+	// DetectorFactory overrides the detector whose PER curve is
+	// bisected (default: the exact ML sphere decoder — the paper's
+	// anchor); each PER evaluation builds one detector per worker.
+	DetectorFactory func() detector.Detector
 	// Workers is the packet-level parallelism of each PER evaluation
 	// (see SimConfig.Workers); the bisection path is identical for every
 	// worker count because each evaluation is bit-identical.
@@ -45,7 +45,7 @@ func CalibrateSNR(cfg CalibrationConfig) (snrdB, measuredPER float64, err error)
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 10
 	}
-	newDet := cfg.NewDetector
+	newDet := cfg.DetectorFactory
 	if newDet == nil {
 		newDet = func() detector.Detector {
 			ml := detector.NewSphere(cfg.Link.Constellation)

@@ -6,9 +6,9 @@ import (
 
 	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
+	"flexcore/internal/detector"
 )
 
 func TestPilotMatrixOrthogonal(t *testing.T) {
@@ -63,15 +63,14 @@ func TestRunWithPilotEstimation(t *testing.T) {
 		Users:         4,
 		APAntennas:    4,
 		Constellation: constellation.MustNew(16),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
 	run := func(pilots int) Result {
 		res, err := Run(SimConfig{
 			Link: link, SNRdB: 12, Packets: 80, Seed: 902,
-			Detector:     core.New(link.Constellation, core.Options{NPE: 32}),
-			PilotSymbols: pilots,
+			DetectorFactory: func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 32}) },
+			PilotSymbols:    pilots,
 		})
 		if err != nil {
 			t.Fatal(err)

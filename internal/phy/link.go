@@ -18,8 +18,6 @@ type LinkConfig struct {
 	APAntennas int
 	// Constellation carries the per-stream QAM alphabet.
 	Constellation *constellation.Constellation
-	// CodeRate is the convolutional code rate (paper: 1/2).
-	CodeRate coding.Rate
 	// Subcarriers is the number of simulated data subcarriers. 48 is the
 	// full 802.11 symbol; smaller values (with NCBPS still a multiple of
 	// 16) cut simulation cost without changing per-subcarrier statistics.
@@ -54,24 +52,13 @@ func (c *LinkConfig) ncbps() int { return c.Subcarriers * c.Constellation.BitsPe
 // codedBitsPerPacket is the transmitted coded bits per user per packet.
 func (c *LinkConfig) codedBitsPerPacket() int { return c.ncbps() * c.OFDMSymbols }
 
+// codeRate is the rate of the link's one code, the paper's rate-1/2
+// convolutional code (no puncturing).
+const codeRate = 0.5
+
 // motherPairs is the number of rate-1/2 encoder output pairs that fill
-// one packet after puncturing.
-func (c *LinkConfig) motherPairs() int {
-	// PuncturedLength(pairs) == codedBitsPerPacket; invert per rate.
-	coded := c.codedBitsPerPacket()
-	switch c.CodeRate {
-	case coding.Rate12:
-		return coded / 2
-	case coding.Rate23:
-		// 3 transmitted bits per 2 pairs.
-		return coded / 3 * 2
-	case coding.Rate34:
-		// 4 transmitted bits per 3 pairs.
-		return coded / 4 * 3
-	default:
-		panic("phy: unsupported code rate")
-	}
-}
+// one packet.
+func (c *LinkConfig) motherPairs() int { return c.codedBitsPerPacket() / 2 }
 
 // PayloadBits is the information payload per user per packet, excluding
 // the 32-bit CRC and the 6-bit zero tail.
@@ -83,7 +70,6 @@ func (c *LinkConfig) PayloadBits() int {
 type txPacket struct {
 	payload []uint8 // PayloadBits information bits
 	symbols [][]int // [ofdmSymbol][subcarrier] constellation indices
-	coded   []uint8 // transmitted (punctured, interleaved) bits
 }
 
 // buildTxPacket runs the transmit chain for one user.
@@ -93,12 +79,11 @@ func (c *LinkConfig) buildTxPacket(rng *rand.Rand, il *coding.Interleaver) txPac
 		payload[i] = uint8(rng.IntN(2))
 	}
 	info := appendCRC(payload)
-	coded := coding.EncodeRate12(info)
-	stream := coding.Puncture(coded, c.CodeRate)
+	stream := coding.EncodeRate12(info)
 	// Interleave per OFDM symbol and map to constellation symbols.
 	bps := c.Constellation.BitsPerSymbol()
 	symbols := make([][]int, c.OFDMSymbols)
-	tx := txPacket{payload: payload, coded: stream}
+	tx := txPacket{payload: payload}
 	for s := 0; s < c.OFDMSymbols; s++ {
 		block := il.Interleave(stream[s*c.ncbps() : (s+1)*c.ncbps()])
 		symbols[s] = make([]int, c.Subcarriers)
@@ -124,11 +109,7 @@ func (c *LinkConfig) decodeRxPacket(rx [][]int, tx txPacket, il *coding.Interlea
 		}
 		stream = append(stream, il.Deinterleave(buf)...)
 	}
-	mother, err := coding.Depuncture(stream, c.CodeRate, c.motherPairs())
-	if err != nil {
-		return false, 0, err
-	}
-	info, err := coding.DecodeRate12(mother, c.PayloadBits()+32)
+	info, err := coding.DecodeRate12(stream, c.PayloadBits()+32)
 	if err != nil {
 		return false, 0, err
 	}
@@ -142,18 +123,13 @@ func (c *LinkConfig) decodeRxPacket(rx [][]int, tx txPacket, il *coding.Interlea
 }
 
 // decodeRxPacketSoft is decodeRxPacket for LLR observations: it
-// deinterleaves the soft values, re-inserts zero LLRs at punctured
-// positions and runs soft-decision Viterbi.
+// deinterleaves the soft values and runs soft-decision Viterbi.
 func (c *LinkConfig) decodeRxPacketSoft(rxLLR [][]float64, tx txPacket, il *coding.Interleaver) (ok bool, bitErrors int, err error) {
 	stream := make([]float64, 0, c.codedBitsPerPacket())
 	for s := 0; s < c.OFDMSymbols; s++ {
 		stream = append(stream, il.DeinterleaveLLRs(rxLLR[s])...)
 	}
-	mother, err := coding.DepunctureLLRs(stream, c.CodeRate, c.motherPairs())
-	if err != nil {
-		return false, 0, err
-	}
-	info, err := coding.DecodeRate12Soft(mother, c.PayloadBits()+32)
+	info, err := coding.DecodeRate12Soft(stream, c.PayloadBits()+32)
 	if err != nil {
 		return false, 0, err
 	}

@@ -14,7 +14,6 @@ func smallLink() LinkConfig {
 		Users:         2,
 		APAntennas:    2,
 		Constellation: constellation.MustNew(4),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8, // NCBPS = 16
 		OFDMSymbols:   8,
 	}
@@ -53,11 +52,6 @@ func TestPayloadBitsArithmetic(t *testing.T) {
 	// 64 − 6 (tail) − 32 (CRC) = 26 payload bits.
 	if got := c.PayloadBits(); got != 26 {
 		t.Fatalf("payload bits %d, want 26", got)
-	}
-	// Rate 3/4: 128 coded bits carry 96 pairs.
-	c.CodeRate = coding.Rate34
-	if got := c.motherPairs(); got != 96 {
-		t.Fatalf("rate-3/4 pairs %d, want 96", got)
 	}
 }
 

@@ -1,9 +1,11 @@
 package phy
 
 import (
+	"strings"
 	"testing"
 
 	"flexcore/internal/channel"
+	"flexcore/internal/cmatrix"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
 )
@@ -91,42 +93,65 @@ func TestRunParallelSoftBitIdentical(t *testing.T) {
 
 func TestRunWorkersRequireFactory(t *testing.T) {
 	link := smallLink()
-	_, err := Run(SimConfig{
-		Link:     link,
-		SNRdB:    10,
-		Packets:  4,
-		Seed:     604,
-		Workers:  4,
-		Detector: detector.NewMMSE(link.Constellation),
-	})
-	if err == nil {
-		t.Fatal("Workers > 1 without a DetectorFactory accepted")
+	for _, workers := range []int{0, 1, 4} {
+		_, err := Run(SimConfig{Link: link, SNRdB: 10, Packets: 4, Seed: 604, Workers: workers})
+		if err == nil {
+			t.Fatalf("Workers = %d without a DetectorFactory accepted", workers)
+		}
 	}
 }
 
 func TestRunFactoryServesSerialPath(t *testing.T) {
-	// A factory alone (Workers unset → all cores, possibly 1) must give
-	// the same result as the classic single-Detector configuration.
+	// One worker (the caller alone, no goroutine started) must give the
+	// same result as the default of all cores.
 	link := smallLink()
-	base := SimConfig{Link: link, SNRdB: 8, Packets: 8, Seed: 605}
-
-	classic := base
-	classic.Detector = detector.NewSIC(link.Constellation)
-	a, err := Run(classic)
+	cfg := SimConfig{
+		Link: link, SNRdB: 8, Packets: 8, Seed: 605,
+		DetectorFactory: func() detector.Detector { return detector.NewSIC(link.Constellation) },
+	}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	viaFactory := base
-	viaFactory.DetectorFactory = func() detector.Detector {
-		return detector.NewSIC(link.Constellation)
-	}
-	b, err := Run(viaFactory)
+	cfg.Workers = 1
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("factory path diverged from Detector path:\n  %+v\nvs\n  %+v", b, a)
+		t.Fatalf("one worker diverged from all cores:\n  %+v\nvs\n  %+v", b, a)
+	}
+}
+
+// shortProvider returns one subcarrier too few from packet bad on.
+type shortProvider struct {
+	ChannelProvider
+	bad int
+}
+
+func (p shortProvider) Packet(pkt int) []*cmatrix.Matrix {
+	hs := p.ChannelProvider.Packet(pkt)
+	if pkt >= p.bad {
+		hs = hs[1:]
+	}
+	return hs
+}
+
+func TestRunPacketErrorAnyWorkers(t *testing.T) {
+	// A failing packet ends the run with its error for every worker
+	// count: the workers that started no packet or failed exit, and
+	// none is left waiting to send.
+	link := smallLink()
+	cfg := SimConfig{
+		Link: link, SNRdB: 8, Packets: 16, Seed: 606,
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
+		Channels:        shortProvider{&FlatProvider{Seed: 606, Users: link.Users, APAntennas: link.APAntennas, Subcarriers: link.Subcarriers}, 5},
+	}
+	for _, w := range []int{1, 2, 8} {
+		cfg.Workers = w
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "provider returned") {
+			t.Fatalf("workers=%d: got %v, want the short packet's error", w, err)
+		}
 	}
 }
 

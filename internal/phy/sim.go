@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"flexcore/internal/channel"
@@ -15,11 +14,14 @@ import (
 
 // SimConfig drives one link-level measurement.
 type SimConfig struct {
-	Link     LinkConfig
-	SNRdB    float64
-	Packets  int
-	Seed     uint64
-	Detector detector.Detector
+	Link    LinkConfig
+	SNRdB   float64
+	Packets int
+	Seed    uint64
+	// DetectorFactory builds one detector per worker (detectors are
+	// stateful across Prepare/Detect, so workers cannot share one).
+	// Required.
+	DetectorFactory func() detector.Detector
 	// Channels defaults to a fresh TDLProvider over the link geometry.
 	// Custom providers must be safe for concurrent Packet calls when
 	// Workers > 1 (the built-in providers all are).
@@ -49,15 +51,8 @@ type SimConfig struct {
 	// Workers is the number of packet-level simulation workers
 	// (0 = runtime.NumCPU()). Every packet draws its randomness from its
 	// own seed-split RNG stream and results are merged in packet order,
-	// so the Result is bit-identical for every worker count. Workers > 1
-	// requires DetectorFactory.
+	// so the Result is bit-identical for every worker count.
 	Workers int
-	// DetectorFactory builds one detector instance per worker (detectors
-	// are stateful across Prepare/Detect, so workers cannot share one).
-	// Required for Workers > 1; when nil the run is single-worker using
-	// Detector. When both are set, Detector serves the 1-worker path and
-	// the factory the parallel path.
-	DetectorFactory func() detector.Detector
 }
 
 // Result summarises a link-level run.
@@ -95,7 +90,7 @@ type accumulator struct {
 }
 
 // add folds one packet in and reports whether the MaxPacketErrors budget
-// has been reached (the early-stop decision point of the serial loop).
+// has been reached (the early-stop decision point).
 func (a *accumulator) add(cfg *SimConfig, st packetStats) bool {
 	a.res.UserPackets += st.userPackets
 	a.res.PacketErrors += st.packetErrors
@@ -111,7 +106,7 @@ func (a *accumulator) finalize(cfg *SimConfig) Result {
 	res := a.res
 	res.PER = float64(res.PacketErrors) / float64(res.UserPackets)
 	res.BER = float64(res.BitErrors) / float64(res.PayloadBits)
-	res.ThroughputBps = ofdm.NetworkThroughput(cfg.Link.Users, cfg.Link.Constellation.BitsPerSymbol(), cfg.Link.CodeRate.Value(), res.PER)
+	res.ThroughputBps = ofdm.NetworkThroughput(cfg.Link.Users, cfg.Link.Constellation.BitsPerSymbol(), codeRate, res.PER)
 	if a.activeN > 0 {
 		res.AvgActivePEs = a.activeSum / float64(a.activeN)
 	}
@@ -119,29 +114,20 @@ func (a *accumulator) finalize(cfg *SimConfig) Result {
 }
 
 // effectiveWorkers resolves the worker count from the configuration.
-func (cfg *SimConfig) effectiveWorkers() (int, error) {
+func (cfg *SimConfig) effectiveWorkers() int {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	if cfg.DetectorFactory == nil {
-		if cfg.Workers > 1 {
-			return 0, fmt.Errorf("phy: Workers = %d requires DetectorFactory (detectors are stateful across Prepare/Detect)", cfg.Workers)
-		}
-		w = 1
-	}
-	if w > cfg.Packets {
-		w = cfg.Packets
-	}
-	return w, nil
+	return min(w, cfg.Packets)
 }
 
 // Run simulates Packets MIMO-OFDM packets through the full chain and
-// returns PER, BER and throughput. With Workers > 1 (and a
-// DetectorFactory) packets are simulated concurrently; every packet
-// draws from its own seed-split RNG stream and outcomes are merged in
-// packet order, so the Result is bit-identical for every worker count,
-// including the MaxPacketErrors early-stop point.
+// returns PER, BER and throughput. Packets are simulated concurrently
+// by Workers workers, one detector each; every packet draws from its
+// own seed-split RNG stream and outcomes are merged in packet order, so
+// the Result is bit-identical for every worker count, including the
+// MaxPacketErrors early-stop point.
 func Run(cfg SimConfig) (Result, error) {
 	if err := cfg.Link.Validate(); err != nil {
 		return Result{}, err
@@ -149,12 +135,8 @@ func Run(cfg SimConfig) (Result, error) {
 	if cfg.Packets < 1 {
 		return Result{}, fmt.Errorf("phy: need at least one packet")
 	}
-	if cfg.Detector == nil && cfg.DetectorFactory == nil {
-		return Result{}, fmt.Errorf("phy: detector required")
-	}
-	workers, err := cfg.effectiveWorkers()
-	if err != nil {
-		return Result{}, err
+	if cfg.DetectorFactory == nil {
+		return Result{}, fmt.Errorf("phy: DetectorFactory required")
 	}
 	if cfg.Channels == nil {
 		link := cfg.Link
@@ -175,89 +157,61 @@ func Run(cfg SimConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sigma2 := channel.Sigma2FromSNRdB(cfg.SNRdB, 1)
-
-	if workers == 1 {
-		return runSerial(&cfg, il, sigma2)
-	}
-	return runParallel(&cfg, workers, il, sigma2)
+	return runPackets(&cfg, cfg.effectiveWorkers(), il, channel.Sigma2FromSNRdB(cfg.SNRdB, 1))
 }
 
-// runSerial is the 1-worker path: the same per-packet kernel and
-// accumulator as the parallel path, on the calling goroutine.
-func runSerial(cfg *SimConfig, il *coding.Interleaver, sigma2 float64) (Result, error) {
-	det := cfg.Detector
-	if det == nil {
-		det = cfg.DetectorFactory()
+// runPackets simulates the packets on workers workers, one detector
+// each: the caller and workers−1 goroutines claim packet indices from a
+// shared counter and simulate them speculatively. The caller merges the
+// outcomes strictly in packet order, so accumulation (including float
+// summation order), the MaxPacketErrors early stop and error reporting
+// replicate a serial packet loop exactly; packets computed beyond the
+// stop point are discarded. One worker is the caller alone: no
+// goroutine is started, which leaves the frame loop's helper lanes
+// alone with the caller (DESIGN.md §8).
+func runPackets(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 float64) (Result, error) {
+	var next atomic.Int64
+	var stop atomic.Bool
+	claim := func() (int, bool) {
+		pkt := int(next.Add(1)) - 1
+		return pkt, !stop.Load() && pkt < cfg.Packets
 	}
-	w := newSimWorker(cfg, il, sigma2, det)
-	var acc accumulator
-	for pkt := 0; pkt < cfg.Packets; pkt++ {
-		st, err := w.simPacket(pkt)
-		if err != nil {
-			return Result{}, err
-		}
-		if acc.add(cfg, st) {
-			break
-		}
-	}
-	return acc.finalize(cfg), nil
-}
-
-// runParallel fans packets out over a bounded worker pool. Workers claim
-// packet indices from a shared counter and simulate them speculatively;
-// the merger consumes outcomes strictly in packet order, so accumulation
-// (including float summation order), the MaxPacketErrors early stop and
-// error reporting replicate the serial schedule exactly. Packets
-// computed beyond the stop point are discarded.
-func runParallel(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 float64) (Result, error) {
-	ws := make([]*simWorker, workers)
-	for i := range ws {
-		ws[i] = newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
-	}
-
 	type outcome struct {
-		pkt   int
+		pkt   int // −1: the sending goroutine has exited
 		stats packetStats
 		err   error
 	}
-	results := make(chan outcome, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for _, w := range ws {
-		wg.Add(1)
-		go func(w *simWorker) {
-			defer wg.Done()
-			for !stop.Load() {
-				pkt := int(next.Add(1)) - 1
-				if pkt >= cfg.Packets {
-					return
-				}
+	results := make(chan outcome, 2*workers)
+	for i := 1; i < workers; i++ {
+		w := newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
+		go func() {
+			for pkt, ok := claim(); ok; pkt, ok = claim() {
 				st, err := w.simPacket(pkt)
 				results <- outcome{pkt: pkt, stats: st, err: err}
 				if err != nil {
-					return
+					break
 				}
 			}
-		}(w)
+			results <- outcome{pkt: -1}
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	var acc accumulator
 	pending := make(map[int]outcome)
 	nextMerge := 0
 	done := false
 	var firstErr error
-	for out := range results {
+	live := workers - 1
+	merge := func(out outcome) {
+		if out.pkt < 0 {
+			live--
+			return
+		}
 		pending[out.pkt] = out
 		for {
 			o, ok := pending[nextMerge]
 			if !ok {
-				break
+				return
 			}
 			delete(pending, nextMerge)
 			nextMerge++
@@ -274,6 +228,20 @@ func runParallel(cfg *SimConfig, workers int, il *coding.Interleaver, sigma2 flo
 				stop.Store(true)
 			}
 		}
+	}
+	own := newSimWorker(cfg, il, sigma2, cfg.DetectorFactory())
+	for pkt, ok := claim(); ok; pkt, ok = claim() {
+		st, err := own.simPacket(pkt)
+		merge(outcome{pkt: pkt, stats: st, err: err})
+		if err != nil {
+			break
+		}
+		for len(results) > 0 {
+			merge(<-results)
+		}
+	}
+	for live > 0 {
+		merge(<-results)
 	}
 	if firstErr != nil {
 		return Result{}, firstErr

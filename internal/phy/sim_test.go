@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flexcore/internal/channel"
-	"flexcore/internal/coding"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -14,11 +13,11 @@ import (
 func TestRunHighSNRIsErrorFree(t *testing.T) {
 	link := smallLink()
 	res, err := Run(SimConfig{
-		Link:     link,
-		SNRdB:    40,
-		Packets:  10,
-		Seed:     311,
-		Detector: detector.NewMMSE(link.Constellation),
+		Link:            link,
+		SNRdB:           40,
+		Packets:         10,
+		Seed:            311,
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,11 +36,11 @@ func TestRunHighSNRIsErrorFree(t *testing.T) {
 func TestRunLowSNRLosesEverything(t *testing.T) {
 	link := smallLink()
 	res, err := Run(SimConfig{
-		Link:     link,
-		SNRdB:    -15,
-		Packets:  10,
-		Seed:     312,
-		Detector: detector.NewMMSE(link.Constellation),
+		Link:            link,
+		SNRdB:           -15,
+		Packets:         10,
+		Seed:            312,
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +54,11 @@ func TestRunDeterministic(t *testing.T) {
 	link := smallLink()
 	run := func() Result {
 		res, err := Run(SimConfig{
-			Link:     link,
-			SNRdB:    8,
-			Packets:  8,
-			Seed:     313,
-			Detector: detector.NewSIC(link.Constellation),
+			Link:            link,
+			SNRdB:           8,
+			Packets:         8,
+			Seed:            313,
+			DetectorFactory: func() detector.Detector { return detector.NewSIC(link.Constellation) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -81,20 +80,19 @@ func TestRunDetectorOrderingPER(t *testing.T) {
 		Users:         4,
 		APAntennas:    4,
 		Constellation: constellation.MustNew(4),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
-	perOf := func(d detector.Detector) float64 {
-		res, err := Run(SimConfig{Link: link, SNRdB: 7, Packets: 60, Seed: 314, Detector: d})
+	perOf := func(newDet func() detector.Detector) float64 {
+		res, err := Run(SimConfig{Link: link, SNRdB: 7, Packets: 60, Seed: 314, DetectorFactory: newDet})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.PER
 	}
-	perML := perOf(detector.NewSphere(link.Constellation))
-	perFC := perOf(core.New(link.Constellation, core.Options{NPE: 16}))
-	perMMSE := perOf(detector.NewMMSE(link.Constellation))
+	perML := perOf(func() detector.Detector { return detector.NewSphere(link.Constellation) })
+	perFC := perOf(func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 16}) })
+	perMMSE := perOf(func() detector.Detector { return detector.NewMMSE(link.Constellation) })
 	t.Logf("PER: ML=%.3f FlexCore(16)=%.3f MMSE=%.3f", perML, perFC, perMMSE)
 	if perML > perMMSE {
 		t.Fatalf("ML PER %.3f worse than MMSE %.3f", perML, perMMSE)
@@ -106,8 +104,9 @@ func TestRunDetectorOrderingPER(t *testing.T) {
 
 func TestRunReportsActivePEs(t *testing.T) {
 	link := smallLink()
-	fc := core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95})
-	res, err := Run(SimConfig{Link: link, SNRdB: 30, Packets: 4, Seed: 315, Detector: fc})
+	res, err := Run(SimConfig{Link: link, SNRdB: 30, Packets: 4, Seed: 315, DetectorFactory: func() detector.Detector {
+		return core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestRunEarlyStop(t *testing.T) {
 		SNRdB:           -15,
 		Packets:         1000,
 		Seed:            316,
-		Detector:        detector.NewMMSE(link.Constellation),
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
 		MaxPacketErrors: 10,
 	})
 	if err != nil {
@@ -143,7 +142,8 @@ func TestRunEarlyStop(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	link := smallLink()
-	if _, err := Run(SimConfig{Link: link, Packets: 0, Detector: detector.NewMMSE(link.Constellation)}); err == nil {
+	mmse := func() detector.Detector { return detector.NewMMSE(link.Constellation) }
+	if _, err := Run(SimConfig{Link: link, Packets: 0, DetectorFactory: mmse}); err == nil {
 		t.Fatal("zero packets accepted")
 	}
 	if _, err := Run(SimConfig{Link: link, Packets: 1}); err == nil {
@@ -151,7 +151,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	bad := link
 	bad.Subcarriers = 7
-	if _, err := Run(SimConfig{Link: bad, Packets: 1, Detector: detector.NewMMSE(link.Constellation)}); err == nil {
+	if _, err := Run(SimConfig{Link: bad, Packets: 1, DetectorFactory: mmse}); err == nil {
 		t.Fatal("invalid link accepted")
 	}
 }
@@ -236,15 +236,13 @@ func TestRunSoftBeatsHard(t *testing.T) {
 		Users:         4,
 		APAntennas:    4,
 		Constellation: constellation.MustNew(16),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
-	fc := core.New(link.Constellation, core.Options{NPE: 32})
 	run := func(soft bool) Result {
 		res, err := Run(SimConfig{
-			Link: link, SNRdB: 11, Packets: 120, Seed: 900,
-			Detector: fc, Soft: soft,
+			Link: link, SNRdB: 11, Packets: 120, Seed: 900, Soft: soft,
+			DetectorFactory: func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 32}) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +261,7 @@ func TestRunSoftRequiresSoftDetector(t *testing.T) {
 	link := smallLink()
 	_, err := Run(SimConfig{
 		Link: link, SNRdB: 10, Packets: 1, Seed: 1,
-		Detector: detector.NewMMSE(link.Constellation), Soft: true,
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) }, Soft: true,
 	})
 	if err == nil {
 		t.Fatal("soft run with a hard-only detector accepted")
@@ -278,15 +276,14 @@ func TestRunChannelEstimationError(t *testing.T) {
 		Users:         4,
 		APAntennas:    4,
 		Constellation: constellation.MustNew(16),
-		CodeRate:      coding.Rate12,
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
 	run := func(estVar float64) Result {
 		res, err := Run(SimConfig{
 			Link: link, SNRdB: 12, Packets: 80, Seed: 901,
-			Detector:    core.New(link.Constellation, core.Options{NPE: 32}),
-			EstErrorVar: estVar,
+			DetectorFactory: func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 32}) },
+			EstErrorVar:     estVar,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -197,7 +197,8 @@ func TestChaosMidFrameReset(t *testing.T) {
 // mid-header is reaped by IdleTimeout, one stalling mid-payload by
 // ReadTimeout — both counted as connection timeouts, never as peer
 // framing faults — while a healthy connection on the same server is
-// completely unaffected.
+// completely unaffected. A second server with a long IdleTimeout tells
+// the two budgets apart.
 func TestChaosSlowLorisReaped(t *testing.T) {
 	cons, err := constellation.New(e2eQAM)
 	if err != nil {
@@ -264,6 +265,29 @@ func TestChaosSlowLorisReaped(t *testing.T) {
 	if snap := srv.Metrics(); snap.BadFrames != 0 {
 		t.Fatalf("reaped lorises were miscounted as %d bad frames", snap.BadFrames)
 	}
+
+	// With a long IdleTimeout only ReadTimeout can cut loris B near
+	// 150 ms: the idle deadline armed before the header would hold its
+	// stalled payload read for the full 5 s.
+	srv2, addr2 := chaosServe(t, cons, Config{
+		ReadTimeout: 150 * time.Millisecond,
+		IdleTimeout: 5 * time.Second,
+	})
+	lorisB2, err := net.Dial("tcp", addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lorisB2.Close()
+	if _, err := lorisB2.Write(frame[:headerSize+8]); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	lorisB2.SetReadDeadline(start.Add(2500 * time.Millisecond))
+	_, err = lorisB2.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("mid-payload stall not cut by the 150 ms ReadTimeout within %v (IdleTimeout 5 s): %v", time.Since(start), err)
+	}
+	waitFor(t, "payload loris reaped", func() bool { return srv2.Metrics().ConnTimeouts == 1 })
 }
 
 // TestChaosWriteStallCondemned pins the write-side hygiene over the

@@ -138,14 +138,14 @@ func (c *Client) write(req *DetectRequest, flush bool) error {
 	if req != nil {
 		c.payload = req.AppendPayload(c.payload[:0])
 		c.wire = AppendFrame(c.wire[:0], MsgDetect, c.payload)
-		if _, err := c.bw.Write(c.wire); err != nil { //lint:ignore lockscope the write mutex is the shared stream's serialization point; the hold is bounded by the I/O deadline (SetIOTimeout)
+		if _, err := c.bw.Write(c.wire); err != nil { //lint:ignore lockscope c.wmu is the shared stream's write serialization point; the hold is bounded by the I/O deadline (SetIOTimeout)
 			return err
 		}
 	}
 	if !flush {
 		return nil
 	}
-	return c.bw.Flush() //lint:ignore lockscope same bounded serialization window
+	return c.bw.Flush() //lint:ignore lockscope same bounded serialization window under c.wmu
 }
 
 // Recv reads the next response into resp (reusing its storage).
@@ -153,7 +153,7 @@ func (c *Client) Recv(resp *DetectResponse) error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.armRead()
-	typ, payload, buf, err := ReadFrame(c.br, c.rbuf) //lint:ignore lockscope the read mutex is the shared stream's serialization point; the hold is bounded by the I/O deadline (SetIOTimeout)
+	typ, payload, buf, err := ReadFrame(c.br, c.rbuf) //lint:ignore lockscope c.rmu is the shared stream's read serialization point; the hold is bounded by the I/O deadline (SetIOTimeout)
 	c.rbuf = buf
 	if err != nil {
 		return err

@@ -669,7 +669,7 @@ func (c *serverConn) send(frame []byte, flush bool) error {
 	c.armWrite()
 	_, err := c.bw.Write(frame) //lint:ignore lockscope c.mu serializes the conn's buffered writer; the hold is bounded by the armWrite deadline, and a stalled conn is condemned, not waited on
 	if err == nil && flush {
-		err = c.bw.Flush() //lint:ignore lockscope same bounded write window under the conn mutex
+		err = c.bw.Flush() //lint:ignore lockscope same bounded write window under c.mu
 	}
 	return err
 }
