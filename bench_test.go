@@ -348,7 +348,7 @@ func BenchmarkPrepareSingle(b *testing.B) {
 // and the steady state performs zero allocations.
 func BenchmarkPrepareCachedRePrepare(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
-	det := flexcore.New(cons, flexcore.Options{NPE: 128, PathReuse: true, ReuseThreshold: 0})
+	det := flexcore.New(cons, flexcore.Options{NPE: 128, PathReuse: true})
 	for i := 0; i < 2; i++ { // warm: miss, then first hit
 		if err := det.Prepare(hs[0], sigma2); err != nil {
 			b.Fatal(err)
@@ -365,7 +365,8 @@ func BenchmarkPrepareCachedRePrepare(b *testing.B) {
 
 // BenchmarkPrepareFrame measures preparing the whole 48-subcarrier frame
 // three ways: the scalar Prepare loop, the PrepareAll pipeline, and
-// PrepareAll with coherence reuse across adjacent subcarriers.
+// PrepareAll with PathReuse, which pays its key test on every subcarrier
+// (independent draws: every one misses).
 func BenchmarkPrepareFrame(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
 	b.Run("loop", func(b *testing.B) {
@@ -386,7 +387,7 @@ func BenchmarkPrepareFrame(b *testing.B) {
 		reuse bool
 	}{
 		{"prepareall", flexcore.Options{NPE: 128}, false},
-		{"prepareall-reuse", flexcore.Options{NPE: 128, PathReuse: true, ReuseThreshold: 0.1}, true},
+		{"prepareall-reuse", flexcore.Options{NPE: 128, PathReuse: true}, true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			det := flexcore.New(cons, v.opts)

@@ -22,7 +22,7 @@
 //
 // Example:
 //
-//	flexload -spawn -shards 2 -reuse 0 -users 16 -frames 200 -json
+//	flexload -spawn -shards 2 -reuse -users 16 -frames 200 -json
 //	flexload -addr :7600 -conns 8 -users 32 -rate 5000 -duration 10s
 //	flexload -addr :7600 -deadline 5ms -retries 2 -fault partial,stutter
 package main
@@ -58,7 +58,7 @@ type config struct {
 	npe       int
 	threshold float64
 	strict    bool
-	reuse     float64
+	reuse     bool
 	backend   string
 
 	// workload
@@ -129,7 +129,7 @@ func main() {
 	flag.IntVar(&c.npe, "npe", 64, "[spawn] FlexCore processing elements")
 	flag.Float64Var(&c.threshold, "threshold", 0, "[spawn] a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
 	flag.BoolVar(&c.strict, "strict", false, "[spawn] strict PE deactivation (paper §3.2 literal: out-of-constellation kills the path)")
-	flag.Float64Var(&c.reuse, "reuse", -1, "[spawn] Prepare-reuse coherence threshold, keyed per user (<0 = off; 0 = exact-match, output-neutral)")
+	flag.BoolVar(&c.reuse, "reuse", false, "[spawn] Prepare reuse keyed per user, on bit-identical per-level model input (output-neutral)")
 	flag.StringVar(&c.backend, "backend", "", "[spawn] kernel backend: complex128 (default) or soa32")
 	flag.IntVar(&c.conns, "conns", 4, "pipelined client connections")
 	flag.IntVar(&c.users, "users", 8, "simulated users (round-robin across connections; user→shard routing is the server's)")
@@ -224,11 +224,7 @@ func spawnServer(c *config) (*serve.Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown backend %q", c.backend)
 	}
-	opts := core.Options{NPE: c.npe, Threshold: c.threshold, StrictDeactivation: c.strict, Backend: backend}
-	if c.reuse >= 0 {
-		opts.PathReuse = true
-		opts.ReuseThreshold = c.reuse
-	}
+	opts := core.Options{NPE: c.npe, Threshold: c.threshold, StrictDeactivation: c.strict, PathReuse: c.reuse, Backend: backend}
 	srv, err := serve.NewServer(serve.Config{
 		Shards:          c.shards,
 		QueueDepth:      c.queue,

@@ -15,7 +15,7 @@
 // Example:
 //
 //	flexserve -listen :7600 -metrics :7601 -shards 4 -qam 16 -npe 64
-//	flexserve -listen :7600 -shards 8 -reuse 0 -qam 64 -npe 128 -backend soa32
+//	flexserve -listen :7600 -shards 8 -reuse -qam 64 -npe 128 -backend soa32
 //	flexserve -listen :7600 -npe 512 -ladder 128,32 -degrade-start 0.5 -idle-timeout 2m
 package main
 
@@ -47,7 +47,7 @@ func main() {
 	qam := flag.Int("qam", 16, "QAM order served (4, 16, 64, 256, 1024)")
 	npe := flag.Int("npe", 64, "FlexCore processing elements per detector")
 	threshold := flag.Float64("threshold", 0, "a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
-	reuse := flag.Float64("reuse", -1, "coherence threshold for position-vector reuse, within frames and per user across frames (<0 = off; 0 = exact-match, output-neutral)")
+	reuse := flag.Bool("reuse", false, "position-vector reuse, within frames and per user across frames, on bit-identical per-level model input (output-neutral)")
 	backendName := flag.String("backend", "", "kernel backend: complex128 (default) or soa32")
 	ladder := flag.String("ladder", "", "comma-separated descending N_PE degradation rungs (e.g. 128,32 under -npe 512); empty disables graceful degradation")
 	degradeStart := flag.Float64("degrade-start", 0, "queue-fill fraction at which degradation begins (0 = default 0.5)")
@@ -69,11 +69,8 @@ func main() {
 	opts := core.Options{
 		NPE:       *npe,
 		Threshold: *threshold,
+		PathReuse: *reuse,
 		Backend:   backend,
-	}
-	if *reuse >= 0 {
-		opts.PathReuse = true
-		opts.ReuseThreshold = *reuse
 	}
 
 	rungs, err := parseLadder(*ladder, *npe)

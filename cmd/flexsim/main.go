@@ -16,7 +16,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"flexcore/internal/channel"
 	"flexcore/internal/constellation"
 	"flexcore/internal/core"
 	"flexcore/internal/detector"
@@ -39,7 +38,7 @@ func main() {
 	soft := flag.Bool("soft", false, "soft-decision decoding (flexcore/aflexcore only)")
 	pilots := flag.Int("pilots", 0, "LS channel estimation from this many pilot symbols (0 = genie CSI)")
 	workers := flag.Int("workers", 1, "packet-level simulation parallelism (0 = all cores); results are identical for any value")
-	reuse := flag.Float64("reuse", -1, "coherence threshold for flexcore position-vector reuse across subcarriers (<0 = off; 0 = exact-match only; typical 0.05–0.2)")
+	reuse := flag.Bool("reuse", false, "flexcore/aflexcore position-vector reuse across subcarriers with bit-identical per-level model input (output-neutral)")
 	backendName := flag.String("backend", "", "flexcore/aflexcore kernel backend: complex128 (default) or soa32 (float32 structure-of-arrays fast path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -137,9 +136,7 @@ func main() {
 	if res.AvgActivePEs > 0 {
 		fmt.Printf("active PEs    %.1f\n", res.AvgActivePEs)
 	}
-	if *reuse >= 0 {
-		fmt.Printf("reuse         threshold %.3g (indoor TDL coherence ≈ %d subcarriers)\n",
-			*reuse, channel.DefaultIndoorTDL.CoherenceSubcarriers())
+	if *reuse {
 		if fc, ok := det.(*core.FlexCore); ok && *workers == 1 {
 			pp := fc.PreprocessStats()
 			fmt.Printf("cache         %d hits / %d misses\n", pp.CacheHits, pp.CacheMisses)
@@ -155,12 +152,8 @@ func main() {
 // usage string.
 const detectorNames = "flexcore|aflexcore|ml|mmse|zf|sic|fcsd|trellis"
 
-func makeDetector(name string, cons *constellation.Constellation, npe int, reuse float64, backend core.Backend) (detector.Detector, error) {
-	opts := core.Options{NPE: npe, Backend: backend}
-	if reuse >= 0 {
-		opts.PathReuse = true
-		opts.ReuseThreshold = reuse
-	}
+func makeDetector(name string, cons *constellation.Constellation, npe int, reuse bool, backend core.Backend) (detector.Detector, error) {
+	opts := core.Options{NPE: npe, PathReuse: reuse, Backend: backend}
 	switch name {
 	case "flexcore":
 		return core.New(cons, opts), nil

@@ -142,21 +142,3 @@ func TestSNRConversionRoundTrip(t *testing.T) {
 		t.Fatal("0 dB convention broken")
 	}
 }
-
-func TestCoherenceSubcarriers(t *testing.T) {
-	// Flat fading (one tap, zero delay spread): every subcarrier coherent.
-	flat := TDLConfig{NTaps: 1, DecayPerTap: 3, NFFT: 64}
-	if got := flat.CoherenceSubcarriers(); got != 64 {
-		t.Fatalf("flat channel: %d, want NFFT", got)
-	}
-	// The default indoor profile: τ_rms ≈ 1.33 samples → B_c ≈ 64/(5·1.33) ≈ 9.
-	if got := DefaultIndoorTDL.CoherenceSubcarriers(); got < 8 || got > 11 {
-		t.Fatalf("DefaultIndoorTDL coherence %d subcarriers, want ≈ 9", got)
-	}
-	// More dispersion (slower decay spreads power to later taps) must
-	// shrink the coherence bandwidth, never below one subcarrier.
-	disp := TDLConfig{NTaps: 32, DecayPerTap: 0.5, NFFT: 64}
-	if got := disp.CoherenceSubcarriers(); got >= DefaultIndoorTDL.CoherenceSubcarriers() || got < 1 {
-		t.Fatalf("dispersive coherence %d not in [1, default)", got)
-	}
-}

@@ -23,32 +23,6 @@ type TDLConfig struct {
 // a typical indoor office delay spread at 20 MHz.
 var DefaultIndoorTDL = TDLConfig{NTaps: 8, DecayPerTap: 3, NFFT: 64}
 
-// CoherenceSubcarriers estimates the channel's coherence bandwidth in
-// subcarrier spacings: the RMS delay spread τ_rms of the exponential
-// power-delay profile (in samples) gives B_c ≈ 1/(5·τ_rms) as a fraction
-// of the sampling rate, i.e. NFFT/(5·τ_rms) subcarrier spacings. It is
-// the natural frame-coherence hint for FlexCore's position-vector reuse:
-// subcarriers closer than this see nearly the same channel, so their
-// pre-processing path sets coincide. Flat fading (τ_rms = 0) returns
-// NFFT — every subcarrier is coherent.
-func (c TDLConfig) CoherenceSubcarriers() int {
-	powers := c.tapPowers()
-	var mean, mean2 float64
-	for t, p := range powers {
-		mean += float64(t) * p
-		mean2 += float64(t) * float64(t) * p
-	}
-	tauRMS := math.Sqrt(mean2 - mean*mean)
-	if tauRMS == 0 {
-		return c.NFFT
-	}
-	bc := float64(c.NFFT) / (5 * tauRMS)
-	if bc < 1 {
-		return 1
-	}
-	return int(bc)
-}
-
 // tapPowers returns the normalised (Σ=1) exponential power-delay profile,
 // so the expected per-subcarrier channel gain stays E|H(f)|² = 1.
 func (c TDLConfig) tapPowers() []float64 {

@@ -98,7 +98,7 @@ func TestDotNormConsistency(t *testing.T) {
 func TestAXPYSubVec(t *testing.T) {
 	rng := newRng(7)
 	x := randMatrix(rng, 5, 1).Col(0)
-	y := CopyVec(x)
+	y := append([]complex128(nil), x...)
 	AXPY(-1, x, y)
 	if Norm(y) > 1e-12 {
 		t.Fatal("y - y != 0")

@@ -16,16 +16,6 @@ type QRResult struct {
 	Perm []int
 }
 
-// Unpermute scatters a detection result x (indexed by factored-column
-// position) back to original column order.
-func (qr *QRResult) Unpermute(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for k, src := range qr.Perm {
-		out[src] = x[k]
-	}
-	return out
-}
-
 // UnpermuteInts scatters an int-valued per-stream result back to original
 // column order (used for symbol indices).
 func (qr *QRResult) UnpermuteInts(x []int) []int {

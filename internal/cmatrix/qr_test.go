@@ -102,31 +102,18 @@ func TestUnpermuteRoundTrip(t *testing.T) {
 	rng := newRng(15)
 	h := randMatrix(rng, 8, 8)
 	qr := SortedQR(h, OrderSQRD)
-	x := make([]complex128, 8)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
-	}
 	// Detection works on permuted streams: stream k of the factored system
-	// is original stream Perm[k]; Unpermute must invert the gather.
-	perm := make([]complex128, 8)
-	for k, src := range qr.Perm {
-		perm[k] = x[src]
-	}
-	back := qr.Unpermute(perm)
-	for i := range x {
-		if back[i] != x[i] {
-			t.Fatalf("Unpermute round trip failed at %d", i)
-		}
-	}
+	// is original stream Perm[k]; UnpermuteIntsInto must invert the gather.
 	xi := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	pi := make([]int, 8)
 	for k, src := range qr.Perm {
 		pi[k] = xi[src]
 	}
+	back := qr.UnpermuteIntsInto(pi, make([]int, 8))
 	backInts := qr.UnpermuteInts(pi)
 	for i := range xi {
-		if backInts[i] != xi[i] {
-			t.Fatalf("UnpermuteInts round trip failed at %d", i)
+		if back[i] != xi[i] || backInts[i] != xi[i] {
+			t.Fatalf("Unpermute round trip failed at %d", i)
 		}
 	}
 }

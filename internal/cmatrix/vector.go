@@ -47,13 +47,6 @@ func AXPY(a complex128, x, y []complex128) {
 	}
 }
 
-// CopyVec returns a copy of v.
-func CopyVec(v []complex128) []complex128 {
-	c := make([]complex128, len(v))
-	copy(c, v)
-	return c
-}
-
 // SubVec returns a − b.
 func SubVec(a, b []complex128) []complex128 {
 	if len(a) != len(b) {

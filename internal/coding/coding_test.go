@@ -100,26 +100,6 @@ func TestViterbiBurstBeyondCapacityFails(t *testing.T) {
 	}
 }
 
-func TestViterbiErasuresOnly(t *testing.T) {
-	// With moderate erasures and no errors the decoder must still recover
-	// (erasures carry no metric penalty either way).
-	rng := newRng(84)
-	info := randBits(rng, 200)
-	coded := EncodeRate12(info)
-	for i := 0; i < len(coded); i += 4 {
-		coded[i] = Erasure
-	}
-	dec, err := DecodeRate12(coded, len(info))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range info {
-		if dec[i] != info[i] {
-			t.Fatalf("erasure-only stream not recovered at %d", i)
-		}
-	}
-}
-
 func TestViterbiLengthValidation(t *testing.T) {
 	if _, err := DecodeRate12(make([]uint8, 10), 100); err == nil {
 		t.Fatal("length mismatch accepted")

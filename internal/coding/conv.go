@@ -1,9 +1,8 @@
 // Package coding implements the 802.11 forward-error-correction substrate
 // used by the FlexCore evaluation: the rate-1/2 constraint-length-7
 // convolutional code (g0 = 133, g1 = 171 octal) with zero-tail
-// termination, hard- and soft-decision Viterbi decoders (the hard one
-// with erasure support), and the 802.11 two-permutation block
-// interleaver.
+// termination, hard- and soft-decision Viterbi decoders, and the 802.11
+// two-permutation block interleaver.
 package coding
 
 import "math/bits"
@@ -21,9 +20,8 @@ const (
 
 // Bit values used throughout the package.
 const (
-	Zero    uint8 = 0
-	One     uint8 = 1
-	Erasure uint8 = 2 // position with no channel observation
+	Zero uint8 = 0
+	One  uint8 = 1
 )
 
 // EncodeRate12 convolutionally encodes info with the 802.11 rate-1/2 code

@@ -40,9 +40,6 @@ func NewInterleaver(ncbps, nbpsc int) (*Interleaver, error) {
 	return it, nil
 }
 
-// BlockSize returns NCBPS.
-func (it *Interleaver) BlockSize() int { return it.ncbps }
-
 // Interleave permutes one NCBPS-sized block.
 func (it *Interleaver) Interleave(in []uint8) []uint8 {
 	if len(in) != it.ncbps {

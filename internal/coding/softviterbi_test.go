@@ -123,18 +123,14 @@ func TestInterleaverLLRRoundTrip(t *testing.T) {
 	}
 }
 
-// hardToLLR converts hard bits (possibly with Erasure) to LLRs with the
-// given confidence magnitude.
+// hardToLLR converts hard bits to LLRs with the given confidence
+// magnitude.
 func hardToLLR(bits []uint8, confidence float64) []float64 {
 	llrs := make([]float64, len(bits))
 	for i, b := range bits {
-		switch b {
-		case Zero:
-			llrs[i] = confidence
-		case One:
+		llrs[i] = confidence
+		if b == One {
 			llrs[i] = -confidence
-		default: // Erasure
-			llrs[i] = 0
 		}
 	}
 	return llrs

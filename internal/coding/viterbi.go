@@ -4,8 +4,8 @@ import "fmt"
 
 // DecodeRate12 performs hard-decision Viterbi decoding of a zero-tail
 // terminated rate-1/2 code word (as produced by EncodeRate12, possibly
-// with bit errors and Erasure symbols) and returns the
-// info bits. infoLen is the number of information bits excluding the tail.
+// with bit errors) and returns the info bits. infoLen is the number of
+// information bits excluding the tail.
 func DecodeRate12(coded []uint8, infoLen int) ([]uint8, error) {
 	steps := infoLen + ConstraintLength - 1
 	if len(coded) != 2*steps {
@@ -40,10 +40,10 @@ func DecodeRate12(coded []uint8, infoLen int) ([]uint8, error) {
 			for in := 0; in < 2; in++ {
 				out := branchOutputs[s][in]
 				var bm int32
-				if r0 != Erasure && (out>>1)&1 != r0&1 {
+				if (out>>1)&1 != r0&1 {
 					bm++
 				}
-				if r1 != Erasure && out&1 != r1&1 {
+				if out&1 != r1&1 {
 					bm++
 				}
 				ns := (in<<(ConstraintLength-1) | s) >> 1

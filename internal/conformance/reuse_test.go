@@ -7,15 +7,15 @@ import (
 )
 
 // TestPathReuseThresholdZeroNeverChangesOutput is the conformance
-// invariant of the coherence cache: with Options.PathReuse enabled at
-// ReuseThreshold = 0 the cache fires only on an exactly identical
-// (R, σ²), so every detection decision over the seeded ML ensembles must
+// invariant of the coherence cache: with Options.PathReuse enabled the
+// cache fires only on a bit-identical level key, so every detection
+// decision over the seeded ML ensembles must
 // be bit-identical to the cache-off detector — including after repeated
 // Prepares of the same channel, where the cache actually hits.
 func TestPathReuseThresholdZeroNeverChangesOutput(t *testing.T) {
 	forEachMLCase(t, func(t *testing.T, c *Case) {
 		plain := flexAt(t, c, core.Options{NPE: 16})
-		cached := flexAt(t, c, core.Options{NPE: 16, PathReuse: true, ReuseThreshold: 0})
+		cached := flexAt(t, c, core.Options{NPE: 16, PathReuse: true})
 		// Re-prepare the identical channel so the second round runs on a
 		// cache hit.
 		for round := 0; round < 2; round++ {

@@ -61,11 +61,7 @@ func TestPrepareAllSteadyStateAllocFree(t *testing.T) {
 		{"seq-reuse", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{NPE: 32, PathReuse: tc.reuse}
-			if tc.reuse {
-				opts.ReuseThreshold = 0.05
-			}
-			fc := New(cons, opts)
+			fc := New(cons, Options{NPE: 32, PathReuse: tc.reuse})
 			if err := fc.PrepareAll(fa, 0.05); err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +229,7 @@ func TestReuseStateSteadyStateAllocFree(t *testing.T) {
 	fb := frameChannels(408, nr, nt, nSC)
 	for _, bb := range benchBackends {
 		t.Run(bb.name, func(t *testing.T) {
-			fc := New(cons, Options{NPE: 32, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend})
+			fc := New(cons, Options{NPE: 32, PathReuse: true, Backend: bb.backend})
 			var st ReuseState
 			fc.SetReuseState(&st)
 			for _, hs := range [][]*cmatrix.Matrix{fa, fa, fb, fb} { // warm both hit and re-base paths

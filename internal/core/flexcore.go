@@ -44,20 +44,15 @@ type Options struct {
 	// constellation, so no path ever deactivates).
 	ExactSlicer bool
 	// PathReuse enables the coherence-aware position-vector cache: the
-	// selected path set E depends only on R and σ² (§3.1.1), so a
-	// Prepare whose R is within ReuseThreshold of the previous fresh-
-	// prepared channel (normalized Frobenius distance, with σ² within
-	// the same relative tolerance) reuses E and skips the tree search —
-	// only the QR decomposition and the per-level model terms are
-	// redone. Adjacent OFDM subcarriers inside the channel's coherence
-	// bandwidth, and slowly fading packets, hit this cache almost
-	// always. Hit/miss counts are reported by PreprocessStats.
+	// selected path set E depends only on the channel (§3.1.1), and Eq. 4
+	// reads it through one value per level, real(R(l,l))·d/σ. A Prepare
+	// whose n values are bit-identical to those of the previous
+	// fresh-prepared channel reuses E and skips the per-level model and
+	// the tree search — only the QR decomposition is redone — so reuse
+	// never changes an output. Re-sent static channels and subcarriers
+	// that share one channel estimate hit it. Hit/miss counts are
+	// reported by PreprocessStats.
 	PathReuse bool
-	// ReuseThreshold is the relative tolerance of the PathReuse
-	// similarity test. 0 reuses only on an exactly identical (R, σ²)
-	// pair — provably output-neutral (the conformance suite checks it).
-	// Typical OFDM operation uses 0.05–0.2 (see DESIGN.md §9).
-	ReuseThreshold float64
 	// Backend selects the hot-path arithmetic (DESIGN.md §11). The
 	// default BackendComplex128 is the reference scalar arithmetic;
 	// BackendSoA32 runs detection as one float32 descent of the paths'
@@ -150,8 +145,8 @@ func (d *FlexCore) Name() string {
 // factors, model, search queues, path set) is detector-owned and
 // reused, so steady-state Prepare calls are allocation-free; the slices
 // returned by Paths() are valid until the next Prepare/PrepareAll call.
-// With Options.PathReuse, a channel coherent with the previous
-// fresh-prepared one reuses its position vectors and skips the tree
+// With Options.PathReuse, a channel whose level key equals the previous
+// fresh-prepared one's reuses its position vectors and skips the tree
 // search entirely — the detector's own base, never a ReuseState's.
 //
 //flexcore:noalloc
@@ -161,17 +156,6 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 		return err
 	}
 	return d.Select(0)
-}
-
-// countSimilarity accounts the coherence test's arithmetic: 2 real
-// multiplications per R entry for the squared distance plus 2 for the
-// base norm.
-//
-//flexcore:noalloc
-func (d *FlexCore) countSimilarity(n int) {
-	muls := int64(4 * n * n)
-	d.ops.RealMuls += muls
-	d.ops.FLOPs += 2 * muls
 }
 
 // SetReuseState installs (or, with nil, removes) an externally-owned
@@ -194,7 +178,7 @@ func (d *FlexCore) SetReuseState(st *ReuseState) { d.extReuse = st }
 // knob: until the cap is lifted (k = 0, or any k ≥ Options.NPE) they
 // select, count and detect exactly as a detector built with
 // Options.NPE = k would. The set for k elements is the first k paths of
-// the set for more (FindPaths), so with PathReuse a coherent base
+// the set for more (FindPaths), so with PathReuse a base of the same key
 // searched under a bound ≥ k — or one that stopped short of its bound —
 // serves the cap by prefix, descent plan included, and skips the search;
 // a base cut at a smaller bound does not cover k and is a miss. The

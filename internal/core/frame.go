@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"flexcore/internal/cmatrix"
 )
@@ -12,72 +13,53 @@ import (
 // of an OFDM frame in one call.
 //
 // Both exploit the same property of §3.1.1: the selected path set E is
-// a function of (R, σ²) only — never of the received signal — so it can
-// be computed once per coherence interval and shared.
+// a function of the channel only — never of the received signal — and
+// Eq. 4 reads the channel through one value per level, the level key
+// (levelKey). A subcarrier whose key equals one already searched reuses
+// that search's path set exactly.
 
-// reuseCache is one coherence base: the R factor and noise variance of
-// a fresh-prepared channel with the path set selected for it — searched
-// straight into it. A ReuseState keeps one per subcarrier. A coherent
-// base serves a Prepare only if it also covers the path bound in force
+// reuseCache is one coherence base: the level key of a fresh-prepared
+// channel with the path set selected for it — searched straight into
+// it. A ReuseState keeps one per subcarrier. A base with the same key
+// serves a Prepare only if it also covers the path bound in force
 // (pathStore.covers): callers test that first.
 type reuseCache struct {
 	pathStore
-	valid  bool
-	r      *cmatrix.Matrix // copy of the base R
-	sigma2 float64
+	valid bool
+	key   []float64
 }
 
-// similarR reports whether r is within thr of base in normalized
-// Frobenius distance: ‖r−base‖_F ≤ thr·‖base‖_F. thr = 0 accepts only
-// an exactly identical R.
+// sameKey reports whether two level keys are bit-identical. Equal keys
+// build bit-identical models (fromKey), so a hit cannot change a path
+// set.
 //
 //flexcore:noalloc
-func similarR(base, r *cmatrix.Matrix, thr float64) bool {
-	if base.Rows != r.Rows || base.Cols != r.Cols {
+func sameKey(a, b []float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	var diff2, norm2 float64
-	for i, v := range r.Data {
-		b := base.Data[i]
-		d := v - b
-		diff2 += real(d)*real(d) + imag(d)*imag(d)
-		norm2 += real(b)*real(b) + imag(b)*imag(b)
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	return diff2 <= thr*thr*norm2
+	return true
 }
 
-// match reports whether (r, sigma2) is coherent with the cached base
-// (a valid one) under the relative tolerance thr.
-//
-//flexcore:noalloc
-func (c *reuseCache) match(r *cmatrix.Matrix, sigma2, thr float64) bool {
-	ds := sigma2 - c.sigma2
-	if ds < 0 {
-		ds = -ds
-	}
-	if ds > thr*c.sigma2 {
-		return false
-	}
-	return similarR(c.r, r, thr)
-}
-
-// rebase makes (r, sigma2) the key of the path set the cache holds.
-func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
-	c.r = cmatrix.Reshape(c.r, r.Rows, r.Cols)
-	copy(c.r.Data, r.Data)
-	c.sigma2 = sigma2
+// rebase makes key the key of the path set the cache holds.
+func (c *reuseCache) rebase(key []float64) {
+	c.key = append(c.key[:0], key...)
 	c.valid = true
 }
 
 // ReuseState carries PrepareAll's coherence bases across frames: one
-// (R, σ², position-vector) base per subcarrier of the last prepared
+// (level key, position-vector) base per subcarrier of the last prepared
 // frame. Installed on a detector with SetReuseState, it lets a caller
 // key the PathReuse cache by any identity it chooses — the serving
-// layer keys it per user, so a user whose channel is static or slowly
-// varying across frames skips the §3.1.1 candidate-position search on
-// every re-sent H, not only within one frame. With ReuseThreshold = 0
-// a hit requires a bit-identical (R, σ²), so reuse is provably
-// output-neutral (DESIGN.md §9).
+// layer keys it per user, so a user whose channel is static across
+// frames skips the §3.1.1 candidate-position search on every re-sent
+// H, not only within one frame. A hit requires a bit-identical level
+// key, so reuse is output-neutral (DESIGN.md §9).
 //
 // A prepared frame shares the state's path sets instead of copying
 // them — a hit detects out of the base's storage, a miss searches
@@ -87,7 +69,8 @@ func (c *reuseCache) rebase(r *cmatrix.Matrix, sigma2 float64) {
 // detectors must be externally synchronized (the serving layer's
 // per-user FIFO sequencing provides both). A base holds its path set as
 // the descent plan the search wrote, whatever the storing detector's
-// backend, so a state moves between detectors of either Options.Backend.
+// backend, so a state moves between detectors of either Options.Backend
+// (of one constellation: the key is scaled by its d).
 // The zero value is ready to use; all storage is state-owned and regrows
 // only past its high-water mark.
 type ReuseState struct {
@@ -121,13 +104,14 @@ func (st *ReuseState) grow(n int) {
 }
 
 // prepSlot is one subcarrier's prepared channel state inside a frame:
-// its QR factors, the per-level model its last search read (a hit
-// builds none), and selected path set — the slot's own store (a search
-// with no reuse state behind it, or a larger base's prefix under a path
-// cap), the reuse state's (a hit on it or a search into it) or another
-// slot's (a within-frame hit).
+// its QR factors, its level key, the per-level model its last search
+// read (a hit builds none), and selected path set — the slot's own
+// store (a search with no reuse state behind it, or a larger base's
+// prefix under a path cap), the reuse state's (a hit on it or a search
+// into it) or another slot's (a within-frame hit).
 type prepSlot struct {
 	qr    cmatrix.QRResult
+	key   []float64
 	model Model
 	set   *pathStore
 	own   pathStore
@@ -135,22 +119,21 @@ type prepSlot struct {
 
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
 // geometry, same noise variance) in one call, one pass in subcarrier
-// order: the sorted QR, then — with Options.PathReuse — the coherence
-// test, then the per-level model and the pre-processing tree search, or
-// the alias that replaces both. A subcarrier within ReuseThreshold of
-// the last fresh-prepared one aliases its position vectors instead of
-// searching again (adjacent subcarriers inside the coherence bandwidth —
-// the dominant OFDM case).
+// order: the sorted QR and the level key, then — with Options.PathReuse
+// — the key test, then the per-level model and the pre-processing tree
+// search, or the alias that replaces both. A subcarrier whose key equals
+// the last fresh-prepared one's aliases its position vectors instead of
+// searching again.
 //
-// With a ReuseState installed (SetReuseState), the coherence test also
-// spans frames: each subcarrier first tries the previous frame's base
-// for the same subcarrier — the sharper key: a static or slowly-varying
-// channel hits on every subcarrier and skips every search on a re-sent
-// H — then falls back to the within-frame chain, and the state is
-// re-based on this frame's results as it goes. Under a path cap
-// (SetPathCap) a base selected under a larger bound still hits — the
-// slot takes its first paths — while a base cut shorter than the cap is
-// passed over and replaced by this frame's search.
+// With a ReuseState installed (SetReuseState), the key test also spans
+// frames: each subcarrier first tries the previous frame's base for the
+// same subcarrier — a static channel hits on every subcarrier and skips
+// every search on a re-sent H — then falls back to the within-frame
+// chain, and the state is re-based on this frame's results as it goes.
+// Under a path cap (SetPathCap) a base selected under a larger bound
+// still hits — the slot takes its first paths — while a base cut
+// shorter than the cap is passed over and replaced by this frame's
+// search.
 //
 // Scalar Prepare is the one-subcarrier frame, so with PathReuse disabled
 // the results are bit-identical to looping Prepare over the channels.
@@ -193,22 +176,17 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 	for k := range d.frame {
 		s := &d.frame[k]
 		d.qrws.SortedQRInto(hs[k], cmatrix.OrderSQRD, &s.qr)
+		s.key = levelKey(s.key, s.qr.R, sigma2, d.cons)
 
 		var own *reuseCache // the subcarrier's cross-frame base
 		dst := &s.own       // where a search emits: in place into that base when there is one
-		stHit, chainHit := false, false
+		stHit := false
 		if st != nil {
 			own = &st.slots[k]
 			dst = &own.pathStore
-			if own.valid && own.covers(d.npe) {
-				d.countSimilarity(n)
-				stHit = own.match(s.qr.R, sigma2, d.opts.ReuseThreshold)
-			}
+			stHit = own.valid && own.covers(d.npe) && sameKey(own.key, s.key)
 		}
-		if reuse && !stHit && base >= 0 {
-			d.countSimilarity(n)
-			chainHit = similarR(d.frame[base].qr.R, s.qr.R, d.opts.ReuseThreshold)
-		}
+		chainHit := reuse && !stHit && base >= 0 && sameKey(d.frame[base].key, s.key)
 
 		switch {
 		case stHit:
@@ -229,7 +207,7 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		default:
 			base = k
 			s.set = dst
-			NewModelInto(&s.model, s.qr.R, sigma2, d.cons)
+			s.model.fromKey(s.key, d.cons)
 			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst)
 			d.ppOps.RealMuls += stats.RealMuls
 			d.ppOps.Expanded += stats.Expanded
@@ -238,9 +216,9 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 			}
 		}
 		// Key the cross-frame base on what it now holds; a subcarrier that
-		// hit it keeps it untouched — the base R stays pinned until a miss.
+		// hit it keeps it untouched.
 		if own != nil && !stHit {
-			own.rebase(s.qr.R, sigma2)
+			own.rebase(s.key)
 		}
 
 		d.ops.Prepares++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -106,9 +105,9 @@ func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 }
 
 // TestPathReuseThresholdZeroExact pins the output-neutrality guarantee of
-// the coherence cache: with ReuseThreshold = 0 the cache only fires on an
-// exactly identical (R, σ²), so enabling it can never change any output —
-// here on a frame with duplicated subcarriers, so hits actually occur.
+// the coherence cache: it fires only on a bit-identical level key, so
+// enabling it can never change any output — here on a frame with
+// duplicated subcarriers, so hits actually occur.
 func TestPathReuseThresholdZeroExact(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nt = 5
@@ -127,7 +126,7 @@ func TestPathReuseThresholdZeroExact(t *testing.T) {
 	}
 	wantPaths, wantDet := framePrepareReference(t, cons, Options{NPE: 24}, hs, ys, sigma2)
 
-	fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0})
+	fc := New(cons, Options{NPE: 24, PathReuse: true})
 	if err := fc.PrepareAll(hs, sigma2); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestPathReuseThresholdZeroExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !samePaths(fc.Paths(), wantPaths[k]) {
-			t.Fatalf("subcarrier %d: reuse-enabled paths differ at threshold 0", k)
+			t.Fatalf("subcarrier %d: reuse-enabled paths differ", k)
 		}
 		if got := fc.Detect(ys[k]); !equalInts(got, wantDet[k]) {
 			t.Fatalf("subcarrier %d: reuse-enabled Detect %v, want %v", k, got, wantDet[k])
@@ -164,7 +163,7 @@ func TestScalarPrepareReuse(t *testing.T) {
 	sigma2 := channel.Sigma2FromSNRdB(20, 1)
 	y := transmit(rng, h1, cons, randSymbols(rng, cons, nt), sigma2)
 
-	fc := New(cons, Options{NPE: 64, PathReuse: true, ReuseThreshold: 0})
+	fc := New(cons, Options{NPE: 64, PathReuse: true})
 	if err := fc.Prepare(h1, sigma2); err != nil {
 		t.Fatal(err)
 	}
@@ -244,35 +243,6 @@ func TestPrepareReplacesFrame(t *testing.T) {
 	}
 }
 
-// TestPathReuseWithinCoherence checks that a loose threshold actually
-// reuses across distinct-but-coherent adjacent subcarriers, and that the
-// reused sets keep the detector SER-sane (all-noiseless recovery).
-func TestPathReuseWithinCoherence(t *testing.T) {
-	cons := constellation.MustNew(16)
-	const nt, nSC = 4, 16
-	hs := frameChannels(31, nt, nt, nSC)
-	sigma2 := channel.Sigma2FromSNRdB(18, 1)
-	fc := New(cons, Options{NPE: 16, PathReuse: true, ReuseThreshold: 0.5})
-	if err := fc.PrepareAll(hs, sigma2); err != nil {
-		t.Fatal(err)
-	}
-	pp := fc.PreprocessStats()
-	if pp.CacheHits == 0 {
-		t.Fatalf("no coherence hits across %d adjacent subcarriers at threshold 0.5 (misses=%d)", nSC, pp.CacheMisses)
-	}
-	rng := newRng(32)
-	for k := range hs {
-		if err := fc.Select(k); err != nil {
-			t.Fatal(err)
-		}
-		s := randSymbols(rng, cons, nt)
-		y := transmit(rng, hs[k], cons, s, 0)
-		if got := fc.Detect(y); !equalInts(got, s) {
-			t.Fatalf("subcarrier %d: noiseless detection failed with reused paths: %v want %v", k, got, s)
-		}
-	}
-}
-
 // TestPrepareAllConcurrent is the race test: several detectors, one per
 // goroutine, run PrepareAll/Select/Detect on shared immutable channel
 // data concurrently. Run under -race in CI.
@@ -347,29 +317,5 @@ func TestPrepareAllValidation(t *testing.T) {
 	}
 	if err := fc.Select(-1); err == nil {
 		t.Fatal("negative Select accepted")
-	}
-}
-
-// TestSimilarR pins the normalized-Frobenius coherence predicate.
-func TestSimilarR(t *testing.T) {
-	a := cmatrix.Identity(3)
-	b := cmatrix.Identity(3)
-	if !similarR(a, b, 0) {
-		t.Fatal("identical matrices rejected at threshold 0")
-	}
-	b.Set(0, 0, complex(1+1e-12, 0))
-	if similarR(a, b, 0) {
-		t.Fatal("perturbed matrix accepted at threshold 0")
-	}
-	// ‖diff‖_F/‖a‖_F = 1e-12/√3 — far inside a 1e-6 threshold.
-	if !similarR(a, b, 1e-6) {
-		t.Fatal("tiny perturbation rejected at threshold 1e-6")
-	}
-	b.Set(0, 0, complex(2, 0))
-	if similarR(a, b, 0.1) {
-		t.Fatal("gross perturbation accepted at threshold 0.1")
-	}
-	if similarR(a, cmatrix.Identity(4), math.Inf(1)) {
-		t.Fatal("dimension mismatch accepted")
 	}
 }

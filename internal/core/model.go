@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
@@ -57,21 +58,33 @@ func NewModel(r *cmatrix.Matrix, sigma2 float64, cons *constellation.Constellati
 // slices are reused when the dimensions match — the channel-rate fast
 // path re-models every subcarrier without allocating. It returns m.
 func NewModelInto(m *Model, r *cmatrix.Matrix, sigma2 float64, cons *constellation.Constellation) *Model {
-	n := r.Cols
-	if cap(m.Pe) < n {
-		m.Pe = make([]float64, n)
-		m.logPe = make([]float64, n)
-		m.log1mPe = make([]float64, n)
+	m.Pe = levelKey(m.Pe, r, sigma2, cons) // the key, turned into Pe in place
+	return m.fromKey(m.Pe, cons)
+}
+
+// levelKey writes into dst, grown to n, the argument of Eq. 4's erfc at
+// every level, a_l = real(R(l,l))·d/σ. It is all the model reads of
+// (R, σ²), so it is the PathReuse key (frame.go): equal keys build
+// bit-identical models, and so identical path sets.
+func levelKey(dst []float64, r *cmatrix.Matrix, sigma2 float64, cons *constellation.Constellation) []float64 {
+	dst = slices.Grow(dst[:0], r.Cols)[:r.Cols]
+	sigma := math.Sqrt(sigma2)
+	for i := range dst {
+		dst[i] = real(r.At(i, i)) * cons.Scale() / sigma
 	}
-	m.Pe = m.Pe[:n]
-	m.logPe = m.logPe[:n]
-	m.log1mPe = m.log1mPe[:n]
+	return dst
+}
+
+// fromKey evaluates Eq. 4 from a level key (levelKey) into m and returns
+// m. The key may be m.Pe: level i reads key[i] before writing Pe[i].
+func (m *Model) fromKey(key []float64, cons *constellation.Constellation) *Model {
+	n := len(key)
+	m.Pe = slices.Grow(m.Pe[:0], n)[:n] // keeps a key already in Pe
+	m.logPe, m.log1mPe = slices.Grow(m.logPe[:0], n)[:n], slices.Grow(m.log1mPe[:0], n)[:n]
 	m.M = cons.Size()
 	axisCoef := 1 - 1/math.Sqrt(float64(cons.Size()))
-	sigma := math.Sqrt(sigma2)
-	for i := 0; i < n; i++ {
-		rii := real(r.At(i, i))
-		pax := axisCoef * math.Erfc(rii*cons.Scale()/sigma)
+	for i, a := range key {
+		pax := axisCoef * math.Erfc(a)
 		pe := 1 - (1-pax)*(1-pax)
 		if pe < peMin {
 			pe = peMin

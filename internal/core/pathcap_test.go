@@ -112,12 +112,10 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 		ops1, pp1 := det.OpCount(), det.PreprocessStats()
 
 		// What the coverage rule says this Prepare did.
-		var hits, misses, tests, expanded, muls int64
-		chained := false // an earlier subcarrier of this frame missed
+		var hits, misses, expanded, muls int64
 		for k := range bases {
 			b := &bases[k]
 			if b.valid && b.covers(eff) {
-				tests++
 				if b.ch == s.ch {
 					hits++
 					if eff < b.paths {
@@ -131,10 +129,6 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 			} else if b.valid && b.ch == s.ch {
 				coverageMisses++
 			}
-			if chained {
-				tests++ // the within-frame chain: distinct subcarriers never match at thr = 0
-			}
-			chained = true
 			misses++
 			found := len(fresh.Paths())
 			fs := fresh.ppOps
@@ -156,11 +150,9 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 			t.Fatalf("step %d %+v: search work (%d expanded, %d muls), the fresh searches of the missed subcarriers did (%d, %d)",
 				i, s, pp1.Expanded-pp0.Expanded, pp1.RealMuls-pp0.RealMuls, expanded, muls)
 		}
-		// Prepare's own arithmetic: the fresh detector's, plus
-		// 4n² real multiplications per coherence test.
+		// Prepare's own arithmetic: the fresh detector's; the key test
+		// charges nothing, as the model's input never has.
 		want := fresh.OpCount()
-		want.RealMuls += tests * 4 * nt * nt
-		want.FLOPs += tests * 8 * nt * nt
 		got := ops1
 		got.RealMuls -= ops0.RealMuls
 		got.FLOPs -= ops0.FLOPs
@@ -168,7 +160,7 @@ func checkPathCapScript(t *testing.T, backend Backend, theta float64, frame bool
 		got.Nodes -= ops0.Nodes
 		got.Detections -= ops0.Detections
 		if got != want {
-			t.Fatalf("step %d %+v: Prepare counted %+v, want %+v (%d coherence tests)", i, s, got, want, tests)
+			t.Fatalf("step %d %+v: Prepare counted %+v, want %+v", i, s, got, want)
 		}
 
 		for k := 0; k < nSC; k++ {

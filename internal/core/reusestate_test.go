@@ -26,8 +26,8 @@ func detectFrame(t *testing.T, fc *FlexCore, hs []*cmatrix.Matrix, ys [][]comple
 }
 
 // TestReuseStateCrossFrameExact pins the tentpole guarantee of the
-// cross-frame coherence state: with ReuseThreshold = 0 an installed
-// ReuseState only fires on bit-identical (R, σ²), so a detector carrying
+// cross-frame coherence state: an installed ReuseState only fires on a
+// bit-identical level key, so a detector carrying
 // per-user state across frames produces decisions identical to a fresh
 // no-reuse detector — while a static channel (the same H re-sent every
 // frame) skips the candidate-position search on every subcarrier from
@@ -53,7 +53,7 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 	// plan, which the decisions below then walk.
 	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
 		ref := New(cons, Options{NPE: 24, Backend: backend})
-		fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0, Backend: backend})
+		fc := New(cons, Options{NPE: 24, PathReuse: true, Backend: backend})
 		var st ReuseState
 		fc.SetReuseState(&st)
 		if st.Valid() {
@@ -75,7 +75,7 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 		// Frame 0 pays nSC fresh searches; every later frame re-sends the
 		// identical H array and must hit the external base on all nSC
 		// subcarriers (the frame-0 within-frame chain gets no hits: the
-		// subcarriers are distinct and thr = 0).
+		// subcarriers' level keys are distinct).
 		pp := fc.PreprocessStats()
 		if wantHits := int64((nFrames - 1) * nSC); pp.CacheHits != wantHits {
 			t.Fatalf("%v: CacheHits = %d, want %d (all subcarriers of frames 2..%d)",
@@ -88,7 +88,7 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 }
 
 // TestReuseStatePerturbedRebase drives a slowly-varying channel through
-// a shared state: a perturbed frame misses (thr = 0), re-bases the
+// a shared state: a perturbed frame misses, re-bases the
 // state, and the perturbed frame re-sent afterwards hits again — the
 // pin-until-miss semantics of PrepareAll's re-base.
 func TestReuseStatePerturbedRebase(t *testing.T) {
@@ -96,14 +96,14 @@ func TestReuseStatePerturbedRebase(t *testing.T) {
 	const nr, nt, nSC = 5, 4, 6
 	sigma2 := channel.Sigma2FromSNRdB(16, 1)
 	ha := frameChannels(81, nr, nt, nSC)
-	hb := frameChannels(82, nr, nt, nSC) // an independent draw: guaranteed miss at thr=0
+	hb := frameChannels(82, nr, nt, nSC) // an independent draw: every level key differs
 	rng := newRng(83)
 	ys := make([][]complex128, nSC)
 	for k := range ys {
 		ys[k] = transmit(rng, ha[k], cons, randSymbols(rng, cons, nt), sigma2)
 	}
 
-	fc := New(cons, Options{NPE: 24, PathReuse: true, ReuseThreshold: 0})
+	fc := New(cons, Options{NPE: 24, PathReuse: true})
 	var st ReuseState
 	fc.SetReuseState(&st)
 
@@ -162,7 +162,7 @@ func TestReuseStateGeometryChange(t *testing.T) {
 		ysL[k] = transmit(rng, large[k], cons, randSymbols(rng, cons, nt), sigma2)
 	}
 
-	fc := New(cons, Options{NPE: 8, PathReuse: true, ReuseThreshold: 0})
+	fc := New(cons, Options{NPE: 8, PathReuse: true})
 	ref := New(cons, Options{NPE: 8})
 	var st ReuseState
 	fc.SetReuseState(&st)
@@ -184,8 +184,7 @@ func TestReuseStateGeometryChange(t *testing.T) {
 	}
 
 	// Detaching the state returns the detector to within-frame-only
-	// reuse: a re-sent frame no longer hits (distinct subcarriers,
-	// thr = 0).
+	// reuse: a re-sent frame no longer hits (distinct subcarriers).
 	fc.SetReuseState(nil)
 	before := fc.PreprocessStats().CacheHits
 	_ = detectFrame(t, fc, small, ysL[:len(small)], sigma2)
@@ -212,7 +211,7 @@ func TestReuseStateHandoff(t *testing.T) {
 		ref := New(cons, Options{NPE: 24, Backend: bb.backend})
 		want := detectFrame(t, ref, hs, ys, sigma2)
 
-		opts := Options{NPE: 24, PathReuse: true, ReuseThreshold: 0, Backend: bb.backend}
+		opts := Options{NPE: 24, PathReuse: true, Backend: bb.backend}
 		a, b := New(cons, opts), New(cons, opts)
 		var st ReuseState
 
@@ -360,6 +359,75 @@ func TestPrepareIsTheOneSubcarrierFrame(t *testing.T) {
 				if pp := scalar.PreprocessStats(); reuse && (pp.CacheHits == 0 || pp.CacheMisses == 0) {
 					t.Fatalf("%s θ=%g: script made %d hits and %d misses, want both", bb.name, theta, pp.CacheHits, pp.CacheMisses)
 				}
+			}
+		}
+	}
+}
+
+// TestReuseStateHitsOnEqualKey pins reuse on the model's own input, the
+// level key real(R(l,l))·d/σ. Multiplying each column of H by one of ±1,
+// ±j is exact in floating point: it changes R's off-diagonal entries but
+// leaves every real(R(l,l)) bit-identical. So the rotated frame hits the
+// state on every subcarrier, and its decisions and path sets (ranks and
+// LogP bits) equal those of a detector without reuse.
+func TestReuseStateHitsOnEqualKey(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nr, nt, nSC = 5, 4, 6
+	sigma2 := channel.Sigma2FromSNRdB(16, 1)
+	hs := frameChannels(91, nr, nt, nSC)
+	units := [4]complex128{1, -1, 1i, -1i}
+	rot := make([]*cmatrix.Matrix, nSC)
+	for k, h := range hs {
+		rot[k] = h.Copy()
+		for j := 0; j < nt; j++ {
+			u := units[(k+j+1)%4]
+			for i := 0; i < nr; i++ {
+				rot[k].Set(i, j, u*h.At(i, j))
+			}
+		}
+		// The premise: R itself differs, so a key on R would miss.
+		a, b := cmatrix.SortedQR(h, cmatrix.OrderSQRD), cmatrix.SortedQR(rot[k], cmatrix.OrderSQRD)
+		if a.R.EqualApprox(b.R, 0) {
+			t.Fatalf("subcarrier %d: rotating the columns left R unchanged", k)
+		}
+	}
+	rng := newRng(92)
+	ys := make([][]complex128, nSC)
+	for k := range ys {
+		ys[k] = transmit(rng, rot[k], cons, randSymbols(rng, cons, nt), sigma2)
+	}
+
+	for _, backend := range []Backend{BackendComplex128, BackendSoA32} {
+		ref := New(cons, Options{NPE: 24, Backend: backend})
+		fc := New(cons, Options{NPE: 24, PathReuse: true, Backend: backend})
+		var st ReuseState
+		fc.SetReuseState(&st)
+		if err := fc.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.PrepareAll(rot, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if pp := fc.PreprocessStats(); pp.CacheHits != nSC || pp.CacheMisses != nSC {
+			t.Fatalf("%v: %d hits / %d misses, want %d / %d (every rotated subcarrier hits)",
+				backend, pp.CacheHits, pp.CacheMisses, nSC, nSC)
+		}
+		if err := ref.PrepareAll(rot, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		for k := range rot {
+			if err := fc.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			if !samePaths(fc.Paths(), ref.Paths()) {
+				t.Fatalf("%v subcarrier %d: reused path set differs from a fresh search", backend, k)
+			}
+			got := append([]int(nil), fc.Detect(ys[k])...)
+			if want := ref.Detect(ys[k]); !equalInts(got, want) {
+				t.Fatalf("%v subcarrier %d: decisions %v, want %v", backend, k, got, want)
 			}
 		}
 	}

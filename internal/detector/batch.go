@@ -58,9 +58,6 @@ func (l *loopBatch) Detect(y []complex128) []int { return l.d.Detect(y) }
 
 func (l *loopBatch) OpCount() OpCount { return l.d.OpCount() }
 
-// Unwrap exposes the adapted detector (for optional-interface probing).
-func (l *loopBatch) Unwrap() Detector { return l.d }
-
 func (l *loopBatch) DetectBatch(ys [][]complex128) [][]int {
 	if cap(l.out) < len(ys) {
 		l.out = make([][]int, len(ys))

@@ -3,7 +3,6 @@ package ofdm
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // CPLength is the 802.11 cyclic prefix in samples (0.8 µs at 20 MHz).
@@ -99,24 +98,4 @@ func EstimateFromLTF(received []complex128) ([]complex128, error) {
 		h[i] = y[i] / ltf[i]
 	}
 	return h, nil
-}
-
-// EstimateCFO estimates a carrier frequency offset from two identical
-// consecutive OFDM symbols (Moose's method): the phase of the lag-N
-// autocorrelation, in radians per sample.
-func EstimateCFO(first, second []complex128) float64 {
-	var acc complex128
-	for i := range first {
-		acc += cmplx.Conj(first[i]) * second[i]
-	}
-	return cmplx.Phase(acc) / float64(SamplesPerSymbol)
-}
-
-// CorrectCFO derotates samples by the given frequency offset (radians
-// per sample) in place and returns them.
-func CorrectCFO(samples []complex128, cfo float64, startIndex int) []complex128 {
-	for i := range samples {
-		samples[i] *= cmplx.Exp(complex(0, -cfo*float64(startIndex+i)))
-	}
-	return samples
 }

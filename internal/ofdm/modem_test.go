@@ -127,30 +127,6 @@ func TestLTFChannelEstimation(t *testing.T) {
 	}
 }
 
-func TestCFOEstimateAndCorrect(t *testing.T) {
-	m := NewModulator()
-	ltfWave, err := m.Symbol(LTFSequence())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cfo = 0.002 // radians per sample
-	stream := append(append([]complex128(nil), ltfWave...), ltfWave...)
-	for i := range stream {
-		stream[i] *= cmplx.Exp(complex(0, cfo*float64(i)))
-	}
-	got := EstimateCFO(stream[:SamplesPerSymbol], stream[SamplesPerSymbol:])
-	if math.Abs(got-cfo) > 1e-6 {
-		t.Fatalf("CFO estimate %v, want %v", got, cfo)
-	}
-	CorrectCFO(stream, got, 0)
-	// After correction the two halves must match again.
-	for i := 0; i < SamplesPerSymbol; i++ {
-		if cmplx.Abs(stream[i]-stream[SamplesPerSymbol+i]) > 1e-6 {
-			t.Fatalf("correction failed at %d", i)
-		}
-	}
-}
-
 func TestLTFSequenceBalanced(t *testing.T) {
 	seq := LTFSequence()
 	if len(seq) != DataSubcarriers {

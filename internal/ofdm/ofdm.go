@@ -38,12 +38,6 @@ func DataSubcarrierIndices() []int {
 	return idx
 }
 
-// CodedBitsPerSymbol returns NCBPS for one spatial stream: data
-// subcarriers times coded bits per subcarrier.
-func CodedBitsPerSymbol(bitsPerSubcarrier int) int {
-	return DataSubcarriers * bitsPerSubcarrier
-}
-
 // PHYRate returns the aggregate information bit rate in bit/s for nt
 // spatial streams carrying bitsPerSymbol-bit constellation symbols at the
 // given code rate, with every data subcarrier loaded.

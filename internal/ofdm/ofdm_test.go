@@ -57,12 +57,3 @@ func TestVectorsPerSecond(t *testing.T) {
 		t.Fatalf("vectors/s = %v, want 12M", got)
 	}
 }
-
-func TestCodedBitsPerSymbol(t *testing.T) {
-	if CodedBitsPerSymbol(6) != 288 {
-		t.Fatal("64-QAM NCBPS")
-	}
-	if CodedBitsPerSymbol(4) != 192 {
-		t.Fatal("16-QAM NCBPS")
-	}
-}

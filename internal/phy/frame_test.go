@@ -236,7 +236,7 @@ func TestFrameDetectorReuseState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.New(cons, core.Options{NPE: 16, PathReuse: true, ReuseThreshold: 0})
+	det := core.New(cons, core.Options{NPE: 16, PathReuse: true})
 	fd := NewFrameDetector(det)
 	var st core.ReuseState
 	if !fd.SetReuseState(&st) {

@@ -222,7 +222,7 @@ func TestRunReuseEstimatesWorkerIndependent(t *testing.T) {
 		EstErrorVar: 0.01,
 		Channels:    &TraceProvider{Set: ts},
 		DetectorFactory: func() detector.Detector {
-			return core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95, PathReuse: true, ReuseThreshold: 0.1})
+			return core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95, PathReuse: true})
 		},
 	}
 	serial := runAt(t, 1, cfg)

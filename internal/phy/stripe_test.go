@@ -180,7 +180,6 @@ func TestStripedFrameScope(t *testing.T) {
 	withProcs(4, func() {
 		for _, det := range []detector.Detector{
 			core.New(cons, core.Options{NPE: 16, PathReuse: true}),
-			core.New(cons, core.Options{NPE: 16, PathReuse: true, ReuseThreshold: 0.1}),
 			detector.NewMMSE(cons),
 		} {
 			fd := NewFrameDetector(det)

@@ -120,7 +120,7 @@ func TestUserStateEviction(t *testing.T) {
 			Shards:       1,
 			UserStateCap: 2,
 			DetectorFactory: func() detector.Detector {
-				return core.New(cons, core.Options{NPE: e2eNPE, Backend: backend, PathReuse: true, ReuseThreshold: 0})
+				return core.New(cons, core.Options{NPE: e2eNPE, Backend: backend, PathReuse: true})
 			},
 		})
 		if err != nil {

@@ -41,14 +41,14 @@ func fillFrameCoherent(t testing.TB, q *DetectRequest, userID, frameID, epoch ui
 
 // TestPerUserFIFOAndReuseKeying is the ordering property test of the
 // serve path: many users pipeline bursts of frames into eight
-// single-worker shards with per-user cross-frame reuse enabled
-// (ReuseThreshold 0), and for every user the responses must come back
+// single-worker shards with per-user cross-frame reuse enabled,
+// and for every user the responses must come back
 // in send order — per-user FIFO from one user → one shard → one queue →
 // one worker — with decisions bit-identical to the offline
 // Prepare+Detect loop, reuse hits and all. Half the users are static
 // (identical H every frame: every subcarrier after the first frame is a
-// cross-frame cache hit), half vary their channel every frame (no hits
-// at threshold 0); the final snapshot pins both counters exactly,
+// cross-frame cache hit), half vary their channel every frame (no
+// hits: their level keys differ); the final snapshot pins both counters exactly,
 // proving the per-user state was neither shared across users nor lost
 // between a user's frames.
 func TestPerUserFIFOAndReuseKeying(t *testing.T) {
@@ -64,7 +64,7 @@ func TestPerUserFIFOAndReuseKeying(t *testing.T) {
 		DetectorFactory: func() detector.Detector {
 			return core.New(cons, core.Options{
 				NPE: e2eNPE, Backend: backend,
-				PathReuse: true, ReuseThreshold: 0,
+				PathReuse: true,
 			})
 		},
 	})
@@ -153,7 +153,7 @@ func TestPerUserFIFOAndReuseKeying(t *testing.T) {
 		tracked += st.TrackedUsers
 	}
 	// Static users hit on every subcarrier of every frame after their
-	// first; varying users never hit at threshold 0. Exact counts prove
+	// first; varying users never hit. Exact counts prove
 	// per-user keying: shared or leaked state would change them.
 	const staticUsers = users / 2
 	if wantHits := int64(staticUsers * (frames - 1) * e2eK); hits != wantHits {

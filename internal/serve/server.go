@@ -46,8 +46,8 @@ type Config struct {
 	// DetectorFactory builds one detector per shard (detectors are
 	// stateful across Prepare/Detect, so shards cannot share one).
 	// Required. With core.Options.PathReuse enabled, the server keys
-	// the coherence cache per user across frames; at ReuseThreshold 0
-	// this is provably output-neutral (DESIGN.md §13).
+	// the coherence cache per user across frames; reuse is
+	// output-neutral (DESIGN.md §13).
 	DetectorFactory func() detector.Detector
 
 	// DegradeLadder lists descending N_PE rungs (e.g. 512→128→32 as

@@ -15,9 +15,8 @@
 // are produced by the same two-phase Prepare/Detect pipeline as the
 // offline path, so a served frame's decisions are bit-identical to
 // looping Prepare+Detect over its subcarriers — for any shard count (a
-// shard is one worker driving one single-threaded detector) and either
-// kernel backend (reuse is held at ReuseThreshold 0, where hits
-// require a bit-identical (R, σ²) and are provably output-neutral).
+// shard is one worker driving one single-threaded detector), either
+// kernel backend, and reuse on or off.
 // The e2e and ordering suites (e2e_test.go, order_test.go) enforce
 // exactly that contract, plus per-user FIFO completion. Batching
 // happens at the bufio/flush layer on both ends, so frames simply
