@@ -140,9 +140,10 @@ func BenchmarkFig11(b *testing.B) {
 }
 
 // BenchmarkFig12 profiles the LTE budget computation (max supported
-// paths per mode) plus one SIC detection, Fig. 12's repeated unit.
+// paths per mode) plus one SIC detection (FlexCore at N_PE = 1),
+// Fig. 12's repeated unit.
 func BenchmarkFig12(b *testing.B) {
-	det := detector.NewSIC(flexcore.MustConstellation(64))
+	det := flexcore.New(flexcore.MustConstellation(64), flexcore.Options{NPE: 1})
 	y := detectSetup(b, det, 64, 12, 21.6, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -283,7 +284,7 @@ func BenchmarkAblationDetectors(b *testing.B) {
 	cons := flexcore.MustConstellation(64)
 	dets := []flexcore.Detector{
 		flexcore.NewMMSE(cons),
-		detector.NewSIC(cons),
+		flexcore.New(cons, flexcore.Options{NPE: 1}), // SIC
 		flexcore.New(cons, flexcore.Options{NPE: 64}),
 		flexcore.NewFCSD(cons, 1),
 		detector.NewTrellis(cons),

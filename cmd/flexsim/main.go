@@ -35,11 +35,11 @@ func main() {
 	symbols := flag.Int("symbols", 8, "OFDM symbols per packet")
 	channelKind := flag.String("channel", "tdl", "channel model: tdl|flat|iid")
 	rho := flag.Float64("rho", 0, "AP-side antenna correlation for flat channels")
-	soft := flag.Bool("soft", false, "soft-decision decoding (flexcore/aflexcore only)")
+	soft := flag.Bool("soft", false, "soft-decision decoding (flexcore/aflexcore/sic only)")
 	pilots := flag.Int("pilots", 0, "LS channel estimation from this many pilot symbols (0 = genie CSI)")
 	workers := flag.Int("workers", 1, "packet-level simulation parallelism (0 = all cores); results are identical for any value")
-	reuse := flag.Bool("reuse", false, "flexcore/aflexcore position-vector reuse across subcarriers with bit-identical per-level model input (output-neutral)")
-	backendName := flag.String("backend", "", "flexcore/aflexcore kernel backend: complex128 (default) or soa32 (float32 structure-of-arrays fast path)")
+	reuse := flag.Bool("reuse", false, "flexcore/aflexcore/sic position-vector reuse across subcarriers with bit-identical per-level model input (output-neutral)")
+	backendName := flag.String("backend", "", "flexcore/aflexcore/sic kernel backend: complex128 (default) or soa32 (float32 structure-of-arrays fast path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -150,7 +150,7 @@ func main() {
 
 // detectorNames lists every name makeDetector builds, in the -detector
 // usage string.
-const detectorNames = "flexcore|aflexcore|ml|mmse|zf|sic|fcsd|trellis"
+const detectorNames = "flexcore|aflexcore|ml|mmse|sic|fcsd|trellis"
 
 func makeDetector(name string, cons *constellation.Constellation, npe int, reuse bool, backend core.Backend) (detector.Detector, error) {
 	opts := core.Options{NPE: npe, PathReuse: reuse, Backend: backend}
@@ -164,10 +164,9 @@ func makeDetector(name string, cons *constellation.Constellation, npe int, reuse
 		return detector.NewSphere(cons), nil
 	case "mmse":
 		return detector.NewMMSE(cons), nil
-	case "zf":
-		return detector.NewZF(cons), nil
-	case "sic":
-		return detector.NewSIC(cons), nil
+	case "sic": // ordered SIC is FlexCore with one processing element (§3)
+		opts.NPE = 1
+		return core.New(cons, opts), nil
 	case "fcsd":
 		l := 1
 		for p := cons.Size(); p < npe; p *= cons.Size() {

@@ -5,8 +5,8 @@
 // together with every substrate the paper's evaluation needs — complex
 // linear algebra, QAM constellations, 802.11 coding and OFDM numerology,
 // wireless channel models, the baseline detectors (ML sphere decoding,
-// FCSD, trellis, SIC, MMSE/ZF), a full link-level simulator, and
-// calibrated GPU/FPGA/LTE platform models.
+// FCSD, trellis, MMSE, SIC as one-PE FlexCore), a full link-level
+// simulator, and calibrated GPU/FPGA/LTE platform models.
 //
 // The root package is a facade over internal packages, cut to what the
 // programs under examples/ use: detect uplink MIMO transmissions and

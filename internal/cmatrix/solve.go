@@ -78,17 +78,6 @@ func SolveUpperTriangular(r *Matrix, b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// PseudoInverseZF returns the zero-forcing filter (HᴴH)⁻¹Hᴴ.
-func PseudoInverseZF(h *Matrix) (*Matrix, error) {
-	hh := h.H()
-	gram := hh.Mul(h)
-	inv, err := Inverse(gram)
-	if err != nil {
-		return nil, err
-	}
-	return inv.Mul(hh), nil
-}
-
 // MMSEFilter returns the linear MMSE filter (HᴴH + (σ²/Es)·I)⁻¹Hᴴ for
 // noise variance sigma2 and per-symbol energy es.
 func MMSEFilter(h *Matrix, sigma2, es float64) (*Matrix, error) {

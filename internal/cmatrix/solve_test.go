@@ -62,34 +62,16 @@ func TestSolveUpperTriangularSingular(t *testing.T) {
 	}
 }
 
-func TestZFFilterInvertsChannel(t *testing.T) {
-	rng := newRng(23)
-	for _, dims := range [][2]int{{8, 8}, {12, 8}, {12, 12}} {
-		h := randMatrix(rng, dims[0], dims[1])
-		w, err := PseudoInverseZF(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !w.Mul(h).EqualApprox(Identity(dims[1]), 1e-8) {
-			t.Fatalf("%v: W·H != I", dims)
-		}
-	}
-}
-
 func TestMMSEFilterLimits(t *testing.T) {
 	rng := newRng(24)
 	h := randMatrix(rng, 8, 8)
-	// As σ² → 0 the MMSE filter approaches the ZF filter.
+	// As σ² → 0 the MMSE filter approaches the channel's left inverse.
 	wm, err := MMSEFilter(h, 1e-12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wz, err := PseudoInverseZF(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wm.EqualApprox(wz, 1e-5) {
-		t.Fatal("MMSE(σ²→0) != ZF")
+	if !wm.Mul(h).EqualApprox(Identity(8), 1e-5) {
+		t.Fatal("MMSE(σ²→0)·H != I")
 	}
 	// With huge noise the filter shrinks toward zero.
 	wh, err := MMSEFilter(h, 1e9, 1)
@@ -102,11 +84,8 @@ func TestMMSEFilterLimits(t *testing.T) {
 }
 
 func TestMMSEHandlesSingularChannel(t *testing.T) {
-	// ZF fails on a singular channel; MMSE regularisation must not.
+	// MMSE regularisation must invert a singular channel's Gram matrix.
 	h := FromRows([][]complex128{{1, 1}, {1, 1}})
-	if _, err := PseudoInverseZF(h); err == nil {
-		t.Fatal("ZF on singular channel should fail")
-	}
 	if _, err := MMSEFilter(h, 0.1, 1); err != nil {
 		t.Fatalf("MMSE on singular channel failed: %v", err)
 	}

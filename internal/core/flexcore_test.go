@@ -309,3 +309,30 @@ func TestFlexCoreDenseConstellation256(t *testing.T) {
 		t.Fatalf("%d paths", len(paths))
 	}
 }
+
+// TestEvalPathStopsAtBound pins evalPath's early exit: a path whose
+// partial distance reaches the bound stops at that level. With bound 0
+// the first (top) level's increment already reaches it, so the walk must
+// return ok = false with exactly that increment.
+func TestEvalPathStopsAtBound(t *testing.T) {
+	rng := newRng(214)
+	cons := constellation.MustNew(16)
+	fc := New(cons, Options{NPE: 1})
+	h := channel.Rayleigh(rng, 4, 4)
+	if err := fc.Prepare(h, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	ybar := fc.qr.Ybar(transmit(rng, h, cons, randSymbols(rng, cons, 4), 0.1))
+	top := fc.n - 1
+	b := ybar[top]
+	rii := real(fc.qr.R.At(top, top))
+	k, _ := cons.KthClosestClamped(b/complex(rii, 0), 1)
+	want := cmatrix.PEDIncrement(b, rii, cons.Point(k))
+	if want <= 0 {
+		t.Fatalf("top-level increment %v: the case cannot tell a stop from a walk", want)
+	}
+	ped, ok := fc.evalPath(ybar, []int{1, 1, 1, 1}, make([]int, 4), make([]complex128, 4), 0)
+	if ok || ped != want {
+		t.Fatalf("bound 0: got (%v, %v), want (%v, false) from the top level alone", ped, ok, want)
+	}
+}

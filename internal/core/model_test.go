@@ -37,10 +37,12 @@ func TestModelPeMonotoneInSNR(t *testing.T) {
 
 func TestModelPeClamped(t *testing.T) {
 	cons := constellation.MustNew(16)
-	// Gigantic noise → raw Pe above 1 without clamping.
-	m := NewModel(diagMatrix([]float64{1e-6}), 1e6, cons)
-	if m.Pe[0] >= 1 || m.Pe[0] <= 0 {
-		t.Fatalf("Pe not clamped: %v", m.Pe[0])
+	// NewModel accepts any R: a negative diagonal with level key
+	// a = −0.3 gives the raw Pe 1 − (1 − (3/4)·erfc(a))² ≈ 0.9999875,
+	// above peMax, so the upper clamp must hold it at peMax.
+	m := NewModel(diagMatrix([]float64{-0.3 / cons.Scale()}), 1, cons)
+	if m.Pe[0] != peMax {
+		t.Fatalf("Pe not clamped to peMax = %v: %v", peMax, m.Pe[0])
 	}
 	// Negligible noise → clamped above zero so logs stay finite.
 	m = NewModel(diagMatrix([]float64{1e6}), 1e-9, cons)

@@ -1,9 +1,10 @@
 // Package detector implements the MIMO detectors the FlexCore paper
-// evaluates against: linear ZF and MMSE, ordered successive interference
-// cancellation (SIC / V-BLAST), the exact maximum-likelihood depth-first
-// sphere decoder (the paper's "ML"/Geosphere reference), the fixed
-// complexity sphere decoder (FCSD), and the trellis-based
-// fully-parallel detector of Wu et al. [50].
+// evaluates against that are not FlexCore itself: linear MMSE, the exact
+// maximum-likelihood depth-first sphere decoder (the paper's
+// "ML"/Geosphere reference), the fixed complexity sphere decoder (FCSD),
+// and the trellis-based fully-parallel detector of Wu et al. [50].
+// Ordered SIC is "essentially a single-path FlexCore" (§3), so it is
+// built as core.New(cons, core.Options{NPE: 1}), not here.
 //
 // Every detector follows the same two-phase protocol: Prepare runs once
 // per channel realisation (QR decompositions, filter inversions — the
@@ -78,16 +79,4 @@ type treeState struct {
 	qr   *cmatrix.QRResult
 	cons *constellation.Constellation
 	n    int // number of streams
-}
-
-// pedIncrement and cancel are the two scalar kernels every tree-search
-// detector shares; the single implementation lives in cmatrix
-// (CancelRow / PEDIncrement) so the arithmetic is stated exactly once
-// across this package and internal/core.
-func pedIncrement(b complex128, rii float64, q complex128) float64 {
-	return cmatrix.PEDIncrement(b, rii, q)
-}
-
-func cancel(r *cmatrix.Matrix, ybar []complex128, sym []complex128, i int) complex128 {
-	return cmatrix.CancelRow(r, ybar, sym, i)
 }

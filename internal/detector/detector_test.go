@@ -77,9 +77,7 @@ func equalInts(a, b []int) bool {
 // allDetectors builds one of each detector for the constellation.
 func allDetectors(cons *constellation.Constellation) []Detector {
 	return []Detector{
-		NewZF(cons),
 		NewMMSE(cons),
-		NewSIC(cons),
 		NewSphere(cons),
 		NewFCSD(cons, 1),
 		NewTrellis(cons),
@@ -235,9 +233,8 @@ func TestDetectorHierarchySER(t *testing.T) {
 	serML := symbolErrorRate(t, NewSphere(cons), cons, nt, snr, trials, seed)
 	serFCSD := symbolErrorRate(t, NewFCSD(cons, 1), cons, nt, snr, trials, seed)
 	serTrellis := symbolErrorRate(t, NewTrellis(cons), cons, nt, snr, trials, seed)
-	serSIC := symbolErrorRate(t, NewSIC(cons), cons, nt, snr, trials, seed)
 	serMMSE := symbolErrorRate(t, NewMMSE(cons), cons, nt, snr, trials, seed)
-	t.Logf("SER: ML=%.4f FCSD=%.4f Trellis=%.4f SIC=%.4f MMSE=%.4f", serML, serFCSD, serTrellis, serSIC, serMMSE)
+	t.Logf("SER: ML=%.4f FCSD=%.4f Trellis=%.4f MMSE=%.4f", serML, serFCSD, serTrellis, serMMSE)
 	if serML > serFCSD*1.05+1e-4 {
 		t.Fatalf("ML (%.4f) worse than FCSD (%.4f)", serML, serFCSD)
 	}
@@ -331,27 +328,6 @@ func TestDetectorsReusableAcrossChannels(t *testing.T) {
 			if len(got) != nt {
 				t.Fatalf("%s nt=%d: wrong output size", det.Name(), nt)
 			}
-		}
-	}
-}
-
-func TestLinearZFEqualsMMSEAtHighSNR(t *testing.T) {
-	rng := newRng(110)
-	cons := constellation.MustNew(16)
-	h := channel.Rayleigh(rng, 6, 6)
-	zf := NewZF(cons)
-	mm := NewMMSE(cons)
-	if err := zf.Prepare(h, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if err := mm.Prepare(h, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		s := randSymbols(rng, cons, 6)
-		y := transmit(rng, h, cons, s, 1e-9)
-		if !equalInts(zf.Detect(y), mm.Detect(y)) {
-			t.Fatal("ZF and MMSE disagree at negligible noise")
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package detector
+package detector_test
 
 import (
 	"testing"
@@ -6,33 +6,37 @@ import (
 	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
+	"flexcore/internal/core"
+	"flexcore/internal/detector"
 )
 
-// TestDetectorsSurviveZeroChannel injects an all-zero channel: linear
-// detectors must report the singularity, tree-search detectors must
-// terminate and return *some* valid symbol vector (garbage is fine,
-// hangs and panics are not).
+// hostileDetectors builds every detector the edge cases hold: the
+// package's own and FlexCore — single-path (ordered SIC) and many-path —
+// on both backends.
+func hostileDetectors(cons *constellation.Constellation) []detector.Detector {
+	dets := []detector.Detector{
+		detector.NewMMSE(cons),
+		detector.NewSphere(cons),
+		detector.NewFCSD(cons, 1),
+		detector.NewTrellis(cons),
+	}
+	for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
+		for _, npe := range []int{1, 16} {
+			dets = append(dets, core.New(cons, core.Options{NPE: npe, Backend: b}))
+		}
+	}
+	return dets
+}
+
+// TestDetectorsSurviveZeroChannel injects an all-zero channel: MMSE is
+// regularised and tree-search detectors must terminate; every detector
+// must accept the channel and return *some* valid symbol vector
+// (garbage is fine, hangs and panics are not).
 func TestDetectorsSurviveZeroChannel(t *testing.T) {
 	cons := constellation.MustNew(16)
 	h := cmatrix.New(4, 4)
 	y := []complex128{1, -1, 0.5, 0.25i}
-
-	if err := NewZF(cons).Prepare(h, 0.1); err == nil {
-		t.Fatal("ZF accepted a singular channel")
-	}
-	// MMSE is regularised and must survive.
-	mm := NewMMSE(cons)
-	if err := mm.Prepare(h, 0.1); err != nil {
-		t.Fatalf("MMSE rejected a singular channel: %v", err)
-	}
-	checkOut(t, "MMSE", mm.Detect(y), 4, cons.Size())
-
-	for _, det := range []Detector{NewSIC(cons), NewSphere(cons), NewFCSD(cons, 1), NewTrellis(cons)} {
-		if err := det.Prepare(h, 0.1); err != nil {
-			t.Fatalf("%s rejected the zero channel: %v", det.Name(), err)
-		}
-		checkOut(t, det.Name(), det.Detect(y), 4, cons.Size())
-	}
+	survive(t, hostileDetectors(cons), h, y, cons.Size())
 }
 
 // TestDetectorsSurviveRankDeficientChannel repeats with two identical
@@ -45,12 +49,7 @@ func TestDetectorsSurviveRankDeficientChannel(t *testing.T) {
 		h.Set(i, 1, h.At(i, 0))
 	}
 	y := h.MulVec([]complex128{0.3, -0.3, 0.1i, 0.2})
-	for _, det := range []Detector{NewMMSE(cons), NewSIC(cons), NewSphere(cons), NewFCSD(cons, 1), NewTrellis(cons)} {
-		if err := det.Prepare(h, 0.1); err != nil {
-			t.Fatalf("%s rejected the rank-deficient channel: %v", det.Name(), err)
-		}
-		checkOut(t, det.Name(), det.Detect(y), 4, cons.Size())
-	}
+	survive(t, hostileDetectors(cons), h, y, cons.Size())
 }
 
 // TestDetectorsHugeReceiveVector stresses the numeric range: a received
@@ -64,22 +63,25 @@ func TestDetectorsHugeReceiveVector(t *testing.T) {
 	for i := range y {
 		y[i] = complex(1e6, -1e6)
 	}
-	for _, det := range allDetectors(cons) {
-		if err := det.Prepare(h, 0.1); err != nil {
-			t.Fatal(err)
-		}
-		checkOut(t, det.Name(), det.Detect(y), 6, cons.Size())
-	}
+	survive(t, hostileDetectors(cons), h, y, cons.Size())
 }
 
-func checkOut(t *testing.T, name string, got []int, n, m int) {
+// survive prepares every detector on h and checks that detecting y
+// yields one in-range symbol index per stream.
+func survive(t *testing.T, dets []detector.Detector, h *cmatrix.Matrix, y []complex128, m int) {
 	t.Helper()
-	if len(got) != n {
-		t.Fatalf("%s: output length %d", name, len(got))
-	}
-	for i, v := range got {
-		if v < 0 || v >= m {
-			t.Fatalf("%s: symbol index %d out of range at stream %d", name, v, i)
+	for _, det := range dets {
+		if err := det.Prepare(h, 0.1); err != nil {
+			t.Fatalf("%s rejected the channel: %v", det.Name(), err)
+		}
+		got := det.Detect(y)
+		if len(got) != h.Cols {
+			t.Fatalf("%s: output length %d", det.Name(), len(got))
+		}
+		for i, v := range got {
+			if v < 0 || v >= m {
+				t.Fatalf("%s: symbol index %d out of range at stream %d", det.Name(), v, i)
+			}
 		}
 	}
 }

@@ -76,11 +76,11 @@ func (d *FCSD) Detect(y []complex128) []int {
 		expanded := d.n - 1 - row // levels already fixed above this row
 		if expanded < d.L {
 			rii := real(d.qr.R.At(row, row))
-			b := cancel(d.qr.R, ybar, d.sym, row)
+			b := cmatrix.CancelRow(d.qr.R, ybar, d.sym, row)
 			d.ops.Nodes++
 			d.ops.RealMuls += int64(4 * (d.n - 1 - row))
 			for k, q := range d.cons.Points() {
-				inc := pedIncrement(b, rii, q)
+				inc := cmatrix.PEDIncrement(b, rii, q)
 				d.ops.RealMuls += 2
 				d.ops.FLOPs += 7
 				cur[row] = k
@@ -99,7 +99,7 @@ func (d *FCSD) Detect(y []complex128) []int {
 		// Greedy tail: slice the effective received point at each level.
 		for i := row; i >= 0; i-- {
 			rii := real(d.qr.R.At(i, i))
-			b := cancel(d.qr.R, ybar, d.sym, i)
+			b := cmatrix.CancelRow(d.qr.R, ybar, d.sym, i)
 			var z complex128
 			if rii > 0 {
 				z = b / complex(rii, 0)
@@ -107,7 +107,7 @@ func (d *FCSD) Detect(y []complex128) []int {
 			k := d.cons.Slice(z)
 			cur[i] = k
 			d.sym[i] = d.cons.Point(k)
-			ped += pedIncrement(b, rii, d.cons.Point(k))
+			ped += cmatrix.PEDIncrement(b, rii, d.cons.Point(k))
 			d.ops.Nodes++
 			d.ops.RealMuls += int64(4*(d.n-1-i)) + 4
 			d.ops.FLOPs += int64(8*(d.n-1-i)) + 10

@@ -5,44 +5,27 @@ import (
 	"flexcore/internal/constellation"
 )
 
-// Linear is a linear filter-and-slice detector (ZF or MMSE). The paper
-// uses MMSE as the linear baseline (Argos, BigStation, SAM all use linear
-// detection); ZF is included for completeness.
+// Linear is the linear MMSE filter-and-slice detector, the paper's linear
+// baseline (Argos, BigStation and SAM all use linear detection).
 type Linear struct {
 	cons *constellation.Constellation
-	mmse bool
 	w    *cmatrix.Matrix
 	ops  OpCount
 	nt   int
 }
 
-// NewZF returns a zero-forcing detector.
-func NewZF(cons *constellation.Constellation) *Linear {
-	return &Linear{cons: cons, mmse: false}
-}
-
 // NewMMSE returns a linear MMSE detector.
 func NewMMSE(cons *constellation.Constellation) *Linear {
-	return &Linear{cons: cons, mmse: true}
+	return &Linear{cons: cons}
 }
 
 // Name implements Detector.
-func (d *Linear) Name() string {
-	if d.mmse {
-		return "MMSE"
-	}
-	return "ZF"
-}
+func (d *Linear) Name() string { return "MMSE" }
 
-// Prepare computes the linear filter for the channel.
+// Prepare computes the MMSE filter for the channel.
 func (d *Linear) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 	var err error
-	if d.mmse {
-		d.w, err = cmatrix.MMSEFilter(h, sigma2, 1)
-	} else {
-		d.w, err = cmatrix.PseudoInverseZF(h)
-	}
-	if err != nil {
+	if d.w, err = cmatrix.MMSEFilter(h, sigma2, 1); err != nil {
 		return err
 	}
 	d.nt = h.Cols

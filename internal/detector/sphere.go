@@ -78,14 +78,14 @@ func (d *Sphere) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 // enterFrame fills a frame for row i: the interference-cancelled
 // observation and the exact ascending-distance candidate order.
 func (d *Sphere) enterFrame(f *sphereFrame, ybar []complex128, i int, pedBase float64) {
-	f.b = cancel(d.qr.R, ybar, d.sym, i)
+	f.b = cmatrix.CancelRow(d.qr.R, ybar, d.sym, i)
 	f.pedBase = pedBase
 	f.next = 0
 	rii := real(d.qr.R.At(i, i))
 	pts := d.cons.Points()
 	for k, q := range pts {
 		f.order[k] = k
-		f.dists[k] = pedIncrement(f.b, rii, q)
+		f.dists[k] = cmatrix.PEDIncrement(f.b, rii, q)
 	}
 	sort.Sort(&argSort{order: f.order, dists: f.dists})
 	// Per-node cost: (n−1−i) complex MACs for the cancellation and |Q|

@@ -64,7 +64,7 @@ func (d *Trellis) Detect(y []complex128) []int {
 		idx := make([]int, d.n)
 		sym := make([]complex128, d.n)
 		idx[row], sym[row] = k, pts[k]
-		cur[k] = trellisPath{idx: idx, sym: sym, ped: pedIncrement(ybar[row], rii, pts[k])}
+		cur[k] = trellisPath{idx: idx, sym: sym, ped: cmatrix.PEDIncrement(ybar[row], rii, pts[k])}
 		d.ops.RealMuls += 2
 		d.ops.FLOPs += 7
 	}
@@ -76,14 +76,14 @@ func (d *Trellis) Detect(y []complex128) []int {
 		// surviving path.
 		bs := make([]complex128, m)
 		for q := range cur {
-			bs[q] = cancel(d.qr.R, ybar, cur[q].sym, row)
+			bs[q] = cmatrix.CancelRow(d.qr.R, ybar, cur[q].sym, row)
 			d.ops.RealMuls += int64(4 * (d.n - 1 - row))
 		}
 		next := make([]trellisPath, m)
 		for kp := range pts { // next-stage state (PE kp)
 			bestQ, bestPED := -1, 0.0
 			for q := range cur {
-				ped := cur[q].ped + pedIncrement(bs[q], rii, pts[kp])
+				ped := cur[q].ped + cmatrix.PEDIncrement(bs[q], rii, pts[kp])
 				d.ops.RealMuls += 2
 				d.ops.FLOPs += 7
 				if bestQ < 0 || ped < bestPED {

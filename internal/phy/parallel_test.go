@@ -107,7 +107,7 @@ func TestRunFactoryServesSerialPath(t *testing.T) {
 	link := smallLink()
 	cfg := SimConfig{
 		Link: link, SNRdB: 8, Packets: 8, Seed: 605,
-		DetectorFactory: func() detector.Detector { return detector.NewSIC(link.Constellation) },
+		DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
 	}
 	a, err := Run(cfg)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestRunDeterministic(t *testing.T) {
 			SNRdB:           8,
 			Packets:         8,
 			Seed:            313,
-			DetectorFactory: func() detector.Detector { return detector.NewSIC(link.Constellation) },
+			DetectorFactory: func() detector.Detector { return detector.NewMMSE(link.Constellation) },
 		})
 		if err != nil {
 			t.Fatal(err)
