@@ -110,8 +110,11 @@ type FlexCore struct {
 	soa soaState
 
 	// The prepared frame: per-subcarrier slots filled by PrepareAll — or
-	// by Prepare, as one slot — and activated by Select.
+	// by Prepare, as one slot, or by PrepareAt, slot by slot — and
+	// activated by Select. chain is the within-frame chain's base, the
+	// frame's last fresh-prepared slot (−1 for none).
 	frame []prepSlot
+	chain int
 }
 
 // New returns a FlexCore detector. NPE must be ≥ 1.
@@ -214,11 +217,13 @@ func (d *FlexCore) Options() Options { return d.opts }
 
 // Helper returns a new detector that prepares and detects any part of a
 // frame as d would — d's constellation, Options and the path cap in
-// force — so that part can run on another goroutine. Without PathReuse
-// a subcarrier's decisions and counters depend on no other subcarrier,
-// so a frame split over helpers reads as one run by d once Fold has
-// returned their counters. A later SetPathCap on d is not the helper's:
-// cap it too.
+// force — so that part can run on another goroutine. A subcarrier's
+// path set and decisions depend on no other subcarrier, and without
+// PathReuse neither do its counters, so a frame split over helpers
+// (PrepareAt) reads as one run by d once Fold has returned their
+// counters; with PathReuse the hit and miss counts can differ where two
+// subcarriers of a frame share a level key. A later SetPathCap on d is
+// not the helper's: cap it too.
 func (d *FlexCore) Helper() *FlexCore {
 	h := New(d.cons, d.opts)
 	h.npe = d.npe

@@ -64,10 +64,15 @@ func (c *reuseCache) rebase(key []float64) {
 // A prepared frame shares the state's path sets instead of copying
 // them — a hit detects out of the base's storage, a miss searches
 // straight into it — so it is valid only until the state is next
-// prepared against, by any detector, or Reset. A ReuseState must be
-// installed on at most one detector at a time, and hand-offs between
-// detectors must be externally synchronized (the serving layer's
-// per-user FIFO sequencing provides both). A base holds its path set as
+// prepared against, by any detector, or Reset. Slot k is read and
+// written only by the prepare of subcarrier k (and by the later
+// subcarriers of that prepare's own frame that alias it), so the lanes
+// of one frame may install one state and prepare its subcarriers
+// concurrently through PrepareAt, once the state is grown to the frame
+// (Grow). Otherwise a ReuseState must be installed on at most one
+// detector at a time, and hand-offs between detectors must be
+// externally synchronized (the serving layer's per-user FIFO sequencing
+// and the frame's join provide both). A base holds its path set as
 // the descent plan the search wrote, whatever the storing detector's
 // backend, so a state moves between detectors of either Options.Backend
 // (of one constellation: the key is scaled by its d).
@@ -95,9 +100,10 @@ func (st *ReuseState) Reset() {
 	}
 }
 
-// grow extends the state to at least n subcarrier slots; new slots hold
-// no base.
-func (st *ReuseState) grow(n int) {
+// Grow extends the state to at least n subcarrier slots; new slots hold
+// no base. PrepareAll grows the state itself; detectors that prepare one
+// frame's subcarriers concurrently (PrepareAt) need it grown first.
+func (st *ReuseState) Grow(n int) {
 	for len(st.slots) < n {
 		st.slots = append(st.slots, reuseCache{})
 	}
@@ -138,96 +144,178 @@ type prepSlot struct {
 // Scalar Prepare is the one-subcarrier frame, so with PathReuse disabled
 // the results are bit-identical to looping Prepare over the channels.
 // PrepareAll leaves no subcarrier selected: call Select(k) before
-// detecting. The frame is valid until the next Prepare/PrepareAll, or
-// until an installed ReuseState is next prepared against or Reset.
+// detecting. The frame is valid until the next Prepare/PrepareAll/
+// PrepareAt, or until an installed ReuseState is next prepared against
+// or Reset.
 //
 //flexcore:noalloc
 func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	return d.prepareFrame(hs, sigma2, d.extReuse)
 }
 
-// prepareFrame is the one reuse-aware prepare: PrepareAll runs it against
-// the installed ReuseState (nil for none), scalar Prepare against the
-// detector's own one-slot state. Slot k of st is written only at
-// iteration k and read only by the frame slots ≥ k that alias it.
+// PrepareAt prepares subcarrier k of the frame hs, and only it, into
+// slot i of the prepared frame: the way one lane of a frame split by
+// subcarrier prepares the subcarriers it claims, in increasing k (phy's
+// FrameDetector; without PathReuse it may prepare each into slot 0).
+// Slot 0 starts a new prepared frame; slot i > 0 extends
+// the one slots 0…i−1 hold, and with Options.PathReuse its within-frame
+// chain compares against the last of them that was fresh-prepared — the
+// lane's own, not subcarrier k−1. A subcarrier's path set is a function
+// of its level key alone, so that changes no path set and no decision,
+// only which subcarriers count as hits: two subcarriers of one frame
+// with equal keys on different lanes both search.
+//
+// With a ReuseState installed, slot k of the state serves and stores
+// subcarrier k, exactly as under PrepareAll, and no other slot is read or
+// written: detectors preparing distinct subcarriers of one frame against
+// one state may run concurrently. The state must already hold len(hs)
+// slots (ReuseState.Grow), grown before those detectors start. Like
+// PrepareAll, PrepareAt selects nothing; the slots stay valid until the
+// next Prepare/PrepareAll or slot-0 PrepareAt.
 //
 //flexcore:noalloc
-func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseState) error {
-	nr, n, err := validateFrameGeometry(hs)
+func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) error {
+	if k < 0 || k >= len(hs) || i < 0 || (i > 0 && (i != len(d.frame) || i >= cap(d.frame))) {
+		return errSlot(len(hs), k, i, len(d.frame))
+	}
+	_, n, err := validateFrameGeometry(hs[k : k+1])
 	if err != nil {
 		return err
 	}
-	d.n = n
-	d.ensureScratch()
-	if cap(d.frame) < len(hs) {
-		grown := make([]prepSlot, len(hs))
-		copy(grown, d.frame[:cap(d.frame)]) // keep the arenas already grown in old slots, beyond the last frame's too
-		d.frame = grown
+	st := d.reuseState(d.extReuse)
+	if st != nil && len(st.slots) < len(hs) {
+		return errShortState(len(st.slots), len(hs))
 	}
+	if i == 0 {
+		d.startFrame(n, len(hs))
+	}
+	d.frame = d.frame[:i+1]
+	d.prepareSlot(i, k, hs[k], sigma2, st)
+	d.ppOps.CumulativeProb = d.frame[i].set.total()
+	return nil
+}
+
+// errSlot is PrepareAt's cold error for a slot out of order or a
+// subcarrier outside the frame.
+func errSlot(frame, k, i, prepared int) error {
+	return fmt.Errorf("core: PrepareAt(k=%d, i=%d) outside a %d-subcarrier frame with %d slots prepared", k, i, frame, prepared)
+}
+
+// errShortState is PrepareAt's cold error for a ReuseState not grown to
+// the frame.
+func errShortState(slots, frame int) error {
+	return fmt.Errorf("core: PrepareAt needs a ReuseState grown to the frame's %d subcarriers, it holds %d", frame, slots)
+}
+
+// prepareFrame is the one reuse-aware prepare: PrepareAll runs it against
+// the installed ReuseState (nil for none), scalar Prepare against the
+// detector's own one-slot state.
+//
+//flexcore:noalloc
+func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseState) error {
+	_, n, err := validateFrameGeometry(hs)
+	if err != nil {
+		return err
+	}
+	st = d.reuseState(st)
+	if st != nil {
+		st.Grow(len(hs))
+	}
+	d.startFrame(n, len(hs))
 	d.frame = d.frame[:len(hs)]
-
-	reuse := d.opts.PathReuse
-	if reuse && st != nil {
-		st.grow(len(hs))
-	} else {
-		st = nil
-	}
-	base := -1 // last fresh-prepared subcarrier of this frame
-	for k := range d.frame {
-		s := &d.frame[k]
-		d.qrws.SortedQRInto(hs[k], cmatrix.OrderSQRD, &s.qr)
-		s.key = levelKey(s.key, s.qr.R, sigma2, d.cons)
-
-		var own *reuseCache // the subcarrier's cross-frame base
-		dst := &s.own       // where a search emits: in place into that base when there is one
-		stHit := false
-		if st != nil {
-			own = &st.slots[k]
-			dst = &own.pathStore
-			stHit = own.valid && own.covers(d.npe) && sameKey(own.key, s.key)
-		}
-		chainHit := reuse && !stHit && base >= 0 && sameKey(d.frame[base].key, s.key)
-
-		switch {
-		case stHit:
-			// Alias the base — or, under a path cap below its size, copy its
-			// first paths: the base stays whole for the uncapped frames after.
-			s.set = dst
-			if d.npe < dst.count() {
-				s.own.copyFrom(dst, d.npe)
-				s.set = &s.own
-			}
-			d.ppOps.CacheHits++
-		case chainHit:
-			s.set = d.frame[base].set
-			if own != nil {
-				own.copyFrom(s.set, s.set.count())
-			}
-			d.ppOps.CacheHits++
-		default:
-			base = k
-			s.set = dst
-			s.model.fromKey(s.key, d.cons)
-			stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst)
-			d.ppOps.RealMuls += stats.RealMuls
-			d.ppOps.Expanded += stats.Expanded
-			if reuse {
-				d.ppOps.CacheMisses++
-			}
-		}
-		// Key the cross-frame base on what it now holds; a subcarrier that
-		// hit it keeps it untouched.
-		if own != nil && !stHit {
-			own.rebase(s.key)
-		}
-
-		d.ops.Prepares++
-		muls := int64(4 * nr * n * n)
-		d.ops.RealMuls += muls
-		d.ops.FLOPs += 2 * muls
+	for k, h := range hs {
+		d.prepareSlot(k, k, h, sigma2, st)
 	}
 	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.total()
 	return nil
+}
+
+// reuseState returns st when PathReuse keys a search by it, else nil.
+//
+//flexcore:noalloc
+func (d *FlexCore) reuseState(st *ReuseState) *ReuseState {
+	if !d.opts.PathReuse {
+		return nil
+	}
+	return st
+}
+
+// startFrame begins a prepared frame of n streams with room for slots
+// subcarrier slots and an empty within-frame chain. Growing keeps the
+// arenas already grown in old slots, beyond the last frame's too; no
+// slot of the new frame is prepared yet, so nothing points into the old
+// array.
+//
+//flexcore:noalloc
+func (d *FlexCore) startFrame(n, slots int) {
+	d.n = n
+	d.ensureScratch()
+	if cap(d.frame) < slots {
+		grown := make([]prepSlot, slots)
+		copy(grown, d.frame[:cap(d.frame)])
+		d.frame = grown
+	}
+	d.frame = d.frame[:0]
+	d.chain = -1
+}
+
+// prepareSlot prepares subcarrier k, channel h, into slot i of the frame
+// against slot k of st (nil for none). Slot k of st is written only here
+// and read only by this frame's later slots that alias it.
+//
+//flexcore:noalloc
+func (d *FlexCore) prepareSlot(i, k int, h *cmatrix.Matrix, sigma2 float64, st *ReuseState) {
+	s := &d.frame[i]
+	d.qrws.SortedQRInto(h, cmatrix.OrderSQRD, &s.qr)
+	s.key = levelKey(s.key, s.qr.R, sigma2, d.cons)
+
+	var own *reuseCache // the subcarrier's cross-frame base
+	dst := &s.own       // where a search emits: in place into that base when there is one
+	stHit := false
+	if st != nil {
+		own = &st.slots[k]
+		dst = &own.pathStore
+		stHit = own.valid && own.covers(d.npe) && sameKey(own.key, s.key)
+	}
+	chainHit := d.opts.PathReuse && !stHit && d.chain >= 0 && sameKey(d.frame[d.chain].key, s.key)
+
+	switch {
+	case stHit:
+		// Alias the base — or, under a path cap below its size, copy its
+		// first paths: the base stays whole for the uncapped frames after.
+		s.set = dst
+		if d.npe < dst.count() {
+			s.own.copyFrom(dst, d.npe)
+			s.set = &s.own
+		}
+		d.ppOps.CacheHits++
+	case chainHit:
+		s.set = d.frame[d.chain].set
+		if own != nil {
+			own.copyFrom(s.set, s.set.count())
+		}
+		d.ppOps.CacheHits++
+	default:
+		d.chain = i
+		s.set = dst
+		s.model.fromKey(s.key, d.cons)
+		stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst)
+		d.ppOps.RealMuls += stats.RealMuls
+		d.ppOps.Expanded += stats.Expanded
+		if d.opts.PathReuse {
+			d.ppOps.CacheMisses++
+		}
+	}
+	// Key the cross-frame base on what it now holds; a subcarrier that
+	// hit it keeps it untouched.
+	if own != nil && !stHit {
+		own.rebase(s.key)
+	}
+
+	d.ops.Prepares++
+	muls := int64(4 * h.Rows * d.n * d.n)
+	d.ops.RealMuls += muls
+	d.ops.FLOPs += 2 * muls
 }
 
 // validateFrameGeometry checks that a PrepareAll frame is non-empty and

@@ -432,3 +432,125 @@ func TestReuseStateHitsOnEqualKey(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareAt: preparing a frame slot by slot with PrepareAt, k = i in
+// order, is PrepareAll — path sets, decisions, counters and the
+// ReuseState after each frame — and splitting the claims between two
+// helpers (odd and even k) against one state changes no path set and no
+// base, only which prepares hit: each helper's chain runs over its own
+// claims. A slot out of order, a subcarrier outside the frame and a
+// state not grown to the frame are errors.
+func TestPrepareAt(t *testing.T) {
+	cons := constellation.MustNew(16)
+	const nr, nt, nSC = 5, 4, 8
+	sigma2 := channel.Sigma2FromSNRdB(16, 1)
+	hs := frameChannels(91, nr, nt, nSC)
+	for k := 1; k < nSC; k += 2 {
+		hs[k] = hs[k-1] // shared keys: in order, the within-frame chain hits every odd k
+	}
+	rng := newRng(92)
+	ys := make([][]complex128, nSC)
+	for k := range ys {
+		ys[k] = transmit(rng, hs[k], cons, randSymbols(rng, cons, nt), sigma2)
+	}
+	opts := Options{NPE: 24, PathReuse: true}
+	// bases reads every slot of st as a probe prepared against it: each
+	// is a hit, and hits leave the state as it was.
+	bases := func(st *ReuseState) [][]Path {
+		probe := New(cons, opts)
+		probe.SetReuseState(st)
+		if err := probe.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+		if hits := probe.PreprocessStats().CacheHits; hits != nSC {
+			t.Fatalf("probe: %d of %d subcarriers hit the state", hits, nSC)
+		}
+		out := make([][]Path, nSC)
+		for k := range out {
+			if err := probe.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			out[k] = clonePaths(probe.Paths())
+		}
+		return out
+	}
+
+	all := New(cons, opts)
+	var allSt ReuseState
+	all.SetReuseState(&allSt)
+	at := New(cons, opts)
+	var atSt ReuseState
+	at.SetReuseState(&atSt)
+	halves := [2]*FlexCore{New(cons, opts), New(cons, opts)}
+	var splitSt ReuseState
+	for _, h := range halves {
+		h.SetReuseState(&splitSt)
+	}
+	for f := 0; f < 2; f++ { // the second frame re-sends the first: every subcarrier hits the state
+		want := detectFrame(t, all, hs, ys, sigma2)
+		wantPaths := make([][]Path, nSC)
+		for k := range hs {
+			if err := all.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			wantPaths[k] = clonePaths(all.Paths())
+		}
+
+		atSt.Grow(nSC)
+		splitSt.Grow(nSC)
+		for k := range hs {
+			if err := at.PrepareAt(hs, k, k, sigma2); err != nil {
+				t.Fatal(err)
+			}
+			h := halves[k%2]
+			if err := h.PrepareAt(hs, k, k/2, sigma2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := range hs {
+			for _, c := range []struct {
+				d    *FlexCore
+				slot int
+			}{{at, k}, {halves[k%2], k / 2}} {
+				if err := c.d.Select(c.slot); err != nil {
+					t.Fatal(err)
+				}
+				if got := c.d.Detect(ys[k]); !equalInts(got, want[k]) || !samePaths(c.d.Paths(), wantPaths[k]) {
+					t.Fatalf("frame %d subcarrier %d: PrepareAt's path set or decision differs from PrepareAll's", f, k)
+				}
+			}
+		}
+		if at.PreprocessStats() != all.PreprocessStats() || at.OpCount() != all.OpCount() {
+			t.Fatalf("frame %d: PrepareAt counters %+v %+v, PrepareAll %+v %+v", f, at.PreprocessStats(), at.OpCount(), all.PreprocessStats(), all.OpCount())
+		}
+		wantBases := bases(&allSt)
+		for name, st := range map[string]*ReuseState{"in order": &atSt, "split": &splitSt} {
+			for k, b := range bases(st) {
+				if !samePaths(b, wantBases[k]) {
+					t.Fatalf("frame %d, %s: the state's base %d differs from PrepareAll's", f, name, k)
+				}
+			}
+		}
+	}
+	pp := all.PreprocessStats()
+	split := halves[0].PreprocessStats()
+	split.Add(halves[1].PreprocessStats())
+	if split.CacheHits+split.CacheMisses != pp.CacheHits+pp.CacheMisses {
+		t.Fatalf("split: %d hits + %d misses, PrepareAll %d + %d", split.CacheHits, split.CacheMisses, pp.CacheHits, pp.CacheMisses)
+	}
+
+	if err := at.PrepareAt(hs, 0, 0, sigma2); err != nil {
+		t.Fatal(err)
+	}
+	if err := at.PrepareAt(hs, 1, 2, sigma2); err == nil {
+		t.Fatal("slot 2 prepared after slot 0 alone")
+	}
+	if err := at.PrepareAt(hs, nSC, 1, sigma2); err == nil {
+		t.Fatal("a subcarrier past the frame prepared")
+	}
+	var short ReuseState
+	at.SetReuseState(&short)
+	if err := at.PrepareAt(hs, 0, 0, sigma2); err == nil {
+		t.Fatal("prepared against a state not grown to the frame")
+	}
+}

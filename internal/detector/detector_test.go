@@ -3,6 +3,7 @@ package detector
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"flexcore/internal/channel"
@@ -193,6 +194,35 @@ func TestFCSDNumPaths(t *testing.T) {
 	f := NewFCSD(cons, 5)
 	if err := f.Prepare(cmatrix.Identity(4), 0.1); err == nil {
 		t.Fatal("L > Nt accepted")
+	}
+}
+
+// TestFCSDOrdering pins FCSD's channel ordering: Prepare factors the
+// channel with SortedQRFCSD — the fully expanded levels take the weakest
+// streams — not with the SQRD ordering FlexCore and ML use, which
+// decides a different stream order on some channels and moves FCSD's
+// error rate (DESIGN.md §5).
+func TestFCSDOrdering(t *testing.T) {
+	cons := constellation.MustNew(16)
+	rng := newRng(4610)
+	differs := 0
+	for trial := 0; trial < 20; trial++ {
+		h := channel.Rayleigh(rng, 6, 4)
+		for _, l := range []int{0, 1, 2} {
+			f := NewFCSD(cons, l)
+			if err := f.Prepare(h, 0.1); err != nil {
+				t.Fatal(err)
+			}
+			if want := cmatrix.SortedQRFCSD(h, l).Perm; !slices.Equal(f.qr.Perm, want) {
+				t.Fatalf("trial %d, L=%d: FCSD ordered the streams %v, SortedQRFCSD %v", trial, l, f.qr.Perm, want)
+			}
+			if !slices.Equal(f.qr.Perm, cmatrix.SortedQR(h, cmatrix.OrderSQRD).Perm) {
+				differs++
+			}
+		}
+	}
+	if differs == 0 {
+		t.Fatal("FCSD's ordering equals SQRD's on every channel: the test cannot tell them apart")
 	}
 }
 

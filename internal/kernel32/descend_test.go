@@ -10,6 +10,13 @@ import (
 	"flexcore/internal/constellation"
 )
 
+// at returns R(i, j), i ≤ j, from the column-major plane as real and
+// imaginary parts.
+func (pr *Prep) at(i, j int) (re, im float32) {
+	r := pr.R[j*pr.N+i]
+	return r.re, r.im
+}
+
 // refLanes is the reference the trie descent is pinned to: every lane
 // walks the whole tree on its own, one scalar level at a time, slicing
 // through Slicer32.Kth / KthClamped. It cancels the decided symbols in
@@ -29,7 +36,7 @@ func refLanes(pr *Prep, sl *Slicer32, P int, ranks []int16, yb []c32, strict boo
 		for i := n - 1; i >= 0; i-- {
 			br, bi := yb[i].re, yb[i].im
 			for j := n - 1; j > i; j-- {
-				rr, ri := pr.Rre[i*n+j], pr.Rim[i*n+j]
+				rr, ri := pr.at(i, j)
 				br -= rr*symre[j] - ri*symim[j]
 				bi -= rr*symim[j] + ri*symre[j]
 			}
@@ -352,8 +359,9 @@ func TestDescendBoundLane(t *testing.T) {
 		var re, im float32
 		for j := i; j < n; j++ {
 			xr, xi := sl.Point(int32(5 + j%2))
-			re += pr.Rre[i*n+j]*xr - pr.Rim[i*n+j]*xi
-			im += pr.Rre[i*n+j]*xi + pr.Rim[i*n+j]*xr
+			rr, ri := pr.at(i, j)
+			re += rr*xr - ri*xi
+			im += rr*xi + ri*xr
 		}
 		s.yb[i] = c32{re + float32(rng.NormFloat64())/50, im + float32(rng.NormFloat64())/50}
 	}

@@ -173,15 +173,16 @@ walk:
 				continue
 			}
 			// Step down — to the first child, the node's own lane one level
-			// lower — and push the symbol into the rows below, one contiguous
-			// run gathering the column of R.
+			// lower — and push the symbol into the rows below: three
+			// contiguous runs, the parent's rows, the child's and column j of
+			// R above the diagonal.
 			stack[t].at, stack[t].ped = q, d
 			src := u[(t-1)*n : (t-1)*n+j]
 			dst := u[t*n : t*n+j]
+			col := pr.R[j*n : j*n+j]
 			for l := range dst {
-				rr, ri := pr.Rre[l*n+j], pr.Rim[l*n+j]
-				pv := src[l]
-				dst[l] = c32{pv.re - (rr*pt.re - ri*pt.im), pv.im - (rr*pt.im + ri*pt.re)}
+				r, pv := col[l], src[l]
+				dst[l] = c32{pv.re - (r.re*pt.re - r.im*pt.im), pv.im - (r.re*pt.im + r.im*pt.re)}
 			}
 			continue walk
 		}

@@ -14,9 +14,13 @@ import (
 type Prep struct {
 	N int // tree levels (streams)
 
-	Rre, Rim []float32 // N×N row-major; entries below the diagonal unused
-	Rii      []float32 // real diagonal of R, value units
-	W        []float32 // per-level (1/Rii)·(1/scale): b·W is z in half-distance units
+	// R's upper triangle, column-major: R(l, j) at j·N+l for l ≤ j, so
+	// the column a decided symbol at level j is cancelled through, rows
+	// 0…j−1, is one contiguous run at j·N. Entries below the diagonal are
+	// unused.
+	R   []c32
+	Rii []float32 // real diagonal of R, value units
+	W   []float32 // per-level (1/Rii)·(1/scale): b·W is z in half-distance units
 
 	// Plan is the path set Descend walks. An owner of path sets
 	// (internal/core) points it at a plan it built when it searched the
@@ -41,23 +45,20 @@ type Prep struct {
 //flexcore:noalloc
 func (pr *Prep) SetChannel(r *cmatrix.Matrix, invScale float64) {
 	n := r.Cols
-	if cap(pr.Rre) < n*n {
-		pr.Rre = make([]float32, n*n)
-		pr.Rim = make([]float32, n*n)
+	if cap(pr.R) < n*n {
+		pr.R = make([]c32, n*n)
 		pr.Rii = make([]float32, n)
 		pr.W = make([]float32, n)
 	}
 	pr.N = n
-	pr.Rre = pr.Rre[:n*n]
-	pr.Rim = pr.Rim[:n*n]
+	pr.R = pr.R[:n*n]
 	pr.Rii = pr.Rii[:n]
 	pr.W = pr.W[:n]
 	pr.Degenerate = false
 	for i := 0; i < n; i++ {
 		row := r.Data[i*r.Cols : i*r.Cols+n]
 		for j := i; j < n; j++ {
-			pr.Rre[i*n+j] = float32(real(row[j]))
-			pr.Rim[i*n+j] = float32(imag(row[j]))
+			pr.R[j*n+i] = c32{float32(real(row[j])), float32(imag(row[j]))}
 		}
 		rii := real(row[i])
 		pr.Rii[i] = float32(rii)

@@ -24,9 +24,9 @@ import (
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
-// DetectFrame may itself run a frame on more than one core (DESIGN.md
-// §8): over a FlexCore without PathReuse its lanes — the caller and
-// helper goroutines, each with a detector of its own — claim the
+// DetectFrame and DetectFrameSoft may themselves run a frame on more
+// than one core (DESIGN.md §8): over a FlexCore its lanes — the caller
+// and helper goroutines, each with a detector of its own — claim the
 // subcarriers one at a time.
 type FrameDetector struct {
 	det   detector.Detector
@@ -39,10 +39,12 @@ type FrameDetector struct {
 	activeSum float64
 	activeN   int64
 
-	// lead is the wrapped detector when it is a FlexCore without
-	// PathReuse — its subcarriers depend on no other subcarrier, so a hard
-	// frame may run on several lanes: own on the caller, lanes[i] on a
-	// helper goroutine, each over a helper of lead made on first need.
+	st *core.ReuseState // the installed ReuseState, which the lanes prepare against too
+
+	// lead is the wrapped detector when it is a FlexCore — a
+	// subcarrier's path set and decisions depend on no other subcarrier,
+	// so a frame may run on several lanes: own on the caller, lanes[i] on
+	// a helper goroutine, each over a helper of lead made on first need.
 	// They claim the subcarriers of claimed from next; wg joins the
 	// helpers.
 	lead    *core.FlexCore
@@ -51,6 +53,7 @@ type FrameDetector struct {
 	wg      sync.WaitGroup
 	claimed []*cmatrix.Matrix
 	burst   func(k int) [][]complex128
+	soft    bool         // the claimed frame is DetectFrameSoft's
 	next    atomic.Int64 // claimed's next unclaimed subcarrier
 }
 
@@ -59,6 +62,7 @@ type FrameDetector struct {
 // (*core.FlexCore, or a type embedding one) or none.
 type flexCore interface {
 	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
+	PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) error
 	Select(k int) error
 	ActivePaths() int
 	PreprocessStats() core.PreprocessStats
@@ -77,15 +81,14 @@ var (
 func NewFrameDetector(d detector.Detector) *FrameDetector {
 	f := &FrameDetector{det: d, batch: detector.Batch(d)}
 	f.fc, _ = d.(flexCore)
-	if c, ok := d.(*core.FlexCore); ok && !c.Options().PathReuse {
-		f.lead = c
-	}
+	f.lead, _ = d.(*core.FlexCore)
 	return f
 }
 
 // SetReuseState installs st as the wrapped detector's cross-frame
-// coherence base for the next DetectFrame calls (nil removes it) and
-// reports whether the detector supports external reuse keying.
+// coherence base for the next DetectFrame and DetectFrameSoft calls, and
+// its lanes' (nil removes it), and reports whether the detector supports
+// external reuse keying.
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
@@ -93,6 +96,7 @@ func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
 		return false
 	}
 	f.fc.SetReuseState(st)
+	f.st = st
 	return true
 }
 
@@ -166,19 +170,24 @@ func (f *FrameDetector) selectK(k int) error {
 // stream results without any intermediate per-frame decision buffer,
 // keeping the steady-state loop allocation-free.
 //
-// Over a FlexCore without PathReuse, a frame of K ≥ 2 subcarriers runs
+// Over a FlexCore, PathReuse or not, a frame of K ≥ 2 subcarriers runs
 // on L = min(K, GOMAXPROCS − busy) lanes, and at least one, busy being
 // the cores the process's other frames hold — one per frame in flight
 // plus one per helper lane it runs (DESIGN.md §8). Every lane, the
-// caller's included, claims the next subcarrier until none is left.
-// Decisions, emit order, errors and every counter are those of the
-// one-lane run, and emit runs only on the caller's goroutine, in
-// increasing k (on several lanes, once they are joined). burst(k) may run
-// on a helper goroutine, concurrently with other burst calls: it must
-// only read data that stays unchanged for the call, as returning a
-// slice of the frame does. A helper outlives its last frame by at most
-// one linger, and only while the process runs no more goroutines than
-// it has Ps; it touches no frame state after the join.
+// caller's included, claims the next subcarrier until none is left, and
+// prepares it against that subcarrier's slot of the installed
+// ReuseState. Decisions, path sets, emit order, errors, the ReuseState
+// after the frame and every counter are those of the one-lane run — but
+// for the PathReuse hit and miss counts (and the searches' work) of a
+// frame in which two subcarriers share a level key, since a lane's
+// within-frame chain runs over its own claims. emit runs only on the
+// caller's goroutine, in increasing k (on several lanes, once they are
+// joined). burst(k) may run on a helper goroutine, concurrently with
+// other burst calls: it must only read data that stays unchanged for the
+// call, as returning a slice of the frame does. A helper outlives its
+// last frame by at most one linger, and only while the process runs no
+// more goroutines than it has Ps; it touches no frame state after the
+// join.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k int, decisions [][]int)) error {
@@ -189,7 +198,9 @@ func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst 
 // subcarrier k goes through FlexCore's DetectSoft, and emit(k, s, got,
 // llrs) must consume its decisions and per-bit LLRs before returning.
 // Any other detector is an error, before anything is prepared. A soft
-// frame runs on one lane, the caller.
+// frame runs on lanes as a hard one does: each lane keeps its vectors'
+// decisions and LLRs until the join, and emit sees them in increasing k,
+// then s, with the one-lane run's bits.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrameSoft(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k, s int, got []int, llrs [][]float64)) error {
@@ -222,27 +233,22 @@ func reserveCores(want int) int {
 
 // detectFrame is the one frame loop. A one-lane frame runs on the
 // wrapped detector, emitting as it goes; a frame on L ≥ 2 lanes is
-// claimFrame's.
+// claimFrame's. Exactly one of hard and soft is set.
 //
 //flexcore:noalloc
 func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
-	want := 1
-	if hard != nil {
-		want = f.maxLanes(hs)
-	}
-	lanes := reserveCores(want)
+	lanes := reserveCores(f.maxLanes(hs))
 	defer coresInUse.Add(-int64(lanes))
 	if lanes == 1 {
-		return f.stripe(hs, 0, sigma2, burst, hard, soft)
+		return f.stripe(hs, sigma2, burst, hard, soft)
 	}
-	return f.claimFrame(hs, sigma2, burst, hard, lanes)
+	return f.claimFrame(hs, sigma2, burst, hard, soft, lanes)
 }
 
-// maxLanes returns how many lanes a hard frame may run on: one unless
-// the wrapped detector is a FlexCore without PathReuse and the frame
-// has two or more subcarriers of one valid geometry (any other frame
-// gets the wrapped detector's own error, nothing emitted), else one per
-// subcarrier.
+// maxLanes returns how many lanes a frame may run on: one unless the
+// wrapped detector is a FlexCore and the frame has two or more
+// subcarriers of one valid geometry (any other frame gets the wrapped
+// detector's own error, nothing emitted), else one per subcarrier.
 //
 //flexcore:noalloc
 func (f *FrameDetector) maxLanes(hs []*cmatrix.Matrix) int {
@@ -257,51 +263,66 @@ func (f *FrameDetector) maxLanes(hs []*cmatrix.Matrix) int {
 	return len(hs)
 }
 
-// stripe prepares hs — subcarriers lo… of a frame — and detects them in
-// order: per subcarrier selectK and the burst's detection, one
-// DetectBatch when hard is set, else one DetectSoft per vector.
+// stripe prepares the frame hs on the wrapped detector and detects its
+// subcarriers in order, emitting as it goes.
 //
 //flexcore:noalloc
-func (f *FrameDetector) stripe(hs []*cmatrix.Matrix, lo int, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
+func (f *FrameDetector) stripe(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
 	if err := f.prepareAll(hs, sigma2); err != nil {
 		return err
 	}
-	for i := range hs {
-		if err := f.selectK(i); err != nil {
+	for k := range hs {
+		if err := f.selectK(k); err != nil {
 			return err
 		}
-		k := lo + i
-		if hard != nil {
-			hard(k, f.batch.DetectBatch(burst(k)))
-			continue
-		}
-		for s, y := range burst(k) {
-			got, llrs := f.fc.DetectSoft(y, sigma2)
-			soft(k, s, got, llrs)
-		}
+		f.detect(k, sigma2, burst, hard, soft)
 	}
 	return nil
 }
 
-// claimFrame runs a hard frame on n lanes: it hands the frame to helper
-// lanes 0…n−2, claims subcarriers on its own lane until none is left,
-// joins the helpers, emits every lane's decisions in increasing k up to
-// the lowest failed claim and folds the lanes' counters into the
-// wrapped detector. The error is that claim's, after exactly the
-// subcarriers below it were emitted.
+// detect detects subcarrier k's burst on the selected subcarrier: one
+// DetectBatch when hard is set, else one DetectSoft per vector.
 //
 //flexcore:noalloc
-func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), n int) error {
+func (f *FrameDetector) detect(k int, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) {
+	if hard != nil {
+		hard(k, f.batch.DetectBatch(burst(k)))
+		return
+	}
+	for s, y := range burst(k) {
+		got, llrs := f.fc.DetectSoft(y, sigma2)
+		soft(k, s, got, llrs)
+	}
+}
+
+// claimFrame runs a frame on n lanes: it grows the installed ReuseState
+// to the frame, hands the frame to helper lanes 0…n−2, claims
+// subcarriers on its own lane until none is left, takes back every
+// hand-off whose goroutine has not started, joins the helpers, emits
+// every lane's results in increasing k up to the lowest failed claim and
+// folds the lanes' counters into the wrapped detector. The error is that
+// claim's, after exactly the subcarriers below it were emitted.
+//
+//flexcore:noalloc
+func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64), n int) error {
 	if f.own == nil {
 		f.own = newLane(f)
 	}
-	f.claimed, f.sigma2, f.burst = hs, sigma2, burst
+	if f.st != nil && f.lead.Options().PathReuse {
+		f.st.Grow(len(hs)) // before any hand-off: the lanes then only index it
+	}
+	f.claimed, f.sigma2, f.burst, f.soft = hs, sigma2, burst, soft != nil
 	f.next.Store(0)
 	for i := range n - 1 {
 		f.handOff(i)
 	}
 	f.own.reset()
 	f.own.claim()
+	for _, l := range f.lanes[:n-1] {
+		if l.state.CompareAndSwap(laneQueued, laneStale) {
+			f.wg.Done() // taken back: its goroutine has not started, and nothing is left to claim
+		}
+	}
 	for _, l := range f.lanes[:n-1] {
 		for l.state.Load() == laneWork && alone() {
 			runtime.Gosched()
@@ -319,7 +340,7 @@ func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst f
 	}
 	for k := range end {
 		i := 0 // the lane that claimed k emits it
-		for !f.lane(i).emit(k, hard) {
+		for !f.lane(i).emit(k, hard, soft) {
 			i++
 		}
 	}
@@ -352,7 +373,9 @@ func (f *FrameDetector) lane(i int) *lane {
 
 // handOff hands the frame to helper lane i, making the lane on first
 // need: a lane whose goroutine still lingers takes it with one
-// compare-and-swap, any other gets a goroutine started for it.
+// compare-and-swap, so does one a taken-back hand-off left queued for a
+// goroutine that has not started yet, and any other gets a goroutine
+// started for it.
 func (f *FrameDetector) handOff(i int) {
 	if i == len(f.lanes) {
 		l := newLane(f)
@@ -363,15 +386,16 @@ func (f *FrameDetector) handOff(i int) {
 	l := f.lanes[i]
 	l.reset()
 	f.wg.Add(1)
-	if l.state.CompareAndSwap(laneIdle, laneWork) {
+	if l.state.CompareAndSwap(laneIdle, laneWork) || l.state.CompareAndSwap(laneStale, laneQueued) {
 		return
 	}
-	l.state.Store(laneWork)
+	l.state.Store(laneQueued)
 	go runLane()
 	laneQ <- l
 }
 
-// fold returns a joined lane's counters to the wrapped detector.
+// fold returns a joined lane's counters to the wrapped detector and
+// drops its reference to the frame's ReuseState.
 //
 //flexcore:noalloc
 func (f *FrameDetector) fold(l *lane) {
@@ -379,6 +403,7 @@ func (f *FrameDetector) fold(l *lane) {
 	f.activeSum += l.fd.activeSum
 	f.activeN += l.fd.activeN
 	l.fd.activeSum, l.fd.activeN = 0, 0
+	l.fd.fc.SetReuseState(nil)
 	l.err = nil
 }
 
@@ -391,11 +416,17 @@ func (f *FrameDetector) fold(l *lane) {
 // runLane to take one.
 var laneQ = make(chan *lane, 64)
 
-// A helper lane's state: laneWork from its hand-off until its goroutine
-// has run out of claims, then laneIdle while that goroutine lingers, and
-// laneGone once it has exited.
+// A helper lane's state. A hand-off that starts a goroutine makes it
+// laneQueued until that goroutine starts (laneWork), or until the
+// caller, out of claims first, takes the hand-off back (laneStale: the
+// goroutine, once it starts, finds nothing to do and exits, laneGone,
+// unless the next hand-off has made the lane laneQueued again). A
+// goroutine that has run out of claims lingers in laneIdle, where a
+// hand-off makes the lane laneWork directly, and leaves it laneGone.
 const (
 	laneGone int32 = iota
+	laneQueued
+	laneStale
 	laneWork
 	laneIdle
 )
@@ -420,11 +451,16 @@ func alone() bool {
 	return runtime.NumGoroutine() <= runtime.GOMAXPROCS(0)
 }
 
-// runLane serves a handed-off lane: it claims the frame's subcarriers,
-// marks its part done and lingers for the lane's next hand-off, until a
-// linger passes without one.
+// runLane serves a handed-off lane: unless the hand-off was taken back,
+// it claims the frame's subcarriers, marks its part done and lingers for
+// the lane's next hand-off, until a linger passes without one.
 func runLane() {
 	l := <-laneQ
+	for !l.state.CompareAndSwap(laneQueued, laneWork) {
+		if l.state.CompareAndSwap(laneStale, laneGone) {
+			return
+		}
+	}
 	for {
 		l.claim()
 		l.state.Store(laneIdle)
@@ -463,40 +499,46 @@ func (l *lane) await() bool {
 
 // lane is one lane of a frame: a FrameDetector over a helper of the
 // wrapped FlexCore (SetPathCap caps both), the subcarriers it claimed,
-// in increasing k, and their decisions, kept in lane-owned arenas
-// (grown to their high-water mark) until the caller emits them after
-// the join.
+// in increasing k, and their results — decisions, and a soft frame's
+// LLRs — kept in lane-owned arenas (grown to their high-water mark)
+// until the caller emits them after the join.
 type lane struct {
-	owner *FrameDetector
-	fd    *FrameDetector                 // over the helper detector, fd.lead
-	keep  func(k int, decisions [][]int) // l.store, bound once: a method value made per frame allocates
-	state atomic.Int32                   // a helper lane's laneGone, laneWork or laneIdle
-	timer *time.Timer                    // a helper's linger
+	owner    *FrameDetector
+	fd       *FrameDetector                              // over the helper detector, fd.lead
+	keep     func(k int, decisions [][]int)              // l.store, bound once: a method value made per frame allocates
+	keepSoft func(k, s int, got []int, llrs [][]float64) // l.storeSoft, likewise
+	state    atomic.Int32                                // a helper lane's laneGone, laneQueued, laneStale, laneWork or laneIdle
+	timer    *time.Timer                                 // a helper's linger
+	chain    bool                                        // PathReuse: claim i is prepared into slot i, for the within-frame chain
 
 	err  error // the failed claim's, which ended the lane's claims
 	errK int
 
-	ks  []int   // the claimed subcarriers
-	buf []int   // their decisions, vector after vector
-	at  []int   // at[i]: vectors kept before ks[i]; one more entry than ks
-	hdr [][]int // per-vector views into buf, built by views
-	cur int     // ks[cur] is the next subcarrier emit hands over
+	ks   []int       // the claimed subcarriers; with chain, ks[i] is the helper's prepared slot i
+	buf  []int       // their decisions, vector after vector
+	lbuf []float64   // a soft frame's LLRs, vector after vector, stream-major
+	at   []int       // at[i]: vectors kept before ks[i]; one more entry than ks, the last counting every vector kept
+	hdr  [][]int     // per-vector views into buf, built by views
+	rows [][]float64 // per-vector, per-stream views into lbuf, built by views
+	cur  int         // ks[cur] is the next subcarrier emit hands over
 }
 
 func newLane(owner *FrameDetector) *lane {
-	l := &lane{owner: owner, fd: NewFrameDetector(owner.lead.Helper())}
-	l.keep = l.store
+	l := &lane{owner: owner, fd: NewFrameDetector(owner.lead.Helper()), chain: owner.lead.Options().PathReuse}
+	l.keep, l.keepSoft = l.store, l.storeSoft
 	return l
 }
 
-// reset empties the lane for the next frame.
+// reset empties the lane for the next frame and installs the owner's
+// ReuseState on its detector.
 func (l *lane) reset() {
-	l.ks, l.buf, l.at = l.ks[:0], l.buf[:0], append(l.at[:0], 0)
+	l.ks, l.buf, l.lbuf, l.at = l.ks[:0], l.buf[:0], l.lbuf[:0], append(l.at[:0], 0)
+	l.fd.fc.SetReuseState(l.owner.st)
 }
 
-// claim takes the owner's next unclaimed subcarrier and runs it as a
-// one-subcarrier frame, until none is left or a claim fails; a failure
-// records its k and ends every lane's claims.
+// claim takes the owner's next unclaimed subcarrier, prepares it as the
+// helper's next slot and detects its burst, until none is left or a
+// claim fails; a failure records its k and ends every lane's claims.
 //
 //flexcore:noalloc
 func (l *lane) claim() {
@@ -507,21 +549,51 @@ func (l *lane) claim() {
 		if k >= K {
 			return
 		}
-		if err := l.fd.stripe(f.claimed[k:k+1], k, f.sigma2, f.burst, l.keep, nil); err != nil {
+		i := 0 // without PathReuse no claim reads another: every one reuses slot 0's arenas
+		if l.chain {
+			i = len(l.ks)
+		}
+		err := l.fd.fc.PrepareAt(f.claimed, k, i, f.sigma2)
+		if err == nil {
+			err = l.fd.selectK(i)
+		}
+		if err != nil {
 			l.err, l.errK = err, k
 			f.next.Store(int64(K))
 			return
 		}
+		l.keepClaim(k)
 	}
 }
 
-// store keeps subcarrier k's decisions for emit.
-func (l *lane) store(k int, decisions [][]int) {
+// keepClaim detects the selected claim k's burst and keeps its results
+// for emit, growing the lane's arenas past their high-water mark only.
+func (l *lane) keepClaim(k int) {
+	f := l.owner
+	l.at = append(l.at, l.at[len(l.at)-1])
+	if f.soft {
+		l.fd.detect(k, f.sigma2, f.burst, nil, l.keepSoft)
+	} else {
+		l.fd.detect(k, f.sigma2, f.burst, l.keep, nil)
+	}
+	l.ks = append(l.ks, k)
+}
+
+// store keeps a hard claim's decisions for emit.
+func (l *lane) store(_ int, decisions [][]int) {
 	for _, d := range decisions {
 		l.buf = append(l.buf, d...)
 	}
-	l.ks = append(l.ks, k)
-	l.at = append(l.at, l.at[len(l.at)-1]+len(decisions))
+	l.at[len(l.at)-1] += len(decisions)
+}
+
+// storeSoft keeps one vector of a soft claim for emit.
+func (l *lane) storeSoft(_, _ int, got []int, llrs [][]float64) {
+	l.buf = append(l.buf, got...)
+	for _, r := range llrs {
+		l.lbuf = append(l.lbuf, r...)
+	}
+	l.at[len(l.at)-1]++
 }
 
 // views builds the per-vector views emit hands over and rewinds it.
@@ -531,24 +603,44 @@ func (l *lane) views() {
 		l.hdr = make([][]int, vectors)
 	}
 	l.hdr = l.hdr[:vectors]
-	if vectors > 0 {
-		n := len(l.buf) / vectors
-		for v := range l.hdr {
-			l.hdr[v] = l.buf[v*n : (v+1)*n : (v+1)*n]
-		}
-	}
 	l.cur = 0
+	if vectors == 0 {
+		return
+	}
+	n := len(l.buf) / vectors
+	for v := range l.hdr {
+		l.hdr[v] = l.buf[v*n : (v+1)*n : (v+1)*n]
+	}
+	if len(l.lbuf) == 0 {
+		return
+	}
+	if cap(l.rows) < len(l.buf) {
+		l.rows = make([][]float64, len(l.buf))
+	}
+	l.rows = l.rows[:len(l.buf)]
+	nb := len(l.lbuf) / len(l.buf)
+	for r := range l.rows {
+		l.rows[r] = l.lbuf[r*nb : (r+1)*nb : (r+1)*nb]
+	}
 }
 
-// emit hands subcarrier k's kept decisions to hard and reports whether
-// the lane claimed k.
+// emit hands subcarrier k's kept results to hard — or vector by vector
+// to soft — and reports whether the lane claimed k.
 //
 //flexcore:noalloc
-func (l *lane) emit(k int, hard func(k int, decisions [][]int)) bool {
+func (l *lane) emit(k int, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) bool {
 	if l.cur == len(l.ks) || l.ks[l.cur] != k {
 		return false
 	}
-	hard(k, l.hdr[l.at[l.cur]:l.at[l.cur+1]])
+	lo, hi := l.at[l.cur], l.at[l.cur+1]
+	if hard != nil {
+		hard(k, l.hdr[lo:hi])
+	} else {
+		for v := lo; v < hi; v++ {
+			n := len(l.hdr[v])
+			soft(k, v-lo, l.hdr[v], l.rows[v*n:(v+1)*n])
+		}
+	}
 	l.cur++
 	return true
 }

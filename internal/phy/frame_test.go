@@ -206,24 +206,18 @@ func TestFrameDetectorPropagatesPrepareError(t *testing.T) {
 	}
 }
 
-// failOn is a lane's detector whose Select fails on the subcarriers
+// failOn is a lane's detector whose PrepareAt fails on the subcarriers
 // whose channel bad names, with that channel's error.
 type failOn struct {
 	flexCore
 	bad map[*cmatrix.Matrix]error
-	hs  []*cmatrix.Matrix
 }
 
-func (d *failOn) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
-	d.hs = hs
-	return d.flexCore.PrepareAll(hs, sigma2)
-}
-
-func (d *failOn) Select(k int) error {
-	if err := d.bad[d.hs[k]]; err != nil {
+func (d *failOn) PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) error {
+	if err := d.bad[hs[k]]; err != nil {
 		return err
 	}
-	return d.flexCore.Select(k)
+	return d.flexCore.PrepareAt(hs, k, i, sigma2)
 }
 
 // TestFrameDetectorReuseState covers the SetReuseState passthrough: a

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -36,11 +37,15 @@ func withProcs(procs int, fn func()) {
 }
 
 // stripeRun is everything a run of frames shows its caller: what emit
-// saw, where, and the counters afterwards.
+// saw, where, the path sets the frames were detected against, the
+// ReuseState after each frame, and the counters afterwards.
 type stripeRun struct {
-	order     []int     // k of every emit call, across the frames
-	decisions [][][]int // per emit call, copied
-	offCaller int       // emit calls not on the DetectFrame caller's goroutine
+	order     []int       // k of every emit call, across the frames; k and s for a soft frame
+	decisions [][][]int   // per emit call, copied
+	llrBits   [][]uint64  // per soft emit call, every LLR's bits
+	offCaller int         // emit calls not on the DetectFrame caller's goroutine
+	paths     [][]pathSet // PathReuse: per frame and subcarrier, the set its detection read
+	state     [][]pathSet // per frame and subcarrier, the installed ReuseState's base after the frame
 	ops       detector.OpCount
 	pp        core.PreprocessStats
 	cumBits   uint64
@@ -50,34 +55,145 @@ type stripeRun struct {
 	lanes     int // helper lanes the FrameDetector made
 }
 
+// pathSet is a copy of a selected path set: rank vectors and LogP bits.
+type pathSet struct {
+	ranks [][]int
+	logP  []uint64
+}
+
+// selectedPaths copies the path set det has selected.
+func selectedPaths(det *core.FlexCore) pathSet {
+	var ps pathSet
+	for _, p := range det.Paths() {
+		ps.ranks = append(ps.ranks, append([]int(nil), p.Ranks...))
+		ps.logP = append(ps.logP, math.Float64bits(p.LogP))
+	}
+	return ps
+}
+
+// preparedPaths returns the path set of every subcarrier of the
+// PathReuse frame fd last detected, read from the detector that prepared
+// it: the wrapped one after a one-lane frame, else the lane that claimed
+// it, whose slot i holds its i-th claim (without PathReuse a lane
+// prepares every claim into slot 0).
+func preparedPaths(t *testing.T, fd *FrameDetector, det *core.FlexCore, k int, striped bool) []pathSet {
+	t.Helper()
+	out := make([]pathSet, k)
+	sel := func(d *core.FlexCore, slot, k int) {
+		if err := d.Select(slot); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = selectedPaths(d)
+	}
+	if !striped {
+		for i := range out {
+			sel(det, i, i)
+		}
+		return out
+	}
+	for i := 0; i <= len(fd.lanes); i++ {
+		l := fd.lane(i)
+		for slot, k := range l.ks {
+			sel(l.fd.lead, slot, k)
+		}
+	}
+	return out
+}
+
+// stateBases returns the path set every slot of st holds for the frame
+// hs, as a probe detector prepared against st under the path cap the
+// frame ran at reads it — a base keyed on the frame's channel under that
+// cap is a hit on every subcarrier, and a hit leaves the state as it was.
+func stateBases(t *testing.T, cons *constellation.Constellation, opts core.Options, pathCap int, st *core.ReuseState, hs []*cmatrix.Matrix) []pathSet {
+	t.Helper()
+	probe := core.New(cons, opts)
+	probe.SetPathCap(pathCap)
+	probe.SetReuseState(st)
+	if err := probe.PrepareAll(hs, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if pp := probe.PreprocessStats(); pp.CacheHits != int64(len(hs)) {
+		t.Fatalf("the ReuseState after the frame is not based on it: %d of %d subcarriers hit", pp.CacheHits, len(hs))
+	}
+	out := make([]pathSet, len(hs))
+	for k := range hs {
+		if err := probe.Select(k); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = selectedPaths(probe)
+	}
+	return out
+}
+
+// stripeCase is what a run of frames varies besides the frames: the
+// detector's options, a path cap on the first frame, a ReuseState
+// installed for every frame, and soft output.
+type stripeCase struct {
+	opts    core.Options
+	pathCap int
+	state   bool
+	soft    bool
+}
+
 // runStripes detects frames on a fresh FrameDetector over core.New(cons,
-// opts) at GOMAXPROCS procs, capped at pathCap for the first frame and
-// uncapped after.
-func runStripes(t *testing.T, procs int, cons *constellation.Constellation, opts core.Options, pathCap int, hs [][]*cmatrix.Matrix, ys [][][][]complex128) stripeRun {
+// c.opts) at GOMAXPROCS procs, capped at c.pathCap for the first frame
+// and uncapped after.
+func runStripes(t *testing.T, procs int, cons *constellation.Constellation, c stripeCase, hs [][]*cmatrix.Matrix, ys [][][][]complex128) stripeRun {
 	t.Helper()
 	var run stripeRun
 	withProcs(procs, func() {
-		det := core.New(cons, opts)
+		det := core.New(cons, c.opts)
 		fd := NewFrameDetector(det)
+		var st core.ReuseState
+		if c.state {
+			fd.SetReuseState(&st)
+		}
 		caller := goid()
 		for f := range hs {
-			fd.SetPathCap(pathCap)
+			pathCap := c.pathCap
 			if f > 0 {
-				fd.SetPathCap(0)
+				pathCap = 0
 			}
-			err := fd.DetectFrame(hs[f], 0.1, func(k int) [][]complex128 { return ys[f][k] }, func(k int, decisions [][]int) {
-				run.order = append(run.order, k)
-				if goid() != caller {
-					run.offCaller++
-				}
-				cp := make([][]int, len(decisions))
-				for s, d := range decisions {
-					cp[s] = append([]int(nil), d...)
-				}
-				run.decisions = append(run.decisions, cp)
-			})
+			fd.SetPathCap(pathCap)
+			var striped atomic.Bool
+			burst := stripedBurst(ys[f], &striped)
+			var err error
+			if c.soft {
+				err = fd.DetectFrameSoft(hs[f], 0.1, burst, func(k, s int, got []int, llrs [][]float64) {
+					run.order = append(run.order, k, s)
+					if goid() != caller {
+						run.offCaller++
+					}
+					run.decisions = append(run.decisions, [][]int{append([]int(nil), got...)})
+					var bits []uint64
+					for _, r := range llrs {
+						for _, l := range r {
+							bits = append(bits, math.Float64bits(l))
+						}
+					}
+					run.llrBits = append(run.llrBits, bits)
+				})
+			} else {
+				err = fd.DetectFrame(hs[f], 0.1, burst, func(k int, decisions [][]int) {
+					run.order = append(run.order, k)
+					if goid() != caller {
+						run.offCaller++
+					}
+					cp := make([][]int, len(decisions))
+					for s, d := range decisions {
+						cp[s] = append([]int(nil), d...)
+					}
+					run.decisions = append(run.decisions, cp)
+				})
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.opts.PathReuse {
+				run.paths = append(run.paths, preparedPaths(t, fd, det, len(hs[f]), striped.Load()))
+			}
+			if c.state {
+				run.state = append(run.state, stateBases(t, cons, c.opts, pathCap, &st, hs[f]))
 			}
 		}
 		run.ops, run.pp, run.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
@@ -89,25 +205,43 @@ func runStripes(t *testing.T, procs int, cons *constellation.Constellation, opts
 }
 
 // TestStripedFrameMatchesOneLane: a frame striped over helper detectors
-// hands emit the same decisions, in the same k order, on the caller's
-// goroutine, and leaves every counter as the same frames run as one
-// stripe at GOMAXPROCS 1 — across frame sizes, burst lengths, backends,
-// a path cap lifted between frames, a-FlexCore, strict deactivation
-// and a burst that forces the clamped-SIC fallback.
+// hands emit the same decisions — a soft frame the same LLR bits — in
+// the same k order, on the caller's goroutine, detects every subcarrier
+// of a PathReuse frame against the same path set (ranks and LogP bits),
+// leaves an installed ReuseState holding the same bases, and leaves
+// every counter as the same frames run as one stripe at GOMAXPROCS 1,
+// at GOMAXPROCS 2 and 4 —
+// across frame sizes, burst lengths, backends, a path cap lifted between
+// frames, a-FlexCore, strict deactivation, a burst that forces the
+// clamped-SIC fallback, PathReuse with and without a ReuseState (a
+// re-sent frame hits it on every subcarrier) and soft output. Where two
+// subcarriers of a frame share a level key ("shared"), each lane's
+// within-frame chain runs over its own claims, so a subcarrier the
+// one-lane chain hit may miss, with its search's work, or the other way
+// round: every prepare is still counted once, as a hit or a miss, and
+// everything else matches.
 func TestStripedFrameMatchesOneLane(t *testing.T) {
-	const nr, nt, procs = 4, 3, 4
+	const nr, nt = 4, 3
 	cons := constellation.MustNew(16)
+	reuse := core.Options{NPE: 16, PathReuse: true}
 	variants := []struct {
-		name    string
-		opts    core.Options
-		pathCap int
-		far     bool // scale the odd subcarriers' bursts far outside the constellation
+		name string
+		stripeCase
+		far    bool // scale the odd subcarriers' bursts far outside the constellation
+		resend bool // frames A, A, B, B instead of two fresh ones
+		shared bool // subcarrier k ≥ 3 re-uses subcarrier k mod 3's channel
 	}{
-		{name: "plain", opts: core.Options{NPE: 16}},
-		{name: "cap", opts: core.Options{NPE: 16}, pathCap: 5},
-		{name: "theta", opts: core.Options{NPE: 16, Threshold: 0.95}},
-		{name: "strict", opts: core.Options{NPE: 16, StrictDeactivation: true}},
-		{name: "fallback", opts: core.Options{NPE: 16, StrictDeactivation: true}, far: true},
+		{name: "plain", stripeCase: stripeCase{opts: core.Options{NPE: 16}}},
+		{name: "cap", stripeCase: stripeCase{opts: core.Options{NPE: 16}, pathCap: 5}},
+		{name: "theta", stripeCase: stripeCase{opts: core.Options{NPE: 16, Threshold: 0.95}}},
+		{name: "strict", stripeCase: stripeCase{opts: core.Options{NPE: 16, StrictDeactivation: true}}},
+		{name: "fallback", stripeCase: stripeCase{opts: core.Options{NPE: 16, StrictDeactivation: true}}, far: true},
+		{name: "reuse", stripeCase: stripeCase{opts: reuse}, resend: true},
+		{name: "reuse-state", stripeCase: stripeCase{opts: reuse, state: true}, resend: true},
+		{name: "reuse-state-cap", stripeCase: stripeCase{opts: reuse, state: true, pathCap: 5}, resend: true},
+		{name: "reuse-shared", stripeCase: stripeCase{opts: reuse, state: true}, resend: true, shared: true},
+		{name: "soft", stripeCase: stripeCase{opts: core.Options{NPE: 16}, soft: true}},
+		{name: "soft-reuse-state", stripeCase: stripeCase{opts: reuse, state: true, soft: true}, resend: true, shared: true},
 	}
 	for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
 		for _, v := range variants {
@@ -127,26 +261,45 @@ func TestStripedFrameMatchesOneLane(t *testing.T) {
 									}
 								}
 							}
+							if v.shared {
+								for ki := 3; ki < k; ki++ {
+									h[ki] = h[ki%3]
+								}
+							}
 							hs, ys = append(hs, h), append(ys, y)
+							if v.resend {
+								hs, ys = append(hs, h), append(ys, y)
+							}
 						}
-						opts := v.opts
-						opts.Backend = b
-						one := runStripes(t, 1, cons, opts, v.pathCap, hs, ys)
-						many := runStripes(t, procs, cons, opts, v.pathCap, hs, ys)
-						if want := min(k, procs) - 1; many.lanes != want || one.lanes != 0 {
-							t.Fatalf("helper lanes: %d at GOMAXPROCS %d, %d at 1; want %d and 0", many.lanes, procs, one.lanes, want)
-						}
-						if many.offCaller != 0 || one.offCaller != 0 {
-							t.Fatalf("emit ran off the caller's goroutine %d times", many.offCaller)
-						}
+						c := v.stripeCase
+						c.opts.Backend = b
+						one := runStripes(t, 1, cons, c, hs, ys)
 						if v.far && one.fallbacks == 0 && k > 1 {
 							t.Fatal("the far bursts never fell back")
 						}
-						one.lanes, many.lanes = 0, 0
-						if !reflect.DeepEqual(one, many) {
-							t.Fatalf("striped run differs from one stripe:\n one  %+v %+v %d %v/%d\n many %+v %+v %d %v/%d\n order %v\n    vs %v",
-								one.ops, one.pp, one.fallbacks, one.activeSum, one.activeN,
-								many.ops, many.pp, many.fallbacks, many.activeSum, many.activeN, one.order, many.order)
+						for _, procs := range []int{2, 4} {
+							many := runStripes(t, procs, cons, c, hs, ys)
+							if want := min(k, procs) - 1; many.lanes != want || one.lanes != 0 {
+								t.Fatalf("helper lanes: %d at GOMAXPROCS %d, %d at 1; want %d and 0", many.lanes, procs, one.lanes, want)
+							}
+							if many.offCaller != 0 || one.offCaller != 0 {
+								t.Fatalf("emit ran off the caller's goroutine %d times", many.offCaller)
+							}
+							want := one
+							want.lanes = many.lanes
+							if v.shared {
+								// Every prepare is a hit or a miss, whichever chain it ran in.
+								if many.pp.CacheHits+many.pp.CacheMisses != one.pp.CacheHits+one.pp.CacheMisses {
+									t.Fatalf("GOMAXPROCS %d: %d hits + %d misses, one lane %d + %d", procs, many.pp.CacheHits, many.pp.CacheMisses, one.pp.CacheHits, one.pp.CacheMisses)
+								}
+								want.pp.CacheHits, want.pp.CacheMisses = many.pp.CacheHits, many.pp.CacheMisses
+								want.pp.RealMuls, want.pp.Expanded = many.pp.RealMuls, many.pp.Expanded
+							}
+							if !reflect.DeepEqual(want, many) {
+								t.Fatalf("striped run at GOMAXPROCS %d differs from one stripe:\n one  %+v %+v %d %v/%d\n many %+v %+v %d %v/%d\n order %v\n    vs %v",
+									procs, one.ops, one.pp, one.fallbacks, one.activeSum, one.activeN,
+									many.ops, many.pp, many.fallbacks, many.activeSum, many.activeN, one.order, many.order)
+							}
 						}
 					})
 				}
@@ -167,9 +320,10 @@ func stripedBurst(ys [][][]complex128, striped *atomic.Bool) func(k int) [][]com
 	}
 }
 
-// TestStripedFrameScope: a PathReuse detector and any detector other
-// than a plain FlexCore never stripe, and no helper goroutine outlives
-// the frames that started them by more than its linger.
+// TestStripedFrameScope: a FlexCore's frames stripe, PathReuse (with a
+// ReuseState installed) or not, a detector other than a plain FlexCore
+// — MMSE here — never does, and no helper goroutine outlives the frames
+// that started them by more than its linger.
 func TestStripedFrameScope(t *testing.T) {
 	const k = 48
 	cons := constellation.MustNew(16)
@@ -178,31 +332,29 @@ func TestStripedFrameScope(t *testing.T) {
 	burst := stripedBurst(ys, &striped)
 	emit := func(int, [][]int) {}
 	withProcs(4, func() {
-		for _, det := range []detector.Detector{
-			core.New(cons, core.Options{NPE: 16, PathReuse: true}),
-			detector.NewMMSE(cons),
-		} {
-			fd := NewFrameDetector(det)
-			for i := 0; i < 3; i++ {
-				if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(fd.lanes) != 0 {
-				t.Errorf("%s: %d helper lanes, want none", det.Name(), len(fd.lanes))
-			}
-		}
-
-		det := core.New(cons, core.Options{NPE: 16})
-		fd := NewFrameDetector(det)
-		before := settledGoroutines()
-		for i := 0; i < 100; i++ {
-			striped.Store(false)
+		fd := NewFrameDetector(detector.NewMMSE(cons))
+		for i := 0; i < 3; i++ {
 			if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
 				t.Fatal(err)
 			}
-			if !striped.Load() {
-				t.Fatalf("frame %d ran as one stripe", i)
+		}
+		if len(fd.lanes) != 0 {
+			t.Errorf("MMSE: %d helper lanes, want none", len(fd.lanes))
+		}
+
+		before := settledGoroutines()
+		for _, opts := range []core.Options{{NPE: 16}, {NPE: 16, PathReuse: true}} {
+			fd := NewFrameDetector(core.New(cons, opts))
+			var st core.ReuseState
+			fd.SetReuseState(&st)
+			for i := 0; i < 100; i++ {
+				striped.Store(false)
+				if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
+					t.Fatal(err)
+				}
+				if !striped.Load() {
+					t.Fatalf("PathReuse %v: frame %d ran as one stripe", opts.PathReuse, i)
+				}
 			}
 		}
 		// A helper lingers after its frame, then exits; give the last
@@ -220,7 +372,9 @@ func TestStripedFrameScope(t *testing.T) {
 // TestStripedFrameAllocFree gates what testing.AllocsPerRun cannot see
 // (it pins GOMAXPROCS to 1, so every frame it measures is one stripe):
 // warm frames striped over helper detectors, helper goroutines and the
-// hand-off included, make no heap allocation on either backend.
+// hand-off included, make no heap allocation on either backend — hard
+// frames, PathReuse frames against a ReuseState (frames A, A, B, B…:
+// every subcarrier misses, then hits) and soft frames.
 //
 // The runtime's own caches of goroutines, threads and wait-queue entries
 // still grow now and then, as helpers exit on a P other than the one
@@ -234,42 +388,214 @@ func TestStripedFrameAllocFree(t *testing.T) {
 	}
 	const k, frames, windows = 48, 50, 5
 	cons := constellation.MustNew(16)
-	hs, ys := frameCase(t, 0x57c1, 4, 3, k, 4)
+	var hs [2][]*cmatrix.Matrix
+	var bursts [2]func(k int) [][]complex128
 	var striped atomic.Bool
-	burst := stripedBurst(ys, &striped)
+	for i := range hs {
+		var ys [][][]complex128
+		hs[i], ys = frameCase(t, uint64(0x57c1+i), 4, 3, k, 4)
+		bursts[i] = stripedBurst(ys, &striped)
+	}
 	emit := func(int, [][]int) {}
+	emitSoft := func(int, int, []int, [][]float64) {}
 	withProcs(2, func() {
 		for _, b := range []core.Backend{core.BackendComplex128, core.BackendSoA32} {
-			det := core.New(cons, core.Options{NPE: 16, Backend: b})
-			fd := NewFrameDetector(det)
-			for i := 0; i < 200; i++ {
-				if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var mallocs []uint64
-			for w := 0; w < windows && (w == 0 || mallocs[w-1] != 0); w++ {
-				stripedFrames := 0
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for i := 0; i < frames; i++ {
-					striped.Store(false)
-					if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
+			for _, c := range []struct {
+				name        string
+				reuse, soft bool
+			}{{name: "hard"}, {name: "reuse", reuse: true}, {name: "soft", soft: true}} {
+				fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16, Backend: b, PathReuse: c.reuse}))
+				var st core.ReuseState
+				fd.SetReuseState(&st)
+				frame := func(i int) {
+					f := i / 2 % 2
+					var err error
+					if c.soft {
+						err = fd.DetectFrameSoft(hs[f], 0.1, bursts[f], emitSoft)
+					} else {
+						err = fd.DetectFrame(hs[f], 0.1, bursts[f], emit)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
-					if striped.Load() {
-						stripedFrames++
+				}
+				for i := 0; i < 200; i++ {
+					frame(i)
+				}
+				var mallocs []uint64
+				for w := 0; w < windows && (w == 0 || mallocs[w-1] != 0); w++ {
+					stripedFrames := 0
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					for i := 0; i < frames; i++ {
+						striped.Store(false)
+						frame(i)
+						if striped.Load() {
+							stripedFrames++
+						}
 					}
+					runtime.ReadMemStats(&m1)
+					if stripedFrames != frames {
+						t.Fatalf("%s/%s: %d of %d frames striped, want all", b, c.name, stripedFrames, frames)
+					}
+					mallocs = append(mallocs, m1.Mallocs-m0.Mallocs)
 				}
-				runtime.ReadMemStats(&m1)
-				if stripedFrames != frames {
-					t.Fatalf("%s: %d of %d frames striped, want all", b, stripedFrames, frames)
+				if mallocs[len(mallocs)-1] != 0 {
+					t.Errorf("%s/%s: mallocs per window of %d striped frames %v, want a window at 0", b, c.name, frames, mallocs)
 				}
-				mallocs = append(mallocs, m1.Mallocs-m0.Mallocs)
 			}
-			if mallocs[len(mallocs)-1] != 0 {
-				t.Errorf("%s: mallocs per window of %d striped frames %v, want a window at 0", b, frames, mallocs)
+		}
+	})
+}
+
+// TestStripedFrameReleasesCores: every frame gives back the cores it
+// reserved before it returns — hard, PathReuse and soft frames, a frame
+// whose lanes fail at k = 12 and a frame with a geometry fault — at
+// GOMAXPROCS 1, 2 and 4.
+func TestStripedFrameReleasesCores(t *testing.T) {
+	const k = 48
+	cons := constellation.MustNew(16)
+	hs, ys := frameCase(t, 0x57f1, 4, 3, k, 2)
+	burst := func(k int) [][]complex128 { return ys[k] }
+	emit := func(int, [][]int) {}
+	emitSoft := func(int, int, []int, [][]float64) {}
+	mixed := append([]*cmatrix.Matrix(nil), hs...)
+	mixed[20] = cmatrix.New(5, 3)
+	failure := errors.New("prepare failed")
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(procs, func() {
+			fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16, PathReuse: true}))
+			var st core.ReuseState
+			fd.SetReuseState(&st)
+			failing := NewFrameDetector(core.New(cons, core.Options{NPE: 16}))
+			if err := failing.DetectFrame(hs, 0.1, burst, emit); err != nil {
+				t.Fatal(err)
 			}
+			for i := 0; failing.own != nil && i <= len(failing.lanes); i++ { // at GOMAXPROCS 1 there are no lanes, and nothing fails
+				l := failing.lane(i)
+				l.fd.fc = &failOn{flexCore: l.fd.fc, bad: map[*cmatrix.Matrix]error{hs[12]: failure}}
+			}
+			for _, c := range []struct {
+				name    string
+				run     func() error
+				wantErr bool
+			}{
+				{"reuse", func() error { return fd.DetectFrame(hs, 0.1, burst, emit) }, false},
+				{"reuse again", func() error { return fd.DetectFrame(hs, 0.1, burst, emit) }, false},
+				{"soft", func() error { return fd.DetectFrameSoft(hs, 0.1, burst, emitSoft) }, false},
+				{"failing at k = 12", func() error { return failing.DetectFrame(hs, 0.1, burst, emit) }, procs > 1},
+				{"geometry fault", func() error { return fd.DetectFrame(mixed, 0.1, burst, emit) }, true},
+				{"geometry fault, soft", func() error { return fd.DetectFrameSoft(mixed, 0.1, burst, emitSoft) }, true},
+			} {
+				if err := c.run(); (err != nil) != c.wantErr {
+					t.Fatalf("GOMAXPROCS %d, %s: error %v, want one: %v", procs, c.name, err, c.wantErr)
+				}
+				if n := coresInUse.Load(); n != 0 {
+					t.Fatalf("GOMAXPROCS %d, %s: %d cores held after the frame returned", procs, c.name, n)
+				}
+			}
+		})
+	}
+}
+
+// TestStripedFrameTakesBack: a hand-off whose goroutine has not started
+// when the caller runs out of claims is taken back — the frame returns
+// with the lane stale, without waiting for that goroutine, having run
+// every subcarrier on the caller — and the goroutine, once it starts,
+// finds nothing to do and exits, or serves the next frame's hand-off to
+// its lane. A second
+// goroutine spinning on the other P of GOMAXPROCS 2 keeps a helper's
+// start behind the caller's whole frame (the new goroutine waits on the
+// caller's P, which nothing steals from), so frames are taken back; the
+// spinner yields now and then, so some are not. Either way every
+// subcarrier's burst runs once, decisions and counters are the one-lane
+// run's, and the goroutines settle after the frames.
+func TestStripedFrameTakesBack(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a striped frame needs two cores: this host has one")
+	}
+	const k, frames = 8, 200
+	cons := constellation.MustNew(16)
+	opts := core.Options{NPE: 16, PathReuse: true}
+	var hs [][]*cmatrix.Matrix
+	var ys [][][][]complex128
+	for f := 0; f < frames; f++ {
+		h, y := frameCase(t, uint64(0x57f8+f%4), 4, 3, k, 1)
+		hs, ys = append(hs, h), append(ys, y)
+	}
+	one := runStripes(t, 1, cons, stripeCase{opts: opts}, hs, ys)
+	withProcs(2, func() {
+		base := settledGoroutines()
+		var stop atomic.Bool
+		spun := make(chan struct{})
+		go func() {
+			defer close(spun)
+			for i := 0; !stop.Load(); i++ {
+				if i%(1<<16) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		det := core.New(cons, opts)
+		fd := NewFrameDetector(det)
+		caller := goid()
+		var many stripeRun
+		takenBack := 0
+		watchdog := time.AfterFunc(time.Minute, func() { panic("a striped frame never returned: a hand-off was lost") })
+		for f := range hs {
+			var bursts [k]atomic.Int32
+			var offCaller atomic.Int32
+			err := fd.DetectFrame(hs[f], 0.1, func(k int) [][]complex128 {
+				bursts[k].Add(1)
+				if goid() != caller {
+					offCaller.Add(1)
+				}
+				return ys[f][k]
+			}, func(k int, decisions [][]int) {
+				many.order = append(many.order, k)
+				cp := make([][]int, len(decisions))
+				for s, d := range decisions {
+					cp[s] = append([]int(nil), d...)
+				}
+				many.decisions = append(many.decisions, cp)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range bursts {
+				if n := bursts[i].Load(); n != 1 {
+					t.Fatalf("frame %d: subcarrier %d's burst ran %d times", f, i, n)
+				}
+			}
+			// A lane left stale was taken back: its goroutine had not
+			// started, so the caller ran every subcarrier.
+			if fd.lanes[0].state.Load() == laneStale {
+				takenBack++
+				if n := offCaller.Load(); n != 0 {
+					t.Fatalf("frame %d: taken back, yet %d bursts ran off the caller", f, n)
+				}
+			}
+			many.paths = append(many.paths, preparedPaths(t, fd, det, k, true))
+		}
+		watchdog.Stop()
+		stop.Store(true)
+		<-spun
+		t.Logf("%d of %d frames taken back", takenBack, frames)
+		if takenBack == 0 {
+			t.Errorf("none of %d frames was taken back", frames)
+		}
+		many.ops, many.pp, many.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
+		many.cumBits = math.Float64bits(many.pp.CumulativeProb)
+		many.activeSum, many.activeN = fd.ActivePEs()
+		if !reflect.DeepEqual(one, many) {
+			t.Fatalf("frames with hand-offs taken back differ from one lane:\n one  %+v %+v\n many %+v %+v", one.ops, one.pp, many.ops, many.pp)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(100 * linger); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(linger / 10)
+		}
+		if n != base {
+			t.Fatalf("%d goroutines 100 lingers after the last frame, %d before the first", n, base)
 		}
 	})
 }
@@ -379,7 +705,7 @@ func TestStripedFrameLinger(t *testing.T) {
 		h, y := frameCase(t, uint64(0x57e2+f), 4, 3, k, 2)
 		hs, ys = append(hs, h), append(ys, y)
 	}
-	one := runStripes(t, 1, cons, opts, 0, hs, ys)
+	one := runStripes(t, 1, cons, stripeCase{opts: opts}, hs, ys)
 
 	for _, procs := range []int{2, 4} {
 		withProcs(procs, func() {

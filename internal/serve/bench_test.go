@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,7 +73,17 @@ func BenchmarkServeProcess(b *testing.B) {
 				}
 				srv.process(sh, tk)
 			}
-			hot() // warm the arenas (and, on the reuse leg, base the state)
+			// Warm the arenas (and, on the reuse legs, base the state) on
+			// every rung, both where the timed loop's frames may run — on
+			// lanes, when a core is idle — and on the shard's detector
+			// alone, where the gate's run at GOMAXPROCS 1 (AllocsPerRun)
+			// puts every frame (DESIGN.md §8).
+			hot()
+			hot()
+			procs := runtime.GOMAXPROCS(1)
+			hot()
+			hot()
+			runtime.GOMAXPROCS(procs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
