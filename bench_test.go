@@ -365,9 +365,7 @@ func BenchmarkPrepareCachedRePrepare(b *testing.B) {
 }
 
 // BenchmarkPrepareFrame measures preparing the whole 48-subcarrier frame
-// three ways: the scalar Prepare loop, the PrepareAll pipeline, and
-// PrepareAll with PathReuse, which pays its key test on every subcarrier
-// (independent draws: every one misses).
+// two ways: the scalar Prepare loop and the PrepareAll pipeline.
 func BenchmarkPrepareFrame(b *testing.B) {
 	hs, sigma2, cons := benchPrepareSetup()
 	b.Run("loop", func(b *testing.B) {
@@ -382,28 +380,19 @@ func BenchmarkPrepareFrame(b *testing.B) {
 			}
 		}
 	})
-	for _, v := range []struct {
-		name  string
-		opts  flexcore.Options
-		reuse bool
-	}{
-		{"prepareall", flexcore.Options{NPE: 128}, false},
-		{"prepareall-reuse", flexcore.Options{NPE: 128, PathReuse: true}, true},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			det := flexcore.New(cons, v.opts)
+	b.Run("prepareall", func(b *testing.B) {
+		det := flexcore.New(cons, flexcore.Options{NPE: 128})
+		if err := det.PrepareAll(hs, sigma2); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := det.PrepareAll(hs, sigma2); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := det.PrepareAll(hs, sigma2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkKthClosest contrasts the two k-th-closest slicer paths the

@@ -47,7 +47,7 @@ func main() {
 	qam := flag.Int("qam", 16, "QAM order served (4, 16, 64, 256, 1024)")
 	npe := flag.Int("npe", 64, "FlexCore processing elements per detector")
 	threshold := flag.Float64("threshold", 0, "a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
-	reuse := flag.Bool("reuse", false, "position-vector reuse, within frames and per user across frames, on bit-identical per-level model input (output-neutral)")
+	reuse := flag.Bool("reuse", false, "position-vector reuse per user across frames, on bit-identical per-level model input (output-neutral)")
 	backendName := flag.String("backend", "", "kernel backend: complex128 (default) or soa32")
 	ladder := flag.String("ladder", "", "comma-separated descending N_PE degradation rungs (e.g. 128,32 under -npe 512); empty disables graceful degradation")
 	degradeStart := flag.Float64("degrade-start", 0, "queue-fill fraction at which degradation begins (0 = default 0.5)")

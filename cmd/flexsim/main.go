@@ -38,7 +38,6 @@ func main() {
 	soft := flag.Bool("soft", false, "soft-decision decoding (flexcore/aflexcore/sic only)")
 	pilots := flag.Int("pilots", 0, "LS channel estimation from this many pilot symbols (0 = genie CSI)")
 	workers := flag.Int("workers", 1, "packet-level simulation parallelism (0 = all cores); results are identical for any value")
-	reuse := flag.Bool("reuse", false, "flexcore/aflexcore/sic position-vector reuse across subcarriers with bit-identical per-level model input (output-neutral)")
 	backendName := flag.String("backend", "", "flexcore/aflexcore/sic kernel backend: complex128 (default) or soa32 (float32 structure-of-arrays fast path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -85,7 +84,7 @@ func main() {
 		fatal(fmt.Errorf("unknown backend %q (want complex128 or soa32)", *backendName))
 	}
 	name := strings.ToLower(*detName)
-	det, err := makeDetector(name, cons, *npe, *reuse, backend)
+	det, err := makeDetector(name, cons, *npe, backend)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,7 +113,7 @@ func main() {
 				first = false
 				return det
 			}
-			d, _ := makeDetector(name, cons, *npe, *reuse, backend)
+			d, _ := makeDetector(name, cons, *npe, backend)
 			return d
 		},
 		Channels:     channels,
@@ -136,12 +135,6 @@ func main() {
 	if res.AvgActivePEs > 0 {
 		fmt.Printf("active PEs    %.1f\n", res.AvgActivePEs)
 	}
-	if *reuse {
-		if fc, ok := det.(*core.FlexCore); ok && *workers == 1 {
-			pp := fc.PreprocessStats()
-			fmt.Printf("cache         %d hits / %d misses\n", pp.CacheHits, pp.CacheMisses)
-		}
-	}
 	if *workers == 1 {
 		ops := det.OpCount().PerDetection()
 		fmt.Printf("per detection %d real muls, %d FLOPs, %d nodes\n", ops.RealMuls, ops.FLOPs, ops.Nodes)
@@ -152,8 +145,8 @@ func main() {
 // usage string.
 const detectorNames = "flexcore|aflexcore|ml|mmse|sic|fcsd|trellis"
 
-func makeDetector(name string, cons *constellation.Constellation, npe int, reuse bool, backend core.Backend) (detector.Detector, error) {
-	opts := core.Options{NPE: npe, PathReuse: reuse, Backend: backend}
+func makeDetector(name string, cons *constellation.Constellation, npe int, backend core.Backend) (detector.Detector, error) {
+	opts := core.Options{NPE: npe, Backend: backend}
 	switch name {
 	case "flexcore":
 		return core.New(cons, opts), nil

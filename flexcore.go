@@ -23,14 +23,17 @@
 //	symbols := det.Detect(y)
 //
 // For OFDM frames, the channel-rate fast path prepares every subcarrier
-// in one call (reusing position vectors across coherent subcarriers when
-// Options.PathReuse is set):
+// in one call:
 //
 //	if err := det.PrepareAll(hs, sigma2); err != nil { ... }
 //	for k := range hs {
 //		det.Select(k)
 //		symbols := det.Detect(ys[k])
 //	}
+//
+// With Options.PathReuse, a Prepare of the previous Prepare's channel
+// reuses its position vectors; the serving layer keys the same reuse
+// per user and subcarrier, across frames.
 package flexcore
 
 import (

@@ -45,9 +45,11 @@ func TestPrepareSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestPrepareAllSteadyStateAllocFree gates the frame pipeline with and
-// without the coherence chain: once a frame of the target shape has been
-// prepared, re-preparing a same-shape frame must not allocate — the QR
-// workspace and the per-slot path arenas run from retained storage.
+// without PathReuse against a ReuseState (alternating frames: every
+// subcarrier misses and re-bases its base): once a frame of the target
+// shape has been prepared, re-preparing a same-shape frame must not
+// allocate — the QR workspace, the per-slot arenas and the bases run
+// from retained storage.
 func TestPrepareAllSteadyStateAllocFree(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nr, nt, nSC = 6, 4, 12
@@ -62,6 +64,8 @@ func TestPrepareAllSteadyStateAllocFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fc := New(cons, Options{NPE: 32, PathReuse: tc.reuse})
+			var st ReuseState
+			fc.SetReuseState(&st)
 			if err := fc.PrepareAll(fa, 0.05); err != nil {
 				t.Fatal(err)
 			}

@@ -45,13 +45,14 @@ type Options struct {
 	ExactSlicer bool
 	// PathReuse enables the coherence-aware position-vector cache: the
 	// selected path set E depends only on the channel (§3.1.1), and Eq. 4
-	// reads it through one value per level, real(R(l,l))·d/σ. A Prepare
-	// whose n values are bit-identical to those of the previous
-	// fresh-prepared channel reuses E and skips the per-level model and
-	// the tree search — only the QR decomposition is redone — so reuse
-	// never changes an output. Re-sent static channels and subcarriers
-	// that share one channel estimate hit it. Hit/miss counts are
-	// reported by PreprocessStats.
+	// reads it through one value per level, real(R(l,l))·d/σ. A
+	// subcarrier whose n values are bit-identical to those of its base
+	// (the same subcarrier of the last frame prepared against the
+	// installed ReuseState; for scalar Prepare, the previous Prepare's
+	// channel) reuses E and skips the per-level model and the tree
+	// search — only the QR decomposition is redone — so reuse never
+	// changes an output. Re-sent static channels hit it. Hit/miss counts
+	// are reported by PreprocessStats.
 	PathReuse bool
 	// Backend selects the hot-path arithmetic (DESIGN.md §11). The
 	// default BackendComplex128 is the reference scalar arithmetic;
@@ -110,11 +111,8 @@ type FlexCore struct {
 	soa soaState
 
 	// The prepared frame: per-subcarrier slots filled by PrepareAll — or
-	// by Prepare, as one slot, or by PrepareAt, slot by slot — and
-	// activated by Select. chain is the within-frame chain's base, the
-	// frame's last fresh-prepared slot (−1 for none).
+	// by Prepare or PrepareAt, as one slot — and activated by Select.
 	frame []prepSlot
-	chain int
 }
 
 // New returns a FlexCore detector. NPE must be ≥ 1.
@@ -144,13 +142,13 @@ func (d *FlexCore) Name() string {
 // (shared with any sphere decoder) and FlexCore's pre-processing tree
 // search. It re-runs whenever the channel changes, as in the paper.
 // Prepare is the one-subcarrier frame, selected: it replaces the
-// prepared frame (FrameSize() == 1). All channel-rate storage (QR
+// prepared frame with a one-slot frame. All channel-rate storage (QR
 // factors, model, search queues, path set) is detector-owned and
 // reused, so steady-state Prepare calls are allocation-free; the slices
 // returned by Paths() are valid until the next Prepare/PrepareAll call.
 // With Options.PathReuse, a channel whose level key equals the previous
-// fresh-prepared one's reuses its position vectors and skips the tree
-// search entirely — the detector's own base, never a ReuseState's.
+// Prepare's reuses its position vectors and skips the tree search
+// entirely — the detector's own base, never a ReuseState's.
 //
 //flexcore:noalloc
 func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
@@ -163,15 +161,15 @@ func (d *FlexCore) Prepare(h *cmatrix.Matrix, sigma2 float64) error {
 
 // SetReuseState installs (or, with nil, removes) an externally-owned
 // cross-frame coherence base for PrepareAll: with Options.PathReuse
-// enabled, each subcarrier of a prepared frame first tests the state's
-// base for the same subcarrier before the within-frame chain, and the
-// state is re-based on the frame's results afterwards. The caller keys
-// the state however it likes — the serving layer installs one per user
-// before each frame, so a user's static channel skips the
-// candidate-position search across frames. It has no effect on scalar
-// Prepare (which keeps its own one-subcarrier base) or when PathReuse
-// is disabled. Frames prepared against st detect out of its storage:
-// each is valid until st is next prepared against or Reset (ReuseState).
+// enabled, each subcarrier of a prepared frame tests the state's base
+// for the same subcarrier, and a miss re-bases it on the frame's search.
+// The caller keys the state however it likes — the serving layer
+// installs one per user before each frame, so a user's static channel
+// skips the candidate-position search across frames. It has no effect
+// on scalar Prepare (which keeps its own one-subcarrier base) or when
+// PathReuse is disabled. Frames prepared against st detect out of its
+// storage: each is valid until st is next prepared against or Reset
+// (ReuseState).
 //
 //flexcore:noalloc
 func (d *FlexCore) SetReuseState(st *ReuseState) { d.extReuse = st }
@@ -218,12 +216,10 @@ func (d *FlexCore) Options() Options { return d.opts }
 // Helper returns a new detector that prepares and detects any part of a
 // frame as d would — d's constellation, Options and the path cap in
 // force — so that part can run on another goroutine. A subcarrier's
-// path set and decisions depend on no other subcarrier, and without
-// PathReuse neither do its counters, so a frame split over helpers
-// (PrepareAt) reads as one run by d once Fold has returned their
-// counters; with PathReuse the hit and miss counts can differ where two
-// subcarriers of a frame share a level key. A later SetPathCap on d is
-// not the helper's: cap it too.
+// path set, decisions and counters depend on no other subcarrier, so a
+// frame split over helpers (PrepareAt) reads as one run by d once Fold
+// has returned their counters. A later SetPathCap on d is not the
+// helper's: cap it too.
 func (d *FlexCore) Helper() *FlexCore {
 	h := New(d.cons, d.opts)
 	h.npe = d.npe

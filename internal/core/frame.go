@@ -15,8 +15,8 @@ import (
 // Both exploit the same property of §3.1.1: the selected path set E is
 // a function of the channel only — never of the received signal — and
 // Eq. 4 reads the channel through one value per level, the level key
-// (levelKey). A subcarrier whose key equals one already searched reuses
-// that search's path set exactly.
+// (levelKey). A subcarrier whose key equals its base's — the same
+// subcarrier's last search — reuses that search's path set exactly.
 
 // reuseCache is one coherence base: the level key of a fresh-prepared
 // channel with the path set selected for it — searched straight into
@@ -58,38 +58,27 @@ func (c *reuseCache) rebase(key []float64) {
 // key the PathReuse cache by any identity it chooses — the serving
 // layer keys it per user, so a user whose channel is static across
 // frames skips the §3.1.1 candidate-position search on every re-sent
-// H, not only within one frame. A hit requires a bit-identical level
-// key, so reuse is output-neutral (DESIGN.md §9).
+// H. A hit requires a bit-identical level key, so reuse is
+// output-neutral (DESIGN.md §9).
 //
 // A prepared frame shares the state's path sets instead of copying
 // them — a hit detects out of the base's storage, a miss searches
 // straight into it — so it is valid only until the state is next
 // prepared against, by any detector, or Reset. Slot k is read and
-// written only by the prepare of subcarrier k (and by the later
-// subcarriers of that prepare's own frame that alias it), so the lanes
-// of one frame may install one state and prepare its subcarriers
-// concurrently through PrepareAt, once the state is grown to the frame
-// (Grow). Otherwise a ReuseState must be installed on at most one
-// detector at a time, and hand-offs between detectors must be
-// externally synchronized (the serving layer's per-user FIFO sequencing
-// and the frame's join provide both). A base holds its path set as
-// the descent plan the search wrote, whatever the storing detector's
-// backend, so a state moves between detectors of either Options.Backend
-// (of one constellation: the key is scaled by its d).
+// written only by the prepare of subcarrier k, so the lanes of one
+// frame may install one state and prepare its subcarriers concurrently
+// through PrepareAt, once the state is grown to the frame (Grow).
+// Otherwise a ReuseState must be installed on at most one detector at a
+// time, and hand-offs between detectors must be externally synchronized
+// (the serving layer's per-user FIFO sequencing and the frame's join
+// provide both). A base holds its path set as the descent plan the
+// search wrote, whatever the storing detector's backend, so a state
+// moves between detectors of either Options.Backend (of one
+// constellation: the key is scaled by its d).
 // The zero value is ready to use; all storage is state-owned and regrows
 // only past its high-water mark.
 type ReuseState struct {
 	slots []reuseCache
-}
-
-// Valid reports whether the state holds at least one subcarrier base.
-func (st *ReuseState) Valid() bool {
-	for i := range st.slots {
-		if st.slots[i].valid {
-			return true
-		}
-	}
-	return false
 }
 
 // Reset invalidates every subcarrier base, keeping the arenas for
@@ -113,8 +102,8 @@ func (st *ReuseState) Grow(n int) {
 // its QR factors, its level key, the per-level model its last search
 // read (a hit builds none), and selected path set — the slot's own
 // store (a search with no reuse state behind it, or a larger base's
-// prefix under a path cap), the reuse state's (a hit on it or a search
-// into it) or another slot's (a within-frame hit).
+// prefix under a path cap) or the reuse state's (a hit on it or a
+// search into it).
 type prepSlot struct {
 	qr    cmatrix.QRResult
 	key   []float64
@@ -126,22 +115,17 @@ type prepSlot struct {
 // PrepareAll prepares a whole frame of per-subcarrier channels (same
 // geometry, same noise variance) in one call, one pass in subcarrier
 // order: the sorted QR and the level key, then — with Options.PathReuse
-// — the key test, then the per-level model and the pre-processing tree
-// search, or the alias that replaces both. A subcarrier whose key equals
-// the last fresh-prepared one's aliases its position vectors instead of
-// searching again.
-//
-// With a ReuseState installed (SetReuseState), the key test also spans
-// frames: each subcarrier first tries the previous frame's base for the
-// same subcarrier — a static channel hits on every subcarrier and skips
-// every search on a re-sent H — then falls back to the within-frame
-// chain, and the state is re-based on this frame's results as it goes.
-// Under a path cap (SetPathCap) a base selected under a larger bound
-// still hits — the slot takes its first paths — while a base cut
+// and a ReuseState installed (SetReuseState) — the key test against
+// the previous frame's base for the same subcarrier, then the per-level
+// model and the pre-processing tree search, or the alias that replaces
+// both. A static channel hits on every subcarrier and skips every
+// search on a re-sent H, and a miss re-bases the state on this frame's
+// search. Under a path cap (SetPathCap) a base selected under a larger
+// bound still hits — the slot takes its first paths — while a base cut
 // shorter than the cap is passed over and replaced by this frame's
-// search.
+// search. Without a ReuseState no subcarrier reads another's search.
 //
-// Scalar Prepare is the one-subcarrier frame, so with PathReuse disabled
+// Scalar Prepare is the one-subcarrier frame, so without a ReuseState
 // the results are bit-identical to looping Prepare over the channels.
 // PrepareAll leaves no subcarrier selected: call Select(k) before
 // detecting. The frame is valid until the next Prepare/PrepareAll/
@@ -153,30 +137,21 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 	return d.prepareFrame(hs, sigma2, d.extReuse)
 }
 
-// PrepareAt prepares subcarrier k of the frame hs, and only it, into
-// slot i of the prepared frame: the way one lane of a frame split by
-// subcarrier prepares the subcarriers it claims, in increasing k (phy's
-// FrameDetector; without PathReuse it may prepare each into slot 0).
-// Slot 0 starts a new prepared frame; slot i > 0 extends
-// the one slots 0…i−1 hold, and with Options.PathReuse its within-frame
-// chain compares against the last of them that was fresh-prepared — the
-// lane's own, not subcarrier k−1. A subcarrier's path set is a function
-// of its level key alone, so that changes no path set and no decision,
-// only which subcarriers count as hits: two subcarriers of one frame
-// with equal keys on different lanes both search.
-//
-// With a ReuseState installed, slot k of the state serves and stores
-// subcarrier k, exactly as under PrepareAll, and no other slot is read or
-// written: detectors preparing distinct subcarriers of one frame against
-// one state may run concurrently. The state must already hold len(hs)
-// slots (ReuseState.Grow), grown before those detectors start. Like
-// PrepareAll, PrepareAt selects nothing; the slots stay valid until the
-// next Prepare/PrepareAll or slot-0 PrepareAt.
+// PrepareAt prepares subcarrier k of the frame hs, and only it, as a
+// one-slot prepared frame that Select(0) selects: the way one lane of a
+// frame split by subcarrier prepares each subcarrier it claims (phy's
+// FrameDetector). With a ReuseState installed, slot k of the state
+// serves and stores subcarrier k, exactly as under PrepareAll, and no
+// other slot is read or written: detectors preparing distinct
+// subcarriers of one frame against one state may run concurrently. The
+// state must already hold len(hs) slots (ReuseState.Grow), grown before
+// those detectors start. The slot stays valid until the next
+// Prepare/PrepareAll/PrepareAt.
 //
 //flexcore:noalloc
-func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) error {
-	if k < 0 || k >= len(hs) || i < 0 || (i > 0 && (i != len(d.frame) || i >= cap(d.frame))) {
-		return errSlot(len(hs), k, i, len(d.frame))
+func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
+	if k < 0 || k >= len(hs) {
+		return errSlot(len(hs), k)
 	}
 	_, n, err := validateFrameGeometry(hs[k : k+1])
 	if err != nil {
@@ -186,19 +161,15 @@ func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) err
 	if st != nil && len(st.slots) < len(hs) {
 		return errShortState(len(st.slots), len(hs))
 	}
-	if i == 0 {
-		d.startFrame(n, len(hs))
-	}
-	d.frame = d.frame[:i+1]
-	d.prepareSlot(i, k, hs[k], sigma2, st)
-	d.ppOps.CumulativeProb = d.frame[i].set.total()
+	d.startFrame(n, 1)
+	d.prepareSlot(&d.frame[0], k, hs[k], sigma2, st)
+	d.ppOps.CumulativeProb = d.frame[0].set.total()
 	return nil
 }
 
-// errSlot is PrepareAt's cold error for a slot out of order or a
-// subcarrier outside the frame.
-func errSlot(frame, k, i, prepared int) error {
-	return fmt.Errorf("core: PrepareAt(k=%d, i=%d) outside a %d-subcarrier frame with %d slots prepared", k, i, frame, prepared)
+// errSlot is PrepareAt's cold error for a subcarrier outside the frame.
+func errSlot(frame, k int) error {
+	return fmt.Errorf("core: PrepareAt(k=%d) outside a %d-subcarrier frame", k, frame)
 }
 
 // errShortState is PrepareAt's cold error for a ReuseState not grown to
@@ -222,9 +193,8 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 		st.Grow(len(hs))
 	}
 	d.startFrame(n, len(hs))
-	d.frame = d.frame[:len(hs)]
 	for k, h := range hs {
-		d.prepareSlot(k, k, h, sigma2, st)
+		d.prepareSlot(&d.frame[k], k, h, sigma2, st)
 	}
 	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.total()
 	return nil
@@ -240,11 +210,10 @@ func (d *FlexCore) reuseState(st *ReuseState) *ReuseState {
 	return st
 }
 
-// startFrame begins a prepared frame of n streams with room for slots
-// subcarrier slots and an empty within-frame chain. Growing keeps the
-// arenas already grown in old slots, beyond the last frame's too; no
-// slot of the new frame is prepared yet, so nothing points into the old
-// array.
+// startFrame begins a prepared frame of n streams and slots subcarrier
+// slots. Growing keeps the arenas already grown in old slots, beyond the
+// last frame's too; no slot of the new frame is prepared yet, so nothing
+// points into the old array.
 //
 //flexcore:noalloc
 func (d *FlexCore) startFrame(n, slots int) {
@@ -255,61 +224,43 @@ func (d *FlexCore) startFrame(n, slots int) {
 		copy(grown, d.frame[:cap(d.frame)])
 		d.frame = grown
 	}
-	d.frame = d.frame[:0]
-	d.chain = -1
+	d.frame = d.frame[:slots]
 }
 
-// prepareSlot prepares subcarrier k, channel h, into slot i of the frame
-// against slot k of st (nil for none). Slot k of st is written only here
-// and read only by this frame's later slots that alias it.
+// prepareSlot prepares subcarrier k, channel h, into the frame slot s
+// against slot k of st (nil for none), which only this prepare reads or
+// writes.
 //
 //flexcore:noalloc
-func (d *FlexCore) prepareSlot(i, k int, h *cmatrix.Matrix, sigma2 float64, st *ReuseState) {
-	s := &d.frame[i]
+func (d *FlexCore) prepareSlot(s *prepSlot, k int, h *cmatrix.Matrix, sigma2 float64, st *ReuseState) {
 	d.qrws.SortedQRInto(h, cmatrix.OrderSQRD, &s.qr)
 	s.key = levelKey(s.key, s.qr.R, sigma2, d.cons)
 
-	var own *reuseCache // the subcarrier's cross-frame base
-	dst := &s.own       // where a search emits: in place into that base when there is one
-	stHit := false
+	var base *reuseCache // the subcarrier's cross-frame base
+	s.set = &s.own       // where a search emits: in place into that base when there is one
 	if st != nil {
-		own = &st.slots[k]
-		dst = &own.pathStore
-		stHit = own.valid && own.covers(d.npe) && sameKey(own.key, s.key)
+		base = &st.slots[k]
+		s.set = &base.pathStore
 	}
-	chainHit := d.opts.PathReuse && !stHit && d.chain >= 0 && sameKey(d.frame[d.chain].key, s.key)
-
-	switch {
-	case stHit:
+	if base != nil && base.valid && base.covers(d.npe) && sameKey(base.key, s.key) {
 		// Alias the base — or, under a path cap below its size, copy its
 		// first paths: the base stays whole for the uncapped frames after.
-		s.set = dst
-		if d.npe < dst.count() {
-			s.own.copyFrom(dst, d.npe)
+		if d.npe < base.count() {
+			s.own.copyFrom(&base.pathStore, d.npe)
 			s.set = &s.own
 		}
 		d.ppOps.CacheHits++
-	case chainHit:
-		s.set = d.frame[d.chain].set
-		if own != nil {
-			own.copyFrom(s.set, s.set.count())
-		}
-		d.ppOps.CacheHits++
-	default:
-		d.chain = i
-		s.set = dst
+	} else {
 		s.model.fromKey(s.key, d.cons)
-		stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, dst)
+		stats := d.finder.find(&s.model, d.npe, d.opts.Threshold, s.set)
 		d.ppOps.RealMuls += stats.RealMuls
 		d.ppOps.Expanded += stats.Expanded
 		if d.opts.PathReuse {
 			d.ppOps.CacheMisses++
 		}
-	}
-	// Key the cross-frame base on what it now holds; a subcarrier that
-	// hit it keeps it untouched.
-	if own != nil && !stHit {
-		own.rebase(s.key)
+		if base != nil {
+			base.rebase(s.key) // key the base on what it now holds
+		}
 	}
 
 	d.ops.Prepares++
@@ -338,10 +289,6 @@ func validateFrameGeometry(hs []*cmatrix.Matrix) (nr, n int, err error) {
 	}
 	return nr, n, nil
 }
-
-// FrameSize returns the number of subcarriers of the prepared frame: the
-// last PrepareAll's, 1 after a scalar Prepare, 0 before either.
-func (d *FlexCore) FrameSize() int { return len(d.frame) }
 
 // Select activates subcarrier k of the prepared frame:
 // subsequent Detect/DetectBatch/DetectSoft calls run against its

@@ -87,8 +87,8 @@ func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 		if err := fc.PrepareAll(hs, sigma2); err != nil {
 			t.Fatal(err)
 		}
-		if fc.FrameSize() != nSC {
-			t.Fatalf("FrameSize %d, want %d", fc.FrameSize(), nSC)
+		if err := fc.Select(nSC); err == nil {
+			t.Fatalf("Select(%d) past a %d-subcarrier frame accepted", nSC, nSC)
 		}
 		for k := range hs {
 			if err := fc.Select(k); err != nil {
@@ -106,18 +106,13 @@ func TestPrepareAllMatchesLoopedPrepare(t *testing.T) {
 
 // TestPathReuseThresholdZeroExact pins the output-neutrality guarantee of
 // the coherence cache: it fires only on a bit-identical level key, so
-// enabling it can never change any output — here on a frame with
-// duplicated subcarriers, so hits actually occur.
+// enabling it can never change any output, nor the OpCount — here on a
+// frame re-sent against a ReuseState, so every subcarrier of the second
+// frame hits.
 func TestPathReuseThresholdZeroExact(t *testing.T) {
 	cons := constellation.MustNew(16)
-	const nt = 5
-	base := frameChannels(23, nt, nt, 6)
-	// Duplicate every channel: [h0 h0 h1 h1 ...] — each duplicate is an
-	// exact-match cache hit.
-	hs := make([]*cmatrix.Matrix, 0, 2*len(base))
-	for _, h := range base {
-		hs = append(hs, h, h)
-	}
+	const nt, nSC = 5, 12
+	hs := frameChannels(23, nt, nt, nSC)
 	sigma2 := channel.Sigma2FromSNRdB(15, 1)
 	rng := newRng(99)
 	ys := make([][]complex128, len(hs))
@@ -127,26 +122,31 @@ func TestPathReuseThresholdZeroExact(t *testing.T) {
 	wantPaths, wantDet := framePrepareReference(t, cons, Options{NPE: 24}, hs, ys, sigma2)
 
 	fc := New(cons, Options{NPE: 24, PathReuse: true})
-	if err := fc.PrepareAll(hs, sigma2); err != nil {
-		t.Fatal(err)
-	}
-	for k := range hs {
-		if err := fc.Select(k); err != nil {
+	var st ReuseState
+	fc.SetReuseState(&st)
+	plain := New(cons, Options{NPE: 24})
+	for f := 0; f < 2; f++ {
+		if err := fc.PrepareAll(hs, sigma2); err != nil {
 			t.Fatal(err)
 		}
-		if !samePaths(fc.Paths(), wantPaths[k]) {
-			t.Fatalf("subcarrier %d: reuse-enabled paths differ", k)
-		}
-		if got := fc.Detect(ys[k]); !equalInts(got, wantDet[k]) {
-			t.Fatalf("subcarrier %d: reuse-enabled Detect %v, want %v", k, got, wantDet[k])
+		detectFrame(t, plain, hs, ys, sigma2)
+		for k := range hs {
+			if err := fc.Select(k); err != nil {
+				t.Fatal(err)
+			}
+			if !samePaths(fc.Paths(), wantPaths[k]) {
+				t.Fatalf("frame %d subcarrier %d: reuse-enabled paths differ", f, k)
+			}
+			if got := fc.Detect(ys[k]); !equalInts(got, wantDet[k]) {
+				t.Fatalf("frame %d subcarrier %d: reuse-enabled Detect %v, want %v", f, k, got, wantDet[k])
+			}
 		}
 	}
-	pp := fc.PreprocessStats()
-	if pp.CacheHits != int64(len(base)) {
-		t.Fatalf("CacheHits = %d, want %d (one per duplicated subcarrier)", pp.CacheHits, len(base))
+	if pp := fc.PreprocessStats(); pp.CacheHits != nSC || pp.CacheMisses != nSC {
+		t.Fatalf("%d hits and %d misses, want %d of each (the re-sent frame hits everywhere)", pp.CacheHits, pp.CacheMisses, nSC)
 	}
-	if pp.CacheMisses != int64(len(base)) {
-		t.Fatalf("CacheMisses = %d, want %d", pp.CacheMisses, len(base))
+	if a, b := fc.OpCount(), plain.OpCount(); a != b {
+		t.Fatalf("reuse changed the OpCount: %+v, without reuse %+v", a, b)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestScalarPrepareReuse(t *testing.T) {
 
 // TestPrepareReplacesFrame pins Prepare as the one-subcarrier frame: after
 // a PrepareAll of another geometry it replaces the prepared frame rather
-// than leaving it half-selected — FrameSize is 1, Select(1) is outside
-// the frame, and Select(0) re-selects the scalar channel with the stream
+// than leaving it half-selected — Select(1) is outside the one-slot
+// frame, and Select(0) re-selects the scalar channel with the stream
 // count and scratch that go with it (it used to re-select the stale 4×4
 // slot under the 6×6 scratch, and Detect panicked).
 func TestPrepareReplacesFrame(t *testing.T) {
@@ -227,9 +227,6 @@ func TestPrepareReplacesFrame(t *testing.T) {
 		}
 		if err := fc.Prepare(h, sigma2); err != nil {
 			t.Fatal(err)
-		}
-		if fc.FrameSize() != 1 {
-			t.Fatalf("%s: FrameSize %d after Prepare, want 1", bb.name, fc.FrameSize())
 		}
 		if err := fc.Select(1); err == nil {
 			t.Fatalf("%s: Select(1) accepted after Prepare replaced the frame", bb.name)

@@ -150,18 +150,13 @@ func TestPlanSharesPrefixes(t *testing.T) {
 // and Paths() give, for every subcarrier k, exactly what FindPaths —
 // and the executable specification — return for that subcarrier's
 // model: ranks, order, LogP bits and Σ Pc bits —
-// whether the slot searched (a miss), aliased the frame's last search (a
-// chain hit: subcarrier 2 repeats subcarrier 1's channel) or aliased or
-// copied a prefix of the ReuseState's base (a state hit, capped or not),
-// on both backends.
+// whether the slot searched (a miss) or aliased or copied a prefix of the
+// ReuseState's base (a hit, capped or not), on both backends.
 func TestRankViewMatchesFindPaths(t *testing.T) {
 	const nr, nt, npe, nSC = 5, 4, 48, 4
 	cons := constellation.MustNew(16)
 	sigma2 := channel.Sigma2FromSNRdB(3, 1) // noisy: paths step up several levels
 	frames := [][]*cmatrix.Matrix{frameChannels(1850, nr, nt, nSC), frameChannels(1851, nr, nt, nSC)}
-	for _, hs := range frames {
-		hs[2] = hs[1]
-	}
 	for _, bb := range benchBackends {
 		for _, theta := range []float64{0, 0.9} {
 			det := New(cons, Options{NPE: npe, Threshold: theta, Backend: bb.backend, PathReuse: true})
@@ -172,8 +167,8 @@ func TestRankViewMatchesFindPaths(t *testing.T) {
 				if err := det.PrepareAll(frames[s.frame], sigma2); err != nil {
 					t.Fatal(err)
 				}
-				if pp := det.PreprocessStats(); step == 0 && (pp.CacheHits != 1 || pp.CacheMisses != nSC-1) {
-					t.Fatalf("%s θ=%g: first frame took %d hits and %d misses, want the one chain hit", bb.name, theta, pp.CacheHits, pp.CacheMisses)
+				if pp := det.PreprocessStats(); step == 0 && (pp.CacheHits != 0 || pp.CacheMisses != nSC) {
+					t.Fatalf("%s θ=%g: first frame took %d hits and %d misses, want %d misses", bb.name, theta, pp.CacheHits, pp.CacheMisses, nSC)
 				}
 				eff := npe
 				if s.cap > 0 {
@@ -193,7 +188,7 @@ func TestRankViewMatchesFindPaths(t *testing.T) {
 					sameSearch(t, what+" (spec)", want, spec, ws, ss)
 				}
 			}
-			if pp := det.PreprocessStats(); pp.CacheMisses == 0 || pp.CacheHits <= pp.CacheMisses {
+			if pp := det.PreprocessStats(); pp.CacheMisses == 0 || pp.CacheHits == 0 {
 				t.Fatalf("%s θ=%g: %d hits and %d misses, want both kinds", bb.name, theta, pp.CacheHits, pp.CacheMisses)
 			}
 		}

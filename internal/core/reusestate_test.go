@@ -56,9 +56,6 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 		fc := New(cons, Options{NPE: 24, PathReuse: true, Backend: backend})
 		var st ReuseState
 		fc.SetReuseState(&st)
-		if st.Valid() {
-			t.Fatal("zero-value ReuseState reports Valid")
-		}
 		for f, ys := range frames {
 			want := detectFrame(t, ref, hs, ys, sigma2)
 			got := detectFrame(t, fc, hs, ys, sigma2)
@@ -69,13 +66,9 @@ func TestReuseStateCrossFrameExact(t *testing.T) {
 				}
 			}
 		}
-		if !st.Valid() {
-			t.Fatal("ReuseState not valid after prepared frames")
-		}
-		// Frame 0 pays nSC fresh searches; every later frame re-sends the
-		// identical H array and must hit the external base on all nSC
-		// subcarriers (the frame-0 within-frame chain gets no hits: the
-		// subcarriers' level keys are distinct).
+		// Frame 0 pays nSC fresh searches (the zero-value state holds no
+		// base); every later frame re-sends the identical H array and must
+		// hit the external base on all nSC subcarriers.
 		pp := fc.PreprocessStats()
 		if wantHits := int64((nFrames - 1) * nSC); pp.CacheHits != wantHits {
 			t.Fatalf("%v: CacheHits = %d, want %d (all subcarriers of frames 2..%d)",
@@ -133,9 +126,6 @@ func TestReuseStatePerturbedRebase(t *testing.T) {
 
 	// Reset invalidates the bases without touching correctness.
 	st.Reset()
-	if st.Valid() {
-		t.Fatal("ReuseState valid after Reset")
-	}
 	step(hb)
 	if h := hits(); h != nSC {
 		t.Fatalf("frame after Reset hit %d times, want 0 new hits", h-nSC)
@@ -183,8 +173,8 @@ func TestReuseStateGeometryChange(t *testing.T) {
 		t.Fatalf("CacheHits = %d, want 14 across the geometry churn", pp.CacheHits)
 	}
 
-	// Detaching the state returns the detector to within-frame-only
-	// reuse: a re-sent frame no longer hits (distinct subcarriers).
+	// Detaching the state leaves the detector no base to hit: a re-sent
+	// frame no longer hits.
 	fc.SetReuseState(nil)
 	before := fc.PreprocessStats().CacheHits
 	_ = detectFrame(t, fc, small, ysL[:len(small)], sigma2)
@@ -301,8 +291,8 @@ func TestScalarAndFrameBasesAreSeparate(t *testing.T) {
 		t.Fatalf("state of %d bases and scalar state of %d, want %d and 1", len(st.slots), len(fc.scalarReuse.slots), nSC)
 	}
 
-	// Without a state PrepareAll has the within-frame chain only: it does
-	// not fall back on Prepare's base, which holds subcarrier 0's channel.
+	// Without a state PrepareAll reads no base: not even Prepare's, which
+	// holds subcarrier 0's channel.
 	fc.SetReuseState(nil)
 	step("Prepare(hs[0])", scalar(hs[0]), 0, 1)
 	step("a frame without a state does not read Prepare's base", frame, 0, nSC)
@@ -433,20 +423,20 @@ func TestReuseStateHitsOnEqualKey(t *testing.T) {
 	}
 }
 
-// TestPrepareAt: preparing a frame slot by slot with PrepareAt, k = i in
-// order, is PrepareAll — path sets, decisions, counters and the
-// ReuseState after each frame — and splitting the claims between two
-// helpers (odd and even k) against one state changes no path set and no
-// base, only which prepares hit: each helper's chain runs over its own
-// claims. A slot out of order, a subcarrier outside the frame and a
-// state not grown to the frame are errors.
+// TestPrepareAt: preparing a frame one subcarrier at a time with
+// PrepareAt — in order on one detector, or split between two helpers (odd
+// and even k) against one state — is PrepareAll: path sets, decisions,
+// the ReuseState after each frame, and every counter (the helpers'
+// folded). Pairs of subcarriers share a channel, and each still reads
+// only its own base. A subcarrier outside the frame and a state not
+// grown to the frame are errors.
 func TestPrepareAt(t *testing.T) {
 	cons := constellation.MustNew(16)
 	const nr, nt, nSC = 5, 4, 8
 	sigma2 := channel.Sigma2FromSNRdB(16, 1)
 	hs := frameChannels(91, nr, nt, nSC)
 	for k := 1; k < nSC; k += 2 {
-		hs[k] = hs[k-1] // shared keys: in order, the within-frame chain hits every odd k
+		hs[k] = hs[k-1]
 	}
 	rng := newRng(92)
 	ys := make([][]complex128, nSC)
@@ -499,23 +489,14 @@ func TestPrepareAt(t *testing.T) {
 		atSt.Grow(nSC)
 		splitSt.Grow(nSC)
 		for k := range hs {
-			if err := at.PrepareAt(hs, k, k, sigma2); err != nil {
-				t.Fatal(err)
-			}
-			h := halves[k%2]
-			if err := h.PrepareAt(hs, k, k/2, sigma2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := range hs {
-			for _, c := range []struct {
-				d    *FlexCore
-				slot int
-			}{{at, k}, {halves[k%2], k / 2}} {
-				if err := c.d.Select(c.slot); err != nil {
+			for _, d := range []*FlexCore{at, halves[k%2]} {
+				if err := d.PrepareAt(hs, k, sigma2); err != nil {
 					t.Fatal(err)
 				}
-				if got := c.d.Detect(ys[k]); !equalInts(got, want[k]) || !samePaths(c.d.Paths(), wantPaths[k]) {
+				if err := d.Select(0); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.Detect(ys[k]); !equalInts(got, want[k]) || !samePaths(d.Paths(), wantPaths[k]) {
 					t.Fatalf("frame %d subcarrier %d: PrepareAt's path set or decision differs from PrepareAll's", f, k)
 				}
 			}
@@ -532,25 +513,21 @@ func TestPrepareAt(t *testing.T) {
 			}
 		}
 	}
-	pp := all.PreprocessStats()
-	split := halves[0].PreprocessStats()
-	split.Add(halves[1].PreprocessStats())
-	if split.CacheHits+split.CacheMisses != pp.CacheHits+pp.CacheMisses {
-		t.Fatalf("split: %d hits + %d misses, PrepareAll %d + %d", split.CacheHits, split.CacheMisses, pp.CacheHits, pp.CacheMisses)
+	split := New(cons, opts)
+	split.Fold(halves[0])
+	split.Fold(halves[1]) // it prepared subcarrier nSC−1, so its CumulativeProb is the frame's
+	if split.PreprocessStats() != all.PreprocessStats() || split.OpCount() != all.OpCount() {
+		t.Fatalf("split: counters %+v %+v, PrepareAll %+v %+v", split.PreprocessStats(), split.OpCount(), all.PreprocessStats(), all.OpCount())
 	}
 
-	if err := at.PrepareAt(hs, 0, 0, sigma2); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.PrepareAt(hs, 1, 2, sigma2); err == nil {
-		t.Fatal("slot 2 prepared after slot 0 alone")
-	}
-	if err := at.PrepareAt(hs, nSC, 1, sigma2); err == nil {
-		t.Fatal("a subcarrier past the frame prepared")
+	for _, k := range []int{-1, nSC} {
+		if err := at.PrepareAt(hs, k, sigma2); err == nil {
+			t.Fatalf("subcarrier %d of a %d-subcarrier frame prepared", k, nSC)
+		}
 	}
 	var short ReuseState
 	at.SetReuseState(&short)
-	if err := at.PrepareAt(hs, 0, 0, sigma2); err == nil {
+	if err := at.PrepareAt(hs, 0, sigma2); err == nil {
 		t.Fatal("prepared against a state not grown to the frame")
 	}
 }

@@ -62,7 +62,7 @@ type FrameDetector struct {
 // (*core.FlexCore, or a type embedding one) or none.
 type flexCore interface {
 	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
-	PrepareAt(hs []*cmatrix.Matrix, k, i int, sigma2 float64) error
+	PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error
 	Select(k int) error
 	ActivePaths() int
 	PreprocessStats() core.PreprocessStats
@@ -177,12 +177,9 @@ func (f *FrameDetector) selectK(k int) error {
 // caller's included, claims the next subcarrier until none is left, and
 // prepares it against that subcarrier's slot of the installed
 // ReuseState. Decisions, path sets, emit order, errors, the ReuseState
-// after the frame and every counter are those of the one-lane run — but
-// for the PathReuse hit and miss counts (and the searches' work) of a
-// frame in which two subcarriers share a level key, since a lane's
-// within-frame chain runs over its own claims. emit runs only on the
-// caller's goroutine, in increasing k (on several lanes, once they are
-// joined). burst(k) may run on a helper goroutine, concurrently with
+// after the frame and every counter are those of the one-lane run. emit
+// runs only on the caller's goroutine, in increasing k (on several
+// lanes, once they are joined). burst(k) may run on a helper goroutine, concurrently with
 // other burst calls: it must only read data that stays unchanged for the
 // call, as returning a slice of the frame does. A helper outlives its
 // last frame by at most one linger, and only while the process runs no
@@ -509,12 +506,11 @@ type lane struct {
 	keepSoft func(k, s int, got []int, llrs [][]float64) // l.storeSoft, likewise
 	state    atomic.Int32                                // a helper lane's laneGone, laneQueued, laneStale, laneWork or laneIdle
 	timer    *time.Timer                                 // a helper's linger
-	chain    bool                                        // PathReuse: claim i is prepared into slot i, for the within-frame chain
 
 	err  error // the failed claim's, which ended the lane's claims
 	errK int
 
-	ks   []int       // the claimed subcarriers; with chain, ks[i] is the helper's prepared slot i
+	ks   []int       // the claimed subcarriers
 	buf  []int       // their decisions, vector after vector
 	lbuf []float64   // a soft frame's LLRs, vector after vector, stream-major
 	at   []int       // at[i]: vectors kept before ks[i]; one more entry than ks, the last counting every vector kept
@@ -524,7 +520,7 @@ type lane struct {
 }
 
 func newLane(owner *FrameDetector) *lane {
-	l := &lane{owner: owner, fd: NewFrameDetector(owner.lead.Helper()), chain: owner.lead.Options().PathReuse}
+	l := &lane{owner: owner, fd: NewFrameDetector(owner.lead.Helper())}
 	l.keep, l.keepSoft = l.store, l.storeSoft
 	return l
 }
@@ -537,7 +533,7 @@ func (l *lane) reset() {
 }
 
 // claim takes the owner's next unclaimed subcarrier, prepares it as the
-// helper's next slot and detects its burst, until none is left or a
+// helper's one slot and detects its burst, until none is left or a
 // claim fails; a failure records its k and ends every lane's claims.
 //
 //flexcore:noalloc
@@ -549,13 +545,9 @@ func (l *lane) claim() {
 		if k >= K {
 			return
 		}
-		i := 0 // without PathReuse no claim reads another: every one reuses slot 0's arenas
-		if l.chain {
-			i = len(l.ks)
-		}
-		err := l.fd.fc.PrepareAt(f.claimed, k, i, f.sigma2)
+		err := l.fd.fc.PrepareAt(f.claimed, k, f.sigma2)
 		if err == nil {
-			err = l.fd.selectK(i)
+			err = l.fd.selectK(0)
 		}
 		if err != nil {
 			l.err, l.errK = err, k

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,6 +164,139 @@ func TestServeHotLoopZeroAllocs(t *testing.T) {
 			t.Fatalf("rejections not taken: expired %d, draining %d", srv.met.expired.Load(), srv.met.rejectedDraining.Load())
 		}
 	})
+}
+
+// TestServeStripedFramesAllocFree gates what TestServeHotLoopZeroAllocs
+// and BenchmarkServeProcess cannot see: testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so every frame they measure runs on one lane. Here
+// process runs warm frames at GOMAXPROCS 2, where the shard's
+// FrameDetector hands each frame to a helper lane, for the fresh, reuse
+// and reuse-rungs legs, and they make no heap allocation. The method is
+// internal/phy's TestStripedFrameAllocFree: the runtime's own caches of
+// goroutines and threads still grow now and then (more often under the
+// race detector), so the gate reads up to ten windows of 50 frames and
+// needs one at 0 mallocs — one allocation per frame reads ≥ 50 in every
+// window. A frame ran on two lanes when one of its bursts ran off the
+// caller's goroutine; the window at 0 mallocs must hold such frames.
+func TestServeStripedFramesAllocFree(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a striped frame needs two cores: this host has one")
+	}
+	const frames, windows = 50, 10
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	for _, leg := range []struct {
+		name         string
+		reuse, rungs bool
+	}{{"fresh", false, false}, {"reuse", true, false}, {"reuse-rungs", true, true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			var ladder []int
+			if leg.rungs {
+				ladder = []int{e2eNPE / 2}
+			}
+			srv, err := NewServer(Config{
+				Shards:        1,
+				DegradeLadder: ladder,
+				DetectorFactory: func() detector.Detector {
+					return core.New(cons, core.Options{NPE: e2eNPE, Backend: envBackend(t), PathReuse: leg.reuse})
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				srv.Shutdown(ctx)
+			}()
+
+			var q DetectRequest
+			fillFrame(t, &q, 12, 1)
+			payload := q.AppendPayload(nil)
+			sh := srv.shards[0]
+			tk := srv.taskPool.Get().(*task)
+			if leg.reuse {
+				tk.user = &userState{}
+			}
+			caller := goid()
+			var offCaller atomic.Int64 // bursts that ran on a helper lane
+			tk.burst = func(k int) [][]complex128 {
+				if goid() != caller {
+					offCaller.Add(1)
+				}
+				return tk.req.Burst(k)
+			}
+			defer func() {
+				tk.burst = tk.req.Burst
+				srv.release(tk)
+			}()
+			// Drive process directly, as TestServeHotLoopZeroAllocs does.
+			frame := func() {
+				if err := tk.req.Decode(payload); err != nil {
+					t.Fatal(err)
+				}
+				tk.enq = time.Now()
+				if leg.rungs {
+					tk.rung ^= 1 // full, degraded, full, …
+				}
+				srv.process(sh, tk)
+			}
+			for i := 0; i < 1000; i++ { // the runtime's goroutine caches warm over the first few hundred striped frames
+				frame()
+			}
+			var mallocs []uint64
+			var striped []int
+			for w := 0; w < windows && (w == 0 || mallocs[w-1] != 0); w++ {
+				n := 0
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < frames; i++ {
+					before := offCaller.Load()
+					frame()
+					if offCaller.Load() != before {
+						n++
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				mallocs, striped = append(mallocs, m1.Mallocs-m0.Mallocs), append(striped, n)
+			}
+			t.Logf("mallocs per window of %d frames %v; frames with a burst on a helper lane %v", frames, mallocs, striped)
+			if last := len(mallocs) - 1; mallocs[last] != 0 || striped[last] == 0 {
+				t.Errorf("mallocs per window of %d frames %v, frames on two lanes %v: want a window at 0 mallocs with frames on two lanes", frames, mallocs, striped)
+			}
+			if leg.reuse {
+				if hits := sh.fd.PreprocessStats().CacheHits; hits == 0 {
+					t.Fatal("reuse leg never hit the per-user cross-frame cache")
+				}
+			}
+		})
+	}
+}
+
+// goidBuf is goid's scratch: one buffer behind a mutex, so that reading
+// a goroutine's id allocates nothing.
+var (
+	goidMu  sync.Mutex
+	goidBuf [64]byte
+)
+
+// goid returns the calling goroutine's id, parsed from the header line
+// runtime.Stack writes ("goroutine 17 [running]:").
+func goid() uint64 {
+	goidMu.Lock()
+	defer goidMu.Unlock()
+	var id uint64
+	for _, c := range goidBuf[len("goroutine "):runtime.Stack(goidBuf[:], false)] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
 }
 
 // raceEnabled is set under the race detector (race_test.go), whose

@@ -74,11 +74,10 @@ type ShardStats struct {
 	// holds (bounded by Config.UserStateCap).
 	TrackedUsers int `json:"tracked_users"`
 	// ReuseHits/ReuseMisses are the Prepare path-reuse cache counters of
-	// the shard's detector: hits are subcarriers whose
-	// §3.1.1 candidate-position search was skipped via the coherence
-	// cache (within-frame or per-user cross-frame), misses are fresh
-	// searches with reuse enabled. Both stay 0 when the detector factory
-	// leaves PathReuse off.
+	// the shard's detector: hits are subcarriers whose §3.1.1
+	// candidate-position search was skipped via the user's cross-frame
+	// coherence cache, misses are fresh searches with reuse enabled. Both
+	// stay 0 when the detector factory leaves PathReuse off.
 	ReuseHits   int64 `json:"reuse_hits"`
 	ReuseMisses int64 `json:"reuse_misses"`
 }
