@@ -32,8 +32,10 @@
 //	}
 //
 // With Options.PathReuse, a Prepare of the previous Prepare's channel
-// reuses its position vectors; the serving layer keys the same reuse
-// per user and subcarrier, across frames.
+// reuses its position vectors, and a ReuseState installed with
+// SetReuseState carries a frame's path sets to the next PrepareAll
+// against it: a subcarrier whose channel is unchanged skips its search.
+// The serving layer keys one ReuseState per user.
 package flexcore
 
 import (
@@ -61,9 +63,15 @@ type Detector = detector.Detector
 // a-FlexCore threshold, slicer variant, path reuse, kernel backend). A
 // detector is single-threaded: run one per goroutine. A frame's
 // subcarriers may still run on several cores — the frame loop behind
-// RunLink stripes them over helper detectors of its own when cores are
-// idle, with results unchanged.
+// RunLink prepares and detects each on its own, on the detector and,
+// when cores are idle, on helper detectors of its own too, with results
+// unchanged.
 type Options = core.Options
+
+// ReuseState carries PrepareAll's path sets across frames, one base per
+// subcarrier, for a detector with Options.PathReuse that has it
+// installed (SetReuseState). The zero value is ready to use.
+type ReuseState = core.ReuseState
 
 // New returns a FlexCore detector for the constellation.
 func New(cons *constellation.Constellation, opts Options) *core.FlexCore { return core.New(cons, opts) }

@@ -42,6 +42,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeReuseState: a facade user reaches cross-frame reuse — a
+// detector with PathReuse and an installed ReuseState prepares a
+// re-sent 3-subcarrier frame from the first frame's path sets.
+func TestFacadeReuseState(t *testing.T) {
+	cons := flexcore.MustConstellation(16)
+	det := flexcore.New(cons, flexcore.Options{NPE: 16, PathReuse: true})
+	var st flexcore.ReuseState
+	det.SetReuseState(&st)
+	hs := []*flexcore.Matrix{flexcore.Rayleigh(1, 4, 3), flexcore.Rayleigh(2, 4, 3), flexcore.Rayleigh(3, 4, 3)}
+	sigma2 := flexcore.Sigma2FromSNRdB(15)
+	for range 2 {
+		if err := det.PrepareAll(hs, sigma2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pp := det.PreprocessStats(); pp.CacheHits != 3 || pp.CacheMisses != 3 {
+		t.Fatalf("a frame prepared twice against one ReuseState: %d hits, %d misses; want 3 and 3", pp.CacheHits, pp.CacheMisses)
+	}
+}
+
 func TestFacadeFindPaths(t *testing.T) {
 	cons := flexcore.MustConstellation(64)
 	r := cmatrix.New(4, 4)

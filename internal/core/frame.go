@@ -138,9 +138,10 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 }
 
 // PrepareAt prepares subcarrier k of the frame hs, and only it, as a
-// one-slot prepared frame that Select(0) selects: the way one lane of a
-// frame split by subcarrier prepares each subcarrier it claims (phy's
-// FrameDetector). With a ReuseState installed, slot k of the state
+// one-slot prepared frame that Select(0) selects: the way phy's
+// FrameDetector prepares every subcarrier of a frame, on whichever lane
+// claims it. It checks only subcarrier k's geometry; CheckFrame checks
+// the frame's. With a ReuseState installed, slot k of the state
 // serves and stores subcarrier k, exactly as under PrepareAll, and no
 // other slot is read or written: detectors preparing distinct
 // subcarriers of one frame against one state may run concurrently. The
@@ -153,15 +154,14 @@ func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error 
 	if k < 0 || k >= len(hs) {
 		return errSlot(len(hs), k)
 	}
-	_, n, err := validateFrameGeometry(hs[k : k+1])
-	if err != nil {
+	if err := CheckFrame(hs[k : k+1]); err != nil {
 		return err
 	}
 	st := d.reuseState(d.extReuse)
 	if st != nil && len(st.slots) < len(hs) {
 		return errShortState(len(st.slots), len(hs))
 	}
-	d.startFrame(n, 1)
+	d.startFrame(hs[k].Cols, 1)
 	d.prepareSlot(&d.frame[0], k, hs[k], sigma2, st)
 	d.ppOps.CumulativeProb = d.frame[0].set.total()
 	return nil
@@ -184,15 +184,14 @@ func errShortState(slots, frame int) error {
 //
 //flexcore:noalloc
 func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseState) error {
-	_, n, err := validateFrameGeometry(hs)
-	if err != nil {
+	if err := CheckFrame(hs); err != nil {
 		return err
 	}
 	st = d.reuseState(st)
 	if st != nil {
 		st.Grow(len(hs))
 	}
-	d.startFrame(n, len(hs))
+	d.startFrame(hs[0].Cols, len(hs))
 	for k, h := range hs {
 		d.prepareSlot(&d.frame[k], k, h, sigma2, st)
 	}
@@ -269,25 +268,27 @@ func (d *FlexCore) prepareSlot(s *prepSlot, k int, h *cmatrix.Matrix, sigma2 flo
 	d.ops.FLOPs += 2 * muls
 }
 
-// validateFrameGeometry checks that a PrepareAll frame is non-empty and
-// that every subcarrier shares one tall geometry, returning it. It is
-// the cold error path of PrepareAll, kept outside the noalloc-annotated
+// CheckFrame returns PrepareAll's error for the frame hs, or nil: a
+// frame must be non-empty, and every subcarrier must share one tall
+// geometry. PrepareAt checks only its own subcarrier, so a caller that
+// prepares a frame one subcarrier at a time checks the whole frame here
+// first. It is the cold error path, kept outside the noalloc-annotated
 // steady state because its error formatting necessarily allocates.
-func validateFrameGeometry(hs []*cmatrix.Matrix) (nr, n int, err error) {
+func CheckFrame(hs []*cmatrix.Matrix) error {
 	if len(hs) == 0 {
-		return 0, 0, fmt.Errorf("core: PrepareAll needs at least one channel")
+		return fmt.Errorf("core: PrepareAll needs at least one channel")
 	}
-	nr, n = hs[0].Rows, hs[0].Cols
+	nr, n := hs[0].Rows, hs[0].Cols
 	if nr < n {
-		return 0, 0, fmt.Errorf("core: need receive antennas ≥ streams, got %d×%d", nr, n)
+		return fmt.Errorf("core: need receive antennas ≥ streams, got %d×%d", nr, n)
 	}
 	for k, h := range hs {
 		if h.Rows != nr || h.Cols != n {
-			return 0, 0, fmt.Errorf("core: PrepareAll channels must share one geometry, subcarrier %d is %d×%d (frame is %d×%d)",
+			return fmt.Errorf("core: PrepareAll channels must share one geometry, subcarrier %d is %d×%d (frame is %d×%d)",
 				k, h.Rows, h.Cols, nr, n)
 		}
 	}
-	return nr, n, nil
+	return nil
 }
 
 // Select activates subcarrier k of the prepared frame:

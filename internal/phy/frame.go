@@ -17,41 +17,40 @@ import (
 // subcarrier. It is the repo's one frame loop: the serving layer
 // (one per shard), bench/, the link simulator (one per packet worker)
 // and the waveform receiver all prepare and detect frames through it.
-// FlexCore (DESIGN.md §9) runs its channel-rate PrepareAll/Select; any
-// other detector is prepared one subcarrier at a time. Decisions are
-// bit-identical to looping Prepare+Detect per subcarrier either way:
-// FlexCore's Prepare is the one-subcarrier PrepareAll.
+// Every subcarrier is prepared on its own, then detected: a FlexCore
+// (DESIGN.md §9) through PrepareAt and Select(0), against that
+// subcarrier's slot of the installed ReuseState, any other detector
+// through Prepare. Decisions are bit-identical to looping
+// Prepare+Detect per subcarrier either way.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
 // DetectFrame and DetectFrameSoft may themselves run a frame on more
 // than one core (DESIGN.md §8): over a FlexCore its lanes — the caller
-// and helper goroutines, each with a detector of its own — claim the
-// subcarriers one at a time.
+// on the wrapped detector, and helper goroutines, each with a helper
+// detector of its own — claim the subcarriers one at a time.
 type FrameDetector struct {
 	det   detector.Detector
 	batch detector.BatchDetector
 	fc    flexCore // the detector's FlexCore surface; nil for any other detector
 
-	hs     []*cmatrix.Matrix // the frame selectK prepares per subcarrier (fc == nil)
-	sigma2 float64           // hs's noise variance, or claimed's
-
 	activeSum float64
 	activeN   int64
 
-	st *core.ReuseState // the installed ReuseState, which the lanes prepare against too
+	st *core.ReuseState // the installed ReuseState, which the helper lanes prepare against too
 
 	// lead is the wrapped detector when it is a FlexCore — a
 	// subcarrier's path set and decisions depend on no other subcarrier,
-	// so a frame may run on several lanes: own on the caller, lanes[i] on
-	// a helper goroutine, each over a helper of lead made on first need.
-	// They claim the subcarriers of claimed from next; wg joins the
-	// helpers.
+	// so a frame may run on several lanes: own, lane 0, on the caller
+	// over the wrapped detector itself, and lanes[i] on a helper
+	// goroutine over a helper of lead made on first need. They claim the
+	// subcarriers of claimed from next; wg joins the helpers.
 	lead    *core.FlexCore
 	own     *lane
 	lanes   []*lane
 	wg      sync.WaitGroup
 	claimed []*cmatrix.Matrix
+	sigma2  float64 // claimed's noise variance
 	burst   func(k int) [][]complex128
 	soft    bool         // the claimed frame is DetectFrameSoft's
 	next    atomic.Int64 // claimed's next unclaimed subcarrier
@@ -61,10 +60,10 @@ type FrameDetector struct {
 // probed once in NewFrameDetector. A detector has all of it
 // (*core.FlexCore, or a type embedding one) or none.
 type flexCore interface {
-	PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error
 	PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error
 	Select(k int) error
 	ActivePaths() int
+	Options() core.Options
 	PreprocessStats() core.PreprocessStats
 	SetReuseState(*core.ReuseState)
 	SetPathCap(k int)
@@ -72,9 +71,8 @@ type flexCore interface {
 }
 
 var (
-	errEmptyFrame  = errors.New("phy: a frame needs at least one channel")
-	errSelectRange = errors.New("phy: Select outside the prepared frame")
-	errNoSoft      = errors.New("phy: soft output needs a FlexCore detector")
+	errEmptyFrame = errors.New("phy: a frame needs at least one channel")
+	errNoSoft     = errors.New("phy: soft output needs a FlexCore detector")
 )
 
 // NewFrameDetector wraps d for frame-at-a-time detection.
@@ -82,13 +80,14 @@ func NewFrameDetector(d detector.Detector) *FrameDetector {
 	f := &FrameDetector{det: d, batch: detector.Batch(d)}
 	f.fc, _ = d.(flexCore)
 	f.lead, _ = d.(*core.FlexCore)
+	f.own = &lane{owner: f, fd: f}
 	return f
 }
 
 // SetReuseState installs st as the wrapped detector's cross-frame
 // coherence base for the next DetectFrame and DetectFrameSoft calls, and
-// its lanes' (nil removes it), and reports whether the detector supports
-// external reuse keying.
+// its helper lanes' (nil removes it), and reports whether the detector
+// supports external reuse keying.
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
@@ -100,9 +99,10 @@ func (f *FrameDetector) SetReuseState(st *core.ReuseState) bool {
 	return true
 }
 
-// SetPathCap bounds the wrapped detector's path sets, and its lanes',
-// at k processing elements for the next DetectFrame calls (0 lifts the
-// bound) and reports whether the detector supports a per-frame cap.
+// SetPathCap bounds the wrapped detector's path sets, and its helper
+// lanes', at k processing elements for the next DetectFrame calls (0
+// lifts the bound) and reports whether the detector supports a
+// per-frame cap.
 //
 //flexcore:noalloc
 func (f *FrameDetector) SetPathCap(k int) bool {
@@ -110,81 +110,74 @@ func (f *FrameDetector) SetPathCap(k int) bool {
 		return false
 	}
 	f.fc.SetPathCap(k)
-	if f.own != nil {
-		f.own.fd.SetPathCap(k)
-	}
 	for _, l := range f.lanes {
 		l.fd.SetPathCap(k)
 	}
 	return true
 }
 
-// Detector returns the wrapped detector. Its prepared frame is
-// DetectFrame's last only when that frame ran on one lane.
+// Detector returns the wrapped detector, lane 0 of every frame.
 func (f *FrameDetector) Detector() detector.Detector { return f.det }
 
-// prepareAll prepares a frame of per-subcarrier channels: in one call
-// for FlexCore, otherwise by recording hs and sigma2 for selectK to
-// prepare one subcarrier at a time (hs must then stay unchanged until
-// the frame's last selectK). An empty frame is an error for every
-// detector.
-//
-//flexcore:noalloc
-func (f *FrameDetector) prepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+// checkFrame is a frame's one check before any claim: over a FlexCore
+// core's, so that a geometry fault anywhere returns PrepareAll's error
+// with nothing emitted; any other detector's Prepare checks its own
+// subcarrier, and only an empty frame is refused here.
+func (f *FrameDetector) checkFrame(hs []*cmatrix.Matrix) error {
 	if f.fc != nil {
-		return f.fc.PrepareAll(hs, sigma2)
+		return core.CheckFrame(hs)
 	}
 	if len(hs) == 0 {
 		return errEmptyFrame
 	}
-	f.hs, f.sigma2 = hs, sigma2
 	return nil
 }
 
-// selectK activates subcarrier k of the prepared frame for the wrapped
-// detector's Detect/DetectBatch/DetectSoft calls and samples its
-// active processing-element count.
+// prepare prepares subcarrier k of the frame hs on its own for the
+// wrapped detector's next Detect/DetectBatch/DetectSoft calls — a
+// FlexCore through PrepareAt and Select(0), any other detector through
+// Prepare — and samples a FlexCore's active processing-element count.
 //
 //flexcore:noalloc
-func (f *FrameDetector) selectK(k int) error {
-	err := errSelectRange
-	switch {
-	case f.fc != nil:
-		err = f.fc.Select(k)
-	case 0 <= k && k < len(f.hs):
-		err = f.det.Prepare(f.hs[k], f.sigma2)
+func (f *FrameDetector) prepare(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
+	if f.fc == nil {
+		return f.det.Prepare(hs[k], sigma2)
 	}
-	if err == nil && f.fc != nil {
+	err := f.fc.PrepareAt(hs, k, sigma2)
+	if err == nil {
+		err = f.fc.Select(0)
+	}
+	if err == nil {
 		f.activeSum += float64(f.fc.ActivePaths())
 		f.activeN++
 	}
 	return err
 }
 
-// DetectFrame detects one frame: it prepares every subcarrier channel,
-// then for each subcarrier k selects it, detects the burst returned by
-// burst(k) — one received vector per OFDM symbol — and hands the
-// decisions to emit(k, got). The decisions slice is detector-owned and
-// valid only until the next detection call: emit must consume (copy or
-// encode) it before returning. The burst and emit callbacks let callers
-// stream results without any intermediate per-frame decision buffer,
-// keeping the steady-state loop allocation-free.
+// DetectFrame detects one frame: for each subcarrier k it prepares that
+// subcarrier's channel, detects the burst returned by burst(k) — one
+// received vector per OFDM symbol — and hands the decisions to emit(k,
+// got). The decisions slice is valid only until the next detection
+// call: emit must consume (copy or encode) it before returning. The
+// burst and emit callbacks let callers stream results without any
+// intermediate per-frame decision buffer of their own, keeping the
+// steady-state loop allocation-free.
 //
 // Over a FlexCore, PathReuse or not, a frame of K ≥ 2 subcarriers runs
 // on L = min(K, GOMAXPROCS − busy) lanes, and at least one, busy being
 // the cores the process's other frames hold — one per frame in flight
 // plus one per helper lane it runs (DESIGN.md §8). Every lane, the
-// caller's included, claims the next subcarrier until none is left, and
-// prepares it against that subcarrier's slot of the installed
-// ReuseState. Decisions, path sets, emit order, errors, the ReuseState
-// after the frame and every counter are those of the one-lane run. emit
-// runs only on the caller's goroutine, in increasing k (on several
-// lanes, once they are joined). burst(k) may run on a helper goroutine, concurrently with
-// other burst calls: it must only read data that stays unchanged for the
-// call, as returning a slice of the frame does. A helper outlives its
-// last frame by at most one linger, and only while the process runs no
-// more goroutines than it has Ps; it touches no frame state after the
-// join.
+// caller's on the wrapped detector included, claims the next subcarrier
+// until none is left, and prepares it against that subcarrier's slot of
+// the installed ReuseState. Decisions, path sets, emit order, errors,
+// the ReuseState after the frame and every counter are those of the
+// one-lane run. emit runs only on the caller's goroutine, in increasing
+// k, once the lanes are joined. burst(k) may run on a helper goroutine,
+// concurrently with other burst calls: it must only read data that stays
+// unchanged for the call, as returning a slice of the frame does. A
+// helper outlives its last frame by at most one linger, and only while
+// the process runs no more goroutines than it has Ps; it touches no
+// frame state after the join.
 //
 //flexcore:noalloc
 func (f *FrameDetector) DetectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, emit func(k int, decisions [][]int)) error {
@@ -228,84 +221,29 @@ func reserveCores(want int) int {
 	}
 }
 
-// detectFrame is the one frame loop. A one-lane frame runs on the
-// wrapped detector, emitting as it goes; a frame on L ≥ 2 lanes is
-// claimFrame's. Exactly one of hard and soft is set.
+// detectFrame is the one frame loop, whatever the detector and however
+// many lanes the frame gets. It checks the frame, reserves n lanes,
+// grows the installed ReuseState to the frame, hands the frame to helper
+// lanes 1…n−1, claims subcarriers on lane 0 — the wrapped detector —
+// until none is left, takes back every hand-off whose goroutine has not
+// started, joins the helpers, emits every lane's results in increasing k
+// up to the lowest failed claim and folds the helpers' counters into the
+// wrapped detector. The error is that claim's, after exactly the
+// subcarriers below it were emitted. Exactly one of hard and soft is
+// set.
 //
 //flexcore:noalloc
 func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
-	lanes := reserveCores(f.maxLanes(hs))
-	defer coresInUse.Add(-int64(lanes))
-	if lanes == 1 {
-		return f.stripe(hs, sigma2, burst, hard, soft)
-	}
-	return f.claimFrame(hs, sigma2, burst, hard, soft, lanes)
-}
-
-// maxLanes returns how many lanes a frame may run on: one unless the
-// wrapped detector is a FlexCore and the frame has two or more
-// subcarriers of one valid geometry (any other frame gets the wrapped
-// detector's own error, nothing emitted), else one per subcarrier.
-//
-//flexcore:noalloc
-func (f *FrameDetector) maxLanes(hs []*cmatrix.Matrix) int {
-	if f.lead == nil || len(hs) < 2 || hs[0].Rows < hs[0].Cols {
-		return 1
-	}
-	for _, h := range hs {
-		if h.Rows != hs[0].Rows || h.Cols != hs[0].Cols {
-			return 1
-		}
-	}
-	return len(hs)
-}
-
-// stripe prepares the frame hs on the wrapped detector and detects its
-// subcarriers in order, emitting as it goes.
-//
-//flexcore:noalloc
-func (f *FrameDetector) stripe(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
-	if err := f.prepareAll(hs, sigma2); err != nil {
+	if err := f.checkFrame(hs); err != nil {
 		return err
 	}
-	for k := range hs {
-		if err := f.selectK(k); err != nil {
-			return err
-		}
-		f.detect(k, sigma2, burst, hard, soft)
+	want := 1 // only a FlexCore has helpers
+	if f.lead != nil {
+		want = len(hs)
 	}
-	return nil
-}
-
-// detect detects subcarrier k's burst on the selected subcarrier: one
-// DetectBatch when hard is set, else one DetectSoft per vector.
-//
-//flexcore:noalloc
-func (f *FrameDetector) detect(k int, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) {
-	if hard != nil {
-		hard(k, f.batch.DetectBatch(burst(k)))
-		return
-	}
-	for s, y := range burst(k) {
-		got, llrs := f.fc.DetectSoft(y, sigma2)
-		soft(k, s, got, llrs)
-	}
-}
-
-// claimFrame runs a frame on n lanes: it grows the installed ReuseState
-// to the frame, hands the frame to helper lanes 0…n−2, claims
-// subcarriers on its own lane until none is left, takes back every
-// hand-off whose goroutine has not started, joins the helpers, emits
-// every lane's results in increasing k up to the lowest failed claim and
-// folds the lanes' counters into the wrapped detector. The error is that
-// claim's, after exactly the subcarriers below it were emitted.
-//
-//flexcore:noalloc
-func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64), n int) error {
-	if f.own == nil {
-		f.own = newLane(f)
-	}
-	if f.st != nil && f.lead.Options().PathReuse {
+	n := reserveCores(want)
+	defer coresInUse.Add(-int64(n))
+	if f.st != nil && f.fc.Options().PathReuse {
 		f.st.Grow(len(hs)) // before any hand-off: the lanes then only index it
 	}
 	f.claimed, f.sigma2, f.burst, f.soft = hs, sigma2, burst, soft != nil
@@ -342,18 +280,23 @@ func (f *FrameDetector) claimFrame(hs []*cmatrix.Matrix, sigma2 float64, burst f
 		}
 	}
 
-	last := 0 // the lane that prepared the last subcarrier claimed: folded last, its CumulativeProb is the frame's
+	last := 0 // the lane that prepared the last subcarrier claimed: its CumulativeProb is the frame's
 	for i := range n {
 		if f.lane(i).top() > f.lane(last).top() {
 			last = i
 		}
 	}
-	for i := range n {
+	for i := 1; i < n; i++ {
 		if i != last {
 			f.fold(f.lane(i))
 		}
 	}
-	f.fold(f.lane(last))
+	switch {
+	case last > 0:
+		f.fold(f.lane(last))
+	case n > 1 && f.own.top() >= 0:
+		_ = f.fc.Select(0) // lane 0's last claim, still in slot 0, takes back the CumulativeProb the folds took; re-selecting it cannot fail
+	}
 	f.claimed, f.burst = nil, nil
 	return err
 }
@@ -369,19 +312,20 @@ func (f *FrameDetector) lane(i int) *lane {
 }
 
 // handOff hands the frame to helper lane i, making the lane on first
-// need: a lane whose goroutine still lingers takes it with one
-// compare-and-swap, so does one a taken-back hand-off left queued for a
-// goroutine that has not started yet, and any other gets a goroutine
-// started for it.
+// need, with the owner's ReuseState installed on its detector: a lane
+// whose goroutine still lingers takes it with one compare-and-swap, so
+// does one a taken-back hand-off left queued for a goroutine that has
+// not started yet, and any other gets a goroutine started for it.
 func (f *FrameDetector) handOff(i int) {
 	if i == len(f.lanes) {
-		l := newLane(f)
+		l := &lane{owner: f, fd: NewFrameDetector(f.lead.Helper())}
 		l.timer = time.NewTimer(linger)
 		l.timer.Stop()
 		f.lanes = append(f.lanes, l)
 	}
 	l := f.lanes[i]
 	l.reset()
+	l.fd.fc.SetReuseState(f.st)
 	f.wg.Add(1)
 	if l.state.CompareAndSwap(laneIdle, laneWork) || l.state.CompareAndSwap(laneStale, laneQueued) {
 		return
@@ -391,8 +335,8 @@ func (f *FrameDetector) handOff(i int) {
 	laneQ <- l
 }
 
-// fold returns a joined lane's counters to the wrapped detector and
-// drops its reference to the frame's ReuseState.
+// fold returns a joined helper lane's counters to the wrapped detector
+// and drops its reference to the frame's ReuseState.
 //
 //flexcore:noalloc
 func (f *FrameDetector) fold(l *lane) {
@@ -401,7 +345,6 @@ func (f *FrameDetector) fold(l *lane) {
 	f.activeN += l.fd.activeN
 	l.fd.activeSum, l.fd.activeN = 0, 0
 	l.fd.fc.SetReuseState(nil)
-	l.err = nil
 }
 
 // laneQ carries each handed-off lane to the goroutine started for it. A
@@ -494,18 +437,18 @@ func (l *lane) await() bool {
 	return !l.state.CompareAndSwap(laneIdle, laneGone)
 }
 
-// lane is one lane of a frame: a FrameDetector over a helper of the
-// wrapped FlexCore (SetPathCap caps both), the subcarriers it claimed,
-// in increasing k, and their results — decisions, and a soft frame's
-// LLRs — kept in lane-owned arenas (grown to their high-water mark)
-// until the caller emits them after the join.
+// lane is one lane of a frame: its FrameDetector — for lane 0, the
+// caller's, the owner itself over the wrapped detector; for a helper
+// lane, one over a helper of the wrapped FlexCore (SetPathCap caps
+// both) — the subcarriers it claimed, in increasing k, and their
+// results — decisions, and a soft frame's LLRs — kept in lane-owned
+// arenas (grown to their high-water mark) until the caller emits them
+// after the join.
 type lane struct {
-	owner    *FrameDetector
-	fd       *FrameDetector                              // over the helper detector, fd.lead
-	keep     func(k int, decisions [][]int)              // l.store, bound once: a method value made per frame allocates
-	keepSoft func(k, s int, got []int, llrs [][]float64) // l.storeSoft, likewise
-	state    atomic.Int32                                // a helper lane's laneGone, laneQueued, laneStale, laneWork or laneIdle
-	timer    *time.Timer                                 // a helper's linger
+	owner *FrameDetector
+	fd    *FrameDetector // the lane's detector: owner itself for lane 0
+	state atomic.Int32   // a helper lane's laneGone, laneQueued, laneStale, laneWork or laneIdle
+	timer *time.Timer    // a helper's linger
 
 	err  error // the failed claim's, which ended the lane's claims
 	errK int
@@ -519,22 +462,15 @@ type lane struct {
 	cur  int         // ks[cur] is the next subcarrier emit hands over
 }
 
-func newLane(owner *FrameDetector) *lane {
-	l := &lane{owner: owner, fd: NewFrameDetector(owner.lead.Helper())}
-	l.keep, l.keepSoft = l.store, l.storeSoft
-	return l
-}
-
-// reset empties the lane for the next frame and installs the owner's
-// ReuseState on its detector.
+// reset empties the lane for the next frame.
 func (l *lane) reset() {
 	l.ks, l.buf, l.lbuf, l.at = l.ks[:0], l.buf[:0], l.lbuf[:0], append(l.at[:0], 0)
-	l.fd.fc.SetReuseState(l.owner.st)
+	l.err = nil
 }
 
-// claim takes the owner's next unclaimed subcarrier, prepares it as the
-// helper's one slot and detects its burst, until none is left or a
-// claim fails; a failure records its k and ends every lane's claims.
+// claim takes the owner's next unclaimed subcarrier, prepares it on the
+// lane's detector and detects its burst, until none is left or a claim
+// fails; a failure records its k and ends every lane's claims.
 //
 //flexcore:noalloc
 func (l *lane) claim() {
@@ -545,11 +481,7 @@ func (l *lane) claim() {
 		if k >= K {
 			return
 		}
-		err := l.fd.fc.PrepareAt(f.claimed, k, f.sigma2)
-		if err == nil {
-			err = l.fd.selectK(0)
-		}
-		if err != nil {
+		if err := l.fd.prepare(f.claimed, k, f.sigma2); err != nil {
 			l.err, l.errK = err, k
 			f.next.Store(int64(K))
 			return
@@ -558,34 +490,28 @@ func (l *lane) claim() {
 	}
 }
 
-// keepClaim detects the selected claim k's burst and keeps its results
-// for emit, growing the lane's arenas past their high-water mark only.
+// keepClaim detects the prepared claim k's burst and keeps its results
+// for emit — decisions, and a soft frame's LLRs, vector after vector —
+// growing the lane's arenas past their high-water mark only.
 func (l *lane) keepClaim(k int) {
 	f := l.owner
-	l.at = append(l.at, l.at[len(l.at)-1])
+	vectors := l.at[len(l.at)-1]
 	if f.soft {
-		l.fd.detect(k, f.sigma2, f.burst, nil, l.keepSoft)
+		for _, y := range f.burst(k) {
+			got, llrs := l.fd.fc.DetectSoft(y, f.sigma2)
+			l.buf = append(l.buf, got...)
+			for _, r := range llrs {
+				l.lbuf = append(l.lbuf, r...)
+			}
+			vectors++
+		}
 	} else {
-		l.fd.detect(k, f.sigma2, f.burst, l.keep, nil)
+		for _, d := range l.fd.batch.DetectBatch(f.burst(k)) {
+			l.buf = append(l.buf, d...)
+			vectors++
+		}
 	}
-	l.ks = append(l.ks, k)
-}
-
-// store keeps a hard claim's decisions for emit.
-func (l *lane) store(_ int, decisions [][]int) {
-	for _, d := range decisions {
-		l.buf = append(l.buf, d...)
-	}
-	l.at[len(l.at)-1] += len(decisions)
-}
-
-// storeSoft keeps one vector of a soft claim for emit.
-func (l *lane) storeSoft(_, _ int, got []int, llrs [][]float64) {
-	l.buf = append(l.buf, got...)
-	for _, r := range llrs {
-		l.lbuf = append(l.lbuf, r...)
-	}
-	l.at[len(l.at)-1]++
+	l.ks, l.at = append(l.ks, k), append(l.at, vectors)
 }
 
 // views builds the per-vector views emit hands over and rewinds it.
@@ -648,7 +574,7 @@ func (l *lane) top() int {
 }
 
 // ActivePEs returns the cumulative active processing-element count and
-// the number of selected subcarriers it was sampled over (nonzero only
+// the number of prepared subcarriers it was sampled over (nonzero only
 // for FlexCore/a-FlexCore) — the serving layer's AvgActivePEs metric
 // and the simulator's.
 func (f *FrameDetector) ActivePEs() (sum float64, n int64) { return f.activeSum, f.activeN }

@@ -76,9 +76,9 @@ func checkAgainstScalarLoop(t *testing.T, fd *FrameDetector, ref detector.Detect
 	}
 }
 
-// TestFrameDetectorMatchesScalarLoopFlexCore covers the channel-rate
-// fast path: FlexCore has its own PrepareAll/Select, and DetectFrame
-// goes through them.
+// TestFrameDetectorMatchesScalarLoopFlexCore covers FlexCore's
+// per-subcarrier prepare: DetectFrame prepares each subcarrier through
+// PrepareAt and Select(0).
 func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	cons, err := constellation.New(16)
 	if err != nil {
@@ -95,8 +95,8 @@ func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	}
 }
 
-// TestFrameDetectorMatchesScalarLoopMMSE covers the per-subcarrier
-// branch: a linear detector has no PrepareAll, so Select runs its
+// TestFrameDetectorMatchesScalarLoopMMSE covers any other detector: a
+// linear detector has no FlexCore surface, so DetectFrame runs its
 // Prepare one subcarrier at a time.
 func TestFrameDetectorMatchesScalarLoopMMSE(t *testing.T) {
 	cons, err := constellation.New(16)
@@ -109,6 +109,40 @@ func TestFrameDetectorMatchesScalarLoopMMSE(t *testing.T) {
 	checkAgainstScalarLoop(t, fd, ref, 0xabc2)
 	if sum, n := fd.ActivePEs(); sum != 0 || n != 0 {
 		t.Fatalf("ActivePEs = (%g, %d) for a detector without ActivePaths, want (0, 0)", sum, n)
+	}
+}
+
+// countingFlexCore embeds *core.FlexCore, as conformance's SIC and
+// serve's gated test detector do, and overrides PrepareAt to count its
+// calls.
+type countingFlexCore struct {
+	*core.FlexCore
+	prepares int
+}
+
+func (d *countingFlexCore) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
+	d.prepares++
+	return d.FlexCore.PrepareAt(hs, k, sigma2)
+}
+
+// TestFrameDetectorWrappedFlexCore: a detector that embeds a FlexCore
+// runs the one frame loop through its own methods — its PrepareAt runs
+// exactly once per subcarrier of every frame, hard or soft — and its
+// frames match the scalar Prepare+Detect loop.
+func TestFrameDetectorWrappedFlexCore(t *testing.T) {
+	cons := constellation.MustNew(16)
+	det := &countingFlexCore{FlexCore: core.New(cons, core.Options{NPE: 16})}
+	fd := NewFrameDetector(det)
+	for i, seed := range []uint64{0xabc8, 0xabc9} {
+		checkAgainstScalarLoop(t, fd, core.New(cons, core.Options{NPE: 16}), seed)
+		if want := 5 * (i + 1); det.prepares != want {
+			t.Fatalf("after %d 5-subcarrier frames: %d PrepareAt calls, want %d", i+1, det.prepares, want)
+		}
+	}
+	hs, ys := frameCase(t, 0xabca, 4, 3, 5, 2)
+	err := fd.DetectFrameSoft(hs, 0.1, func(k int) [][]complex128 { return ys[k] }, func(int, int, []int, [][]float64) {})
+	if err != nil || det.prepares != 15 {
+		t.Fatalf("a soft frame: %v after %d PrepareAt calls, want none after 15", err, det.prepares)
 	}
 }
 
@@ -319,8 +353,8 @@ func TestDetectFrameSoftMatchesScalarLoop(t *testing.T) {
 }
 
 // TestFrameDetectorAllocFree gates the frame loop itself: once warm,
-// DetectFrame and DetectFrameSoft on FlexCore (both backends) and
-// prepareAll+selectK on the per-subcarrier branch run without allocating.
+// DetectFrame and DetectFrameSoft on FlexCore (both backends) and the
+// per-subcarrier prepare of any other detector run without allocating.
 func TestFrameDetectorAllocFree(t *testing.T) {
 	const nr, nt, k, s, sigma2 = 4, 3, 6, 4, 0.1
 	hs, ys := frameCase(t, 0xabc5, nr, nt, k, s)
@@ -347,18 +381,15 @@ func TestFrameDetectorAllocFree(t *testing.T) {
 			t.Errorf("%s DetectFrameSoft: %.1f allocs/frame, want 0", b, allocs)
 		}
 	}
-	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no PrepareAll
+	fd := NewFrameDetector(&errDetector{okLeft: 1 << 30}) // allocation-free Prepare, no FlexCore surface
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := fd.prepareAll(hs, sigma2); err != nil {
-			t.Fatal(err)
-		}
 		for i := range hs {
-			if err := fd.selectK(i); err != nil {
+			if err := fd.prepare(hs, i, sigma2); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("per-subcarrier prepareAll+selectK: %.1f allocs/frame, want 0", allocs)
+		t.Errorf("per-subcarrier prepare: %.1f allocs/frame, want 0", allocs)
 	}
 }

@@ -1,14 +1,12 @@
 package phy
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,13 +18,31 @@ import (
 	"flexcore/internal/detector"
 )
 
+// goidBufs are goid's scratch. A caller takes a free one with a
+// compare-and-swap, so that reading a goroutine's id neither allocates
+// nor parks — an alloc gate may read it on every lane at once.
+var goidBufs [8]struct {
+	busy atomic.Bool
+	buf  [64]byte
+}
+
 // goid returns the calling goroutine's id, read from its stack header.
 func goid() int {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	f := bytes.Fields(buf)
-	id, _ := strconv.Atoi(string(f[1]))
-	return id
+	for i := 0; ; i = (i + 1) % len(goidBufs) {
+		b := &goidBufs[i]
+		if !b.busy.CompareAndSwap(false, true) {
+			continue
+		}
+		id := 0
+		for _, c := range b.buf[len("goroutine "):runtime.Stack(b.buf[:], false)] {
+			if c < '0' || c > '9' {
+				break
+			}
+			id = id*10 + int(c-'0')
+		}
+		b.busy.Store(false)
+		return id
+	}
 }
 
 // withProcs runs fn at GOMAXPROCS procs.
@@ -405,10 +421,84 @@ func TestStripedFrameAllocFree(t *testing.T) {
 	})
 }
 
+// TestStripedFrameLingerAllocFree gates the hand-off that
+// TestStripedFrameAllocFree never makes: at its GOMAXPROCS 2 the test
+// binary's two goroutines and a helper outnumber the Ps, so no helper
+// lingers and every frame starts one. Frames of 3 subcarriers at
+// GOMAXPROCS 4 keep the process alone (the two goroutines and two
+// helpers), as in TestStripedFrameLinger, so back-to-back frames go to
+// helpers still lingering from the frame before — the linger's timer
+// and the hand-off's compare-and-swap included. The gate reads windows
+// as TestStripedFrameAllocFree does and needs one at 0 mallocs that
+// holds frames with a burst on a helper goroutine of the frame before.
+// Four Ps on a 2-core host now and then leave a helper's thread off its
+// core past its linger, and the goroutine started in its place may
+// allocate until every P has spare goroutines cached: so 3000 warm
+// frames come first, and up to ten windows of 50 frames are read.
+func TestStripedFrameLingerAllocFree(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a striped frame needs two cores: this host has one")
+	}
+	const k, procs, frames, windows = 3, 4, 50, 10
+	cons := constellation.MustNew(16)
+	hs, ys := frameCase(t, 0x57c3, 4, 3, k, 2)
+	var ran [k]atomic.Int64 // the goroutine that ran each subcarrier's burst
+	burst := func(k int) [][]complex128 {
+		ran[k].Store(int64(goid()))
+		return ys[k]
+	}
+	emit := func(int, [][]int) {}
+	withProcs(procs, func() {
+		if base := settledGoroutines(); base+k-1 > procs {
+			t.Fatalf("%d goroutines before the frames: with %d helpers they outnumber the %d Ps", base, k-1, procs)
+		}
+		fd := NewFrameDetector(core.New(cons, core.Options{NPE: 16}))
+		caller := int64(goid())
+		var prev [k]int64 // the helper goroutines that ran the frame before's bursts
+		// frame detects hs and reports whether a burst ran on a helper
+		// goroutine of the frame before.
+		frame := func() (reused bool) {
+			if err := fd.DetectFrame(hs, 0.1, burst, emit); err != nil {
+				t.Fatal(err)
+			}
+			var cur [k]int64
+			for i := range ran {
+				if id := ran[i].Load(); id != caller {
+					cur[i] = id
+					reused = reused || slices.Contains(prev[:], id)
+				}
+			}
+			prev = cur
+			return reused
+		}
+		for i := 0; i < 3000; i++ {
+			frame()
+		}
+		var mallocs []uint64
+		var reused []int
+		for w := 0; w < windows && (w == 0 || mallocs[w-1] != 0 || reused[w-1] == 0); w++ {
+			n := 0
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < frames; i++ {
+				if frame() {
+					n++
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			mallocs, reused = append(mallocs, m1.Mallocs-m0.Mallocs), append(reused, n)
+		}
+		t.Logf("mallocs per window of %d frames %v; frames with a burst on a lingering helper %v", frames, mallocs, reused)
+		if last := len(mallocs) - 1; mallocs[last] != 0 || reused[last] == 0 {
+			t.Errorf("mallocs per window of %d frames %v, frames on a lingering helper %v: want a window at 0 mallocs with frames on one", frames, mallocs, reused)
+		}
+	})
+}
+
 // TestStripedFrameReleasesCores: every frame gives back the cores it
 // reserved before it returns — hard, PathReuse and soft frames, a frame
-// whose lanes fail at k = 12 and a frame with a geometry fault — at
-// GOMAXPROCS 1, 2 and 4.
+// whose lanes, lane 0 on the wrapped detector included, fail at k = 12
+// and a frame with a geometry fault — at GOMAXPROCS 1, 2 and 4.
 func TestStripedFrameReleasesCores(t *testing.T) {
 	const k = 48
 	cons := constellation.MustNew(16)
@@ -440,7 +530,7 @@ func TestStripedFrameReleasesCores(t *testing.T) {
 				{"reuse", func() error { return fd.DetectFrame(hs, 0.1, burst, emit) }, false},
 				{"reuse again", func() error { return fd.DetectFrame(hs, 0.1, burst, emit) }, false},
 				{"soft", func() error { return fd.DetectFrameSoft(hs, 0.1, burst, emitSoft) }, false},
-				{"failing at k = 12", func() error { return failing.DetectFrame(hs, 0.1, burst, emit) }, procs > 1},
+				{"failing at k = 12", func() error { return failing.DetectFrame(hs, 0.1, burst, emit) }, true},
 				{"geometry fault", func() error { return fd.DetectFrame(mixed, 0.1, burst, emit) }, true},
 				{"geometry fault, soft", func() error { return fd.DetectFrameSoft(mixed, 0.1, burst, emitSoft) }, true},
 			} {

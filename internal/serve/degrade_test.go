@@ -11,8 +11,8 @@ import (
 	"flexcore/internal/detector"
 )
 
-// gatedDetector is a real FlexCore whose parkAt-th frame (PrepareAll
-// call, 1-based) blocks until the gate opens — it lets a test park the
+// gatedDetector is a real FlexCore whose parkAt-th frame (PrepareAt
+// call at k = 0, 1-based) blocks until the gate opens — it lets a test park the
 // shard worker inside a real frame so the admission queue fills to a
 // known depth, then observe how the pressure controller degrades the
 // backlog. Embedding the concrete type keeps every capability the
@@ -30,12 +30,15 @@ func newGatedDetector(fc *core.FlexCore, parkAt int) *gatedDetector {
 	return &gatedDetector{FlexCore: fc, parkAt: parkAt, started: make(chan struct{}, 1), gate: make(chan struct{})}
 }
 
-func (d *gatedDetector) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
+func (d *gatedDetector) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
+	if k > 0 {
+		return d.FlexCore.PrepareAt(hs, k, sigma2)
+	}
 	if d.frames++; d.frames == d.parkAt {
 		d.started <- struct{}{}
 		<-d.gate
 	}
-	return d.FlexCore.PrepareAll(hs, sigma2)
+	return d.FlexCore.PrepareAt(hs, k, sigma2)
 }
 
 // noDegradeFactory is the deprecated Config.DegradeFactory hook as the
