@@ -102,3 +102,81 @@ func BenchmarkFrame(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReuseHitColdBases times the served static-channel step at the
+// serve geometry on reused bases: one soa32 detector with PathReuse and
+// 16 users, each with its own ReuseState of 8 subcarriers over static
+// channels, so every step after the first frame is a reuse hit. It
+// cycles the users as a shard does — install the user's state, then per
+// subcarrier PrepareAt, Select(0) and Detect — so each hit's plan was
+// last read 15 users ago. Sixteen users' bases fit a 4 MiB L2 with room
+// to spare, which a served process's other traffic does not leave them:
+// "evicted" reads a 16 MiB buffer, untimed, before each user, so its
+// bases come from the last-level cache as a served hit's do.
+// BenchmarkDescendGeometry in internal/kernel32 is the warm counterpart:
+// its 8 plans stay in cache. One op is one subcarrier.
+func BenchmarkReuseHitColdBases(b *testing.B) {
+	const users = 16
+	g := benchGeometries[0]
+	cons := constellation.MustNew(g.qam)
+	rng := newRng(3950)
+	hs := make([][]*cmatrix.Matrix, users)
+	ys := make([][]complex128, users*g.k)
+	for u := range hs {
+		for k := 0; k < g.k; k++ {
+			h := channel.Rayleigh(rng, g.nt, g.nt)
+			hs[u] = append(hs[u], h)
+			ys[u*g.k+k] = transmit(rng, h, cons, randSymbols(rng, cons, g.nt), g.sigma2)
+		}
+	}
+	for _, evict := range []bool{false, true} {
+		name := "resident"
+		if evict {
+			name = "evicted"
+		}
+		b.Run(name, func(b *testing.B) {
+			states := make([]ReuseState, users)
+			for u := range states {
+				states[u].Grow(g.k)
+			}
+			det := New(cons, Options{NPE: g.npe, Backend: BackendSoA32, PathReuse: true})
+			var other []byte
+			if evict {
+				other = make([]byte, 16<<20)
+			}
+			sink := byte(0)
+			step := func(i int) {
+				u, k := i/g.k%users, i%g.k
+				if k == 0 {
+					if evict {
+						b.StopTimer()
+						for j := 0; j < len(other); j += 64 {
+							sink += other[j]
+						}
+						b.StartTimer()
+					}
+					det.SetReuseState(&states[u])
+				}
+				if err := det.PrepareAt(hs[u], k, g.sigma2); err != nil {
+					b.Fatal(err)
+				}
+				if err := det.Select(0); err != nil {
+					b.Fatal(err)
+				}
+				det.Detect(ys[u*g.k+k])
+			}
+			for i := range users * g.k { // the first frame: every base searched
+				step(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				step(i)
+			}
+			b.StopTimer()
+			if pp := det.PreprocessStats(); pp.CacheMisses != users*int64(g.k) || sink == 1 {
+				b.Fatalf("%d reuse misses, want only the first frame's %d", pp.CacheMisses, users*g.k)
+			}
+		})
+	}
+}

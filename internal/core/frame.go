@@ -247,6 +247,11 @@ func (d *FlexCore) prepareSlot(s *prepSlot, k int, h *cmatrix.Matrix, sigma2 flo
 		if d.npe < base.count() {
 			s.own.copyFrom(&base.pathStore, d.npe)
 			s.set = &s.own
+		} else if d.useSoA() {
+			// The base's plan was written frames ago and has likely left
+			// the cache: stream it in now, its lines all at once, rather
+			// than one miss per step of the descent's walk.
+			d.soa.warm += base.plan.Touch()
 		}
 		d.ppOps.CacheHits++
 	} else {

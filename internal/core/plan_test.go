@@ -23,8 +23,10 @@ func compilePaths(comp *kernel32.Compiler, pl *kernel32.Plan, paths []Path, k in
 	comp.Compile(pl)
 }
 
-// samePlans fails unless the finder-built plan of paths is, slot for
-// slot and link for link, the plan Compile builds from their rank
+// samePlans fails unless the finder-built plan of paths keeps the
+// compact layout (Plan.Check: its runs contiguous in lane order, the
+// arenas zero beyond its Nodes()) and is, slot
+// for slot and link for link, the plan Compile builds from their rank
 // plane, and so is its prefix of the first k lanes for a few k.
 func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 	t.Helper()
@@ -32,6 +34,11 @@ func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 	var want, prefix kernel32.Plan
 	P := len(paths)
 	compilePaths(&comp, &want, paths, P)
+	for _, pl := range []*kernel32.Plan{plan, &want} {
+		if err := pl.Check(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
 	if !plan.Equal(&want) || plan.Nodes() != want.Nodes() {
 		t.Fatalf("%s: finder-built plan of %d paths differs from the compiled one:\n got %+v\nwant %+v", what, P, *plan, want)
 	}
@@ -41,6 +48,9 @@ func samePlans(t *testing.T, what string, plan *kernel32.Plan, paths []Path) {
 		}
 		compilePaths(&comp, &want, paths, k)
 		prefix.CopyPrefix(plan, k)
+		if err := prefix.Check(); err != nil {
+			t.Fatalf("%s: %d-lane prefix: %v", what, k, err)
+		}
 		if !prefix.Equal(&want) || prefix.Nodes() != want.Nodes() {
 			t.Fatalf("%s: %d-lane prefix of the finder-built plan differs from the first %d paths compiled:\n got %+v\nwant %+v", what, k, k, prefix, want)
 		}

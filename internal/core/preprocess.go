@@ -210,7 +210,7 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	f.ensure(n, nPE)
 	dst.ensure(nPE)
 	pl := &dst.plan
-	pl.Begin(n, nPE)
+	pl.Begin(n, nPE, m.M)
 	logP, cumAt := dst.logP[:nPE], dst.cum[:nPE]
 	lims, pc := f.lims[:nPE], f.pc[:nPE]
 	par, key, logPe := f.par[:n], f.key[:n], m.logPe[:n]

@@ -28,6 +28,7 @@ type soaState struct {
 	slicer  *kernel32.Slicer32
 	scratch kernel32.Scratch
 	dirty   bool
+	warm    int32 // the sum of the loads that stream reused plans in (Plan.Touch), kept so they stay
 }
 
 // useSoA reports whether detection runs on the SoA float32 kernel.

@@ -394,6 +394,38 @@ func TestBoundedDescentVisitedShare(t *testing.T) {
 	}
 }
 
+// TestPlanBytesPerPathSet logs what one path set's descent plan holds at
+// each bench geometry, averaged over 40 seeded Rayleigh channels: its
+// node bytes and its whole footprint (Plan.Bytes: the nodes, a run bound
+// and an origin per lane), beside the level-major layout it replaced — a
+// node plane of n·(N_PE+8) eight-byte slots whatever the set, plus a
+// top level and an owner per lane. It pins the node bytes at 4×4 16-QAM
+// N_PE 512 to at most 40 % of that plane: the nodes are what a reused
+// descent has to stream in.
+func TestPlanBytesPerPathSet(t *testing.T) {
+	const channels = 40
+	for _, g := range benchGeometries {
+		cons := constellation.MustNew(g.qam)
+		rng := newRng(3800)
+		fc := New(cons, Options{NPE: g.npe, Backend: BackendSoA32})
+		nodes, total := 0, 0
+		for range channels {
+			if err := fc.Prepare(channel.Rayleigh(rng, g.nt, g.nt), g.sigma2); err != nil {
+				t.Fatal(err)
+			}
+			nodes += 8 * fc.soa.prep.Plan.Nodes()
+			total += fc.soa.prep.Plan.Bytes()
+		}
+		nodes, total = nodes/channels, total/channels
+		plane := 8 * g.nt * (g.npe + 8)
+		t.Logf("plan bytes %s (%dx%d %d-QAM N_PE=%d): %d node, %d in all per path set; level-major: %d node, %d in all",
+			g.name, g.nt, g.nt, g.qam, g.npe, nodes, total, plane, plane+8*g.npe)
+		if g.nt == 4 && float64(nodes) > 0.40*float64(plane) {
+			t.Errorf("%s: %d node bytes per path set, want at most 40 %% of the level-major plane's %d", g.name, nodes, plane)
+		}
+	}
+}
+
 // TestNonFiniteInputFallsBack: a received vector of NaNs gives every
 // path a NaN distance on either backend; none wins — bounded walk or
 // not — so the detection is the clamped-SIC fallback's and is counted

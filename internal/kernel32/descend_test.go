@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flexcore/internal/cmatrix"
@@ -181,10 +182,10 @@ func checkWork(t *testing.T, pl *Plan, s *Scratch, b0 float32) {
 		j := n - d
 		under := map[int32]bool{}
 		for q := 0; q < pl.P; q++ {
-			if j > int(pl.top[q]) {
+			if j > pl.top(q) {
 				continue // lane q shares its node at this depth
 			}
-			v := s.Ped[j*pl.stride+q]
+			v := s.Ped[pl.slot(j, q)]
 			if math.IsNaN(float64(v)) || d == n && math.IsInf(float64(v), 1) {
 				continue
 			}
@@ -195,12 +196,9 @@ func checkWork(t *testing.T, pl *Plan, s *Scratch, b0 float32) {
 			if d == 1 {
 				continue
 			}
-			parent := int32(q)
-			if j == int(pl.top[q]) {
-				parent = pl.up[q]
-			}
-			under[parent] = true
-			if pp := s.Ped[(j+1)*pl.stride+int(parent)]; !(pp < inf32) || pp > b0 {
+			parent := pl.owner(j+1, q)
+			under[int32(parent)] = true
+			if pp := s.Ped[pl.slot(j+1, parent)]; !(pp < inf32) || pp > b0 {
 				t.Fatalf("depth %d node of lane %d sliced under a parent at %v; lane 0's distance is %v", d, q, pp, b0)
 			}
 		}
@@ -661,12 +659,18 @@ func firstLanes(c *Compiler, ranks []int16, n, P, k int) []int16 {
 	return sub
 }
 
-// checkPrefixes pins CopyPrefix for every k on plan pl of the n×P rank
-// plane: the copy is, node for node, the plan Compile builds from the
-// first k lanes alone, and descending it gives every one of those lanes
-// the distance and decisions the reference does.
+// checkPrefixes pins the layout of plan pl of the n×P rank plane and
+// CopyPrefix for every k on it: pl and every copy pass Check — runs
+// contiguous in lane order, the arenas zero beyond its Nodes() — the
+// copy is the first k leaves, run ends, owners and the first end[k−1]
+// inner slots of pl, slot for slot, and it is the plan Compile builds
+// from the first k lanes alone; descending it gives every one of those
+// lanes the distance and decisions the reference does.
 func checkPrefixes(t *testing.T, rng *rand.Rand, sl *Slicer32, cons *constellation.Constellation, pl *Plan, ranks []int16, n, P int) {
 	t.Helper()
+	if err := pl.Check(); err != nil {
+		t.Fatalf("n=%d P=%d: %v", n, P, err)
+	}
 	var c Compiler
 	var want, got Plan
 	var pr Prep
@@ -681,6 +685,14 @@ func checkPrefixes(t *testing.T, rng *rand.Rand, sl *Slicer32, cons *constellati
 		sub := append([]int16(nil), firstLanes(&c, ranks, n, P, kk)...)
 		c.Compile(&want)
 		got.CopyPrefix(pl, k)
+		if err := got.Check(); err != nil {
+			t.Fatalf("n=%d P=%d prefix %d: %v", n, P, k, err)
+		}
+		inner := got.Nodes() - kk
+		if len(got.inner) != inner || !slices.Equal(got.leaf[:kk], pl.leaf[:kk]) || !slices.Equal(got.inner, pl.inner[:inner]) ||
+			!slices.Equal(got.runs[:kk+1], pl.runs[:kk+1]) || !slices.Equal(got.from[:kk], pl.from[:kk]) {
+			t.Fatalf("n=%d P=%d: prefix %d is not the first %d lanes' slots of the plan:\n got %+v\n  of %+v", n, P, k, kk, got, *pl)
+		}
 		if !got.Equal(&want) {
 			t.Fatalf("n=%d P=%d: prefix %d differs from the plan compiled from the first %d lanes:\n got %+v\nwant %+v", n, P, k, kk, got, want)
 		}
@@ -736,7 +748,7 @@ func TestCopyPrefixIncrementalBuild(t *testing.T) {
 		type cand struct{ parent, w int }
 		vec := make([][]int, 0, P) // rank vectors, emission order
 		var pl Plan
-		pl.Begin(n, P)
+		pl.Begin(n, P, 16)
 		emit := func(parent, w int) []cand {
 			r := make([]int, n)
 			for i := range r {

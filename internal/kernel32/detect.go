@@ -26,8 +26,9 @@ const signBit = 1 << 31
 // the bound at every moment and is never skipped: the returned lane and
 // distance are the unbounded walk's, bit for bit. NaN compares false: it
 // prunes nothing and never wins. The walk moves over owner lanes:
-// stepping down keeps the lane — a node's first child is its own lane's
-// — and a sibling step follows the link to the next owner. So a descent
+// stepping down keeps the lane — a node's first child is its own lane's,
+// the next slot of its run or its leaf — and a sibling step follows the
+// link to the next owner, further on in the plan. So a descent
 // of [0, hi) completes lane 0 first and slices no node whose parent lies
 // beyond lane 0's distance. DESIGN.md §11.2 has the argument.
 //
@@ -64,11 +65,12 @@ func Descend(pr *Prep, sl *Slicer32, s *Scratch, lo, hi int, strict bool) (lane 
 	n := pr.N
 	side, fside := sl.side, sl.fside
 	off, pts := sl.off, sl.pts
-	nodes, lanes, stride := pl.nodes, int32(pl.P), pl.stride
+	base := pl.P // inner node i is slot base+i of Ped and Idx; leaf q is slot q
+	leaf, inner, ends, lanes := pl.leaf[:base], pl.inner, pl.runs[1:base+1], int32(base)
 	peds, idxs := s.Ped, s.Idx
 	u, stack := s.u, s.stack[:n+1]
-	// Until sliced, the range's leaves — one run: level 0 leads the
-	// level-major planes — read +Inf: a leaf the bound keeps out stays so.
+	// Until sliced, the range's leaves — one run: the leaves lead the
+	// node planes — read +Inf: a leaf the bound keeps out stays so.
 	fill(peds[lo:hi], inf32)
 
 	best, win := inf32, int32(-1)
@@ -121,15 +123,22 @@ walk:
 				if t--; t == 0 {
 					break walk
 				}
-				q, end = nodes[(n-t)*stride+int(stack[t].at)].sib, lanes
+				q, end = inner[stack[t].at].sib(), lanes
 				continue
 			}
 			j := n - t
-			g := j*stride + int(q)
-			v := nodes[g]
-			if t == n && int(q) < lo {
-				q = v.sib
-				continue
+			var v node
+			i, g := 0, int(q) // the node's slot in inner, and in Ped and Idx
+			if t == n {
+				if v = leaf[q]; g < lo {
+					q = v.sib()
+					continue
+				}
+			} else {
+				// Lane q's run ends at ends[q], its top node first: stepping
+				// down moves one slot forward.
+				i = int(ends[q]) - j
+				v, g = inner[i], base+i
 			}
 			visited++
 
@@ -142,7 +151,7 @@ walk:
 			nx := (c.bx + ((oa ^ c.sx) - c.sx)) >> 1
 			ny := (c.by + ((ob ^ c.sy) - c.sy)) >> 1
 			if strict && (uint32(nx) >= uint32(side) || uint32(ny) >= uint32(side)) {
-				peds[g], q = inf32, v.sib // dead, and its subtree with it
+				peds[g], q = inf32, v.sib() // dead, and its subtree with it
 				continue
 			}
 			// Saturate each axis to [0, side): v &^ (v>>31) is max(v, 0), and
@@ -165,18 +174,18 @@ walk:
 				if d <= best && (d < best || q < win) {
 					best, win = d, q
 				}
-				q = v.sib
+				q = v.sib()
 				continue
 			}
 			if d > best {
-				q = v.sib
+				q = v.sib()
 				continue
 			}
 			// Step down — to the first child, the node's own lane one level
 			// lower — and push the symbol into the rows below: three
 			// contiguous runs, the parent's rows, the child's and column j of
 			// R above the diagonal.
-			stack[t].at, stack[t].ped = q, d
+			stack[t].at, stack[t].ped = int32(i), d
 			src := u[(t-1)*n : (t-1)*n+j]
 			dst := u[t*n : t*n+j]
 			col := pr.R[j*n : j*n+j]

@@ -13,7 +13,8 @@
 //	Plan     per path set: the trie indexed by lane — one node per
 //	         distinct rank suffix, owned by the lowest lane through it,
 //	         one leaf per path (a "lane"); per node its rank and next
-//	         sibling, per lane its top owned level and the owner above —
+//	         sibling; only nodes are stored: the leaves by lane, and
+//	         each lane's inner nodes one run, the runs in lane order —
 //	         written by the path search as it emits (Begin, Branch), or
 //	         compiled from a rank plane (Compiler), and shared read-only
 //	         from then on

@@ -28,7 +28,10 @@ func (b *fuzzBytes) next() byte {
 // its own equal the per-lane reference's, a pruned lane is worse than
 // the minimum, a descent of [0, P) slices no more than the trie and only
 // under parents lane 0's distance keeps live (checkWork), every distance
-// is finite or +Inf and the clamped mode's returned one is finite.
+// is finite or +Inf and the clamped mode's returned one is finite. The
+// same holds for a prefix cut of the plan — its first k lanes, copied as
+// a capped reuse hit copies them — over ranges that start at lane 0 and
+// past it.
 func FuzzDescend(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -60,7 +63,26 @@ func FuzzDescend(f *testing.F) {
 			s.yb[i] = c32{float32(int8(in.next())) / 16, float32(int8(in.next())) / 16}
 		}
 
-		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}, {P / 2, P}})
+		k := 1 + int(in.next())%P
+		lo := int(in.next()) % k
+		checkAgainstReference(t, &pr, sl, &s, P, ranks, strict, [][2]int{{0, P}, {P / 2, P}, {lo, P}})
+
+		// The prefix cut: the first k lanes of the compiled plan, against
+		// the reference for their ranks alone.
+		var cut Plan
+		cut.CopyPrefix(pr.Plan, k)
+		if err := cut.Check(); err != nil {
+			t.Fatalf("prefix %d of %d lanes: %v", k, P, err)
+		}
+		sub := make([]int16, n*k)
+		for i := 0; i < n; i++ {
+			copy(sub[i*k:(i+1)*k], ranks[i*P:i*P+k])
+		}
+		full := pr.Plan
+		pr.Plan = &cut
+		checkAgainstReference(t, &pr, sl, &s, k, sub, strict, [][2]int{{0, k}, {lo, k}, {k / 2, k}})
+		pr.Plan = full
+
 		lane, ped := Descend(&pr, sl, &s, 0, P, strict)
 		if !strict && (lane < 0 || math.IsInf(float64(ped), 1)) {
 			t.Fatalf("clamped descent returned lane %d distance %v", lane, ped)

@@ -106,8 +106,8 @@ type c32 struct{ re, im float32 }
 type Scratch struct {
 	yb []c32 // N: rotated received vector ȳ — the root's row of u
 
-	// Per plan node slot of the last descent, level-major like the plan's
-	// (node (j, q) at j·stride+q, so lane q's leaf at q). A node the walk
+	// Per plan node of the last descent, leaves first: lane q's leaf at
+	// q, then the plan's inner runs (inner node i at P+i). A node the walk
 	// did not slice — below a deactivated node, or below one whose partial
 	// distance exceeded the bound — keeps whatever an earlier descent
 	// left, except that the range's leaves read +Inf; the returned lane's
@@ -129,7 +129,7 @@ type Scratch struct {
 // cursor is one depth of the walk's current path: the node and, set as
 // the walk steps below it, the row half its children's slicer steps share.
 type cursor struct {
-	at     int32   // the node's owner lane
+	at     int32   // the node's slot in the plan's inner runs
 	ped    float32 // its partial distance
 	b      c32     // the children's observation, and their level's
 	rii    float32 // diagonal entry of R
@@ -159,7 +159,7 @@ func (s *Scratch) Ensure(n, p int) {
 //
 //flexcore:noalloc
 func (s *Scratch) fit(pl *Plan) {
-	nodes := len(pl.nodes)
+	nodes := pl.Nodes()
 	if cap(s.Ped) < nodes {
 		s.Ped = make([]float32, nodes)
 		s.Idx = make([]int32, nodes)
@@ -182,19 +182,17 @@ func (s *Scratch) SetYbar(yb []complex128) {
 
 // GatherIdx copies lane p's decided symbol indices of the last descent
 // (factored stream order) into dst, one per level: lane p's own nodes up
-// to its top, then those of the lane owning the node above, and so on up
-// to the root. They are the lane's decisions when its distance is finite
-// — always, for the returned lane.
+// to its top, then those of the lanes it comes from, up to the root.
+// They are the lane's decisions when its distance is finite — always,
+// for the returned lane.
 //
 //flexcore:noalloc
 func (s *Scratch) GatherIdx(p int, dst []int) {
 	pl := s.plan
 	q := p
 	for j := range dst {
-		if j > int(pl.top[q]) {
-			q = int(pl.up[q])
-		}
-		dst[j] = int(s.Idx[j*pl.stride+q])
+		q = pl.owner(j, q)
+		dst[j] = int(s.Idx[pl.slot(j, q)])
 	}
 }
 
