@@ -57,7 +57,6 @@ type config struct {
 	qam       int
 	npe       int
 	threshold float64
-	strict    bool
 	reuse     bool
 	backend   string
 
@@ -128,7 +127,6 @@ func main() {
 	flag.IntVar(&c.qam, "qam", 16, "[spawn] QAM order")
 	flag.IntVar(&c.npe, "npe", 64, "[spawn] FlexCore processing elements")
 	flag.Float64Var(&c.threshold, "threshold", 0, "[spawn] a-FlexCore stopping threshold (0 = fixed NPE; paper uses 0.95)")
-	flag.BoolVar(&c.strict, "strict", false, "[spawn] strict PE deactivation (paper §3.2 literal: out-of-constellation kills the path)")
 	flag.BoolVar(&c.reuse, "reuse", false, "[spawn] Prepare reuse keyed per user, on bit-identical per-level model input (output-neutral)")
 	flag.StringVar(&c.backend, "backend", "", "[spawn] kernel backend: complex128 (default) or soa32")
 	flag.IntVar(&c.conns, "conns", 4, "pipelined client connections")
@@ -224,7 +222,7 @@ func spawnServer(c *config) (*serve.Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown backend %q", c.backend)
 	}
-	opts := core.Options{NPE: c.npe, Threshold: c.threshold, StrictDeactivation: c.strict, PathReuse: c.reuse, Backend: backend}
+	opts := core.Options{NPE: c.npe, Threshold: c.threshold, PathReuse: c.reuse, Backend: backend}
 	srv, err := serve.NewServer(serve.Config{
 		Shards:          c.shards,
 		QueueDepth:      c.queue,
@@ -392,7 +390,7 @@ func run(c *config) (*result, error) {
 	res := &result{
 		Config: map[string]any{
 			"addr": c.addr, "spawn": c.spawn, "shards": c.shards,
-			"queue": c.queue, "qam": c.qam, "npe": c.npe, "threshold": c.threshold, "strict": c.strict, "reuse": c.reuse,
+			"queue": c.queue, "qam": c.qam, "npe": c.npe, "threshold": c.threshold, "reuse": c.reuse,
 			"backend": c.backend, "conns": c.conns, "users": c.users,
 			"frames": c.frames, "inflight": c.inflight, "rate": c.rate,
 			"coherence": c.coherence, "seed": c.seed,

@@ -1,8 +1,6 @@
 package conformance
 
 import (
-	"math/rand/v2"
-
 	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
 	"flexcore/internal/constellation"
@@ -68,10 +66,4 @@ func (c *Case) Hypotheses() int {
 // decision for vector v.
 func (c *Case) Score(v int, idx []int) float64 {
 	return HypothesisDistance(c.H, c.Y[v], c.Cons, idx)
-}
-
-// CaseRNG exposes a deterministic sub-stream of the case's seed for
-// tests that need extra randomness tied to the same scenario.
-func (c *Case) CaseRNG(stream uint64) *rand.Rand {
-	return channel.NewStreamRNG(c.Seed, 0xD15C^stream)
 }

@@ -160,9 +160,6 @@ func BenchmarkReuseHitColdBases(b *testing.B) {
 				if err := det.PrepareAt(hs[u], k, g.sigma2); err != nil {
 					b.Fatal(err)
 				}
-				if err := det.Select(0); err != nil {
-					b.Fatal(err)
-				}
 				det.Detect(ys[u*g.k+k])
 			}
 			for i := range users * g.k { // the first frame: every base searched

@@ -40,13 +40,14 @@ func specFindPaths(m *Model, nPE int, stopThreshold float64) ([]Path, Preprocess
 	stats := PreprocessStats{RealMuls: int64(n)}
 	list := []node{root}
 	var e []Path
+	cum := 0.0 // Σ Pc over E, the a-FlexCore stop test
 	for len(e) < nPE && len(list) > 0 {
 		nd := list[0]
 		list = list[1:]
 		e = append(e, Path{Ranks: nd.ranks, LogP: nd.logP})
 		stats.Expanded++
-		stats.CumulativeProb += nd.pc
-		if stopThreshold > 0 && stats.CumulativeProb >= stopThreshold {
+		cum += nd.pc
+		if stopThreshold > 0 && cum >= stopThreshold {
 			break
 		}
 		for w := 0; w <= nd.lastInc; w++ {
@@ -92,8 +93,7 @@ func sameSearch(t *testing.T, what string, got, want []Path, gs, ws PreprocessSt
 			t.Fatalf("%s: path %d logP %x, want %x", what, i, math.Float64bits(got[i].LogP), math.Float64bits(want[i].LogP))
 		}
 	}
-	if gs.RealMuls != ws.RealMuls || gs.Expanded != ws.Expanded ||
-		math.Float64bits(gs.CumulativeProb) != math.Float64bits(ws.CumulativeProb) {
+	if gs != ws {
 		t.Fatalf("%s: stats %+v, want %+v", what, gs, ws)
 	}
 }

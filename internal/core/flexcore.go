@@ -226,16 +226,14 @@ func (d *FlexCore) Helper() *FlexCore {
 	return h
 }
 
-// Fold moves a helper's counters into d: OpCount, the PreprocessStats
-// counters and FallbackDetections add up, and d takes h's
-// CumulativeProb — fold helpers in subcarrier order and it is the last
-// subcarrier's. h's counters restart from zero.
+// Fold moves a helper's counters into d: OpCount, PreprocessStats and
+// FallbackDetections are all counters, so they add up, and helpers fold
+// in any order. h's counters restart from zero.
 //
 //flexcore:noalloc
 func (d *FlexCore) Fold(h *FlexCore) {
 	d.ops.Add(h.ops)
 	d.ppOps.Add(h.ppOps)
-	d.ppOps.CumulativeProb = h.ppOps.CumulativeProb
 	d.fallbk += h.fallbk
 	h.ops, h.ppOps, h.fallbk = detector.OpCount{}, PreprocessStats{}, 0
 }

@@ -138,16 +138,15 @@ func (d *FlexCore) PrepareAll(hs []*cmatrix.Matrix, sigma2 float64) error {
 }
 
 // PrepareAt prepares subcarrier k of the frame hs, and only it, as a
-// one-slot prepared frame that Select(0) selects: the way phy's
-// FrameDetector prepares every subcarrier of a frame, on whichever lane
-// claims it. It checks only subcarrier k's geometry; CheckFrame checks
-// the frame's. With a ReuseState installed, slot k of the state
-// serves and stores subcarrier k, exactly as under PrepareAll, and no
-// other slot is read or written: detectors preparing distinct
-// subcarriers of one frame against one state may run concurrently. The
-// state must already hold len(hs) slots (ReuseState.Grow), grown before
-// those detectors start. The slot stays valid until the next
-// Prepare/PrepareAll/PrepareAt.
+// one-slot prepared frame, and selects it: the way phy's FrameDetector
+// prepares every subcarrier of a frame, on whichever lane claims it. It
+// checks only subcarrier k's geometry; CheckFrame checks the frame's.
+// With a ReuseState installed, slot k of the state serves and stores
+// subcarrier k, exactly as under PrepareAll, and no other slot is read
+// or written: detectors preparing distinct subcarriers of one frame
+// against one state may run concurrently. The state must already hold
+// len(hs) slots (ReuseState.Grow), grown before those detectors start.
+// The slot stays valid until the next Prepare/PrepareAll/PrepareAt.
 //
 //flexcore:noalloc
 func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
@@ -163,8 +162,7 @@ func (d *FlexCore) PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error 
 	}
 	d.startFrame(hs[k].Cols, 1)
 	d.prepareSlot(&d.frame[0], k, hs[k], sigma2, st)
-	d.ppOps.CumulativeProb = d.frame[0].set.total()
-	return nil
+	return d.Select(0)
 }
 
 // errSlot is PrepareAt's cold error for a subcarrier outside the frame.
@@ -195,7 +193,6 @@ func (d *FlexCore) prepareFrame(hs []*cmatrix.Matrix, sigma2 float64, st *ReuseS
 	for k, h := range hs {
 		d.prepareSlot(&d.frame[k], k, h, sigma2, st)
 	}
-	d.ppOps.CumulativeProb = d.frame[len(d.frame)-1].set.total()
 	return nil
 }
 
@@ -267,6 +264,7 @@ func (d *FlexCore) prepareSlot(s *prepSlot, k int, h *cmatrix.Matrix, sigma2 flo
 		}
 	}
 
+	d.ppOps.ActivePaths += int64(s.set.count())
 	d.ops.Prepares++
 	muls := int64(4 * h.Rows * d.n * d.n)
 	d.ops.RealMuls += muls
@@ -309,7 +307,6 @@ func (d *FlexCore) Select(k int) error {
 	d.qr = &s.qr
 	d.set = s.set
 	d.soa.prep.Plan = &s.set.plan
-	d.ppOps.CumulativeProb = s.set.total()
 	d.soa.dirty = true
 	return nil
 }

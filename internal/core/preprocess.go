@@ -20,8 +20,10 @@ type Path struct {
 func (p Path) Prob() float64 { return math.Exp(p.LogP) }
 
 // PreprocessStats reports the work done by the pre-processing tree
-// search, in the units of the paper's Table 2, plus the coherence-reuse
-// counters of the channel-rate fast path.
+// search, in the units of the paper's Table 2, the processing elements
+// it activated, and the coherence-reuse counters of the channel-rate
+// fast path. Every field is a counter: runs, shards and a frame's lanes
+// combine by Add, in any order.
 type PreprocessStats struct {
 	// RealMuls counts the probability-update multiplications of the
 	// §3.1.1 search as the paper states it: the Nt-term root product plus
@@ -32,8 +34,11 @@ type PreprocessStats struct {
 	RealMuls int64
 	// Expanded counts expanded pre-processing tree nodes.
 	Expanded int64
-	// CumulativeProb is Σ Pc over the returned set E.
-	CumulativeProb float64
+	// ActivePaths sums the selected paths — the processing elements
+	// activated — over the prepared subcarriers: divided by
+	// OpCount.Prepares it is the mean active-PE count of Fig. 10 (NPE for
+	// FlexCore, fewer for a-FlexCore).
+	ActivePaths int64
 	// CacheHits counts Prepare calls that reused the position vectors of
 	// a coherent earlier channel instead of re-running the tree search
 	// (0 unless Options.PathReuse is enabled).
@@ -43,27 +48,27 @@ type PreprocessStats struct {
 	CacheMisses int64
 }
 
-// Add accumulates the counter fields of other into s — the
-// aggregation the serving layer uses to merge per-shard detector
-// stats into one metrics snapshot. CumulativeProb is a per-Prepare
-// instantaneous value, not a counter, so Add keeps s's value.
+// Add accumulates other into s — every field is a counter — the
+// aggregation the serving layer uses to merge per-shard detector stats
+// into one metrics snapshot, and FlexCore.Fold a helper's into its
+// owner's.
 func (s *PreprocessStats) Add(other PreprocessStats) {
 	s.RealMuls += other.RealMuls
 	s.Expanded += other.Expanded
+	s.ActivePaths += other.ActivePaths
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
 }
 
 // pathStore is an owned path set: its descent plan — the paths' prefix
 // trie, one lane per path in emission order, written by the search as it
-// emits — with each path's log-probability and the running Σ Pc at it,
-// the bound it was searched under, and the rank vectors, materialised
-// from the plan only for the callers that read them (view). Every frame
-// slot and every ReuseState base — scalar Prepare's included — own one;
-// all storage regrows only past its high-water mark.
+// emits — with each path's log-probability, the bound it was searched
+// under, and the rank vectors, materialised from the plan only for the
+// callers that read them (view). Every frame slot and every ReuseState
+// base — scalar Prepare's included — own one; all storage regrows only
+// past its high-water mark.
 type pathStore struct {
 	logP  []float64     // per path: log Pc
-	cum   []float64     // per path q: Σ Pc over paths [0, q], summed in the search's order
 	limit int           // the N_PE bound of the search that selected the paths
 	plan  kernel32.Plan // the paths' prefix trie: lane q is path q
 
@@ -75,7 +80,7 @@ type pathStore struct {
 // ensure sizes the per-path arenas for up to nPE paths and empties the
 // set.
 func (s *pathStore) ensure(nPE int) {
-	s.logP, s.cum = slices.Grow(s.logP[:0], nPE), slices.Grow(s.cum[:0], nPE)
+	s.logP = slices.Grow(s.logP[:0], nPE)
 	s.viewed = false
 }
 
@@ -83,11 +88,6 @@ func (s *pathStore) ensure(nPE int) {
 //
 //flexcore:noalloc
 func (s *pathStore) count() int { return len(s.logP) }
-
-// total returns Σ Pc over a searched set.
-//
-//flexcore:noalloc
-func (s *pathStore) total() float64 { return s.cum[len(s.cum)-1] }
 
 // covers reports whether the set answers a search bounded at k: the
 // first k paths are the same under every bound ≥ k (FindPaths), so a set
@@ -120,13 +120,10 @@ func (s *pathStore) view() []Path {
 
 // copyFrom makes s a deep copy of src as a search bounded at k would
 // have selected it: src's first k paths, all of them when it has no
-// more. src must cover k. The search sums Σ Pc path by path, so the
-// prefix's sum is the running sum at its last path, bit for bit what a
-// search bounded at k returns.
+// more. src must cover k.
 func (s *pathStore) copyFrom(src *pathStore, k int) {
 	P := min(k, src.count())
 	s.logP = append(s.logP[:0], src.logP[:P]...)
-	s.cum = append(s.cum[:0], src.cum[:P]...)
 	s.limit = src.limit
 	if P < src.count() {
 		s.limit = k
@@ -211,7 +208,7 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	dst.ensure(nPE)
 	pl := &dst.plan
 	pl.Begin(n, nPE, m.M)
-	logP, cumAt := dst.logP[:nPE], dst.cum[:nPE]
+	logP := dst.logP[:nPE]
 	lims, pc := f.lims[:nPE], f.pc[:nPE]
 	par, key, logPe := f.par[:n], f.key[:n], m.logPe[:n]
 	full := 4 * (int32(m.M) - 1) // the slicer offset of rank |Q|: saturated
@@ -238,7 +235,6 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 	count, cum := 1, 0.0
 	for {
 		cum += pc[count-1]
-		cumAt[count-1] = cum
 		stats.Expanded++
 		if stopThreshold > 0 && cum >= stopThreshold {
 			break
@@ -291,8 +287,7 @@ func (f *pathFinder) find(m *Model, nPE int, stopThreshold float64, dst *pathSto
 			par[bw], key[bw] = emptyQueue, math.Inf(-1)
 		}
 	}
-	dst.logP, dst.cum = logP[:count], cumAt[:count]
-	stats.CumulativeProb = cum
+	dst.logP = logP[:count]
 	return stats
 }
 

@@ -134,12 +134,18 @@ func TestFindPathsStoppingThreshold(t *testing.T) {
 	// probability, so a 0.95 threshold must stop after very few paths —
 	// the a-FlexCore behaviour of Fig. 10.
 	m := testModel(t, 64, []float64{1.4, 1.1, 1.2, 1.3}, 30)
-	paths, stats := FindPaths(m, 64, 0.95)
+	paths, _ := FindPaths(m, 64, 0.95)
 	if len(paths) > 3 {
 		t.Fatalf("high SNR: %d paths active, expected ≤ 3", len(paths))
 	}
-	if stats.CumulativeProb < 0.95 {
-		t.Fatalf("stop before reaching threshold: %v", stats.CumulativeProb)
+	// The search stops on its running Σ Pc; the returned set's Σ exp(log
+	// Pc) is the same sum up to rounding.
+	var cum float64
+	for _, p := range paths {
+		cum += p.Prob()
+	}
+	if cum < 0.95-1e-12 {
+		t.Fatalf("stop before reaching threshold: Σ Pc = %v", cum)
 	}
 	// At low SNR the same threshold needs many more paths.
 	m = testModel(t, 64, []float64{1.4, 1.1, 1.2, 1.3}, 8)
@@ -175,10 +181,10 @@ func TestFindPathsNPEOne(t *testing.T) {
 }
 
 func TestPreprocessStatsAdd(t *testing.T) {
-	s := PreprocessStats{RealMuls: 10, Expanded: 3, CumulativeProb: 0.5, CacheHits: 2, CacheMisses: 1}
-	s.Add(PreprocessStats{RealMuls: 5, Expanded: 4, CumulativeProb: 0.9, CacheHits: 1, CacheMisses: 7})
-	want := PreprocessStats{RealMuls: 15, Expanded: 7, CumulativeProb: 0.5, CacheHits: 3, CacheMisses: 8}
+	s := PreprocessStats{RealMuls: 10, Expanded: 3, ActivePaths: 6, CacheHits: 2, CacheMisses: 1}
+	s.Add(PreprocessStats{RealMuls: 5, Expanded: 4, ActivePaths: 9, CacheHits: 1, CacheMisses: 7})
+	want := PreprocessStats{RealMuls: 15, Expanded: 7, ActivePaths: 15, CacheHits: 3, CacheMisses: 8}
 	if s != want {
-		t.Fatalf("Add produced %+v, want %+v (counters summed, CumulativeProb kept)", s, want)
+		t.Fatalf("Add produced %+v, want %+v (every field summed)", s, want)
 	}
 }

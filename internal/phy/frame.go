@@ -18,10 +18,10 @@ import (
 // (one per shard), bench/, the link simulator (one per packet worker)
 // and the waveform receiver all prepare and detect frames through it.
 // Every subcarrier is prepared on its own, then detected: a FlexCore
-// (DESIGN.md §9) through PrepareAt and Select(0), against that
-// subcarrier's slot of the installed ReuseState, any other detector
-// through Prepare. Decisions are bit-identical to looping
-// Prepare+Detect per subcarrier either way.
+// (DESIGN.md §9) through PrepareAt, against that subcarrier's slot of
+// the installed ReuseState, any other detector through Prepare.
+// Decisions are bit-identical to looping Prepare+Detect per subcarrier
+// either way.
 //
 // A FrameDetector is not safe for concurrent use (detectors are
 // stateful across Prepare/Detect); run one per goroutine or shard.
@@ -33,9 +33,6 @@ type FrameDetector struct {
 	det   detector.Detector
 	batch detector.BatchDetector
 	fc    flexCore // the detector's FlexCore surface; nil for any other detector
-
-	activeSum float64
-	activeN   int64
 
 	st *core.ReuseState // the installed ReuseState, which the helper lanes prepare against too
 
@@ -61,8 +58,6 @@ type FrameDetector struct {
 // (*core.FlexCore, or a type embedding one) or none.
 type flexCore interface {
 	PrepareAt(hs []*cmatrix.Matrix, k int, sigma2 float64) error
-	Select(k int) error
-	ActivePaths() int
 	Options() core.Options
 	PreprocessStats() core.PreprocessStats
 	SetReuseState(*core.ReuseState)
@@ -135,23 +130,14 @@ func (f *FrameDetector) checkFrame(hs []*cmatrix.Matrix) error {
 
 // prepare prepares subcarrier k of the frame hs on its own for the
 // wrapped detector's next Detect/DetectBatch/DetectSoft calls — a
-// FlexCore through PrepareAt and Select(0), any other detector through
-// Prepare — and samples a FlexCore's active processing-element count.
+// FlexCore through PrepareAt, any other detector through Prepare.
 //
 //flexcore:noalloc
 func (f *FrameDetector) prepare(hs []*cmatrix.Matrix, k int, sigma2 float64) error {
 	if f.fc == nil {
 		return f.det.Prepare(hs[k], sigma2)
 	}
-	err := f.fc.PrepareAt(hs, k, sigma2)
-	if err == nil {
-		err = f.fc.Select(0)
-	}
-	if err == nil {
-		f.activeSum += float64(f.fc.ActivePaths())
-		f.activeN++
-	}
-	return err
+	return f.fc.PrepareAt(hs, k, sigma2)
 }
 
 // DetectFrame detects one frame: for each subcarrier k it prepares that
@@ -228,9 +214,9 @@ func reserveCores(want int) int {
 // until none is left, takes back every hand-off whose goroutine has not
 // started, joins the helpers, emits every lane's results in increasing k
 // up to the lowest failed claim and folds the helpers' counters into the
-// wrapped detector. The error is that claim's, after exactly the
-// subcarriers below it were emitted. Exactly one of hard and soft is
-// set.
+// wrapped detector — sums, in any order. The error is that claim's,
+// after exactly the subcarriers below it were emitted. Exactly one of
+// hard and soft is set.
 //
 //flexcore:noalloc
 func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst func(k int) [][]complex128, hard func(k int, decisions [][]int), soft func(k, s int, got []int, llrs [][]float64)) error {
@@ -279,23 +265,9 @@ func (f *FrameDetector) detectFrame(hs []*cmatrix.Matrix, sigma2 float64, burst 
 			i++
 		}
 	}
-
-	last := 0 // the lane that prepared the last subcarrier claimed: its CumulativeProb is the frame's
-	for i := range n {
-		if f.lane(i).top() > f.lane(last).top() {
-			last = i
-		}
-	}
-	for i := 1; i < n; i++ {
-		if i != last {
-			f.fold(f.lane(i))
-		}
-	}
-	switch {
-	case last > 0:
-		f.fold(f.lane(last))
-	case n > 1 && f.own.top() >= 0:
-		_ = f.fc.Select(0) // lane 0's last claim, still in slot 0, takes back the CumulativeProb the folds took; re-selecting it cannot fail
+	for _, l := range f.lanes[:n-1] {
+		f.lead.Fold(l.fd.lead)
+		l.fd.fc.SetReuseState(nil)
 	}
 	f.claimed, f.burst = nil, nil
 	return err
@@ -333,18 +305,6 @@ func (f *FrameDetector) handOff(i int) {
 	l.state.Store(laneQueued)
 	go runLane()
 	laneQ <- l
-}
-
-// fold returns a joined helper lane's counters to the wrapped detector
-// and drops its reference to the frame's ReuseState.
-//
-//flexcore:noalloc
-func (f *FrameDetector) fold(l *lane) {
-	f.lead.Fold(l.fd.lead)
-	f.activeSum += l.fd.activeSum
-	f.activeN += l.fd.activeN
-	l.fd.activeSum, l.fd.activeN = 0, 0
-	l.fd.fc.SetReuseState(nil)
 }
 
 // laneQ carries each handed-off lane to the goroutine started for it. A
@@ -563,21 +523,17 @@ func (l *lane) emit(k int, hard func(k int, decisions [][]int), soft func(k, s i
 	return true
 }
 
-// top returns the last subcarrier the lane claimed, −1 for none.
-//
-//flexcore:noalloc
-func (l *lane) top() int {
-	if len(l.ks) == 0 {
-		return -1
+// ActivePEs returns the wrapped detector's cumulative active
+// processing-element count, PreprocessStats.ActivePaths, and the number
+// of subcarriers it was summed over, OpCount.Prepares — (0, 0) for a
+// detector that is not a FlexCore. Their ratio is the simulator's mean
+// active-PE count.
+func (f *FrameDetector) ActivePEs() (sum float64, n int64) {
+	if f.fc == nil {
+		return 0, 0
 	}
-	return l.ks[len(l.ks)-1]
+	return float64(f.fc.PreprocessStats().ActivePaths), f.det.OpCount().Prepares
 }
-
-// ActivePEs returns the cumulative active processing-element count and
-// the number of prepared subcarriers it was sampled over (nonzero only
-// for FlexCore/a-FlexCore) — the serving layer's AvgActivePEs metric
-// and the simulator's.
-func (f *FrameDetector) ActivePEs() (sum float64, n int64) { return f.activeSum, f.activeN }
 
 // PreprocessStats returns the wrapped detector's cumulative
 // pre-processing counters (zero for detectors without any).

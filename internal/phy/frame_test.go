@@ -78,7 +78,7 @@ func checkAgainstScalarLoop(t *testing.T, fd *FrameDetector, ref detector.Detect
 
 // TestFrameDetectorMatchesScalarLoopFlexCore covers FlexCore's
 // per-subcarrier prepare: DetectFrame prepares each subcarrier through
-// PrepareAt and Select(0).
+// PrepareAt.
 func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	cons, err := constellation.New(16)
 	if err != nil {
@@ -88,8 +88,8 @@ func TestFrameDetectorMatchesScalarLoopFlexCore(t *testing.T) {
 	ref := core.New(cons, core.Options{NPE: 16})
 	fd := NewFrameDetector(det)
 	checkAgainstScalarLoop(t, fd, ref, 0xabc1)
-	// FlexCore reports active PEs: the frame loop must have sampled one
-	// count per prepared subcarrier across the run.
+	// FlexCore reports active PEs: its counters sum one path set per
+	// prepared subcarrier across the run.
 	if sum, n := fd.ActivePEs(); n != 5 || sum != float64(16*5) {
 		t.Fatalf("ActivePEs = (%g, %d), want (80, 5)", sum, n)
 	}
@@ -108,7 +108,7 @@ func TestFrameDetectorMatchesScalarLoopMMSE(t *testing.T) {
 	fd := NewFrameDetector(det)
 	checkAgainstScalarLoop(t, fd, ref, 0xabc2)
 	if sum, n := fd.ActivePEs(); sum != 0 || n != 0 {
-		t.Fatalf("ActivePEs = (%g, %d) for a detector without ActivePaths, want (0, 0)", sum, n)
+		t.Fatalf("ActivePEs = (%g, %d) for a detector that is not a FlexCore, want (0, 0)", sum, n)
 	}
 }
 

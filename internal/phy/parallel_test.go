@@ -215,12 +215,12 @@ func TestRunReuseEstimatesWorkerIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SimConfig{
-		Link:        link,
-		SNRdB:       8,
-		Packets:     24,
-		Seed:        608,
-		EstErrorVar: 0.01,
-		Channels:    &TraceProvider{Set: ts},
+		Link:         link,
+		SNRdB:        8,
+		Packets:      24,
+		Seed:         608,
+		PilotSymbols: 4,
+		Channels:     &TraceProvider{Set: ts},
 		DetectorFactory: func() detector.Detector {
 			return core.New(link.Constellation, core.Options{NPE: 16, Threshold: 0.95, PathReuse: true})
 		},

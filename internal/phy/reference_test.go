@@ -39,14 +39,8 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 		x := make([]complex128, link.Users)
 		for k, h := range hs {
 			prepH := h
-			switch {
-			case cfg.PilotSymbols > 0:
+			if cfg.PilotSymbols > 0 {
 				prepH = EstimateLS(rng, h, sigma2, cfg.PilotSymbols)
-			case cfg.EstErrorVar > 0:
-				prepH = h.Copy()
-				for i := range prepH.Data {
-					prepH.Data[i] += channel.CN(rng, cfg.EstErrorVar*sigma2)
-				}
 			}
 			if err := det.Prepare(prepH, sigma2); err != nil {
 				t.Fatal(err)
@@ -97,16 +91,15 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 }
 
 // TestRunMatchesReferenceLoop pins the simulator's one frame loop —
-// channels and bursts drawn first, then PrepareAll/Select through
-// phy.FrameDetector — to the per-subcarrier scalar loop, for every CSI
-// mode, hard and soft, at one and several workers.
+// channels and bursts drawn first, then every subcarrier prepared on its
+// own through phy.FrameDetector — to the per-subcarrier scalar loop, for
+// every CSI mode, hard and soft, at one and several workers.
 func TestRunMatchesReferenceLoop(t *testing.T) {
 	link := smallLink()
 	csi := []struct {
 		name   string
-		estVar float64
 		pilots int
-	}{{"genie", 0, 0}, {"esterr", 0.5, 0}, {"pilots", 0, 2}}
+	}{{"genie", 0}, {"pilots", 2}}
 	dets := []struct {
 		name   string
 		softOK bool
@@ -129,7 +122,6 @@ func TestRunMatchesReferenceLoop(t *testing.T) {
 					Packets:         6,
 					Seed:            611,
 					Soft:            soft,
-					EstErrorVar:     c.estVar,
 					PilotSymbols:    c.pilots,
 					Channels:        &TDLProvider{Seed: 612, Users: link.Users, APAntennas: link.APAntennas, Subcarriers: []int{0, 1, 2, 3, 4, 5, 6, 7}, Config: channel.DefaultIndoorTDL},
 					DetectorFactory: d.newDet,

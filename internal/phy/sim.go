@@ -36,17 +36,13 @@ type SimConfig struct {
 	// (FrameDetector.DetectFrameSoft), and the receive chain feeds its
 	// LLRs to a soft Viterbi decoder instead of hard decisions.
 	Soft bool
-	// EstErrorVar adds synthetic channel-estimation error: the detector
-	// is prepared on Ĥ = H + E with i.i.d. CN(0, EstErrorVar·σ²) entries
-	// (pilot-limited estimation noise scales with the channel noise),
-	// while transmissions still traverse the true H. The paper's §3.1
-	// notes that reliable channel estimates are required for both the
-	// QR decomposition and FlexCore's path selection; this knob measures
-	// the sensitivity. 0 disables.
-	EstErrorVar float64
 	// PilotSymbols enables explicit least-squares channel estimation
 	// from that many pilot OFDM symbols per packet and subcarrier (see
-	// EstimateLS); it takes precedence over EstErrorVar. 0 = genie CSI.
+	// EstimateLS): the detector is prepared on the estimate, while
+	// transmissions still traverse the true H. The paper's §3.1 notes
+	// that reliable channel estimates are required for both the QR
+	// decomposition and FlexCore's path selection; this knob measures
+	// the sensitivity. 0 = genie CSI.
 	PilotSymbols int
 	// Workers is the number of packet-level simulation workers
 	// (0 = runtime.NumCPU()). Every packet draws its randomness from its
@@ -300,8 +296,8 @@ func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det de
 }
 
 // simPacket runs one packet end to end: transmit chains, then per
-// subcarrier the channel the detector is prepared on (genie, perturbed
-// or LS-estimated) and the received OFDM-symbol burst, then one frame
+// subcarrier the channel the detector is prepared on (genie or
+// LS-estimated) and the received OFDM-symbol burst, then one frame
 // detection and decoding. The channels and bursts are drawn first, in
 // subcarrier order, so the packet's RNG stream is consumed exactly as
 // by a per-subcarrier Prepare/Detect loop. All randomness comes from
@@ -320,17 +316,9 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 		w.tx[u] = link.buildTxPacket(rng, w.il)
 	}
 	for k, h := range hs {
-		switch {
-		case cfg.PilotSymbols > 0:
+		w.prep[k] = h
+		if cfg.PilotSymbols > 0 {
 			w.prep[k] = EstimateLS(rng, h, w.sigma2, cfg.PilotSymbols)
-		case cfg.EstErrorVar > 0:
-			est := h.Copy()
-			for i := range est.Data {
-				est.Data[i] += channel.CN(rng, cfg.EstErrorVar*w.sigma2)
-			}
-			w.prep[k] = est
-		default:
-			w.prep[k] = h
 		}
 		for s, y := range w.ys[k] {
 			for u := range w.x {

@@ -279,11 +279,13 @@ func TestRunChannelEstimationError(t *testing.T) {
 		Subcarriers:   8,
 		OFDMSymbols:   8,
 	}
-	run := func(estVar float64) Result {
+	// LS estimation from Np pilots errs by σ²/Np per entry: the fewest
+	// pilots that separate 4 users is the heaviest error.
+	run := func(pilots int) Result {
 		res, err := Run(SimConfig{
 			Link: link, SNRdB: 12, Packets: 80, Seed: 901,
 			DetectorFactory: func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 32}) },
-			EstErrorVar:     estVar,
+			PilotSymbols:    pilots,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -291,8 +293,8 @@ func TestRunChannelEstimationError(t *testing.T) {
 		return res
 	}
 	clean := run(0)
-	mild := run(0.5)
-	heavy := run(8)
+	mild := run(16)
+	heavy := run(4)
 	t.Logf("PER: clean %.3f, mild est error %.3f, heavy %.3f", clean.PER, mild.PER, heavy.PER)
 	if heavy.PER <= clean.PER {
 		t.Fatalf("heavy estimation error (%.3f) did not degrade PER (clean %.3f)", heavy.PER, clean.PER)

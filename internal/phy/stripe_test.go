@@ -63,10 +63,7 @@ type stripeRun struct {
 	state     [][]pathSet // per frame and subcarrier, the installed ReuseState's base after the frame
 	ops       detector.OpCount
 	pp        core.PreprocessStats
-	cumBits   uint64
 	fallbacks int64
-	activeSum float64
-	activeN   int64
 	lanes     int // helper lanes the FrameDetector made
 }
 
@@ -181,8 +178,6 @@ func runStripes(t *testing.T, procs int, cons *constellation.Constellation, c st
 			}
 		}
 		run.ops, run.pp, run.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
-		run.cumBits = math.Float64bits(run.pp.CumulativeProb)
-		run.activeSum, run.activeN = fd.ActivePEs()
 		run.lanes = len(fd.lanes)
 	})
 	return run
@@ -268,9 +263,8 @@ func TestStripedFrameMatchesOneLane(t *testing.T) {
 							want := one
 							want.lanes = many.lanes
 							if !reflect.DeepEqual(want, many) {
-								t.Fatalf("striped run at GOMAXPROCS %d differs from one stripe:\n one  %+v %+v %d %v/%d\n many %+v %+v %d %v/%d\n order %v\n    vs %v",
-									procs, one.ops, one.pp, one.fallbacks, one.activeSum, one.activeN,
-									many.ops, many.pp, many.fallbacks, many.activeSum, many.activeN, one.order, many.order)
+								t.Fatalf("striped run at GOMAXPROCS %d differs from one stripe:\n one  %+v %+v %d\n many %+v %+v %d\n order %v\n    vs %v",
+									procs, one.ops, one.pp, one.fallbacks, many.ops, many.pp, many.fallbacks, one.order, many.order)
 							}
 						}
 					})
@@ -635,8 +629,6 @@ func TestStripedFrameTakesBack(t *testing.T) {
 			t.Errorf("none of %d frames was taken back", frames)
 		}
 		many.ops, many.pp, many.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
-		many.cumBits = math.Float64bits(many.pp.CumulativeProb)
-		many.activeSum, many.activeN = fd.ActivePEs()
 		if !reflect.DeepEqual(one, many) {
 			t.Fatalf("frames with hand-offs taken back differ from one lane:\n one  %+v %+v\n many %+v %+v", one.ops, one.pp, many.ops, many.pp)
 		}
@@ -824,12 +816,9 @@ func TestStripedFrameLinger(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: %d frames ran on a helper that lingered with more goroutines than Ps", procs, reused)
 			}
 			many.ops, many.pp, many.fallbacks = det.OpCount(), det.PreprocessStats(), det.FallbackDetections()
-			many.cumBits = math.Float64bits(many.pp.CumulativeProb)
-			many.activeSum, many.activeN = fd.ActivePEs()
 			if !reflect.DeepEqual(one, many) {
-				t.Fatalf("GOMAXPROCS %d: frames with gaps differ from one lane:\n one  %+v %+v %d %v/%d\n many %+v %+v %d %v/%d",
-					procs, one.ops, one.pp, one.fallbacks, one.activeSum, one.activeN,
-					many.ops, many.pp, many.fallbacks, many.activeSum, many.activeN)
+				t.Fatalf("GOMAXPROCS %d: frames with gaps differ from one lane:\n one  %+v %+v %d\n many %+v %+v %d",
+					procs, one.ops, one.pp, one.fallbacks, many.ops, many.pp, many.fallbacks)
 			}
 
 			n := runtime.NumGoroutine()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -393,5 +394,91 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServedActivePEsAreSums: every detector statistic the snapshot
+// publishes is a counter summed over the shards. An a-FlexCore server
+// (θ = 0.9, two shards, PathReuse, every frame sent twice so the second
+// hits) reports AvgActivePEs as the offline mean of the selected path
+// counts — below N_PE — and Preprocess.ActivePaths as the sum of its
+// shard detectors', and every field of the preprocess JSON moves.
+func TestServedActivePEsAreSums(t *testing.T) {
+	cons, err := constellation.New(e2eQAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{NPE: e2eNPE, Threshold: 0.9, PathReuse: true, Backend: envBackend(t)}
+	var mu sync.Mutex
+	var dets []*core.FlexCore
+	srv, err := NewServer(Config{
+		Shards: 2,
+		DetectorFactory: func() detector.Detector {
+			mu.Lock()
+			defer mu.Unlock()
+			dets = append(dets, core.New(cons, opts))
+			return dets[len(dets)-1]
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := srv.InProcess()
+	defer cl.Close()
+	var q DetectRequest
+	var resp DetectResponse
+	var paths, prepares int64 // the offline count: a fresh a-FlexCore per subcarrier sent
+	for _, user := range []uint64{1, 2, 3, 4} {
+		for f := uint64(1); f <= 2; f++ {
+			fillFrame(t, &q, user, f)
+			for range 2 {
+				if err := cl.Do(&q, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Status != StatusOK {
+					t.Fatalf("user %d frame %d: status %v, want ok", user, f, resp.Status)
+				}
+				for _, h := range q.H() {
+					ref := core.New(cons, core.Options{NPE: e2eNPE, Threshold: 0.9})
+					if err := ref.Prepare(h, q.Sigma2); err != nil {
+						t.Fatal(err)
+					}
+					paths += int64(ref.ActivePaths())
+					prepares++
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Metrics()
+	if want := float64(paths) / float64(prepares); snap.AvgActivePEs != want || want >= e2eNPE {
+		t.Fatalf("AvgActivePEs %g, offline mean %g over %d subcarriers (want it below N_PE %d)", snap.AvgActivePEs, want, prepares, e2eNPE)
+	}
+	t.Logf("AvgActivePEs %.3f over %d subcarriers, preprocess %+v", snap.AvgActivePEs, prepares, snap.Preprocess)
+	var shards core.PreprocessStats
+	for _, d := range dets {
+		shards.Add(d.PreprocessStats())
+	}
+	if len(dets) != 2 || snap.Preprocess != shards || snap.Preprocess.ActivePaths != paths {
+		t.Fatalf("snapshot preprocess %+v, the %d shard detectors sum to %+v, offline ActivePaths %d", snap.Preprocess, len(dets), shards, paths)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Preprocess map[string]float64 `json:"preprocess"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range doc.Preprocess {
+		if v == 0 {
+			t.Errorf("preprocess.%s reads 0 in a run that exercises it: %s", name, raw)
+		}
 	}
 }

@@ -138,11 +138,12 @@ type Snapshot struct {
 	// detector in the units the paper reports (Table 1/2).
 	OpCount detector.OpCount `json:"op_count"`
 	// Preprocess aggregates the per-shard pre-processing counters
-	// (tree-search work, path-reuse cache hits/misses).
+	// (tree-search work, active paths, path-reuse cache hits/misses).
 	Preprocess core.PreprocessStats `json:"preprocess"`
 	// AvgActivePEs is the mean active processing-element count per
-	// prepared subcarrier (a-FlexCore's flexibility knob; equals NPE
-	// for plain FlexCore, 0 for detectors that do not report it).
+	// prepared subcarrier, Preprocess.ActivePaths / OpCount.Prepares
+	// (a-FlexCore's flexibility knob; equals NPE for plain FlexCore, 0
+	// for detectors that do not report it).
 	AvgActivePEs float64 `json:"avg_active_pes"`
 }
 
@@ -171,8 +172,6 @@ func (s *Server) Metrics() Snapshot {
 		snap.ThroughputFPS = float64(snap.Completed) / snap.UptimeSeconds
 	}
 
-	var activeSum float64
-	var activeN int64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		st := ShardStats{
@@ -185,13 +184,11 @@ func (s *Server) Metrics() Snapshot {
 		snap.OpCount.Add(sh.ops)
 		snap.Preprocess.Add(sh.pre)
 		st.ReuseHits, st.ReuseMisses = sh.pre.CacheHits, sh.pre.CacheMisses
-		activeSum += sh.activeSum
-		activeN += sh.activeN
 		sh.statsMu.Unlock()
 		snap.ShardStats[i] = st
 	}
-	if activeN > 0 {
-		snap.AvgActivePEs = activeSum / float64(activeN)
+	if snap.OpCount.Prepares > 0 {
+		snap.AvgActivePEs = float64(snap.Preprocess.ActivePaths) / float64(snap.OpCount.Prepares)
 	}
 
 	total := s.met.latCount.Load()

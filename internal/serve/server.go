@@ -167,11 +167,9 @@ type shard struct {
 
 	// statsMu publishes the detector's op counters to Metrics (the
 	// worker writes them after every frame; Snapshot reads them).
-	statsMu   sync.Mutex
-	ops       detector.OpCount
-	pre       core.PreprocessStats
-	activeSum float64
-	activeN   int64
+	statsMu sync.Mutex
+	ops     detector.OpCount
+	pre     core.PreprocessStats
 }
 
 // Server is the sharded, backpressured detection service. Build one
@@ -459,10 +457,8 @@ func (s *Server) complete(sh *shard, t *task) {
 func (s *Server) publish(sh *shard) {
 	ops := sh.fd.Detector().OpCount()
 	pre := sh.fd.PreprocessStats()
-	activeSum, activeN := sh.fd.ActivePEs()
 	sh.statsMu.Lock()
 	sh.ops, sh.pre = ops, pre
-	sh.activeSum, sh.activeN = activeSum, activeN
 	sh.statsMu.Unlock()
 }
 
