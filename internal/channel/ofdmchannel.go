@@ -38,6 +38,16 @@ func (c TDLConfig) tapPowers() []float64 {
 	return p
 }
 
+// DrawTaps draws one antenna pair's delay taps, tap t ~ CN(0, p[t]) of
+// the normalised profile, in tap order.
+func (c TDLConfig) DrawTaps(rng *rand.Rand) []complex128 {
+	taps := make([]complex128, c.NTaps)
+	for t, p := range c.tapPowers() {
+		taps[t] = CN(rng, p)
+	}
+	return taps
+}
+
 // FreqSelective draws one frequency-selective channel realisation: a
 // per-subcarrier nr×nt matrix for each of the subcarrier indices in sc
 // (indices into the NFFT grid). Entries across antenna pairs are

@@ -42,7 +42,7 @@ func TestViterbiNoErrors(t *testing.T) {
 	rng := newRng(81)
 	for _, n := range []int{1, 17, 64, 512} {
 		info := randBits(rng, n)
-		dec, err := DecodeRate12(EncodeRate12(info), n)
+		dec, err := DecodeRate12Soft(hardToLLR(EncodeRate12(info), 1), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestViterbiCorrectsScatteredErrors(t *testing.T) {
 	for i := 0; i < len(coded); i += 40 {
 		coded[i] ^= 1
 	}
-	dec, err := DecodeRate12(coded, len(info))
+	dec, err := DecodeRate12Soft(hardToLLR(coded, 1), len(info))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestViterbiBurstBeyondCapacityFails(t *testing.T) {
 	for i := 40; i < 90; i++ {
 		coded[i] ^= 1
 	}
-	dec, err := DecodeRate12(coded, len(info))
+	dec, err := DecodeRate12Soft(hardToLLR(coded, 1), len(info))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestViterbiBurstBeyondCapacityFails(t *testing.T) {
 }
 
 func TestViterbiLengthValidation(t *testing.T) {
-	if _, err := DecodeRate12(make([]uint8, 10), 100); err == nil {
+	if _, err := DecodeRate12Soft(hardToLLR(make([]uint8, 10), 1), 100); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestRoundTripQuick(t *testing.T) {
 		rng := newRng(seed)
 		n := 1 + int(seed%200)
 		info := randBits(rng, n)
-		dec, err := DecodeRate12(EncodeRate12(info), n)
+		dec, err := DecodeRate12Soft(hardToLLR(EncodeRate12(info), 1), n)
 		if err != nil {
 			return false
 		}
@@ -138,9 +138,10 @@ func TestInterleaverBijective(t *testing.T) {
 		rng := newRng(uint64(tc.ncbps))
 		in := randBits(rng, tc.ncbps)
 		out := it.Interleave(in)
-		back := it.Deinterleave(out)
-		for i := range in {
-			if back[i] != in[i] {
+		back := it.DeinterleaveLLRs(hardToLLR(out, 1))
+		want := hardToLLR(in, 1)
+		for i := range want {
+			if back[i] != want[i] {
 				t.Fatalf("NCBPS=%d: round trip failed at %d", tc.ncbps, i)
 			}
 		}
@@ -188,11 +189,11 @@ func TestInterleaverValidation(t *testing.T) {
 func BenchmarkViterbi1024(b *testing.B) {
 	rng := newRng(86)
 	info := randBits(rng, 1024)
-	coded := EncodeRate12(info)
+	llrs := hardToLLR(EncodeRate12(info), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRate12(coded, len(info)); err != nil {
+		if _, err := DecodeRate12Soft(llrs, len(info)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package coding implements the 802.11 forward-error-correction substrate
 // used by the FlexCore evaluation: the rate-1/2 constraint-length-7
 // convolutional code (g0 = 133, g1 = 171 octal) with zero-tail
-// termination, hard- and soft-decision Viterbi decoders, and the 802.11
-// two-permutation block interleaver.
+// termination, its Viterbi decoder over log-likelihood ratios (hard
+// decisions enter as ±1 LLRs), and the 802.11 two-permutation block
+// interleaver.
 package coding
 
 import "math/bits"

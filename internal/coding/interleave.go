@@ -52,18 +52,6 @@ func (it *Interleaver) Interleave(in []uint8) []uint8 {
 	return out
 }
 
-// Deinterleave inverts Interleave.
-func (it *Interleaver) Deinterleave(in []uint8) []uint8 {
-	if len(in) != it.ncbps {
-		panic(fmt.Sprintf("coding: deinterleave block %d, want %d", len(in), it.ncbps))
-	}
-	out := make([]uint8, it.ncbps)
-	for j, v := range in {
-		out[it.inv[j]] = v
-	}
-	return out
-}
-
 // DeinterleaveLLRs inverts Interleave for soft values (one LLR per coded
 // bit position).
 func (it *Interleaver) DeinterleaveLLRs(in []float64) []float64 {

@@ -9,6 +9,10 @@ import "fmt"
 // with no channel observation carries LLR 0, so no separate erasure
 // symbol is needed. infoLen is the number of information bits.
 //
+// It is also the hard-decision decoder: hard bits enter as ±1 LLRs
+// (+1 for a 0 bit), every branch metric is then 2·Hamming − 2, and the
+// survivors and their tie-breaks are those of a Hamming-metric Viterbi.
+//
 // Soft decoding is the substrate for the paper's §7 future-work
 // extension ("extend FlexCore to soft-detectors"); see detector-side LLR
 // generation in internal/core.

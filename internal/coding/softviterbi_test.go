@@ -21,8 +21,8 @@ func TestSoftViterbiCleanRoundTrip(t *testing.T) {
 
 func TestSoftViterbiUsesReliability(t *testing.T) {
 	// Construct a stream with errors placed on LOW-confidence positions:
-	// the soft decoder must recover where a hard decoder (which weighs
-	// all positions equally) fails.
+	// the soft decoder must recover where hard decisions (±1 LLRs, which
+	// weigh all positions equally) fail.
 	rng := newRng(92)
 	info := randBits(rng, 200)
 	coded := EncodeRate12(info)
@@ -49,7 +49,7 @@ func TestSoftViterbiUsesReliability(t *testing.T) {
 			softErrs++
 		}
 	}
-	decHard, err := DecodeRate12(hard, len(info))
+	decHard, err := DecodeRate12Soft(hardToLLR(hard, 1), len(info))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,8 @@ func TestInterleaverLLRRoundTrip(t *testing.T) {
 	for i := range in {
 		in[i] = rng.NormFloat64()
 	}
-	// Interleave the positions via the uint8 path, then check that the
-	// LLR deinterleaver inverts the same permutation.
-	tag := make([]uint8, 192)
-	for i := range tag {
-		tag[i] = uint8(i % 2)
-	}
-	perm := it.Interleave(tag)
-	_ = perm
+	// Interleave the positions, then check that the LLR deinterleaver
+	// inverts the same permutation.
 	shuffled := make([]float64, 192)
 	for k := range in {
 		shuffled[it.fwd[k]] = in[k]

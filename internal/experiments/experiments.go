@@ -47,14 +47,10 @@ func (c Config) calIterations() int {
 	return 8
 }
 
-// subcarriers returns the simulated data-subcarrier count (NCBPS must
-// stay a multiple of 16 for every constellation in use).
-func (c Config) subcarriers() int {
-	if c.Quick {
-		return 8
-	}
-	return 8
-}
+// subcarriers is the simulated data-subcarrier count, quick and full
+// alike (NCBPS must stay a multiple of 16 for every constellation in
+// use).
+const subcarriers = 8
 
 // ofdmSymbols returns the packet length in OFDM symbols. Longer packets
 // move the PER anchors toward the paper's 500-kByte regime; the full

@@ -25,7 +25,7 @@ func Fig10(cfg Config, w io.Writer) (*Table, error) {
 
 	// One trace set serves every user count (users are a column subset,
 	// like scheduling a subset of the measured users).
-	sc := make([]int, cfg.subcarriers())
+	sc := make([]int, subcarriers)
 	idx := ofdm.DataSubcarrierIndices()
 	for i := range sc {
 		sc[i] = idx[i*len(idx)/len(sc)]
@@ -35,7 +35,7 @@ func Fig10(cfg Config, w io.Writer) (*Table, error) {
 		Users:         apAntennas,
 		APAntennas:    apAntennas,
 		Subcarriers:   sc,
-		Drops:         maxInt(cfg.packets(), 8),
+		Drops:         max(cfg.packets(), 8),
 		APCorrelation: 0.3,
 		SNRSpreadDB:   3,
 	})
@@ -48,7 +48,7 @@ func Fig10(cfg Config, w io.Writer) (*Table, error) {
 			Users:         users,
 			APAntennas:    apAntennas,
 			Constellation: cons,
-			Subcarriers:   cfg.subcarriers(),
+			Subcarriers:   subcarriers,
 			OFDMSymbols:   cfg.ofdmSymbols(),
 		}
 	}
@@ -129,11 +129,4 @@ func Fig10(cfg Config, w io.Writer) (*Table, error) {
 		t.Fprint(w)
 	}
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,7 +14,7 @@ import (
 // OpenMP CPU baselines. Values are from the calibrated GPU execution
 // model (DESIGN.md §2).
 func Fig11(cfg Config, w io.Writer) ([]*Table, error) {
-	d := gpu.GTX970
+	dev := gpu.GTX970
 	const nt, qam = 12, 64
 	es := []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	var out []*Table
@@ -28,19 +28,19 @@ func Fig11(cfg Config, w io.Writer) ([]*Table, error) {
 			Header: []string{"|E|", "Nsc=64", "Nsc=1024", "Nsc=16384"},
 		}
 		for _, e := range es {
-			row := []string{d2(e)}
+			row := []string{d(int64(e))}
 			for _, nsc := range []int{64, 1024, 16384} {
 				base := gpu.Workload{Vectors: nsc, PathsPerVector: paths, Levels: nt}
 				flex := gpu.Workload{Vectors: nsc, PathsPerVector: e, Levels: nt, FlexCore: true}
-				row = append(row, f2(d.Speedup(base, flex)))
+				row = append(row, f2(dev.Speedup(base, flex)))
 			}
 			t.Add(row...)
 		}
 		// CPU references relative to the same GPU FCSD baseline.
 		base := gpu.Workload{Vectors: 16384, PathsPerVector: paths, Levels: nt}
-		gpuT := d.KernelTime(base)
+		gpuT := dev.KernelTime(base)
 		for _, threads := range []int{1, 2, 4, 8} {
-			t.Notes = append(t.Notes, fmt.Sprintf("FCSD OpenMP-%d: %.3fx of the GPU FCSD baseline", threads, gpuT/d.CPUTime(base, threads)))
+			t.Notes = append(t.Notes, fmt.Sprintf("FCSD OpenMP-%d: %.3fx of the GPU FCSD baseline", threads, gpuT/dev.CPUTime(base, threads)))
 		}
 		t.Notes = append(t.Notes, "paper headline: ≈19× at |E|=128, L=2, high occupancy; speedup shrinks with |E| and at low occupancy (Nsc=64)")
 		if w != nil {
@@ -50,5 +50,3 @@ func Fig11(cfg Config, w io.Writer) ([]*Table, error) {
 	}
 	return out, nil
 }
-
-func d2(v int) string { return fmt.Sprintf("%d", v) }

@@ -58,7 +58,7 @@ func (c Config) linkFor(qam, nt int) phy.LinkConfig {
 		Users:         nt,
 		APAntennas:    nt,
 		Constellation: constellation.MustNew(qam),
-		Subcarriers:   c.subcarriers(),
+		Subcarriers:   subcarriers,
 		OFDMSymbols:   c.ofdmSymbols(),
 	}
 }

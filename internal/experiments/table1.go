@@ -54,14 +54,14 @@ func Table1(cfg Config, w io.Writer) (*Table, error) {
 		res, err := phy.Run(phy.SimConfig{
 			Link: phy.LinkConfig{
 				Users: nt, APAntennas: nt, Constellation: cons,
-				Subcarriers: cfg.subcarriers(), OFDMSymbols: cfg.ofdmSymbols(),
+				Subcarriers: subcarriers, OFDMSymbols: cfg.ofdmSymbols(),
 			},
 			SNRdB:           snrdB,
 			Packets:         cfg.packets(),
 			Seed:            cfg.Seed + uint64(nt),
 			DetectorFactory: func() detector.Detector { return detector.NewSphere(cons) },
 			Workers:         cfg.Workers,
-			Channels:        &phy.IIDProvider{Seed: cfg.Seed + uint64(nt)*7, Users: nt, APAntennas: nt, Subcarriers: cfg.subcarriers()},
+			Channels:        &phy.IIDProvider{Seed: cfg.Seed + uint64(nt)*7, Users: nt, APAntennas: nt, Subcarriers: subcarriers},
 		})
 		if err != nil {
 			return nil, err

@@ -95,36 +95,11 @@ func (c *LinkConfig) buildTxPacket(rng *rand.Rand, il *coding.Interleaver) txPac
 	return tx
 }
 
-// decodeRxPacket runs the receive chain on hard symbol decisions and
-// reports packet success (CRC match) and payload bit errors.
-func (c *LinkConfig) decodeRxPacket(rx [][]int, tx txPacket, il *coding.Interleaver) (ok bool, bitErrors int, err error) {
-	bps := c.Constellation.BitsPerSymbol()
-	stream := make([]uint8, 0, c.codedBitsPerPacket())
-	buf := make([]uint8, c.ncbps())
-	bits := make([]uint8, bps)
-	for s := 0; s < c.OFDMSymbols; s++ {
-		for k := 0; k < c.Subcarriers; k++ {
-			c.Constellation.SymbolBits(rx[s][k], bits)
-			copy(buf[k*bps:(k+1)*bps], bits)
-		}
-		stream = append(stream, il.Deinterleave(buf)...)
-	}
-	info, err := coding.DecodeRate12(stream, c.PayloadBits()+32)
-	if err != nil {
-		return false, 0, err
-	}
-	payload, crcOK := splitCRC(info)
-	for i := range tx.payload {
-		if payload[i] != tx.payload[i] {
-			bitErrors++
-		}
-	}
-	return crcOK && bitErrors == 0, bitErrors, nil
-}
-
-// decodeRxPacketSoft is decodeRxPacket for LLR observations: it
-// deinterleaves the soft values and runs soft-decision Viterbi.
-func (c *LinkConfig) decodeRxPacketSoft(rxLLR [][]float64, tx txPacket, il *coding.Interleaver) (ok bool, bitErrors int, err error) {
+// decodeRxPacket runs the receive chain on one user's LLR rows
+// ([ofdmSym][ncbps], hard decisions as hardLLRs): it deinterleaves them,
+// Viterbi-decodes and reports packet success (CRC match) and payload bit
+// errors.
+func (c *LinkConfig) decodeRxPacket(rxLLR [][]float64, tx txPacket, il *coding.Interleaver) (ok bool, bitErrors int, err error) {
 	stream := make([]float64, 0, c.codedBitsPerPacket())
 	for s := 0; s < c.OFDMSymbols; s++ {
 		stream = append(stream, il.DeinterleaveLLRs(rxLLR[s])...)
@@ -140,6 +115,16 @@ func (c *LinkConfig) decodeRxPacketSoft(rxLLR [][]float64, tx txPacket, il *codi
 		}
 	}
 	return crcOK && bitErrors == 0, bitErrors, nil
+}
+
+// hardLLRs writes the bits of the decided symbol sym into dst
+// (len(dst) = bits per symbol) as certain LLRs: +1 for a 0 bit, −1 for a
+// 1 bit. On them the Viterbi decoder is the hard-decision decoder.
+func hardLLRs(cons *constellation.Constellation, sym int, dst []float64) {
+	var bits [10]uint8 // 1024-QAM, the largest order
+	for i, b := range cons.SymbolBits(sym, bits[:len(dst)]) {
+		dst[i] = float64(1 - 2*int(b))
+	}
 }
 
 // appendCRC appends the IEEE CRC-32 of the payload bits (packed MSB

@@ -104,7 +104,7 @@ func TestTxRxChainLoopback(t *testing.T) {
 	rng := channel.NewRNG(302)
 	for trial := 0; trial < 20; trial++ {
 		tx := link.buildTxPacket(rng, il)
-		ok, bitErrs, err := link.decodeRxPacket(tx.symbols, tx, il)
+		ok, bitErrs, err := link.decodeRxPacket(hardRows(link, tx.symbols), tx, il)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,12 +130,64 @@ func TestTxRxChainCorruption(t *testing.T) {
 			rx[s][k] = (rx[s][k] + 1) % link.Constellation.Size()
 		}
 	}
-	ok, _, err := link.decodeRxPacket(rx, tx, il)
+	ok, _, err := link.decodeRxPacket(hardRows(link, rx), tx, il)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("heavily corrupted packet accepted")
+	}
+}
+
+// TestHardDecisionsDecodeHammingML pins the hard-decision receive chain
+// (decided symbols through hardLLRs into the Viterbi decoder) to a
+// brute-force oracle: for short info words with random bit flips, the
+// decoded code word is at the least Hamming distance from the received
+// word of all 2ⁿ code words.
+func TestHardDecisionsDecodeHammingML(t *testing.T) {
+	cons := constellation.MustNew(4) // 2 bits per symbol: one symbol per coded pair
+	rng := channel.NewRNG(305)
+	hamming := func(a, b []uint8) int {
+		d := 0
+		for i := range a {
+			if a[i] != b[i] {
+				d++
+			}
+		}
+		return d
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.IntN(8)
+		info := make([]uint8, n)
+		for i := range info {
+			info[i] = uint8(rng.IntN(2))
+		}
+		rx := coding.EncodeRate12(info)
+		flip := 0.3 * rng.Float64()
+		for i := range rx {
+			if rng.Float64() < flip {
+				rx[i] ^= 1
+			}
+		}
+		llrs := make([]float64, len(rx))
+		for i := 0; i < len(rx); i += 2 {
+			hardLLRs(cons, cons.SymbolFromBits(rx[i:i+2]), llrs[i:i+2])
+		}
+		dec, err := coding.DecodeRate12Soft(llrs, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := len(rx)
+		word := make([]uint8, n)
+		for w := 0; w < 1<<n; w++ {
+			for i := range word {
+				word[i] = uint8(w>>i) & 1
+			}
+			best = min(best, hamming(coding.EncodeRate12(word), rx))
+		}
+		if got := hamming(coding.EncodeRate12(dec), rx); got != best {
+			t.Fatalf("trial %d (n=%d): decoded code word at Hamming distance %d, the nearest is at %d", trial, n, got, best)
+		}
 	}
 }
 
@@ -155,4 +207,18 @@ func TestTxPacketsDiffer(t *testing.T) {
 	if same {
 		t.Fatal("consecutive packets carry identical payloads")
 	}
+}
+
+// hardRows turns one user's decided symbols ([ofdmSym][subcarrier]) into
+// the receive chain's LLR rows ([ofdmSym][ncbps]) through hardLLRs.
+func hardRows(link LinkConfig, syms [][]int) [][]float64 {
+	bps := link.Constellation.BitsPerSymbol()
+	rows := make([][]float64, len(syms))
+	for s, row := range syms {
+		rows[s] = make([]float64, len(row)*bps)
+		for k, sym := range row {
+			hardLLRs(link.Constellation, sym, rows[s][k*bps:(k+1)*bps])
+		}
+	}
+	return rows
 }

@@ -34,7 +34,6 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 		for u := range tx {
 			tx[u] = link.buildTxPacket(rng, il)
 		}
-		rx := grid[int](link.Users, link.OFDMSymbols, link.Subcarriers)
 		rxL := grid[float64](link.Users, link.OFDMSymbols, link.ncbps())
 		x := make([]complex128, link.Users)
 		for k, h := range hs {
@@ -55,26 +54,19 @@ func referenceRun(t *testing.T, cfg SimConfig, det detector.Detector) Result {
 				}
 				y := channel.AddAWGN(rng, h.MulVec(x), sigma2)
 				if cfg.Soft {
-					got, llrs := det.(*core.FlexCore).DetectSoft(y, sigma2)
-					for u := range rx {
-						rx[u][s][k] = got[u]
-						copy(rxL[u][s][k*bps:(k+1)*bps], llrs[u])
+					_, llrs := det.(*core.FlexCore).DetectSoft(y, sigma2)
+					for u, l := range llrs {
+						copy(rxL[u][s][k*bps:(k+1)*bps], l)
 					}
 					continue
 				}
 				for u, g := range det.Detect(y) {
-					rx[u][s][k] = g
+					hardLLRs(link.Constellation, g, rxL[u][s][k*bps:(k+1)*bps])
 				}
 			}
 		}
 		for u := range tx {
-			var ok bool
-			var bitErrs int
-			if cfg.Soft {
-				ok, bitErrs, err = link.decodeRxPacketSoft(rxL[u], tx[u], il)
-			} else {
-				ok, bitErrs, err = link.decodeRxPacket(rx[u], tx[u], il)
-			}
+			ok, bitErrs, err := link.decodeRxPacket(rxL[u], tx[u], il)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,7 @@ type SimConfig struct {
 	MaxPacketErrors int
 	// Soft enables soft-decision decoding: the detector must be FlexCore
 	// (FrameDetector.DetectFrameSoft), and the receive chain feeds its
-	// LLRs to a soft Viterbi decoder instead of hard decisions.
+	// LLRs to the Viterbi decoder instead of hard decisions' ±1 LLRs.
 	Soft bool
 	// PilotSymbols enables explicit least-squares channel estimation
 	// from that many pilot OFDM symbols per packet and subcarrier (see
@@ -255,8 +255,7 @@ type simWorker struct {
 	fd     *FrameDetector
 
 	tx   []txPacket
-	rx   [][][]int         // [user][ofdmSym][subcarrier]
-	rxL  [][][]float64     // [user][ofdmSym][ncbps] when soft
+	rxL  [][][]float64     // [user][ofdmSym][ncbps] LLRs, hard decisions as hardLLRs
 	x    []complex128      // transmit vector scratch
 	prep []*cmatrix.Matrix // [subcarrier] the channel the detector is prepared on
 	ys   [][][]complex128  // [subcarrier][ofdmSym] received vectors
@@ -269,27 +268,24 @@ type simWorker struct {
 // newSimWorker allocates the worker buffers.
 func newSimWorker(cfg *SimConfig, il *coding.Interleaver, sigma2 float64, det detector.Detector) *simWorker {
 	link := cfg.Link
+	bps := link.Constellation.BitsPerSymbol()
 	w := &simWorker{cfg: cfg, il: il, sigma2: sigma2, fd: NewFrameDetector(det)}
-	if cfg.Soft {
-		w.rxL = grid[float64](link.Users, link.OFDMSymbols, link.ncbps())
-		bps := link.Constellation.BitsPerSymbol()
-		w.emitSoft = func(k, s int, _ []int, llrs [][]float64) {
-			for u, l := range llrs {
-				copy(w.rxL[u][s][k*bps:(k+1)*bps], l)
-			}
-		}
-	}
 	w.tx = make([]txPacket, link.Users)
-	w.rx = grid[int](link.Users, link.OFDMSymbols, link.Subcarriers)
+	w.rxL = grid[float64](link.Users, link.OFDMSymbols, link.ncbps())
 	w.x = make([]complex128, link.Users)
 	w.prep = make([]*cmatrix.Matrix, link.Subcarriers)
 	w.ys = grid[complex128](link.Subcarriers, link.OFDMSymbols, link.APAntennas)
 	w.burst = func(k int) [][]complex128 { return w.ys[k] }
 	w.emit = func(k int, got [][]int) {
-		for s := range got {
-			for u := range w.rx {
-				w.rx[u][s][k] = got[s][u]
+		for s, row := range got {
+			for u, sym := range row {
+				hardLLRs(link.Constellation, sym, w.rxL[u][s][k*bps:(k+1)*bps])
 			}
+		}
+	}
+	w.emitSoft = func(k, s int, _ []int, llrs [][]float64) {
+		for u, l := range llrs {
+			copy(w.rxL[u][s][k*bps:(k+1)*bps], l)
 		}
 	}
 	return w
@@ -340,13 +336,7 @@ func (w *simWorker) simPacket(pkt int) (packetStats, error) {
 	sum1, n1 := w.fd.ActivePEs()
 	st.activeSum, st.activeN = sum1-sum0, int(n1-n0)
 	for u := 0; u < link.Users; u++ {
-		var ok bool
-		var bitErrs int
-		if cfg.Soft {
-			ok, bitErrs, err = link.decodeRxPacketSoft(w.rxL[u], w.tx[u], w.il)
-		} else {
-			ok, bitErrs, err = link.decodeRxPacket(w.rx[u], w.tx[u], w.il)
-		}
+		ok, bitErrs, err := link.decodeRxPacket(w.rxL[u], w.tx[u], w.il)
 		if err != nil {
 			return st, err
 		}

@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"math"
 
 	"flexcore/internal/channel"
 	"flexcore/internal/cmatrix"
@@ -102,12 +101,12 @@ func RunWaveform(cfg WaveformConfig) (WaveformResult, error) {
 
 	// Per-pair multipath taps with an exponential profile, normalised so
 	// E‖h(f)‖² = 1 per pair.
-	powers := channel.TDLConfig{NTaps: cfg.Taps, DecayPerTap: 3, NFFT: ofdm.NFFT}
+	profile := channel.TDLConfig{NTaps: cfg.Taps, DecayPerTap: 3, NFFT: ofdm.NFFT}
 	taps := make([][][]complex128, nr)
 	for r := 0; r < nr; r++ {
 		taps[r] = make([][]complex128, nt)
 		for u := 0; u < nt; u++ {
-			taps[r][u] = drawTaps(rng, powers)
+			taps[r][u] = profile.DrawTaps(rng)
 		}
 	}
 
@@ -190,25 +189,6 @@ func RunWaveform(cfg WaveformConfig) (WaveformResult, error) {
 	}
 	res.SER = float64(res.SymbolErrors) / float64(res.Symbols)
 	return res, nil
-}
-
-// drawTaps draws one antenna pair's normalised multipath taps.
-func drawTaps(rng interface {
-	NormFloat64() float64
-}, cfg channel.TDLConfig) []complex128 {
-	// Reuse channel.FreqSelective's profile arithmetic via direct draw.
-	powers := make([]float64, cfg.NTaps)
-	var sum float64
-	for t := 0; t < cfg.NTaps; t++ {
-		powers[t] = math.Pow(10, -cfg.DecayPerTap*float64(t)/10)
-		sum += powers[t]
-	}
-	taps := make([]complex128, cfg.NTaps)
-	for t := range taps {
-		std := math.Sqrt(powers[t] / sum / 2)
-		taps[t] = complex(rng.NormFloat64()*std, rng.NormFloat64()*std)
-	}
-	return taps
 }
 
 // tapsToFreq returns the data-bin frequency response of the taps.
