@@ -267,3 +267,39 @@ func TestRunSoftRequiresSoftDetector(t *testing.T) {
 		t.Fatal("soft run with a hard-only detector accepted")
 	}
 }
+
+func TestRunChannelEstimationError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical test")
+	}
+	link := LinkConfig{
+		Users:         4,
+		APAntennas:    4,
+		Constellation: constellation.MustNew(16),
+		Subcarriers:   8,
+		OFDMSymbols:   8,
+	}
+	// LS estimation from Np pilots errs by σ²/Np per entry: the fewest
+	// pilots that separate 4 users is the heaviest error.
+	run := func(pilots int) Result {
+		res, err := Run(SimConfig{
+			Link: link, SNRdB: 12, Packets: 80, Seed: 901,
+			DetectorFactory: func() detector.Detector { return core.New(link.Constellation, core.Options{NPE: 32}) },
+			PilotSymbols:    pilots,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean := run(0)
+	mild := run(16)
+	heavy := run(4)
+	t.Logf("PER: clean %.3f, mild est error %.3f, heavy %.3f", clean.PER, mild.PER, heavy.PER)
+	if heavy.PER <= clean.PER {
+		t.Fatalf("heavy estimation error (%.3f) did not degrade PER (clean %.3f)", heavy.PER, clean.PER)
+	}
+	if mild.PER > heavy.PER {
+		t.Fatalf("PER not monotone in estimation error: %.3f vs %.3f", mild.PER, heavy.PER)
+	}
+}
